@@ -44,10 +44,8 @@ class RunConfig:
     obs_path: str
     mode: str = "global"
     k: int = 2
-    grid: Optional[GridSpec] = None
     out_path: Optional[str] = None
     summary_path: Optional[str] = None
-    seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -73,10 +71,9 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         model=model, mu_spec=mu_spec, sigma2_spec=sigma2_spec,
         obs_path=args.obs, mode=args.mode, k=args.k,
-        grid=GridSpec.parse(args.grid) if getattr(args, "grid", None) else None,
         out_path=getattr(args, "out", None),
         summary_path=getattr(args, "summary", None),
-        seed=getattr(args, "seed", 0), workers=getattr(args, "workers", 1),
+        workers=getattr(args, "workers", 1),
     )
 
 
@@ -150,6 +147,8 @@ def load_predictor(path):
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
     obs = ObservationSet([_obs_from_json(r) for r in doc["observations"]], dim=doc["dim"])
     weights = np.array(doc["weights"], dtype=float)
+    if weights.shape != (obs.m,):
+        raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
     if doc["mode"] == "global":
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
@@ -157,6 +156,9 @@ def load_predictor(path):
         return KernelPredictor(model, obs, mu, sigma2, weights, cholesky(matrix), matrix)
     loc = doc["localized"]
     psi_doc = loc["psi_lower"]
+    if psi_doc["order"] != obs.m:
+        raise ConfigError(f"{path}: approximate inverse of order {psi_doc['order']} "
+                          f"for {obs.m} observations")
     psi = SparseSymmetric.from_entries(psi_doc["order"], psi_doc["rows"],
                                        psi_doc["cols"], psi_doc["vals"])
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, loc["k"], loc["delta"])
@@ -250,12 +252,10 @@ def _neighborhood_sizes(fit: LocalizedFit) -> Optional[dict]:
 
 
 def _negative_variance_count(fit: LocalizedFit) -> int:
-    count = 0
-    for o in fit.obs:
-        if o.kind == obsmodel.POINT:
-            if variance_localized(fit, o.location) < 0.0:
-                count += 1
-    return count
+    points = fit.obs.point_mask()
+    if not points.any():
+        return 0
+    return int(np.count_nonzero(variance_localized(fit, fit.obs.rep_points()[points]) < 0.0))
 
 
 def _emit(doc: dict, path: Optional[str]):
@@ -271,16 +271,11 @@ def _emit(doc: dict, path: Optional[str]):
 def cmd_grid(args) -> int:
     fitted = load_predictor(args.predictor)
     grid = GridSpec.parse(args.grid)
-    if isinstance(fitted, LocalizedFit):
-        if fitted.obs.m > 0 and grid.dim != fitted.obs.dim:
-            raise ConfigError(f"grid dimension {grid.dim} != predictor dimension {fitted.obs.dim}")
-        table = rasterize_localized(fitted, grid)
-        _write_raster_csv(args.out, table, grid.dim, localized_mode=True)
-    else:
-        if fitted.obs.m > 0 and grid.dim != fitted.dim:
-            raise ConfigError(f"grid dimension {grid.dim} != predictor dimension {fitted.dim}")
-        table = rasterize(fitted, grid)
-        _write_raster_csv(args.out, table, grid.dim, localized_mode=False)
+    localized_mode = isinstance(fitted, LocalizedFit)
+    if grid.dim != fitted.obs.dim:
+        raise ConfigError(f"grid dimension {grid.dim} != predictor dimension {fitted.obs.dim}")
+    table = rasterize_localized(fitted, grid) if localized_mode else rasterize(fitted, grid)
+    _write_raster_csv(args.out, table, grid.dim, localized_mode)
     return 0
 
 
@@ -411,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--summary", help="also write the run summary JSON here")
     p_fit.add_argument("--workers", type=int, default=1,
                        help="threads for the localized per-observation loop")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rasterize a saved predictor")
@@ -429,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help='"lo,hi" search bracket for the base scale')
     p_inf.add_argument("--out", help="also write the result JSON here")
     p_inf.add_argument("--workers", type=int, default=1)
-    p_inf.add_argument("--seed", type=int, default=0)
     p_inf.set_defaults(func=cmd_infer)
 
     p_ex = sub.add_parser("example-a", help="fit the built-in 1D demonstration set")

@@ -11,6 +11,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -128,6 +129,17 @@ class CholeskyFactor:
         if info != 0:
             raise FactorizationError(int(info), "triangular solve failed")
         return x[self._inv_perm]
+
+    def forward_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``L^{-1} P rhs``: the permuted forward substitution alone.
+
+        For any vector ``v``, ``v' A^{-1} v`` is the squared norm of
+        ``forward_solve(v)``; the columns of a 2-D ``rhs`` are solved together.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.order:
+            raise ValueError(f"rhs length {rhs.shape[0]} != order {self.order}")
+        return solve_triangular(self.lower, rhs[self.perm], lower=True, check_finite=False)
 
     def logdet(self) -> float:
         """log determinant of A (twice the log-diagonal sum of the factor)."""

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
 from .linalg import SparseSymmetric, SpatialIndex, dense_spd_inverse
-from .obsmodel import POINT, ObservationSet, assemble, kernel_vector
+from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
 _DENSE_GATHER_CUTOFF = 4000
 
@@ -85,7 +85,11 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
 
 
 class LocalizedFit:
-    """Fitted state of the localized predictor."""
+    """Fitted state of the localized predictor.
+
+    Under its finite-range model the kernels of observations beyond the
+    taper range are exact zeros, so queries need no neighbourhood search.
+    """
 
     def __init__(self, model: CorrelationModel, obs: ObservationSet,
                  approx_inverse: SparseSymmetric, mu_star: float,
@@ -101,17 +105,6 @@ class LocalizedFit:
         self.k = int(k)
         self.delta = float(delta)
         self.clamp_count = 0
-        self._index = None
-        self._reach = None
-        if obs.m > 0:
-            radii = obs.support_radii()
-            self._reach = model.taper_range + float(radii.max(initial=0.0))
-            self._index = SpatialIndex(obs.rep_points(), cell=self._reach)
-
-    def local_subset(self, x) -> Optional[np.ndarray]:
-        if self._index is None:
-            return None
-        return self._index.neighbors(np.atleast_1d(np.asarray(x, dtype=float)), self._reach)
 
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
@@ -169,31 +162,37 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     return fit
 
 
-def predict_localized(f: LocalizedFit, x) -> float:
-    """Localized prediction at ``x``: mean plus kernel sum over the tau0-neighborhood."""
-    if f.obs.m == 0:
-        return f.mu_star
-    nu = kernel_vector(f.obs, x, f.model, subset=f.local_subset(x))
-    return f.mu_star + float(f.weights_star @ nu)
+def predict_localized(f: LocalizedFit, x):
+    """Localized prediction at one point ``x`` (q,), or an (n,) array at the
+    rows of an (n, q) block: mean plus the weighted kernel sum."""
+    return over_query_blocks(
+        x, lambda block: f.mu_star + kernel_vector(f.obs, block, f.model) @ f.weights_star)
 
 
-def variance_localized(f: LocalizedFit, x) -> float:
-    """Raw localized prediction variance at ``x``.
+def _raw_variance(f: LocalizedFit, kernels: np.ndarray) -> np.ndarray:
+    """sigma2* (1 - nu' Psi nu) for each row nu of ``kernels``."""
+    k_psi = (f.approx_inverse.full() @ kernels.T).T
+    return f.sigma2_star * (1.0 - np.einsum("ij,ij->i", k_psi, kernels))
+
+
+def _adjusted(f: LocalizedFit, raw: np.ndarray) -> np.ndarray:
+    """Raw variance plus the deviation variance, floored at zero; floored
+    values bump ``clamp_count``."""
+    adjusted = raw + f.deviation_var
+    negative = adjusted < 0.0
+    f.clamp_count += int(np.count_nonzero(negative))
+    return np.where(negative, 0.0, adjusted)
+
+
+def variance_localized(f: LocalizedFit, x):
+    """Raw localized prediction variance at ``x`` (one point or a block).
 
     The approximate inverse is not guaranteed non-negative definite, so the
     value may fall slightly outside [0, sigma2_star]; it is returned
     unclamped (see :func:`adjusted_variance`).
     """
-    if f.obs.m == 0:
-        return f.sigma2_star
-    idx = f.local_subset(x)
-    if idx is None:
-        idx = np.arange(f.obs.m)
-    if idx.size == 0:
-        return f.sigma2_star
-    nu = kernel_vector(f.obs, x, f.model, subset=idx)[idx]
-    block = f.approx_inverse.submatrix(idx)
-    return f.sigma2_star * (1.0 - float(nu @ block @ nu))
+    return over_query_blocks(
+        x, lambda block: _raw_variance(f, kernel_vector(f.obs, block, f.model)))
 
 
 def deviation_variance(f: LocalizedFit) -> float:
@@ -202,40 +201,32 @@ def deviation_variance(f: LocalizedFit) -> float:
 
 
 def _deviation_from_exact_points(f: LocalizedFit) -> float:
-    sq_sum = 0.0
-    count = 0
-    for i, o in enumerate(f.obs):
-        if o.kind == POINT and o.error_var == 0.0:
-            err = o.value - predict_localized(f, o.location)
-            sq_sum += err * err
-            count += 1
-    return sq_sum / count if count else 0.0
-
-
-def adjusted_variance(f: LocalizedFit, x) -> float:
-    """Localized variance plus the deviation variance, floored at zero."""
-    v = variance_localized(f, x) + f.deviation_var
-    if v < 0.0:
-        f.clamp_count += 1
+    exact = f.obs.point_mask() & (f.obs.error_vars() == 0.0)
+    if not exact.any():
         return 0.0
-    return v
+    err = f.obs.values()[exact] - predict_localized(f, f.obs.rep_points()[exact])
+    return float(np.mean(err * err))
+
+
+def adjusted_variance(f: LocalizedFit, x):
+    """Localized variance plus the deviation variance, floored at zero."""
+    return over_query_blocks(x, lambda block: _adjusted(f, variance_localized(f, block)))
 
 
 def rasterize_localized(f: LocalizedFit, grid) -> np.ndarray:
     """(n_nodes, dim + 3) table: coordinates, prediction, raw variance,
-    adjusted variance, in row-major node order."""
-    if f.obs.m > 0 and grid.dim != f.obs.dim:
+    adjusted variance, in row-major node order.
+
+    Kernels are evaluated once per block of nodes and shared by the three
+    columns.
+    """
+    if grid.dim != f.obs.dim:
         raise ValueError(f"grid dimension {grid.dim} != observation dimension {f.obs.dim}")
+
+    def block_table(block):
+        kernels = kernel_vector(f.obs, block, f.model)
+        raw = _raw_variance(f, kernels)
+        return np.column_stack([f.mu_star + kernels @ f.weights_star, raw, _adjusted(f, raw)])
+
     nodes = grid.nodes()
-    out = np.empty((nodes.shape[0], grid.dim + 3))
-    out[:, : grid.dim] = nodes
-    for i, x in enumerate(nodes):
-        out[i, grid.dim] = predict_localized(f, x)
-        raw = variance_localized(f, x)
-        out[i, grid.dim + 1] = raw
-        adj = raw + f.deviation_var
-        if adj < 0.0:
-            f.clamp_count += 1
-            adj = 0.0
-        out[i, grid.dim + 2] = adj
-    return out
+    return np.column_stack([nodes, over_query_blocks(nodes, block_table)])

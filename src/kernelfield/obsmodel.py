@@ -22,17 +22,24 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .corrfn import SQRT5, CorrelationModel
 from .errors import ObservationParseError, UnsupportedOperatorError
-from .linalg import SparseSymmetric, SpatialIndex
+from .linalg import SparseSymmetric
 
 POINT = "point"
 DERIV = "deriv"
 AVG = "avg"
 KINDS = (POINT, DERIV, AVG)
 
-_KIND_RANK = {POINT: 0, DERIV: 1, AVG: 2}
+# Integer kind codes; also the canonical argument order of pairwise entries.
+KIND_CODES = {POINT: 0, DERIV: 1, AVG: 2}
+
+# Query points per kernel block: bounds the (rows, m) temporaries of batched
+# evaluation while keeping per-block overhead small.
+BLOCK_ROWS = 256
 
 QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combination
 _FD_STEP = 1e-5
@@ -121,8 +128,13 @@ class Observation:
 class ObservationSet:
     """Ordered, immutable collection of observations sharing one dimension.
 
-    ``allow_numeric`` permits deriv/avg kinds outside 1D, evaluated by
-    finite differences and quadrature instead of closed forms.
+    The per-observation quantities that queries need are held as read-only
+    arrays built once at construction: kind codes (:data:`KIND_CODES`), rep
+    points, support radii, mean image, values, error variances, unit
+    directions (zero rows for non-deriv kinds) and interval bounds (NaN rows
+    for non-avg kinds).  ``allow_numeric`` permits deriv/avg kinds outside
+    1D, evaluated by finite differences and quadrature instead of closed
+    forms.
     """
 
     def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None,
@@ -141,9 +153,36 @@ class ObservationSet:
                 )
             if o.kind == AVG and dim != 1:
                 raise ValueError(f"observation {i}: avg observations are 1D only")
+        m = len(obs)
+        kinds = np.array([KIND_CODES[o.kind] for o in obs], dtype=np.int8)
+        reps = np.array([o.rep_point for o in obs], dtype=float).reshape(m, dim)
+        radii = np.zeros(m)
+        mean_image = np.ones(m)
+        directions = np.zeros((m, dim))
+        bounds = np.full((m, 2), np.nan)
+        for i in np.flatnonzero(kinds != KIND_CODES[POINT]).tolist():
+            o = obs[i]
+            radii[i] = o.support_radius
+            mean_image[i] = o.mean_image
+            if o.kind == DERIV:
+                directions[i] = o.direction
+            else:
+                bounds[i] = o.location
         self.observations = obs
         self.dim = int(dim)
         self.allow_numeric = bool(allow_numeric)
+        self.kinds = kinds
+        self.directions = directions
+        self.bounds = bounds
+        self._reps = reps
+        self._point_mask = kinds == KIND_CODES[POINT]
+        self._radii = radii
+        self._mean_image = mean_image
+        self._values = np.array([o.value for o in obs], dtype=float)
+        self._error_vars = np.array([o.error_var for o in obs], dtype=float)
+        for arr in (kinds, directions, bounds, reps, self._point_mask, radii, mean_image,
+                    self._values, self._error_vars):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -159,24 +198,22 @@ class ObservationSet:
         return len(self.observations)
 
     def values(self) -> np.ndarray:
-        return np.array([o.value for o in self.observations], dtype=float)
+        return self._values
 
     def mean_image(self) -> np.ndarray:
-        return np.array([o.mean_image for o in self.observations], dtype=float)
+        return self._mean_image
 
     def error_vars(self) -> np.ndarray:
-        return np.array([o.error_var for o in self.observations], dtype=float)
+        return self._error_vars
 
     def rep_points(self) -> np.ndarray:
-        if not self.observations:
-            return np.empty((0, self.dim))
-        return np.vstack([o.rep_point for o in self.observations])
+        return self._reps
 
     def support_radii(self) -> np.ndarray:
-        return np.array([o.support_radius for o in self.observations], dtype=float)
+        return self._radii
 
     def point_mask(self) -> np.ndarray:
-        return np.array([o.kind == POINT for o in self.observations], dtype=bool)
+        return self._point_mask
 
     def with_values(self, values: np.ndarray) -> "ObservationSet":
         """Copy of the set with observed values replaced (same geometry)."""
@@ -342,15 +379,19 @@ def kernel_value(obs: Observation, x, model: CorrelationModel) -> float:
     return _pa(model, float(x[0]), lo, hi)
 
 
-def kernel_gradient_1d(obs: Observation, x: float, model: CorrelationModel) -> float:
-    """d/dx of the kernel function in 1D (analytic)."""
-    if obs.kind == POINT:
-        return float(model.deriv1(x - float(obs.location[0])))
-    if obs.kind == DERIV:
-        z = float(obs.direction[0])
-        return z * -float(model.deriv2(x - float(obs.location[0])))
-    lo, hi = obs.interval
-    return float(model.eval(abs(x - lo))) - float(model.eval(abs(x - hi)))
+def kernel_gradient_1d(obs_set: ObservationSet, x: float, model: CorrelationModel) -> np.ndarray:
+    """d/dx of every observation's kernel function at the 1D location ``x`` (analytic)."""
+    lag = x - obs_set.rep_points()[:, 0]
+    out = np.zeros(obs_set.m)
+    pts = obs_set.point_mask()
+    out[pts] = model.deriv1(lag[pts])
+    derivs = obs_set.kinds == KIND_CODES[DERIV]
+    if derivs.any():
+        out[derivs] = obs_set.directions[derivs, 0] * -model.deriv2(lag[derivs])
+    avgs = obs_set.kinds == KIND_CODES[AVG]
+    lo, hi = obs_set.bounds[avgs].T
+    out[avgs] = model.eval(np.abs(x - lo)) - model.eval(np.abs(x - hi))
+    return out
 
 
 def support_separation(a: Observation, b: Observation) -> float:
@@ -379,7 +420,7 @@ def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
         raise ValueError("sigma2_r must be a positive finite real")
     if a.dim != b.dim:
         raise ValueError("observations have mismatched dimensions")
-    first, second = (a, b) if _KIND_RANK[a.kind] <= _KIND_RANK[b.kind] else (b, a)
+    first, second = (a, b) if KIND_CODES[a.kind] <= KIND_CODES[b.kind] else (b, a)
     val = _cross_value(first, second, model)
     if a is b:
         val += a.error_var / sigma2_r
@@ -405,51 +446,72 @@ def _cross_value(a: Observation, b: Observation, model: CorrelationModel) -> flo
     return _aa(model, lo1, hi1, lo2, hi2)
 
 
-def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel,
-                  subset: Optional[np.ndarray] = None) -> np.ndarray:
-    """Kernel values nu_y(x) for all observations (length-m vector).
+def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel) -> np.ndarray:
+    """Kernel values nu_y(x) of every observation.
 
-    ``subset`` restricts evaluation to the given sorted indices; the other
-    components are returned as exact zeros (used with finite-range models
-    where off-subset kernels are provably zero).
+    ``x`` is one query point of shape (q,), giving a length-m vector, or a
+    block of n query points of shape (n, q), giving an (n, m) matrix.  Point
+    columns are evaluated as whole arrays; deriv/avg columns go through
+    :func:`kernel_value`.  Under a finite-range model, columns of
+    observations beyond the taper range are exact zeros.
     """
-    m = obs_set.m
-    out = np.zeros(m)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.arange(m) if subset is None else np.asarray(subset, dtype=np.int64)
-    if idx.size == 0:
-        return out
-    mask = obs_set.point_mask()[idx]
-    pts = idx[mask]
-    if pts.size:
-        reps = obs_set.rep_points()[pts]
-        dists = np.linalg.norm(reps - x[None, :], axis=1)
-        out[pts] = model.eval(dists) if pts.size > 1 else float(model.eval(float(dists[0])))
-    for i in idx[~mask]:
-        out[i] = kernel_value(obs_set[int(i)], x, model)
-    return out
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    block = x.reshape(1, -1) if single else x
+    if block.ndim != 2 or block.shape[1] != obs_set.dim:
+        raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
+    pts = obs_set.point_mask()
+    out = np.empty((block.shape[0], obs_set.m))
+    out[:, pts] = model.eval(cdist(block, obs_set.rep_points()[pts]))
+    for j in np.flatnonzero(~pts).tolist():
+        o = obs_set[j]
+        out[:, j] = [kernel_value(o, row, model) for row in block]
+    return out[0] if single else out
+
+
+def over_query_blocks(x, fn):
+    """Evaluate ``fn`` on blocks of at most :data:`BLOCK_ROWS` query points.
+
+    ``x`` is one point (q,) or n points (n, q).  ``fn`` maps a (k, q) block
+    to k results (a length-k array, or k rows); the results are joined in
+    order, and for a single point its one result is returned as a scalar
+    (or a row).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim <= 1:
+        first = fn(x.reshape(1, -1))[0]
+        return float(first) if np.ndim(first) == 0 else first
+    starts = range(0, x.shape[0], BLOCK_ROWS) or [0]  # an empty block still yields no rows
+    return np.concatenate([fn(x[s:s + BLOCK_ROWS]) for s in starts])
 
 
 def _check_duplicate_exact_points(obs_set: ObservationSet):
-    seen = {}
-    for i, o in enumerate(obs_set):
-        if o.kind == POINT and o.error_var == 0.0:
-            key = o.location.tobytes()
-            if key in seen:
-                raise ValueError(
-                    f"duplicate exact point observations at one location "
-                    f"(indices {seen[key]} and {i}) make the inter-correlation "
-                    f"matrix singular"
-                )
-            seen[key] = i
+    exact = np.flatnonzero(obs_set.point_mask() & (obs_set.error_vars() == 0.0))
+    if exact.size < 2:
+        return
+    # Adding 0.0 maps -0.0 to 0.0, so signed zeros count as one location.
+    locations = obs_set.rep_points()[exact] + 0.0
+    _, first, inverse = np.unique(locations, axis=0, return_index=True, return_inverse=True)
+    first_of = first[inverse.reshape(-1)]
+    repeats = np.flatnonzero(first_of != np.arange(exact.size))
+    if repeats.size:
+        i = repeats[0]
+        raise ValueError(
+            f"duplicate exact point observations at one location "
+            f"(indices {exact[first_of[i]]} and {exact[i]}) make the inter-correlation "
+            f"matrix singular"
+        )
 
 
 def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
     """Assemble the symmetric m-by-m observation inter-correlation matrix.
 
-    Under a finite-range model, candidate pairs are enumerated through a
-    grid-bucket spatial index, and entries whose supports are separated by
-    at least the taper range are provably zero and never stored.
+    Off-diagonal pairs are enumerated as whole arrays: all pairs without a
+    taper, and pairs of rep points within ``taper_range + 2 * max radius``
+    (a k-d tree query) under a finite-range model.  Point-point entries are
+    evaluated in one vectorized call; pairs with a deriv/avg observation go
+    through :func:`cross_correlation`.  Entries whose supports are separated
+    by at least the taper range are provably zero and never stored.
     """
     m = obs_set.m
     if m < 1:
@@ -459,58 +521,39 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
     _check_duplicate_exact_points(obs_set)
 
     reps = obs_set.rep_points()
-    radii = obs_set.support_radii()
     is_point = obs_set.point_mask()
     tau0 = model.taper_range
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-
-    if tau0 is not None:
-        reach = tau0 + 2.0 * float(radii.max(initial=0.0))
-        index = SpatialIndex(reps, cell=reach)
+    # Off-diagonal pairs (i, j) with i > j.
+    if tau0 is None:
+        j, i = np.triu_indices(m, k=1)
     else:
-        index = None
+        reach = tau0 + 2.0 * float(obs_set.support_radii().max())
+        j, i = cKDTree(reps).query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
 
-    for i in range(m):
-        if index is not None:
-            cand = index.neighbors(reps[i], tau0 + radii[i] + float(radii.max(initial=0.0)))
-            cand = cand[cand <= i]
-        else:
-            cand = np.arange(i + 1)
-        if cand.size == 0:
-            continue
-        oi = obs_set[i]
-        if is_point[i]:
-            pts = cand[is_point[cand]]
-            others = cand[~is_point[cand]]
-            if pts.size:
-                dists = np.linalg.norm(reps[pts] - reps[i][None, :], axis=1)
-                if tau0 is not None:
-                    keep = dists < tau0
-                    pts, dists = pts[keep], dists[keep]
-                if pts.size:
-                    corr = np.atleast_1d(np.asarray(model.eval(dists), dtype=float))
-                    self_hit = pts == i
-                    if self_hit.any() and oi.error_var > 0.0:
-                        corr = corr + np.where(self_hit, oi.error_var / sigma2_r, 0.0)
-                    rows.extend([i] * pts.size)
-                    cols.extend(int(j) for j in pts)
-                    vals.extend(float(v) for v in corr)
-        else:
-            others = cand
-        for j in others:
-            oj = obs_set[int(j)]
-            if tau0 is not None and support_separation(oi, oj) >= tau0:
-                continue
-            v = cross_correlation(oi, oi, model, sigma2_r) if int(j) == i \
-                else cross_correlation(oi, oj, model, sigma2_r)
-            rows.append(i)
-            cols.append(int(j))
-            vals.append(v)
+    both = is_point[i] & is_point[j]
+    pi, pj = i[both], j[both]
+    dists = np.linalg.norm(reps[pi] - reps[pj], axis=1)
+    if tau0 is not None:
+        keep = dists < tau0
+        pi, pj, dists = pi[keep], pj[keep], dists[keep]
+    diag = np.flatnonzero(is_point)
+    diag_vals = model.eval(np.zeros(diag.size)) + obs_set.error_vars()[diag] / sigma2_r
+    rows, cols, vals = [pi, diag], [pj, diag], [model.eval(dists), diag_vals]
 
-    return SparseSymmetric.from_entries(m, rows, cols, vals)
+    extra = []
+    for r, c in zip(i[~both].tolist(), j[~both].tolist()):
+        o_r, o_c = obs_set[r], obs_set[c]
+        if tau0 is None or support_separation(o_r, o_c) < tau0:
+            extra.append((r, c, cross_correlation(o_r, o_c, model, sigma2_r)))
+    for r in np.flatnonzero(~is_point).tolist():
+        extra.append((r, r, cross_correlation(obs_set[r], obs_set[r], model, sigma2_r)))
+    if extra:
+        er, ec, ev = zip(*extra)
+        rows.append(er)
+        cols.append(ec)
+        vals.append(ev)
+    return SparseSymmetric.from_entries(m, np.concatenate(rows), np.concatenate(cols),
+                                        np.concatenate(vals))
 
 
 # The inter-correlation matrix is plain symmetric sparse storage; the name

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import obsmodel
 from .corrfn import CorrelationModel
-from .linalg import CholeskyFactor, SparseSymmetric, SpatialIndex, cholesky
-from .obsmodel import Observation, ObservationSet, assemble, kernel_vector
+from .linalg import CholeskyFactor, SparseSymmetric, cholesky
+from .obsmodel import Observation, ObservationSet, assemble, kernel_vector, over_query_blocks
 
 _CLAMP_REL_TOL = 1e-12
 _FD_STEP_HIGHDIM = 1e-6
@@ -37,6 +37,8 @@ class GridSpec:
         for lo, hi, n in zip(self.mins, self.maxs, self.counts):
             if n < 1:
                 raise ValueError("grid counts must be >= 1")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid bounds must be finite, got min {lo!r} and max {hi!r}")
             if hi < lo:
                 raise ValueError("grid max must be >= min")
 
@@ -75,6 +77,8 @@ class KernelPredictor:
 
     Immutable after fit apart from ``clamp_count``, a diagnostic counter of
     variance values that fell outside [0, sigma2] by more than round-off.
+    Under a finite-range model the kernels of observations beyond the taper
+    range are exact zeros, so queries need no neighbourhood search.
     """
 
     def __init__(self, model: CorrelationModel, obs: ObservationSet, mu: float,
@@ -91,22 +95,10 @@ class KernelPredictor:
         self.matrix = matrix
         self.deviation_var = float(deviation_var)
         self.clamp_count = 0
-        self._index = None
-        self._reach = None
-        if model.taper_range is not None and obs.m > 0:
-            radii = obs.support_radii()
-            self._reach = model.taper_range + float(radii.max(initial=0.0))
-            self._index = SpatialIndex(obs.rep_points(), cell=self._reach)
 
     @property
     def dim(self) -> int:
         return self.obs.dim
-
-    def local_subset(self, x) -> Optional[np.ndarray]:
-        """Indices of observations that can contribute at x (None = all)."""
-        if self._index is None:
-            return None
-        return self._index.neighbors(np.atleast_1d(np.asarray(x, dtype=float)), self._reach)
 
 
 def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: float,
@@ -131,33 +123,33 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: float,
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 
 
-def predict(p: KernelPredictor, x) -> float:
-    """Predicted field value at ``x``."""
-    if p.obs.m == 0:
-        return p.mu
-    nu = kernel_vector(p.obs, x, p.model, subset=p.local_subset(x))
-    return p.mu + float(p.weights @ nu)
-
-
-def predict_variance(p: KernelPredictor, x) -> float:
-    """Prediction variance at ``x``: sigma2 * (1 - nu' S^{-1} nu).
+def _variance(p: KernelPredictor, kernels: np.ndarray) -> np.ndarray:
+    """sigma2 * (1 - ||L^{-1} P nu||^2) for each row nu of ``kernels``.
 
     Clamped into [0, sigma2]; excursions beyond round-off (1e-12 * sigma2)
     bump ``clamp_count``.
     """
     if p.obs.m == 0:
-        return p.sigma2
-    nu = kernel_vector(p.obs, x, p.model, subset=p.local_subset(x))
-    var = p.sigma2 * (1.0 - float(nu @ p.factor.solve(nu)))
-    if var < 0.0:
-        if var < -_CLAMP_REL_TOL * p.sigma2:
-            p.clamp_count += 1
-        return 0.0
-    if var > p.sigma2:
-        if var > p.sigma2 * (1.0 + _CLAMP_REL_TOL):
-            p.clamp_count += 1
-        return p.sigma2
-    return var
+        return np.full(kernels.shape[0], p.sigma2)
+    half = p.factor.forward_solve(kernels.T)
+    var = p.sigma2 * (1.0 - np.einsum("ij,ij->j", half, half))
+    tol = _CLAMP_REL_TOL * p.sigma2
+    p.clamp_count += int(np.count_nonzero((var < -tol) | (var > p.sigma2 + tol)))
+    return np.clip(var, 0.0, p.sigma2)
+
+
+def predict(p: KernelPredictor, x):
+    """Predicted field value at one point ``x`` (q,), or an (n,) array of
+    values at the rows of an (n, q) block."""
+    return over_query_blocks(
+        x, lambda block: p.mu + kernel_vector(p.obs, block, p.model) @ p.weights)
+
+
+def predict_variance(p: KernelPredictor, x):
+    """Prediction variance sigma2 * (1 - nu' S^{-1} nu) at ``x`` (one point
+    or an (n, q) block, as in :func:`predict`), clamped into [0, sigma2]."""
+    return over_query_blocks(
+        x, lambda block: _variance(p, kernel_vector(p.obs, block, p.model)))
 
 
 def kriging_predict(obs_set: ObservationSet, model: CorrelationModel, mu: float,
@@ -206,12 +198,8 @@ def predict_derivative(p: KernelPredictor, x, direction=None, method: str = "aut
         return 0.0
     if use_closed:
         xf = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        subset = p.local_subset([xf])
-        idx = range(p.obs.m) if subset is None else subset
-        total = 0.0
-        for i in idx:
-            total += p.weights[int(i)] * obsmodel.kernel_gradient_1d(p.obs[int(i)], xf, p.model)
-        return float(direction[0]) * total
+        gradients = obsmodel.kernel_gradient_1d(p.obs, xf, p.model)
+        return float(direction[0]) * float(p.weights @ gradients)
     h = _FD_STEP_HIGHDIM
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return (predict(p, x + h * direction) - predict(p, x - h * direction)) / (2.0 * h)
@@ -234,13 +222,17 @@ def predict_average(p: KernelPredictor, interval) -> float:
 
 
 def rasterize(p: KernelPredictor, grid: GridSpec) -> np.ndarray:
-    """(n_nodes, dim + 2) table of node coordinates, prediction, variance."""
-    if grid.dim != p.dim and p.obs.m > 0:
+    """(n_nodes, dim + 2) table of node coordinates, prediction, variance.
+
+    Kernels are evaluated once per block of nodes and shared by the
+    prediction and the variance.
+    """
+    if grid.dim != p.dim:
         raise ValueError(f"grid dimension {grid.dim} != predictor dimension {p.dim}")
+
+    def block_table(block):
+        kernels = kernel_vector(p.obs, block, p.model)
+        return np.column_stack([p.mu + kernels @ p.weights, _variance(p, kernels)])
+
     nodes = grid.nodes()
-    out = np.empty((nodes.shape[0], grid.dim + 2))
-    out[:, : grid.dim] = nodes
-    for i, x in enumerate(nodes):
-        out[i, grid.dim] = predict(p, x)
-        out[i, grid.dim + 1] = predict_variance(p, x)
-    return out
+    return np.column_stack([nodes, over_query_blocks(nodes, block_table)])

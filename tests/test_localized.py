@@ -4,8 +4,9 @@ import pytest
 from kernelfield import (POINT, ConfigError, CorrelationModel, EstimationError,
                          GridSpec, Observation, ObservationSet, adjusted_variance,
                          approximate_inverse, assemble, deviation_variance,
-                         fit_global, fit_localized, predict, predict_localized,
-                         predict_variance, rasterize_localized, variance_localized)
+                         fit_global, fit_localized, kernel_value, predict,
+                         predict_localized, predict_variance, rasterize_localized,
+                         variance_localized)
 from kernelfield.cli import synthetic_observations
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
@@ -214,6 +215,17 @@ class TestRasterizeLocalized:
         assert np.all(adj >= 0.0)
         mask = raw + f.deviation_var >= 0.0
         assert np.allclose(adj[mask], raw[mask] + f.deviation_var)
+
+    def test_raw_variance_matches_dense_formula(self):
+        obs = synthetic_observations(90, [(0.0, 4.0), (0.0, 4.0)], seed=8)
+        f = fit_localized(obs, G2T, k=1)
+        grid = GridSpec.parse("-0.5,4.5,11;-0.5,4.5,13")
+        table = rasterize_localized(f, grid)
+        psi = f.approx_inverse.to_dense()
+        for x, raw in zip(grid.nodes(), table[:, 3]):
+            nu = np.array([kernel_value(o, x, G2T) for o in obs])
+            assert raw == pytest.approx(f.sigma2_star * (1.0 - nu @ psi @ nu),
+                                        abs=1e-12 * f.sigma2_star)
 
     def test_dimension_mismatch(self):
         obs = synthetic_observations(20, [(0.0, 3.0), (0.0, 3.0)], seed=6)

@@ -239,6 +239,23 @@ class TestSupportSeparation:
         assert support_separation(av(0.0, 2.0), av(1.0, 4.0)) == 0.0
 
 
+def brute_force_matrix(obs, model, sigma2_r):
+    """All-pairs cross_correlation matrix, with pairs whose supports are at
+    least the taper range apart dropped; also returns the kept pattern."""
+    m = obs.m
+    dense = np.zeros((m, m))
+    kept = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1):
+            if model.taper_range is not None and \
+                    support_separation(obs[i], obs[j]) >= model.taper_range:
+                continue
+            dense[i, j] = dense[j, i] = cross_correlation(
+                obs[i], obs[i] if i == j else obs[j], model, sigma2_r)
+            kept[i, j] = kept[j, i] = True
+    return dense, kept
+
+
 class TestAssemble:
     def test_single_exact_point(self):
         s = assemble(ObservationSet([pt(0.0, value=1.0)]), M52, 1.0)
@@ -259,6 +276,11 @@ class TestAssemble:
         with pytest.raises(ValueError, match="duplicate exact point"):
             assemble(obs, G2, 1.0)
 
+    def test_duplicate_signed_zero_rejected(self):
+        obs = ObservationSet([pt([0.0, 1.0], 1.0), pt([2.0, 1.0]), pt([-0.0, 1.0], 3.0)])
+        with pytest.raises(ValueError, match=r"duplicate exact point.*indices 0 and 2"):
+            assemble(obs, G2, 1.0)
+
     def test_duplicate_with_error_allowed(self):
         obs = ObservationSet([pt([1.0, 2.0], 1.0), pt([1.0, 2.0], 3.0, error_var=0.5)])
         s = assemble(obs, G2, 1.0)
@@ -275,22 +297,38 @@ class TestAssemble:
         obs_list.append(av(4.0, 4.4, value=0.2))
         obs = ObservationSet(obs_list)
         s = assemble(obs, TAPERED, 1.0)
-        m = obs.m
-        dense = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1):
-                if support_separation(obs[i], obs[j]) >= TAPERED.taper_range:
-                    continue
-                dense[i, j] = dense[j, i] = cross_correlation(
-                    obs[i], obs[i] if i == j else obs[j], TAPERED, 1.0)
+        dense, _ = brute_force_matrix(obs, TAPERED, 1.0)
         assert np.allclose(s.to_dense(), dense, atol=1e-15)
         # absent entries are mathematically zero
         got = s.to_dense()
+        m = obs.m
         for i in range(m):
             for j in range(m):
                 if got[i, j] == 0.0 and i != j:
                     assert support_separation(obs[i], obs[j]) >= TAPERED.taper_range or \
                         cross_correlation(obs[i], obs[j], TAPERED, 1.0) == 0.0
+
+    @pytest.mark.parametrize("case", ["tapered_1d_mixed", "untapered_2d"])
+    def test_matches_all_pairs_brute_force(self, case):
+        rng = np.random.default_rng(21)
+        if case == "tapered_1d_mixed":
+            # Intervals whose supports sit just inside, exactly at and just
+            # beyond the taper range from a point; a noisy point among exact ones.
+            model, sigma2 = TAPERED, 2.0
+            obs = ObservationSet([
+                pt(0.0, 0.3), pt(0.9, -0.2, error_var=0.4), pt(3.0, 1.1),
+                av(1.0 - 1e-9, 1.5), av(1.0, 1.8), av(1.0 + 1e-9, 2.2),
+                av(3.4, 4.4), pt(5.4, 0.7), pt(7.0, 0.1, error_var=0.1),
+            ])
+        else:
+            model, sigma2 = M52, 1.5
+            obs = ObservationSet([pt(rng.uniform(0, 4, 2), float(rng.normal()),
+                                     error_var=0.2 if k % 5 == 0 else 0.0)
+                                  for k in range(25)])
+        dense, kept = brute_force_matrix(obs, model, sigma2)
+        got = assemble(obs, model, sigma2).to_dense()
+        np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
+        assert np.array_equal(got != 0.0, kept)
 
     def test_sparsity_bounded_by_neighborhoods(self):
         rng = np.random.default_rng(9)
@@ -318,10 +356,22 @@ class TestKernelVector:
         expect = [kernel_value(o, x, M52) for o in obs]
         assert np.allclose(v, expect, atol=1e-15)
 
-    def test_subset_zeroes_rest(self):
-        obs = ObservationSet([pt(0.0), pt(1.0), pt(2.0)])
-        v = kernel_vector(obs, [0.0], M52, subset=np.array([0, 2]))
-        assert v[1] == 0.0 and v[0] == 1.0
+    def test_block_matches_single_point_calls(self):
+        rng = np.random.default_rng(4)
+        cases = [(demo_observation_set((1, 0, 2)), M52, rng.uniform(-8, 8, (7, 1))),
+                 (ObservationSet([pt(p) for p in rng.uniform(0, 3, (12, 2))]), TAPERED,
+                  rng.uniform(-1, 4, (9, 2)))]
+        for obs, model, block in cases:
+            got = kernel_vector(obs, block, model)
+            assert got.shape == (block.shape[0], obs.m)
+            for row, x in zip(got, block):
+                np.testing.assert_allclose(row, kernel_vector(obs, x, model),
+                                           rtol=1e-15, atol=1e-15)
+
+    def test_rejects_wrong_query_dimension(self):
+        obs = ObservationSet([pt([0.0, 1.0])])
+        with pytest.raises(ValueError):
+            kernel_vector(obs, [0.0, 1.0, 2.0], M52)
 
 
 class TestCsv:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kernelfield import (AVG, POINT, CorrelationModel, GridSpec, Observation,
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, GridSpec, Observation,
                          ObservationSet, assemble, fit_global, kriging_predict,
                          predict, predict_average, predict_derivative,
                          predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
+from kernelfield.obsmodel import BLOCK_ROWS
 
-from conftest import random_instance
+from conftest import random_instance, well_separated_points
 
 M52 = CorrelationModel("matern52", 1.0)
 
@@ -33,6 +34,11 @@ class TestGridSpec:
     def test_single_node(self):
         g = GridSpec.parse("3,3,1")
         assert np.allclose(g.nodes(), [[3.0]])
+
+    def test_non_finite_bounds_rejected(self):
+        for text in ("nan,1,5", "0,inf,5", "0,1,3;-inf,0,2"):
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                GridSpec.parse(text)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -185,6 +191,42 @@ class TestRasterize:
     def test_dimension_mismatch(self, demo_fit):
         with pytest.raises(ValueError):
             rasterize(demo_fit, GridSpec.parse("0,1,2;0,1,2"))
+
+    @pytest.mark.parametrize("n_nodes", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+    def test_tapered_2d_matches_kriging_across_blocks(self, n_nodes):
+        rng = np.random.default_rng(31)
+        model = CorrelationModel("matern52", 0.7, 1.5)
+        pts = well_separated_points(rng, 40, 2, 0.0, 6.0, 0.3)
+        obs = ObservationSet([Observation(POINT, p, float(rng.normal(2.0, 1.0)),
+                                          error_var=0.3 if k % 7 == 0 else 0.0)
+                              for k, p in enumerate(pts)])
+        self._assert_matches_kriging(obs, model, 2.0, 1.7,
+                                     GridSpec((-0.5, 0.3), (6.5, 5.9), (1, n_nodes)))
+
+    def test_untapered_1d_operators_match_kriging(self):
+        obs = ObservationSet([
+            Observation(POINT, np.array([0.0]), 1.0),
+            Observation(POINT, np.array([1.1]), 0.4, error_var=0.2),
+            Observation(DERIV, np.array([2.0]), -0.5, direction=np.array([-1.0])),
+            Observation(AVG, np.array([3.0, 3.6]), 0.9),
+            Observation(POINT, np.array([4.2]), 1.6),
+            Observation(DERIV, np.array([5.0]), 0.3),
+            Observation(AVG, np.array([5.5, 7.0]), 2.5),
+        ])
+        for model in (M52, CorrelationModel("gauss2", 0.8)):
+            self._assert_matches_kriging(obs, model, 0.5, 1.3, GridSpec.parse("-1,8,45"))
+
+    @staticmethod
+    def _assert_matches_kriging(obs, model, mu, sigma2, grid):
+        table = rasterize(fit_global(obs, model, mu, sigma2), grid)
+        mat = assemble(obs, model, sigma2)
+        oracle = np.array([kriging_predict(obs, model, mu, sigma2, x, assembled=mat)
+                           for x in grid.nodes()])
+        assert table.shape == (grid.n_nodes, grid.dim + 2)
+        assert np.array_equal(table[:, :grid.dim], grid.nodes())
+        np.testing.assert_allclose(table[:, grid.dim], oracle[:, 0], rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(table[:, grid.dim + 1], np.clip(oracle[:, 1], 0.0, sigma2),
+                                   rtol=0.0, atol=1e-8)
 
 
 class TestFitValidation:
