@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -224,21 +225,13 @@ def cmd_fit(args) -> int:
 
 
 def _resolve_global_levels(obs: ObservationSet, cfg: RunConfig):
-    mu_spec, s2_spec = cfg.mu_spec, cfg.sigma2_spec
-    if mu_spec != "estimate" and s2_spec != "estimate":
-        return float(mu_spec), float(s2_spec)
+    fixed = [None if spec == "estimate" else float(spec)
+             for spec in (cfg.mu_spec, cfg.sigma2_spec)]
+    if None not in fixed:
+        return tuple(fixed)
     if obs.m == 0:
         raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
-    if np.any(obs.error_vars() > 0.0):
-        raise EstimationError(
-            "estimation with observation errors is not supported; fix mu and sigma2"
-        )
-    factor = cholesky(assemble(obs, cfg.model, 1.0))
-    a = obs.mean_image()
-    mu = inference.estimate_mu(factor, obs.values(), a) if mu_spec == "estimate" \
-        else float(mu_spec)
-    sigma2 = inference.estimate_sigma2(factor, obs.values(), mu, a) \
-        if s2_spec == "estimate" else float(s2_spec)
+    mu, sigma2, _ = inference.profile_levels(obs, cfg.model, *fixed)
     if sigma2 <= 0.0:
         raise EstimationError("estimated sigma2 is not positive")
     return mu, sigma2
@@ -281,31 +274,34 @@ def cmd_grid(args) -> int:
 
 # -- infer -------------------------------------------------------------------
 
+def _parse_eta_bounds(text: str):
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"--eta-bounds must be lo,hi with 0 < lo < hi < inf, got {text!r}")
+    return lo, hi
+
+
 def cmd_infer(args) -> int:
     cfg = _config_from_args(args)
+    eta_bounds = _parse_eta_bounds(args.eta_bounds) if args.eta_bounds is not None else None
+    if eta_bounds is not None and cfg.mode == "localized":
+        raise ConfigError("--eta-bounds (a range search) needs --mode global")
     obs = read_observations_csv(cfg.obs_path)
     if obs.m == 0:
         raise EstimationError("cannot infer parameters from an empty observation set")
-    eta_bounds = None
-    if getattr(args, "eta_bounds", None):
-        lo, hi = (float(v) for v in args.eta_bounds.split(","))
-        eta_bounds = (lo, hi)
 
     if cfg.mode == "localized":
         fit = fit_localized(obs, cfg.model, cfg.k, workers=cfg.workers)
-        result = inference.MleResult(fit.mu_star, fit.sigma2_star, None,
-                                     float("nan"), 1, True)
+        result = inference.MleResult(fit.mu_star, fit.sigma2_star, None, None, 1, True)
     elif eta_bounds is not None:
         def family(eta, _m=cfg.model):
             return corrfn.CorrelationModel(_m.base_kind, eta, _m.taper_range)
         result = inference.estimate_joint(obs, family, eta_bounds)
     else:
-        factor = cholesky(assemble(obs, cfg.model, 1.0))
-        a = obs.mean_image()
-        mu = inference.estimate_mu(factor, obs.values(), a)
-        sigma2 = inference.estimate_sigma2(factor, obs.values(), mu, a)
-        nll = inference.negative_log_likelihood(obs, cfg.model, mu, sigma2) \
-            if sigma2 > 0.0 else float("nan")
+        mu, sigma2, nll = inference.profile_levels(obs, cfg.model)
         result = inference.MleResult(mu, sigma2, None, nll, 1, True)
 
     _emit(result.to_dict(), getattr(args, "out", None))

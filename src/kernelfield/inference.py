@@ -3,24 +3,29 @@
 Given the correlation parameters, the mean and variance estimators are
 closed-form generalized-least-squares expressions through the inverse
 inter-correlation matrix (supplied as a factor solve, a sparse approximate
-inverse, or any linear action).  The scalar range parameter is found by a
-golden-section search on the profiled objective; the joint estimator cycles
-the three conditional updates.
+inverse, or any linear action).  :func:`profile_levels` turns one
+unit-variance Cholesky factor into those estimates and the negative
+log-likelihood at them.  The likelihood maximized over the mean and variance
+is then a function of the range alone (Mardia & Marshall 1984, Biometrika
+71), so the joint estimate is one bounded scalar search over the range.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .corrfn import CorrelationModel
 from .errors import EstimationError, FactorizationError
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, assemble
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bounded Brent (minimize_scalar) first evaluates lo + _FIRST_PROBE * (hi - lo).
+_FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass
@@ -28,7 +33,7 @@ class MleResult:
     mu_hat: float
     sigma2_hat: float
     eta_hat: Optional[float]
-    neg_log_likelihood: float
+    neg_log_likelihood: Optional[float]
     iterations: int
     converged: bool = True
 
@@ -92,108 +97,105 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
     return s2
 
 
-def _require_exact(obs_set: ObservationSet):
-    if np.any(obs_set.error_vars() > 0.0):
-        raise EstimationError(
-            "range estimation with observation errors is not supported"
-        )
+def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
+                   mu: Optional[float] = None, sigma2: Optional[float] = None
+                   ) -> Tuple[float, float, Optional[float]]:
+    """Mean, variance and negative log-likelihood from one factorization.
+
+    Levels left as ``None`` take their GLS estimates under ``model``; with
+    both estimated the NLL is the profiled ``(m log(2 pi sigma2) + log det R
+    + m) / 2``.  The NLL is ``None`` when the variance is not positive.
+    Raises :class:`FactorizationError` where the matrix does not factor.
+    """
+    if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
+        raise EstimationError("variance estimation with observation errors is not supported")
+    factor = cholesky(assemble(obs_set, model, 1.0 if sigma2 is None else sigma2))
+    values, a, m = obs_set.values(), obs_set.mean_image(), obs_set.m
+    if mu is None:
+        mu = estimate_mu(factor, values, a)
+    s2_hat = estimate_sigma2(factor, values, mu, a)
+    sigma2 = s2_hat if sigma2 is None else sigma2
+    if sigma2 <= 0.0:
+        return mu, sigma2, None
+    return mu, sigma2, 0.5 * (m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
+                              + m * s2_hat / sigma2)
 
 
-def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: float,
-               sigma2: float) -> Tuple[float, Optional[CholeskyFactor]]:
+def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float],
+               sigma2: Optional[float]) -> Tuple[float, Optional[Tuple[float, float]]]:
+    """NLL and levels of :func:`profile_levels`; ``inf`` where the matrix does not factor."""
     try:
-        factor = cholesky(assemble(obs_set, model, 1.0))
+        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2)
     except FactorizationError:
         return math.inf, None
-    resid = obs_set.values() - mu * obs_set.mean_image()
-    return factor.logdet() + float(resid @ factor.solve(resid)) / sigma2, factor
+    if nll is None:
+        raise EstimationError("zero variance estimate; residuals vanish")
+    return nll, (mu, sigma2)
 
 
 def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
-                 mu: float, sigma2: float, search_bounds: Tuple[float, float],
-                 rel_tol: float = 1e-4) -> float:
-    """Golden-section minimizer of the profiled range objective.
+                 mu: Optional[float], sigma2: Optional[float],
+                 search_bounds: Tuple[float, float], rel_tol: float = 1e-4,
+                 max_iter: int = 500) -> float:
+    """Range in ``search_bounds`` minimizing the NLL at the given levels, or
+    at the GLS levels of each range for a level given as ``None``.
 
-    Range values whose inter-correlation matrix is not positive definite
-    get an infinite objective and are passed over by the search.
+    One bounded Brent search (``minimize_scalar``) to the absolute tolerance
+    ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
+    factorization each.  A range that does not factor scores ``inf``.  Brent
+    cannot leave an infinite first probe, so while that probe fails the top
+    of the bracket moves down to it (smaller ranges are better conditioned);
+    :class:`EstimationError` is raised if no probe factors.
     """
-    _require_exact(obs_set)
+    if np.any(obs_set.error_vars() > 0.0):
+        raise EstimationError("range estimation with observation errors is not supported")
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
+    if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
 
-    def fval(eta):
+    @functools.cache  # Brent's first evaluation is the last probe below
+    def objective(eta):
         return _objective(obs_set, model_family(eta), mu, sigma2)[0]
 
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fval(c), fval(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fval(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fval(d)
-    return 0.5 * (a + b)
+    for failed in range(max_iter):
+        probe = lo + _FIRST_PROBE * (hi - lo)
+        if math.isfinite(objective(probe)):
+            break
+        hi = probe
+    else:
+        raise EstimationError(f"the inter-correlation matrix does not factor at any "
+                              f"range tried in [{lo}, {search_bounds[1]}]")
+    with np.errstate(invalid="ignore"):  # Brent's parabolic steps meet inf values
+        result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                                 options={"xatol": rel_tol * lo, "maxiter": max_iter - failed})
+    return float(result.x)
 
 
 def negative_log_likelihood(obs_set: ObservationSet, model: CorrelationModel,
                             mu: float, sigma2: float) -> float:
     """Full Gaussian marginal negative log-likelihood of the observed values."""
-    m = obs_set.m
-    factor = cholesky(assemble(obs_set, model, sigma2))
-    resid = obs_set.values() - mu * obs_set.mean_image()
-    quad = float(resid @ factor.solve(resid)) / sigma2
-    return 0.5 * (m * math.log(2.0 * math.pi) + m * math.log(sigma2)
-                  + factor.logdet() + quad)
-
-
-def _rel_change(new: float, old: Optional[float]) -> float:
-    if old is None:
-        return math.inf
-    return abs(new - old) / max(1.0, abs(old))
+    return profile_levels(obs_set, model, mu, sigma2)[2]
 
 
 def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
                    search_bounds: Tuple[float, float], max_iter: int = 50,
                    rel_tol: float = 1e-5) -> MleResult:
-    """Cyclic coordinate maximization of the marginal likelihood.
+    """Joint maximum-likelihood mean, variance and range.
 
-    Repeats mean given (variance, range), variance given (mean, range), and
-    range given (mean, variance) until all three relative changes drop below
-    ``rel_tol`` or ``max_iter`` sweeps are spent; non-convergence is
-    reported through the ``converged`` flag, never raised.
+    The GLS levels maximize the likelihood at any fixed range, so this is
+    :func:`estimate_eta` with both levels profiled out.  ``iterations`` counts
+    its objective evaluations.  ``converged`` is false when all ``max_iter``
+    were spent, which is when Brent reports that it stopped short; that is
+    reported, never raised.
     """
     if obs_set.m < 2:
         raise EstimationError("joint estimation needs at least two observations")
-    _require_exact(obs_set)
-    lo, hi = float(search_bounds[0]), float(search_bounds[1])
-    eta = math.sqrt(lo * hi)
-    mu_prev = s2_prev = eta_prev = None
-    mu = s2 = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        factor = cholesky(assemble(obs_set, model_family(eta), 1.0))
-        a = obs_set.mean_image()
-        mu = estimate_mu(factor, obs_set.values(), a)
-        s2 = estimate_sigma2(factor, obs_set.values(), mu, a)
-        if s2 <= 0.0:
-            raise EstimationError("zero variance estimate; residuals vanish")
-        eta = estimate_eta(obs_set, model_family, mu, s2, (lo, hi))
-        if (
-            _rel_change(mu, mu_prev) < rel_tol
-            and _rel_change(s2, s2_prev) < rel_tol
-            and _rel_change(eta, eta_prev) < rel_tol
-        ):
-            converged = True
-            break
-        mu_prev, s2_prev, eta_prev = mu, s2, eta
-    nll = negative_log_likelihood(obs_set, model_family(eta), mu, s2)
-    return MleResult(mu, s2, eta, nll, it, converged)
+    evaluated = []
+
+    def counted_family(eta):
+        evaluated.append(eta)
+        return model_family(eta)
+
+    eta = estimate_eta(obs_set, counted_family, None, None, search_bounds, rel_tol, max_iter)
+    mu, sigma2, nll = profile_levels(obs_set, model_family(eta))
+    return MleResult(mu, sigma2, eta, nll, len(evaluated), len(evaluated) < max_iter)

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelfield import (POINT, CorrelationModel, EstimationError, Observation,
-                         ObservationSet, assemble, cholesky, estimate_eta,
-                         estimate_joint, estimate_mu, estimate_sigma2,
-                         fit_localized)
-from kernelfield.inference import _objective, negative_log_likelihood
+from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
+                         Observation, ObservationSet, assemble, cholesky,
+                         estimate_eta, estimate_joint, estimate_mu, estimate_sigma2,
+                         fit_localized, inference)
+from kernelfield.cli import synthetic_observations
+from kernelfield.inference import _objective, negative_log_likelihood, profile_levels
 
 from conftest import well_separated_points
 
@@ -205,3 +208,127 @@ class TestNll:
         direct = 0.5 * (12 * np.log(2 * np.pi) + np.linalg.slogdet(mat)[1]
                         + r @ np.linalg.solve(mat, r))
         assert negative_log_likelihood(obs, model, mu, s2) == pytest.approx(direct, rel=1e-10)
+
+
+def dense_profiled_nll(obs, model):
+    """Profiled NLL (GLS mean and variance plugged in) from dense numpy algebra."""
+    k = assemble(obs, model, 1.0).to_dense()
+    m, y, a = obs.m, obs.values(), obs.mean_image()
+    mu = (a @ np.linalg.solve(k, y)) / (a @ np.linalg.solve(k, a))
+    r = y - mu * a
+    s2 = r @ np.linalg.solve(k, r) / m
+    return 0.5 * (m * np.log(2 * np.pi * s2) + np.linalg.slogdet(k)[1] + m)
+
+
+def matern_family(eta):
+    return CorrelationModel("matern52", eta)
+
+
+def gauss_family(eta):
+    return CorrelationModel("gauss2", eta)
+
+
+def matern_2d_set():
+    return synthetic_observations(30, [(0.0, 20.0), (0.0, 20.0)], 5)
+
+
+def gauss_1d_lattice():
+    # Neighbours 0.3-0.7 apart: the gauss2 matrix stops factoring near eta 3.3.
+    rng = np.random.default_rng(7)
+    x = 0.5 * np.arange(20) + rng.uniform(-0.1, 0.1, 20)
+    values = np.sin(0.7 * x) + 0.1 * rng.normal(size=20)
+    return ObservationSet([Observation(POINT, np.array([xi]), float(v))
+                           for xi, v in zip(x, values)])
+
+
+class TestProfiledSearch:
+    def test_reaches_scan_minimum(self):
+        obs = matern_2d_set()
+        result = estimate_joint(obs, matern_family, (0.1, 3.0))
+        scan = min(dense_profiled_nll(obs, matern_family(eta))
+                   for eta in np.geomspace(0.1, 3.0, 200))
+        assert result.converged
+        assert result.neg_log_likelihood <= scan + 1e-6
+        assert result.neg_log_likelihood == pytest.approx(
+            dense_profiled_nll(obs, matern_family(result.eta_hat)), rel=1e-10)
+
+    def test_range_that_does_not_factor_never_wins(self):
+        obs = gauss_1d_lattice()
+        lo, hi = 0.1, 20.0
+        # Brent's first probe lands where the matrix does not factor.
+        with pytest.raises(FactorizationError):
+            cholesky(assemble(obs, gauss_family(lo + 0.382 * (hi - lo)), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_joint(obs, gauss_family, (lo, hi))
+        assert np.isfinite(result.neg_log_likelihood)
+        assert lo <= result.eta_hat <= hi
+        scan = min(dense_profiled_nll(obs, gauss_family(eta))
+                   for eta in np.geomspace(lo, 2.0, 200))
+        assert result.neg_log_likelihood <= scan + 1e-6
+
+    def test_nothing_factors_raises(self):
+        obs = gauss_1d_lattice()
+        with pytest.raises(EstimationError, match="does not factor"):
+            estimate_joint(obs, gauss_family, (8.0, 20.0))
+
+    def test_evaluation_cap_reports_not_converged(self):
+        result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=3)
+        assert not result.converged
+        assert result.iterations == 3
+        assert np.isfinite(result.neg_log_likelihood)
+
+    @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
+    def test_iterations_count_search_factorizations(self, monkeypatch, case):
+        obs, family, bounds = {
+            "matern-2d": (matern_2d_set(), matern_family, (0.1, 3.0)),
+            "gauss-1d": (gauss_1d_lattice(), gauss_family, (0.1, 20.0)),
+        }[case]
+        calls = {"search": 0, "all": 0}
+        in_search = []
+        real_cholesky, real_estimate_eta = inference.cholesky, inference.estimate_eta
+
+        def counting_cholesky(*args, **kwargs):
+            calls["all"] += 1
+            calls["search"] += bool(in_search)
+            return real_cholesky(*args, **kwargs)
+
+        def marked_estimate_eta(*args, **kwargs):
+            in_search.append(True)
+            try:
+                return real_estimate_eta(*args, **kwargs)
+            finally:
+                in_search.pop()
+
+        monkeypatch.setattr(inference, "cholesky", counting_cholesky)
+        monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
+        result = estimate_joint(obs, family, bounds)
+        assert result.iterations == calls["search"]
+        assert calls["all"] == calls["search"] + 1  # the levels at the estimate
+
+
+class TestProfileLevels:
+    def test_matches_gls_and_nll(self):
+        rng = np.random.default_rng(52)
+        obs = spaced_point_set(rng, 15, min_sep=0.4)
+        model = CorrelationModel("matern52", 1.1)
+        mu, s2, nll = profile_levels(obs, model)
+        factor = cholesky(assemble(obs, model, 1.0))
+        assert mu == pytest.approx(estimate_mu(factor, obs.values()), rel=1e-12)
+        assert s2 == pytest.approx(estimate_sigma2(factor, obs.values(), mu), rel=1e-12)
+        assert nll == pytest.approx(negative_log_likelihood(obs, model, mu, s2), rel=1e-12)
+        assert nll == pytest.approx(dense_profiled_nll(obs, model), rel=1e-10)
+
+    def test_vanishing_residuals_give_no_nll(self):
+        obs = ObservationSet([Observation(POINT, np.array([float(i)]), 0.0) for i in range(4)])
+        assert profile_levels(obs, CorrelationModel("matern52", 1.0)) == (0.0, 0.0, None)
+
+    def test_fixed_variance_allows_observation_errors(self):
+        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0, error_var=0.5),
+                              Observation(POINT, np.array([1.0]), 2.0)])
+        model = CorrelationModel("matern52", 1.0)
+        with pytest.raises(EstimationError):
+            profile_levels(obs, model)
+        mu, s2, nll = profile_levels(obs, model, sigma2=2.0)
+        assert s2 == 2.0
+        assert nll == pytest.approx(negative_log_likelihood(obs, model, mu, 2.0), rel=1e-12)
