@@ -15,9 +15,9 @@ from .linalg import SparseSymmetric, SpatialIndex, cholesky, solve
 from .localized import (LocalizedFit, adjusted_variance, approximate_inverse,
                         deviation_variance, fit_localized, predict_localized,
                         rasterize_localized, variance_localized)
-from .obsmodel import (AVG, DERIV, POINT, InterCorrelationMatrix, Observation,
-                       ObservationSet, assemble, cross_correlation,
-                       kernel_value, kernel_vector, read_observations_csv,
+from .obsmodel import (AVG, DERIV, POINT, Observation, ObservationSet,
+                       assemble, cross_correlation, kernel_value,
+                       kernel_vector, read_observations_csv,
                        write_observations_csv)
 from .predictor import (GridSpec, KernelPredictor, fit_global, kriging_predict,
                         predict, predict_average, predict_derivative,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AVG", "DERIV", "POINT",
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
-    "GridSpec", "InterCorrelationMatrix", "KernelPredictor", "LocalizedFit",
+    "GridSpec", "KernelPredictor", "LocalizedFit",
     "MleResult", "Observation", "ObservationParseError", "ObservationSet",
     "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
     "adjusted_variance", "approximate_inverse", "assemble", "cholesky",

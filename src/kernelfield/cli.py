@@ -33,6 +33,7 @@ from .obsmodel import Observation, ObservationSet, assemble, read_observations_c
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
+PREDICTOR_VERSION = 1
 
 
 @dataclass
@@ -107,7 +108,7 @@ def save_predictor(path, fitted):
         weights = fitted.weights
     doc = {
         "format": PREDICTOR_FORMAT,
-        "version": 1,
+        "version": PREDICTOR_VERSION,
         "mode": mode,
         "model": corrfn.model_config(fitted.model, mu, sigma2),
         "dim": fitted.obs.dim,
@@ -143,6 +144,9 @@ def load_predictor(path):
         doc = json.load(fh)
     if doc.get("format") != PREDICTOR_FORMAT:
         raise ConfigError(f"{path}: not a saved predictor file")
+    if doc.get("version") != PREDICTOR_VERSION:
+        raise ConfigError(f"{path}: predictor file version {doc.get('version')!r} is not "
+                          f"the supported version {PREDICTOR_VERSION}")
     model, mu, sigma2 = corrfn.parse_model_config(doc["model"])
     if mu == "estimate" or sigma2 == "estimate":
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
@@ -274,11 +278,17 @@ def cmd_grid(args) -> int:
 
 # -- infer -------------------------------------------------------------------
 
-def _parse_eta_bounds(text: str):
+def _parse_pair(text: str):
+    """``"lo,hi"`` as two floats; (nan, nan) unless it is exactly two numbers."""
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
-        lo = hi = math.nan
+        return math.nan, math.nan
+    return lo, hi
+
+
+def _parse_eta_bounds(text: str):
+    lo, hi = _parse_pair(text)
     if not 0.0 < lo < hi < math.inf:
         raise ConfigError(f"--eta-bounds must be lo,hi with 0 < lo < hi < inf, got {text!r}")
     return lo, hi
@@ -368,9 +378,9 @@ def synthetic_observations(m: int, bounds, seed: int) -> ObservationSet:
 def _parse_bounds(text: str):
     out = []
     for part in text.split(";"):
-        lo, hi = (float(v) for v in part.split(","))
-        if not lo < hi:
-            raise ConfigError(f"bad bounds {part!r}: need lo < hi")
+        lo, hi = _parse_pair(part)
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"--bounds axis {part!r} must be lo,hi with finite lo < hi")
         out.append((lo, hi))
     return out
 

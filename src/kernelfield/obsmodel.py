@@ -3,27 +3,30 @@
 Three observation kinds are supported:
 
 * ``point``  -- the field value at a location, possibly with Gaussian error;
-* ``deriv``  -- the directional derivative at a location (1D closed forms,
-  finite differences in higher dimensions);
+* ``deriv``  -- the directional derivative at a location;
 * ``avg``    -- the unnormalized integral of the field over a 1D interval.
 
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
-inter-correlation entries; both are computed in closed form for the
-Matern-5/2 base without taper and by adaptive quadrature / finite
-differences otherwise.  Entries that are provably zero under a finite-range
-model (support separation at or beyond the taper range) are never stored.
+inter-correlation entries.  Both are evaluated as arrays, one call per pair
+of observation kinds.  Interval entries have closed forms for both
+untapered bases (Matern-5/2 and gauss2); only interval entries under a
+tapered model use adaptive quadrature, and only derivatives at dim >= 2
+(numeric mode) use finite differences.  Entries that are provably zero
+under a finite-range model (support separation at or beyond the taper
+range) are never stored.
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+from scipy.special import erf
 
 from .corrfn import SQRT5, CorrelationModel
 from .errors import ObservationParseError, UnsupportedOperatorError
@@ -118,12 +121,6 @@ class Observation:
             return 0.0
         return float(self.location[1] - self.location[0])
 
-    @property
-    def interval(self) -> Tuple[float, float]:
-        if self.kind != AVG:
-            raise ValueError("interval only defined for avg observations")
-        return float(self.location[0]), float(self.location[1])
-
 
 class ObservationSet:
     """Ordered, immutable collection of observations sharing one dimension.
@@ -132,9 +129,8 @@ class ObservationSet:
     arrays built once at construction: kind codes (:data:`KIND_CODES`), rep
     points, support radii, mean image, values, error variances, unit
     directions (zero rows for non-deriv kinds) and interval bounds (NaN rows
-    for non-avg kinds).  ``allow_numeric`` permits deriv/avg kinds outside
-    1D, evaluated by finite differences and quadrature instead of closed
-    forms.
+    for non-avg kinds).  ``allow_numeric`` permits deriv kinds outside 1D,
+    evaluated by finite differences; avg kinds are 1D only.
     """
 
     def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None,
@@ -228,67 +224,78 @@ class ObservationSet:
         return ObservationSet(obs, dim=self.dim, allow_numeric=self.allow_numeric)
 
 
-# -- Matern-5/2 antiderivative family (untapered closed forms) ------------
-#
-# With k = sqrt(5)/tau_m and rho(t) = (1 + k t + (k t)^2/3) exp(-k t), t >= 0:
-#   F(t) = int_0^t rho = (k/3) * (8/k^2 - G(t)),  G(t) = (8/k^2 + 5t/k + t^2) e^{-kt}
-#   H(t) = int_0^t F   = 8t/(3k) - 5/k^2 + (1/3)(15/k^2 + 7t/k + t^2) e^{-kt}
+# -- operator correlations, evaluated as arrays by kind pair ----------------
 
-def _m52_F(t: float, k: float) -> float:
-    g = (8.0 / (k * k) + 5.0 * t / k + t * t) * math.exp(-k * t)
-    return (k / 3.0) * (8.0 / (k * k) - g)
+_P, _D, _A = (KIND_CODES[k] for k in KINDS)
 
 
-def _m52_H(t: float, k: float) -> float:
-    e = math.exp(-k * t)
-    return 8.0 * t / (3.0 * k) - 5.0 / (k * k) + (15.0 / (k * k) + 7.0 * t / k + t * t) * e / 3.0
+class _Operators(NamedTuple):
+    """Operators of one kind as arrays that broadcast against each other:
+    sites ``x`` (..., q) of points and derivatives, unit directions ``z``
+    (..., q) of derivatives, bounds ``lo`` and ``hi`` (...) of intervals."""
+
+    x: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    lo: Optional[np.ndarray] = None
+    hi: Optional[np.ndarray] = None
 
 
-def _m52_interval_point(x: float, lo: float, hi: float, k: float) -> float:
-    """int_lo^hi rho(|x - u|) du for the untapered Matern-5/2 base."""
-    if x <= lo:
-        return _m52_F(hi - x, k) - _m52_F(lo - x, k)
-    if x >= hi:
-        return _m52_F(x - lo, k) - _m52_F(x - hi, k)
-    return _m52_F(x - lo, k) + _m52_F(hi - x, k)
+def _operators(obs_set: ObservationSet, kind: int, idx) -> _Operators:
+    """The operators of the observations at ``idx`` (an index or an index
+    array), all of kind code ``kind``."""
+    if kind == _A:
+        return _Operators(lo=obs_set.bounds[idx, 0], hi=obs_set.bounds[idx, 1])
+    return _Operators(obs_set.rep_points()[idx], obs_set.directions[idx] if kind == _D else None)
 
 
-def _m52_interval_interval(lo1: float, hi1: float, lo2: float, hi2: float, k: float) -> float:
-    """Double integral of rho(|u - v|) over [lo1,hi1] x [lo2,hi2]."""
-    return (
-        _m52_H(abs(hi1 - lo2), k)
-        + _m52_H(abs(lo1 - hi2), k)
-        - _m52_H(abs(hi1 - hi2), k)
-        - _m52_H(abs(lo1 - lo2), k)
-    )
+def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distances between sites over the last axis, elementwise over
+    the broadcast shape; summed per coordinate, so no (..., q) temporary."""
+    if u.ndim == 3 and u.shape[1] == 1 and v.ndim == 2:  # query block (n, 1, q) vs sites (m, q)
+        return cdist(u[:, 0], v)
+    return np.sqrt(sum((u[..., k] - v[..., k]) ** 2 for k in range(u.shape[-1])))
 
 
-def _has_m52_closed_forms(model: CorrelationModel) -> bool:
-    return model.base_kind == "matern52" and model.taper_range is None
+def _base_integrals(model: CorrelationModel):
+    """Closed-form integrals of the untapered base, as functions of a signed lag array.
+
+    Returns the odd antiderivative F(t) = int_0^t rho and the even double
+    antiderivative H(t) = int_0^t F, or ``None`` under a taper.  With a = |t|:
+
+    * Matern-5/2, k = sqrt(5)/tau_m:
+      F = (k/3) (8/k^2 - (8/k^2 + 5a/k + a^2) e^{-ka}),
+      H = 8a/(3k) - 5/k^2 + (15/k^2 + 7a/k + a^2) e^{-ka} / 3;
+    * gauss2 with scale s (erf integrals, Abramowitz & Stegun 7.1, 7.4):
+      F = (s sqrt(pi)/2) erf(t/s),  H = t F(t) + (s^2/2) (e^{-(t/s)^2} - 1).
+    """
+    if model.taper_range is not None:
+        return None
+    s = model.base_scale
+    if model.base_kind == "matern52":
+        k = SQRT5 / s
+
+        def F0(a):
+            return (k / 3.0) * (8.0 / (k * k) - (8.0 / (k * k) + 5.0 * a / k + a * a) * np.exp(-k * a))
+
+        def H0(a):
+            return (8.0 * a / (3.0 * k) - 5.0 / (k * k)
+                    + (15.0 / (k * k) + 7.0 * a / k + a * a) * np.exp(-k * a) / 3.0)
+    else:
+        def F0(a):
+            return 0.5 * s * math.sqrt(math.pi) * erf(a / s)
+
+        def H0(a):
+            return a * F0(a) + 0.5 * s * s * np.expm1(-(a / s) ** 2)
+    return (lambda t: np.sign(t) * F0(np.abs(t))), (lambda t: H0(np.abs(t)))
 
 
-# -- quadrature fallbacks -------------------------------------------------
-
-def _quad_breakpoints(model: CorrelationModel, centers, lo: float, hi: float) -> list:
-    """Interior quadrature breakpoints: kernel kinks at centers and taper edges."""
-    pts = set()
-    for c in centers:
-        cands = [c]
-        if model.taper_range is not None:
-            cands += [c - model.taper_range, c + model.taper_range]
-        for p in cands:
-            if lo < p < hi:
-                pts.add(p)
-    return sorted(pts)
-
+# -- quadrature for tapered interval entries --------------------------------
 
 def _quad_interval_point(model: CorrelationModel, x: float, lo: float, hi: float) -> float:
-    pts = _quad_breakpoints(model, [x], lo, hi)
-    val, _ = quad(
-        lambda u: model.eval(abs(x - u)), lo, hi,
-        points=pts or None, limit=200, epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL,
-    )
-    return val
+    tau0 = model.taper_range  # breakpoints at the kernel's kinks
+    pts = [p for p in (x - tau0, x, x + tau0) if lo < p < hi]
+    return quad(lambda u: model.eval(abs(x - u)), lo, hi, points=pts or None, limit=200,
+                epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)[0]
 
 
 def _quad_interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> float:
@@ -296,28 +303,45 @@ def _quad_interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> floa
     # int int rho(u - v) dv du = int rho(t) * overlap(t) dt, where overlap(t)
     # is the length of [lo1, hi1] meeting [lo2 + t, hi2 + t].
     a, b = lo1 - hi2, hi1 - lo2
+    tau0 = model.taper_range
 
     def integrand(t):
         w = min(hi1, hi2 + t) - max(lo1, lo2 + t)
         return model.eval(abs(t)) * w if w > 0.0 else 0.0
 
-    pts = set()
-    for p in (lo1 - lo2, hi1 - hi2, 0.0):
-        if a < p < b:
-            pts.add(p)
-    if model.taper_range is not None:
-        for p in (-model.taper_range, model.taper_range):
-            if a < p < b:
-                pts.add(p)
-    val, _ = quad(integrand, a, b, points=sorted(pts) or None, limit=200,
-                  epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)
-    return val
+    pts = sorted({p for p in (lo1 - lo2, hi1 - hi2, 0.0, -tau0, tau0) if a < p < b})
+    return quad(integrand, a, b, points=pts or None, limit=200,
+                epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)[0]
 
 
-# -- pairwise operator correlations ----------------------------------------
+def _quadrature(model: CorrelationModel, integral, separation, *bounds) -> np.ndarray:
+    """The scalar ``integral(model, *bounds)`` at each element of the broadcast
+    arrays whose supports are closer than the taper range; the others are
+    exact zeros.  This is the one per-entry loop, for tapered intervals."""
+    separation, *bounds = np.broadcast_arrays(separation, *bounds)
+    near = separation < model.taper_range
+    out = np.zeros(near.shape)
+    out[near] = [integral(model, *e) for e in zip(*(b[near].tolist() for b in bounds))]
+    return out
 
-def _pp(model: CorrelationModel, xa: np.ndarray, xb: np.ndarray) -> float:
-    return float(model.eval(float(np.linalg.norm(xa - xb))))
+
+def _interval_point(model: CorrelationModel, x, lo, hi) -> np.ndarray:
+    """int_lo^hi rho(|x - u|) du, elementwise."""
+    closed = _base_integrals(model)
+    if closed is None:
+        return _quadrature(model, _quad_interval_point, np.maximum(lo - x, x - hi), x, lo, hi)
+    F, _ = closed
+    return F(hi - x) - F(lo - x)
+
+
+def _interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2], elementwise."""
+    closed = _base_integrals(model)
+    if closed is None:
+        return _quadrature(model, _quad_interval_interval, np.maximum(lo1 - hi2, lo2 - hi1),
+                           lo1, hi1, lo2, hi2)
+    _, H = closed
+    return H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
 
 
 def _require_smooth(model: CorrelationModel):
@@ -328,55 +352,88 @@ def _require_smooth(model: CorrelationModel):
         )
 
 
-def _pd(model: CorrelationModel, x: np.ndarray, c: np.ndarray, z: np.ndarray) -> float:
+def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Operators) -> np.ndarray:
+    """Correlations between operators ``a`` of kind code ``ka`` and ``b`` of
+    kind code ``kb``, elementwise over their broadcast shape.
+
+    The pair is put in kind-code order first, so entries are exactly
+    symmetric.  Derivatives in 1D use the signed-lag derivatives of the
+    model; at dim >= 2 (numeric mode) they are central differences.
+    """
+    if ka > kb:
+        return _entries(model, kb, b, ka, a)
+    pair = (ka, kb)
+    if pair == (_P, _P):
+        return model.eval(_distances(a.x, b.x))
+    if pair == (_P, _A):
+        return _interval_point(model, a.x[..., 0], b.lo, b.hi)
+    if pair == (_A, _A):
+        return _interval_interval(model, a.lo, a.hi, b.lo, b.hi)
     _require_smooth(model)
-    if x.shape[0] == 1:
-        return float(z[0]) * -float(model.deriv1(float(x[0] - c[0])))
+    if pair == (_D, _A):
+        c = a.x[..., 0]
+        return a.z[..., 0] * (model.eval(np.abs(c - b.lo)) - model.eval(np.abs(c - b.hi)))
+    if a.x.shape[-1] == 1:
+        lag = a.x[..., 0] - b.x[..., 0]
+        if pair == (_P, _D):
+            return b.z[..., 0] * -model.deriv1(lag)
+        return a.z[..., 0] * b.z[..., 0] * -model.deriv2(lag)
     h = _FD_STEP
-    return (_pp(model, x, c + h * z) - _pp(model, x, c - h * z)) / (2.0 * h)
+
+    def pp(u, v):
+        return model.eval(_distances(u, v))
+
+    bp, bm = b.x + h * b.z, b.x - h * b.z
+    if pair == (_P, _D):
+        return (pp(a.x, bp) - pp(a.x, bm)) / (2.0 * h)
+    ap, am = a.x + h * a.z, a.x - h * a.z
+    return (pp(ap, bp) - pp(ap, bm) - pp(am, bp) + pp(am, bm)) / (4.0 * h * h)
 
 
-def _dd(model: CorrelationModel, c1, z1, c2, z2) -> float:
-    _require_smooth(model)
-    if c1.shape[0] == 1:
-        return float(z1[0] * z2[0]) * -float(model.deriv2(float(c1[0] - c2[0])))
-    h = _FD_STEP
-    return (
-        _pp(model, c1 + h * z1, c2 + h * z2)
-        - _pp(model, c1 + h * z1, c2 - h * z2)
-        - _pp(model, c1 - h * z1, c2 + h * z2)
-        + _pp(model, c1 - h * z1, c2 - h * z2)
-    ) / (4.0 * h * h)
+def _correlations(obs_set: ObservationSet, kind: int, ops: _Operators, n: int,
+                  model: CorrelationModel) -> np.ndarray:
+    """(n, m) correlations between n operators of kind code ``kind``, held as
+    arrays of leading shape (n, 1), and every observation of the set: one
+    array evaluation per observation kind."""
+    out = np.empty((n, obs_set.m))
+    for code in np.flatnonzero(np.bincount(obs_set.kinds)).tolist():
+        cols = np.flatnonzero(obs_set.kinds == code)
+        out[:, cols] = _entries(model, kind, ops, code, _operators(obs_set, code, cols))
+    return out
 
 
-def _pa(model: CorrelationModel, x: float, lo: float, hi: float) -> float:
-    if _has_m52_closed_forms(model):
-        return _m52_interval_point(x, lo, hi, SQRT5 / model.base_scale)
-    return _quad_interval_point(model, x, lo, hi)
+def kernel_value(obs, x, model: CorrelationModel):
+    """Kernel function nu_y(x): correlation between the field at ``x`` and the
+    observation ``obs`` (a float at one point), or every observation of the
+    set ``obs`` (see :func:`kernel_vector`).  ``x`` is one point (q,) or a
+    block of n points (n, q), which adds a leading axis of length n.  The
+    columns of each observation kind are one array evaluation; under a
+    finite-range model, columns beyond the taper range are exact zeros.
+    """
+    one = isinstance(obs, Observation)
+    obs_set = ObservationSet([obs], allow_numeric=True) if one else obs
+    x = np.asarray(x, dtype=float)
+    block = x.reshape(1, -1) if x.ndim <= 1 else x
+    if block.ndim != 2 or block.shape[1] != obs_set.dim:
+        raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
+    out = _correlations(obs_set, _P, _Operators(block[:, None, :]), block.shape[0], model)
+    out = out[:, 0] if one else out
+    return (float(out[0]) if one else out[0]) if x.ndim <= 1 else out
 
 
-def _da(model: CorrelationModel, c: float, z: float, lo: float, hi: float) -> float:
-    _require_smooth(model)
-    return z * (float(model.eval(abs(c - lo))) - float(model.eval(abs(c - hi))))
+def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel) -> np.ndarray:
+    """Kernel values nu_y(x) of every observation of a set: a length-m vector
+    at one query point ``x`` (q,), an (n, m) matrix at a block of n query
+    points (n, q).  This is :func:`kernel_value` of the whole set."""
+    return kernel_value(obs_set, x, model)
 
 
-def _aa(model: CorrelationModel, lo1, hi1, lo2, hi2) -> float:
-    if _has_m52_closed_forms(model):
-        return _m52_interval_interval(lo1, hi1, lo2, hi2, SQRT5 / model.base_scale)
-    return _quad_interval_interval(model, lo1, hi1, lo2, hi2)
-
-
-def kernel_value(obs: Observation, x, model: CorrelationModel) -> float:
-    """Kernel function nu_y(x): correlation between the field at ``x`` and ``obs``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != obs.dim:
-        raise ValueError(f"query dimension {x.shape[0]} != observation dimension {obs.dim}")
-    if obs.kind == POINT:
-        return _pp(model, x, obs.location)
-    if obs.kind == DERIV:
-        return _pd(model, x, obs.location, obs.direction)
-    lo, hi = obs.interval
-    return _pa(model, float(x[0]), lo, hi)
+def interval_vector(obs_set: ObservationSet, lo: float, hi: float,
+                    model: CorrelationModel) -> np.ndarray:
+    """Correlations between every observation of a 1D set and the integral
+    of the field over [lo, hi]."""
+    probe = _Operators(lo=np.array([[lo]], dtype=float), hi=np.array([[hi]], dtype=float))
+    return _correlations(obs_set, _A, probe, 1, model)[0]
 
 
 def kernel_gradient_1d(obs_set: ObservationSet, x: float, model: CorrelationModel) -> np.ndarray:
@@ -394,18 +451,18 @@ def kernel_gradient_1d(obs_set: ObservationSet, x: float, model: CorrelationMode
     return out
 
 
+def _support_separations(obs_set: ObservationSet, i, j) -> np.ndarray:
+    """Euclidean distances between the supports of observations ``i`` and ``j``."""
+    reps = obs_set.rep_points()
+    if obs_set.dim > 1:  # points and derivatives only
+        return _distances(reps[i], reps[j])
+    lo, hi = np.where(np.isnan(obs_set.bounds), reps, obs_set.bounds).T
+    return np.maximum(0.0, np.maximum(lo[i] - hi[j], lo[j] - hi[i]))
+
+
 def support_separation(a: Observation, b: Observation) -> float:
     """Euclidean distance between the supports of two observations."""
-    if a.kind != AVG and b.kind != AVG:
-        return float(np.linalg.norm(a.location - b.location))
-    if a.kind == AVG and b.kind == AVG:
-        lo1, hi1 = a.interval
-        lo2, hi2 = b.interval
-        return max(0.0, lo1 - hi2, lo2 - hi1)
-    pt, iv = (a, b) if b.kind == AVG else (b, a)
-    lo, hi = iv.interval
-    x = float(pt.location[0])
-    return max(0.0, lo - x, x - hi)
+    return float(_support_separations(ObservationSet([a, b], allow_numeric=True), 0, 1))
 
 
 def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
@@ -418,55 +475,12 @@ def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
     """
     if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
         raise ValueError("sigma2_r must be a positive finite real")
-    if a.dim != b.dim:
-        raise ValueError("observations have mismatched dimensions")
-    first, second = (a, b) if KIND_CODES[a.kind] <= KIND_CODES[b.kind] else (b, a)
-    val = _cross_value(first, second, model)
+    pair = ObservationSet([a, b], allow_numeric=True)
+    ka, kb = pair.kinds.tolist()
+    val = float(_entries(model, ka, _operators(pair, ka, 0), kb, _operators(pair, kb, 1)))
     if a is b:
         val += a.error_var / sigma2_r
     return val
-
-
-def _cross_value(a: Observation, b: Observation, model: CorrelationModel) -> float:
-    ka, kb = a.kind, b.kind
-    if ka == POINT and kb == POINT:
-        return _pp(model, a.location, b.location)
-    if ka == POINT and kb == DERIV:
-        return _pd(model, a.location, b.location, b.direction)
-    if ka == POINT and kb == AVG:
-        lo, hi = b.interval
-        return _pa(model, float(a.location[0]), lo, hi)
-    if ka == DERIV and kb == DERIV:
-        return _dd(model, a.location, a.direction, b.location, b.direction)
-    if ka == DERIV and kb == AVG:
-        lo, hi = b.interval
-        return _da(model, float(a.location[0]), float(a.direction[0]), lo, hi)
-    lo1, hi1 = a.interval
-    lo2, hi2 = b.interval
-    return _aa(model, lo1, hi1, lo2, hi2)
-
-
-def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel) -> np.ndarray:
-    """Kernel values nu_y(x) of every observation.
-
-    ``x`` is one query point of shape (q,), giving a length-m vector, or a
-    block of n query points of shape (n, q), giving an (n, m) matrix.  Point
-    columns are evaluated as whole arrays; deriv/avg columns go through
-    :func:`kernel_value`.  Under a finite-range model, columns of
-    observations beyond the taper range are exact zeros.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    block = x.reshape(1, -1) if single else x
-    if block.ndim != 2 or block.shape[1] != obs_set.dim:
-        raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
-    pts = obs_set.point_mask()
-    out = np.empty((block.shape[0], obs_set.m))
-    out[:, pts] = model.eval(cdist(block, obs_set.rep_points()[pts]))
-    for j in np.flatnonzero(~pts).tolist():
-        o = obs_set[j]
-        out[:, j] = [kernel_value(o, row, model) for row in block]
-    return out[0] if single else out
 
 
 def over_query_blocks(x, fn):
@@ -508,10 +522,9 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
 
     Off-diagonal pairs are enumerated as whole arrays: all pairs without a
     taper, and pairs of rep points within ``taper_range + 2 * max radius``
-    (a k-d tree query) under a finite-range model.  Point-point entries are
-    evaluated in one vectorized call; pairs with a deriv/avg observation go
-    through :func:`cross_correlation`.  Entries whose supports are separated
-    by at least the taper range are provably zero and never stored.
+    (a k-d tree query) under a finite-range model, of which pairs whose
+    supports are separated by at least the taper range are provably zero and
+    never stored.  The entries of each kind pair are one array evaluation.
     """
     m = obs_set.m
     if m < 1:
@@ -520,45 +533,27 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         raise ValueError("sigma2_r must be a positive finite real")
     _check_duplicate_exact_points(obs_set)
 
-    reps = obs_set.rep_points()
-    is_point = obs_set.point_mask()
     tau0 = model.taper_range
-    # Off-diagonal pairs (i, j) with i > j.
+    # Off-diagonal pairs (i, j) with i > j, then the diagonal.
     if tau0 is None:
         j, i = np.triu_indices(m, k=1)
     else:
         reach = tau0 + 2.0 * float(obs_set.support_radii().max())
-        j, i = cKDTree(reps).query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
-
-    both = is_point[i] & is_point[j]
-    pi, pj = i[both], j[both]
-    dists = np.linalg.norm(reps[pi] - reps[pj], axis=1)
-    if tau0 is not None:
-        keep = dists < tau0
-        pi, pj, dists = pi[keep], pj[keep], dists[keep]
-    diag = np.flatnonzero(is_point)
-    diag_vals = model.eval(np.zeros(diag.size)) + obs_set.error_vars()[diag] / sigma2_r
-    rows, cols, vals = [pi, diag], [pj, diag], [model.eval(dists), diag_vals]
-
-    extra = []
-    for r, c in zip(i[~both].tolist(), j[~both].tolist()):
-        o_r, o_c = obs_set[r], obs_set[c]
-        if tau0 is None or support_separation(o_r, o_c) < tau0:
-            extra.append((r, c, cross_correlation(o_r, o_c, model, sigma2_r)))
-    for r in np.flatnonzero(~is_point).tolist():
-        extra.append((r, r, cross_correlation(obs_set[r], obs_set[r], model, sigma2_r)))
-    if extra:
-        er, ec, ev = zip(*extra)
-        rows.append(er)
-        cols.append(ec)
-        vals.append(ev)
-    return SparseSymmetric.from_entries(m, np.concatenate(rows), np.concatenate(cols),
-                                        np.concatenate(vals))
-
-
-# The inter-correlation matrix is plain symmetric sparse storage; the name
-# records its role in the observation model.
-InterCorrelationMatrix = SparseSymmetric
+        tree = cKDTree(obs_set.rep_points())
+        j, i = tree.query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
+        near = _support_separations(obs_set, i, j) < tau0
+        i, j = i[near], j[near]
+    i = np.concatenate([i, np.arange(m)])
+    j = np.concatenate([j, np.arange(m)])
+    kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
+    vals = np.empty(i.size)
+    for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
+        sel = np.flatnonzero(kind_pairs == code)
+        ka, kb = divmod(code, len(KINDS))
+        vals[sel] = _entries(model, ka, _operators(obs_set, ka, i[sel]),
+                             kb, _operators(obs_set, kb, j[sel]))
+    vals[-m:] += obs_set.error_vars() / sigma2_r
+    return SparseSymmetric.from_entries(m, i, j, vals)
 
 
 # -- observation CSV --------------------------------------------------------
@@ -649,6 +644,5 @@ def write_observations_csv(path, obs_set: ObservationSet):
                 if dim >= 2:
                     p2 = repr(float(o.direction[1]))
             elif o.kind == AVG:
-                lo, hi = o.interval
-                p1, p2 = repr(lo), repr(hi)
+                p1, p2 = (repr(float(v)) for v in o.location)
             writer.writerow(xs + [o.kind, repr(o.value), repr(o.error_var), p1, p2])

@@ -17,7 +17,7 @@ import numpy as np
 from . import obsmodel
 from .corrfn import CorrelationModel
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
-from .obsmodel import Observation, ObservationSet, assemble, kernel_vector, over_query_blocks
+from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
 _CLAMP_REL_TOL = 1e-12
 _FD_STEP_HIGHDIM = 1e-6
@@ -212,13 +212,8 @@ def predict_average(p: KernelPredictor, interval) -> float:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lower < upper")
-    if p.obs.m == 0:
-        return p.mu
-    probe = Observation(obsmodel.AVG, np.array([lo, hi]), 0.0)
-    total = 0.0
-    for i, o in enumerate(p.obs):
-        total += p.weights[i] * obsmodel.cross_correlation(o, probe, p.model, 1.0)
-    return p.mu + total / (hi - lo)
+    cross = obsmodel.interval_vector(p.obs, lo, hi, p.model)
+    return p.mu + float(cross @ p.weights) / (hi - lo)
 
 
 def rasterize(p: KernelPredictor, grid: GridSpec) -> np.ndarray:

@@ -131,3 +131,28 @@ def test_infer_on_noisy_observations_exit_3(tmp_path, capsys):
                    "1,0,point,2.0,,,\n2.5,0,point,0.5,,,\n")
     assert infer(str(obs), write_json(tmp_path / "model.json", UNTAPERED_MODEL)) == 3
     assert "observation errors is not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["0,inf;0,1", "0.1", "0,1;0,1,2", "nan,1", "1,0"])
+def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
+    rc = main(["synth", "--m", "3", "--bounds", bounds, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    bad = next(part for part in bounds.split(";") if part != "0,1")
+    assert f"--bounds axis {bad!r} must be lo,hi with finite lo < hi" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("version", [2, None, "1"])
+def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version):
+    predictor = fit(tmp_path, *inputs)
+    with open(predictor) as fh:
+        doc = json.load(fh)
+    assert doc["version"] == 1
+    doc["version"] = version
+    write_json(tmp_path / "bad.json", doc)
+    capsys.readouterr()
+    rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert f"bad.json: predictor file version {version!r} is not the supported version 1" in \
+        capsys.readouterr().err

@@ -225,6 +225,47 @@ class TestCrossCorrelation:
             cross_correlation(pt(0.0), pt(1.0), M52, 0.0)
 
 
+class TestGauss2ClosedForms:
+    """Untapered gauss2 interval entries (erf closed forms) against quadrature."""
+
+    @pytest.mark.parametrize("x", [-2.0, 0.3, 0.8, 1.1, 2.4, 1.1 + 1000 * 0.5],
+                             ids=["left", "at_lo", "inside", "at_hi", "right", "lag_1000_scales"])
+    def test_point_interval_matches_quadrature(self, x):
+        lo, hi = 0.3, 1.1
+        oracle = quad(lambda u: G2.eval(abs(x - u)), lo, hi,
+                      points=[x] if lo < x < hi else None, epsabs=1e-14, epsrel=1e-14,
+                      limit=200)[0]
+        assert cross_correlation(pt(x), av(lo, hi), G2, 1.0) == pytest.approx(oracle, abs=1e-12)
+        assert kernel_value(av(lo, hi), [x], G2) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [((0.0, 1.0), (0.5, 2.5)), ((0.0, 3.0), (1.0, 1.4)),
+                                      ((0.0, 1.0), (1.0, 1.7)), ((0.0, 1.0), (1.6, 2.1)),
+                                      ((0.0, 1.0), (1.0 + 1000 * 0.5, 2.2 + 1000 * 0.5))],
+                             ids=["overlapping", "nested", "touching", "disjoint",
+                                  "lag_1000_scales"])
+    def test_interval_interval_matches_double_quadrature(self, a, b):
+        oracle = dblquad(lambda u, v: G2.eval(abs(u - v)), b[0], b[1], a[0], a[1],
+                         epsabs=1e-14, epsrel=1e-13)[0]
+        assert cross_correlation(av(*a), av(*b), G2, 1.0) == pytest.approx(oracle, abs=1e-12)
+
+
+class TestNumericMode:
+    def test_2d_derivatives_match_the_analytic_directional_derivative(self):
+        # Central differences of point correlations at dim 2, against
+        # d/ds rho(|x - c - s z|) = rho'(r) * -((x - c) . z) / r at s = 0
+        # and the self entry -rho''(0) = 5/3 of the unit-range Matern-5/2.
+        c, z = np.array([0.5, -0.3]), np.array([0.6, 0.8])
+        d = Observation(DERIV, c, 0.0, direction=z)
+        obs = ObservationSet([pt([0.2, 0.1]), d], allow_numeric=True)
+        xs = np.array([[1.4, 0.2], [-0.3, -0.9], [0.6, 0.4]])
+        r = np.linalg.norm(xs - c, axis=1)
+        expect = M52.deriv1(r) * -((xs - c) @ z) / r
+        np.testing.assert_allclose(kernel_vector(obs, xs, M52)[:, 1], expect, rtol=0, atol=1e-8)
+        assert cross_correlation(d, d, M52, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-5)
+        dense = assemble(obs, M52, 1.0).to_dense()
+        assert dense[1, 0] == cross_correlation(obs[1], obs[0], M52, 1.0)
+
+
 class TestSupportSeparation:
     def test_points(self):
         assert support_separation(pt(0.0), pt(3.0)) == 3.0
@@ -237,6 +278,16 @@ class TestSupportSeparation:
     def test_intervals(self):
         assert support_separation(av(0.0, 1.0), av(3.0, 4.0)) == 2.0
         assert support_separation(av(0.0, 2.0), av(1.0, 4.0)) == 0.0
+
+
+def g2_mixed():
+    """Closed-form interval entries: overlapping, nested, touching and
+    disjoint intervals among points and derivatives, some noisy."""
+    return ObservationSet([
+        pt(0.0, 0.3), dv(0.4, 0.1, z=-1.0), av(0.2, 0.9, 0.5), pt(1.3, -0.2, 0.3),
+        av(0.9, 1.6, 0.8), av(0.0, 3.0, 2.0, error_var=0.1), dv(2.0, -0.4),
+        av(2.4, 3.0, 0.4), pt(3.1, 0.7),
+    ])
 
 
 def brute_force_matrix(obs, model, sigma2_r):
@@ -308,7 +359,7 @@ class TestAssemble:
                     assert support_separation(obs[i], obs[j]) >= TAPERED.taper_range or \
                         cross_correlation(obs[i], obs[j], TAPERED, 1.0) == 0.0
 
-    @pytest.mark.parametrize("case", ["tapered_1d_mixed", "untapered_2d"])
+    @pytest.mark.parametrize("case", ["tapered_1d_mixed", "untapered_2d", "gauss2_1d_mixed"])
     def test_matches_all_pairs_brute_force(self, case):
         rng = np.random.default_rng(21)
         if case == "tapered_1d_mixed":
@@ -320,6 +371,8 @@ class TestAssemble:
                 av(1.0 - 1e-9, 1.5), av(1.0, 1.8), av(1.0 + 1e-9, 2.2),
                 av(3.4, 4.4), pt(5.4, 0.7), pt(7.0, 0.1, error_var=0.1),
             ])
+        elif case == "gauss2_1d_mixed":
+            model, sigma2, obs = G2, 1.5, g2_mixed()
         else:
             model, sigma2 = M52, 1.5
             obs = ObservationSet([pt(rng.uniform(0, 4, 2), float(rng.normal()),
@@ -329,6 +382,33 @@ class TestAssemble:
         got = assemble(obs, model, sigma2).to_dense()
         np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
         assert np.array_equal(got != 0.0, kept)
+
+    def test_gauss2_interval_entries_match_quadrature(self):
+        # brute_force_matrix shares the array path with assemble; this
+        # checks every entry with an interval against quadrature of the
+        # point correlation instead (derivatives as central differences).
+        obs, sigma2, h = g2_mixed(), 1.5, 1e-4
+        got = assemble(obs, G2, sigma2).to_dense() - np.diag(obs.error_vars() / sigma2)
+
+        def integral(o, v):  # int rho(|u - v|) du over o's interval
+            return quad(lambda u: G2.eval(abs(u - v)), *o.location,
+                        epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+
+        for i, a in enumerate(obs):
+            for j, b in enumerate(obs):
+                if b.kind != AVG or (a.kind == AVG and j > i):
+                    continue
+                if a.kind == POINT:
+                    oracle, tol = integral(b, a.location[0]), 1e-12
+                elif a.kind == DERIV:
+                    c, z = a.location[0], a.direction[0]
+                    oracle = z * (integral(b, c + h) - integral(b, c - h)) / (2 * h)
+                    tol = 1e-7
+                else:
+                    oracle = dblquad(lambda u, v: G2.eval(abs(u - v)), *b.location,
+                                     *a.location, epsabs=1e-14, epsrel=1e-13)[0]
+                    tol = 1e-12
+                assert got[i, j] == got[j, i] == pytest.approx(oracle, abs=tol), (i, j)
 
     def test_sparsity_bounded_by_neighborhoods(self):
         rng = np.random.default_rng(9)
@@ -356,6 +436,14 @@ class TestKernelVector:
         expect = [kernel_value(o, x, M52) for o in obs]
         assert np.allclose(v, expect, atol=1e-15)
 
+    def test_one_observation_over_a_block(self):
+        obs = demo_observation_set((1, 0, 2))
+        block = np.array([[-1.0], [0.4], [1.7]])
+        got = kernel_value(obs[2], block, M52)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, kernel_vector(obs, block, M52)[:, 2], rtol=0, atol=1e-15)
+        assert isinstance(kernel_value(obs[2], [0.4], M52), float)
+
     def test_block_matches_single_point_calls(self):
         rng = np.random.default_rng(4)
         cases = [(demo_observation_set((1, 0, 2)), M52, rng.uniform(-8, 8, (7, 1))),
@@ -367,6 +455,17 @@ class TestKernelVector:
             for row, x in zip(got, block):
                 np.testing.assert_allclose(row, kernel_vector(obs, x, model),
                                            rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("model", [M52, G2, TAPERED], ids=["matern52", "gauss2", "tapered"])
+    def test_block_matches_per_entry_kernel_value(self, model):
+        rng = np.random.default_rng(6)
+        obs = [pt(x) for x in rng.uniform(-3, 3, 5)] + [av(-1.0, 0.5), av(1.2, 1.3), av(2.0, 4.5)]
+        if model.smooth_origin:
+            obs += [dv(-0.4), dv(2.1, z=-1.0)]
+        obs = ObservationSet(obs)
+        block = np.concatenate([rng.uniform(-5, 5, (9, 1)), [[-1.0], [1.3], [2.0]]])
+        expect = [[kernel_value(o, x, model) for o in obs] for x in block]
+        np.testing.assert_allclose(kernel_vector(obs, block, model), expect, rtol=0, atol=1e-15)
 
     def test_rejects_wrong_query_dimension(self):
         obs = ObservationSet([pt([0.0, 1.0])])

@@ -164,6 +164,19 @@ class TestOperatorPredictions:
                           epsabs=1e-12, epsrel=1e-12, limit=300)[0] / (b - a)
             assert predict_average(demo_fit, (a, b)) == pytest.approx(oracle, abs=1e-8)
 
+    def test_average_matches_quadrature_gauss2(self):
+        obs = ObservationSet([
+            Observation(POINT, np.array([0.0]), 1.2),
+            Observation(DERIV, np.array([0.7]), -0.5, direction=np.array([1.0])),
+            Observation(AVG, np.array([1.0, 1.8]), 0.9),
+            Observation(POINT, np.array([2.5]), 0.4, error_var=0.1),
+        ])
+        p = fit_global(obs, CorrelationModel("gauss2", 0.6), 0.3, 1.5)
+        for (a, b) in [(-1.0, 0.4), (0.9, 2.0), (-3.0, 5.0)]:
+            oracle = quad(lambda u: predict(p, [u]), a, b,
+                          epsabs=1e-13, epsrel=1e-13, limit=300)[0] / (b - a)
+            assert predict_average(p, (a, b)) == pytest.approx(oracle, abs=1e-10)
+
     def test_average_degenerate_interval_limits_to_point(self, demo_fit):
         x = 0.7
         w = 1e-6
