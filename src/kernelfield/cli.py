@@ -28,7 +28,7 @@ from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError)
 from .linalg import SparseSymmetric, cholesky
-from .localized import LocalizedFit, fit_localized, rasterize_localized, variance_localized
+from .localized import LocalizedFit, fit_localized, rasterize_localized
 from .obsmodel import Observation, ObservationSet, assemble, read_observations_csv
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
 
@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError("localized mode requires a model with taper_range")
         if self.k < 1:
             raise ConfigError("k must be a positive integer")
+        if self.workers < 1:
+            raise ConfigError("--workers must be a positive integer")
 
 
 def _load_model_file(path):
@@ -84,10 +86,10 @@ def _config_from_args(args) -> RunConfig:
 def _obs_to_json(o: Observation) -> dict:
     return {
         "kind": o.kind,
-        "location": [float(v) for v in o.location],
+        "location": o.location.tolist(),
         "value": o.value,
         "error_var": o.error_var,
-        "direction": None if o.direction is None else [float(v) for v in o.direction],
+        "direction": None if o.direction is None else o.direction.tolist(),
     }
 
 
@@ -113,7 +115,7 @@ def save_predictor(path, fitted):
         "model": corrfn.model_config(fitted.model, mu, sigma2),
         "dim": fitted.obs.dim,
         "observations": [_obs_to_json(o) for o in fitted.obs],
-        "weights": [float(w) for w in weights],
+        "weights": weights.tolist(),
     }
     if isinstance(fitted, LocalizedFit):
         rows, cols, vals = fitted.approx_inverse.lower_entries()
@@ -123,14 +125,13 @@ def save_predictor(path, fitted):
             "deviation_var": fitted.deviation_var,
             "psi_lower": {
                 "order": fitted.approx_inverse.order,
-                "rows": [int(r) for r in rows],
-                "cols": [int(c) for c in cols],
-                "vals": [float(v) for v in vals],
+                "rows": rows.tolist(),
+                "cols": cols.tolist(),
+                "vals": vals.tolist(),
             },
         }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_predictor(path):
@@ -217,7 +218,7 @@ def cmd_fit(args) -> int:
             deviation_var=fitted.deviation_var, k=fitted.k, delta=fitted.delta,
             matrix=None, approx_inverse=_matrix_stats(fitted.approx_inverse),
             neighborhood_sizes=sizes,
-            negative_variance_at_obs=_negative_variance_count(fitted),
+            negative_variance_at_obs=fitted.negative_variance_at_obs,
         )
 
     if cfg.out_path:
@@ -246,13 +247,6 @@ def _neighborhood_sizes(fit: LocalizedFit) -> Optional[dict]:
         return None
     counts = np.diff(fit.approx_inverse.full().indptr)
     return {"min": int(counts.min()), "mean": float(counts.mean()), "max": int(counts.max())}
-
-
-def _negative_variance_count(fit: LocalizedFit) -> int:
-    points = fit.obs.point_mask()
-    if not points.any():
-        return 0
-    return int(np.count_nonzero(variance_localized(fit, fit.obs.rep_points()[points]) < 0.0))
 
 
 def _emit(doc: dict, path: Optional[str]):

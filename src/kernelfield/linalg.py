@@ -1,9 +1,11 @@
-"""Sparse symmetric storage, Cholesky factorization, and a grid-bucket spatial index.
+"""Sparse symmetric storage, Cholesky factorization, dense (stacked) SPD
+inversion, and a grid-bucket spatial index (no longer used by the package,
+which finds neighborhoods with ``scipy.spatial.cKDTree``).
 
 Matrices here are small enough (desk scale, a few thousand rows) that the
-factor itself is held densely after a fill-reducing reverse Cuthill-McKee
-permutation; sparsity is exploited for storage, assembly and neighborhood
-queries, and all localized sub-problems are factored densely on purpose.
+factor is held densely after a reverse Cuthill-McKee permutation; sparsity is
+exploited for storage and assembly, and localized sub-problems are inverted
+densely on purpose.
 """
 
 import math
@@ -12,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationError
@@ -150,14 +152,6 @@ class CholeskyFactor:
         a_perm = self.lower @ self.lower.T
         return a_perm[np.ix_(self._inv_perm, self._inv_perm)]
 
-    def inverse(self) -> np.ndarray:
-        """Dense inverse of A in the original ordering."""
-        inv, info = dpotri(self.lower, lower=1)
-        if info != 0:
-            raise FactorizationError(int(info), "inversion from factor failed")
-        inv = np.tril(inv) + np.tril(inv, -1).T
-        return inv[np.ix_(self._inv_perm, self._inv_perm)]
-
 
 def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
     """Cholesky factorization with a fill-reducing ordering.
@@ -187,26 +181,26 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     return factor.solve(rhs)
 
 
-def dense_spd_inverse(a: np.ndarray, center_index: Optional[int] = None) -> np.ndarray:
-    """Full inverse of a dense SPD matrix via its Cholesky factor.
+def dense_spd_inverse(a: np.ndarray, center_index=None) -> np.ndarray:
+    """Inverse of a dense SPD matrix (n, n), or of each matrix of a (k, n, n) stack.
 
-    ``center_index`` only labels the FactorizationError raised on a
-    non-positive pivot (used by the localized per-neighborhood inversions).
+    Positive definiteness is checked by one (stacked) Cholesky factorization.
+    ``center_index`` labels the FactorizationError raised when a matrix is not
+    positive definite: one label for a matrix, one per matrix of a stack (the
+    localized neighborhood inversions pass their center rows).  Unlabelled,
+    the error names the failing pivot of the first failing matrix.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        v = a[0, 0]
-        if v <= 0.0:
-            raise FactorizationError(center_index if center_index is not None else 0)
-        return np.array([[1.0 / v]])
-    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=0)
-    if info != 0:
-        raise FactorizationError(center_index if center_index is not None else int(info - 1))
-    inv, info = dpotri(c, lower=1)
-    if info != 0:
-        raise FactorizationError(center_index if center_index is not None else int(info - 1))
-    return np.tril(inv) + np.tril(inv, -1).T
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        for j, member in enumerate(a.reshape((-1,) + a.shape[-2:])):
+            info = dpotrf(member, lower=1, clean=0)[1]
+            if info != 0:
+                break
+        label = info - 1 if center_index is None else np.ravel(center_index)[j]
+        raise FactorizationError(int(label)) from None
+    return np.linalg.inv(a)
 
 
 class SpatialIndex:

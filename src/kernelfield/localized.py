@@ -5,8 +5,10 @@ built from per-observation neighborhood inversions: for every observation,
 the sub-matrix over all observations within the localization range
 ``delta = k * taper_range`` is inverted densely and the center row of that
 sub-inverse is copied into a support matrix, which is then symmetrized as
-``(Psi + Psi') / 2``.  Each row is produced by an independent task, so the
-loop parallelizes with bit-identical output for any worker count.
+``(Psi + Psi') / 2``.  All neighborhoods come from one k-d tree pair query;
+rows whose neighborhoods have the same size are inverted together as one
+stack, and the stacks depend only on the sizes, so a thread pool over them
+gives bit-identical output for any worker count.
 
 The resulting predictor keeps the correct spatial texture of the model (no
 neighborhood-switching discontinuities) but no longer reproduces exact
@@ -22,13 +24,15 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
-from .linalg import SparseSymmetric, SpatialIndex, dense_spd_inverse
-from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
+from .linalg import SparseSymmetric, dense_spd_inverse
+from .obsmodel import BLOCK_ROWS, ObservationSet, assemble, kernel_vector, over_query_blocks
 
 _DENSE_GATHER_CUTOFF = 4000
+_STACK_ENTRIES = 1 << 20  # most matrix entries in one stack of sub-matrices
 
 
 def approximate_inverse(S: SparseSymmetric, locations, delta: float,
@@ -41,8 +45,10 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     returned matrix is the symmetrized support matrix; entry (i, j) is
     structurally zero whenever the locations are ``delta`` or more apart.
 
-    ``workers`` > 1 (or None for all cores) runs the per-row inversions in a
-    thread pool; the output is bit-identical for any worker count.
+    Rows with neighborhoods of one size are inverted together, as (k, n, n)
+    stacks of at most :data:`BLOCK_ROWS` sub-matrices.  ``workers`` > 1 (or
+    None for all cores) maps a thread pool over the stacks, which depend only
+    on the sizes, so the output is bit-identical for any worker count.
     """
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError("delta must be positive and finite")
@@ -53,33 +59,42 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     if m == 0:
         return SparseSymmetric.from_entries(0, [], [], [])
 
-    index = SpatialIndex(locations, cell=delta)
+    # query_pairs keeps pairs at distance exactly delta; the strict test drops them.
+    i, j = cKDTree(locations).query_pairs(delta, output_type="ndarray").reshape(-1, 2).T
+    diff = locations[i] - locations[j]
+    near = np.einsum("ij,ij->i", diff, diff) < delta * delta
+    rows = np.concatenate([i[near], j[near], np.arange(m)])
+    cols = np.concatenate([j[near], i[near], np.arange(m)])
+    psi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))  # Psi's pattern
+    psi.sort_indices()
+    indptr, indices = psi.indptr, psi.indices
     dense = S.to_dense() if m <= _DENSE_GATHER_CUTOFF else None
     full = None if dense is not None else S.full()
 
-    def row_task(i: int):
-        idx = index.neighbors(locations[i], delta)
-        sub = dense[np.ix_(idx, idx)] if dense is not None \
-            else full[np.ix_(idx, idx)].toarray()
-        inv = dense_spd_inverse(sub, center_index=i)
-        pos = int(np.searchsorted(idx, i))
-        return idx, inv[pos].copy()
+    sizes = np.diff(indptr)
+    by_size = np.argsort(sizes, kind="stable")
+    chunks = []
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        step = max(1, min(BLOCK_ROWS, _STACK_ENTRIES // int(sizes[group[0]]) ** 2))
+        chunks += [group[s:s + step] for s in range(0, group.size, step)]
+
+    def chunk_task(rows: np.ndarray):
+        n = int(sizes[rows[0]])
+        slots = indptr[rows][:, None] + np.arange(n)
+        idx = indices[slots]
+        r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+        sub = dense[r, c] if dense is not None \
+            else np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
+        center = np.count_nonzero(idx < rows[:, None], axis=1)
+        return slots, dense_spd_inverse(sub, center_index=rows)[np.arange(rows.size), center]
 
     if workers == 1:
-        results = [row_task(i) for i in range(m)]
+        results = [chunk_task(rows) for rows in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(row_task, range(m)))
-
-    rows, cols, vals = [], [], []
-    for i, (idx, row_vals) in enumerate(results):
-        rows.append(np.full(idx.size, i, dtype=np.int64))
-        cols.append(idx)
-        vals.append(row_vals)
-    psi = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    ).tocsr()
+            results = list(pool.map(chunk_task, chunks))
+    for slots, vals in results:
+        psi.data[slots] = vals
     sym = (psi + psi.T) * 0.5
     return SparseSymmetric(sp.tril(sym).tocsr())
 
@@ -105,6 +120,9 @@ class LocalizedFit:
         self.k = int(k)
         self.delta = float(delta)
         self.clamp_count = 0
+        # Raw variances below zero at the point sites, counted by the fit
+        # (None on a predictor loaded from file).
+        self.negative_variance_at_obs: Optional[int] = None
 
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
@@ -128,7 +146,9 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
         if mu is None or sigma2 is None:
             raise EstimationError("empty observation set: mu and sigma2 must be supplied")
         empty = SparseSymmetric.from_entries(0, [], [], [])
-        return LocalizedFit(model, obs_set, empty, mu, sigma2, np.empty(0), k, delta)
+        fit = LocalizedFit(model, obs_set, empty, mu, sigma2, np.empty(0), k, delta)
+        fit.negative_variance_at_obs = 0
+        return fit
 
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
         raise EstimationError(
@@ -158,8 +178,26 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
         s2 = float(sigma2)
 
     fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(resid), k, delta)
-    fit.deviation_var = _deviation_from_exact_points(fit)
+    _site_diagnostics(fit)
     return fit
+
+
+def _site_diagnostics(f: LocalizedFit):
+    """Set the deviation variance (mean squared mismatch between the exact
+    point values and their localized predictions) and the count of negative
+    raw variances at the point sites, from one kernel evaluation there."""
+    points = f.obs.point_mask()
+
+    def block_stats(block):
+        kernels = kernel_vector(f.obs, block, f.model)
+        return np.column_stack([f.mu_star + kernels @ f.weights_star,
+                                _raw_variance(f, kernels)])
+
+    stats = over_query_blocks(f.obs.rep_points()[points], block_stats)
+    exact = f.obs.error_vars()[points] == 0.0
+    err = f.obs.values()[points][exact] - stats[exact, 0]
+    f.deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
+    f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < 0.0))
 
 
 def predict_localized(f: LocalizedFit, x):
@@ -198,14 +236,6 @@ def variance_localized(f: LocalizedFit, x):
 def deviation_variance(f: LocalizedFit) -> float:
     """Mean squared mismatch between exact point values and their localized predictions."""
     return f.deviation_var
-
-
-def _deviation_from_exact_points(f: LocalizedFit) -> float:
-    exact = f.obs.point_mask() & (f.obs.error_vars() == 0.0)
-    if not exact.any():
-        return 0.0
-    err = f.obs.values()[exact] - predict_localized(f, f.obs.rep_points()[exact])
-    return float(np.mean(err * err))
 
 
 def adjusted_variance(f: LocalizedFit, x):

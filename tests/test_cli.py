@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kernelfield.cli import main
+from kernelfield import (AVG, POINT, CorrelationModel, Observation, ObservationSet, fit_global,
+                         fit_localized, predict_localized, variance_localized,
+                         write_observations_csv)
+from kernelfield.cli import load_predictor, main, save_predictor
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
@@ -156,3 +159,77 @@ def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version)
     assert rc == 2
     assert f"bad.json: predictor file version {version!r} is not the supported version 1" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "infer"])
+@pytest.mark.parametrize("mode", ["global", "localized"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_non_positive_workers_exit_2(tmp_path, inputs, capsys, command, mode, workers):
+    extra = ["--out", str(tmp_path / "p.json")] if command == "fit" else []
+    rc = main([command, "--obs", inputs[0], "--model", inputs[1], "--mode", mode,
+               "--workers", workers, *extra])
+    assert rc == 2
+    assert "--workers must be a positive integer" in capsys.readouterr().err
+
+
+def mixed_1d_set():
+    """1D points, some noisy, and interval integrals: the point sites and the
+    exact point sites differ."""
+    rng = np.random.default_rng(11)
+    obs = [Observation(POINT, np.array([x]), float(np.sin(x)),
+                       error_var=0.05 if i % 4 == 1 else 0.0)
+           for i, x in enumerate(np.arange(0.0, 8.0, 0.3) + rng.uniform(0, 0.1, 27))]
+    obs += [Observation(AVG, np.array([lo, lo + 0.5]), float(rng.normal(0, 0.5)))
+            for lo in (0.7, 3.1, 5.6)]
+    return ObservationSet(obs)
+
+
+MIXED_MODEL = CorrelationModel("matern52", 0.6, 1.2)
+
+
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_save_load_save_is_byte_identical(tmp_path, mode):
+    obs = mixed_1d_set()
+    if mode == "global":
+        fitted = fit_global(obs, MIXED_MODEL, 0.1, 1.3)
+    else:
+        fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_predictor(str(first), fitted)
+    loaded = load_predictor(str(first))
+    save_predictor(str(second), loaded)
+    assert first.read_bytes() == second.read_bytes()
+    if mode == "global":
+        assert (loaded.mu, loaded.sigma2) == (fitted.mu, fitted.sigma2)
+        assert np.array_equal(loaded.weights, fitted.weights)
+        return
+    assert (loaded.mu_star, loaded.sigma2_star) == (fitted.mu_star, fitted.sigma2_star)
+    assert np.array_equal(loaded.weights_star, fitted.weights_star)
+    assert loaded.deviation_var == fitted.deviation_var
+    for got, want in zip(loaded.approx_inverse.lower_entries(),
+                         fitted.approx_inverse.lower_entries()):
+        assert np.array_equal(got, want)
+    assert loaded.negative_variance_at_obs is None
+
+
+def test_localized_site_diagnostics(tmp_path, capsys):
+    obs = mixed_1d_set()
+    fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)
+    points = obs.point_mask()
+    exact = points & (obs.error_vars() == 0.0)
+    assert exact.sum() < points.sum()
+    raw = variance_localized(fitted, obs.rep_points()[points])
+    assert fitted.negative_variance_at_obs == np.count_nonzero(raw < 0.0)
+    err = obs.values()[exact] - predict_localized(fitted, obs.rep_points()[exact])
+    assert fitted.deviation_var == pytest.approx(np.mean(err * err), rel=1e-12)
+
+    csv_path, summary = str(tmp_path / "mixed.csv"), tmp_path / "summary.json"
+    write_observations_csv(csv_path, obs)
+    model = write_json(tmp_path / "model.json", {
+        "base": {"kind": "matern52", "scale": 0.6}, "taper_range": 1.2,
+        "mu": "estimate", "sigma2": 1.3})
+    assert main(["fit", "--obs", csv_path, "--model", model, "--mode", "localized",
+                 "--out", str(tmp_path / "p.json"), "--summary", str(summary)]) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["negative_variance_at_obs"] == fitted.negative_variance_at_obs
+    assert doc["deviation_var"] == fitted.deviation_var

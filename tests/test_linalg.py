@@ -131,6 +131,22 @@ class TestDenseInverse:
             dense_spd_inverse(np.array([[1.0, 0.0], [0.0, -1.0]]), center_index=17)
         assert exc.value.pivot_index == 17
 
+    def test_stack_equals_per_matrix_inverses(self):
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_spd(rng, 6) for _ in range(4)])
+        got = dense_spd_inverse(stack, center_index=np.arange(4))
+        assert got.shape == (4, 6, 6)
+        for a, inv in zip(stack, got):
+            assert np.array_equal(inv, dense_spd_inverse(a))
+
+    def test_stack_failure_labels_failing_member(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_spd(rng, 3) for _ in range(3)])
+        stack[1] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(FactorizationError) as exc:
+            dense_spd_inverse(stack, center_index=[5, 9, 12])
+        assert exc.value.pivot_index == 9
+
 
 def brute_force_neighbors(points, center, radius):
     d = np.linalg.norm(points - np.asarray(center), axis=1)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from kernelfield import (POINT, ConfigError, CorrelationModel, EstimationError,
-                         GridSpec, Observation, ObservationSet, adjusted_variance,
-                         approximate_inverse, assemble, deviation_variance,
-                         fit_global, fit_localized, kernel_value, predict,
+                         FactorizationError, GridSpec, Observation, ObservationSet,
+                         SparseSymmetric, adjusted_variance, approximate_inverse, assemble,
+                         deviation_variance, fit_global, fit_localized, kernel_value, predict,
                          predict_localized, predict_variance, rasterize_localized,
                          variance_localized)
+from kernelfield import localized
 from kernelfield.cli import synthetic_observations
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
@@ -68,6 +69,47 @@ class TestApproximateInverse:
             other = approximate_inverse(mat, obs.rep_points(), delta=2.0,
                                         workers=workers).to_dense()
             assert np.array_equal(base, other)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_pd_neighbourhood_names_its_center(self, workers):
+        # Sites 0, 0.4, 0.8 with delta 0.5: the neighbourhoods {0, 1} and
+        # {1, 2} are PD, the one of center 1, {0, 1, 2}, is not; the far
+        # sites give singleton neighbourhoods in other stacks.
+        pts = np.array([[0.0], [0.4], [0.8], [10.0], [20.0]])
+        dense = np.eye(5)
+        dense[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        with pytest.raises(FactorizationError) as exc:
+            approximate_inverse(SparseSymmetric.from_dense(dense), pts, 0.5, workers=workers)
+        assert exc.value.pivot_index == 1
+
+    def test_site_exactly_delta_away_is_outside(self):
+        pts = np.array([[0.0], [0.5], [1.0]])
+        obs = ObservationSet([Observation(POINT, p, 0.0) for p in pts])
+        mat = assemble(obs, TAPERED, 1.0)
+        assert mat.nnz_lower == 5  # 0 and 1.0 are one taper range apart
+        psi = approximate_inverse(mat, pts, delta=0.5)
+        assert np.array_equal(psi.to_dense(), np.diag(1.0 / np.diag(mat.to_dense())))
+        assert approximate_inverse(mat, pts, delta=0.5000001).nnz_lower == 5
+
+    def test_pattern_matches_brute_force(self):
+        obs = synthetic_observations(120, [(0.0, 4.0), (0.0, 4.0)], seed=3)
+        pts = obs.rep_points()
+        delta = 0.9
+        psi = approximate_inverse(assemble(obs, G2T, 1.0), pts, delta)
+        diff = pts[:, None, :] - pts[None, :, :]
+        brute = np.einsum("ijk,ijk->ij", diff, diff) < delta * delta
+        assert np.array_equal(psi.to_dense() != 0.0, brute)
+
+    # The elementwise CSR gather of large matrices, and stacks of one
+    # sub-matrix each, give the same bits as the default path.
+    @pytest.mark.parametrize("name, value", [("_DENSE_GATHER_CUTOFF", 0), ("_STACK_ENTRIES", 1)])
+    def test_gather_and_stack_size_bit_identical(self, monkeypatch, name, value):
+        obs = synthetic_observations(150, [(0.0, 5.0), (0.0, 5.0)], seed=2)
+        mat = assemble(obs, G2T, 1.0)
+        base = approximate_inverse(mat, obs.rep_points(), delta=2.0).to_dense()
+        monkeypatch.setattr(localized, name, value)
+        other = approximate_inverse(mat, obs.rep_points(), delta=2.0).to_dense()
+        assert np.array_equal(base, other)
 
     def test_invalid_delta(self):
         obs = line_points(3, 0.5)
