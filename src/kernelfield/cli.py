@@ -211,7 +211,7 @@ def cmd_fit(args) -> int:
         mu = None if cfg.mu_spec == "estimate" else float(cfg.mu_spec)
         sigma2 = None if cfg.sigma2_spec == "estimate" else float(cfg.sigma2_spec)
         fitted = fit_localized(obs, cfg.model, cfg.k, mu=mu, sigma2=sigma2,
-                               workers=cfg.workers)
+                               workers=cfg.workers, count_negative_variance=True)
         sizes = _neighborhood_sizes(fitted)
         summary.update(
             mu=fitted.mu_star, sigma2=fitted.sigma2_star,
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output predictor JSON path")
     p_fit.add_argument("--summary", help="also write the run summary JSON here")
     p_fit.add_argument("--workers", type=int, default=1,
-                       help="threads for the localized per-observation loop")
+                       help="threads over the localized stacks of neighborhood inversions")
     p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rasterize a saved predictor")

@@ -8,8 +8,9 @@ exploited for storage and assembly, and localized sub-problems are inverted
 densely on purpose.
 """
 
+import itertools
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,7 +182,7 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     return factor.solve(rhs)
 
 
-def dense_spd_inverse(a: np.ndarray, center_index=None) -> np.ndarray:
+def dense_spd_inverse(a: np.ndarray, center_index=None, row=None) -> np.ndarray:
     """Inverse of a dense SPD matrix (n, n), or of each matrix of a (k, n, n) stack.
 
     Positive definiteness is checked by one (stacked) Cholesky factorization.
@@ -189,6 +190,9 @@ def dense_spd_inverse(a: np.ndarray, center_index=None) -> np.ndarray:
     positive definite: one label for a matrix, one per matrix of a stack (the
     localized neighborhood inversions pass their center rows).  Unlabelled,
     the error names the failing pivot of the first failing matrix.
+
+    ``row`` (one position per matrix) asks for that row of each inverse only,
+    solved for against a unit vector: an (n,) row, or (k, n) for a stack.
     """
     a = np.asarray(a, dtype=float)
     try:
@@ -196,11 +200,16 @@ def dense_spd_inverse(a: np.ndarray, center_index=None) -> np.ndarray:
     except np.linalg.LinAlgError:
         for j, member in enumerate(a.reshape((-1,) + a.shape[-2:])):
             info = dpotrf(member, lower=1, clean=0)[1]
-            if info != 0:
-                break
-        label = info - 1 if center_index is None else np.ravel(center_index)[j]
-        raise FactorizationError(int(label)) from None
-    return np.linalg.inv(a)
+            if info > 0:
+                label = info - 1 if center_index is None else np.ravel(center_index)[j]
+                raise FactorizationError(int(label)) from None
+        # numpy and scipy may link different LAPACKs: if dpotrf factors every
+        # member, no member or pivot is named.
+        raise FactorizationError(None, "matrix not positive definite") from None
+    if row is None:
+        return np.linalg.inv(a)
+    unit = np.eye(a.shape[-1])[np.asarray(row)]
+    return np.linalg.solve(a, unit[..., None])[..., 0]
 
 
 class SpatialIndex:
@@ -240,7 +249,7 @@ class SpatialIndex:
         hi = np.floor((center + radius - self._origin) / self.cell).astype(np.int64)
         ranges = [range(lo[k], hi[k] + 1) for k in range(self.dim)]
         cand: list = []
-        for key in _product(ranges):
+        for key in itertools.product(*ranges):
             cand.extend(self._buckets.get(key, ()))
         if not cand:
             return np.empty(0, dtype=np.int64)
@@ -248,20 +257,6 @@ class SpatialIndex:
         diff = self.points[cand] - center
         mask = np.einsum("ij,ij->i", diff, diff) < radius * radius
         return np.sort(cand[mask])
-
-
-def _product(ranges: Sequence[range]) -> Iterable[tuple]:
-    if len(ranges) == 1:
-        for a in ranges[0]:
-            yield (a,)
-    elif len(ranges) == 2:
-        for a in ranges[0]:
-            for b in ranges[1]:
-                yield (a, b)
-    else:
-        for a in ranges[0]:
-            for rest in _product(ranges[1:]):
-                yield (a, *rest)
 
 
 def neighbors(index: SpatialIndex, center, radius: float) -> np.ndarray:

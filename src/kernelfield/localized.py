@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
 from .linalg import SparseSymmetric, dense_spd_inverse
-from .obsmodel import BLOCK_ROWS, ObservationSet, assemble, kernel_vector, over_query_blocks
+from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
 _DENSE_GATHER_CUTOFF = 4000
 _STACK_ENTRIES = 1 << 20  # most matrix entries in one stack of sub-matrices
@@ -46,7 +46,8 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     structurally zero whenever the locations are ``delta`` or more apart.
 
     Rows with neighborhoods of one size are inverted together, as (k, n, n)
-    stacks of at most :data:`BLOCK_ROWS` sub-matrices.  ``workers`` > 1 (or
+    stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
+    only the center row of the inverse is solved for.  ``workers`` > 1 (or
     None for all cores) maps a thread pool over the stacks, which depend only
     on the sizes, so the output is bit-identical for any worker count.
     """
@@ -75,7 +76,7 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     by_size = np.argsort(sizes, kind="stable")
     chunks = []
     for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-        step = max(1, min(BLOCK_ROWS, _STACK_ENTRIES // int(sizes[group[0]]) ** 2))
+        step = max(1, _STACK_ENTRIES // int(sizes[group[0]]) ** 2)
         chunks += [group[s:s + step] for s in range(0, group.size, step)]
 
     def chunk_task(rows: np.ndarray):
@@ -86,7 +87,7 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
         sub = dense[r, c] if dense is not None \
             else np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
         center = np.count_nonzero(idx < rows[:, None], axis=1)
-        return slots, dense_spd_inverse(sub, center_index=rows)[np.arange(rows.size), center]
+        return slots, dense_spd_inverse(sub, center_index=rows, row=center)
 
     if workers == 1:
         results = [chunk_task(rows) for rows in chunks]
@@ -120,20 +121,22 @@ class LocalizedFit:
         self.k = int(k)
         self.delta = float(delta)
         self.clamp_count = 0
-        # Raw variances below zero at the point sites, counted by the fit
-        # (None on a predictor loaded from file).
+        # Raw variances below zero at the point sites, counted when the fit
+        # is asked to (None otherwise, and on a predictor loaded from file).
         self.negative_variance_at_obs: Optional[int] = None
 
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
                   mu: Optional[float] = None, sigma2: Optional[float] = None,
-                  workers: Optional[int] = 1) -> LocalizedFit:
+                  workers: Optional[int] = 1,
+                  count_negative_variance: bool = False) -> LocalizedFit:
     """Fit the localized predictor with localization range ``k * taper_range``.
 
     ``mu`` and ``sigma2`` default to the generalized-least-squares estimates
     computed through the approximate inverse; pass explicit values to pin
     them (required when the set is empty, and for sets with observation
-    errors where estimation is not supported).
+    errors where estimation is not supported).  ``count_negative_variance``
+    sets ``negative_variance_at_obs`` from the raw variance at the point sites.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
@@ -147,7 +150,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
             raise EstimationError("empty observation set: mu and sigma2 must be supplied")
         empty = SparseSymmetric.from_entries(0, [], [], [])
         fit = LocalizedFit(model, obs_set, empty, mu, sigma2, np.empty(0), k, delta)
-        fit.negative_variance_at_obs = 0
+        if count_negative_variance:
+            fit.negative_variance_at_obs = 0
         return fit
 
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
@@ -178,26 +182,28 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
         s2 = float(sigma2)
 
     fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(resid), k, delta)
-    _site_diagnostics(fit)
+    _site_diagnostics(fit, count_negative_variance)
     return fit
 
 
-def _site_diagnostics(f: LocalizedFit):
+def _site_diagnostics(f: LocalizedFit, count_negative_variance: bool):
     """Set the deviation variance (mean squared mismatch between the exact
-    point values and their localized predictions) and the count of negative
-    raw variances at the point sites, from one kernel evaluation there."""
+    point values and their localized predictions) and, if asked, the count
+    of negative raw variances at the point sites, from one kernel evaluation
+    there."""
     points = f.obs.point_mask()
 
     def block_stats(block):
         kernels = kernel_vector(f.obs, block, f.model)
-        return np.column_stack([f.mu_star + kernels @ f.weights_star,
-                                _raw_variance(f, kernels)])
+        raw = _raw_variance(f, kernels) if count_negative_variance else np.zeros(len(block))
+        return np.column_stack([f.mu_star + kernels @ f.weights_star, raw])
 
     stats = over_query_blocks(f.obs.rep_points()[points], block_stats)
     exact = f.obs.error_vars()[points] == 0.0
     err = f.obs.values()[points][exact] - stats[exact, 0]
     f.deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
-    f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < 0.0))
+    if count_negative_variance:
+        f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < 0.0))
 
 
 def predict_localized(f: LocalizedFit, x):

@@ -214,7 +214,8 @@ def test_save_load_save_is_byte_identical(tmp_path, mode):
 
 def test_localized_site_diagnostics(tmp_path, capsys):
     obs = mixed_1d_set()
-    fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)
+    fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3, count_negative_variance=True)
+    assert fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3).negative_variance_at_obs is None
     points = obs.point_mask()
     exact = points & (obs.error_vars() == 0.0)
     assert exact.sum() < points.sum()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import FactorizationError, SparseSymmetric, SpatialIndex, cholesky, solve
+from kernelfield import linalg
 from kernelfield.linalg import dense_spd_inverse, neighbors
 
 
@@ -138,6 +139,29 @@ class TestDenseInverse:
         assert got.shape == (4, 6, 6)
         for a, inv in zip(stack, got):
             assert np.array_equal(inv, dense_spd_inverse(a))
+
+    def test_row_equals_that_row_of_the_inverse(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_spd(rng, 7) for _ in range(5)])
+        row = np.array([0, 3, 6, 2, 2])
+        got = dense_spd_inverse(stack, center_index=np.arange(5), row=row)
+        want = np.linalg.inv(stack)[np.arange(5), row]
+        assert got.shape == (5, 7)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(dense_spd_inverse(stack[1], row=3), got[1])
+
+    def test_unlabelled_stack_failure_names_pivot(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(FactorizationError) as exc:
+            dense_spd_inverse(stack)
+        assert exc.value.pivot_index == 1
+
+    def test_failure_that_dpotrf_misses_names_no_member(self, monkeypatch):
+        # As when numpy and scipy link different LAPACKs.
+        monkeypatch.setattr(linalg, "dpotrf", lambda a, **kw: (a, 0))
+        with pytest.raises(FactorizationError) as exc:
+            dense_spd_inverse(np.stack([np.eye(2), np.diag([1.0, -1.0])]), center_index=[3, 4])
+        assert exc.value.pivot_index is None
 
     def test_stack_failure_labels_failing_member(self):
         rng = np.random.default_rng(8)
