@@ -27,7 +27,7 @@ import numpy as np
 from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError)
-from .linalg import SparseSymmetric, cholesky
+from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import LocalizedFit, fit_localized, rasterize_localized
 from .obsmodel import Observation, ObservationSet, assemble, read_observations_csv
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
@@ -139,7 +139,8 @@ def load_predictor(path):
 
     Global predictors reassemble and refactor the inter-correlation matrix
     (deterministically, from the echoed observations) for variance queries;
-    weights and parameters are taken verbatim from the file.
+    weights and parameters are taken verbatim from the file, after a check
+    that the weights solve that system to round-off.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -159,6 +160,7 @@ def load_predictor(path):
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
         matrix = assemble(obs, model, sigma2)
+        _check_global_weights(path, matrix, obs.values() - mu * obs.mean_image(), weights)
         return KernelPredictor(model, obs, mu, sigma2, weights, cholesky(matrix), matrix)
     loc = doc["localized"]
     psi_doc = loc["psi_lower"]
@@ -170,6 +172,23 @@ def load_predictor(path):
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, loc["k"], loc["delta"])
     fit.deviation_var = loc["deviation_var"]
     return fit
+
+
+def _check_global_weights(path, matrix: SparseSymmetric, resid: np.ndarray,
+                          weights: np.ndarray):
+    """Refuse weights that do not solve ``matrix @ w = resid`` to round-off.
+
+    The normwise backward error of a Cholesky solve stays below m * eps.  A
+    fresh solve is not compared instead: on an ill-conditioned matrix it may
+    differ from weights saved under another BLAS by far more than eps, while
+    both solve the system to round-off.
+    """
+    full = matrix.full()
+    residual = float(np.abs(resid - full @ weights).max())
+    scale = abs(full).sum(axis=1).max() * np.abs(weights).max() + np.abs(resid).max()
+    if not residual <= matrix.order * np.finfo(float).eps * scale:
+        raise ConfigError(f"{path}: the weights do not solve the system of the saved "
+                          f"observations (residual {residual:.3g})")
 
 
 def _write_raster_csv(path, table: np.ndarray, dim: int, localized_mode: bool):
@@ -184,15 +203,20 @@ def _write_raster_csv(path, table: np.ndarray, dim: int, localized_mode: bool):
 
 # -- fit -----------------------------------------------------------------
 
-def _matrix_stats(mat: Optional[SparseSymmetric]) -> Optional[dict]:
+def _matrix_stats(mat: Optional[SparseSymmetric],
+                  factor: Optional[CholeskyFactor] = None) -> Optional[dict]:
     if mat is None:
         return None
-    return {
+    stats = {
         "order": mat.order,
         "nnz_lower": mat.nnz_lower,
         "density": mat.density(),
         "max_row_nnz": mat.max_row_nnz(),
     }
+    if factor is not None:
+        stats.update(bandwidth=factor.bandwidth, factor_storage=factor.storage,
+                     min_pivot=factor.min_pivot())
+    return stats
 
 
 def cmd_fit(args) -> int:
@@ -205,7 +229,7 @@ def cmd_fit(args) -> int:
         mu, sigma2 = _resolve_global_levels(obs, cfg)
         fitted = fit_global(obs, cfg.model, mu, sigma2)
         summary.update(mu=mu, sigma2=sigma2, deviation_var=0.0, k=None, delta=None,
-                       matrix=_matrix_stats(fitted.matrix), approx_inverse=None,
+                       matrix=_matrix_stats(fitted.matrix, fitted.factor), approx_inverse=None,
                        neighborhood_sizes=None, negative_variance_at_obs=None)
     else:
         mu = None if cfg.mu_spec == "estimate" else float(cfg.mu_spec)
@@ -289,6 +313,12 @@ def _parse_eta_bounds(text: str):
 
 
 def cmd_infer(args) -> int:
+    """Print mu, sigma2 and the profiled NLL (and the range, with ``--eta-bounds``).
+
+    ``--mode localized`` prints the levels of the localized fit with
+    ``nll: null``: that mode exists to avoid a global factor, and the
+    likelihood needs one.
+    """
     cfg = _config_from_args(args)
     eta_bounds = _parse_eta_bounds(args.eta_bounds) if args.eta_bounds is not None else None
     if eta_bounds is not None and cfg.mode == "localized":
@@ -417,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf = sub.add_parser("infer", help="estimate model parameters")
     p_inf.add_argument("--obs", required=True)
     p_inf.add_argument("--model", required=True)
-    p_inf.add_argument("--mode", choices=["global", "localized"], default="global")
+    p_inf.add_argument("--mode", choices=["global", "localized"], default="global",
+                       help="global: GLS levels and NLL from one factor; localized: the "
+                            "localized fit's levels with nll null (no global factor)")
     p_inf.add_argument("--k", type=int, default=2)
     p_inf.add_argument("--eta-bounds", dest="eta_bounds",
                        help='"lo,hi" search bracket for the base scale')

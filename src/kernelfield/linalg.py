@@ -2,10 +2,10 @@
 inversion, and a grid-bucket spatial index (no longer used by the package,
 which finds neighborhoods with ``scipy.spatial.cKDTree``).
 
-Matrices here are small enough (desk scale, a few thousand rows) that the
-factor is held densely after a reverse Cuthill-McKee permutation; sparsity is
-exploited for storage and assembly, and localized sub-problems are inverted
-densely on purpose.
+A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
+band (a finite-range correlation) is factored in LAPACK band storage; a full
+or wide-banded one is factored densely in natural order.  Localized
+sub-problems are inverted densely on purpose.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationError
@@ -99,36 +99,44 @@ class SparseSymmetric:
         return self.full().nnz / (n * n) if n else 0.0
 
 
-def _dense_lower(a: Union[SparseSymmetric, np.ndarray]) -> np.ndarray:
-    if isinstance(a, SparseSymmetric):
-        return a.to_dense()
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    return 0.5 * (arr + arr.T)
-
-
 class CholeskyFactor:
-    """Lower Cholesky factor of a permuted SPD matrix.
+    """Lower Cholesky factor L of a permuted SPD matrix, ``L @ L.T == A[perm][:, perm]``.
 
-    ``L @ L.T == A[perm][:, perm]``; solves undo the permutation, so callers
-    see the original ordering throughout.
+    ``lower`` is either dense, an (m, m) lower triangle, or LAPACK lower band
+    storage, a (bw + 1, m) array whose row k holds the k-th sub-diagonal of
+    L (``lower[k, j] == L[j + k, j]``; ``storage`` says which).  Solves undo
+    the permutation, so callers see the original ordering throughout.
     """
 
     def __init__(self, lower: np.ndarray, perm: np.ndarray):
         self.lower = lower
         self.perm = perm
         self._inv_perm = np.argsort(perm)
+        self.storage = "band" if lower.shape[0] < lower.shape[1] else "dense"
+        # Sub-diagonals of L held by the storage (m - 1 when dense).
+        self.bandwidth = lower.shape[0] - 1
 
     @property
     def order(self) -> int:
-        return self.lower.shape[0]
+        return self.lower.shape[1]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _diagonal(self) -> np.ndarray:
+        """The pivots of L (in the permuted order)."""
+        return self.lower[0] if self.storage == "band" else np.diag(self.lower)
+
+    def min_pivot(self) -> float:
+        """Smallest squared diagonal entry of L."""
+        return float(self._diagonal().min() ** 2)
+
+    def _permuted(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(f"rhs length {rhs.shape[0]} != order {self.order}")
-        x, info = dpotrs(self.lower, rhs[self.perm], lower=1)
+        return rhs[self.perm]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        potrs = dpbtrs if self.storage == "band" else dpotrs
+        x, info = potrs(self.lower, self._permuted(rhs), lower=1)
         if info != 0:
             raise FactorizationError(int(info), "triangular solve failed")
         return x[self._inv_perm]
@@ -139,42 +147,80 @@ class CholeskyFactor:
         For any vector ``v``, ``v' A^{-1} v`` is the squared norm of
         ``forward_solve(v)``; the columns of a 2-D ``rhs`` are solved together.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.order:
-            raise ValueError(f"rhs length {rhs.shape[0]} != order {self.order}")
-        return solve_triangular(self.lower, rhs[self.perm], lower=True, check_finite=False)
+        if self.storage == "dense":
+            return solve_triangular(self.lower, self._permuted(rhs), lower=True,
+                                    check_finite=False)
+        x, info = dtbtrs(self.lower, self._permuted(rhs), uplo="L")
+        if info != 0:
+            raise FactorizationError(int(info), "triangular solve failed")
+        return x
 
     def logdet(self) -> float:
         """log determinant of A (twice the log-diagonal sum of the factor)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+        return 2.0 * float(np.sum(np.log(self._diagonal())))
 
     def reconstruct(self) -> np.ndarray:
         """A in the original ordering; used by tests."""
-        a_perm = self.lower @ self.lower.T
+        low = self.lower
+        if self.storage == "band":
+            m = self.order
+            low = sp.diags([low[k, :m - k] for k in range(low.shape[0])],
+                           -np.arange(low.shape[0]), shape=(m, m)).toarray()
+        a_perm = low @ low.T
         return a_perm[np.ix_(self._inv_perm, self._inv_perm)]
 
 
-def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
-    """Cholesky factorization with a fill-reducing ordering.
+def _check_factor_info(info: int, perm: np.ndarray, routine: str):
+    if info > 0:
+        raise FactorizationError(int(perm[info - 1]))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
-    Sparse inputs are permuted by reverse Cuthill-McKee before the dense
-    LAPACK factorization; dense inputs are factored in natural order.
+
+def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
+    """Cholesky factorization, in band storage where a sparse matrix allows it.
+
+    A :class:`SparseSymmetric` input is reordered by reverse Cuthill-McKee
+    (RCM).  If that order brings every stored entry within ``bw`` of the
+    diagonal with ``2 * (bw + 1) <= m``, the factor is held in (bw + 1, m)
+    band storage (LAPACK ``dpbtrf``) and no m-by-m array is made.  Any other
+    matrix, a full one in particular, is factored densely in natural order
+    (``dpotrf``); RCM is skipped where a row's entry count already rules the
+    band out: a row with d off-diagonal entries needs a bandwidth of at
+    least d / 2 in every order, so the band needs ``d + 2 <= m``.  Dense ``ndarray`` inputs are factored
+    densely in natural order.
+
     Raises :class:`FactorizationError` naming the failing pivot (original
     indexing) when the matrix is not positive definite.
     """
-    if isinstance(a, SparseSymmetric):
-        perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True), dtype=np.int64)
-        dense = a.to_dense()[np.ix_(perm, perm)]
+    if not isinstance(a, SparseSymmetric):
+        dense = np.asarray(a, dtype=float)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("matrix must be square")
+        dense = 0.5 * (dense + dense.T)
     else:
-        dense = _dense_lower(a)
-        perm = np.arange(dense.shape[0], dtype=np.int64)
-    c, info = dpotrf(dense, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        failing = int(perm[info - 1])
-        raise FactorizationError(failing)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return CholeskyFactor(c, perm)
+        m, lower = a.order, a._lower
+        off_diagonal = np.diff(lower.indptr) + np.bincount(lower.indices, minlength=m) - 2
+        if m and off_diagonal.max() + 2 <= m:
+            perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True),
+                              dtype=np.int64)
+            inv_perm = np.empty_like(perm)
+            inv_perm[perm] = np.arange(m)
+            coo = lower.tocoo()
+            r, c = inv_perm[coo.row], inv_perm[coo.col]
+            sub, col = np.abs(r - c), np.minimum(r, c)
+            bw = int(sub.max())
+            if 2 * (bw + 1) <= m:
+                band = np.zeros((bw + 1, m))
+                band[sub, col] = coo.data
+                factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+                _check_factor_info(info, perm, "dpbtrf")
+                return CholeskyFactor(factor, perm)
+        dense = lower.toarray()
+    perm = np.arange(dense.shape[0], dtype=np.int64)
+    factor, info = dpotrf(dense, lower=1, clean=1, overwrite_a=1)
+    _check_factor_info(info, perm, "dpotrf")
+    return CholeskyFactor(factor, perm)
 
 
 def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:

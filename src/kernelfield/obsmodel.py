@@ -499,20 +499,23 @@ def over_query_blocks(x, fn):
     return np.concatenate([fn(x[s:s + BLOCK_ROWS]) for s in starts])
 
 
-def _check_duplicate_exact_points(obs_set: ObservationSet):
-    exact = np.flatnonzero(obs_set.point_mask() & (obs_set.error_vars() == 0.0))
-    if exact.size < 2:
-        return
-    # Adding 0.0 maps -0.0 to 0.0, so signed zeros count as one location.
-    locations = obs_set.rep_points()[exact] + 0.0
-    _, first, inverse = np.unique(locations, axis=0, return_index=True, return_inverse=True)
-    first_of = first[inverse.reshape(-1)]
-    repeats = np.flatnonzero(first_of != np.arange(exact.size))
-    if repeats.size:
-        i = repeats[0]
+def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.ndarray):
+    """Reject two exact point observations at one location, among the pairs
+    ``(i[k], j[k])``, ``i > j``, which must include every zero-distance pair.
+
+    Names the first observation whose location an earlier one already has,
+    and the first observation at that location.  Coordinates compare with
+    ``==``, so signed zeros count as one location.
+    """
+    exact = obs_set.point_mask() & (obs_set.error_vars() == 0.0)
+    both = np.flatnonzero(exact[i] & exact[j])
+    reps = obs_set.rep_points()
+    same = both[np.all(reps[i[both]] == reps[j[both]], axis=1)]
+    if same.size:
+        first = same[np.lexsort((j[same], i[same]))[0]]
         raise ValueError(
             f"duplicate exact point observations at one location "
-            f"(indices {exact[first_of[i]]} and {exact[i]}) make the inter-correlation "
+            f"(indices {j[first]} and {i[first]}) make the inter-correlation "
             f"matrix singular"
         )
 
@@ -531,7 +534,6 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         raise ValueError("assemble requires at least one observation")
     if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
         raise ValueError("sigma2_r must be a positive finite real")
-    _check_duplicate_exact_points(obs_set)
 
     tau0 = model.taper_range
     # Off-diagonal pairs (i, j) with i > j, then the diagonal.
@@ -543,6 +545,7 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         j, i = tree.query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
         near = _support_separations(obs_set, i, j) < tau0
         i, j = i[near], j[near]
+    _check_duplicate_exact_points(obs_set, i, j)
     i = np.concatenate([i, np.arange(m)])
     j = np.concatenate([j, np.arange(m)])
     kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]

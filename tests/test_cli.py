@@ -68,6 +68,37 @@ def test_weights_of_wrong_length_exit_2(tmp_path, inputs, capsys, mode):
     assert "bad.json: 29 weights for 30 observations" in capsys.readouterr().err
 
 
+def test_tampered_global_weight_exit_2(tmp_path, inputs, capsys):
+    predictor = fit(tmp_path, *inputs)
+    with open(predictor) as fh:
+        doc = json.load(fh)
+    assert np.array_equal(load_predictor(predictor).weights, doc["weights"])
+    doc["weights"][7] *= 1.0 + 1e-6
+    write_json(tmp_path / "bad.json", doc)
+    capsys.readouterr()
+    rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "bad.json: the weights do not solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taper_range, storage", [(1.5, "band"), (None, "dense")])
+def test_fit_summary_reports_the_factor(tmp_path, capsys, taper_range, storage):
+    obs = str(tmp_path / "obs.csv")
+    assert main(["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
+                 "--out", obs]) == 0
+    model = write_json(tmp_path / "model.json", dict(TAPERED_MODEL, taper_range=taper_range))
+    capsys.readouterr()
+    fit(tmp_path, obs, model)
+    stats = json.loads(capsys.readouterr().out)["matrix"]
+    assert stats["factor_storage"] == storage
+    if storage == "band":
+        assert 0 < stats["bandwidth"] < 99
+    else:
+        assert stats["bandwidth"] == 199
+    assert 0.0 < stats["min_pivot"] <= 1.0
+
+
 def test_approximate_inverse_of_wrong_order_exit_2(tmp_path, inputs, capsys):
     predictor = fit(tmp_path, *inputs, mode="localized")
     with open(predictor) as fh:

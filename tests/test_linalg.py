@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelfield import FactorizationError, SparseSymmetric, SpatialIndex, cholesky, solve
+from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
+                         SpatialIndex, assemble, cholesky, kernel_vector, solve)
 from kernelfield import linalg
+from kernelfield.cli import synthetic_observations
 from kernelfield.linalg import dense_spd_inverse, neighbors
 
 
@@ -85,6 +87,96 @@ class TestCholesky:
         x_sparse = cholesky(SparseSymmetric.from_dense(a)).solve(rhs)
         x_dense = cholesky(a).solve(rhs)
         assert np.linalg.norm(x_sparse - x_dense) / np.linalg.norm(x_dense) < 1e-12
+
+
+def banded_spd(rng, n, bw):
+    """Diagonally dominant SPD matrix with ``bw`` random sub-diagonals."""
+    a = np.zeros((n, n))
+    for off in range(1, bw + 1):
+        d = rng.uniform(-1.0, 1.0, n - off)
+        a[np.arange(n - off), np.arange(off, n)] = d
+        a[np.arange(off, n), np.arange(n - off)] = d
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, n)
+    return a
+
+
+def shuffled(rng, a):
+    p = rng.permutation(a.shape[0])
+    return a[np.ix_(p, p)]
+
+
+TAPERED_M52 = CorrelationModel("matern52", 0.5, 1.5)
+
+
+@pytest.fixture(scope="module")
+def tapered_set():
+    obs = synthetic_observations(400, [(0.0, 20.0), (0.0, 20.0)], seed=1)
+    return obs, assemble(obs, TAPERED_M52, 1.0)
+
+
+class TestFactorStorage:
+    def test_band_matches_dense_on_tapered_set(self, tapered_set):
+        obs, mat = tapered_set
+        band, dense = cholesky(mat), cholesky(mat.to_dense())
+        assert (band.storage, dense.storage) == ("band", "dense")
+        assert band.lower.shape == (band.bandwidth + 1, 400)
+
+        def rel(x, y):
+            return np.abs(x - y).max() / np.abs(y).max()
+
+        rhs = obs.values()
+        assert rel(band.solve(rhs), dense.solve(rhs)) <= 1e-12
+        nodes = GridSpec.parse("0,20,12;0,20,12").nodes()
+        kernels = kernel_vector(obs, nodes, TAPERED_M52).T
+        assert kernels.shape == (400, 144)
+        # The orders differ, so only the squared column norms v' A^{-1} v agree.
+        quad_band = np.sum(band.forward_solve(kernels) ** 2, axis=0)
+        quad_dense = np.sum(dense.forward_solve(kernels) ** 2, axis=0)
+        assert rel(quad_band, quad_dense) <= 1e-12
+        assert abs(band.logdet() - dense.logdet()) <= 1e-12 * abs(dense.logdet())
+        assert rel(band.reconstruct(), mat.to_dense()) <= 1e-12
+        assert rel(dense.reconstruct(), mat.to_dense()) <= 1e-12
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_banded_spd_property(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        a = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, max(1, n // 8) + 1))))
+        f = cholesky(SparseSymmetric.from_dense(a))
+        if f.storage == "band":
+            assert f.lower.shape == (f.bandwidth + 1, n) and 2 * (f.bandwidth + 1) <= n
+        rhs = rng.normal(size=(n, 3))
+        want = np.linalg.solve(a, rhs)
+        assert np.abs(f.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+        half = f.forward_solve(rhs)
+        assert np.allclose(np.sum(half ** 2, axis=0), np.sum(rhs * want, axis=0), rtol=1e-10)
+        assert f.logdet() == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-10, abs=1e-10)
+        assert np.allclose(f.reconstruct(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+
+    @pytest.mark.parametrize("k", [0, 23, 59])
+    def test_band_failure_names_original_pivot(self, k):
+        rng = np.random.default_rng(k)
+        a = shuffled(rng, banded_spd(rng, 60, 3))
+        assert cholesky(SparseSymmetric.from_dense(a)).storage == "band"
+        a[k, k] = -1.0
+        with pytest.raises(FactorizationError) as exc:
+            cholesky(SparseSymmetric.from_dense(a))
+        assert exc.value.pivot_index == k
+
+    def test_full_matrix_factors_densely_in_natural_order(self):
+        a = random_spd(np.random.default_rng(10), 30)
+        f = cholesky(SparseSymmetric.from_dense(a))
+        assert f.storage == "dense"
+        assert np.array_equal(f.perm, np.arange(30))
+        assert f.bandwidth == 29
+        assert np.allclose(f.lower, np.linalg.cholesky(a))
+
+    def test_tapered_set_band_untapered_set_dense(self, tapered_set):
+        obs, mat = tapered_set
+        assert cholesky(mat).storage == "band"
+        untapered = assemble(obs, CorrelationModel("matern52", 0.5), 1.0)
+        assert cholesky(untapered).storage == "dense"
 
 
 class TestSolve:

@@ -332,6 +332,16 @@ class TestAssemble:
         with pytest.raises(ValueError, match=r"duplicate exact point.*indices 0 and 2"):
             assemble(obs, G2, 1.0)
 
+    @pytest.mark.parametrize("model", [G2, TAPERED])
+    @pytest.mark.parametrize("sites, named", [
+        ([[5.0, 5.0], [1.0, 2.0], [3.0, 3.0], [1.0, 2.0], [1.0, 2.0]], "1 and 3"),
+        ([[1.0, 2.0], [5.0, 5.0], [5.0, 5.0], [1.0, 2.0]], "1 and 2"),
+    ])
+    def test_duplicate_names_first_repeat_and_its_first_site(self, model, sites, named):
+        obs = ObservationSet([pt(x) for x in sites])
+        with pytest.raises(ValueError, match=rf"duplicate exact point.*indices {named}\)"):
+            assemble(obs, model, 1.0)
+
     def test_duplicate_with_error_allowed(self):
         obs = ObservationSet([pt([1.0, 2.0], 1.0), pt([1.0, 2.0], 3.0, error_var=0.5)])
         s = assemble(obs, G2, 1.0)
