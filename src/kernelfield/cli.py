@@ -140,7 +140,9 @@ def load_predictor(path):
     Global predictors reassemble and refactor the inter-correlation matrix
     (deterministically, from the echoed observations) for variance queries;
     weights and parameters are taken verbatim from the file, after a check
-    that the weights solve that system to round-off.
+    that the weights solve that system to round-off.  Localized weights are
+    checked to equal the saved approximate inverse applied to the residuals
+    of the observations, to round-off.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -160,7 +162,8 @@ def load_predictor(path):
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
         matrix = assemble(obs, model, sigma2)
-        _check_global_weights(path, matrix, obs.values() - mu * obs.mean_image(), weights)
+        _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
+                       "the weights do not solve the system of the saved observations")
         return KernelPredictor(model, obs, mu, sigma2, weights, cholesky(matrix), matrix)
     loc = doc["localized"]
     psi_doc = loc["psi_lower"]
@@ -169,26 +172,40 @@ def load_predictor(path):
                           f"for {obs.m} observations")
     psi = SparseSymmetric.from_entries(psi_doc["order"], psi_doc["rows"],
                                        psi_doc["cols"], psi_doc["vals"])
+    if obs.m:
+        _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
+                       "the weights are not the approximate inverse applied to the "
+                       "residuals of the saved observations")
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, loc["k"], loc["delta"])
     fit.deviation_var = loc["deviation_var"]
     return fit
 
 
-def _check_global_weights(path, matrix: SparseSymmetric, resid: np.ndarray,
-                          weights: np.ndarray):
-    """Refuse weights that do not solve ``matrix @ w = resid`` to round-off.
+def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
+                   refusal: str):
+    """Refuse with ``refusal`` unless ``matrix @ x`` reproduces ``b`` to round-off.
 
-    The normwise backward error of a Cholesky solve stays below m * eps.  A
-    fresh solve is not compared instead: on an ill-conditioned matrix it may
-    differ from weights saved under another BLAS by far more than eps, while
-    both solve the system to round-off.
+    The residual ``||b - M x||`` must stay below ``m * eps * (||M|| ||x|| +
+    ||b||)`` (infinity norms), which bounds the backward error of a Cholesky
+    solve and the rounding error of a product.  A fresh global solve is not
+    compared instead: on an ill-conditioned matrix it may differ from weights
+    saved under another BLAS by far more than eps, while both solve the
+    system to round-off.  ``M x`` and the row sums of ``|M|`` are summed from
+    the stored lower triangle, so loading builds no full view of M.
     """
-    full = matrix.full()
-    residual = float(np.abs(resid - full @ weights).max())
-    scale = abs(full).sum(axis=1).max() * np.abs(weights).max() + np.abs(resid).max()
-    if not residual <= matrix.order * np.finfo(float).eps * scale:
-        raise ConfigError(f"{path}: the weights do not solve the system of the saved "
-                          f"observations (residual {residual:.3g})")
+    m = matrix.order
+    rows, cols, vals = matrix.lower_entries()
+    off = rows != cols
+
+    def row_sums(lower, upper):  # of the stored entries, and of their mirror images
+        return np.bincount(rows, lower, m) + np.bincount(cols[off], upper[off], m)
+
+    product = row_sums(vals * x[cols], vals * x[rows])
+    row_abs = row_sums(np.abs(vals), np.abs(vals))
+    residual = float(np.abs(b - product).max())
+    scale = row_abs.max() * np.abs(x).max() + np.abs(b).max()
+    if not residual <= m * np.finfo(float).eps * scale:
+        raise ConfigError(f"{path}: {refusal} (residual {residual:.3g})")
 
 
 def _write_raster_csv(path, table: np.ndarray, dim: int, localized_mode: bool):

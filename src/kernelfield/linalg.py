@@ -128,29 +128,41 @@ class CholeskyFactor:
         """Smallest squared diagonal entry of L."""
         return float(self._diagonal().min() ** 2)
 
-    def _permuted(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
+    def _permuted(self, rhs) -> np.ndarray:
+        """``rhs`` (a vector, a dense matrix or a sparse matrix) with its rows
+        in the factor's order, as a dense array."""
+        if not sp.issparse(rhs):
+            rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(f"rhs length {rhs.shape[0]} != order {self.order}")
-        return rhs[self.perm]
+        rhs = rhs[self.perm]
+        return rhs.toarray() if sp.issparse(rhs) else rhs
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs) -> np.ndarray:
+        """``A^{-1} rhs`` for a vector or the columns of a dense or sparse matrix."""
+        b = self._permuted(rhs)
+        if b.ndim == 2 and b.shape[1] == 0:
+            return b  # no LAPACK call: dtbtrs on zero columns can corrupt the heap
         potrs = dpbtrs if self.storage == "band" else dpotrs
-        x, info = potrs(self.lower, self._permuted(rhs), lower=1)
+        x, info = potrs(self.lower, b, lower=1)
         if info != 0:
             raise FactorizationError(int(info), "triangular solve failed")
         return x[self._inv_perm]
 
-    def forward_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def forward_solve(self, rhs) -> np.ndarray:
         """``L^{-1} P rhs``: the permuted forward substitution alone.
 
         For any vector ``v``, ``v' A^{-1} v`` is the squared norm of
-        ``forward_solve(v)``; the columns of a 2-D ``rhs`` are solved together.
+        ``forward_solve(v)``; the columns of a 2-D ``rhs``, dense or sparse,
+        are solved together (a sparse one is made dense after the row
+        permutation).
         """
+        b = self._permuted(rhs)
+        if b.ndim == 2 and b.shape[1] == 0:
+            return b  # no LAPACK call: dtbtrs on zero columns can corrupt the heap
         if self.storage == "dense":
-            return solve_triangular(self.lower, self._permuted(rhs), lower=True,
-                                    check_finite=False)
-        x, info = dtbtrs(self.lower, self._permuted(rhs), uplo="L")
+            return solve_triangular(self.lower, b, lower=True, check_finite=False)
+        x, info = dtbtrs(self.lower, b, uplo="L")
         if info != 0:
             raise FactorizationError(int(info), "triangular solve failed")
         return x

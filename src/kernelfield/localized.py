@@ -30,6 +30,7 @@ from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
 from .linalg import SparseSymmetric, dense_spd_inverse
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
+from .predictor import _CLAMP_REL_TOL
 
 _DENSE_GATHER_CUTOFF = 4000
 _STACK_ENTRIES = 1 << 20  # most matrix entries in one stack of sub-matrices
@@ -103,8 +104,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
 class LocalizedFit:
     """Fitted state of the localized predictor.
 
-    Under its finite-range model the kernels of observations beyond the
-    taper range are exact zeros, so queries need no neighbourhood search.
+    Under its finite-range model each block of query points finds the
+    observations within reach with one k-d tree pair query, and its kernels
+    are a sparse matrix of those pairs.
     """
 
     def __init__(self, model: CorrelationModel, obs: ObservationSet,
@@ -121,8 +123,9 @@ class LocalizedFit:
         self.k = int(k)
         self.delta = float(delta)
         self.clamp_count = 0
-        # Raw variances below zero at the point sites, counted when the fit
-        # is asked to (None otherwise, and on a predictor loaded from file).
+        # Raw variances at the point sites below -1e-12 * sigma2_star (more
+        # negative than round-off), counted when the fit is asked to (None
+        # otherwise, and on a predictor loaded from file).
         self.negative_variance_at_obs: Optional[int] = None
 
 
@@ -136,7 +139,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     computed through the approximate inverse; pass explicit values to pin
     them (required when the set is empty, and for sets with observation
     errors where estimation is not supported).  ``count_negative_variance``
-    sets ``negative_variance_at_obs`` from the raw variance at the point sites.
+    sets ``negative_variance_at_obs``: the count of raw variances at the
+    point sites below ``-1e-12 * sigma2_star``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
@@ -189,8 +193,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
 def _site_diagnostics(f: LocalizedFit, count_negative_variance: bool):
     """Set the deviation variance (mean squared mismatch between the exact
     point values and their localized predictions) and, if asked, the count
-    of negative raw variances at the point sites, from one kernel evaluation
-    there."""
+    of raw variances at the point sites that are negative beyond round-off,
+    from one kernel evaluation there."""
     points = f.obs.point_mask()
 
     def block_stats(block):
@@ -203,7 +207,8 @@ def _site_diagnostics(f: LocalizedFit, count_negative_variance: bool):
     err = f.obs.values()[points][exact] - stats[exact, 0]
     f.deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
     if count_negative_variance:
-        f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < 0.0))
+        tol = _CLAMP_REL_TOL * f.sigma2_star
+        f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < -tol))
 
 
 def predict_localized(f: LocalizedFit, x):
@@ -213,10 +218,11 @@ def predict_localized(f: LocalizedFit, x):
         x, lambda block: f.mu_star + kernel_vector(f.obs, block, f.model) @ f.weights_star)
 
 
-def _raw_variance(f: LocalizedFit, kernels: np.ndarray) -> np.ndarray:
-    """sigma2* (1 - nu' Psi nu) for each row nu of ``kernels``."""
-    k_psi = (f.approx_inverse.full() @ kernels.T).T
-    return f.sigma2_star * (1.0 - np.einsum("ij,ij->i", k_psi, kernels))
+def _raw_variance(f: LocalizedFit, kernels: sp.csr_matrix) -> np.ndarray:
+    """sigma2* (1 - nu' Psi nu) for each row nu of the sparse ``kernels`` K:
+    the quadratic forms are the row sums of (K Psi) * K, elementwise."""
+    quad = (kernels @ f.approx_inverse.full()).multiply(kernels).sum(axis=1)
+    return f.sigma2_star * (1.0 - np.asarray(quad).ravel())
 
 
 def _adjusted(f: LocalizedFit, raw: np.ndarray) -> np.ndarray:

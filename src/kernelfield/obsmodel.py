@@ -9,12 +9,14 @@ Three observation kinds are supported:
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
 inter-correlation entries.  Both are evaluated as arrays, one call per pair
-of observation kinds.  Interval entries have closed forms for both
-untapered bases (Matern-5/2 and gauss2); only interval entries under a
-tapered model use adaptive quadrature, and only derivatives at dim >= 2
-(numeric mode) use finite differences.  Entries that are provably zero
-under a finite-range model (support separation at or beyond the taper
-range) are never stored.
+of observation kinds.  Interval entries have closed forms for both untapered
+bases (Matern-5/2 and gauss2); only interval entries under a tapered model
+use adaptive quadrature, and only derivatives at dim >= 2 (numeric mode) use
+finite differences.  Entries that are provably zero under a finite-range
+model (support separation at or beyond the taper range) are never stored,
+neither in the inter-correlation matrix nor in the kernels of a block of
+query points, which are then a sparse (CSR) matrix of the pairs that one
+k-d tree query finds within reach (a dense array without a taper).
 """
 
 import csv
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -40,8 +43,9 @@ KINDS = (POINT, DERIV, AVG)
 # Integer kind codes; also the canonical argument order of pairwise entries.
 KIND_CODES = {POINT: 0, DERIV: 1, AVG: 2}
 
-# Query points per kernel block: bounds the (rows, m) temporaries of batched
-# evaluation while keeping per-block overhead small.
+# Query points per kernel block: bounds the dense (rows, m) kernels of an
+# untapered model and the dense (m, rows) right-hand side of the global
+# variance's forward solve, while keeping per-block overhead small.
 BLOCK_ROWS = 256
 
 QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combination
@@ -129,8 +133,9 @@ class ObservationSet:
     arrays built once at construction: kind codes (:data:`KIND_CODES`), rep
     points, support radii, mean image, values, error variances, unit
     directions (zero rows for non-deriv kinds) and interval bounds (NaN rows
-    for non-avg kinds).  ``allow_numeric`` permits deriv kinds outside 1D,
-    evaluated by finite differences; avg kinds are 1D only.
+    for non-avg kinds).  A k-d tree of the rep points is built on the first
+    call of :meth:`rep_tree` and kept.  ``allow_numeric`` permits deriv kinds
+    outside 1D, evaluated by finite differences; avg kinds are 1D only.
     """
 
     def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None,
@@ -176,6 +181,7 @@ class ObservationSet:
         self._mean_image = mean_image
         self._values = np.array([o.value for o in obs], dtype=float)
         self._error_vars = np.array([o.error_var for o in obs], dtype=float)
+        self._tree: Optional[cKDTree] = None
         for arr in (kinds, directions, bounds, reps, self._point_mask, radii, mean_image,
                     self._values, self._error_vars):
             arr.flags.writeable = False
@@ -210,6 +216,12 @@ class ObservationSet:
 
     def point_mask(self) -> np.ndarray:
         return self._point_mask
+
+    def rep_tree(self) -> cKDTree:
+        """k-d tree of the rep points, built once (the set is immutable)."""
+        if self._tree is None:
+            self._tree = cKDTree(self._reps)
+        return self._tree
 
     def with_values(self, values: np.ndarray) -> "ObservationSet":
         """Copy of the set with observed values replaced (same geometry)."""
@@ -402,13 +414,49 @@ def _correlations(obs_set: ObservationSet, kind: int, ops: _Operators, n: int,
     return out
 
 
+def _sparse_kernels(obs_set: ObservationSet, block: np.ndarray,
+                    model: CorrelationModel) -> sp.csr_matrix:
+    """(n, m) CSR kernels of every observation of a set at a block of n query
+    points under a finite-range model.
+
+    One k-d tree pair query finds every (node, observation) pair whose rep
+    point lies within ``taper_range + max support radius``; no other entry
+    can be nonzero.  Point columns are the model at the returned distances,
+    other kinds one array evaluation each.  The query also returns pairs at
+    exactly that reach and at distance zero, so entries are kept by value
+    (nonzero), never by distance.
+    """
+    n, m = block.shape[0], obs_set.m
+    if m == 0:
+        return sp.csr_matrix((n, 0))
+    if np.any(obs_set.kinds == _D):
+        _require_smooth(model)  # as the dense path, whether or not a derivative is in reach
+    reach = model.taper_range + float(obs_set.support_radii().max())
+    pairs = cKDTree(block).sparse_distance_matrix(obs_set.rep_tree(), reach,
+                                                   output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    kinds = obs_set.kinds[j]
+    vals = np.empty(i.size)
+    for code in np.flatnonzero(np.bincount(kinds)).tolist():
+        sel = np.flatnonzero(kinds == code)
+        vals[sel] = model.eval(pairs["v"][sel]) if code == _P else _entries(
+            model, _P, _Operators(block[i[sel]]), code, _operators(obs_set, code, j[sel]))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (i[keep], j[keep])), shape=(n, m))
+
+
 def kernel_value(obs, x, model: CorrelationModel):
     """Kernel function nu_y(x): correlation between the field at ``x`` and the
-    observation ``obs`` (a float at one point), or every observation of the
-    set ``obs`` (see :func:`kernel_vector`).  ``x`` is one point (q,) or a
-    block of n points (n, q), which adds a leading axis of length n.  The
-    columns of each observation kind are one array evaluation; under a
-    finite-range model, columns beyond the taper range are exact zeros.
+    observation ``obs``, or every observation of the set ``obs``.
+
+    ``x`` is one point (q,) or a block of n points (n, q).  For one
+    observation the result is a float at one point and an (n,) array over a
+    block.  For a set it is a length-m array at one point, and over a block
+    an (n, m) matrix: a CSR matrix of the nonzero kernels under a
+    finite-range model (see :func:`_sparse_kernels`), a dense array without
+    one.  Dense columns of each observation kind are one array evaluation;
+    under a finite-range model, columns beyond the taper range are exact
+    zeros.
     """
     one = isinstance(obs, Observation)
     obs_set = ObservationSet([obs], allow_numeric=True) if one else obs
@@ -416,15 +464,18 @@ def kernel_value(obs, x, model: CorrelationModel):
     block = x.reshape(1, -1) if x.ndim <= 1 else x
     if block.ndim != 2 or block.shape[1] != obs_set.dim:
         raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
+    if model.taper_range is not None and x.ndim == 2 and not one:
+        return _sparse_kernels(obs_set, block, model)
     out = _correlations(obs_set, _P, _Operators(block[:, None, :]), block.shape[0], model)
     out = out[:, 0] if one else out
     return (float(out[0]) if one else out[0]) if x.ndim <= 1 else out
 
 
-def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel) -> np.ndarray:
+def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel):
     """Kernel values nu_y(x) of every observation of a set: a length-m vector
     at one query point ``x`` (q,), an (n, m) matrix at a block of n query
-    points (n, q).  This is :func:`kernel_value` of the whole set."""
+    points (n, q), sparse (CSR) under a finite-range model and dense
+    otherwise.  This is :func:`kernel_value` of the whole set."""
     return kernel_value(obs_set, x, model)
 
 
@@ -525,9 +576,9 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
 
     Off-diagonal pairs are enumerated as whole arrays: all pairs without a
     taper, and pairs of rep points within ``taper_range + 2 * max radius``
-    (a k-d tree query) under a finite-range model, of which pairs whose
-    supports are separated by at least the taper range are provably zero and
-    never stored.  The entries of each kind pair are one array evaluation.
+    (a query of the set's k-d tree) under a finite-range model, of which
+    pairs whose supports are separated by at least the taper range are
+    provably zero and never stored.  The entries of each kind pair are one array evaluation.
     """
     m = obs_set.m
     if m < 1:
@@ -541,8 +592,7 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         j, i = np.triu_indices(m, k=1)
     else:
         reach = tau0 + 2.0 * float(obs_set.support_radii().max())
-        tree = cKDTree(obs_set.rep_points())
-        j, i = tree.query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
+        j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
         near = _support_separations(obs_set, i, j) < tau0
         i, j = i[near], j[near]
     _check_duplicate_exact_points(obs_set, i, j)

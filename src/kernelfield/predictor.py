@@ -77,8 +77,9 @@ class KernelPredictor:
 
     Immutable after fit apart from ``clamp_count``, a diagnostic counter of
     variance values that fell outside [0, sigma2] by more than round-off.
-    Under a finite-range model the kernels of observations beyond the taper
-    range are exact zeros, so queries need no neighbourhood search.
+    Under a finite-range model each block of query points finds the
+    observations within reach with one k-d tree pair query, and its kernels
+    are a sparse matrix of those pairs.
     """
 
     def __init__(self, model: CorrelationModel, obs: ObservationSet, mu: float,
@@ -123,8 +124,9 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: float,
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 
 
-def _variance(p: KernelPredictor, kernels: np.ndarray) -> np.ndarray:
-    """sigma2 * (1 - ||L^{-1} P nu||^2) for each row nu of ``kernels``.
+def _variance(p: KernelPredictor, kernels) -> np.ndarray:
+    """sigma2 * (1 - ||L^{-1} P nu||^2) for each row nu of ``kernels`` (dense
+    or sparse).
 
     Clamped into [0, sigma2]; excursions beyond round-off (1e-12 * sigma2)
     bump ``clamp_count``.

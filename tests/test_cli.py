@@ -82,6 +82,20 @@ def test_tampered_global_weight_exit_2(tmp_path, inputs, capsys):
     assert "bad.json: the weights do not solve" in capsys.readouterr().err
 
 
+def test_tampered_localized_weight_exit_2(tmp_path, inputs, capsys):
+    predictor = fit(tmp_path, *inputs, mode="localized")
+    with open(predictor) as fh:
+        doc = json.load(fh)
+    assert np.array_equal(load_predictor(predictor).weights_star, doc["weights"])
+    doc["weights"][7] += 5.0
+    write_json(tmp_path / "bad.json", doc)
+    capsys.readouterr()
+    rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "bad.json: the weights are not the approximate inverse" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("taper_range, storage", [(1.5, "band"), (None, "dense")])
 def test_fit_summary_reports_the_factor(tmp_path, capsys, taper_range, storage):
     obs = str(tmp_path / "obs.csv")
@@ -251,7 +265,7 @@ def test_localized_site_diagnostics(tmp_path, capsys):
     exact = points & (obs.error_vars() == 0.0)
     assert exact.sum() < points.sum()
     raw = variance_localized(fitted, obs.rep_points()[points])
-    assert fitted.negative_variance_at_obs == np.count_nonzero(raw < 0.0)
+    assert fitted.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * fitted.sigma2_star)
     err = obs.values()[exact] - predict_localized(fitted, obs.rep_points()[exact])
     assert fitted.deviation_var == pytest.approx(np.mean(err * err), rel=1e-12)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,23 @@ class TestFactorStorage:
         assert np.array_equal(f.perm, np.arange(30))
         assert f.bandwidth == 29
         assert np.allclose(f.lower, np.linalg.cholesky(a))
+
+    def test_sparse_rhs_equals_dense_rhs(self, tapered_set):
+        obs, mat = tapered_set
+        nodes = GridSpec.parse("0,20,9;0,20,9").nodes()
+        kernels = kernel_vector(obs, nodes, TAPERED_M52).T
+        assert sp.issparse(kernels)
+        for f in (cholesky(mat), cholesky(mat.to_dense())):
+            assert np.array_equal(f.solve(kernels), f.solve(kernels.toarray()))
+            assert np.array_equal(f.forward_solve(kernels), f.forward_solve(kernels.toarray()))
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
+    def test_zero_column_rhs(self, tapered_set, dense):
+        obs, mat = tapered_set
+        f = cholesky(mat.to_dense() if dense else mat)
+        for rhs in (np.empty((400, 0)), sp.csr_matrix((400, 0))):
+            assert f.solve(rhs).shape == (400, 0)
+            assert f.forward_solve(rhs).shape == (400, 0)
 
     def test_tapered_set_band_untapered_set_dense(self, tapered_set):
         obs, mat = tapered_set

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.spatial.distance import cdist
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation,
                          ObservationSet, UnsupportedOperatorError, assemble,
@@ -119,6 +121,8 @@ class TestKernelValue:
     def test_derivative_rejected_for_tapered_model(self):
         with pytest.raises(UnsupportedOperatorError):
             kernel_value(dv(0.0), [0.5], TAPERED)
+        with pytest.raises(UnsupportedOperatorError):  # a sparse block, none in reach
+            kernel_vector(ObservationSet([pt(0.0), dv(1.0)]), [[50.0], [60.0]], TAPERED)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -461,6 +465,7 @@ class TestKernelVector:
                   rng.uniform(-1, 4, (9, 2)))]
         for obs, model, block in cases:
             got = kernel_vector(obs, block, model)
+            got = got.toarray() if model.finite_range else got
             assert got.shape == (block.shape[0], obs.m)
             for row, x in zip(got, block):
                 np.testing.assert_allclose(row, kernel_vector(obs, x, model),
@@ -475,7 +480,51 @@ class TestKernelVector:
         obs = ObservationSet(obs)
         block = np.concatenate([rng.uniform(-5, 5, (9, 1)), [[-1.0], [1.3], [2.0]]])
         expect = [[kernel_value(o, x, model) for o in obs] for x in block]
-        np.testing.assert_allclose(kernel_vector(obs, block, model), expect, rtol=0, atol=1e-15)
+        got = kernel_vector(obs, block, model)
+        got = got.toarray() if model.finite_range else got
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+    def test_block_type_by_model(self):
+        obs = ObservationSet([pt([0.0, 1.0]), pt([3.0, 1.0])])
+        block = np.array([[0.0, 0.5], [9.0, 9.0], [3.0, 1.0]])
+        assert isinstance(kernel_vector(obs, block, TAPERED), sp.csr_matrix)
+        assert isinstance(kernel_vector(obs, block, G2), np.ndarray)
+        assert isinstance(kernel_vector(obs, block[0], TAPERED), np.ndarray)
+        one = kernel_value(obs[0], block, TAPERED)
+        assert isinstance(one, np.ndarray) and one.shape == (3,)
+        empty = kernel_vector(ObservationSet([], dim=2), block, TAPERED)
+        assert sp.issparse(empty) and empty.shape == (3, 0)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_block_equals_dense_evaluation(self, seed):
+        # Nodes on sites keep the value 1.0; nodes exactly tau0 from a site
+        # (sites on a dyadic lattice, offset along an axis) store no zero.
+        rng = np.random.default_rng(seed)
+        m, tau0 = int(rng.integers(1, 60)), float(rng.choice([0.5, 1.0, 1.5]))
+        model = CorrelationModel(str(rng.choice(["matern52", "gauss2"])), 0.4, tau0)
+        sites = np.round(rng.uniform(0.0, 4.0, (m, 2)) * 1024.0) / 1024.0
+        obs = ObservationSet([pt(p) for p in sites])
+        on = sites[rng.integers(0, m, 5)]
+        at_range = sites[rng.integers(0, m, 5)] + np.array([tau0, 0.0])
+        block = np.concatenate([rng.uniform(-1.0, 5.0, (20, 2)), on, at_range])
+        got = kernel_vector(obs, block, model)
+        assert isinstance(got, sp.csr_matrix)
+        assert np.all(got.data != 0.0)
+        assert np.array_equal(got.toarray(), model.eval(cdist(block, sites)))
+        assert np.all(got.toarray()[20:25].max(axis=1) == 1.0)
+        assert np.all(np.any(cdist(block[25:], sites) == tau0, axis=1))
+
+    def test_sparse_block_equals_dense_evaluation_1d_operators(self):
+        rng = np.random.default_rng(8)
+        obs = ObservationSet([pt(x) for x in rng.uniform(-3, 3, 6)]
+                             + [av(-1.0, 0.5), av(1.2, 1.3), av(2.0, 4.5)])
+        block = np.concatenate([rng.uniform(-5, 5, (9, 1)), [[-1.0], [1.3], [2.0], [5.5]],
+                                obs.rep_points()[:2] + TAPERED.taper_range])
+        got = kernel_vector(obs, block, TAPERED)
+        assert isinstance(got, sp.csr_matrix) and np.all(got.data != 0.0)
+        dense = np.array([kernel_vector(obs, x, TAPERED) for x in block])
+        assert np.array_equal(got.toarray(), dense)
 
     def test_rejects_wrong_query_dimension(self):
         obs = ObservationSet([pt([0.0, 1.0])])

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
+
+import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, GridSpec, Observation,
                          ObservationSet, assemble, fit_global, kriging_predict,
@@ -240,6 +248,46 @@ class TestRasterize:
         np.testing.assert_allclose(table[:, grid.dim], oracle[:, 0], rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(table[:, grid.dim + 1], np.clip(oracle[:, 1], 0.0, sigma2),
                                    rtol=0.0, atol=1e-8)
+
+
+class TestSparseKernels:
+    TAPERED = CorrelationModel("matern52", 0.5, 1.5)
+
+    def test_tapered_queries_equal_dense_kernel_evaluation(self):
+        rng = np.random.default_rng(12)
+        pts = well_separated_points(rng, 60, 2, 0.0, 8.0, 0.3)
+        obs = ObservationSet([Observation(POINT, p, float(rng.normal(1.0, 1.0))) for p in pts])
+        fitted = fit_global(obs, self.TAPERED, 1.0, 2.0)
+        nodes = np.concatenate([rng.uniform(-1.0, 9.0, (30, 2)), pts[:3]])
+        dense = self.TAPERED.eval(cdist(nodes, pts))
+        np.testing.assert_allclose(predict(fitted, nodes), 1.0 + dense @ fitted.weights,
+                                   rtol=0.0, atol=1e-14)
+        half = fitted.factor.forward_solve(dense.T)
+        expect = np.clip(2.0 * (1.0 - np.einsum("ij,ij->j", half, half)), 0.0, 2.0)
+        assert np.array_equal(predict_variance(fitted, nodes), expect)
+
+    def test_empty_query_block_in_subprocess(self):
+        # A zero-column right-hand side used to reach LAPACK's band triangular
+        # solve, which can corrupt the heap and abort the process: run the
+        # calls in a child so that a regression cannot kill the test runner.
+        code = textwrap.dedent("""
+            import numpy as np
+            from kernelfield import CorrelationModel, fit_global, predict_variance
+            from kernelfield.cli import synthetic_observations
+            obs = synthetic_observations(200, [(0.0, 20.0), (0.0, 20.0)], 1)
+            p = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5), 10.0, 4.0)
+            assert p.factor.storage == "band"
+            for _ in range(50):
+                assert predict_variance(p, np.empty((0, 2))).shape == (0,)
+            print("ok")
+        """)
+        src = os.path.dirname(os.path.dirname(kernelfield.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "ok"
 
 
 class TestFitValidation:
