@@ -11,10 +11,10 @@ from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
 from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
                         estimate_sigma2)
-from .linalg import SparseSymmetric, SpatialIndex, cholesky, solve
+from .linalg import SparseSymmetric, SpatialIndex, cholesky
 from .localized import (LocalizedFit, adjusted_variance, approximate_inverse,
-                        deviation_variance, fit_localized, predict_localized,
-                        rasterize_localized, variance_localized)
+                        fit_localized, predict_localized, rasterize_localized,
+                        variance_localized)
 from .obsmodel import (AVG, DERIV, POINT, Observation, ObservationSet,
                        assemble, cross_correlation, kernel_value,
                        kernel_vector, read_observations_csv,
@@ -32,12 +32,12 @@ __all__ = [
     "MleResult", "Observation", "ObservationParseError", "ObservationSet",
     "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
     "adjusted_variance", "approximate_inverse", "assemble", "cholesky",
-    "cross_correlation", "deviation_variance", "estimate_eta", "estimate_joint",
-    "estimate_mu", "estimate_sigma2", "eval_gauss2", "eval_matern52",
-    "eval_spherical", "fit_global", "fit_localized", "kernel_value",
-    "kernel_vector", "kriging_predict", "predict", "predict_average",
-    "predict_derivative", "predict_localized", "predict_variance",
-    "rasterize", "rasterize_localized", "read_observations_csv", "solve",
+    "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu",
+    "estimate_sigma2", "eval_gauss2", "eval_matern52", "eval_spherical",
+    "fit_global", "fit_localized", "kernel_value", "kernel_vector",
+    "kriging_predict", "predict", "predict_average", "predict_derivative",
+    "predict_localized", "predict_variance", "rasterize",
+    "rasterize_localized", "read_observations_csv",
     "spot_check_nonneg_definite", "variance_localized",
     "write_observations_csv",
 ]

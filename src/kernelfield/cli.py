@@ -11,6 +11,12 @@ Subcommands:
   print its weights.
 * ``synth``     -- generate a seeded synthetic observation CSV.
 
+A saved predictor is JSON with ``format`` "kernelfield-predictor" and
+``version`` 2 (other versions exit 2): ``mode``, ``model``, ``dim``,
+``weights``, ``localized`` and ``observations``, the columns ``kind``,
+``value``, ``error_var`` and ``site``, ``direction`` and ``bounds``: one list
+per coordinate over the rows of the kinds that have them (no ``NaN``).
+
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
@@ -29,11 +35,12 @@ from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError)
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import LocalizedFit, fit_localized, rasterize_localized
-from .obsmodel import Observation, ObservationSet, assemble, read_observations_csv
+from .obsmodel import (KIND_CODES, Observation, ObservationSet, assemble,
+                       read_observations_csv)
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
-PREDICTOR_VERSION = 1
+PREDICTOR_VERSION = 2
 
 
 @dataclass
@@ -83,21 +90,33 @@ def _config_from_args(args) -> RunConfig:
 
 # -- predictor (de)serialization --------------------------------------------
 
-def _obs_to_json(o: Observation) -> dict:
-    return {
-        "kind": o.kind,
-        "location": o.location.tolist(),
-        "value": o.value,
-        "error_var": o.error_var,
-        "direction": None if o.direction is None else o.direction.tolist(),
-    }
+def _kind_rows(kinds) -> dict:  # the rows of each per-kind column of a predictor file
+    avg = kinds == KIND_CODES[obsmodel.AVG]
+    return {"site": ~avg, "direction": kinds == KIND_CODES[obsmodel.DERIV], "bounds": avg}
 
 
-def _obs_from_json(rec: dict) -> Observation:
-    return Observation(rec["kind"], np.array(rec["location"], dtype=float),
-                       rec["value"], rec.get("error_var", 0.0),
-                       None if rec.get("direction") is None
-                       else np.array(rec["direction"], dtype=float))
+def _observation_columns(obs: ObservationSet) -> dict:
+    """The observations as JSON columns; ``site``, ``direction`` and ``bounds``
+    hold one list per coordinate over the rows of the kinds that have them."""
+    full = {"site": obs.rep_points(), "direction": obs.directions, "bounds": obs.bounds}
+    return {"kind": np.array(obsmodel.KINDS)[obs.kinds].tolist(),
+            "value": obs.values().tolist(), "error_var": obs.error_vars().tolist(),
+            **{name: full[name][rows].T.tolist() for name, rows in _kind_rows(obs.kinds).items()}}
+
+
+def _observations_from_columns(path, doc) -> ObservationSet:
+    """The observation set of a predictor file (ConfigError if malformed)."""
+    try:
+        cols, dim = doc["observations"], doc["dim"]
+        kinds = np.array([KIND_CODES[k] for k in cols["kind"]], dtype=np.int8)
+        full = {}
+        for (name, rows), width in zip(_kind_rows(kinds).items(), (dim, dim, 2)):
+            full[name] = np.zeros((kinds.size, width))
+            full[name][rows] = obsmodel.shaped_floats(cols[name], (width, int(rows.sum())), name).T
+        return ObservationSet.from_arrays(kinds, full["site"], cols["value"], cols["error_var"],
+                                          full["direction"], full["bounds"], dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed observation columns ({exc})") from None
 
 
 def save_predictor(path, fitted):
@@ -114,7 +133,7 @@ def save_predictor(path, fitted):
         "mode": mode,
         "model": corrfn.model_config(fitted.model, mu, sigma2),
         "dim": fitted.obs.dim,
-        "observations": [_obs_to_json(o) for o in fitted.obs],
+        "observations": _observation_columns(fitted.obs),
         "weights": weights.tolist(),
     }
     if isinstance(fitted, LocalizedFit):
@@ -154,7 +173,7 @@ def load_predictor(path):
     model, mu, sigma2 = corrfn.parse_model_config(doc["model"])
     if mu == "estimate" or sigma2 == "estimate":
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
-    obs = ObservationSet([_obs_from_json(r) for r in doc["observations"]], dim=doc["dim"])
+    obs = _observations_from_columns(path, doc)
     weights = np.array(doc["weights"], dtype=float)
     if weights.shape != (obs.m,):
         raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
@@ -185,9 +204,10 @@ def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
                    refusal: str):
     """Refuse with ``refusal`` unless ``matrix @ x`` reproduces ``b`` to round-off.
 
-    The residual ``||b - M x||`` must stay below ``m * eps * (||M|| ||x|| +
-    ||b||)`` (infinity norms), which bounds the backward error of a Cholesky
-    solve and the rounding error of a product.  A fresh global solve is not
+    The residual ``||b - M x||`` must stay below ``m * (eps * (||M|| ||x|| +
+    ||b||) + tiny)`` (infinity norms; ``tiny``, the smallest normal number,
+    covers underflow), which bounds the backward error of a Cholesky solve
+    and the rounding error of a product.  A fresh global solve is not
     compared instead: on an ill-conditioned matrix it may differ from weights
     saved under another BLAS by far more than eps, while both solve the
     system to round-off.  ``M x`` and the row sums of ``|M|`` are summed from
@@ -204,7 +224,7 @@ def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
     row_abs = row_sums(np.abs(vals), np.abs(vals))
     residual = float(np.abs(b - product).max())
     scale = row_abs.max() * np.abs(x).max() + np.abs(b).max()
-    if not residual <= m * np.finfo(float).eps * scale:
+    if not residual <= m * (np.finfo(float).eps * scale + np.finfo(float).tiny):
         raise ConfigError(f"{path}: {refusal} (residual {residual:.3g})")
 
 
@@ -241,16 +261,16 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     obs = read_observations_csv(cfg.obs_path)
     summary = {"command": "fit", "mode": cfg.mode, "m": obs.m, "dim": obs.dim}
+    mu, sigma2 = (None if spec == "estimate" else float(spec)
+                  for spec in (cfg.mu_spec, cfg.sigma2_spec))
 
     if cfg.mode == "global":
-        mu, sigma2 = _resolve_global_levels(obs, cfg)
         fitted = fit_global(obs, cfg.model, mu, sigma2)
-        summary.update(mu=mu, sigma2=sigma2, deviation_var=0.0, k=None, delta=None,
-                       matrix=_matrix_stats(fitted.matrix, fitted.factor), approx_inverse=None,
-                       neighborhood_sizes=None, negative_variance_at_obs=None)
+        summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=0.0, k=None,
+                       delta=None, matrix=_matrix_stats(fitted.matrix, fitted.factor),
+                       approx_inverse=None, neighborhood_sizes=None,
+                       negative_variance_at_obs=None)
     else:
-        mu = None if cfg.mu_spec == "estimate" else float(cfg.mu_spec)
-        sigma2 = None if cfg.sigma2_spec == "estimate" else float(cfg.sigma2_spec)
         fitted = fit_localized(obs, cfg.model, cfg.k, mu=mu, sigma2=sigma2,
                                workers=cfg.workers, count_negative_variance=True)
         sizes = _neighborhood_sizes(fitted)
@@ -268,19 +288,6 @@ def cmd_fit(args) -> int:
     summary["outputs"] = {"predictor": cfg.out_path}
     _emit(summary, cfg.summary_path)
     return 0
-
-
-def _resolve_global_levels(obs: ObservationSet, cfg: RunConfig):
-    fixed = [None if spec == "estimate" else float(spec)
-             for spec in (cfg.mu_spec, cfg.sigma2_spec)]
-    if None not in fixed:
-        return tuple(fixed)
-    if obs.m == 0:
-        raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
-    mu, sigma2, _ = inference.profile_levels(obs, cfg.model, *fixed)
-    if sigma2 <= 0.0:
-        raise EstimationError("estimated sigma2 is not positive")
-    return mu, sigma2
 
 
 def _neighborhood_sizes(fit: LocalizedFit) -> Optional[dict]:
@@ -412,8 +419,7 @@ def synthetic_observations(m: int, bounds, seed: int) -> ObservationSet:
     freqs = rng.uniform(0.4, 1.6, size=(n_waves, q)) * rng.choice([-1.0, 1.0], size=(n_waves, q))
     phases = rng.uniform(0.0, 2.0 * np.pi, n_waves)
     vals = 10.0 + (amps[None, :] * np.cos(pts @ freqs.T + phases[None, :])).sum(axis=1)
-    obs = [Observation(obsmodel.POINT, pts[i], float(vals[i])) for i in range(m)]
-    return ObservationSet(obs, dim=q)
+    return ObservationSet.from_arrays(np.zeros(m, dtype=np.int8), pts, vals, np.zeros(m))
 
 
 def _parse_bounds(text: str):

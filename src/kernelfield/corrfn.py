@@ -115,10 +115,6 @@ class CorrelationModel:
         """
         return self.taper_range is None
 
-    def support_radius(self) -> float:
-        """Distance beyond which the correlation is exactly zero (inf if none)."""
-        return self.taper_range if self.taper_range is not None else math.inf
-
     # -- evaluation ----------------------------------------------------
 
     def base_eval(self, dist: ArrayLike) -> ArrayLike:

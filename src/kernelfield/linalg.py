@@ -235,11 +235,6 @@ def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
     return CholeskyFactor(factor, perm)
 
 
-def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given the factor of A."""
-    return factor.solve(rhs)
-
-
 def dense_spd_inverse(a: np.ndarray, center_index=None, row=None) -> np.ndarray:
     """Inverse of a dense SPD matrix (n, n), or of each matrix of a (k, n, n) stack.
 

@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
+from .inference import estimate_mu
 from .linalg import SparseSymmetric, dense_spd_inverse
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 from .predictor import _CLAMP_REL_TOL
@@ -165,16 +166,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     mat = assemble(obs_set, model, sigma2 if sigma2 is not None else 1.0)
     psi = approximate_inverse(mat, obs_set.rep_points(), delta, workers=workers)
 
-    a = obs_set.mean_image()
-    d = obs_set.values()
-    if mu is None:
-        pa = psi.matvec(a)
-        denom = float(a @ pa)
-        if denom <= 0.0:
-            raise EstimationError("singular normalizer in localized mean estimation")
-        mu_star = float(pa @ d) / denom
-    else:
-        mu_star = float(mu)
+    a, d = obs_set.mean_image(), obs_set.values()
+    mu_star = estimate_mu(psi, d, a) if mu is None else float(mu)
     resid = d - mu_star * a
     if sigma2 is None:
         s2 = float(resid @ psi.matvec(resid)) / m
@@ -243,11 +236,6 @@ def variance_localized(f: LocalizedFit, x):
     """
     return over_query_blocks(
         x, lambda block: _raw_variance(f, kernel_vector(f.obs, block, f.model)))
-
-
-def deviation_variance(f: LocalizedFit) -> float:
-    """Mean squared mismatch between exact point values and their localized predictions."""
-    return f.deviation_var
 
 
 def adjusted_variance(f: LocalizedFit, x):

@@ -1,10 +1,11 @@
 """Heterogeneous observations as linear operators on a stationary random field.
 
-Three observation kinds are supported:
-
-* ``point``  -- the field value at a location, possibly with Gaussian error;
-* ``deriv``  -- the directional derivative at a location;
-* ``avg``    -- the unnormalized integral of the field over a 1D interval.
+Three observation kinds: ``point`` (the field value at a location, possibly
+with Gaussian error), ``deriv`` (the directional derivative at a location)
+and ``avg`` (the unnormalized integral of the field over a 1D interval).  A
+set holds its observations as columns, built and validated in one place
+(:meth:`ObservationSet.from_arrays`); the CSV reader, the predictor file and
+synthetic sets fill the columns directly, with no per-row objects.
 
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
@@ -22,7 +23,7 @@ k-d tree query finds within reach (a dense array without a taper).
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +43,7 @@ KINDS = (POINT, DERIV, AVG)
 
 # Integer kind codes; also the canonical argument order of pairwise entries.
 KIND_CODES = {POINT: 0, DERIV: 1, AVG: 2}
+_P, _D, _A = (KIND_CODES[k] for k in KINDS)
 
 # Query points per kernel block: bounds the dense (rows, m) kernels of an
 # untapered model and the dense (m, rows) right-hand side of the global
@@ -50,18 +52,18 @@ BLOCK_ROWS = 256
 
 QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combination
 _FD_STEP = 1e-5
+_CSV_FIELDS = ["kind", "value", "error_var", "p1", "p2"]  # after the site columns x1..xq
 
 
 @dataclass(eq=False)
 class Observation:
-    """One observed datum.
+    """One hand-built observed datum (tests, ``example-a``); sets hold columns.
 
-    ``location`` is the q-vector of the observation site for ``point`` and
-    ``deriv`` kinds, and the pair (lower, upper) of interval bounds for
-    ``avg`` (1D only).  ``value`` stores the observed number: the field
-    value, the directional derivative, or the unnormalized interval integral
-    respectively.  ``error_var`` is the additive Gaussian error variance
-    (0 = exact).  ``direction`` (deriv only) is normalized to unit length.
+    ``location``: the q-vector site of ``point`` and ``deriv`` kinds, the
+    (lower, upper) bounds of ``avg`` (1D only).  ``error_var``: additive
+    Gaussian error variance (0 = exact).  ``direction`` (deriv only, default
+    all ones) is normalized.  Packed as a one-row set, the row is validated
+    by :meth:`ObservationSet.from_arrays`, shapes included.
     """
 
     kind: str
@@ -71,133 +73,147 @@ class Observation:
     direction: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_CODES:
             raise ValueError(f"unknown observation kind {self.kind!r}")
-        self.location = np.atleast_1d(np.asarray(self.location, dtype=float))
-        self.value = float(self.value)
-        self.error_var = float(self.error_var)
-        if not np.all(np.isfinite(self.location)) or not math.isfinite(self.value):
-            raise ValueError("observation location and value must be finite")
-        if not math.isfinite(self.error_var) or self.error_var < 0.0:
-            raise ValueError("error_var must be a finite non-negative real")
-        if self.kind == AVG:
-            if self.location.shape != (2,):
-                raise ValueError("avg observation location must be (lower, upper)")
-            if not self.location[0] < self.location[1]:
-                raise ValueError("avg interval must satisfy lower < upper")
-        if self.kind == DERIV:
-            if self.direction is None:
-                self.direction = np.ones(self.location.shape[0])
-            self.direction = np.atleast_1d(np.asarray(self.direction, dtype=float))
-            if self.direction.shape != self.location.shape:
-                raise ValueError("direction must match location dimension")
-            norm = float(np.linalg.norm(self.direction))
-            if not math.isfinite(norm) or norm == 0.0:
-                raise ValueError("direction must be a nonzero finite vector")
-            self.direction = self.direction / norm
-        elif self.direction is not None:
+        if self.direction is not None and self.kind != DERIV:
             raise ValueError("direction is only valid for deriv observations")
+        self.location = np.atleast_1d(np.asarray(self.location, dtype=float))
+        self.value, self.error_var = float(self.value), float(self.error_var)
+        if self.kind == DERIV and self.direction is None:
+            self.direction = np.ones(self.location.shape)
+        unit = ObservationSet([self], allow_numeric=True).directions[0]  # validates the row
+        self.direction = unit.copy() if self.kind == DERIV else None
 
     @property
     def dim(self) -> int:
         return 1 if self.kind == AVG else self.location.shape[0]
 
     @property
-    def rep_point(self) -> np.ndarray:
-        """Representative site: the location, or the interval midpoint."""
-        if self.kind == AVG:
-            return np.array([0.5 * (self.location[0] + self.location[1])])
-        return self.location
-
-    @property
-    def support_radius(self) -> float:
-        """Radius of the observation's support around the representative site."""
-        if self.kind == AVG:
-            return 0.5 * float(self.location[1] - self.location[0])
-        return 0.0
-
-    @property
     def mean_image(self) -> float:
         """Multiplier of the field mean in the observation's expectation."""
-        if self.kind == POINT:
-            return 1.0
-        if self.kind == DERIV:
-            return 0.0
-        return float(self.location[1] - self.location[0])
+        return float(ObservationSet([self], allow_numeric=True).mean_image()[0])
+
+
+class _InvalidRow(ValueError):
+    """Row ``row`` (0-based) of a set's columns breaks the rule ``reason``."""
+
+    def __init__(self, row: int, reason: str):
+        self.row, self.reason = row, reason
+        super().__init__(f"observation {row}: {reason}")
+
+
+def shaped_floats(a, shape, name: str) -> np.ndarray:
+    """``a`` as a float array of the given shape (which an empty ``a`` takes)."""
+    a = np.array(a, dtype=float)
+    a = a.reshape(shape) if a.size == 0 == math.prod(shape) else a
+    if a.shape != shape:
+        raise ValueError(f"{name} of shape {a.shape}, expected {shape}")
+    return a
 
 
 class ObservationSet:
-    """Ordered, immutable collection of observations sharing one dimension.
-
-    The per-observation quantities that queries need are held as read-only
-    arrays built once at construction: kind codes (:data:`KIND_CODES`), rep
-    points, support radii, mean image, values, error variances, unit
-    directions (zero rows for non-deriv kinds) and interval bounds (NaN rows
-    for non-avg kinds).  A k-d tree of the rep points is built on the first
-    call of :meth:`rep_tree` and kept.  ``allow_numeric`` permits deriv kinds
-    outside 1D, evaluated by finite differences; avg kinds are 1D only.
+    """Ordered, immutable set of observations of one dimension, held as
+    read-only columns: kind codes (:data:`KIND_CODES`), rep points (site or
+    interval midpoint), support radii, mean image, values, error variances,
+    unit directions (zero for non-deriv rows) and interval bounds (NaN for
+    non-avg rows).  ``ObservationSet([...])`` packs hand-built
+    :class:`Observation` objects; indexing or iterating builds them back.
+    ``allow_numeric`` permits deriv kinds outside 1D (finite differences).
     """
 
     def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None,
                  allow_numeric: bool = False):
         obs = list(observations)
-        if dim is None:
-            if not obs:
-                raise ValueError("dimension required for an empty observation set")
-            dim = obs[0].dim
+        if dim is None and not obs:
+            raise ValueError("dimension required for an empty observation set")
+        dim = obs[0].dim if dim is None else dim
         for i, o in enumerate(obs):
             if o.dim != dim:
                 raise ValueError(f"observation {i} has dimension {o.dim}, set has {dim}")
-            if o.kind != POINT and dim != 1 and not allow_numeric:
-                raise ValueError(
-                    f"observation {i}: {o.kind} kind needs dim 1 unless numeric mode is enabled"
-                )
-            if o.kind == AVG and dim != 1:
-                raise ValueError(f"observation {i}: avg observations are 1D only")
-        m = len(obs)
-        kinds = np.array([KIND_CODES[o.kind] for o in obs], dtype=np.int8)
-        reps = np.array([o.rep_point for o in obs], dtype=float).reshape(m, dim)
-        radii = np.zeros(m)
-        mean_image = np.ones(m)
-        directions = np.zeros((m, dim))
-        bounds = np.full((m, 2), np.nan)
-        for i in np.flatnonzero(kinds != KIND_CODES[POINT]).tolist():
-            o = obs[i]
-            radii[i] = o.support_radius
-            mean_image[i] = o.mean_image
-            if o.kind == DERIV:
-                directions[i] = o.direction
-            else:
-                bounds[i] = o.location
-        self.observations = obs
-        self.dim = int(dim)
-        self.allow_numeric = bool(allow_numeric)
-        self.kinds = kinds
-        self.directions = directions
-        self.bounds = bounds
-        self._reps = reps
-        self._point_mask = kinds == KIND_CODES[POINT]
-        self._radii = radii
-        self._mean_image = mean_image
-        self._values = np.array([o.value for o in obs], dtype=float)
-        self._error_vars = np.array([o.error_var for o in obs], dtype=float)
+        self._set_columns(
+            [KIND_CODES[o.kind] for o in obs],
+            [[math.nan] * dim if o.kind == AVG else o.location for o in obs],
+            [o.value for o in obs], [o.error_var for o in obs],
+            [o.direction if o.kind == DERIV else [0.0] * dim for o in obs],
+            [o.location if o.kind == AVG else [math.nan] * 2 for o in obs], dim, allow_numeric)
+
+    @classmethod
+    def from_arrays(cls, kinds, sites, values, error_vars, directions=None, bounds=None,
+                    dim: Optional[int] = None, allow_numeric: bool = False) -> "ObservationSet":
+        """The set of m observations as columns: kind codes (m,), sites (m, dim)
+        of point and deriv rows, values and error variances (m,), directions
+        (m, dim) of deriv rows (normalized here), bounds (m, 2) of avg rows.
+
+        The one validator of observations; its ``ValueError`` names the first
+        row with a non-finite number, a negative error variance, an unknown
+        kind, ``lower >= upper``, a zero direction or a kind ``dim`` forbids.
+        """
+        obs_set = cls.__new__(cls)
+        obs_set._set_columns(kinds, sites, values, error_vars, directions, bounds, dim,
+                             allow_numeric)
+        return obs_set
+
+    def _set_columns(self, kinds, sites, values, error_vars, directions, bounds, dim,
+                     allow_numeric):
+        kinds, dim = np.asarray(kinds), np.shape(sites)[-1] if dim is None else dim
+        if kinds.ndim != 1 or int(dim) != dim or dim < 1:
+            raise ValueError(f"kinds must be 1-D and dim a positive integer, got "
+                             f"kinds of shape {kinds.shape} and dim {dim!r}")
+        m, dim = kinds.shape[0], int(dim)
+        point, deriv, avg = (kinds == code for code in (_P, _D, _A))
+        sites = np.where(avg[:, None], math.nan, shaped_floats(sites, (m, dim), "sites"))
+        values = shaped_floats(values, (m,), "values")
+        error_vars = shaped_floats(error_vars, (m,), "error_vars")
+        directions = np.zeros((m, dim)) if directions is None else np.where(
+            deriv[:, None], shaped_floats(directions, (m, dim), "directions"), 0.0)
+        bounds = np.full((m, 2), math.nan) if bounds is None else np.where(
+            avg[:, None], shaped_floats(bounds, (m, 2), "bounds"), math.nan)
+        lo, hi = bounds.T
+        norms = np.hypot.reduce(np.abs(directions), axis=1)  # no squares to overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            width, twice_mid = hi - lo, lo + hi
+        checks = [  # (bad rows, reason); of the rules a row breaks, the first is named
+            (~(point | deriv | avg), "unknown observation kind"),
+            (~(avg | np.isfinite(sites).all(axis=1)) | ~np.isfinite(values),
+             "observation location and value must be finite"),
+            (~np.isfinite(error_vars) | (error_vars < 0.0),
+             "error_var must be a finite non-negative real"),
+            (avg & ~((lo < hi) & np.isfinite(width) & np.isfinite(twice_mid)),
+             "avg interval must satisfy lower < upper, with a finite length and midpoint"),
+            (deriv & ~(np.isfinite(norms) & (norms > 0.0)),
+             "direction must be a nonzero finite vector"),
+            ((deriv | avg) & (dim != 1 and not allow_numeric),
+             "operator kinds need dim 1 unless numeric mode is enabled"),
+            (avg & (dim != 1), "avg observations are 1D only"),
+        ]
+        bad = np.array([mask.argmax() if mask.any() else m for mask, _ in checks])
+        if bad.min() < m:
+            raise _InvalidRow(int(bad.min()), checks[int(bad.argmin())][1])
+        directions[deriv] /= norms[deriv, None]
+        self.dim, self.allow_numeric = dim, bool(allow_numeric)
+        self.kinds, self.directions, self.bounds = kinds.astype(np.int8), directions, bounds
+        self._reps = np.where(avg[:, None], (0.5 * twice_mid)[:, None], sites)
+        self._radii = np.where(avg, 0.5 * width, 0.0)
+        self._mean_image = np.where(avg, width, point.astype(float))
+        self._values, self._error_vars, self._point_mask = values, error_vars, point
         self._tree: Optional[cKDTree] = None
-        for arr in (kinds, directions, bounds, reps, self._point_mask, radii, mean_image,
-                    self._values, self._error_vars):
+        for arr in (self.kinds, directions, bounds, self._reps, point, self._radii,
+                    self._mean_image, values, error_vars):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.m
 
-    def __iter__(self):
-        return iter(self.observations)
-
-    def __getitem__(self, i) -> Observation:
-        return self.observations[i]
+    def __getitem__(self, i) -> Observation:  # iterating a set goes through here too
+        i = range(self.m)[i]
+        kind = KINDS[self.kinds[i]]
+        return Observation(kind, (self.bounds if kind == AVG else self._reps)[i].copy(),
+                           self._values[i], self._error_vars[i],
+                           self.directions[i].copy() if kind == DERIV else None)
 
     @property
     def m(self) -> int:
-        return len(self.observations)
+        return self.kinds.shape[0]
 
     def values(self) -> np.ndarray:
         return self._values
@@ -225,20 +241,12 @@ class ObservationSet:
 
     def with_values(self, values: np.ndarray) -> "ObservationSet":
         """Copy of the set with observed values replaced (same geometry)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
-            raise ValueError("values length must equal m")
-        obs = [
-            Observation(o.kind, o.location.copy(), float(v), o.error_var,
-                        None if o.direction is None else o.direction.copy())
-            for o, v in zip(self.observations, values)
-        ]
-        return ObservationSet(obs, dim=self.dim, allow_numeric=self.allow_numeric)
+        return ObservationSet.from_arrays(self.kinds, self._reps, values, self._error_vars,
+                                          self.directions, self.bounds, self.dim,
+                                          self.allow_numeric)
 
 
 # -- operator correlations, evaluated as arrays by kind pair ----------------
-
-_P, _D, _A = (KIND_CODES[k] for k in KINDS)
 
 
 class _Operators(NamedTuple):
@@ -552,14 +560,14 @@ def over_query_blocks(x, fn):
 
 def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.ndarray):
     """Reject two exact point observations at one location, among the pairs
-    ``(i[k], j[k])``, ``i > j``, which must include every zero-distance pair.
+    ``(i[k], j[k])``, ``i >= j``, which must include every zero-distance pair.
 
     Names the first observation whose location an earlier one already has,
     and the first observation at that location.  Coordinates compare with
     ``==``, so signed zeros count as one location.
     """
     exact = obs_set.point_mask() & (obs_set.error_vars() == 0.0)
-    both = np.flatnonzero(exact[i] & exact[j])
+    both = np.flatnonzero(exact[i] & exact[j] & (i != j))
     reps = obs_set.rep_points()
     same = both[np.all(reps[i[both]] == reps[j[both]], axis=1)]
     if same.size:
@@ -587,17 +595,15 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         raise ValueError("sigma2_r must be a positive finite real")
 
     tau0 = model.taper_range
-    # Off-diagonal pairs (i, j) with i > j, then the diagonal.
-    if tau0 is None:
-        j, i = np.triu_indices(m, k=1)
-    else:
+    if tau0 is None:  # every pair i >= j, in CSR order: row i ends on its diagonal
+        i, j = np.tril_indices(m)
+    else:  # off-diagonal pairs (i, j) with i > j, then the diagonal
         reach = tau0 + 2.0 * float(obs_set.support_radii().max())
         j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
         near = _support_separations(obs_set, i, j) < tau0
-        i, j = i[near], j[near]
+        i, j = np.append(i[near], np.arange(m)), np.append(j[near], np.arange(m))
     _check_duplicate_exact_points(obs_set, i, j)
-    i = np.concatenate([i, np.arange(m)])
-    j = np.concatenate([j, np.arange(m)])
+    diagonal = np.flatnonzero(i == j)
     kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
     vals = np.empty(i.size)
     for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
@@ -605,18 +611,22 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
         ka, kb = divmod(code, len(KINDS))
         vals[sel] = _entries(model, ka, _operators(obs_set, ka, i[sel]),
                              kb, _operators(obs_set, kb, j[sel]))
-    vals[-m:] += obs_set.error_vars() / sigma2_r
+    vals[diagonal] += obs_set.error_vars() / sigma2_r
+    if tau0 is None:
+        return SparseSymmetric(sp.csr_matrix((vals, j, np.append(0, diagonal + 1)), shape=(m, m)))
     return SparseSymmetric.from_entries(m, i, j, vals)
 
 
 # -- observation CSV --------------------------------------------------------
-#
-# Header: x1[,x2[,x3]],kind,value,error_var,p1,p2
-#   point: x columns = location, p1/p2 empty
-#   deriv: x columns = location, p1..pq = direction components
-#   avg  : 1D only; x1 = interval midpoint (informative), p1,p2 = bounds
+
 
 def read_observations_csv(path, allow_numeric: bool = False) -> ObservationSet:
+    """The observation set of a CSV file ``x1[,x2[,x3]],kind,value,error_var,p1,p2``,
+    read column by column: x = site (the midpoint of an avg row, ignored), p1
+    and p2 = interval bounds or direction components (a 1D direction is p1,
+    default 1).  Blank lines are skipped; a malformed row raises
+    :class:`ObservationParseError` naming the 1-based line of the first one.
+    """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -624,78 +634,76 @@ def read_observations_csv(path, allow_numeric: bool = False) -> ObservationSet:
         except StopIteration:
             raise ObservationParseError(1, "empty observation file") from None
         header = [h.strip() for h in header]
-        dim = 0
-        while dim < len(header) and header[dim] == f"x{dim + 1}":
-            dim += 1
-        expected = [f"x{k + 1}" for k in range(dim)] + ["kind", "value", "error_var", "p1", "p2"]
-        if dim < 1 or header != expected:
-            raise ObservationParseError(
-                1, f"bad header {header!r}, expected x1[,x2[,x3]],kind,value,error_var,p1,p2"
-            )
-        observations = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != len(expected):
-                raise ObservationParseError(lineno, f"expected {len(expected)} fields, got {len(row)}")
-            try:
-                observations.append(_parse_row(row, dim))
-            except (ValueError, TypeError) as exc:
-                raise ObservationParseError(lineno, str(exc)) from exc
-    if observations:
-        return ObservationSet(observations, allow_numeric=allow_numeric)
-    return ObservationSet([], dim=dim, allow_numeric=allow_numeric)
-
-
-def _parse_field(raw: str, name: str) -> float:
+        dim = len(header) - 5
+        if dim < 1 or header != [f"x{k + 1}" for k in range(dim)] + _CSV_FIELDS:
+            raise ObservationParseError(1, f"bad header {header!r}, expected "
+                                           f"x1[,x2[,x3]],kind,value,error_var,p1,p2")
+        rows = list(reader)
+    lines = [n for n, row in enumerate(rows, start=2) if "".join(row).strip()]
+    body = [rows[n - 2] for n in lines]
     try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"invalid numeric field {name}={raw!r}") from None
+        return _parse_rows(body, dim, allow_numeric)
+    except ValueError as exc:
+        error = exc
+    # Every rule concerns one row, so rows [good, bad) hold a bad row exactly
+    # when they fail to parse: bisect for the first bad row.
+    good, bad = 0, len(body)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_rows(body[good:mid], dim, allow_numeric)
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    raise ObservationParseError(lines[bad - 1], getattr(error, "reason", str(error)))
 
 
-def _parse_row(row: List[str], dim: int) -> Observation:
-    xs = [_parse_field(row[k], f"x{k + 1}") for k in range(dim)]
-    kind = row[dim].strip()
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    value = _parse_field(row[dim + 1], "value")
-    err_raw = row[dim + 2].strip()
-    error_var = _parse_field(err_raw, "error_var") if err_raw else 0.0
-    p1, p2 = row[dim + 3].strip(), row[dim + 4].strip()
-    if kind == POINT:
-        return Observation(POINT, np.array(xs), value, error_var)
-    if kind == DERIV:
-        if dim == 1:
-            direction = np.array([_parse_field(p1, "p1")]) if p1 else np.array([1.0])
-        elif dim == 2:
-            if not p1 or not p2:
-                raise ValueError("deriv in dim 2 needs direction components in p1,p2")
-            direction = np.array([_parse_field(p1, "p1"), _parse_field(p2, "p2")])
-        else:
-            raise ValueError("deriv rows support dim <= 2 (p1,p2 hold the direction)")
-        return Observation(DERIV, np.array(xs), value, error_var, direction)
-    if dim != 1:
-        raise ValueError("avg observations are 1D only")
-    if not p1 or not p2:
-        raise ValueError("avg row needs interval bounds in p1,p2")
-    lo, hi = _parse_field(p1, "p1"), _parse_field(p2, "p2")
-    return Observation(AVG, np.array([lo, hi]), value, error_var)
+def _parse_rows(rows, dim: int, allow_numeric: bool) -> ObservationSet:
+    """The set of CSV data rows, one column at a time (ValueError on a bad row)."""
+    width = dim + 5
+    sizes = {len(row) for row in rows} - {width}
+    if sizes:
+        raise ValueError(f"expected {width} fields, got {sizes.pop()}")
+    cols = [[f.strip() for f in col] for col in zip(*rows)] or [[]] * width
+    names, p1, p2 = cols[dim], cols[dim + 3], cols[dim + 4]
+    kinds = np.array([KIND_CODES.get(name, -1) for name in names], dtype=np.int8)
+    if (kinds < 0).any():
+        raise ValueError(f"unknown kind {names[int(np.argmax(kinds < 0))]!r}")
+    deriv = np.flatnonzero(kinds == _D).tolist()
+    if deriv and dim > 2:
+        raise ValueError("deriv rows support dim <= 2 (p1,p2 hold the direction)")
+    paired = np.flatnonzero((kinds == _A) | ((kinds == _D) & (dim == 2))).tolist()
+    missing = [i for i in paired if not (p1[i] and p2[i])]
+    if missing:
+        raise ValueError(f"{names[missing[0]]} row needs both p1 and p2")
+    p = np.zeros((len(rows), 2))
+    p[paired] = np.column_stack([_floats([q[i] for i in paired], name)
+                                 for q, name in ((p1, "p1"), (p2, "p2"))])
+    if dim == 1:
+        p[deriv, 0] = _floats([p1[i] or "1" for i in deriv], "p1")
+    sites = np.column_stack([_floats(col, f"x{k + 1}") for k, col in enumerate(cols[:dim])])
+    return ObservationSet.from_arrays(
+        kinds, sites, _floats(cols[dim + 1], "value"),
+        _floats([f or "0" for f in cols[dim + 2]], "error_var"),
+        p[:, :dim] if dim <= 2 else None, p, dim, allow_numeric)
+
+
+def _floats(fields, name: str) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    except ValueError as exc:
+        raise ValueError(f"invalid numeric field {name}: {exc}") from None
 
 
 def write_observations_csv(path, obs_set: ObservationSet):
-    dim = obs_set.dim
-    header = [f"x{k + 1}" for k in range(dim)] + ["kind", "value", "error_var", "p1", "p2"]
+    """Write the set as CSV (:func:`read_observations_csv`), numbers as shortest repr."""
+    dim, kinds = obs_set.dim, obs_set.kinds
+    table = np.full((obs_set.m, dim + 5), "", dtype=object)  # of str and float
+    table[:, :dim] = obs_set.rep_points()
+    table[:, dim] = np.array(KINDS, dtype=object)[kinds]
+    table[:, dim + 1:dim + 3] = np.column_stack([obs_set.values(), obs_set.error_vars()])
+    table[kinds == _D, dim + 3:dim + 3 + min(dim, 2)] = obs_set.directions[kinds == _D, :2]
+    table[kinds == _A, dim + 3:] = obs_set.bounds[kinds == _A]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for o in obs_set:
-            xs = [repr(float(v)) for v in o.rep_point]
-            p1 = p2 = ""
-            if o.kind == DERIV:
-                p1 = repr(float(o.direction[0]))
-                if dim >= 2:
-                    p2 = repr(float(o.direction[1]))
-            elif o.kind == AVG:
-                p1, p2 = (repr(float(v)) for v in o.location)
-            writer.writerow(xs + [o.kind, repr(o.value), repr(o.error_var), p1, p2])
+        csv.writer(fh).writerows([[f"x{k + 1}" for k in range(dim)] + _CSV_FIELDS]
+                                 + table.tolist())

@@ -16,6 +16,8 @@ import numpy as np
 
 from . import obsmodel
 from .corrfn import CorrelationModel
+from .errors import EstimationError
+from .inference import estimate_mu, estimate_sigma2
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
@@ -85,8 +87,7 @@ class KernelPredictor:
     def __init__(self, model: CorrelationModel, obs: ObservationSet, mu: float,
                  sigma2: float, weights: np.ndarray,
                  factor: Optional[CholeskyFactor],
-                 matrix: Optional[SparseSymmetric] = None,
-                 deviation_var: float = 0.0):
+                 matrix: Optional[SparseSymmetric] = None):
         self.model = model
         self.obs = obs
         self.mu = float(mu)
@@ -94,7 +95,6 @@ class KernelPredictor:
         self.weights = np.asarray(weights, dtype=float)
         self.factor = factor
         self.matrix = matrix
-        self.deviation_var = float(deviation_var)
         self.clamp_count = 0
 
     @property
@@ -102,25 +102,36 @@ class KernelPredictor:
         return self.obs.dim
 
 
-def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: float,
-               sigma2: float) -> KernelPredictor:
+def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float] = None,
+               sigma2: Optional[float] = None) -> KernelPredictor:
     """Fit the global predictor: weights = S^{-1} (values - mu * mean_image).
 
     ``mean_image`` is the multiplier of ``mu`` in each observation's
     expectation (1 for point values, 0 for derivatives, interval length for
-    interval integrals).  The Cholesky factor is retained for variance
+    interval integrals).  A level passed as ``None`` takes its GLS estimate
+    through the same factor (estimating sigma2 needs exact observations, so
+    S does not depend on it).  The Cholesky factor is retained for variance
     queries.  An empty observation set yields the prior.
     """
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
+    if sigma2 is not None and (not math.isfinite(sigma2) or sigma2 <= 0.0):
         raise ValueError("sigma2 must be a positive finite real")
-    if not math.isfinite(mu):
+    if mu is not None and not math.isfinite(mu):
         raise ValueError("mu must be finite")
     if obs_set.m == 0:
+        if mu is None or sigma2 is None:
+            raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0), None, None)
-    matrix = assemble(obs_set, model, sigma2)
+    if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
+        raise EstimationError("variance estimation with observation errors is not supported")
+    matrix = assemble(obs_set, model, 1.0 if sigma2 is None else sigma2)
     factor = cholesky(matrix)
-    resid = obs_set.values() - mu * obs_set.mean_image()
-    weights = factor.solve(resid)
+    values, a = obs_set.values(), obs_set.mean_image()
+    mu = estimate_mu(factor, values, a) if mu is None else mu
+    if sigma2 is None:
+        sigma2 = estimate_sigma2(factor, values, mu, a)
+        if sigma2 <= 0.0:
+            raise EstimationError("estimated sigma2 is not positive")
+    weights = factor.solve(values - mu * a)
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 
 
@@ -175,7 +186,7 @@ def kriging_predict(obs_set: ObservationSet, model: CorrelationModel, mu: float,
     return pred, var
 
 
-def predict_derivative(p: KernelPredictor, x, direction=None, method: str = "auto") -> float:
+def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
     """Directional derivative of the predictor at ``x``.
 
     1D uses analytic kernel derivatives; higher dimensions use a central
@@ -191,14 +202,9 @@ def predict_derivative(p: KernelPredictor, x, direction=None, method: str = "aut
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
     direction = direction / norm
-    if method not in ("auto", "closed", "fd"):
-        raise ValueError(f"unknown method {method!r}")
-    use_closed = (method == "closed") or (method == "auto" and q == 1)
-    if use_closed and q != 1:
-        raise ValueError("closed-form derivative prediction is 1D only")
     if p.obs.m == 0:
         return 0.0
-    if use_closed:
+    if q == 1:
         xf = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
         gradients = obsmodel.kernel_gradient_1d(p.obs, xf, p.model)
         return float(direction[0]) * float(p.weights @ gradients)

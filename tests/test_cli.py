@@ -1,12 +1,16 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelfield import (AVG, POINT, CorrelationModel, Observation, ObservationSet, fit_global,
-                         fit_localized, predict_localized, variance_localized,
-                         write_observations_csv)
-from kernelfield.cli import load_predictor, main, save_predictor
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
+                         fit_global, fit_localized, predict_localized, read_observations_csv,
+                         variance_localized, write_observations_csv)
+from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
@@ -190,19 +194,19 @@ def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("version", [2, None, "1"])
+@pytest.mark.parametrize("version", [1, 3, None, "2"])
 def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version):
     predictor = fit(tmp_path, *inputs)
     with open(predictor) as fh:
         doc = json.load(fh)
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     doc["version"] = version
     write_json(tmp_path / "bad.json", doc)
     capsys.readouterr()
     rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert f"bad.json: predictor file version {version!r} is not the supported version 1" in \
+    assert f"bad.json: predictor file version {version!r} is not the supported version 2" in \
         capsys.readouterr().err
 
 
@@ -279,3 +283,144 @@ def test_localized_site_diagnostics(tmp_path, capsys):
     doc = json.loads(summary.read_text())
     assert doc["negative_variance_at_obs"] == fitted.negative_variance_at_obs
     assert doc["deviation_var"] == fitted.deviation_var
+
+
+def grid_exit_code(tmp_path, doc):
+    write_json(tmp_path / "bad.json", doc)
+    return main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
+                 "--out", str(tmp_path / "r.csv")])
+
+
+def test_version_1_predictor_file_exit_2(tmp_path, capsys):
+    legacy = {"format": "kernelfield-predictor", "version": 1, "mode": "global",
+              "model": dict(TAPERED_MODEL, mu=0.0, sigma2=1.0), "dim": 2,
+              "observations": [{"kind": "point", "location": [1.0, 2.0], "value": 0.5,
+                                "error_var": 0.0, "direction": None}],
+              "weights": [0.5]}
+    assert grid_exit_code(tmp_path, legacy) == 2
+    assert "predictor file version 1 is not the supported version 2" in capsys.readouterr().err
+
+
+def _set(*path, value):
+    def mutate(cols):
+        for key in path[:-1]:
+            cols = cols[key]
+        cols[path[-1]] = value
+    return mutate
+
+
+MALFORMED_COLUMNS = {
+    "short value": lambda cols: cols["value"].pop(),
+    "short kind": lambda cols: cols["kind"].pop(),
+    "short site column": lambda cols: cols["site"][1].pop(),
+    "one site column": lambda cols: cols["site"].pop(),
+    "bounds of no avg row": _set("bounds", 0, value=[0.0]),
+    "missing error_var": lambda cols: cols.pop("error_var"),
+    "unknown kind": _set("kind", 2, value="slope"),
+    "unhashable kind": _set("kind", 2, value=["point"]),
+    "nan value": _set("value", 3, value=float("nan")),
+    "null value": _set("value", 3, value=None),
+    "text value": _set("value", 3, value="x"),
+    "inf site": _set("site", 0, 4, value=float("inf")),
+    "negative error_var": _set("error_var", 5, value=-1.0),
+    "site not a list": _set("site", 0, value=3.0),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_COLUMNS.values(), ids=list(MALFORMED_COLUMNS))
+def test_malformed_observation_columns_exit_2(tmp_path, inputs, capsys, mutate):
+    with open(fit(tmp_path, *inputs)) as fh:
+        doc = json.load(fh)
+    mutate(doc["observations"])
+    capsys.readouterr()
+    assert grid_exit_code(tmp_path, doc) == 2
+    assert "bad.json: malformed observation columns" in capsys.readouterr().err
+
+
+def test_predictor_columns_are_strict_json(tmp_path, inputs):
+    with open(fit(tmp_path, *inputs)) as fh:
+        cols = strict_json(fh.read())["observations"]
+    assert cols["kind"] == ["point"] * 30 and len(cols["value"]) == 30
+    assert np.array(cols["site"]).shape == (2, 30)
+    assert cols["direction"] == [[], []] and cols["bounds"] == [[], []]
+
+
+def assert_same_set(a, b):
+    for x, y in zip([a.kinds, a.rep_points(), a.values(), a.error_vars(), a.directions,
+                     a.bounds, a.mean_image()],
+                    [b.kinds, b.rep_points(), b.values(), b.error_vars(), b.directions,
+                     b.bounds, b.mean_image()]):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def saved_and_loaded(fitted):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        save_predictor(path, fitted)
+        with open(path) as fh:
+            strict_json(fh.read())
+        return load_predictor(path)
+
+
+@st.composite
+def mixed_1d_lattice(draw):
+    """A 1-D set of every kind on a jittered lattice (so it factors):
+    signed derivatives, intervals, some error variances."""
+    rows = draw(st.lists(st.tuples(st.sampled_from([POINT, DERIV, AVG]), st.floats(0.0, 0.5),
+                                   st.floats(0.1, 1.0), st.floats(-1e3, 1e3),
+                                   st.sampled_from([0.0, 0.0, 0.05]),
+                                   st.sampled_from([-3.0, 2.0])),
+                         min_size=1, max_size=15))
+    obs = []
+    for i, (kind, jitter, width, value, error_var, z) in enumerate(rows):
+        site = 2.0 * i + jitter
+        obs.append(Observation(kind, [site, site + width] if kind == AVG else [site], value,
+                               error_var, [z] if kind == DERIV else None))
+    return ObservationSet(obs)
+
+
+def test_subnormal_residual_loads():
+    obs = ObservationSet([Observation(DERIV, [0.0], 5e-324, 0.05)])
+    fitted = fit_global(obs, CorrelationModel("matern52", 0.5), 0.3, 1.7)
+    assert saved_and_loaded(fitted).weights.tobytes() == fitted.weights.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_1d_lattice())
+def test_mixed_1d_predictor_round_trip(obs):
+    fitted = fit_global(obs, CorrelationModel("matern52", 0.5), 0.3, 1.7)
+    loaded = saved_and_loaded(fitted)
+    assert_same_set(loaded.obs, obs)
+    assert (loaded.mu, loaded.sigma2) == (fitted.mu, fitted.sigma2)
+    assert loaded.weights.tobytes() == fitted.weights.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=30))
+def test_2d_point_predictor_round_trip(points):
+    sites = np.array([(i % 6 + a, i // 6 + b) for i, (a, b, _) in enumerate(points)])
+    obs = ObservationSet.from_arrays(np.zeros(len(points), dtype=np.int8), sites,
+                                     [v for *_, v in points], np.zeros(len(points)))
+    for fitted, weights in ((fit_global(obs, MIXED_MODEL, 0.1, 1.3), "weights"),
+                            (fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3), "weights_star")):
+        loaded = saved_and_loaded(fitted)
+        assert_same_set(loaded.obs, obs)
+        assert getattr(loaded, weights).tobytes() == getattr(fitted, weights).tobytes()
+
+
+def test_columnar_paths_build_no_observation(tmp_path, monkeypatch):
+    obs = mixed_1d_set()
+    fitted = fit_global(obs, MIXED_MODEL, 0.1, 1.3)
+
+    def refuse(self):
+        raise AssertionError("an Observation was built")
+
+    monkeypatch.setattr(Observation, "__post_init__", refuse)
+    path, csv_path = str(tmp_path / "p.json"), str(tmp_path / "o.csv")
+    save_predictor(path, fitted)
+    assert load_predictor(path).obs.m == obs.m
+    write_observations_csv(csv_path, obs)
+    assert read_observations_csv(csv_path).m == obs.m
+    assert obs.with_values(np.zeros(obs.m)).m == obs.m
+    assert synthetic_observations(10, [(0.0, 1.0)], 1).m == 10

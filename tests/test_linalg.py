@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
-                         SpatialIndex, assemble, cholesky, kernel_vector, solve)
+                         SpatialIndex, assemble, cholesky, kernel_vector)
 from kernelfield import linalg
 from kernelfield.cli import synthetic_observations
 from kernelfield.linalg import dense_spd_inverse, neighbors
@@ -201,18 +201,18 @@ class TestSolve:
     def test_identity(self):
         f = cholesky(np.eye(4))
         v = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.array_equal(solve(f, v), v)
+        assert np.array_equal(f.solve(v), v)
 
     def test_diagonal(self):
         f = cholesky(np.diag([2.0, 4.0]))
-        assert np.allclose(solve(f, np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(f.solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_constructed_solution(self):
         rng = np.random.default_rng(4)
         a = random_spd(rng, 60)
         x0 = rng.normal(size=60)
         f = cholesky(SparseSymmetric.from_dense(a))
-        assert np.linalg.norm(solve(f, a @ x0) - x0) < 1e-8
+        assert np.linalg.norm(f.solve(a @ x0) - x0) < 1e-8
 
     def test_roundtrip_residual_n500(self):
         rng = np.random.default_rng(5)
@@ -225,7 +225,7 @@ class TestSolve:
     def test_dimension_mismatch(self):
         f = cholesky(np.eye(3))
         with pytest.raises(ValueError):
-            solve(f, np.ones(4))
+            f.solve(np.ones(4))
 
 
 class TestDenseInverse:

@@ -4,9 +4,8 @@ import pytest
 from kernelfield import (POINT, ConfigError, CorrelationModel, EstimationError,
                          FactorizationError, GridSpec, Observation, ObservationSet,
                          SparseSymmetric, adjusted_variance, approximate_inverse, assemble,
-                         deviation_variance, fit_global, fit_localized, kernel_value, predict,
-                         predict_localized, predict_variance, rasterize_localized,
-                         variance_localized)
+                         fit_global, fit_localized, kernel_value, predict, predict_localized,
+                         predict_variance, rasterize_localized, variance_localized)
 from kernelfield import localized
 from kernelfield.cli import synthetic_observations
 
@@ -138,7 +137,7 @@ class TestFitLocalized:
             assert f.mu_star == pytest.approx(4.5)
             assert f.weights_star[0] == pytest.approx(4.5 - f.mu_star, abs=1e-14)
             assert predict_localized(f, [1.0]) == pytest.approx(4.5, abs=1e-12)
-            assert deviation_variance(f) == 0.0
+            assert f.deviation_var == 0.0
 
     def test_untapered_model_rejected(self):
         obs = line_points(5, 0.3)
@@ -178,13 +177,13 @@ class TestDeviationVariance:
     def test_zero_at_full_delta(self):
         obs = line_points(12, 0.3)
         f = fit_localized(obs, TAPERED, k=20)
-        assert deviation_variance(f) < 1e-16 * f.sigma2_star
+        assert f.deviation_var < 1e-16 * f.sigma2_star
 
     def test_shrinks_with_larger_k(self):
         obs = synthetic_observations(220, [(0.0, 6.0), (0.0, 6.0)], seed=9)
         f1 = fit_localized(obs, G2T, k=1)
         f2 = fit_localized(obs, G2T, k=2)
-        assert deviation_variance(f2) <= deviation_variance(f1)
+        assert f2.deviation_var <= f1.deviation_var
 
     def test_excludes_non_point_observations(self):
         obs = ObservationSet([
@@ -193,7 +192,7 @@ class TestDeviationVariance:
             Observation("avg", np.array([1.0, 1.5]), 0.6),
         ])
         f = fit_localized(obs, TAPERED, k=30)
-        assert deviation_variance(f) < 1e-16
+        assert f.deviation_var < 1e-16
 
 
 class TestInfluenceRadius:

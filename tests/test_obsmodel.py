@@ -1,3 +1,7 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,12 +11,13 @@ from scipy.integrate import dblquad, quad
 from scipy.spatial.distance import cdist
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation,
-                         ObservationSet, UnsupportedOperatorError, assemble,
+                         ObservationParseError, ObservationSet,
+                         UnsupportedOperatorError, assemble,
                          cholesky, cross_correlation, kernel_value,
                          kernel_vector, read_observations_csv,
                          write_observations_csv)
 from kernelfield.cli import demo_observation_set
-from kernelfield.obsmodel import support_separation
+from kernelfield.obsmodel import KIND_CODES, support_separation
 
 M52 = CorrelationModel("matern52", 1.0)
 M52_WIDE = CorrelationModel("matern52", 3.0)
@@ -301,12 +306,13 @@ def brute_force_matrix(obs, model, sigma2_r):
     dense = np.zeros((m, m))
     kept = np.zeros((m, m), dtype=bool)
     for i in range(m):
+        a = obs[i]  # indexing builds a new object; the diagonal passes one object twice
         for j in range(i + 1):
+            b = a if i == j else obs[j]
             if model.taper_range is not None and \
-                    support_separation(obs[i], obs[j]) >= model.taper_range:
+                    support_separation(a, b) >= model.taper_range:
                 continue
-            dense[i, j] = dense[j, i] = cross_correlation(
-                obs[i], obs[i] if i == j else obs[j], model, sigma2_r)
+            dense[i, j] = dense[j, i] = cross_correlation(a, b, model, sigma2_r)
             kept[i, j] = kept[j, i] = True
     return dense, kept
 
@@ -576,3 +582,169 @@ class TestCsv:
         path.write_text("x1,x2,kind,value,error_var,p1,p2\n")
         obs = read_observations_csv(path)
         assert obs.m == 0 and obs.dim == 2
+
+
+# -- columns: malformed CSV rows, round trips, from_arrays -------------------
+
+CSV_1D, GOOD_1D = "x1,kind,value,error_var,p1,p2", "0.5,point,1.0,,,"
+CSV_2D, GOOD_2D = "x1,x2,kind,value,error_var,p1,p2", "0.5,0.5,point,1.0,,,"
+BAD_ROWS = {
+    "nan value": (CSV_1D, "1.0,point,nan,,,"),
+    "inf site": (CSV_1D, "inf,point,1.0,,,"),
+    "nan deriv site": (CSV_1D, "nan,deriv,1.0,,,"),
+    "inf error_var": (CSV_1D, "1.0,point,1.0,inf,,"),
+    "negative error_var": (CSV_1D, "1.0,point,1.0,-0.5,,"),
+    "lo > hi": (CSV_1D, "1.0,avg,1.0,,2.0,1.0"),
+    "lo == hi": (CSV_1D, "1.0,avg,1.0,,1.5,1.5"),
+    "inf bound": (CSV_1D, "1.0,avg,1.0,,1.0,inf"),
+    "zero direction": (CSV_1D, "1.0,deriv,1.0,,0.0,"),
+    "nan direction": (CSV_1D, "1.0,deriv,1.0,,nan,"),
+    "unknown kind": (CSV_1D, "1.0,slope,1.0,,,"),
+    "too few fields": (CSV_1D, "1.0,point,1.0,,"),
+    "too many fields": (CSV_1D, "1.0,point,1.0,,,,"),
+    "non-numeric value": (CSV_1D, "1.0,point,oops,,,"),
+    "non-numeric site": (CSV_1D, "abc,point,1.0,,,"),
+    "empty value": (CSV_1D, "1.0,point,,,,"),
+    "avg without bounds": (CSV_1D, "1.0,avg,1.0,,2.0,"),
+    "non-numeric bound": (CSV_1D, "1.0,avg,1.0,,x,2.0"),
+    "2d deriv without p2": (CSV_2D, "1.0,2.0,deriv,1.0,,1.0,"),
+    "2d avg": (CSV_2D, "1.0,2.0,avg,1.0,,1.0,2.0"),
+    "2d nan site": (CSV_2D, "1.0,nan,point,1.0,,,"),
+    "2d zero direction": (CSV_2D, "1.0,2.0,deriv,1.0,,0.0,0.0"),
+}
+
+
+def read_lines(tmp_path, *lines, allow_numeric=True):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return read_observations_csv(path, allow_numeric=allow_numeric)
+
+
+def parse_error_line(tmp_path, *lines, allow_numeric=True):
+    with pytest.raises(ObservationParseError) as exc:
+        read_lines(tmp_path, *lines, allow_numeric=allow_numeric)
+    return exc.value.line
+
+
+@pytest.mark.parametrize("header, bad", BAD_ROWS.values(), ids=list(BAD_ROWS))
+def test_bad_row_after_blank_lines_names_its_line(tmp_path, header, bad):
+    good = GOOD_1D if header == CSV_1D else GOOD_2D
+    assert parse_error_line(tmp_path, header, good, "", " , ,", bad,
+                            good.replace("0.5", "3.5")) == 5
+
+
+def test_first_bad_row_is_named_whatever_its_fault(tmp_path):
+    rule, field = "1.0,point,1.0,-0.5,,", "2.0,point,oops,,,"
+    assert parse_error_line(tmp_path, CSV_1D, GOOD_1D, rule, "", field) == 3
+    assert parse_error_line(tmp_path, CSV_1D, GOOD_1D, field, "", rule) == 3
+    assert parse_error_line(tmp_path, CSV_1D, "1.0,point", "", rule, field) == 2
+
+
+def test_operators_in_2d_without_numeric_mode_name_their_line(tmp_path):
+    row = "1.0,2.0,deriv,1.0,,1.0,0.0"
+    assert read_lines(tmp_path, CSV_2D, GOOD_2D, row).m == 2
+    assert parse_error_line(tmp_path, CSV_2D, GOOD_2D, "", row, allow_numeric=False) == 4
+
+
+def test_point_rows_ignore_p_fields(tmp_path):
+    obs = read_lines(tmp_path, CSV_1D, "0.5,point,1.0,,junk,")
+    assert obs.m == 1 and obs.directions[0, 0] == 0.0 and np.isnan(obs.bounds[0]).all()
+
+
+def columns_of(obs):
+    """Every column a set stores."""
+    return [obs.kinds, obs.rep_points(), obs.values(), obs.error_vars(), obs.directions,
+            obs.bounds, obs.support_radii(), obs.mean_image(), obs.point_mask()]
+
+
+def assert_same_columns(a, b):
+    assert (a.dim, a.allow_numeric) == (b.dim, b.allow_numeric)
+    for x, y in zip(columns_of(a), columns_of(b)):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ERROR_VARS = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+NONZERO = FINITE.filter(lambda z: z != 0.0)
+BOUNDS = st.tuples(FINITE, FINITE).map(sorted).filter(
+    lambda b: b[0] < b[1] and np.isfinite(b[1] - b[0]) and np.isfinite(b[1] + b[0]))
+
+
+@st.composite
+def mixed_1d_rows(draw):
+    """Rows (kind, site, value, error_var, direction, bounds) of a 1-D set
+    with every kind, signed directions and some error variances."""
+    kind = draw(st.sampled_from([POINT, DERIV, AVG]))
+    return (kind, draw(FINITE), draw(FINITE), draw(ERROR_VARS),
+            draw(NONZERO) if kind == DERIV else 0.0,
+            draw(BOUNDS) if kind == AVG else (math.nan, math.nan))
+
+
+def sets_of_rows(rows, dim):
+    """The set of ``rows`` built from Observation objects and from arrays."""
+    objects = ObservationSet([
+        Observation(kind, bounds if kind == AVG else site, value, error_var,
+                    [z] if kind == DERIV else None)
+        for kind, site, value, error_var, z, bounds in rows], dim=dim)
+    kinds, sites, values, error_vars, z, bounds = zip(*rows) if rows else ([],) * 6
+    arrays = ObservationSet.from_arrays(
+        [KIND_CODES[k] for k in kinds], np.reshape(sites, (len(rows), dim)), values,
+        error_vars, np.reshape(z, (len(rows), 1)) if dim == 1 else None,
+        np.reshape(bounds, (len(rows), 2)), dim)
+    return objects, arrays
+
+
+def csv_round_trip(obs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.csv")
+        write_observations_csv(path, obs)
+        return read_observations_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_1d_rows(), max_size=12))
+def test_mixed_1d_columns_round_trip(rows):
+    objects, arrays = sets_of_rows(rows, 1)
+    assert_same_columns(arrays, objects)
+    assert_same_columns(csv_round_trip(arrays), arrays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.tuples(FINITE, FINITE), FINITE, ERROR_VARS), max_size=12))
+def test_2d_point_columns_round_trip(points):
+    rows = [(POINT, site, value, ev, 0.0, (math.nan, math.nan)) for site, value, ev in points]
+    objects, arrays = sets_of_rows(rows, 2)
+    assert_same_columns(arrays, objects)
+    assert_same_columns(csv_round_trip(arrays), arrays)
+
+
+def test_iterating_builds_observations_from_columns():
+    obs = ObservationSet([pt(0.5, 1.25, 0.1), dv(-2.0, 0.3, z=-4.0), av(1.0, 2.5, 4.0)])
+    a, b, c = obs
+    assert (a.kind, a.location.tolist(), a.value, a.error_var) == (POINT, [0.5], 1.25, 0.1)
+    assert (b.kind, b.direction.tolist()) == (DERIV, [-1.0])
+    assert (c.kind, c.location.tolist(), c.mean_image) == (AVG, [1.0, 2.5], 1.5)
+    assert obs[-1].kind == AVG
+    with pytest.raises(IndexError):
+        obs[3]
+
+
+def test_from_arrays_names_the_first_bad_row():
+    with pytest.raises(ValueError, match="observation 2: error_var"):
+        ObservationSet.from_arrays([0, 0, 0, 0], np.zeros((4, 1)), np.ones(4),
+                                   [0.0, 0.0, -1.0, np.nan])
+    with pytest.raises(ValueError, match="observation 1: unknown observation kind"):
+        ObservationSet.from_arrays([0, 7], np.zeros((2, 1)), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="values of shape"):
+        ObservationSet.from_arrays([0, 0], np.zeros((2, 1)), np.ones(3), np.zeros(2))
+
+
+def test_with_values_keeps_the_geometry():
+    obs = ObservationSet([pt(0.5, 1.0), dv(-2.0, 0.3, z=-1.0), av(1.0, 2.5, 4.0)])
+    moved = obs.with_values([7.0, 8.0, 9.0])
+    assert moved.values().tolist() == [7.0, 8.0, 9.0]
+    for got, want in zip(columns_of(moved), columns_of(obs)):
+        if got is not moved.values():
+            assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+    with pytest.raises(ValueError):
+        obs.with_values([1.0, np.nan, 2.0])

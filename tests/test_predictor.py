@@ -10,11 +10,12 @@ from scipy.spatial.distance import cdist
 
 import kernelfield
 
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, GridSpec, Observation,
-                         ObservationSet, assemble, fit_global, kriging_predict,
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
+                         Observation, ObservationSet, assemble, fit_global, kriging_predict,
                          predict, predict_average, predict_derivative,
                          predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
+from kernelfield.inference import profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
 from conftest import random_instance, well_separated_points
@@ -298,3 +299,30 @@ class TestFitValidation:
     def test_bad_mu(self):
         with pytest.raises(ValueError):
             fit_global(ObservationSet([], dim=1), M52, float("nan"), 1.0)
+
+
+class TestEstimatedLevels:
+    @pytest.mark.parametrize("seed", range(0, 12, 2))
+    def test_equal_to_the_levels_of_profile_levels_bitwise(self, seed):
+        obs, model, _, _ = random_instance(seed)
+        exact = ObservationSet.from_arrays(obs.kinds, obs.rep_points(), obs.values(),
+                                           np.zeros(obs.m), obs.directions, obs.bounds, obs.dim)
+        mu, sigma2, _ = profile_levels(exact, model)
+        want = fit_global(exact, model, mu, sigma2)
+        for levels in ((None, None), (mu, None)):
+            got = fit_global(exact, model, *levels)
+            assert (got.mu, got.sigma2) == (mu, sigma2)
+            assert got.weights.tobytes() == want.weights.tobytes()
+        got = fit_global(obs, model, None, sigma2)
+        assert got.mu == profile_levels(obs, model, None, sigma2)[0]
+
+    def test_refusals(self):
+        noisy = ObservationSet([Observation(POINT, [0.0], 1.0, error_var=0.5),
+                                Observation(POINT, [1.0], 2.0)])
+        with pytest.raises(EstimationError, match="observation errors"):
+            fit_global(noisy, M52, 0.0)
+        with pytest.raises(EstimationError, match="empty observation set"):
+            fit_global(ObservationSet([], dim=1), M52, None, 1.0)
+        flat = ObservationSet([Observation(POINT, [float(i)], 0.0) for i in range(4)])
+        with pytest.raises(EstimationError, match="estimated sigma2 is not positive"):
+            fit_global(flat, M52)
