@@ -234,8 +234,8 @@ def _write_raster_csv(path, table: np.ndarray, dim: int, localized_mode: bool):
         cols.append("adjusted_variance")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # -- fit -----------------------------------------------------------------

@@ -12,7 +12,6 @@ is then a function of the range alone (Mardia & Marshall 1984, Biometrika
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -82,7 +81,11 @@ def estimate_mu(s_inv_action, values, mean_image=None) -> float:
 
 
 def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
-    """Quadratic-form variance estimator with divisor m."""
+    """Quadratic-form variance estimator with divisor m.
+
+    Raises :class:`EstimationError` when the estimate is negative, which an
+    indefinite inverse action (a sparse approximate inverse) can give.
+    """
     act = _as_action(s_inv_action)
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
@@ -92,8 +95,7 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
     resid = values - mu * a
     s2 = float(resid @ act(resid)) / m
     if s2 < 0.0:
-        warnings.warn("negative variance estimate clamped to 0 (indefinite inverse action)")
-        return 0.0
+        raise EstimationError(f"negative variance estimate {s2!r} (indefinite inverse action)")
     return s2
 
 

@@ -5,7 +5,10 @@ which finds neighborhoods with ``scipy.spatial.cKDTree``).
 A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
 band (a finite-range correlation) is factored in LAPACK band storage; a full
 or wide-banded one is factored densely in natural order.  Localized
-sub-problems are inverted densely on purpose.
+sub-problems are inverted densely on purpose, one LAPACK ``dposv`` call (a
+Cholesky factorization, its positive-definiteness check and the solve) per
+matrix of a stack.  That call holds the interpreter lock, so threads do not
+run the inversions of a stack in parallel.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationError
@@ -238,31 +241,32 @@ def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
 def dense_spd_inverse(a: np.ndarray, center_index=None, row=None) -> np.ndarray:
     """Inverse of a dense SPD matrix (n, n), or of each matrix of a (k, n, n) stack.
 
-    Positive definiteness is checked by one (stacked) Cholesky factorization.
-    ``center_index`` labels the FactorizationError raised when a matrix is not
-    positive definite: one label for a matrix, one per matrix of a stack (the
-    localized neighborhood inversions pass their center rows).  Unlabelled,
-    the error names the failing pivot of the first failing matrix.
+    Each matrix is factored and solved by one LAPACK ``dposv`` call, which
+    reads its lower triangle only and fails where the matrix is not positive
+    definite.  ``center_index`` labels the FactorizationError raised then: one
+    label for a matrix, one per matrix of a stack (the localized neighborhood
+    inversions pass their center rows).  Unlabelled, the error names the
+    failing pivot of the first failing matrix.
 
     ``row`` (one position per matrix) asks for that row of each inverse only,
     solved for against a unit vector: an (n,) row, or (k, n) for a stack.
+    Without it each matrix is solved against the identity.
     """
     a = np.asarray(a, dtype=float)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        for j, member in enumerate(a.reshape((-1,) + a.shape[-2:])):
-            info = dpotrf(member, lower=1, clean=0)[1]
-            if info > 0:
-                label = info - 1 if center_index is None else np.ravel(center_index)[j]
-                raise FactorizationError(int(label)) from None
-        # numpy and scipy may link different LAPACKs: if dpotrf factors every
-        # member, no member or pivot is named.
-        raise FactorizationError(None, "matrix not positive definite") from None
-    if row is None:
-        return np.linalg.inv(a)
-    unit = np.eye(a.shape[-1])[np.asarray(row)]
-    return np.linalg.solve(a, unit[..., None])[..., 0]
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    labels = None if center_index is None else np.ravel(center_index)
+    eye = np.eye(n)
+    rhs = itertools.repeat(eye) if row is None else eye[np.ravel(row)]
+    out = np.empty(stack.shape if row is None else stack.shape[:2])
+    for j, (member, b) in enumerate(zip(stack, rhs)):
+        # member.T is Fortran-ordered, so LAPACK takes it uncopied; its upper
+        # triangle holds the lower one of member.
+        x, info = dposv(member.T, b, lower=0)[1:]
+        if info > 0:
+            raise FactorizationError(int(info - 1 if labels is None else labels[j]))
+        out[j] = x
+    return out.reshape(a.shape if row is None else a.shape[:-1])
 
 
 class SpatialIndex:

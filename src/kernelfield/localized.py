@@ -6,9 +6,11 @@ the sub-matrix over all observations within the localization range
 ``delta = k * taper_range`` is inverted densely and the center row of that
 sub-inverse is copied into a support matrix, which is then symmetrized as
 ``(Psi + Psi') / 2``.  All neighborhoods come from one k-d tree pair query;
-rows whose neighborhoods have the same size are inverted together as one
-stack, and the stacks depend only on the sizes, so a thread pool over them
-gives bit-identical output for any worker count.
+rows whose neighborhoods have the same size are gathered and inverted
+together as one stack, and the stacks depend only on the sizes, so a thread
+pool over them gives bit-identical output for any worker count.  The
+inversions (LAPACK ``dposv``) hold the interpreter lock, so the workers
+overlap only the gathers of the sub-matrices.
 
 The resulting predictor keeps the correct spatial texture of the model (no
 neighborhood-switching discontinuities) but no longer reproduces exact
@@ -28,12 +30,17 @@ from scipy.spatial import cKDTree
 
 from .corrfn import CorrelationModel
 from .errors import ConfigError, EstimationError
-from .inference import estimate_mu
+from .inference import estimate_mu, estimate_sigma2
 from .linalg import SparseSymmetric, dense_spd_inverse
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 from .predictor import _CLAMP_REL_TOL
 
-_DENSE_GATHER_CUTOFF = 4000
+# Largest order whose sub-matrices are gathered from a dense copy of the
+# matrix (8 m^2 bytes) rather than from its CSR form.  At the benchmark's
+# site density the dense gather (copy included) was 2.2x faster at m=1000
+# and 1.2x at m=2000, but slower from m=2500 on (1.2x at m=4000, where the
+# copy alone takes 128 MB).
+_DENSE_GATHER_CUTOFF = 2000
 _STACK_ENTRIES = 1 << 20  # most matrix entries in one stack of sub-matrices
 
 
@@ -49,9 +56,12 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
 
     Rows with neighborhoods of one size are inverted together, as (k, n, n)
     stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
-    only the center row of the inverse is solved for.  ``workers`` > 1 (or
-    None for all cores) maps a thread pool over the stacks, which depend only
-    on the sizes, so the output is bit-identical for any worker count.
+    only the center row of the inverse is solved for.  A stack is gathered
+    from a dense copy of ``S`` up to order ``_DENSE_GATHER_CUTOFF`` and from
+    its CSR form above.  ``workers`` > 1 (or None for all cores) maps a
+    thread pool over the stacks, which depend only on the sizes, so the
+    output is bit-identical for any worker count; only the gathers run in
+    parallel, as the inversions hold the interpreter lock.
     """
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError("delta must be positive and finite")
@@ -85,9 +95,11 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
         n = int(sizes[rows[0]])
         slots = indptr[rows][:, None] + np.arange(n)
         idx = indices[slots]
-        r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-        sub = dense[r, c] if dense is not None \
-            else np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
+        if dense is not None:
+            sub = np.take(dense, idx[:, :, None] * m + idx[:, None, :])
+        else:
+            r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+            sub = np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
         center = np.count_nonzero(idx < rows[:, None], axis=1)
         return slots, dense_spd_inverse(sub, center_index=rows, row=center)
 
@@ -149,8 +161,7 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
         raise ValueError("k must be a positive integer")
     delta = float(k) * model.taper_range
 
-    m = obs_set.m
-    if m == 0:
+    if obs_set.m == 0:
         if mu is None or sigma2 is None:
             raise EstimationError("empty observation set: mu and sigma2 must be supplied")
         empty = SparseSymmetric.from_entries(0, [], [], [])
@@ -168,17 +179,14 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
 
     a, d = obs_set.mean_image(), obs_set.values()
     mu_star = estimate_mu(psi, d, a) if mu is None else float(mu)
-    resid = d - mu_star * a
     if sigma2 is None:
-        s2 = float(resid @ psi.matvec(resid)) / m
-        if s2 < 0.0:
-            raise EstimationError("negative localized variance estimate (indefinite inverse)")
+        s2 = estimate_sigma2(psi, d, mu_star, a)
         if s2 == 0.0:
             warnings.warn("zero localized variance estimate: residuals vanish")
     else:
         s2 = float(sigma2)
 
-    fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(resid), k, delta)
+    fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(d - mu_star * a), k, delta)
     _site_diagnostics(fit, count_negative_variance)
     return fit
 

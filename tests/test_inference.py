@@ -76,6 +76,11 @@ class TestEstimateSigma2:
         values = np.full(4, 2.5)
         assert estimate_sigma2(np.eye(4), values, 2.5) == 0.0
 
+    def test_negative_estimate_is_refused(self):
+        # An indefinite action, as a sparse approximate inverse can be.
+        with pytest.raises(EstimationError, match="negative variance estimate"):
+            estimate_sigma2(-np.eye(3), np.array([1.0, 2.0, 6.0]), 0.0)
+
     @given(st.integers(min_value=0, max_value=10**6),
            st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=40, deadline=None)

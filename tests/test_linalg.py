@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          SpatialIndex, assemble, cholesky, kernel_vector)
-from kernelfield import linalg
 from kernelfield.cli import synthetic_observations
 from kernelfield.linalg import dense_spd_inverse, neighbors
 
@@ -266,13 +265,6 @@ class TestDenseInverse:
             dense_spd_inverse(stack)
         assert exc.value.pivot_index == 1
 
-    def test_failure_that_dpotrf_misses_names_no_member(self, monkeypatch):
-        # As when numpy and scipy link different LAPACKs.
-        monkeypatch.setattr(linalg, "dpotrf", lambda a, **kw: (a, 0))
-        with pytest.raises(FactorizationError) as exc:
-            dense_spd_inverse(np.stack([np.eye(2), np.diag([1.0, -1.0])]), center_index=[3, 4])
-        assert exc.value.pivot_index is None
-
     def test_stack_failure_labels_failing_member(self):
         rng = np.random.default_rng(8)
         stack = np.stack([random_spd(rng, 3) for _ in range(3)])
@@ -280,6 +272,27 @@ class TestDenseInverse:
         with pytest.raises(FactorizationError) as exc:
             dense_spd_inverse(stack, center_index=[5, 9, 12])
         assert exc.value.pivot_index == 9
+
+    def test_row_mode_failure_labels_failing_member(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_spd(rng, 3) for _ in range(3)])
+        stack[2] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(FactorizationError) as exc:
+            dense_spd_inverse(stack, center_index=[5, 9, 12], row=[0, 2, 1])
+        assert exc.value.pivot_index == 12
+
+    # The localized fit inverts stacks of many orders; a few members each,
+    # in row and full mode, against numpy's LU inverse.
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_stacks_of_mixed_orders_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_spd(rng, n) for _ in range(4)])
+        want = np.linalg.inv(stack)
+        scale = np.abs(want).max()
+        row = rng.integers(0, n, 4)
+        got_rows = dense_spd_inverse(stack, center_index=np.arange(4), row=row)
+        assert np.abs(got_rows - want[np.arange(4), row]).max() <= 1e-12 * scale
+        assert np.abs(dense_spd_inverse(stack) - want).max() <= 1e-12 * scale
 
 
 def brute_force_neighbors(points, center, radius):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelfield import (POINT, ConfigError, CorrelationModel, EstimationError,
                          FactorizationError, GridSpec, Observation, ObservationSet,
@@ -109,6 +111,29 @@ class TestApproximateInverse:
         monkeypatch.setattr(localized, name, value)
         other = approximate_inverse(mat, obs.rep_points(), delta=2.0).to_dense()
         assert np.array_equal(base, other)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=60),
+           st.sampled_from([1, 2]), st.sampled_from(["matern52", "gauss2"]),
+           st.floats(min_value=0.3, max_value=2.5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_row_numpy_inverses(self, seed, m, q, kind, delta):
+        obs = synthetic_observations(m, [(0.0, 4.0)] * q, seed=seed)
+        mat = assemble(obs, CorrelationModel(kind, 0.6, 1.0), 1.0)
+        pts = obs.rep_points()
+        got = approximate_inverse(mat, pts, delta).to_dense()
+
+        dense = mat.to_dense()
+        psi = np.zeros((m, m))
+        cond = 1.0
+        for i in range(m):
+            idx = np.flatnonzero(((pts - pts[i]) ** 2).sum(axis=1) < delta * delta)
+            sub = dense[np.ix_(idx, idx)]
+            psi[i, idx] = np.linalg.inv(sub)[np.searchsorted(idx, i)]
+            cond = max(cond, np.linalg.cond(sub))
+        want = 0.5 * (psi + psi.T)
+        # Both sides are backward stable: their difference is a few rounding
+        # units of the worst neighbourhood's condition number.
+        assert np.abs(got - want).max() <= 1e-14 * cond * np.abs(want).max()
 
     def test_invalid_delta(self):
         obs = line_points(3, 0.5)
