@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,18 +174,27 @@ def load_predictor(path):
     model, mu, sigma2 = corrfn.parse_model_config(doc["model"])
     if mu == "estimate" or sigma2 == "estimate":
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
+    mode, loc = doc.get("mode"), doc.get("localized")
+    if mode not in ("global", "localized"):
+        raise ConfigError(f"{path}: mode must be global or localized, got {mode!r}")
+    if mode == "localized" and not isinstance(loc, dict):
+        raise ConfigError(f"{path}: a localized predictor needs its 'localized' block")
     obs = _observations_from_columns(path, doc)
     weights = np.array(doc["weights"], dtype=float)
     if weights.shape != (obs.m,):
         raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
-    if doc["mode"] == "global":
+    if mode == "global":
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
         matrix = assemble(obs, model, sigma2)
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
         return KernelPredictor(model, obs, mu, sigma2, weights, cholesky(matrix), matrix)
-    loc = doc["localized"]
+    deviation_var = loc.get("deviation_var")  # not a bool, NaN, inf or a huge int
+    if (type(deviation_var) not in (int, float)
+            or not 0.0 <= deviation_var <= sys.float_info.max):
+        raise ConfigError(f"{path}: localized.deviation_var must be a finite real >= 0, "
+                          f"got {deviation_var!r}")
     psi_doc = loc["psi_lower"]
     if psi_doc["order"] != obs.m:
         raise ConfigError(f"{path}: approximate inverse of order {psi_doc['order']} "
@@ -196,7 +206,7 @@ def load_predictor(path):
                        "the weights are not the approximate inverse applied to the "
                        "residuals of the saved observations")
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, loc["k"], loc["delta"])
-    fit.deviation_var = loc["deviation_var"]
+    fit.deviation_var = float(deviation_var)
     return fit
 
 
@@ -442,6 +452,7 @@ def cmd_synth(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing leaves a parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernelfield",

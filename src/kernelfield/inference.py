@@ -8,6 +8,11 @@ unit-variance Cholesky factor into those estimates and the negative
 log-likelihood at them.  The likelihood maximized over the mean and variance
 is then a function of the range alone (Mardia & Marshall 1984, Biometrika
 71), so the joint estimate is one bounded scalar search over the range.
+
+The search analyses once and factors many times (as CHOLMOD does; Chen et
+al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
+found once per taper range, so one evaluation is the correlation values on
+those pairs, one scatter into LAPACK storage, one factorization and two solves.
 """
 
 import functools
@@ -21,7 +26,7 @@ from scipy.optimize import minimize_scalar
 from .corrfn import CorrelationModel
 from .errors import EstimationError, FactorizationError
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
-from .obsmodel import ObservationSet, assemble
+from .obsmodel import ObservationSet, PairStructure, assemble
 
 # Bounded Brent (minimize_scalar) first evaluates lo + _FIRST_PROBE * (hi - lo).
 _FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
@@ -99,6 +104,21 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
     return s2
 
 
+def _levels(factor: CholeskyFactor, obs_set: ObservationSet, mu: Optional[float],
+            sigma2: Optional[float]) -> Tuple[float, float, Optional[float]]:
+    """:func:`profile_levels` through the factor of the set's matrix, made
+    with ``sigma2_r`` = ``sigma2``, or 1 for an estimated variance."""
+    values, a, m = obs_set.values(), obs_set.mean_image(), obs_set.m
+    if mu is None:
+        mu = estimate_mu(factor, values, a)
+    s2_hat = estimate_sigma2(factor, values, mu, a)
+    sigma2 = s2_hat if sigma2 is None else sigma2
+    if sigma2 <= 0.0:
+        return mu, sigma2, None
+    return mu, sigma2, 0.5 * (m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
+                              + m * s2_hat / sigma2)
+
+
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    mu: Optional[float] = None, sigma2: Optional[float] = None
                    ) -> Tuple[float, float, Optional[float]]:
@@ -112,24 +132,21 @@ def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
         raise EstimationError("variance estimation with observation errors is not supported")
     factor = cholesky(assemble(obs_set, model, 1.0 if sigma2 is None else sigma2))
-    values, a, m = obs_set.values(), obs_set.mean_image(), obs_set.m
-    if mu is None:
-        mu = estimate_mu(factor, values, a)
-    s2_hat = estimate_sigma2(factor, values, mu, a)
-    sigma2 = s2_hat if sigma2 is None else sigma2
-    if sigma2 <= 0.0:
-        return mu, sigma2, None
-    return mu, sigma2, 0.5 * (m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
-                              + m * s2_hat / sigma2)
+    return _levels(factor, obs_set, mu, sigma2)
 
 
 def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float],
-               sigma2: Optional[float]) -> Tuple[float, Optional[Tuple[float, float]]]:
-    """NLL and levels of :func:`profile_levels`; ``inf`` where the matrix does not factor."""
+               sigma2: Optional[float], structure: Optional[PairStructure] = None
+               ) -> Tuple[float, Optional[Tuple[float, float]]]:
+    """NLL and levels of :func:`profile_levels` on the set's ``structure``
+    under the model's taper range (built if not given); ``inf`` where the
+    matrix does not factor."""
+    structure = structure or PairStructure(obs_set, model.taper_range)
     try:
-        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2)
+        factor = cholesky(structure.matrix(model, 1.0 if sigma2 is None else sigma2))
     except FactorizationError:
         return math.inf, None
+    mu, sigma2, nll = _levels(factor, obs_set, mu, sigma2)
     if nll is None:
         raise EstimationError("zero variance estimate; residuals vanish")
     return nll, (mu, sigma2)
@@ -144,7 +161,8 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
 
     One bounded Brent search (``minimize_scalar``) to the absolute tolerance
     ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
-    factorization each.  A range that does not factor scores ``inf``.  Brent
+    factorization each, on one pair structure while the taper range stays.
+    A range that does not factor scores ``inf``.  Brent
     cannot leave an infinite first probe, so while that probe fails the top
     of the bracket moves down to it (smaller ranges are better conditioned);
     :class:`EstimationError` is raised if no probe factors.
@@ -155,9 +173,13 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
 
+    # The set's pair structure under the last taper range asked for.
+    structure = functools.lru_cache(maxsize=1)(functools.partial(PairStructure, obs_set))
+
     @functools.cache  # Brent's first evaluation is the last probe below
     def objective(eta):
-        return _objective(obs_set, model_family(eta), mu, sigma2)[0]
+        model = model_family(eta)
+        return _objective(obs_set, model, mu, sigma2, structure(model.taper_range))[0]
 
     for failed in range(max_iter):
         probe = lo + _FIRST_PROBE * (hi - lo)

@@ -11,9 +11,10 @@ matrix of a stack.  That call holds the interpreter lock, so threads do not
 run the inversions of a stack in parallel.
 """
 
+import functools
 import itertools
 import math
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +36,28 @@ class SparseSymmetric:
         lower = sp.csr_matrix(lower)
         lower.eliminate_zeros()
         lower.sum_duplicates()
-        self._lower = lower
-        self._full: Optional[sp.csr_matrix] = None
+        self._lower = self._pattern = lower
+        self._values, self._full = lower.data, None
+        self._layout = None  # cholesky's layout of the pattern, handed on to with_values copies
+
+    @functools.cached_property
+    def _lower(self) -> sp.csr_matrix:  # of a with_values copy, made on first use
+        p = self._pattern
+        return sp.csr_matrix((self._values, p.indices, p.indptr), p.shape)
+
+    def with_values(self, values: np.ndarray) -> "SparseSymmetric":
+        """This stored pattern holding the lower-triangle ``values`` (CSR order).
+
+        Where none is zero, the copy shares the pattern and the factor layout
+        made so far, so that :func:`cholesky` lays a pattern out once, and no
+        CSR matrix is built.  Zeros are dropped, as by the constructor.
+        """
+        p = self._pattern
+        if not values.all():  # copied, so that dropping zeros leaves the pattern whole
+            return SparseSymmetric(sp.csr_matrix((values, p.indices, p.indptr), p.shape, copy=True))
+        out = SparseSymmetric.__new__(SparseSymmetric)
+        out.__dict__.update(_pattern=p, _values=values, _full=None, _layout=self._layout)
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -62,11 +83,11 @@ class SparseSymmetric:
 
     @property
     def order(self) -> int:
-        return self._lower.shape[0]
+        return self._pattern.shape[0]
 
     @property
     def nnz_lower(self) -> int:
-        return self._lower.nnz
+        return self._pattern.nnz
 
     def full(self) -> sp.csr_matrix:
         """Full symmetric CSR view (cached)."""
@@ -192,6 +213,25 @@ def _check_factor_info(info: int, perm: np.ndarray, routine: str):
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
+def _factor_layout(a: SparseSymmetric):
+    """Where :func:`cholesky` puts the stored entries of ``a``: the factor's
+    permutation, the storage shape, and each entry's flat position in that
+    storage in Fortran order, in which LAPACK takes it without a copy."""
+    m, lower = a.order, a._pattern
+    rows = np.repeat(np.arange(m), np.diff(lower.indptr))
+    off_diagonal = np.diff(lower.indptr) + np.bincount(lower.indices, minlength=m) - 2
+    if m and off_diagonal.max() + 2 <= m:
+        perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True), dtype=np.int64)
+        inv_perm = np.empty_like(perm)
+        inv_perm[perm] = np.arange(m)
+        r, c = inv_perm[rows], inv_perm[lower.indices]
+        sub = np.abs(r - c)
+        bw = int(sub.max())
+        if 2 * (bw + 1) <= m:
+            return perm, (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
+    return np.arange(m, dtype=np.int64), (m, m), lower.indices * m + rows
+
+
 def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
     """Cholesky factorization, in band storage where a sparse matrix allows it.
 
@@ -202,39 +242,31 @@ def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
     matrix, a full one in particular, is factored densely in natural order
     (``dpotrf``); RCM is skipped where a row's entry count already rules the
     band out: a row with d off-diagonal entries needs a bandwidth of at
-    least d / 2 in every order, so the band needs ``d + 2 <= m``.  Dense ``ndarray`` inputs are factored
-    densely in natural order.
+    least d / 2 in every order, so the band needs ``d + 2 <= m``.  That
+    layout is made once per stored pattern (:meth:`SparseSymmetric.with_values`);
+    a call then scatters the values and factors them.  Dense ``ndarray``
+    inputs are factored densely in natural order.
 
     Raises :class:`FactorizationError` naming the failing pivot (original
     indexing) when the matrix is not positive definite.
     """
-    if not isinstance(a, SparseSymmetric):
-        dense = np.asarray(a, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("matrix must be square")
-        dense = 0.5 * (dense + dense.T)
+    if isinstance(a, SparseSymmetric):
+        if a._layout is None:
+            a._layout = _factor_layout(a)
+        perm, shape, at = a._layout
+        transposed = np.zeros(shape[::-1])
+        transposed.reshape(-1)[at] = a._values
+        target = transposed.T
     else:
-        m, lower = a.order, a._lower
-        off_diagonal = np.diff(lower.indptr) + np.bincount(lower.indices, minlength=m) - 2
-        if m and off_diagonal.max() + 2 <= m:
-            perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True),
-                              dtype=np.int64)
-            inv_perm = np.empty_like(perm)
-            inv_perm[perm] = np.arange(m)
-            coo = lower.tocoo()
-            r, c = inv_perm[coo.row], inv_perm[coo.col]
-            sub, col = np.abs(r - c), np.minimum(r, c)
-            bw = int(sub.max())
-            if 2 * (bw + 1) <= m:
-                band = np.zeros((bw + 1, m))
-                band[sub, col] = coo.data
-                factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-                _check_factor_info(info, perm, "dpbtrf")
-                return CholeskyFactor(factor, perm)
-        dense = lower.toarray()
-    perm = np.arange(dense.shape[0], dtype=np.int64)
-    factor, info = dpotrf(dense, lower=1, clean=1, overwrite_a=1)
-    _check_factor_info(info, perm, "dpotrf")
+        target = np.asarray(a, dtype=float)
+        if target.ndim != 2 or target.shape[0] != target.shape[1]:
+            raise ValueError("matrix must be square")
+        target = 0.5 * (target + target.T)
+        perm = np.arange(target.shape[0], dtype=np.int64)
+    band = target.shape[0] < target.shape[1]
+    factor, info = (dpbtrf(target, lower=1, overwrite_ab=1) if band
+                    else dpotrf(target, lower=1, clean=1, overwrite_a=1))
+    _check_factor_info(info, perm, "dpbtrf" if band else "dpotrf")
     return CholeskyFactor(factor, perm)
 
 

@@ -579,42 +579,68 @@ def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.
         )
 
 
-def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
-    """Assemble the symmetric m-by-m observation inter-correlation matrix.
-
-    Off-diagonal pairs are enumerated as whole arrays: all pairs without a
-    taper, and pairs of rep points within ``taper_range + 2 * max radius``
-    (a query of the set's k-d tree) under a finite-range model, of which
-    pairs whose supports are separated by at least the taper range are
-    provably zero and never stored.  The entries of each kind pair are one array evaluation.
+class PairStructure:
+    """What of a set's inter-correlation matrix only the taper range changes:
+    the stored pairs (i >= j) in CSR order, the kind pairs with their operator
+    arrays and the point-point distances.  Building it rejects duplicate exact
+    points.  Without a taper every pair is stored; under one, the pairs of rep
+    points within ``taper_range + 2 * max radius`` (a k-d tree query) whose
+    supports are closer than the taper range; the others are provably zero.
     """
-    m = obs_set.m
-    if m < 1:
-        raise ValueError("assemble requires at least one observation")
-    if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
-        raise ValueError("sigma2_r must be a positive finite real")
 
-    tau0 = model.taper_range
-    if tau0 is None:  # every pair i >= j, in CSR order: row i ends on its diagonal
-        i, j = np.tril_indices(m)
-    else:  # off-diagonal pairs (i, j) with i > j, then the diagonal
-        reach = tau0 + 2.0 * float(obs_set.support_radii().max())
-        j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
-        near = _support_separations(obs_set, i, j) < tau0
-        i, j = np.append(i[near], np.arange(m)), np.append(j[near], np.arange(m))
-    _check_duplicate_exact_points(obs_set, i, j)
-    diagonal = np.flatnonzero(i == j)
-    kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
-    vals = np.empty(i.size)
-    for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
-        sel = np.flatnonzero(kind_pairs == code)
-        ka, kb = divmod(code, len(KINDS))
-        vals[sel] = _entries(model, ka, _operators(obs_set, ka, i[sel]),
-                             kb, _operators(obs_set, kb, j[sel]))
-    vals[diagonal] += obs_set.error_vars() / sigma2_r
-    if tau0 is None:
-        return SparseSymmetric(sp.csr_matrix((vals, j, np.append(0, diagonal + 1)), shape=(m, m)))
-    return SparseSymmetric.from_entries(m, i, j, vals)
+    def __init__(self, obs_set: ObservationSet, taper_range: Optional[float]):
+        m = obs_set.m
+        if m < 1:
+            raise ValueError("assemble requires at least one observation")
+        if taper_range is None:
+            i, j = np.tril_indices(m)
+        else:
+            reach = taper_range + 2.0 * float(obs_set.support_radii().max())
+            j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
+            near = _support_separations(obs_set, i, j) < taper_range
+            i, j = np.append(i[near], np.arange(m)), np.append(j[near], np.arange(m))
+            csr = np.lexsort((j, i))
+            i, j = i[csr], j[csr]
+        _check_duplicate_exact_points(obs_set, i, j)
+        self.obs_set, self.taper_range = obs_set, taper_range
+        self._diagonal, self._cols = np.flatnonzero(i == j), j
+        self._indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
+        self._whole = None  # the first matrix with no zero entry; later ones share its layout
+        kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
+        # (positions, distances) of point pairs, (positions, ka, a, kb, b) of other kinds
+        self._groups = []
+        for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
+            sel = np.flatnonzero(kind_pairs == code)
+            ka, kb = divmod(code, len(KINDS))
+            a, b = _operators(obs_set, ka, i[sel]), _operators(obs_set, kb, j[sel])
+            self._groups.append((sel, _distances(a.x, b.x)) if code == 0 else (sel, ka, a, kb, b))
+
+    def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
+        """The matrix under ``model``, with ``error_var / sigma2_r`` on the
+        diagonal: one array evaluation per kind pair, on the structure's
+        pattern and factor layout (:meth:`SparseSymmetric.with_values`)."""
+        if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
+            raise ValueError("sigma2_r must be a positive finite real")
+        if model.taper_range != self.taper_range:
+            raise ValueError(f"a model of taper range {model.taper_range} on a pair "
+                             f"structure of taper range {self.taper_range}")
+        vals = np.empty(self._cols.size)
+        for sel, *args in self._groups:
+            vals[sel] = model.eval(*args) if len(args) == 1 else _entries(model, *args)
+        vals[self._diagonal] += self.obs_set.error_vars() / sigma2_r
+        if self._whole is not None:
+            return self._whole.with_values(vals)
+        m = self.obs_set.m  # copied, so that dropping zeros leaves the structure whole
+        out = SparseSymmetric(sp.csr_matrix((vals, self._cols, self._indptr), (m, m), copy=True))
+        self._whole = out if out.nnz_lower == vals.size else None
+        return out
+
+
+def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
+    """Assemble the symmetric m-by-m observation inter-correlation matrix:
+    the set's :class:`PairStructure` under the model's taper range, then its
+    values.  Entries that underflow to zero are not stored."""
+    return PairStructure(obs_set, model.taper_range).matrix(model, sigma2_r)
 
 
 # -- observation CSV --------------------------------------------------------

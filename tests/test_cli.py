@@ -177,6 +177,15 @@ def test_range_search_reports_eta_within_bounds(tmp_path, inputs, capsys):
     assert np.isfinite(doc["nll"]) and doc["converged"] is True
 
 
+@pytest.mark.parametrize("model", [TAPERED_MODEL, UNTAPERED_MODEL], ids=["tapered", "untapered"])
+def test_duplicate_points_in_range_search_exit_2(tmp_path, capsys, model):
+    obs = write_points(tmp_path / "dup.csv", [(0.0, 1.0, 2.0), (1.0, 1.0, 0.5), (-0.0, 1.0, 3.0)])
+    assert infer(obs, write_json(tmp_path / "model.json", model), "--eta-bounds", "0.1,3") == 2
+    assert capsys.readouterr().err == (
+        "error: duplicate exact point observations at one location (indices 0 and 2) "
+        "make the inter-correlation matrix singular\n")
+
+
 def test_infer_on_noisy_observations_exit_3(tmp_path, capsys):
     obs = tmp_path / "noisy.csv"
     obs.write_text("x1,x2,kind,value,error_var,p1,p2\n0,0,point,1.0,0.5,,\n"
@@ -299,6 +308,54 @@ def test_version_1_predictor_file_exit_2(tmp_path, capsys):
               "weights": [0.5]}
     assert grid_exit_code(tmp_path, legacy) == 2
     assert "predictor file version 1 is not the supported version 2" in capsys.readouterr().err
+
+
+BAD_DEVIATION_VARS = {"text": "x", "null": None, "nan": float("nan"), "inf": float("inf"),
+                      "negative": -0.5, "list": [0.1], "bool": True, "huge int": 10 ** 400}
+
+
+@pytest.mark.parametrize("value", BAD_DEVIATION_VARS.values(), ids=list(BAD_DEVIATION_VARS))
+def test_bad_deviation_var_exit_2(tmp_path, inputs, capsys, value):
+    with open(fit(tmp_path, *inputs, mode="localized")) as fh:
+        doc = json.load(fh)
+    doc["localized"]["deviation_var"] = value
+    capsys.readouterr()
+    assert grid_exit_code(tmp_path, doc) == 2
+    assert "bad.json: localized.deviation_var must be a finite real >= 0" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, 0.25])
+def test_deviation_var_loads_as_a_float(tmp_path, inputs, value):
+    with open(fit(tmp_path, *inputs, mode="localized")) as fh:
+        doc = json.load(fh)
+    doc["localized"]["deviation_var"] = value
+    assert grid_exit_code(tmp_path, doc) == 0
+    loaded = load_predictor(str(tmp_path / "bad.json")).deviation_var
+    assert type(loaded) is float and loaded == value
+
+
+@pytest.mark.parametrize("mode", ["Global", "LOCALIZED", "", None, 1, "missing"])
+def test_unknown_predictor_mode_exit_2(tmp_path, inputs, capsys, mode):
+    with open(fit(tmp_path, *inputs)) as fh:
+        doc = json.load(fh)
+    if mode == "missing":
+        del doc["mode"]
+    else:
+        doc["mode"] = mode
+    capsys.readouterr()
+    assert grid_exit_code(tmp_path, doc) == 2
+    assert "bad.json: mode must be global or localized" in capsys.readouterr().err
+
+
+def test_localized_predictor_without_its_block_exit_2(tmp_path, inputs, capsys):
+    with open(fit(tmp_path, *inputs, mode="localized")) as fh:
+        doc = json.load(fh)
+    del doc["localized"]
+    capsys.readouterr()
+    assert grid_exit_code(tmp_path, doc) == 2
+    assert "bad.json: a localized predictor needs its 'localized' block" in \
+        capsys.readouterr().err
 
 
 def _set(*path, value):

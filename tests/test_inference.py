@@ -11,6 +11,8 @@ from kernelfield import (POINT, CorrelationModel, EstimationError, Factorization
                          fit_localized, inference)
 from kernelfield.cli import synthetic_observations
 from kernelfield.inference import _objective, negative_log_likelihood, profile_levels
+from kernelfield.linalg import CholeskyFactor, SparseSymmetric
+from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import well_separated_points
 
@@ -337,3 +339,91 @@ class TestProfileLevels:
         mu, s2, nll = profile_levels(obs, model, sigma2=2.0)
         assert s2 == 2.0
         assert nll == pytest.approx(negative_log_likelihood(obs, model, mu, 2.0), rel=1e-12)
+
+
+def factor_or_pivot(make):
+    try:
+        return cholesky(make())
+    except FactorizationError as exc:
+        return exc.pivot_index
+
+
+@st.composite
+def search_cases(draw):
+    """A set, a range family and the ranges of a search through one structure:
+    2D point sets, tapered or not, under Matern-5/2, and 1D sets of points,
+    derivatives and intervals under untapered gauss2 or Matern-5/2.  Small
+    gauss2 ranges underflow far entries to zero; large ones may not factor."""
+    case = draw(st.sampled_from(["2d-tapered", "2d-untapered", "1d-gauss2", "1d-matern"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 24))
+    etas = draw(st.lists(st.floats(0.02, 3.0), min_size=2, max_size=4))
+    if case.startswith("2d"):
+        pts = well_separated_points(rng, m, 2, 0.0, 6.0, 0.3)
+        obs = ObservationSet([Observation(POINT, p, float(rng.normal())) for p in pts])
+        taper = 1.5 if case == "2d-tapered" else None
+        return obs, lambda eta: CorrelationModel("matern52", eta, taper), etas
+    x = 0.5 * (np.arange(m) + rng.uniform(-0.2, 0.2, m))
+    kinds = rng.choice([POINT, POINT, POINT, DERIV, AVG], m)
+    kinds[0] = POINT  # the mean is estimable
+    obs = ObservationSet([
+        Observation(DERIV, [xi], float(rng.normal()), direction=[rng.choice([-1.0, 1.0])])
+        if kind == DERIV else Observation(AVG, [xi - 0.1, xi + 0.1], float(rng.normal()))
+        if kind == AVG else Observation(POINT, [xi], float(rng.normal()))
+        for xi, kind in zip(x, kinds)])
+    base = "gauss2" if case == "1d-gauss2" else "matern52"
+    return obs, lambda eta: CorrelationModel(base, eta), etas
+
+
+class TestPairStructureReuse:
+    @given(search_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_levels_through_one_structure_equal_fresh_assembly(self, case):
+        obs, family, etas = case
+        structure = PairStructure(obs, family(etas[0]).taper_range)
+        for eta in etas:
+            model = family(eta)
+            reused = factor_or_pivot(lambda: structure.matrix(model, 1.0))
+            # A matrix made by the constructor: no zero stored, a layout of its own.
+            fresh = factor_or_pivot(lambda: SparseSymmetric.from_entries(
+                obs.m, *assemble(obs, model, 1.0).lower_entries()))
+            if not isinstance(fresh, CholeskyFactor):
+                assert reused == fresh  # the same failing pivot
+                assert _objective(obs, model, None, None, structure) == (np.inf, None)
+                continue
+            assert np.array_equal(reused.lower, fresh.lower)
+            assert np.array_equal(reused.perm, fresh.perm)
+            nll, levels = _objective(obs, model, None, None, structure)
+            mu, sigma2, want = profile_levels(obs, model)
+            assert (nll, levels) == (want, (mu, sigma2))  # bit for bit
+
+    @pytest.mark.parametrize("family", ["taper-is-range", "stepped-taper"])
+    def test_taper_range_changing_with_eta(self, monkeypatch, family):
+        family = {"taper-is-range": taper_family,
+                  "stepped-taper": lambda eta: CorrelationModel(
+                      "matern52", 0.3 * eta, 1.0 if eta < 1.2 else 2.0)}[family]
+        obs = spaced_point_set(np.random.default_rng(23), 25, min_sep=0.35)
+        real_structure = inference.PairStructure
+        built, tapers = [], []
+
+        def recording_structure(obs_set, taper_range):
+            built.append(taper_range)
+            return real_structure(obs_set, taper_range)
+
+        class FreshEachTime:  # the search before structures were kept
+            taper_range = object()  # equal to no model's, so one is built per evaluation
+
+            def __init__(self, obs_set, taper_range):
+                self.matrix = real_structure(obs_set, taper_range).matrix
+
+        def recorded_family(eta):
+            tapers.append(family(eta).taper_range)
+            return family(eta)
+
+        monkeypatch.setattr(inference, "PairStructure", recording_structure)
+        result = estimate_joint(obs, recorded_family, (0.3, 2.5))
+        search = tapers[:-1]  # the last model gives the levels at the estimate
+        assert len(search) == result.iterations
+        assert built == [t for k, t in enumerate(search) if k == 0 or t != search[k - 1]]
+        monkeypatch.setattr(inference, "PairStructure", FreshEachTime)
+        assert estimate_joint(obs, family, (0.3, 2.5)) == result

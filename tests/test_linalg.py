@@ -195,6 +195,35 @@ class TestFactorStorage:
         untapered = assemble(obs, CorrelationModel("matern52", 0.5), 1.0)
         assert cholesky(untapered).storage == "dense"
 
+    @pytest.mark.parametrize("band", [True, False], ids=["band", "dense"])
+    def test_with_values_factors_as_a_fresh_matrix(self, band):
+        rng = np.random.default_rng(12)
+        a = shuffled(rng, banded_spd(rng, 40, 2)) if band else random_spd(rng, 12)
+        first = SparseSymmetric.from_dense(a)
+        assert cholesky(first).storage == ("band" if band else "dense")
+        rows, cols, vals = first.lower_entries()
+        for scale in (2.0, 0.5):
+            shifted = scale * vals + (rows == cols)  # same pattern, new values
+            copy = first.with_values(shifted)
+            fresh = SparseSymmetric.from_entries(first.order, rows, cols, shifted)
+            assert copy._layout is first._layout  # the pattern is laid out once
+            assert np.array_equal(copy.to_dense(), fresh.to_dense())
+            got, want = cholesky(copy), cholesky(fresh)
+            assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+
+    def test_with_values_drops_zeros_into_a_pattern_of_its_own(self):
+        a = banded_spd(np.random.default_rng(13), 30, 3)
+        first = SparseSymmetric.from_dense(a)
+        cholesky(first)
+        rows, cols, vals = first.lower_entries()
+        vals = np.where(np.abs(rows - cols) == 3, 0.0, vals)
+        copy = first.with_values(vals)
+        assert copy.nnz_lower == first.nnz_lower - np.count_nonzero(np.abs(rows - cols) == 3)
+        assert copy._layout is not first._layout
+        want = cholesky(SparseSymmetric.from_entries(30, rows, cols, vals))
+        got = cholesky(copy)
+        assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+
 
 class TestSolve:
     def test_identity(self):

@@ -17,7 +17,7 @@ from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation,
                          kernel_vector, read_observations_csv,
                          write_observations_csv)
 from kernelfield.cli import demo_observation_set
-from kernelfield.obsmodel import KIND_CODES, support_separation
+from kernelfield.obsmodel import KIND_CODES, PairStructure, support_separation
 
 M52 = CorrelationModel("matern52", 1.0)
 M52_WIDE = CorrelationModel("matern52", 3.0)
@@ -360,6 +360,15 @@ class TestAssemble:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             assemble(ObservationSet([], dim=1), M52, 1.0)
+
+    def test_structure_refuses_a_model_of_another_taper_range(self):
+        obs = ObservationSet([pt(0.0), pt(0.7), pt(3.0)])
+        structure = PairStructure(obs, TAPERED.taper_range)
+        assert np.array_equal(structure.matrix(TAPERED, 1.0).to_dense(),
+                              assemble(obs, TAPERED, 1.0).to_dense())
+        for model in (G2, CorrelationModel("gauss2", 0.5, 2.0)):
+            with pytest.raises(ValueError, match="pair structure of taper range 1.0"):
+                structure.matrix(model, 1.0)
 
     def test_matches_dense_brute_force_mixed_tapered(self):
         rng = np.random.default_rng(8)
