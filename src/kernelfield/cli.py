@@ -162,7 +162,8 @@ def load_predictor(path):
     weights and parameters are taken verbatim from the file, after a check
     that the weights solve that system to round-off.  Localized weights are
     checked to equal the saved approximate inverse applied to the residuals
-    of the observations, to round-off.
+    of the observations, to round-off; their ``k`` must be a positive integer
+    and their ``delta`` equal ``k * taper_range`` as the fit computes it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -195,6 +196,12 @@ def load_predictor(path):
             or not 0.0 <= deviation_var <= sys.float_info.max):
         raise ConfigError(f"{path}: localized.deviation_var must be a finite real >= 0, "
                           f"got {deviation_var!r}")
+    k, delta = loc.get("k"), loc.get("delta")  # k not a bool, a float or a huge int
+    if type(k) is not int or not 1 <= k <= sys.maxsize:
+        raise ConfigError(f"{path}: localized.k must be a positive integer, got {k!r}")
+    if (model.taper_range is None or type(delta) not in (int, float)
+            or delta != float(k) * model.taper_range):
+        raise ConfigError(f"{path}: localized.delta must be k * taper_range, got {delta!r}")
     psi_doc = loc["psi_lower"]
     if psi_doc["order"] != obs.m:
         raise ConfigError(f"{path}: approximate inverse of order {psi_doc['order']} "
@@ -205,7 +212,7 @@ def load_predictor(path):
         _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
                        "the weights are not the approximate inverse applied to the "
                        "residuals of the saved observations")
-    fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, loc["k"], loc["delta"])
+    fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, k, delta)
     fit.deviation_var = float(deviation_var)
     return fit
 

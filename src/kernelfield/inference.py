@@ -120,18 +120,23 @@ def _levels(factor: CholeskyFactor, obs_set: ObservationSet, mu: Optional[float]
 
 
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
-                   mu: Optional[float] = None, sigma2: Optional[float] = None
+                   mu: Optional[float] = None, sigma2: Optional[float] = None,
+                   structure: Optional[PairStructure] = None
                    ) -> Tuple[float, float, Optional[float]]:
     """Mean, variance and negative log-likelihood from one factorization.
 
     Levels left as ``None`` take their GLS estimates under ``model``; with
     both estimated the NLL is the profiled ``(m log(2 pi sigma2) + log det R
     + m) / 2``.  The NLL is ``None`` when the variance is not positive.
-    Raises :class:`FactorizationError` where the matrix does not factor.
+    The matrix comes from ``structure``, the set's :class:`PairStructure` at
+    the model's taper range, if given (to the same bits).  Raises
+    :class:`FactorizationError` where the matrix does not factor.
     """
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
         raise EstimationError("variance estimation with observation errors is not supported")
-    factor = cholesky(assemble(obs_set, model, 1.0 if sigma2 is None else sigma2))
+    sigma2_r = 1.0 if sigma2 is None else sigma2
+    factor = cholesky(assemble(obs_set, model, sigma2_r) if structure is None
+                      else structure.matrix(model, sigma2_r))
     return _levels(factor, obs_set, mu, sigma2)
 
 
@@ -155,7 +160,7 @@ def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
 def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
                  mu: Optional[float], sigma2: Optional[float],
                  search_bounds: Tuple[float, float], rel_tol: float = 1e-4,
-                 max_iter: int = 500) -> float:
+                 max_iter: int = 500, structures: Optional[dict] = None) -> float:
     """Range in ``search_bounds`` minimizing the NLL at the given levels, or
     at the GLS levels of each range for a level given as ``None``.
 
@@ -165,7 +170,8 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     A range that does not factor scores ``inf``.  Brent
     cannot leave an infinite first probe, so while that probe fails the top
     of the bracket moves down to it (smaller ranges are better conditioned);
-    :class:`EstimationError` is raised if no probe factors.
+    :class:`EstimationError` is raised if no probe factors.  The search's
+    structure is kept in the dict ``structures``, keyed by taper range.
     """
     if np.any(obs_set.error_vars() > 0.0):
         raise EstimationError("range estimation with observation errors is not supported")
@@ -173,8 +179,13 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
 
-    # The set's pair structure under the last taper range asked for.
-    structure = functools.lru_cache(maxsize=1)(functools.partial(PairStructure, obs_set))
+    structures = {} if structures is None else structures
+
+    def structure(taper_range):  # the set's pair structure under the last taper range asked for
+        if taper_range not in structures:
+            structures.clear()
+            structures[taper_range] = PairStructure(obs_set, taper_range)
+        return structures[taper_range]
 
     @functools.cache  # Brent's first evaluation is the last probe below
     def objective(eta):
@@ -207,10 +218,11 @@ def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], Corr
     """Joint maximum-likelihood mean, variance and range.
 
     The GLS levels maximize the likelihood at any fixed range, so this is
-    :func:`estimate_eta` with both levels profiled out.  ``iterations`` counts
-    its objective evaluations.  ``converged`` is false when all ``max_iter``
-    were spent, which is when Brent reports that it stopped short; that is
-    reported, never raised.
+    :func:`estimate_eta` with both levels profiled out, then the levels at
+    the estimate on the search's pair structure if it has the estimate's taper
+    range.  ``iterations`` counts the search's objective evaluations.
+    ``converged`` is false when all ``max_iter`` were spent, which is when
+    Brent reports that it stopped short; that is reported, never raised.
     """
     if obs_set.m < 2:
         raise EstimationError("joint estimation needs at least two observations")
@@ -220,6 +232,9 @@ def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], Corr
         evaluated.append(eta)
         return model_family(eta)
 
-    eta = estimate_eta(obs_set, counted_family, None, None, search_bounds, rel_tol, max_iter)
-    mu, sigma2, nll = profile_levels(obs_set, model_family(eta))
+    structures = {}
+    eta = estimate_eta(obs_set, counted_family, None, None, search_bounds, rel_tol, max_iter,
+                       structures)
+    model = model_family(eta)
+    mu, sigma2, nll = profile_levels(obs_set, model, structure=structures.get(model.taper_range))
     return MleResult(mu, sigma2, eta, nll, len(evaluated), len(evaluated) < max_iter)

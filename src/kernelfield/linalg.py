@@ -14,7 +14,7 @@ run the inversions of a stack in parallel.
 import functools
 import itertools
 import math
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,15 +29,16 @@ class SparseSymmetric:
     """Symmetric n-by-n matrix stored as the lower triangle in CSR form.
 
     The stored pattern is explicit-zero-free and closed under transpose by
-    construction.  Instances are immutable after construction.
+    construction.  Instances are immutable after construction.  A producer
+    that holds the full view, with no stored zero, may preset it as ``full``.
     """
 
-    def __init__(self, lower: sp.csr_matrix):
+    def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
         lower = sp.csr_matrix(lower)
         lower.eliminate_zeros()
         lower.sum_duplicates()
         self._lower = self._pattern = lower
-        self._values, self._full = lower.data, None
+        self._values, self._full = lower.data, full
         self._layout = None  # cholesky's layout of the pattern, handed on to with_values copies
 
     @functools.cached_property

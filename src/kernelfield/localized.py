@@ -10,7 +10,9 @@ rows whose neighborhoods have the same size are gathered and inverted
 together as one stack, and the stacks depend only on the sizes, so a thread
 pool over them gives bit-identical output for any worker count.  The
 inversions (LAPACK ``dposv``) hold the interpreter lock, so the workers
-overlap only the gathers of the sub-matrices.
+overlap only the gathers of the sub-matrices.  The fit makes one pass over
+the assembled matrix: the gather builds its full view, and the diagnostics
+at the point sites read their kernels off its rows.
 
 The resulting predictor keeps the correct spatial texture of the model (no
 neighborhood-switching discontinuities) but no longer reproduces exact
@@ -51,8 +53,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     ``locations`` (one per row of ``S``) define the neighborhoods: row i of
     the support matrix receives the center row of the dense inverse of the
     sub-matrix over all indices with ``|x_i - x_j| < delta`` (strict).  The
-    returned matrix is the symmetrized support matrix; entry (i, j) is
-    structurally zero whenever the locations are ``delta`` or more apart.
+    returned matrix is the symmetrized support matrix, with that sum as its
+    preset full view; entry (i, j) is structurally zero whenever the
+    locations are ``delta`` or more apart.
 
     Rows with neighborhoods of one size are inverted together, as (k, n, n)
     stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
@@ -111,7 +114,8 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     for slots, vals in results:
         psi.data[slots] = vals
     sym = (psi + psi.T) * 0.5
-    return SparseSymmetric(sp.tril(sym).tocsr())
+    sym.eliminate_zeros()  # then it is the full view rebuilt from the lower triangle
+    return SparseSymmetric(sp.tril(sym, format="csr"), full=sym)
 
 
 class LocalizedFit:
@@ -187,29 +191,26 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
         s2 = float(sigma2)
 
     fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(d - mu_star * a), k, delta)
-    _site_diagnostics(fit, count_negative_variance)
+    _site_diagnostics(fit, mat, count_negative_variance)
     return fit
 
 
-def _site_diagnostics(f: LocalizedFit, count_negative_variance: bool):
+def _site_diagnostics(f: LocalizedFit, S: SparseSymmetric, count_negative_variance: bool):
     """Set the deviation variance (mean squared mismatch between the exact
     point values and their localized predictions) and, if asked, the count
-    of raw variances at the point sites that are negative beyond round-off,
-    from one kernel evaluation there."""
-    points = f.obs.point_mask()
-
-    def block_stats(block):
-        kernels = kernel_vector(f.obs, block, f.model)
-        raw = _raw_variance(f, kernels) if count_negative_variance else np.zeros(len(block))
-        return np.column_stack([f.mu_star + kernels @ f.weights_star, raw])
-
-    stats = over_query_blocks(f.obs.rep_points()[points], block_stats)
+    of raw variances at the point sites that are negative beyond round-off.
+    A point site's kernels are its row of ``S`` = R + diag(error_var /
+    sigma2_r), with its own entry set to the lag-0 correlation."""
+    points = np.flatnonzero(f.obs.point_mask())
+    kernels = S.full()[points]
+    own = kernels.indices == np.repeat(points, np.diff(kernels.indptr))
+    kernels.data[own] = f.model.eval(0.0)
     exact = f.obs.error_vars()[points] == 0.0
-    err = f.obs.values()[points][exact] - stats[exact, 0]
+    err = f.obs.values()[points][exact] - (f.mu_star + kernels @ f.weights_star)[exact]
     f.deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
     if count_negative_variance:
-        tol = _CLAMP_REL_TOL * f.sigma2_star
-        f.negative_variance_at_obs = int(np.count_nonzero(stats[:, 1] < -tol))
+        raw = _raw_variance(f, kernels)
+        f.negative_variance_at_obs = int(np.count_nonzero(raw < -_CLAMP_REL_TOL * f.sigma2_star))
 
 
 def predict_localized(f: LocalizedFit, x):

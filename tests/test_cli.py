@@ -325,6 +325,27 @@ def test_bad_deviation_var_exit_2(tmp_path, inputs, capsys, value):
         capsys.readouterr().err
 
 
+BAD_LOCALIZED_FIELDS = {"k float": ("k", 2.7), "k bool": ("k", True), "k zero": ("k", 0),
+                        "k negative": ("k", -3), "k text": ("k", "2"), "k null": ("k", None),
+                        "k huge": ("k", 10 ** 400), "delta negative": ("delta", -1.0),
+                        "delta nan": ("delta", float("nan")), "delta text": ("delta", "3.0"),
+                        "delta of k 1": ("delta", 1.5), "delta bool": ("delta", True)}
+
+
+@pytest.mark.parametrize("field, value", BAD_LOCALIZED_FIELDS.values(),
+                         ids=list(BAD_LOCALIZED_FIELDS))
+def test_bad_localized_k_or_delta_exit_2(tmp_path, inputs, capsys, field, value):
+    with open(fit(tmp_path, *inputs, mode="localized")) as fh:
+        doc = json.load(fh)
+    assert (doc["localized"]["k"], doc["localized"]["delta"]) == (2, 3.0)
+    doc["localized"][field] = value
+    capsys.readouterr()
+    assert grid_exit_code(tmp_path, doc) == 2
+    want = {"k": "localized.k must be a positive integer",
+            "delta": "localized.delta must be k * taper_range"}[field]
+    assert f"bad.json: {want}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [0, 0.25])
 def test_deviation_var_loads_as_a_float(tmp_path, inputs, value):
     with open(fit(tmp_path, *inputs, mode="localized")) as fh:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
                          Observation, ObservationSet, assemble, cholesky,
                          estimate_eta, estimate_joint, estimate_mu, estimate_sigma2,
-                         fit_localized, inference)
+                         fit_localized, inference, linalg)
 from kernelfield.cli import synthetic_observations
 from kernelfield.inference import _objective, negative_log_likelihood, profile_levels
 from kernelfield.linalg import CholeskyFactor, SparseSymmetric
@@ -312,6 +312,36 @@ class TestProfiledSearch:
         result = estimate_joint(obs, family, bounds)
         assert result.iterations == calls["search"]
         assert calls["all"] == calls["search"] + 1  # the levels at the estimate
+
+    @pytest.mark.parametrize("family", [matern_family, lambda eta: CorrelationModel(
+        "matern52", eta, 1.5)], ids=["untapered", "tapered"])
+    def test_levels_at_the_estimate_reuse_the_search_structure(self, monkeypatch, family):
+        obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
+        eta = estimate_eta(obs, family, None, None, (0.1, 1.4), 1e-5, 50)
+        mu, sigma2, nll = profile_levels(obs, family(eta))
+        built, layouts, factored, in_search = [], [], [], []
+        real_structure, real_layout = inference.PairStructure, linalg._factor_layout
+        real_cholesky, real_estimate_eta = inference.cholesky, inference.estimate_eta
+
+        def marked_estimate_eta(*args, **kwargs):
+            in_search.append(True)
+            try:
+                return real_estimate_eta(*args, **kwargs)
+            finally:
+                in_search.pop()
+
+        monkeypatch.setattr(inference, "PairStructure",
+                            lambda *args: built.append(1) or real_structure(*args))
+        monkeypatch.setattr(linalg, "_factor_layout",
+                            lambda a: layouts.append(1) or real_layout(a))
+        monkeypatch.setattr(inference, "cholesky",
+                            lambda a: factored.append(bool(in_search)) or real_cholesky(a))
+        monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
+        result = estimate_joint(obs, family, (0.1, 1.4))
+        assert (result.eta_hat, result.mu_hat, result.sigma2_hat,
+                result.neg_log_likelihood) == (eta, mu, sigma2, nll)  # bit for bit
+        assert (len(built), len(layouts)) == (1, 1)
+        assert factored == [True] * result.iterations + [False]
 
 
 class TestProfileLevels:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelfield import (POINT, ConfigError, CorrelationModel, EstimationError,
+from kernelfield import (AVG, POINT, ConfigError, CorrelationModel, EstimationError,
                          FactorizationError, GridSpec, Observation, ObservationSet,
                          SparseSymmetric, adjusted_variance, approximate_inverse, assemble,
                          fit_global, fit_localized, kernel_value, predict, predict_localized,
@@ -218,6 +218,56 @@ class TestDeviationVariance:
         ])
         f = fit_localized(obs, TAPERED, k=30)
         assert f.deviation_var < 1e-16
+
+
+@st.composite
+def site_pass_cases(draw):
+    """A set and a tapered model: 2D point sets, or 1D lattices of points,
+    some of them noisy, with a few interval integrals among them."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    model = CorrelationModel(draw(st.sampled_from(["matern52", "gauss2"])), 0.6, 1.0)
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        return synthetic_observations(m, [(0.0, 5.0), (0.0, 5.0)], seed=seed), model
+    rng = np.random.default_rng(seed)
+    x = 0.3 * np.arange(m) + rng.uniform(0.0, 0.1, m)
+    noisy = rng.random(m) < draw(st.floats(0.0, 0.5))
+    obs = [Observation(POINT, np.array([xi]), float(np.sin(xi)), error_var=0.05 if e else 0.0)
+           for xi, e in zip(x, noisy)]
+    lows = 0.3 * m * rng.random(draw(st.integers(0, 3))) // 1.5 * 1.5  # 1.5 apart at least
+    obs += [Observation(AVG, np.array([lo, lo + 0.5]), float(rng.normal(0.0, 0.5)))
+            for lo in np.unique(lows)]
+    return ObservationSet(obs), model
+
+
+class TestSitePass:
+    """The site pass reads each point site's kernels off its row of the
+    assembled matrix; the kernel path evaluates them again at the sites."""
+
+    @given(site_pass_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_of_the_matrix_give_the_kernel_path_figures(self, case):
+        obs, model = case
+        f = fit_localized(obs, model, 2, sigma2=1.3, count_negative_variance=True)
+        points = obs.point_mask()
+        sites = obs.rep_points()[points]
+        exact = obs.error_vars()[points] == 0.0
+        err = obs.values()[points][exact] - predict_localized(f, sites[exact])
+        want = float(np.mean(err * err)) if exact.any() else 0.0
+        assert abs(f.deviation_var - want) <= 1e-12 * want
+        raw = variance_localized(f, sites)
+        assert f.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * f.sigma2_star)
+
+    @given(site_pass_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_preset_full_view_of_psi_is_the_rebuilt_one(self, case):
+        obs, model = case
+        psi = approximate_inverse(assemble(obs, model, 1.3), obs.rep_points(), delta=2.0)
+        got = psi.full()
+        want = SparseSymmetric.from_entries(psi.order, *psi.lower_entries()).full()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.all(got.data != 0.0)
 
 
 class TestInfluenceRadius:
