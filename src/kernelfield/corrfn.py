@@ -49,22 +49,35 @@ def _return_like(dist, value: np.ndarray):
     return float(value) if np.isscalar(dist) or np.ndim(dist) == 0 else value
 
 
+# The formulas alone: their callers check the distances and scales.
+
+def _matern52(d: np.ndarray, tau_m: float) -> np.ndarray:
+    kd = (SQRT5 / tau_m) * d
+    return (1.0 + kd + kd * kd / 3.0) * np.exp(-kd)
+
+
+def _gauss2(d: np.ndarray, scale: float) -> np.ndarray:
+    u = d / scale
+    return np.exp(-(u * u))
+
+
+def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
+    u = d / tau0
+    return np.where(u < 1.0, (1.0 + 0.5 * u) * (1.0 - u) ** 2, 0.0)
+
+
 def eval_matern52(dist: ArrayLike, tau_m: float) -> ArrayLike:
     """Matern-5/2 correlation at Euclidean distance ``dist`` with range ``tau_m``.
 
     ``rho(d) = (1 + k*d + (k*d)^2/3) * exp(-k*d)``, ``k = sqrt(5)/tau_m``.
     Equals 1 at d = 0 and decays monotonically; scale invariant in d/tau_m.
     """
-    d = _check_dist(dist)
-    kd = (SQRT5 / _check_scale(tau_m, "tau_m")) * d
-    return _return_like(dist, (1.0 + kd + kd * kd / 3.0) * np.exp(-kd))
+    return _return_like(dist, _matern52(_check_dist(dist), _check_scale(tau_m, "tau_m")))
 
 
 def eval_gauss2(dist: ArrayLike, scale: float) -> ArrayLike:
     """Second-order exponential correlation ``exp(-(dist/scale)^2)``."""
-    d = _check_dist(dist)
-    u = d / _check_scale(scale, "scale")
-    return _return_like(dist, np.exp(-(u * u)))
+    return _return_like(dist, _gauss2(_check_dist(dist), _check_scale(scale, "scale")))
 
 
 def eval_spherical(dist: ArrayLike, tau0: float) -> ArrayLike:
@@ -72,11 +85,7 @@ def eval_spherical(dist: ArrayLike, tau0: float) -> ArrayLike:
 
     ``(1 + d/(2*tau0)) * (1 - d/tau0)^2`` for ``d < tau0``, exactly 0.0 beyond.
     """
-    d = _check_dist(dist)
-    t0 = _check_scale(tau0, "tau0")
-    u = d / t0
-    val = np.where(u < 1.0, (1.0 + 0.5 * u) * (1.0 - u) ** 2, 0.0)
-    return _return_like(dist, val)
+    return _return_like(dist, _spherical(_check_dist(dist), _check_scale(tau0, "tau0")))
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,13 @@ class CorrelationModel:
 
     def eval(self, dist: ArrayLike) -> ArrayLike:
         """Correlation at Euclidean distance ``dist`` (base times taper)."""
-        base = self.base_eval(dist)
-        if self.taper_range is None:
-            return base
-        return _return_like(dist, np.asarray(base) * np.asarray(eval_spherical(dist, self.taper_range)))
+        return _return_like(dist, self._eval(_check_dist(dist)))
+
+    def _eval(self, d: np.ndarray) -> np.ndarray:
+        """:meth:`eval` of a float array of distances already checked to be
+        finite and non-negative, such as a pair structure's."""
+        base = (_matern52 if self.base_kind == "matern52" else _gauss2)(d, self.base_scale)
+        return base if self.taper_range is None else base * _spherical(d, self.taper_range)
 
     # -- signed-lag derivatives (1D operator support) --------------------
 

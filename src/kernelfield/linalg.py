@@ -4,11 +4,13 @@ which finds neighborhoods with ``scipy.spatial.cKDTree``).
 
 A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
 band (a finite-range correlation) is factored in LAPACK band storage; a full
-or wide-banded one is factored densely in natural order.  Localized
-sub-problems are inverted densely on purpose, one LAPACK ``dposv`` call (a
-Cholesky factorization, its positive-definiteness check and the solve) per
-matrix of a stack.  That call holds the interpreter lock, so threads do not
-run the inversions of a stack in parallel.
+or wide-banded one is factored densely in natural order.  The forward solves
+of the global variance's quadratic forms start at each column's first nonzero
+row (Gilbert & Peierls 1988).  Localized sub-problems are inverted densely on
+purpose, one LAPACK ``dposv`` call (a Cholesky factorization, its
+positive-definiteness check and the solve) per matrix of a stack.  That call
+holds the interpreter lock, so threads do not run the inversions of a stack
+in parallel.
 """
 
 import functools
@@ -23,6 +25,11 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationError
+
+# Columns per band solve of CholeskyFactor.quadratic_forms.  On 2D tapered sets
+# at the benchmark's density (m=400 and 4000, 1 BLAS thread), 16 was within 6%
+# of 32, and 64 took 1.5-1.8 times as long.
+QUAD_GROUP = 32
 
 
 class SparseSymmetric:
@@ -113,15 +120,19 @@ class SparseSymmetric:
         idx = np.asarray(idx, dtype=np.int64)
         return self.full()[np.ix_(idx, idx)].toarray()
 
+    def _row_nnz(self) -> np.ndarray:
+        """Entries in each row of the full view, counted on the lower triangle:
+        the row's stored length plus its column's off-diagonal entries."""
+        p = self._pattern
+        off_diagonal = np.bincount(p.indices, minlength=self.order) - (p.diagonal() != 0)
+        return np.diff(p.indptr) + off_diagonal
+
     def max_row_nnz(self) -> int:
-        full = self.full()
-        if full.nnz == 0:
-            return 0
-        return int(np.diff(full.indptr).max())
+        return int(self._row_nnz().max(initial=0))
 
     def density(self) -> float:
         n = self.order
-        return self.full().nnz / (n * n) if n else 0.0
+        return int(self._row_nnz().sum()) / (n * n) if n else 0.0
 
 
 class CholeskyFactor:
@@ -129,8 +140,9 @@ class CholeskyFactor:
 
     ``lower`` is either dense, an (m, m) lower triangle, or LAPACK lower band
     storage, a (bw + 1, m) array whose row k holds the k-th sub-diagonal of
-    L (``lower[k, j] == L[j + k, j]``; ``storage`` says which).  Solves undo
-    the permutation, so callers see the original ordering throughout.
+    L (``lower[k, j] == L[j + k, j]``; ``storage`` says which).  Solves and
+    quadratic forms undo the permutation, so callers see the original
+    ordering throughout.
     """
 
     def __init__(self, lower: np.ndarray, perm: np.ndarray):
@@ -174,23 +186,39 @@ class CholeskyFactor:
             raise FactorizationError(int(info), "triangular solve failed")
         return x[self._inv_perm]
 
-    def forward_solve(self, rhs) -> np.ndarray:
-        """``L^{-1} P rhs``: the permuted forward substitution alone.
+    def quadratic_forms(self, rhs) -> np.ndarray:
+        """``v' A^{-1} v`` for each column v of a dense or sparse (m, n) ``rhs``:
+        the squared column norms of the forward solve ``L^{-1} P rhs``.
 
-        For any vector ``v``, ``v' A^{-1} v`` is the squared norm of
-        ``forward_solve(v)``; the columns of a 2-D ``rhs``, dense or sparse,
-        are solved together (a sparse one is made dense after the row
-        permutation).
+        In band storage that solve is zero above a column's first nonzero row.
+        The columns, sorted by that row, are solved in groups of
+        :data:`QUAD_GROUP` (one LAPACK call each, not one per column) on the
+        trailing band from the group's first row on.  The rows skipped are
+        exact zeros, and the norms are summed over all m rows, zeros included,
+        since the sum's rounding depends on where a column starts: the forms
+        equal a full-range solve's bit for bit.  An all-zero column takes no
+        LAPACK call (``dtbtrs`` on no columns can corrupt the heap).  Dense
+        storage makes one triangular solve.
         """
         b = self._permuted(rhs)
-        if b.ndim == 2 and b.shape[1] == 0:
-            return b  # no LAPACK call: dtbtrs on zero columns can corrupt the heap
         if self.storage == "dense":
-            return solve_triangular(self.lower, b, lower=True, check_finite=False)
-        x, info = dtbtrs(self.lower, b, uplo="L")
-        if info != 0:
-            raise FactorizationError(int(info), "triangular solve failed")
-        return x
+            half = solve_triangular(self.lower, b, lower=True, check_finite=False)
+            return np.einsum("ij,ij->j", half, half)
+        m, n = b.shape
+        nonzero = b != 0.0
+        first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), m)
+        order = np.argsort(first, kind="stable")[:np.count_nonzero(first < m)]
+        out, padded = np.zeros(n), np.zeros((m, QUAD_GROUP), order="F")
+        for start in range(0, order.size, QUAD_GROUP):
+            cols = order[start:start + QUAD_GROUP]
+            r0 = first[cols[0]]
+            x, info = dtbtrs(self.lower[:, r0:], b[r0:, cols], uplo="L")
+            if info != 0:
+                raise FactorizationError(int(info), "triangular solve failed")
+            block = padded[:, :cols.size]
+            block[:r0], block[r0:] = 0.0, x
+            out[cols] = np.einsum("ij,ij->j", block, block)
+        return out
 
     def logdet(self) -> float:
         """log determinant of A (twice the log-diagonal sum of the factor)."""
@@ -220,8 +248,7 @@ def _factor_layout(a: SparseSymmetric):
     storage in Fortran order, in which LAPACK takes it without a copy."""
     m, lower = a.order, a._pattern
     rows = np.repeat(np.arange(m), np.diff(lower.indptr))
-    off_diagonal = np.diff(lower.indptr) + np.bincount(lower.indices, minlength=m) - 2
-    if m and off_diagonal.max() + 2 <= m:
+    if m and a.max_row_nnz() + 1 <= m:
         perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True), dtype=np.int64)
         inv_perm = np.empty_like(perm)
         inv_perm[perm] = np.arange(m)

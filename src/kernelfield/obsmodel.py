@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import erf
 
-from .corrfn import SQRT5, CorrelationModel
+from .corrfn import SQRT5, CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
 from .linalg import SparseSymmetric
 
@@ -583,9 +583,11 @@ class PairStructure:
     """What of a set's inter-correlation matrix only the taper range changes:
     the stored pairs (i >= j) in CSR order, the kind pairs with their operator
     arrays and the point-point distances.  Building it rejects duplicate exact
-    points.  Without a taper every pair is stored; under one, the pairs of rep
-    points within ``taper_range + 2 * max radius`` (a k-d tree query) whose
-    supports are closer than the taper range; the others are provably zero.
+    points and checks the distances once, so that :meth:`matrix` evaluates the
+    model on them unchecked.  Without a taper every pair is stored; under one,
+    the pairs of rep points within ``taper_range + 2 * max radius`` (a k-d
+    tree query) whose supports are closer than the taper range; the others
+    are provably zero.
     """
 
     def __init__(self, obs_set: ObservationSet, taper_range: Optional[float]):
@@ -613,7 +615,8 @@ class PairStructure:
             sel = np.flatnonzero(kind_pairs == code)
             ka, kb = divmod(code, len(KINDS))
             a, b = _operators(obs_set, ka, i[sel]), _operators(obs_set, kb, j[sel])
-            self._groups.append((sel, _distances(a.x, b.x)) if code == 0 else (sel, ka, a, kb, b))
+            self._groups.append((sel, _check_dist(_distances(a.x, b.x))) if code == 0
+                                else (sel, ka, a, kb, b))
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the
@@ -626,7 +629,7 @@ class PairStructure:
                              f"structure of taper range {self.taper_range}")
         vals = np.empty(self._cols.size)
         for sel, *args in self._groups:
-            vals[sel] = model.eval(*args) if len(args) == 1 else _entries(model, *args)
+            vals[sel] = model._eval(*args) if len(args) == 1 else _entries(model, *args)
         vals[self._diagonal] += self.obs_set.error_vars() / sigma2_r
         if self._whole is not None:
             return self._whole.with_values(vals)

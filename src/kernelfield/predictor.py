@@ -136,16 +136,15 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
 
 
 def _variance(p: KernelPredictor, kernels) -> np.ndarray:
-    """sigma2 * (1 - ||L^{-1} P nu||^2) for each row nu of ``kernels`` (dense
-    or sparse).
+    """sigma2 * (1 - nu' S^{-1} nu) for each row nu of ``kernels`` (dense or
+    sparse), the quadratic forms from :meth:`CholeskyFactor.quadratic_forms`.
 
     Clamped into [0, sigma2]; excursions beyond round-off (1e-12 * sigma2)
     bump ``clamp_count``.
     """
     if p.obs.m == 0:
         return np.full(kernels.shape[0], p.sigma2)
-    half = p.factor.forward_solve(kernels.T)
-    var = p.sigma2 * (1.0 - np.einsum("ij,ij->j", half, half))
+    var = p.sigma2 * (1.0 - p.factor.quadratic_forms(kernels.T))
     tol = _CLAMP_REL_TOL * p.sigma2
     p.clamp_count += int(np.count_nonzero((var < -tol) | (var > p.sigma2 + tol)))
     return np.clip(var, 0.0, p.sigma2)
@@ -160,7 +159,10 @@ def predict(p: KernelPredictor, x):
 
 def predict_variance(p: KernelPredictor, x):
     """Prediction variance sigma2 * (1 - nu' S^{-1} nu) at ``x`` (one point
-    or an (n, q) block, as in :func:`predict`), clamped into [0, sigma2]."""
+    or an (n, q) block, as in :func:`predict`), clamped into [0, sigma2].
+    With a band factor, a point's forward solve starts at its kernel column's
+    first nonzero row (:meth:`CholeskyFactor.quadratic_forms`), and a point
+    beyond reach of every observation takes none: its variance is sigma2."""
     return over_query_blocks(
         x, lambda block: _variance(p, kernel_vector(p.obs, block, p.model)))
 

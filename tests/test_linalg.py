@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from scipy.linalg.lapack import dtbtrs
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          SpatialIndex, assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import dense_spd_inverse, neighbors
+from kernelfield.linalg import QUAD_GROUP, dense_spd_inverse, neighbors
 
 
 def random_spd(rng, n, jitter=1.0):
@@ -36,6 +37,18 @@ class TestSparseSymmetric:
         assert np.allclose(s.submatrix(idx), a[np.ix_(idx, idx)])
         v = rng.normal(size=6)
         assert np.allclose(s.matvec(v), a @ v)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_counts_read_off_the_lower_triangle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.2)
+        a[np.diag_indices(n)] *= rng.random(n) < 0.5  # some diagonal entries unstored
+        s = SparseSymmetric.from_dense(a + a.T)
+        full = s.to_dense() != 0.0
+        assert s.max_row_nnz() == full.sum(axis=1).max()
+        assert s.density() == full.sum() / n ** 2
 
 
 class TestCholesky:
@@ -130,9 +143,7 @@ class TestFactorStorage:
         kernels = kernel_vector(obs, nodes, TAPERED_M52).T
         assert kernels.shape == (400, 144)
         # The orders differ, so only the squared column norms v' A^{-1} v agree.
-        quad_band = np.sum(band.forward_solve(kernels) ** 2, axis=0)
-        quad_dense = np.sum(dense.forward_solve(kernels) ** 2, axis=0)
-        assert rel(quad_band, quad_dense) <= 1e-12
+        assert rel(band.quadratic_forms(kernels), dense.quadratic_forms(kernels)) <= 1e-12
         assert abs(band.logdet() - dense.logdet()) <= 1e-12 * abs(dense.logdet())
         assert rel(band.reconstruct(), mat.to_dense()) <= 1e-12
         assert rel(dense.reconstruct(), mat.to_dense()) <= 1e-12
@@ -149,8 +160,7 @@ class TestFactorStorage:
         rhs = rng.normal(size=(n, 3))
         want = np.linalg.solve(a, rhs)
         assert np.abs(f.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
-        half = f.forward_solve(rhs)
-        assert np.allclose(np.sum(half ** 2, axis=0), np.sum(rhs * want, axis=0), rtol=1e-10)
+        assert np.allclose(f.quadratic_forms(rhs), np.sum(rhs * want, axis=0), rtol=1e-10)
         assert f.logdet() == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-10, abs=1e-10)
         assert np.allclose(f.reconstruct(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
 
@@ -179,7 +189,8 @@ class TestFactorStorage:
         assert sp.issparse(kernels)
         for f in (cholesky(mat), cholesky(mat.to_dense())):
             assert np.array_equal(f.solve(kernels), f.solve(kernels.toarray()))
-            assert np.array_equal(f.forward_solve(kernels), f.forward_solve(kernels.toarray()))
+            assert np.array_equal(f.quadratic_forms(kernels),
+                                  f.quadratic_forms(kernels.toarray()))
 
     @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
     def test_zero_column_rhs(self, tapered_set, dense):
@@ -187,7 +198,7 @@ class TestFactorStorage:
         f = cholesky(mat.to_dense() if dense else mat)
         for rhs in (np.empty((400, 0)), sp.csr_matrix((400, 0))):
             assert f.solve(rhs).shape == (400, 0)
-            assert f.forward_solve(rhs).shape == (400, 0)
+            assert f.quadratic_forms(rhs).shape == (0,)
 
     def test_tapered_set_band_untapered_set_dense(self, tapered_set):
         obs, mat = tapered_set
@@ -223,6 +234,41 @@ class TestFactorStorage:
         want = cholesky(SparseSymmetric.from_entries(30, rows, cols, vals))
         got = cholesky(copy)
         assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+
+
+def full_range_forms(f, rhs):
+    """Oracle: v' A^{-1} v from one band forward solve of every column over
+    all m rows."""
+    x, info = dtbtrs(f.lower, rhs[f.perm], uplo="L")
+    assert info == 0
+    return np.einsum("ij,ij->j", x, x)
+
+
+class TestQuadraticForms:
+    @given(st.integers(min_value=0, max_value=2**31 - 1),
+           st.integers(min_value=1, max_value=3 * QUAD_GROUP + 5))
+    @example(seed=3, cols=1)
+    @example(seed=4, cols=QUAD_GROUP + 1)
+    @settings(max_examples=60, deadline=None)
+    def test_band_forms_equal_the_full_range_solve_bitwise(self, seed, cols):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 150))
+        a = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, n // 10 + 1))))
+        f = cholesky(SparseSymmetric.from_dense(a))
+        assert f.storage == "band"
+        rhs = rng.normal(size=(n, cols)) * (rng.random((n, cols)) < rng.uniform(0.0, 0.3))
+        # An empty column, and one whose only nonzero is the last permuted row
+        # (one and the same column when there is one).
+        picks = rng.permutation(cols)
+        rhs[:, picks[0]] = rhs[:, picks[-1]] = 0.0
+        rhs[f.perm[-1], picks[-1]] = rng.normal()
+        want = full_range_forms(f, rhs)
+        for given_rhs in (rhs, sp.csc_matrix(rhs), sp.csr_matrix(rhs.T).T):
+            assert f.quadratic_forms(given_rhs).tobytes() == want.tobytes()
+        exact = np.sum(rhs * np.linalg.solve(a, rhs), axis=0)
+        dense = cholesky(a)
+        assert dense.storage == "dense"
+        assert np.abs(dense.quadratic_forms(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 class TestSolve:

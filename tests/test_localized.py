@@ -270,6 +270,29 @@ class TestSitePass:
         assert np.all(got.data != 0.0)
 
 
+class TestPermutationInvariance:
+    """Reordering the observations changes the predictors by round-off only."""
+
+    @given(st.integers(2, 150), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_predictions_and_variances_under_a_permutation(self, m, seed):
+        side = 20.0 * np.sqrt(m / 400.0)  # the benchmark's site density
+        obs = synthetic_observations(m, [(0.0, side), (0.0, side)], seed=seed)
+        rng = np.random.default_rng(seed)
+        p = rng.permutation(m)
+        permuted = ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p],
+                                              obs.values()[p], obs.error_vars()[p])
+        nodes = rng.uniform(-0.5, side + 0.5, (60, 2))
+        model = CorrelationModel("matern52", 0.5, 1.5)
+        for fit, mean, var in ((fit_global, predict, predict_variance),
+                               (lambda o, mdl: fit_localized(o, mdl, 2),
+                                predict_localized, variance_localized)):
+            want, got = fit(obs, model), fit(permuted, model)
+            for query in (mean, var):
+                a, b = query(want, nodes), query(got, nodes)
+                assert np.abs(b - a).max() <= 1e-10 * np.abs(a).max()
+
+
 class TestInfluenceRadius:
     def test_far_value_perturbation_is_invisible_bitwise(self):
         # with fixed mu and sigma2, a value change farther than (k+1)*tau0

@@ -263,14 +263,14 @@ class TestSparseKernels:
         dense = self.TAPERED.eval(cdist(nodes, pts))
         np.testing.assert_allclose(predict(fitted, nodes), 1.0 + dense @ fitted.weights,
                                    rtol=0.0, atol=1e-14)
-        half = fitted.factor.forward_solve(dense.T)
-        expect = np.clip(2.0 * (1.0 - np.einsum("ij,ij->j", half, half)), 0.0, 2.0)
+        expect = np.clip(2.0 * (1.0 - fitted.factor.quadratic_forms(dense.T)), 0.0, 2.0)
         assert np.array_equal(predict_variance(fitted, nodes), expect)
 
     def test_empty_query_block_in_subprocess(self):
         # A zero-column right-hand side used to reach LAPACK's band triangular
         # solve, which can corrupt the heap and abort the process: run the
         # calls in a child so that a regression cannot kill the test runner.
+        # The nodes of ``far`` lie beyond reach, so all their kernels are zero.
         code = textwrap.dedent("""
             import numpy as np
             from kernelfield import CorrelationModel, fit_global, predict_variance
@@ -278,8 +278,10 @@ class TestSparseKernels:
             obs = synthetic_observations(200, [(0.0, 20.0), (0.0, 20.0)], 1)
             p = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5), 10.0, 4.0)
             assert p.factor.storage == "band"
+            far = np.column_stack([np.linspace(30.0, 40.0, 40), np.full(40, -5.0)])
             for _ in range(50):
                 assert predict_variance(p, np.empty((0, 2))).shape == (0,)
+                assert np.array_equal(predict_variance(p, far), np.full(40, 4.0))
             print("ok")
         """)
         src = os.path.dirname(os.path.dirname(kernelfield.__file__))
