@@ -12,10 +12,14 @@ Subcommands:
 * ``synth``     -- generate a seeded synthetic observation CSV.
 
 A saved predictor is JSON with ``format`` "kernelfield-predictor" and
-``version`` 2 (other versions exit 2): ``mode``, ``model``, ``dim``,
-``weights``, ``localized`` and ``observations``, the columns ``kind``,
-``value``, ``error_var`` and ``site``, ``direction`` and ``bounds``: one list
-per coordinate over the rows of the kinds that have them (no ``NaN``).
+``version`` 3 (other versions exit 2): ``mode``, ``model``, ``dim``,
+``weights``, ``observations``, the columns ``kind``, ``value``,
+``error_var`` and ``site``, ``direction`` and ``bounds``: one list per
+coordinate over the rows of the kinds that have them (no ``NaN``), and
+either ``factor_order`` (global) or ``localized`` (localized).
+``factor_order`` is the order of the fit's Cholesky factor, so that loading
+factors without choosing it again: the permutation of a factor in band
+storage, or ``null`` for a dense factor in natural order.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -41,7 +45,7 @@ from .obsmodel import (KIND_CODES, Observation, ObservationSet, assemble,
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
-PREDICTOR_VERSION = 2
+PREDICTOR_VERSION = 3
 
 
 @dataclass
@@ -137,7 +141,10 @@ def save_predictor(path, fitted):
         "observations": _observation_columns(fitted.obs),
         "weights": weights.tolist(),
     }
-    if isinstance(fitted, LocalizedFit):
+    if mode == "global":
+        band = fitted.factor is not None and fitted.factor.storage == "band"
+        doc["factor_order"] = fitted.factor.perm.tolist() if band else None
+    else:
         rows, cols, vals = fitted.approx_inverse.lower_entries()
         doc["localized"] = {
             "k": fitted.k,
@@ -158,39 +165,58 @@ def load_predictor(path):
     """Load a fitted predictor saved by :func:`save_predictor`.
 
     Global predictors reassemble and refactor the inter-correlation matrix
-    (deterministically, from the echoed observations) for variance queries;
-    weights and parameters are taken verbatim from the file, after a check
-    that the weights solve that system to round-off.  Localized weights are
-    checked to equal the saved approximate inverse applied to the residuals
-    of the observations, to round-off; their ``k`` must be a positive integer
-    and their ``delta`` equal ``k * taper_range`` as the fit computes it.
+    (deterministically, from the echoed observations) for variance queries,
+    in the saved ``factor_order``, so that no fill-reducing order is chosen
+    again.  That order must be ``null`` or a permutation of ``0..m-1`` in
+    which the band fits (``2 * (bw + 1) <= m``); any such order gives a valid
+    factor, so it needs no other check.  Weights and parameters are taken
+    verbatim from the file, after a check that the weights solve that system
+    to round-off.  Localized weights are checked to equal the saved
+    approximate inverse applied to the residuals of the observations, to
+    round-off; their ``k`` must be a positive integer and their ``delta``
+    equal ``k * taper_range`` as the fit computes it.  A missing top-level
+    field, a model number that is not a JSON number, or any other malformed
+    content is a :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != PREDICTOR_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != PREDICTOR_FORMAT:
         raise ConfigError(f"{path}: not a saved predictor file")
     if doc.get("version") != PREDICTOR_VERSION:
         raise ConfigError(f"{path}: predictor file version {doc.get('version')!r} is not "
                           f"the supported version {PREDICTOR_VERSION}")
-    model, mu, sigma2 = corrfn.parse_model_config(doc["model"])
-    if mu == "estimate" or sigma2 == "estimate":
-        raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
     mode, loc = doc.get("mode"), doc.get("localized")
     if mode not in ("global", "localized"):
         raise ConfigError(f"{path}: mode must be global or localized, got {mode!r}")
     if mode == "localized" and not isinstance(loc, dict):
         raise ConfigError(f"{path}: a localized predictor needs its 'localized' block")
+    fields = ("model", "dim", "weights", "observations") + (
+        ("factor_order",) if mode == "global" else ())
+    missing = [field for field in fields if field not in doc]
+    if missing:
+        raise ConfigError(f"{path}: missing field {missing[0]!r}")
+    try:
+        model, mu, sigma2 = corrfn.parse_model_config(doc["model"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: model: {exc}") from None
+    if mu == "estimate" or sigma2 == "estimate":
+        raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
     obs = _observations_from_columns(path, doc)
     weights = np.array(doc["weights"], dtype=float)
     if weights.shape != (obs.m,):
         raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
     if mode == "global":
+        order = _factor_order(path, doc["factor_order"], obs.m)
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
         matrix = assemble(obs, model, sigma2)
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
-        return KernelPredictor(model, obs, mu, sigma2, weights, cholesky(matrix), matrix)
+        try:
+            factor = cholesky(matrix, order)
+        except ValueError as exc:  # the band does not fit in that order
+            raise ConfigError(f"{path}: factor_order: {exc}") from None
+        return KernelPredictor(model, obs, mu, sigma2, weights, factor, matrix)
     deviation_var = loc.get("deviation_var")  # not a bool, NaN, inf or a huge int
     if (type(deviation_var) not in (int, float)
             or not 0.0 <= deviation_var <= sys.float_info.max):
@@ -215,6 +241,18 @@ def load_predictor(path):
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, k, delta)
     fit.deviation_var = float(deviation_var)
     return fit
+
+
+def _factor_order(path, order, m: int) -> Optional[np.ndarray]:
+    """A saved ``factor_order``: None, or an int64 permutation of ``0..m-1``
+    (not a bool, a float, a string or a repeated or missing index)."""
+    if order is None:
+        return None
+    if (not isinstance(order, list) or not 0 < len(order) == m or set(map(type, order)) != {int}
+            or not np.array_equal(np.sort(order), np.arange(m))):
+        raise ConfigError(f"{path}: factor_order must be null or a permutation of the "
+                          f"{m} observation indices")
+    return np.array(order, dtype=np.int64)
 
 
 def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,

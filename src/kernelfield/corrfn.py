@@ -220,39 +220,40 @@ def spot_check_nonneg_definite(
 
 # -- model configuration (JSON object) ---------------------------------
 
+def _json_number(value, field: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, not a
+    bool or a string), else a ConfigError naming ``field``."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"invalid {field}: {value!r} (a JSON number)")
+
+
 def parse_model_config(cfg: dict):
     """Parse ``{"base": {"kind", "scale"}, "taper_range", "mu", "sigma2"}``.
 
     Returns ``(CorrelationModel, mu, sigma2)`` where ``mu``/``sigma2`` are
-    floats or the string ``"estimate"`` (the default when absent).
+    floats or the string ``"estimate"`` (the default when absent).  Every
+    number must be a JSON number: a bool or a numeric string is refused.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("model config must be a JSON object")
     try:
-        base = cfg["base"]
-        kind = base["kind"]
-        scale = float(base["scale"])
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, scale = cfg["base"]["kind"], cfg["base"]["scale"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"model config missing/invalid base section: {exc}") from exc
-    taper = cfg.get("taper_range", None)
-    if taper is not None:
-        try:
-            taper = float(taper)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid taper_range: {cfg['taper_range']!r}") from exc
+    taper = cfg.get("taper_range")
     try:
-        model = CorrelationModel(kind, scale, taper)
+        model = CorrelationModel(kind, _json_number(scale, "base.scale"),
+                                 None if taper is None else _json_number(taper, "taper_range"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     def level(key):
         v = cfg.get(key, "estimate")
-        if v == "estimate":
-            return "estimate"
-        try:
-            return float(v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {key}: {v!r} (number or \"estimate\")") from exc
+        return "estimate" if v == "estimate" else _json_number(v, key)
 
     return model, level("mu"), level("sigma2")
 

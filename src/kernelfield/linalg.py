@@ -4,9 +4,10 @@ which finds neighborhoods with ``scipy.spatial.cKDTree``).
 
 A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
 band (a finite-range correlation) is factored in LAPACK band storage; a full
-or wide-banded one is factored densely in natural order.  The forward solves
-of the global variance's quadratic forms start at each column's first nonzero
-row (Gilbert & Peierls 1988).  Localized sub-problems are inverted densely on
+or wide-banded one is factored densely in natural order.  An order known
+beforehand, such as a saved factor's, is used without choosing one.  The
+forward solves of the global variance's quadratic forms start at each
+column's first nonzero row (Gilbert & Peierls 1988).  Localized sub-problems are inverted densely on
 purpose, one LAPACK ``dposv`` call (a Cholesky factorization, its
 positive-definiteness check and the solve) per matrix of a stack.  That call
 holds the interpreter lock, so threads do not run the inversions of a stack
@@ -242,45 +243,87 @@ def _check_factor_info(info: int, perm: np.ndarray, routine: str):
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _factor_layout(a: SparseSymmetric):
-    """Where :func:`cholesky` puts the stored entries of ``a``: the factor's
-    permutation, the storage shape, and each entry's flat position in that
-    storage in Fortran order, in which LAPACK takes it without a copy."""
+def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
+    """The reverse Cuthill-McKee order of the graph of ``a``, or None where a
+    row's entry count already rules the band out: a row with d off-diagonal
+    entries needs a bandwidth of at least d / 2 in every order, so the band
+    needs ``d + 2 <= m``.
+
+    The graph is the full symmetric pattern, built from the stored lower
+    triangle without the full view: row r is the stored row r followed by
+    column r's entries below the diagonal (one ``tocsc``), so its indices are
+    sorted as in the full view and the order is the same.
+    """
+    m, lower = a.order, a._pattern
+    row_nnz = a._row_nnz()
+    if not m or row_nnz.max() + 1 > m:
+        return None
+    csc = lower.tocsc()
+    cols = np.repeat(np.arange(m), np.diff(csc.indptr))
+    below = csc.indices > cols
+    rows = np.concatenate([np.repeat(np.arange(m), np.diff(lower.indptr)), cols[below]])
+    indices = np.concatenate([lower.indices, csc.indices[below]])
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    graph = sp.csr_matrix((np.ones(indices.size, dtype=np.int8),
+                           indices[np.argsort(rows, kind="stable")], indptr), (m, m))
+    return np.asarray(reverse_cuthill_mckee(graph, symmetric_mode=True), dtype=np.int64)
+
+
+def _factor_layout(a: SparseSymmetric, perm: Optional[np.ndarray]):
+    """Where :func:`cholesky` puts the stored entries of ``a`` when factoring
+    in the order ``perm``: the permutation, the storage shape, and each
+    entry's flat position in that storage in Fortran order, in which LAPACK
+    takes it without a copy.
+
+    With ``perm`` None the storage is dense in natural order.  With a
+    permutation it is band storage in that order, and the result is None if
+    the band does not fit (``2 * (bw + 1) > m``).
+    """
     m, lower = a.order, a._pattern
     rows = np.repeat(np.arange(m), np.diff(lower.indptr))
-    if m and a.max_row_nnz() + 1 <= m:
-        perm = np.asarray(reverse_cuthill_mckee(a.full(), symmetric_mode=True), dtype=np.int64)
-        inv_perm = np.empty_like(perm)
-        inv_perm[perm] = np.arange(m)
-        r, c = inv_perm[rows], inv_perm[lower.indices]
-        sub = np.abs(r - c)
-        bw = int(sub.max())
-        if 2 * (bw + 1) <= m:
-            return perm, (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
-    return np.arange(m, dtype=np.int64), (m, m), lower.indices * m + rows
+    if perm is None:
+        return np.arange(m, dtype=np.int64), (m, m), lower.indices * m + rows
+    inv_perm = np.empty_like(perm)
+    inv_perm[perm] = np.arange(m)
+    r, c = inv_perm[rows], inv_perm[lower.indices]
+    sub = np.abs(r - c)
+    bw = int(sub.max())
+    if 2 * (bw + 1) > m:
+        return None
+    return perm, (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
 
 
-def cholesky(a: Union[SparseSymmetric, np.ndarray]) -> CholeskyFactor:
+def cholesky(a: Union[SparseSymmetric, np.ndarray], order="rcm") -> CholeskyFactor:
     """Cholesky factorization, in band storage where a sparse matrix allows it.
 
     A :class:`SparseSymmetric` input is reordered by reverse Cuthill-McKee
-    (RCM).  If that order brings every stored entry within ``bw`` of the
-    diagonal with ``2 * (bw + 1) <= m``, the factor is held in (bw + 1, m)
-    band storage (LAPACK ``dpbtrf``) and no m-by-m array is made.  Any other
-    matrix, a full one in particular, is factored densely in natural order
-    (``dpotrf``); RCM is skipped where a row's entry count already rules the
-    band out: a row with d off-diagonal entries needs a bandwidth of at
-    least d / 2 in every order, so the band needs ``d + 2 <= m``.  That
-    layout is made once per stored pattern (:meth:`SparseSymmetric.with_values`);
-    a call then scatters the values and factors them.  Dense ``ndarray``
-    inputs are factored densely in natural order.
+    (RCM, :func:`_band_order`).  If that order brings every stored entry
+    within ``bw`` of the diagonal with ``2 * (bw + 1) <= m``, the factor is
+    held in (bw + 1, m) band storage (LAPACK ``dpbtrf``) and no m-by-m array
+    is made.  Any other matrix, a full one in particular, is factored densely
+    in natural order (``dpotrf``).  That layout is made once per stored
+    pattern (:meth:`SparseSymmetric.with_values`); a call then scatters the
+    values and factors them.  Dense ``ndarray`` inputs are factored densely
+    in natural order.
+
+    ``order`` skips the choice for a sparse input whose order is known, such
+    as a saved factor's (:attr:`CholeskyFactor.perm` in band storage): None
+    factors densely in natural order, and a permutation of ``0..m-1``
+    factors in band storage in that order (ValueError if the band does not
+    fit).  Either lays the pattern out afresh.
 
     Raises :class:`FactorizationError` naming the failing pivot (original
     indexing) when the matrix is not positive definite.
     """
     if isinstance(a, SparseSymmetric):
-        if a._layout is None:
-            a._layout = _factor_layout(a)
+        if not isinstance(order, str):
+            a._layout = _factor_layout(a, order)
+            if a._layout is None:
+                raise ValueError("the band does not fit in the given order")
+        elif a._layout is None:
+            perm = _band_order(a)
+            layout = None if perm is None else _factor_layout(a, perm)
+            a._layout = layout or _factor_layout(a, None)
         perm, shape, at = a._layout
         transposed = np.zeros(shape[::-1])
         transposed.reshape(-1)[at] = a._values

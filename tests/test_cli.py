@@ -4,12 +4,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
-                         fit_global, fit_localized, predict_localized, read_observations_csv,
-                         variance_localized, write_observations_csv)
+                         fit_global, fit_localized, predict_localized, predict_variance,
+                         read_observations_csv, variance_localized, write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
@@ -203,19 +203,19 @@ def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("version", [1, 3, None, "2"])
+@pytest.mark.parametrize("version", [1, 2, None, "3"])
 def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version):
     predictor = fit(tmp_path, *inputs)
     with open(predictor) as fh:
         doc = json.load(fh)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     doc["version"] = version
     write_json(tmp_path / "bad.json", doc)
     capsys.readouterr()
     rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert f"bad.json: predictor file version {version!r} is not the supported version 2" in \
+    assert f"bad.json: predictor file version {version!r} is not the supported version 3" in \
         capsys.readouterr().err
 
 
@@ -300,6 +300,12 @@ def grid_exit_code(tmp_path, doc):
                  "--out", str(tmp_path / "r.csv")])
 
 
+def grid_error(tmp_path, capsys, doc):
+    """The exit code of ``grid`` on ``doc`` and what it wrote to stderr."""
+    capsys.readouterr()
+    return grid_exit_code(tmp_path, doc), capsys.readouterr().err
+
+
 def test_version_1_predictor_file_exit_2(tmp_path, capsys):
     legacy = {"format": "kernelfield-predictor", "version": 1, "mode": "global",
               "model": dict(TAPERED_MODEL, mu=0.0, sigma2=1.0), "dim": 2,
@@ -307,7 +313,7 @@ def test_version_1_predictor_file_exit_2(tmp_path, capsys):
                                 "error_var": 0.0, "direction": None}],
               "weights": [0.5]}
     assert grid_exit_code(tmp_path, legacy) == 2
-    assert "predictor file version 1 is not the supported version 2" in capsys.readouterr().err
+    assert "predictor file version 1 is not the supported version 3" in capsys.readouterr().err
 
 
 BAD_DEVIATION_VARS = {"text": "x", "null": None, "nan": float("nan"), "inf": float("inf"),
@@ -502,3 +508,142 @@ def test_columnar_paths_build_no_observation(tmp_path, monkeypatch):
     assert read_observations_csv(csv_path).m == obs.m
     assert obs.with_values(np.zeros(obs.m)).m == obs.m
     assert synthetic_observations(10, [(0.0, 1.0)], 1).m == 10
+
+
+BAD_NUMBERS = {"bool": True, "numeric text": "2.0", "nan text": "nan", "null": None,
+               "list": [1.0], "huge int": 10 ** 400}
+NUMBER_FIELDS = {"base.scale": ("base", "scale"), "taper_range": ("taper_range",),
+                 "mu": ("mu",), "sigma2": ("sigma2",)}
+
+
+@pytest.mark.parametrize("field, value", [  # a null taper_range is valid: an untapered model
+    pytest.param(field, value, id=f"{field}-{name}") for field in NUMBER_FIELDS
+    for name, value in BAD_NUMBERS.items() if (field, value) != ("taper_range", None)])
+def test_model_numbers_must_be_json_numbers(tmp_path, inputs, capsys, field, value):
+    bad = json.loads(json.dumps(TAPERED_MODEL))
+    _set(*NUMBER_FIELDS[field], value=value)(bad)
+    model = write_json(tmp_path / "bad_model.json", bad)
+    capsys.readouterr()
+    assert main(["fit", "--obs", inputs[0], "--model", model,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"error: invalid {field}: {value!r} (a JSON number)" in capsys.readouterr().err
+
+    with open(fit(tmp_path, *inputs)) as fh:
+        doc = json.load(fh)
+    _set("model", *NUMBER_FIELDS[field], value=value)(doc)
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    assert f"bad.json: model: invalid {field}: {value!r} (a JSON number)" in err
+
+
+def test_integer_model_numbers_are_accepted(tmp_path, inputs):
+    model = write_json(tmp_path / "int_model.json", {
+        "base": {"kind": "matern52", "scale": 1}, "taper_range": 2, "mu": 0, "sigma2": 1})
+    loaded = load_predictor(fit(tmp_path, inputs[0], model))
+    assert (loaded.model.base_scale, loaded.model.taper_range, loaded.mu, loaded.sigma2) == \
+        (1.0, 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("mode, field", [
+    (mode, field) for mode in ("global", "localized")
+    for field in ("model", "dim", "weights", "observations", "factor_order")
+    if (mode, field) != ("localized", "factor_order")])
+def test_missing_top_level_field_exit_2(tmp_path, inputs, capsys, mode, field):
+    with open(fit(tmp_path, *inputs, mode=mode)) as fh:
+        doc = json.load(fh)
+    del doc[field]
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err == f"error: {tmp_path / 'bad.json'}: missing field {field!r}\n"
+
+
+@pytest.mark.parametrize("doc", [[], "predictor", 3, None])
+def test_predictor_file_not_an_object_exit_2(tmp_path, capsys, doc):
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "bad.json: not a saved predictor file" in err
+
+
+def assert_same_factor(got, want):
+    assert (got.storage, got.perm.dtype, got.lower.dtype) == \
+        (want.storage, want.perm.dtype, want.lower.dtype)
+    assert got.perm.tobytes() == want.perm.tobytes()
+    assert (got.lower.shape, got.lower.tobytes()) == (want.lower.shape, want.lower.tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.floats(0.5, 20.0), st.integers(0, 2 ** 16), st.booleans())
+@example(30, 3.0, 1, True)  # RCM runs, but its band does not fit: dense in natural order
+@example(60, 1.0, 1, True)  # a full row: no RCM, dense in natural order
+@example(200, 20.0, 1, True)  # band storage
+@example(200, 20.0, 1, False)  # untapered: dense
+def test_global_round_trip_keeps_the_factor(m, side, seed, tapered):
+    obs = synthetic_observations(m, [(0.0, side), (0.0, side)], seed)
+    fitted = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5 if tapered else None))
+    loaded = saved_and_loaded(fitted)
+    assert_same_factor(loaded.factor, fitted.factor)
+    if not tapered:
+        assert fitted.factor.storage == "dense"
+
+
+@pytest.fixture
+def band_predictor(tmp_path):
+    """A global predictor file whose factor is in band storage, and its document."""
+    obs = str(tmp_path / "obs.csv")
+    assert main(["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
+                 "--out", obs]) == 0
+    path = fit(tmp_path, obs, write_json(tmp_path / "model.json", TAPERED_MODEL))
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert sorted(doc["factor_order"]) == list(range(200))
+    return path, doc
+
+
+def _replace(k, value):
+    def edit(order):
+        order[k] = value
+        return order
+    return edit
+
+
+BAD_FACTOR_ORDERS = {
+    "short": lambda order: order[:-1],
+    "long": lambda order: order + [0],
+    "repeated index": lambda order: order[:-1] + order[:1],
+    "index m": _replace(0, 200),
+    "negative index": _replace(0, -1),
+    "huge index": _replace(0, 10 ** 400),
+    "float index": lambda order: [float(i) for i in order],
+    "one float index": lambda order: [float(order[0])] + order[1:],
+    "bool index": lambda order: [bool(i) if i in (0, 1) else i for i in order],
+    "text index": lambda order: [str(order[0])] + order[1:],
+    "not a list": lambda order: {"perm": order},
+    "a number": lambda order: 0,
+    "empty": lambda order: [],
+    "band does not fit": lambda order: sorted(order),  # natural order of a 2-D set
+}
+
+
+@pytest.mark.parametrize("edit", BAD_FACTOR_ORDERS.values(), ids=list(BAD_FACTOR_ORDERS))
+def test_bad_factor_order_exit_2(tmp_path, capsys, band_predictor, edit):
+    doc = band_predictor[1]
+    doc["factor_order"] = edit(doc["factor_order"])
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    want = ("factor_order: the band does not fit" if edit is BAD_FACTOR_ORDERS["band does not fit"]
+            else "factor_order must be null or a permutation of the 200 observation indices")
+    assert f"bad.json: {want}" in err
+
+
+@pytest.mark.parametrize("order", ["reversed", "null"])
+def test_any_valid_factor_order_loads_the_same_predictor(tmp_path, band_predictor, order):
+    path, doc = band_predictor
+    doc["factor_order"] = doc["factor_order"][::-1] if order == "reversed" else None
+    other = load_predictor(write_json(tmp_path / "other.json", doc))
+    saved = load_predictor(path)
+    assert other.factor.storage == ("band" if order == "reversed" else "dense")
+    assert other.factor.perm.tolist() == (doc["factor_order"] or list(range(200)))
+    nodes = np.random.default_rng(2).uniform(0.0, 20.0, (50, 2))
+    for got, want in ((other.factor.logdet(), saved.factor.logdet()),
+                      (predict_variance(other, nodes), predict_variance(saved, nodes))):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)

@@ -333,7 +333,7 @@ class TestProfiledSearch:
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
         monkeypatch.setattr(linalg, "_factor_layout",
-                            lambda a: layouts.append(1) or real_layout(a))
+                            lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "cholesky",
                             lambda a: factored.append(bool(in_search)) or real_cholesky(a))
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)

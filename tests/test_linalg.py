@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          SpatialIndex, assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import QUAD_GROUP, dense_spd_inverse, neighbors
+from kernelfield.linalg import QUAD_GROUP, _band_order, dense_spd_inverse, neighbors
 
 
 def random_spd(rng, n, jitter=1.0):
@@ -221,6 +222,38 @@ class TestFactorStorage:
             assert np.array_equal(copy.to_dense(), fresh.to_dense())
             got, want = cholesky(copy), cholesky(fresh)
             assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 80), st.floats(0.0, 0.2), st.integers(0, 2 ** 16))
+    @example(1, 0.0, 0)
+    def test_band_order_is_the_rcm_order_of_the_full_view(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        pattern = sp.random(n, n, density, random_state=rng) + sp.diags(rng.integers(0, 2, n).astype(float))
+        a = SparseSymmetric(sp.tril(pattern + pattern.T).tocsr())  # some diagonals unstored
+        got = _band_order(a)
+        if a.max_row_nnz() + 1 > n:
+            assert got is None
+            return
+        want = reverse_cuthill_mckee(a.full(), symmetric_mode=True)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_given_order_factors_as_the_chosen_one(self, tapered_set):
+        obs, mat = tapered_set
+
+        def fresh():
+            return SparseSymmetric.from_entries(mat.order, *mat.lower_entries())
+
+        chosen = cholesky(fresh())
+        assert chosen.storage == "band"
+        for order, want in ((chosen.perm.copy(), chosen), (None, cholesky(mat.to_dense()))):
+            got = cholesky(fresh(), order)
+            assert got.storage == want.storage and np.array_equal(got.perm, want.perm)
+            assert got.lower.tobytes() == want.lower.tobytes()
+        laid_out = fresh()
+        cholesky(laid_out)
+        assert cholesky(laid_out, None).storage == "dense"  # a given order lays out afresh
+        with pytest.raises(ValueError, match="the band does not fit in the given order"):
+            cholesky(fresh(), np.arange(400))  # the natural order of a 2-D set
 
     def test_with_values_drops_zeros_into_a_pattern_of_its_own(self):
         a = banded_spd(np.random.default_rng(13), 30, 3)
