@@ -109,17 +109,40 @@ def _observation_columns(obs: ObservationSet) -> dict:
             **{name: full[name][rows].T.tolist() for name, rows in _kind_rows(obs.kinds).items()}}
 
 
+def _json_numbers(a, name: str, kinds: str = "fiu") -> np.ndarray:
+    """``a`` as the array ``np.asarray`` makes of it, whose dtype kind must be
+    one of ``kinds`` unless it is empty (ValueError naming ``name``).
+
+    One check of the whole array, with no loop over its elements, refuses
+    strings (``U``), nulls and integers beyond 64 bits (``O``) and lists of
+    booleans (``b``); a boolean among numbers converts to 0 or 1, as numpy
+    converts it.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # a ragged nesting of lists
+        raise ValueError(f"{name} must be a rectangular list of JSON numbers") from None
+    if arr.size and arr.dtype.kind not in kinds:
+        what = "JSON integers" if kinds == "iu" else "JSON numbers"
+        raise ValueError(f"{name} must hold {what}, got {arr.dtype} values")
+    return arr
+
+
 def _observations_from_columns(path, doc) -> ObservationSet:
     """The observation set of a predictor file (ConfigError if malformed)."""
     try:
         cols, dim = doc["observations"], doc["dim"]
         kinds = np.array([KIND_CODES[k] for k in cols["kind"]], dtype=np.int8)
+        numbers = {name: _json_numbers(cols[name], f"observations.{name}")
+                   for name in ("site", "direction", "bounds", "value", "error_var")}
         full = {}
         for (name, rows), width in zip(_kind_rows(kinds).items(), (dim, dim, 2)):
             full[name] = np.zeros((kinds.size, width))
-            full[name][rows] = obsmodel.shaped_floats(cols[name], (width, int(rows.sum())), name).T
-        return ObservationSet.from_arrays(kinds, full["site"], cols["value"], cols["error_var"],
-                                          full["direction"], full["bounds"], dim)
+            full[name][rows] = obsmodel.shaped_floats(numbers[name], (width, int(rows.sum())),
+                                                      name).T
+        return ObservationSet.from_arrays(kinds, full["site"], numbers["value"],
+                                          numbers["error_var"], full["direction"],
+                                          full["bounds"], dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed observation columns ({exc})") from None
 
@@ -174,9 +197,16 @@ def load_predictor(path):
     to round-off.  Localized weights are checked to equal the saved
     approximate inverse applied to the residuals of the observations, to
     round-off; their ``k`` must be a positive integer and their ``delta``
-    equal ``k * taper_range`` as the fit computes it.  A missing top-level
-    field, a model number that is not a JSON number, or any other malformed
-    content is a :class:`ConfigError` naming it.
+    equal ``k * taper_range`` as the fit computes it.  Their ``psi_lower``
+    must be an object whose ``order`` is the JSON integer m, whose ``rows``
+    and ``cols`` are JSON integers in ``[0, order)`` and whose ``vals`` are
+    JSON numbers, the three flat lists of one length.  ``weights`` and the
+    observation columns ``value``, ``error_var``, ``site``, ``direction``
+    and ``bounds`` must hold JSON numbers: a list that numpy reads as
+    strings, nulls, integers beyond 64 bits or booleans is refused, with one
+    dtype check per list.  A missing top-level field, a model number that is
+    not a JSON number, or any other malformed content is a
+    :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -202,7 +232,10 @@ def load_predictor(path):
     if mu == "estimate" or sigma2 == "estimate":
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
     obs = _observations_from_columns(path, doc)
-    weights = np.array(doc["weights"], dtype=float)
+    try:
+        weights = _json_numbers(doc["weights"], "weights").astype(float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if weights.shape != (obs.m,):
         raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
     if mode == "global":
@@ -228,12 +261,7 @@ def load_predictor(path):
     if (model.taper_range is None or type(delta) not in (int, float)
             or delta != float(k) * model.taper_range):
         raise ConfigError(f"{path}: localized.delta must be k * taper_range, got {delta!r}")
-    psi_doc = loc["psi_lower"]
-    if psi_doc["order"] != obs.m:
-        raise ConfigError(f"{path}: approximate inverse of order {psi_doc['order']} "
-                          f"for {obs.m} observations")
-    psi = SparseSymmetric.from_entries(psi_doc["order"], psi_doc["rows"],
-                                       psi_doc["cols"], psi_doc["vals"])
+    psi = _psi_from_entries(path, loc, obs.m)
     if obs.m:
         _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
                        "the weights are not the approximate inverse applied to the "
@@ -241,6 +269,40 @@ def load_predictor(path):
     fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, k, delta)
     fit.deviation_var = float(deviation_var)
     return fit
+
+
+def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
+    """The approximate inverse of a localized file's ``psi_lower`` block: an
+    object whose ``order`` is the JSON integer m and whose ``rows``, ``cols``
+    (JSON integers in ``[0, order)``) and ``vals`` (JSON numbers) are flat
+    lists of one length.  A violation is a ConfigError naming the field."""
+    field = "localized.psi_lower"
+    if "psi_lower" not in loc:
+        raise ConfigError(f"{path}: missing field '{field}'")
+    psi_doc = loc["psi_lower"]
+    if not isinstance(psi_doc, dict):
+        raise ConfigError(f"{path}: {field} must be an object with order, rows, cols and "
+                          f"vals, got {type(psi_doc).__name__}")
+    missing = [key for key in ("order", "rows", "cols", "vals") if key not in psi_doc]
+    if missing:
+        raise ConfigError(f"{path}: missing field '{field}.{missing[0]}'")
+    order = psi_doc["order"]
+    if type(order) is not int or order != m:  # not a bool, a float or a string
+        raise ConfigError(f"{path}: approximate inverse of order {order!r} for {m} "
+                          f"observations ({field}.order must be the JSON integer {m})")
+    entries = {}
+    try:
+        for key, kinds in (("rows", "iu"), ("cols", "iu"), ("vals", "fiu")):
+            entries[key] = _json_numbers(psi_doc[key], f"{field}.{key}", kinds)
+            if entries[key].ndim != 1 or entries[key].size != entries["rows"].size:
+                raise ValueError(f"{field}.{key} must be a flat list as long as "
+                                 f"{field}.rows")
+            if kinds == "iu" and entries[key].size and not (
+                    0 <= entries[key].min() and entries[key].max() < m):
+                raise ValueError(f"{field}.{key} must hold indices in [0, {m})")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return SparseSymmetric.from_entries(m, entries["rows"], entries["cols"], entries["vals"])
 
 
 def _factor_order(path, order, m: int) -> Optional[np.ndarray]:

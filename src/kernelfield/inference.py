@@ -13,6 +13,12 @@ The search analyses once and factors many times (as CHOLMOD does; Chen et
 al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
 found once per taper range, so one evaluation is the correlation values on
 those pairs, one scatter into LAPACK storage, one factorization and two solves.
+
+``scipy.optimize`` is imported by :func:`estimate_eta`, on a process's first
+range search, not with this module: it adds about 9 MB of resident memory and
+0.1-0.17 s to the start-up of a process that never searches (every command
+but ``infer --eta-bounds``).  ``tests/test_cli.py`` fails if it is imported
+at the top again.
 """
 
 import functools
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .corrfn import CorrelationModel
 from .errors import EstimationError, FactorizationError
@@ -200,6 +205,7 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     else:
         raise EstimationError(f"the inter-correlation matrix does not factor at any "
                               f"range tried in [{lo}, {search_bounds[1]}]")
+    from scipy.optimize import minimize_scalar  # deferred: see the module docstring
     with np.errstate(invalid="ignore"):  # Brent's parabolic steps meet inf values
         result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                                  options={"xatol": rel_tol * lo, "maxiter": max_iter - failed})

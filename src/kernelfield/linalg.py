@@ -12,6 +12,12 @@ purpose, one LAPACK ``dposv`` call (a Cholesky factorization, its
 positive-definiteness check and the solve) per matrix of a stack.  That call
 holds the interpreter lock, so threads do not run the inversions of a stack
 in parallel.
+
+``scipy.sparse.csgraph`` (reverse Cuthill-McKee) is imported by
+:func:`_band_order` after its skip test, not with this module: it adds about
+2 MB of resident memory and 20 ms to the start-up of a process whose
+matrices are all full, as an untapered model's are.  ``tests/test_cli.py``
+fails if it is imported at the top again.
 """
 
 import functools
@@ -23,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotrs, dtbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationError
 
@@ -258,6 +263,7 @@ def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
     row_nnz = a._row_nnz()
     if not m or row_nnz.max() + 1 > m:
         return None
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: see the module docstring
     csc = lower.tocsc()
     cols = np.repeat(np.arange(m), np.diff(csc.indptr))
     below = csc.indices > cols

@@ -18,6 +18,12 @@ model (support separation at or beyond the taper range) are never stored,
 neither in the inter-correlation matrix nor in the kernels of a block of
 query points, which are then a sparse (CSR) matrix of the pairs that one
 k-d tree query finds within reach (a dense array without a taper).
+
+``scipy.integrate`` is imported by the two quadrature routines, on the first
+tapered interval entry, not with this module: with the ``scipy.optimize`` it
+imports, it adds about 12 MB of resident memory and 0.2 s to the start-up of
+a process that has no such entry.  ``tests/test_cli.py`` fails if it is
+imported at the top again.
 """
 
 import csv
@@ -27,7 +33,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import erf
@@ -312,6 +317,7 @@ def _base_integrals(model: CorrelationModel):
 # -- quadrature for tapered interval entries --------------------------------
 
 def _quad_interval_point(model: CorrelationModel, x: float, lo: float, hi: float) -> float:
+    from scipy.integrate import quad  # deferred: see the module docstring
     tau0 = model.taper_range  # breakpoints at the kernel's kinks
     pts = [p for p in (x - tau0, x, x + tau0) if lo < p < hi]
     return quad(lambda u: model.eval(abs(x - u)), lo, hi, points=pts or None, limit=200,
@@ -322,6 +328,7 @@ def _quad_interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> floa
     # Reduce the double integral over two intervals to one lag integral:
     # int int rho(u - v) dv du = int rho(t) * overlap(t) dt, where overlap(t)
     # is the length of [lo1, hi1] meeting [lo2 + t, hi2 + t].
+    from scipy.integrate import quad  # deferred: see the module docstring
     a, b = lo1 - hi2, hi1 - lo2
     tau0 = model.taper_range
 

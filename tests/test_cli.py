@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kernelfield
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
                          fit_global, fit_localized, predict_localized, predict_variance,
                          read_observations_csv, variance_localized, write_observations_csv)
@@ -647,3 +651,152 @@ def test_any_valid_factor_order_loads_the_same_predictor(tmp_path, band_predicto
     for got, want in ((other.factor.logdet(), saved.factor.logdet()),
                       (predict_variance(other, nodes), predict_variance(saved, nodes))):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _edit(*path, fn):
+    """Replace the field of a predictor document at ``path`` by ``fn`` of it."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = fn(doc[path[-1]])
+    return edit
+
+
+def _at(k, value):  # element k of a flat list, or of the first list of a nested one
+    def fn(a):
+        row = a[0] if isinstance(a[0], list) else a
+        row[k] = value
+        return a
+    return fn
+
+
+def _all_bools(a):
+    return [_all_bools(v) if isinstance(v, list) else v != 0 for v in a]
+
+
+NUMBER_EDITS = {"numeric text": _at(3, "0.5"), "all bools": _all_bools, "null": _at(3, None),
+                "huge int": _at(3, 10 ** 400), "nested list": _at(3, [1.0])}
+INDEX_EDITS = {"numeric text": _at(3, "3"), "all bools": _all_bools, "null": _at(3, None),
+               "index 1.5": _at(3, 1.5), "index -1": _at(3, -1), "index m": _at(3, 30),
+               "short": lambda a: a[:-1]}
+ORDER_EDITS = {"numeric text": "30", "bool": True, "null": None, "float m": 30.0,
+               "negative": -1, "list": [30]}  # m + 1: test_approximate_inverse_of_wrong_order
+PSI = ("localized", "psi_lower")
+MALFORMED_FIELDS = [
+    *[pytest.param(mode, ".".join(path), _edit(*path, fn=fn), id=f"{mode}-{path[-1]}-{name}")
+      for mode in ("global", "localized")
+      for path in [("weights",)] + [("observations", c) for c in ("value", "error_var", "site")]
+      for name, fn in NUMBER_EDITS.items()],
+    *[pytest.param("localized", f"localized.psi_lower.{key}", _edit(*PSI, key, fn=fn),
+                   id=f"psi-{key}-{name}")
+      for key, edits in (("rows", INDEX_EDITS), ("cols", INDEX_EDITS), ("vals", NUMBER_EDITS))
+      for name, fn in edits.items()],
+    *[pytest.param("localized", "localized.psi_lower.order", _set(*PSI, "order", value=value),
+                   id=f"psi-order-{name}")
+      for name, value in ORDER_EDITS.items()],
+    pytest.param("localized", "localized.psi_lower",
+                 _edit(*PSI, fn=lambda psi: [psi["rows"], psi["cols"], psi["vals"]]),
+                 id="psi-a-list"),
+    pytest.param("localized", "localized.psi_lower", lambda doc: doc["localized"].pop("psi_lower"),
+                 id="psi-missing"),
+    pytest.param("localized", "localized.psi_lower.vals",
+                 lambda doc: doc["localized"]["psi_lower"].pop("vals"), id="psi-vals-missing"),
+]
+
+
+@pytest.mark.parametrize("mode, field, edit", MALFORMED_FIELDS)
+def test_malformed_predictor_field_exit_2(tmp_path, inputs, capsys, mode, field, edit):
+    with open(fit(tmp_path, *inputs, mode=mode)) as fh:
+        doc = json.load(fh)
+    assert len(doc["weights"]) == 30  # the m of the "index m" edits
+    edit(doc)
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and field in err
+
+
+@pytest.mark.parametrize("mode, path, refusal", [
+    ("global", ("weights",), "the weights do not solve"),
+    ("global", ("observations", "value"), "the weights do not solve"),
+    ("localized", PSI + ("vals",), "the weights are not the approximate inverse")])
+def test_a_bool_among_numbers_fails_the_weight_check(tmp_path, inputs, capsys, mode, path,
+                                                     refusal):
+    # numpy reads [0.3, true] as [0.3, 1.0]; the weights then no longer fit
+    with open(fit(tmp_path, *inputs, mode=mode)) as fh:
+        doc = json.load(fh)
+    _edit(*path, fn=_at(3, True))(doc)
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2 and refusal in err
+
+
+# Modules that kernelfield imports only in the function that needs them.
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse.csgraph")
+
+IMPORT_GUARD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import numpy, scipy.linalg, scipy.sparse, scipy.spatial, scipy.special
+    baseline = set(sys.modules)  # what scipy itself loads with the modules imported above
+    from kernelfield.cli import main
+    loaded = []
+    for phase in json.loads(sys.argv[1]):
+        for argv in phase:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        loaded.append({name: [name in baseline, name in sys.modules] for name in sys.argv[2:]})
+    print(json.dumps(loaded))
+""")
+
+
+def operator_set_1d(m=30):
+    """A 1-D jittered lattice of points, derivatives and interval integrals."""
+    rng = np.random.default_rng(3)
+    sites = 0.5 * (np.arange(m) + rng.uniform(-0.2, 0.2, m))
+    obs = [Observation(POINT, [x], float(np.sin(x))) if i % 3 == 0 else
+           Observation(DERIV, [x], float(np.cos(x)), direction=[1.0]) if i % 3 == 1 else
+           Observation(AVG, [x, x + 0.2], float(0.2 * np.sin(x))) for i, x in enumerate(sites)]
+    return ObservationSet(obs)
+
+
+def test_cli_loads_only_the_scipy_it_uses(tmp_path):
+    """Each deferred module stays out of a process until a command needs it."""
+    files = {name: str(tmp_path / name) for name in ("pts.csv", "ops.csv", "mixed.csv")}
+    write_observations_csv(files["ops.csv"], operator_set_1d())
+    write_observations_csv(files["mixed.csv"], mixed_1d_set())
+    models = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in {
+        "tapered": TAPERED_MODEL, "untapered": UNTAPERED_MODEL,
+        "gauss2": dict(UNTAPERED_MODEL, base={"kind": "gauss2", "scale": 0.5}),
+        "mixed": dict(base={"kind": "matern52", "scale": 0.6}, taper_range=1.2, mu=0.1,
+                      sigma2=1.3)}.items()}
+    out, raster = str(tmp_path / "p.json"), str(tmp_path / "r.csv")
+
+    def pipeline(obs, model, grid, *fit_extra):  # fit, grid and infer of one set
+        return [["fit", "--obs", obs, "--model", models[model], "--out", out, *fit_extra],
+                ["grid", "--predictor", out, "--grid", grid, "--out", raster],
+                ["infer", "--obs", obs, "--model", models[model], *fit_extra]]
+
+    grid_2d, grid_1d = "0,20,5;0,20,5", "0,15,9"
+    phases = [  # (commands, modules that must be loaded, modules that must not be)
+        ([["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
+           "--out", files["pts.csv"]]]
+         + pipeline(files["pts.csv"], "untapered", grid_2d)
+         + pipeline(files["ops.csv"], "gauss2", grid_1d)
+         + [["example-a", "--out-prefix", ""]], (), DEFERRED),
+        (pipeline(files["pts.csv"], "tapered", grid_2d)
+         + pipeline(files["pts.csv"], "tapered", grid_2d, "--mode", "localized"),
+         ("scipy.sparse.csgraph",), ("scipy.optimize", "scipy.integrate")),
+        ([["infer", "--obs", files["pts.csv"], "--model", models["untapered"],
+           "--eta-bounds", "0.1,3"]], ("scipy.optimize",), ("scipy.integrate",)),
+        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], ("scipy.integrate",), ()),
+    ]
+    src = os.path.dirname(os.path.dirname(kernelfield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
+                          json.dumps([commands for commands, *_ in phases]), *DEFERRED],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for (commands, needed, absent), seen in zip(phases, json.loads(run.stdout)):
+        names = [argv[0] for argv in commands]
+        assert all(seen[name][1] for name in needed), f"{needed} not all loaded after {names}"
+        loaded = [name for name in absent if seen[name] == [False, True]]
+        assert not loaded, f"{loaded} loaded by {names}"
