@@ -200,13 +200,13 @@ def load_predictor(path):
     equal ``k * taper_range`` as the fit computes it.  Their ``psi_lower``
     must be an object whose ``order`` is the JSON integer m, whose ``rows``
     and ``cols`` are JSON integers in ``[0, order)`` and whose ``vals`` are
-    JSON numbers, the three flat lists of one length.  ``weights`` and the
-    observation columns ``value``, ``error_var``, ``site``, ``direction``
-    and ``bounds`` must hold JSON numbers: a list that numpy reads as
-    strings, nulls, integers beyond 64 bits or booleans is refused, with one
-    dtype check per list.  A missing top-level field, a model number that is
-    not a JSON number, or any other malformed content is a
-    :class:`ConfigError` naming it.
+    JSON numbers, the three flat lists of one length, with no entry repeated
+    in either triangle.  ``weights`` and the observation columns ``value``,
+    ``error_var``, ``site``, ``direction`` and ``bounds`` must hold JSON
+    numbers: a list that numpy reads as strings, nulls, integers beyond 64
+    bits or booleans is refused, with one dtype check per list.  A missing
+    top-level field, a model number that is not a JSON number, or any other
+    malformed content is a :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -275,7 +275,8 @@ def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
     """The approximate inverse of a localized file's ``psi_lower`` block: an
     object whose ``order`` is the JSON integer m and whose ``rows``, ``cols``
     (JSON integers in ``[0, order)``) and ``vals`` (JSON numbers) are flat
-    lists of one length.  A violation is a ConfigError naming the field."""
+    lists of one length, with no entry repeated (as (i, j) twice, or as both
+    (i, j) and (j, i)).  A violation is a ConfigError naming the field."""
     field = "localized.psi_lower"
     if "psi_lower" not in loc:
         raise ConfigError(f"{path}: missing field '{field}'")
@@ -302,7 +303,10 @@ def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
                 raise ValueError(f"{field}.{key} must hold indices in [0, {m})")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return SparseSymmetric.from_entries(m, entries["rows"], entries["cols"], entries["vals"])
+    try:
+        return SparseSymmetric.from_entries(m, entries["rows"], entries["cols"], entries["vals"])
+    except ValueError as exc:  # a repeated entry
+        raise ConfigError(f"{path}: {field}: {exc}") from None
 
 
 def _factor_order(path, order, m: int) -> Optional[np.ndarray]:

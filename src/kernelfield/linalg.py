@@ -77,14 +77,26 @@ class SparseSymmetric:
 
     @classmethod
     def from_entries(cls, order: int, rows, cols, vals) -> "SparseSymmetric":
-        """Build from (row, col, value) triples of one triangle (any mix)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        """Build from (row, col, value) triples of one triangle (any mix).
+
+        Each entry is folded to the lower triangle and the CSR arrays are
+        built directly, after one sort on the int64 key ``row * order + col``.
+        A repeated entry, such as one given as both (i, j) and (j, i), is a
+        ``ValueError`` naming it: it is never summed.
+        """
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        lo_r = np.maximum(rows, cols)
-        lo_c = np.minimum(rows, cols)
-        lower = sp.coo_matrix((vals, (lo_r, lo_c)), shape=(order, order)).tocsr()
-        return cls(lower)
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("rows, cols and vals must be of one length")
+        lo_r, lo_c = np.maximum(rows, cols), np.minimum(rows, cols)
+        keys = lo_r * order + lo_c
+        csr = np.argsort(keys, kind="stable")  # linear on triples already in CSR order
+        repeated = keys[csr[1:]] == keys[csr[:-1]]
+        if repeated.any():
+            k = csr[repeated.argmax()]
+            raise ValueError(f"repeated entry ({lo_r[k]}, {lo_c[k]}) of the lower triangle")
+        indptr = np.append(0, np.cumsum(np.bincount(lo_r, minlength=order)))
+        return cls(sp.csr_matrix((vals[csr], lo_c[csr], indptr), shape=(order, order)))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseSymmetric":

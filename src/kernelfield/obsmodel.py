@@ -567,21 +567,22 @@ def over_query_blocks(x, fn):
 
 def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.ndarray):
     """Reject two exact point observations at one location, among the pairs
-    ``(i[k], j[k])``, ``i >= j``, which must include every zero-distance pair.
+    ``(i[k], j[k])`` in CSR order, ``i >= j``, which must include every point
+    pair at distance zero.
 
     Names the first observation whose location an earlier one already has,
     and the first observation at that location.  Coordinates compare with
-    ``==``, so signed zeros count as one location.
+    ``==``, so signed zeros count as one location, and two sites whose
+    distance underflows to zero do not.
     """
     exact = obs_set.point_mask() & (obs_set.error_vars() == 0.0)
     both = np.flatnonzero(exact[i] & exact[j] & (i != j))
     reps = obs_set.rep_points()
     same = both[np.all(reps[i[both]] == reps[j[both]], axis=1)]
     if same.size:
-        first = same[np.lexsort((j[same], i[same]))[0]]
         raise ValueError(
             f"duplicate exact point observations at one location "
-            f"(indices {j[first]} and {i[first]}) make the inter-correlation "
+            f"(indices {j[same[0]]} and {i[same[0]]}) make the inter-correlation "
             f"matrix singular"
         )
 
@@ -589,28 +590,37 @@ def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.
 class PairStructure:
     """What of a set's inter-correlation matrix only the taper range changes:
     the stored pairs (i >= j) in CSR order, the kind pairs with their operator
-    arrays and the point-point distances.  Building it rejects duplicate exact
-    points and checks the distances once, so that :meth:`matrix` evaluates the
-    model on them unchecked.  Without a taper every pair is stored; under one,
-    the pairs of rep points within ``taper_range + 2 * max radius`` (a k-d
-    tree query) whose supports are closer than the taper range; the others
-    are provably zero.
+    arrays and the point-point distances.  Without a taper every pair is
+    stored; under one, the pairs of rep points within ``taper_range + 2 * max
+    radius`` (a k-d tree query) whose supports are closer than the taper
+    range; the others are provably zero.  The pairs are put in CSR order by
+    one int64 key, ``i * m + j``.
+
+    Each point pair's distance is computed once: where every support is a
+    site (dim > 1), it is the support separation of the pair, which also
+    selects the pairs under a taper.  Building the structure looks for
+    duplicate exact points among the coincident point pairs only (distance
+    zero) and checks the distances once, so that :meth:`matrix` evaluates
+    the model on them unchecked.
     """
 
     def __init__(self, obs_set: ObservationSet, taper_range: Optional[float]):
         m = obs_set.m
         if m < 1:
             raise ValueError("assemble requires at least one observation")
+        sep = None  # support separations of the stored pairs, kept where they are distances
         if taper_range is None:
             i, j = np.tril_indices(m)
         else:
             reach = taper_range + 2.0 * float(obs_set.support_radii().max())
             j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
-            near = _support_separations(obs_set, i, j) < taper_range
-            i, j = np.append(i[near], np.arange(m)), np.append(j[near], np.arange(m))
-            csr = np.lexsort((j, i))
+            sep = _support_separations(obs_set, i, j)
+            near = sep < taper_range
+            diagonal = np.arange(m)
+            i, j = np.append(i[near], diagonal), np.append(j[near], diagonal)
+            csr = np.argsort(i * m + j)  # unique keys: the order of lexsort((j, i))
             i, j = i[csr], j[csr]
-        _check_duplicate_exact_points(obs_set, i, j)
+            sep = np.append(sep[near], np.zeros(m))[csr] if obs_set.dim > 1 else None
         self.obs_set, self.taper_range = obs_set, taper_range
         self._diagonal, self._cols = np.flatnonzero(i == j), j
         self._indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
@@ -621,9 +631,15 @@ class PairStructure:
         for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
             sel = np.flatnonzero(kind_pairs == code)
             ka, kb = divmod(code, len(KINDS))
-            a, b = _operators(obs_set, ka, i[sel]), _operators(obs_set, kb, j[sel])
-            self._groups.append((sel, _check_dist(_distances(a.x, b.x))) if code == 0
-                                else (sel, ka, a, kb, b))
+            if code == 0:
+                reps = obs_set.rep_points()
+                dist = _distances(reps[i[sel]], reps[j[sel]]) if sep is None else sep[sel]
+                coincident = sel[dist == 0.0]
+                _check_duplicate_exact_points(obs_set, i[coincident], j[coincident])
+                self._groups.append((sel, _check_dist(dist)))
+            else:
+                self._groups.append((sel, ka, _operators(obs_set, ka, i[sel]),
+                                     kb, _operators(obs_set, kb, j[sel])))
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the
@@ -648,8 +664,10 @@ class PairStructure:
 
 def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
     """Assemble the symmetric m-by-m observation inter-correlation matrix:
-    the set's :class:`PairStructure` under the model's taper range, then its
-    values.  Entries that underflow to zero are not stored."""
+    the set's :class:`PairStructure` under the model's taper range (one sort
+    key, one distance per point pair, duplicate exact points looked for among
+    the coincident pairs only), then its values.  Entries that underflow to
+    zero are not stored."""
     return PairStructure(obs_set, model.taper_range).matrix(model, sigma2_r)
 
 

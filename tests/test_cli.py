@@ -682,6 +682,16 @@ INDEX_EDITS = {"numeric text": _at(3, "3"), "all bools": _all_bools, "null": _at
 ORDER_EDITS = {"numeric text": "30", "bool": True, "null": None, "float m": 30.0,
                "negative": -1, "list": [30]}  # m + 1: test_approximate_inverse_of_wrong_order
 PSI = ("localized", "psi_lower")
+
+
+def _repeat_an_entry(psi, flip):
+    k = next(k for k, (r, c) in enumerate(zip(psi["rows"], psi["cols"])) if r != c)
+    row, col = psi["rows"][k], psi["cols"][k]
+    psi["rows"].append(col if flip else row)
+    psi["cols"].append(row if flip else col)
+    psi["vals"].append(0.0)
+
+
 MALFORMED_FIELDS = [
     *[pytest.param(mode, ".".join(path), _edit(*path, fn=fn), id=f"{mode}-{path[-1]}-{name}")
       for mode in ("global", "localized")
@@ -701,6 +711,12 @@ MALFORMED_FIELDS = [
                  id="psi-missing"),
     pytest.param("localized", "localized.psi_lower.vals",
                  lambda doc: doc["localized"]["psi_lower"].pop("vals"), id="psi-vals-missing"),
+    # an off-diagonal entry again with the value 0.0, as (i, j) and as (j, i):
+    # summed, it would leave Psi and the weight check unchanged
+    *[pytest.param("localized", "localized.psi_lower: repeated entry",
+                   lambda doc, flip=flip: _repeat_an_entry(doc["localized"]["psi_lower"], flip),
+                   id=f"psi-repeated-{name}")
+      for name, flip in (("entry", False), ("transposed-entry", True))],
 ]
 
 

@@ -30,6 +30,12 @@ class TestSparseSymmetric:
         s = SparseSymmetric.from_entries(2, [0, 1, 1], [0, 0, 1], [1.0, 0.0, 1.0])
         assert s.nnz_lower == 2
 
+    @pytest.mark.parametrize("rows, cols", [([0, 1, 1, 1], [0, 0, 1, 0]),
+                                            ([0, 1, 1, 0], [0, 0, 1, 1])])
+    def test_repeated_entry_refused_not_summed(self, rows, cols):
+        with pytest.raises(ValueError, match=r"repeated entry \(1, 0\)"):
+            SparseSymmetric.from_entries(2, rows, cols, [1.0, 0.5, 1.0, 0.0])
+
     def test_submatrix_and_matvec(self):
         rng = np.random.default_rng(0)
         a = random_spd(rng, 6)

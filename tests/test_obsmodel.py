@@ -17,7 +17,7 @@ from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation,
                          kernel_vector, read_observations_csv,
                          write_observations_csv)
 from kernelfield.cli import demo_observation_set
-from kernelfield.obsmodel import KIND_CODES, PairStructure, support_separation
+from kernelfield.obsmodel import KIND_CODES, PairStructure, _distances, support_separation
 
 M52 = CorrelationModel("matern52", 1.0)
 M52_WIDE = CorrelationModel("matern52", 3.0)
@@ -343,12 +343,18 @@ class TestAssemble:
             assemble(obs, G2, 1.0)
 
     @pytest.mark.parametrize("model", [G2, TAPERED])
-    @pytest.mark.parametrize("sites, named", [
+    @pytest.mark.parametrize("sites, named", [  # a third number is a noisy point's error_var
         ([[5.0, 5.0], [1.0, 2.0], [3.0, 3.0], [1.0, 2.0], [1.0, 2.0]], "1 and 3"),
         ([[1.0, 2.0], [5.0, 5.0], [5.0, 5.0], [1.0, 2.0]], "1 and 2"),
+        # exact duplicates among noisy points at the same sites
+        ([[1.0, 2.0, 0.5], [5.0, 5.0], [1.0, 2.0], [1.0, 2.0, 0.5], [5.0, 5.0, 0.5],
+          [1.0, 2.0], [5.0, 5.0]], "2 and 5"),
+        # 0 and 1 differ by a subnormal amount: their distance underflows to 0.0,
+        # but they are two sites
+        ([[0.0, 1.0], [1e-310, 1.0], [3.0, 3.0], [1e-310, 1.0]], "1 and 3"),
     ])
     def test_duplicate_names_first_repeat_and_its_first_site(self, model, sites, named):
-        obs = ObservationSet([pt(x) for x in sites])
+        obs = ObservationSet([pt(x[:2], error_var=x[2] if len(x) > 2 else 0.0) for x in sites])
         with pytest.raises(ValueError, match=rf"duplicate exact point.*indices {named}\)"):
             assemble(obs, model, 1.0)
 
@@ -411,6 +417,33 @@ class TestAssemble:
         got = assemble(obs, model, sigma2).to_dense()
         np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
         assert np.array_equal(got != 0.0, kept)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_tapered_2d_csr_arrays_equal_the_all_pairs_reference(self, seed):
+        # Sites on a dyadic lattice put pairs exactly tau0 apart (along an axis,
+        # and 1.25 = |(0.75, 1.0)|); noisy points share sites with exact ones.
+        rng = np.random.default_rng(seed)
+        tau0 = float(rng.choice([0.5, 1.0, 1.25, 1.5]))
+        model = CorrelationModel(str(rng.choice(["matern52", "gauss2"])), 0.4, tau0)
+        exact = np.unique(rng.integers(0, 17, (int(rng.integers(1, 50)), 2)), axis=0) / 4.0
+        noisy = np.concatenate([exact[rng.integers(0, len(exact), int(rng.integers(0, 15)))],
+                                exact[:1] + [tau0, 0.0], rng.uniform(0.0, 4.0, (5, 2))])
+        sites = np.concatenate([exact, noisy])
+        error_vars = np.repeat([0.0, 0.3], [len(exact), len(noisy)])
+        order = rng.permutation(len(sites))
+        sites, error_vars, m = sites[order], error_vars[order], len(sites)
+        obs = ObservationSet.from_arrays(np.zeros(m, dtype=np.int8), sites, np.zeros(m),
+                                         error_vars)
+        got = assemble(obs, model, 2.0)._lower
+        i, j = np.tril_indices(m)
+        dist = _distances(sites[i], sites[j])
+        vals = model.eval(dist) + np.where(i == j, error_vars[i] / 2.0, 0.0)
+        csr = np.lexsort((j, i))
+        csr = csr[(dist[csr] < tau0) & (vals[csr] != 0.0)]
+        assert np.array_equal(got.indptr, np.append(0, np.cumsum(np.bincount(i[csr], minlength=m))))
+        assert np.array_equal(got.indices, j[csr])
+        assert np.array_equal(got.data, vals[csr])
 
     def test_gauss2_interval_entries_match_quadrature(self):
         # brute_force_matrix shares the array path with assemble; this
