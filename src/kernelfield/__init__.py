@@ -1,8 +1,11 @@
 """Grid-free spatial prediction for stationary Gaussian random fields.
 
-Global and localized kernel predictors with finite-range correlation
-functions, linear-operator observations (point values, derivatives,
-interval integrals) and marginal-likelihood parameter inference.
+Kernel predictors with finite-range correlation functions, linear-operator
+observations (point values, derivatives, interval integrals) and
+marginal-likelihood parameter inference.  ``fit_global`` and
+``fit_localized`` both return a :class:`KernelPredictor`, which
+``predict``, ``predict_variance``, ``predict_derivative``,
+``predict_average`` and ``rasterize`` take in either mode.
 """
 
 from .corrfn import (CorrelationModel, eval_gauss2, eval_matern52,
@@ -12,9 +15,7 @@ from .errors import (ConfigError, EstimationError, FactorizationError,
 from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
                         estimate_sigma2)
 from .linalg import SparseSymmetric, SpatialIndex, cholesky
-from .localized import (LocalizedFit, adjusted_variance, approximate_inverse,
-                        fit_localized, predict_localized, rasterize_localized,
-                        variance_localized)
+from .localized import approximate_inverse, fit_localized
 from .obsmodel import (AVG, DERIV, POINT, Observation, ObservationSet,
                        assemble, cross_correlation, kernel_value,
                        kernel_vector, read_observations_csv,
@@ -28,16 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AVG", "DERIV", "POINT",
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
-    "GridSpec", "KernelPredictor", "LocalizedFit",
+    "GridSpec", "KernelPredictor",
     "MleResult", "Observation", "ObservationParseError", "ObservationSet",
     "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
-    "adjusted_variance", "approximate_inverse", "assemble", "cholesky",
+    "approximate_inverse", "assemble", "cholesky",
     "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu",
     "estimate_sigma2", "eval_gauss2", "eval_matern52", "eval_spherical",
     "fit_global", "fit_localized", "kernel_value", "kernel_vector",
     "kriging_predict", "predict", "predict_average", "predict_derivative",
-    "predict_localized", "predict_variance", "rasterize",
-    "rasterize_localized", "read_observations_csv",
-    "spot_check_nonneg_definite", "variance_localized",
-    "write_observations_csv",
+    "predict_variance", "rasterize", "read_observations_csv",
+    "spot_check_nonneg_definite", "write_observations_csv",
 ]

@@ -39,7 +39,7 @@ from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError)
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
-from .localized import LocalizedFit, fit_localized, rasterize_localized
+from .localized import fit_localized
 from .obsmodel import (KIND_CODES, Observation, ObservationSet, assemble,
                        read_observations_csv)
 from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
@@ -147,34 +147,28 @@ def _observations_from_columns(path, doc) -> ObservationSet:
         raise ConfigError(f"{path}: malformed observation columns ({exc})") from None
 
 
-def save_predictor(path, fitted):
+def save_predictor(path, fitted: KernelPredictor):
     """Persist a fitted global or localized predictor as JSON."""
-    if isinstance(fitted, LocalizedFit):
-        mode, mu, sigma2 = "localized", fitted.mu_star, fitted.sigma2_star
-        weights = fitted.weights_star
-    else:
-        mode, mu, sigma2 = "global", fitted.mu, fitted.sigma2
-        weights = fitted.weights
     doc = {
         "format": PREDICTOR_FORMAT,
         "version": PREDICTOR_VERSION,
-        "mode": mode,
-        "model": corrfn.model_config(fitted.model, mu, sigma2),
+        "mode": fitted.mode,
+        "model": corrfn.model_config(fitted.model, fitted.mu, fitted.sigma2),
         "dim": fitted.obs.dim,
         "observations": _observation_columns(fitted.obs),
-        "weights": weights.tolist(),
+        "weights": fitted.weights.tolist(),
     }
-    if mode == "global":
-        band = fitted.factor is not None and fitted.factor.storage == "band"
-        doc["factor_order"] = fitted.factor.perm.tolist() if band else None
+    if fitted.mode == "global":
+        band = fitted.inverse is not None and fitted.inverse.storage == "band"
+        doc["factor_order"] = fitted.inverse.perm.tolist() if band else None
     else:
-        rows, cols, vals = fitted.approx_inverse.lower_entries()
+        rows, cols, vals = fitted.inverse.lower_entries()
         doc["localized"] = {
             "k": fitted.k,
             "delta": fitted.delta,
             "deviation_var": fitted.deviation_var,
             "psi_lower": {
-                "order": fitted.approx_inverse.order,
+                "order": fitted.inverse.order,
                 "rows": rows.tolist(),
                 "cols": cols.tolist(),
                 "vals": vals.tolist(),
@@ -184,7 +178,7 @@ def save_predictor(path, fitted):
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_predictor(path):
+def load_predictor(path) -> KernelPredictor:
     """Load a fitted predictor saved by :func:`save_predictor`.
 
     Global predictors reassemble and refactor the inter-correlation matrix
@@ -241,7 +235,7 @@ def load_predictor(path):
     if mode == "global":
         order = _factor_order(path, doc["factor_order"], obs.m)
         if obs.m == 0:
-            return KernelPredictor(model, obs, mu, sigma2, weights, None, None)
+            return KernelPredictor(model, obs, mu, sigma2, weights, None)
         matrix = assemble(obs, model, sigma2)
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
@@ -266,9 +260,8 @@ def load_predictor(path):
         _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
                        "the weights are not the approximate inverse applied to the "
                        "residuals of the saved observations")
-    fit = LocalizedFit(model, obs, psi, mu, sigma2, weights, k, delta)
-    fit.deviation_var = float(deviation_var)
-    return fit
+    return KernelPredictor(model, obs, mu, sigma2, weights, psi, deviation_var=deviation_var,
+                           k=k, delta=float(delta))
 
 
 def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
@@ -349,10 +342,11 @@ def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
         raise ConfigError(f"{path}: {refusal} (residual {residual:.3g})")
 
 
-def _write_raster_csv(path, table: np.ndarray, dim: int, localized_mode: bool):
-    cols = [f"x{k + 1}" for k in range(dim)] + ["prediction", "variance"]
-    if localized_mode:
-        cols.append("adjusted_variance")
+def _write_raster_csv(path, table: np.ndarray, dim: int):
+    """A :func:`rasterize` table as CSV: the coordinates, then ``prediction``,
+    ``variance`` and, for a localized predictor, ``adjusted_variance``."""
+    cols = [f"x{k + 1}" for k in range(dim)]
+    cols += ["prediction", "variance", "adjusted_variance"][:table.shape[1] - dim]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in table.tolist():
@@ -387,21 +381,15 @@ def cmd_fit(args) -> int:
 
     if cfg.mode == "global":
         fitted = fit_global(obs, cfg.model, mu, sigma2)
-        summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=0.0, k=None,
-                       delta=None, matrix=_matrix_stats(fitted.matrix, fitted.factor),
-                       approx_inverse=None, neighborhood_sizes=None,
-                       negative_variance_at_obs=None)
     else:
         fitted = fit_localized(obs, cfg.model, cfg.k, mu=mu, sigma2=sigma2,
                                workers=cfg.workers, count_negative_variance=True)
-        sizes = _neighborhood_sizes(fitted)
-        summary.update(
-            mu=fitted.mu_star, sigma2=fitted.sigma2_star,
-            deviation_var=fitted.deviation_var, k=fitted.k, delta=fitted.delta,
-            matrix=None, approx_inverse=_matrix_stats(fitted.approx_inverse),
-            neighborhood_sizes=sizes,
-            negative_variance_at_obs=fitted.negative_variance_at_obs,
-        )
+    psi = fitted.inverse if fitted.mode == "localized" else None
+    summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=fitted.deviation_var,
+                   k=fitted.k, delta=fitted.delta,
+                   matrix=_matrix_stats(fitted.matrix, fitted.inverse),
+                   approx_inverse=_matrix_stats(psi), neighborhood_sizes=_neighborhood_sizes(psi),
+                   negative_variance_at_obs=fitted.negative_variance_at_obs)
 
     if cfg.out_path:
         save_predictor(cfg.out_path, fitted)
@@ -411,10 +399,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _neighborhood_sizes(fit: LocalizedFit) -> Optional[dict]:
-    if fit.obs.m == 0:
+def _neighborhood_sizes(psi: Optional[SparseSymmetric]) -> Optional[dict]:
+    if psi is None or psi.order == 0:
         return None
-    counts = np.diff(fit.approx_inverse.full().indptr)
+    counts = np.diff(psi.full().indptr)
     return {"min": int(counts.min()), "mean": float(counts.mean()), "max": int(counts.max())}
 
 
@@ -430,12 +418,7 @@ def _emit(doc: dict, path: Optional[str]):
 
 def cmd_grid(args) -> int:
     fitted = load_predictor(args.predictor)
-    grid = GridSpec.parse(args.grid)
-    localized_mode = isinstance(fitted, LocalizedFit)
-    if grid.dim != fitted.obs.dim:
-        raise ConfigError(f"grid dimension {grid.dim} != predictor dimension {fitted.obs.dim}")
-    table = rasterize_localized(fitted, grid) if localized_mode else rasterize(fitted, grid)
-    _write_raster_csv(args.out, table, grid.dim, localized_mode)
+    _write_raster_csv(args.out, rasterize(fitted, GridSpec.parse(args.grid)), fitted.dim)
     return 0
 
 
@@ -474,7 +457,7 @@ def cmd_infer(args) -> int:
 
     if cfg.mode == "localized":
         fit = fit_localized(obs, cfg.model, cfg.k, workers=cfg.workers)
-        result = inference.MleResult(fit.mu_star, fit.sigma2_star, None, None, 1, True)
+        result = inference.MleResult(fit.mu, fit.sigma2, None, None, 1, True)
     elif eta_bounds is not None:
         def family(eta, _m=cfg.model):
             return corrfn.CorrelationModel(_m.base_kind, eta, _m.taper_range)
@@ -516,7 +499,7 @@ def cmd_example_a(args) -> int:
     if args.out_prefix:
         grid = GridSpec.parse(f"-10,10,{args.nodes}")
         raster_path = f"{args.out_prefix}_raster.csv"
-        _write_raster_csv(raster_path, rasterize(fitted, grid), 1, localized_mode=False)
+        _write_raster_csv(raster_path, rasterize(fitted, grid), 1)
     out["raster"] = raster_path
     print(json.dumps(out, indent=2))
     return 0

@@ -69,8 +69,19 @@ class SparseSymmetric:
         p = self._pattern
         if not values.all():  # copied, so that dropping zeros leaves the pattern whole
             return SparseSymmetric(sp.csr_matrix((values, p.indices, p.indptr), p.shape, copy=True))
-        out = SparseSymmetric.__new__(SparseSymmetric)
-        out.__dict__.update(_pattern=p, _values=values, _full=None, _layout=self._layout)
+        return SparseSymmetric._canonical(p, values, self._layout)
+
+    @classmethod
+    def _canonical(cls, pattern: sp.csr_matrix, values: np.ndarray,
+                   layout=None) -> "SparseSymmetric":
+        """The lower-triangle CSR ``pattern``, canonical (sorted, with no
+        repeated entry), holding ``values``, none zero, and with the factor
+        ``layout`` of that pattern if one is known: no pass over the arrays.
+        Where ``values`` are the pattern's own data, it is the lower triangle."""
+        out = cls.__new__(cls)
+        out.__dict__.update(_pattern=pattern, _values=values, _full=None, _layout=layout)
+        if values is pattern.data:
+            out._lower = pattern
         return out
 
     # -- constructors ----------------------------------------------------
@@ -132,6 +143,12 @@ class SparseSymmetric:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.full() @ np.asarray(v, dtype=float)
+
+    def quadratic_forms(self, rhs) -> np.ndarray:
+        """``v' A v`` for each column v of a dense or sparse (m, n) ``rhs``:
+        the row sums of (K A) * K, elementwise, with K = rhs'."""
+        k = sp.csr_matrix(rhs.T)
+        return np.asarray((k @ self.full()).multiply(k).sum(axis=1)).ravel()
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """Dense symmetric sub-matrix for the given sorted index list."""

@@ -14,11 +14,14 @@ overlap only the gathers of the sub-matrices.  The fit makes one pass over
 the assembled matrix: the gather builds its full view, and the diagnostics
 at the point sites read their kernels off its rows.
 
-The resulting predictor keeps the correct spatial texture of the model (no
+The fit is a :class:`~.predictor.KernelPredictor` whose inverse is Psi, so
+the global predictor's ``predict``, ``predict_variance`` and ``rasterize``
+serve it.  It keeps the correct spatial texture of the model (no
 neighborhood-switching discontinuities) but no longer reproduces exact
 observations perfectly; the mean squared mismatch at exactly observed
 points (the deviation variance) quantifies the approximation and is added
-to the raw localized variance to give a reliable adjusted variance.
+to the raw localized variance to give a reliable adjusted variance, which
+is what ``predict_variance`` returns.
 """
 
 import math
@@ -35,7 +38,8 @@ from .errors import ConfigError, EstimationError
 from .inference import estimate_mu, estimate_sigma2
 from .linalg import SparseSymmetric, dense_spd_inverse
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
-from .predictor import _CLAMP_REL_TOL
+from .predictor import (KernelPredictor, _check_levels, _variances, predict,
+                        rasterize)
 
 # Largest order whose sub-matrices are gathered from a dense copy of the
 # matrix (8 m^2 bytes) rather than from its CSR form.  At the benchmark's
@@ -118,61 +122,33 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     return SparseSymmetric(sp.tril(sym, format="csr"), full=sym)
 
 
-class LocalizedFit:
-    """Fitted state of the localized predictor.
-
-    Under its finite-range model each block of query points finds the
-    observations within reach with one k-d tree pair query, and its kernels
-    are a sparse matrix of those pairs.
-    """
-
-    def __init__(self, model: CorrelationModel, obs: ObservationSet,
-                 approx_inverse: SparseSymmetric, mu_star: float,
-                 sigma2_star: float, weights_star: np.ndarray,
-                 k: int, delta: float):
-        self.model = model
-        self.obs = obs
-        self.approx_inverse = approx_inverse
-        self.mu_star = float(mu_star)
-        self.sigma2_star = float(sigma2_star)
-        self.weights_star = np.asarray(weights_star, dtype=float)
-        self.deviation_var = 0.0
-        self.k = int(k)
-        self.delta = float(delta)
-        self.clamp_count = 0
-        # Raw variances at the point sites below -1e-12 * sigma2_star (more
-        # negative than round-off), counted when the fit is asked to (None
-        # otherwise, and on a predictor loaded from file).
-        self.negative_variance_at_obs: Optional[int] = None
-
-
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
                   mu: Optional[float] = None, sigma2: Optional[float] = None,
                   workers: Optional[int] = 1,
-                  count_negative_variance: bool = False) -> LocalizedFit:
+                  count_negative_variance: bool = False) -> KernelPredictor:
     """Fit the localized predictor with localization range ``k * taper_range``.
 
     ``mu`` and ``sigma2`` default to the generalized-least-squares estimates
     computed through the approximate inverse; pass explicit values to pin
     them (required when the set is empty, and for sets with observation
-    errors where estimation is not supported).  ``count_negative_variance``
+    errors where estimation is not supported), checked as
+    :func:`~.predictor.fit_global` checks them.  ``count_negative_variance``
     sets ``negative_variance_at_obs``: the count of raw variances at the
-    point sites below ``-1e-12 * sigma2_star``.
+    point sites below ``-1e-12 * sigma2``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
-    delta = float(k) * model.taper_range
+    _check_levels(mu, sigma2)
+    k, delta = int(k), float(k) * model.taper_range
 
     if obs_set.m == 0:
         if mu is None or sigma2 is None:
             raise EstimationError("empty observation set: mu and sigma2 must be supplied")
-        empty = SparseSymmetric.from_entries(0, [], [], [])
-        fit = LocalizedFit(model, obs_set, empty, mu, sigma2, np.empty(0), k, delta)
-        if count_negative_variance:
-            fit.negative_variance_at_obs = 0
-        return fit
+        return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0),
+                               SparseSymmetric.from_entries(0, [], [], []), k=k, delta=delta,
+                               negative_variance_at_obs=0 if count_negative_variance else None)
 
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
         raise EstimationError(
@@ -182,90 +158,55 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     psi = approximate_inverse(mat, obs_set.rep_points(), delta, workers=workers)
 
     a, d = obs_set.mean_image(), obs_set.values()
-    mu_star = estimate_mu(psi, d, a) if mu is None else float(mu)
+    mu = estimate_mu(psi, d, a) if mu is None else float(mu)
     if sigma2 is None:
-        s2 = estimate_sigma2(psi, d, mu_star, a)
-        if s2 == 0.0:
+        sigma2 = estimate_sigma2(psi, d, mu, a)
+        if sigma2 == 0.0:
             warnings.warn("zero localized variance estimate: residuals vanish")
-    else:
-        s2 = float(sigma2)
+    weights = psi.matvec(d - mu * a)
+    deviation_var, negative = _site_diagnostics(obs_set, model, mat, psi, mu, float(sigma2),
+                                                weights, count_negative_variance)
+    return KernelPredictor(model, obs_set, mu, sigma2, weights, psi, deviation_var=deviation_var,
+                           k=k, delta=delta, negative_variance_at_obs=negative)
 
-    fit = LocalizedFit(model, obs_set, psi, mu_star, s2, psi.matvec(d - mu_star * a), k, delta)
-    _site_diagnostics(fit, mat, count_negative_variance)
-    return fit
 
-
-def _site_diagnostics(f: LocalizedFit, S: SparseSymmetric, count_negative_variance: bool):
-    """Set the deviation variance (mean squared mismatch between the exact
-    point values and their localized predictions) and, if asked, the count
-    of raw variances at the point sites that are negative beyond round-off.
-    A point site's kernels are its row of ``S`` = R + diag(error_var /
+def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSymmetric,
+                      psi: SparseSymmetric, mu: float, sigma2: float, weights: np.ndarray,
+                      count_negative_variance: bool):
+    """The deviation variance (mean squared mismatch between the exact point
+    values and their localized predictions) and, if asked, the count of raw
+    variances at the point sites that are negative beyond round-off (None if
+    not).  A point site's kernels are its row of ``S`` = R + diag(error_var /
     sigma2_r), with its own entry set to the lag-0 correlation."""
-    points = np.flatnonzero(f.obs.point_mask())
+    points = np.flatnonzero(obs.point_mask())
     kernels = S.full()[points]
     own = kernels.indices == np.repeat(points, np.diff(kernels.indptr))
-    kernels.data[own] = f.model.eval(0.0)
-    exact = f.obs.error_vars()[points] == 0.0
-    err = f.obs.values()[points][exact] - (f.mu_star + kernels @ f.weights_star)[exact]
-    f.deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
-    if count_negative_variance:
-        raw = _raw_variance(f, kernels)
-        f.negative_variance_at_obs = int(np.count_nonzero(raw < -_CLAMP_REL_TOL * f.sigma2_star))
+    kernels.data[own] = model.eval(0.0)
+    exact = obs.error_vars()[points] == 0.0
+    err = obs.values()[points][exact] - (mu + kernels @ weights)[exact]
+    deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
+    if not count_negative_variance:
+        return deviation_var, None
+    raw = sigma2 * (1.0 - psi.quadratic_forms(kernels.T))
+    return deviation_var, int(np.count_nonzero(raw < -1e-12 * sigma2))
 
 
-def predict_localized(f: LocalizedFit, x):
-    """Localized prediction at one point ``x`` (q,), or an (n,) array at the
-    rows of an (n, q) block: mean plus the weighted kernel sum."""
+# The benchmark's tracer (perfbench/tracing.py) wraps these three names, so
+# they stay, as functions over the shared path rather than aliases, until it
+# drops those metrics (ROADMAP, open item 2).
+
+def predict_localized(f: KernelPredictor, x):
+    """:func:`~.predictor.predict` of a localized predictor."""
+    return predict(f, x)
+
+
+def variance_localized(f: KernelPredictor, x):
+    """Raw localized variance sigma2 * (1 - nu' Psi nu) at ``x`` (one point
+    or a block), unclamped: the first variance column of :func:`rasterize`."""
     return over_query_blocks(
-        x, lambda block: f.mu_star + kernel_vector(f.obs, block, f.model) @ f.weights_star)
+        x, lambda block: _variances(f, kernel_vector(f.obs, block, f.model))[0])
 
 
-def _raw_variance(f: LocalizedFit, kernels: sp.csr_matrix) -> np.ndarray:
-    """sigma2* (1 - nu' Psi nu) for each row nu of the sparse ``kernels`` K:
-    the quadratic forms are the row sums of (K Psi) * K, elementwise."""
-    quad = (kernels @ f.approx_inverse.full()).multiply(kernels).sum(axis=1)
-    return f.sigma2_star * (1.0 - np.asarray(quad).ravel())
-
-
-def _adjusted(f: LocalizedFit, raw: np.ndarray) -> np.ndarray:
-    """Raw variance plus the deviation variance, floored at zero; floored
-    values bump ``clamp_count``."""
-    adjusted = raw + f.deviation_var
-    negative = adjusted < 0.0
-    f.clamp_count += int(np.count_nonzero(negative))
-    return np.where(negative, 0.0, adjusted)
-
-
-def variance_localized(f: LocalizedFit, x):
-    """Raw localized prediction variance at ``x`` (one point or a block).
-
-    The approximate inverse is not guaranteed non-negative definite, so the
-    value may fall slightly outside [0, sigma2_star]; it is returned
-    unclamped (see :func:`adjusted_variance`).
-    """
-    return over_query_blocks(
-        x, lambda block: _raw_variance(f, kernel_vector(f.obs, block, f.model)))
-
-
-def adjusted_variance(f: LocalizedFit, x):
-    """Localized variance plus the deviation variance, floored at zero."""
-    return over_query_blocks(x, lambda block: _adjusted(f, variance_localized(f, block)))
-
-
-def rasterize_localized(f: LocalizedFit, grid) -> np.ndarray:
-    """(n_nodes, dim + 3) table: coordinates, prediction, raw variance,
-    adjusted variance, in row-major node order.
-
-    Kernels are evaluated once per block of nodes and shared by the three
-    columns.
-    """
-    if grid.dim != f.obs.dim:
-        raise ValueError(f"grid dimension {grid.dim} != observation dimension {f.obs.dim}")
-
-    def block_table(block):
-        kernels = kernel_vector(f.obs, block, f.model)
-        raw = _raw_variance(f, kernels)
-        return np.column_stack([f.mu_star + kernels @ f.weights_star, raw, _adjusted(f, raw)])
-
-    nodes = grid.nodes()
-    return np.column_stack([nodes, over_query_blocks(nodes, block_table)])
+def rasterize_localized(f: KernelPredictor, grid) -> np.ndarray:
+    """:func:`~.predictor.rasterize` of a localized predictor."""
+    return rasterize(f, grid)

@@ -656,10 +656,14 @@ class PairStructure:
         vals[self._diagonal] += self.obs_set.error_vars() / sigma2_r
         if self._whole is not None:
             return self._whole.with_values(vals)
-        m = self.obs_set.m  # copied, so that dropping zeros leaves the structure whole
-        out = SparseSymmetric(sp.csr_matrix((vals, self._cols, self._indptr), (m, m), copy=True))
-        self._whole = out if out.nnz_lower == vals.size else None
-        return out
+        m, whole = self.obs_set.m, bool(vals.all())
+        # Copied where zeros are to be dropped, so that dropping leaves the structure whole;
+        # otherwise the pattern is canonical by construction, and is not checked again.
+        lower = sp.csr_matrix((vals, self._cols, self._indptr), (m, m), copy=not whole)
+        if not whole:
+            return SparseSymmetric(lower)
+        self._whole = SparseSymmetric._canonical(lower, lower.data)
+        return self._whole
 
 
 def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:

@@ -1,16 +1,23 @@
-"""Global kernel predictor for a stationary Gaussian random field.
+"""Kernel predictor for a stationary Gaussian random field, global or localized.
 
-The fit solves one m-by-m system for a weight vector; predictions at any
-location are then weighted sums of observation kernel functions, so the
-predictor is a spatially continuous function with no grid attached.  The
-pointwise Kriging construction (one weight solve per query location) is kept
-alongside as an independent cross-check; the two are mathematically
-identical and the test suite holds them to near machine agreement.
+A fitted predictor is the function mu + nu(x)' w: predictions at any
+location are weighted sums of observation kernel functions, so the predictor
+is spatially continuous with no grid attached.  Its variance is
+sigma2 * (1 - nu' A nu), where A is the inverse of the m-by-m
+inter-correlation matrix S: exact, through the Cholesky factor of S, for the
+global fit here, or the sparse approximate inverse Psi of the localized fit
+(:mod:`.localized`).  One type, :class:`KernelPredictor`, holds either, and
+:func:`predict`, :func:`predict_variance` and :func:`rasterize` serve both.
+
+The pointwise Kriging construction (one weight solve per query location) is
+kept alongside as an independent cross-check; it and the global predictor
+are mathematically identical and the test suite holds them to near machine
+agreement.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +28,6 @@ from .inference import estimate_mu, estimate_sigma2
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
-_CLAMP_REL_TOL = 1e-12
 _FD_STEP_HIGHDIM = 1e-6
 
 
@@ -75,31 +81,56 @@ class GridSpec:
 
 
 class KernelPredictor:
-    """Fitted state of the global predictor.
+    """Fitted state of the global or the localized predictor, immutable after fit.
 
-    Immutable after fit apart from ``clamp_count``, a diagnostic counter of
-    variance values that fell outside [0, sigma2] by more than round-off.
-    Under a finite-range model each block of query points finds the
-    observations within reach with one k-d tree pair query, and its kernels
-    are a sparse matrix of those pairs.
+    ``inverse`` stands for the inverse of the inter-correlation matrix S
+    through its ``quadratic_forms``: the :class:`CholeskyFactor` of S for the
+    global fit (None for an empty set), which also keeps S as ``matrix``, or
+    the sparse approximate inverse Psi for the localized fit.  The localized
+    fit alone sets ``k`` and ``delta = k * taper_range``, so a predictor is
+    localized exactly when ``k`` is not None; it also sets ``deviation_var``
+    (0 for the global fit) and, when asked to, ``negative_variance_at_obs``:
+    the count of raw variances at the point sites below ``-1e-12 * sigma2``
+    (None otherwise, and on a predictor loaded from file).  Under a
+    finite-range model each block of query points finds the observations
+    within reach with one k-d tree pair query, and its kernels are a sparse
+    matrix of those pairs.
     """
 
     def __init__(self, model: CorrelationModel, obs: ObservationSet, mu: float,
                  sigma2: float, weights: np.ndarray,
-                 factor: Optional[CholeskyFactor],
-                 matrix: Optional[SparseSymmetric] = None):
+                 inverse: Union[CholeskyFactor, SparseSymmetric, None],
+                 matrix: Optional[SparseSymmetric] = None, *, deviation_var: float = 0.0,
+                 k: Optional[int] = None, delta: Optional[float] = None,
+                 negative_variance_at_obs: Optional[int] = None):
         self.model = model
         self.obs = obs
         self.mu = float(mu)
         self.sigma2 = float(sigma2)
         self.weights = np.asarray(weights, dtype=float)
-        self.factor = factor
+        self.inverse = inverse
         self.matrix = matrix
-        self.clamp_count = 0
+        self.deviation_var = float(deviation_var)
+        self.k = k
+        self.delta = delta
+        self.negative_variance_at_obs = negative_variance_at_obs
 
     @property
     def dim(self) -> int:
         return self.obs.dim
+
+    @property
+    def mode(self) -> str:
+        return "global" if self.k is None else "localized"
+
+
+def _check_levels(mu: Optional[float], sigma2: Optional[float]):
+    """ValueError unless a given ``mu`` is finite and a given ``sigma2`` is a
+    positive finite real (None stands for an estimate)."""
+    if sigma2 is not None and (not math.isfinite(sigma2) or sigma2 <= 0.0):
+        raise ValueError("sigma2 must be a positive finite real")
+    if mu is not None and not math.isfinite(mu):
+        raise ValueError("mu must be finite")
 
 
 def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float] = None,
@@ -113,14 +144,11 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
     S does not depend on it).  The Cholesky factor is retained for variance
     queries.  An empty observation set yields the prior.
     """
-    if sigma2 is not None and (not math.isfinite(sigma2) or sigma2 <= 0.0):
-        raise ValueError("sigma2 must be a positive finite real")
-    if mu is not None and not math.isfinite(mu):
-        raise ValueError("mu must be finite")
+    _check_levels(mu, sigma2)
     if obs_set.m == 0:
         if mu is None or sigma2 is None:
             raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
-        return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0), None, None)
+        return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0), None)
     if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
         raise EstimationError("variance estimation with observation errors is not supported")
     matrix = assemble(obs_set, model, 1.0 if sigma2 is None else sigma2)
@@ -135,36 +163,40 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 
 
-def _variance(p: KernelPredictor, kernels) -> np.ndarray:
-    """sigma2 * (1 - nu' S^{-1} nu) for each row nu of ``kernels`` (dense or
-    sparse), the quadratic forms from :meth:`CholeskyFactor.quadratic_forms`.
+def _variances(p: KernelPredictor, kernels) -> list:
+    """The variance columns for the rows nu of ``kernels`` (dense or sparse),
+    from the quadratic forms nu' A nu of ``p.inverse``.
 
-    Clamped into [0, sigma2]; excursions beyond round-off (1e-12 * sigma2)
-    bump ``clamp_count``.
+    Global: sigma2 * (1 - nu' S^{-1} nu), clipped into [0, sigma2].
+    Localized: the raw sigma2 * (1 - nu' Psi nu), unclamped (Psi is not
+    guaranteed non-negative definite), and the adjusted variance, raw plus
+    the deviation variance, floored at zero.
     """
-    if p.obs.m == 0:
-        return np.full(kernels.shape[0], p.sigma2)
-    var = p.sigma2 * (1.0 - p.factor.quadratic_forms(kernels.T))
-    tol = _CLAMP_REL_TOL * p.sigma2
-    p.clamp_count += int(np.count_nonzero((var < -tol) | (var > p.sigma2 + tol)))
-    return np.clip(var, 0.0, p.sigma2)
+    quad = p.inverse.quadratic_forms(kernels.T) if p.obs.m else np.zeros(kernels.shape[0])
+    var = p.sigma2 * (1.0 - quad)
+    if p.k is None:
+        return [np.clip(var, 0.0, p.sigma2)]
+    adjusted = var + p.deviation_var
+    return [var, np.where(adjusted < 0.0, 0.0, adjusted)]
 
 
 def predict(p: KernelPredictor, x):
     """Predicted field value at one point ``x`` (q,), or an (n,) array of
-    values at the rows of an (n, q) block."""
+    values at the rows of an (n, q) block: mean plus the weighted kernel sum."""
     return over_query_blocks(
         x, lambda block: p.mu + kernel_vector(p.obs, block, p.model) @ p.weights)
 
 
 def predict_variance(p: KernelPredictor, x):
-    """Prediction variance sigma2 * (1 - nu' S^{-1} nu) at ``x`` (one point
-    or an (n, q) block, as in :func:`predict`), clamped into [0, sigma2].
-    With a band factor, a point's forward solve starts at its kernel column's
-    first nonzero row (:meth:`CholeskyFactor.quadratic_forms`), and a point
-    beyond reach of every observation takes none: its variance is sigma2."""
+    """Prediction variance at ``x`` (one point or an (n, q) block, as in
+    :func:`predict`): the last variance column of :func:`rasterize`, clamped
+    into [0, sigma2] for a global predictor and the adjusted variance for a
+    localized one.  With a band factor, a point's forward solve starts at its
+    kernel column's first nonzero row (:meth:`CholeskyFactor.quadratic_forms`),
+    and a point beyond reach of every observation takes none: its global
+    variance is sigma2."""
     return over_query_blocks(
-        x, lambda block: _variance(p, kernel_vector(p.obs, block, p.model)))
+        x, lambda block: _variances(p, kernel_vector(p.obs, block, p.model))[-1])
 
 
 def kriging_predict(obs_set: ObservationSet, model: CorrelationModel, mu: float,
@@ -227,17 +259,19 @@ def predict_average(p: KernelPredictor, interval) -> float:
 
 
 def rasterize(p: KernelPredictor, grid: GridSpec) -> np.ndarray:
-    """(n_nodes, dim + 2) table of node coordinates, prediction, variance.
+    """Table of node coordinates, prediction and variance, in row-major node
+    order: (n_nodes, dim + 2) for a global predictor, and (n_nodes, dim + 3)
+    for a localized one, whose variance columns are the raw and the adjusted
+    variance.
 
-    Kernels are evaluated once per block of nodes and shared by the
-    prediction and the variance.
+    Kernels are evaluated once per block of nodes and shared by all columns.
     """
     if grid.dim != p.dim:
         raise ValueError(f"grid dimension {grid.dim} != predictor dimension {p.dim}")
 
     def block_table(block):
         kernels = kernel_vector(p.obs, block, p.model)
-        return np.column_stack([p.mu + kernels @ p.weights, _variance(p, kernels)])
+        return np.column_stack([p.mu + kernels @ p.weights, *_variances(p, kernels)])
 
     nodes = grid.nodes()
     return np.column_stack([nodes, over_query_blocks(nodes, block_table)])

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import kernelfield
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
-                         fit_global, fit_localized, predict_localized, predict_variance,
-                         read_observations_csv, variance_localized, write_observations_csv)
+                         fit_global, fit_localized, predict, predict_variance,
+                         read_observations_csv, write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
+from kernelfield.localized import variance_localized
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
@@ -90,11 +91,22 @@ def test_tampered_global_weight_exit_2(tmp_path, inputs, capsys):
     assert "bad.json: the weights do not solve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_grid_of_another_dimension_exit_2(tmp_path, inputs, capsys, mode):
+    predictor = fit(tmp_path, *inputs, mode=mode)
+    capsys.readouterr()
+    rc = main(["grid", "--predictor", predictor, "--grid", "0,4,3", "--out",
+               str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "grid dimension 1 != predictor dimension 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_tampered_localized_weight_exit_2(tmp_path, inputs, capsys):
     predictor = fit(tmp_path, *inputs, mode="localized")
     with open(predictor) as fh:
         doc = json.load(fh)
-    assert np.array_equal(load_predictor(predictor).weights_star, doc["weights"])
+    assert np.array_equal(load_predictor(predictor).weights, doc["weights"])
     doc["weights"][7] += 5.0
     write_json(tmp_path / "bad.json", doc)
     capsys.readouterr()
@@ -261,15 +273,12 @@ def test_save_load_save_is_byte_identical(tmp_path, mode):
     loaded = load_predictor(str(first))
     save_predictor(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
+    assert (loaded.mu, loaded.sigma2) == (fitted.mu, fitted.sigma2)
+    assert np.array_equal(loaded.weights, fitted.weights)
     if mode == "global":
-        assert (loaded.mu, loaded.sigma2) == (fitted.mu, fitted.sigma2)
-        assert np.array_equal(loaded.weights, fitted.weights)
         return
-    assert (loaded.mu_star, loaded.sigma2_star) == (fitted.mu_star, fitted.sigma2_star)
-    assert np.array_equal(loaded.weights_star, fitted.weights_star)
     assert loaded.deviation_var == fitted.deviation_var
-    for got, want in zip(loaded.approx_inverse.lower_entries(),
-                         fitted.approx_inverse.lower_entries()):
+    for got, want in zip(loaded.inverse.lower_entries(), fitted.inverse.lower_entries()):
         assert np.array_equal(got, want)
     assert loaded.negative_variance_at_obs is None
 
@@ -282,8 +291,8 @@ def test_localized_site_diagnostics(tmp_path, capsys):
     exact = points & (obs.error_vars() == 0.0)
     assert exact.sum() < points.sum()
     raw = variance_localized(fitted, obs.rep_points()[points])
-    assert fitted.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * fitted.sigma2_star)
-    err = obs.values()[exact] - predict_localized(fitted, obs.rep_points()[exact])
+    assert fitted.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * fitted.sigma2)
+    err = obs.values()[exact] - predict(fitted, obs.rep_points()[exact])
     assert fitted.deviation_var == pytest.approx(np.mean(err * err), rel=1e-12)
 
     csv_path, summary = str(tmp_path / "mixed.csv"), tmp_path / "summary.json"
@@ -490,11 +499,11 @@ def test_2d_point_predictor_round_trip(points):
     sites = np.array([(i % 6 + a, i // 6 + b) for i, (a, b, _) in enumerate(points)])
     obs = ObservationSet.from_arrays(np.zeros(len(points), dtype=np.int8), sites,
                                      [v for *_, v in points], np.zeros(len(points)))
-    for fitted, weights in ((fit_global(obs, MIXED_MODEL, 0.1, 1.3), "weights"),
-                            (fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3), "weights_star")):
+    for fitted in (fit_global(obs, MIXED_MODEL, 0.1, 1.3),
+                   fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)):
         loaded = saved_and_loaded(fitted)
         assert_same_set(loaded.obs, obs)
-        assert getattr(loaded, weights).tobytes() == getattr(fitted, weights).tobytes()
+        assert loaded.weights.tobytes() == fitted.weights.tobytes()
 
 
 def test_columnar_paths_build_no_observation(tmp_path, monkeypatch):
@@ -585,9 +594,9 @@ def test_global_round_trip_keeps_the_factor(m, side, seed, tapered):
     obs = synthetic_observations(m, [(0.0, side), (0.0, side)], seed)
     fitted = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5 if tapered else None))
     loaded = saved_and_loaded(fitted)
-    assert_same_factor(loaded.factor, fitted.factor)
+    assert_same_factor(loaded.inverse, fitted.inverse)
     if not tapered:
-        assert fitted.factor.storage == "dense"
+        assert fitted.inverse.storage == "dense"
 
 
 @pytest.fixture
@@ -645,10 +654,10 @@ def test_any_valid_factor_order_loads_the_same_predictor(tmp_path, band_predicto
     doc["factor_order"] = doc["factor_order"][::-1] if order == "reversed" else None
     other = load_predictor(write_json(tmp_path / "other.json", doc))
     saved = load_predictor(path)
-    assert other.factor.storage == ("band" if order == "reversed" else "dense")
-    assert other.factor.perm.tolist() == (doc["factor_order"] or list(range(200)))
+    assert other.inverse.storage == ("band" if order == "reversed" else "dense")
+    assert other.inverse.perm.tolist() == (doc["factor_order"] or list(range(200)))
     nodes = np.random.default_rng(2).uniform(0.0, 20.0, (50, 2))
-    for got, want in ((other.factor.logdet(), saved.factor.logdet()),
+    for got, want in ((other.inverse.logdet(), saved.inverse.logdet()),
                       (predict_variance(other, nodes), predict_variance(saved, nodes))):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 

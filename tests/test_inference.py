@@ -200,8 +200,8 @@ class TestLocalizedVsGlobal:
         factor = cholesky(assemble(obs, model, 1.0))
         mu_g = estimate_mu(factor, obs.values())
         s2_g = estimate_sigma2(factor, obs.values(), mu_g)
-        assert f.mu_star == pytest.approx(mu_g, abs=1e-8)
-        assert f.sigma2_star == pytest.approx(s2_g, abs=1e-8)
+        assert f.mu == pytest.approx(mu_g, abs=1e-8)
+        assert f.sigma2 == pytest.approx(s2_g, abs=1e-8)
 
 
 class TestNll:

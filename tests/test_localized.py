@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from kernelfield import (AVG, POINT, ConfigError, CorrelationModel, EstimationError,
                          FactorizationError, GridSpec, Observation, ObservationSet,
-                         SparseSymmetric, adjusted_variance, approximate_inverse, assemble,
-                         fit_global, fit_localized, kernel_value, predict, predict_localized,
-                         predict_variance, rasterize_localized, variance_localized)
+                         SparseSymmetric, approximate_inverse, assemble, fit_global,
+                         fit_localized, kernel_value, predict, predict_variance, rasterize)
 from kernelfield import localized
+from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
@@ -146,22 +146,22 @@ class TestFitLocalized:
     def test_full_delta_matches_global(self):
         obs = line_points(15, 0.25)
         f = fit_localized(obs, TAPERED, k=10)  # delta 10 >> diameter 3.5
-        g = fit_global(obs, TAPERED, f.mu_star, f.sigma2_star)
-        assert np.abs(f.weights_star - g.weights).max() < 1e-8
+        g = fit_global(obs, TAPERED, f.mu, f.sigma2)
+        assert np.abs(f.weights - g.weights).max() < 1e-8
         rng = np.random.default_rng(1)
         for x in rng.uniform(-0.5, 4.0, 100):
-            assert predict_localized(f, [x]) == pytest.approx(predict(g, [x]), abs=1e-8)
+            assert predict(f, [x]) == pytest.approx(predict(g, [x]), abs=1e-8)
             assert variance_localized(f, [x]) == pytest.approx(
-                predict_variance(g, [x]), abs=1e-8 * f.sigma2_star)
+                predict_variance(g, [x]), abs=1e-8 * f.sigma2)
 
     def test_single_point_reproduced(self):
         obs = ObservationSet([Observation(POINT, np.array([1.0]), 4.5)])
         for k in (1, 3):
             with pytest.warns(UserWarning, match="residuals vanish"):
                 f = fit_localized(obs, TAPERED, k=k)
-            assert f.mu_star == pytest.approx(4.5)
-            assert f.weights_star[0] == pytest.approx(4.5 - f.mu_star, abs=1e-14)
-            assert predict_localized(f, [1.0]) == pytest.approx(4.5, abs=1e-12)
+            assert f.mu == pytest.approx(4.5)
+            assert f.weights[0] == pytest.approx(4.5 - f.mu, abs=1e-14)
+            assert predict(f, [1.0]) == pytest.approx(4.5, abs=1e-12)
             assert f.deviation_var == 0.0
 
     def test_untapered_model_rejected(self):
@@ -179,9 +179,9 @@ class TestFitLocalized:
         with pytest.raises(EstimationError):
             fit_localized(obs, TAPERED, k=2)
         f = fit_localized(obs, TAPERED, k=2, mu=3.0, sigma2=2.0)
-        assert predict_localized(f, [0.0]) == 3.0
+        assert predict(f, [0.0]) == 3.0
         assert variance_localized(f, [0.0]) == 2.0
-        assert adjusted_variance(f, [0.0]) == 2.0
+        assert predict_variance(f, [0.0]) == 2.0
 
     def test_errors_require_explicit_sigma2(self):
         obs = ObservationSet([
@@ -195,14 +195,14 @@ class TestFitLocalized:
     def test_fixed_levels_respected(self):
         obs = line_points(10, 0.35)
         f = fit_localized(obs, TAPERED, k=2, mu=0.75, sigma2=3.0)
-        assert f.mu_star == 0.75 and f.sigma2_star == 3.0
+        assert f.mu == 0.75 and f.sigma2 == 3.0
 
 
 class TestDeviationVariance:
     def test_zero_at_full_delta(self):
         obs = line_points(12, 0.3)
         f = fit_localized(obs, TAPERED, k=20)
-        assert f.deviation_var < 1e-16 * f.sigma2_star
+        assert f.deviation_var < 1e-16 * f.sigma2
 
     def test_shrinks_with_larger_k(self):
         obs = synthetic_observations(220, [(0.0, 6.0), (0.0, 6.0)], seed=9)
@@ -252,11 +252,11 @@ class TestSitePass:
         points = obs.point_mask()
         sites = obs.rep_points()[points]
         exact = obs.error_vars()[points] == 0.0
-        err = obs.values()[points][exact] - predict_localized(f, sites[exact])
+        err = obs.values()[points][exact] - predict(f, sites[exact])
         want = float(np.mean(err * err)) if exact.any() else 0.0
         assert abs(f.deviation_var - want) <= 1e-12 * want
         raw = variance_localized(f, sites)
-        assert f.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * f.sigma2_star)
+        assert f.negative_variance_at_obs == np.count_nonzero(raw < -1e-12 * f.sigma2)
 
     @given(site_pass_cases())
     @settings(max_examples=40, deadline=None)
@@ -284,11 +284,9 @@ class TestPermutationInvariance:
                                               obs.values()[p], obs.error_vars()[p])
         nodes = rng.uniform(-0.5, side + 0.5, (60, 2))
         model = CorrelationModel("matern52", 0.5, 1.5)
-        for fit, mean, var in ((fit_global, predict, predict_variance),
-                               (lambda o, mdl: fit_localized(o, mdl, 2),
-                                predict_localized, variance_localized)):
+        for fit in (fit_global, lambda o, mdl: fit_localized(o, mdl, 2)):
             want, got = fit(obs, model), fit(permuted, model)
-            for query in (mean, var):
+            for query in (predict, predict_variance):
                 a, b = query(want, nodes), query(got, nodes)
                 assert np.abs(b - a).max() <= 1e-10 * np.abs(a).max()
 
@@ -306,7 +304,7 @@ class TestInfluenceRadius:
         f1 = fit_localized(obs, TAPERED, k=k, mu=0.1, sigma2=1.0)
         values[far] += 123.0
         f2 = fit_localized(obs.with_values(values), TAPERED, k=k, mu=0.1, sigma2=1.0)
-        assert predict_localized(f1, x_query) == predict_localized(f2, x_query)
+        assert predict(f1, x_query) == predict(f2, x_query)
 
     def test_near_value_perturbation_is_visible(self):
         obs = line_points(30, 0.45)
@@ -314,7 +312,7 @@ class TestInfluenceRadius:
         values[1] += 1.0
         f1 = fit_localized(obs, TAPERED, k=2, mu=0.1, sigma2=1.0)
         f2 = fit_localized(obs.with_values(values), TAPERED, k=2, mu=0.1, sigma2=1.0)
-        assert predict_localized(f1, [0.0]) != predict_localized(f2, [0.0])
+        assert predict(f1, [0.0]) != predict(f2, [0.0])
 
 
 class TestVariances:
@@ -325,7 +323,7 @@ class TestVariances:
         for _ in range(100):
             x = rng.uniform(0, 4, 2)
             raw = variance_localized(f, x)
-            adj = adjusted_variance(f, x)
+            adj = predict_variance(f, x)
             assert adj >= 0.0
             if raw >= 0.0:
                 assert adj == pytest.approx(raw + f.deviation_var, rel=1e-12)
@@ -335,9 +333,8 @@ class TestVariances:
         f = fit_localized(obs, G2T, k=2)
         x = obs.rep_points()[17]
         raw = variance_localized(f, x)
-        assert abs(raw) < 1e-4 * f.sigma2_star
-        assert adjusted_variance(f, x) == pytest.approx(f.deviation_var,
-                                                        abs=1e-4 * f.sigma2_star)
+        assert abs(raw) < 1e-4 * f.sigma2
+        assert predict_variance(f, x) == pytest.approx(f.deviation_var, abs=1e-4 * f.sigma2)
 
     def test_m0_variance_is_sigma2(self):
         f = fit_localized(ObservationSet([], dim=2), G2T, k=2, mu=0.0, sigma2=5.0)
@@ -348,7 +345,7 @@ class TestRasterizeLocalized:
     def test_columns_and_adjustment(self):
         obs = synthetic_observations(60, [(0.0, 3.0), (0.0, 3.0)], seed=6)
         f = fit_localized(obs, G2T, k=2)
-        table = rasterize_localized(f, GridSpec.parse("0,3,4;0,3,4"))
+        table = rasterize(f, GridSpec.parse("0,3,4;0,3,4"))
         assert table.shape == (16, 5)
         raw, adj = table[:, 3], table[:, 4]
         assert np.all(adj >= 0.0)
@@ -359,18 +356,18 @@ class TestRasterizeLocalized:
         obs = synthetic_observations(90, [(0.0, 4.0), (0.0, 4.0)], seed=8)
         f = fit_localized(obs, G2T, k=1)
         grid = GridSpec.parse("-0.5,4.5,11;-0.5,4.5,13")
-        table = rasterize_localized(f, grid)
-        psi = f.approx_inverse.to_dense()
+        table = rasterize(f, grid)
+        psi = f.inverse.to_dense()
         for x, raw in zip(grid.nodes(), table[:, 3]):
             nu = np.array([kernel_value(o, x, G2T) for o in obs])
-            assert raw == pytest.approx(f.sigma2_star * (1.0 - nu @ psi @ nu),
-                                        abs=1e-12 * f.sigma2_star)
+            assert raw == pytest.approx(f.sigma2 * (1.0 - nu @ psi @ nu),
+                                        abs=1e-12 * f.sigma2)
 
     def test_dimension_mismatch(self):
         obs = synthetic_observations(20, [(0.0, 3.0), (0.0, 3.0)], seed=6)
         f = fit_localized(obs, G2T, k=2)
         with pytest.raises(ValueError):
-            rasterize_localized(f, GridSpec.parse("0,1,2"))
+            rasterize(f, GridSpec.parse("0,1,2"))
 
 
 class TestExactLimitConvergence:

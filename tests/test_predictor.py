@@ -11,8 +11,8 @@ from scipy.spatial.distance import cdist
 import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
-                         Observation, ObservationSet, assemble, fit_global, kriging_predict,
-                         predict, predict_average, predict_derivative,
+                         Observation, ObservationSet, assemble, fit_global, fit_localized,
+                         kriging_predict, predict, predict_average, predict_derivative,
                          predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
 from kernelfield.inference import profile_levels
@@ -263,7 +263,7 @@ class TestSparseKernels:
         dense = self.TAPERED.eval(cdist(nodes, pts))
         np.testing.assert_allclose(predict(fitted, nodes), 1.0 + dense @ fitted.weights,
                                    rtol=0.0, atol=1e-14)
-        expect = np.clip(2.0 * (1.0 - fitted.factor.quadratic_forms(dense.T)), 0.0, 2.0)
+        expect = np.clip(2.0 * (1.0 - fitted.inverse.quadratic_forms(dense.T)), 0.0, 2.0)
         assert np.array_equal(predict_variance(fitted, nodes), expect)
 
     def test_empty_query_block_in_subprocess(self):
@@ -277,7 +277,7 @@ class TestSparseKernels:
             from kernelfield.cli import synthetic_observations
             obs = synthetic_observations(200, [(0.0, 20.0), (0.0, 20.0)], 1)
             p = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5), 10.0, 4.0)
-            assert p.factor.storage == "band"
+            assert p.inverse.storage == "band"
             far = np.column_stack([np.linspace(30.0, 40.0, 40), np.full(40, -5.0)])
             for _ in range(50):
                 assert predict_variance(p, np.empty((0, 2))).shape == (0,)
@@ -293,14 +293,31 @@ class TestSparseKernels:
         assert run.stdout.strip() == "ok"
 
 
+def level_check_cases():
+    """Each fit, global and localized, on an empty and a non-empty 1D set."""
+    model = CorrelationModel("matern52", 1.0, 1.5)
+    sets = (ObservationSet([], dim=1),
+            ObservationSet([Observation(POINT, [0.4 * i], np.sin(i)) for i in range(6)]))
+    fits = (fit_global, lambda obs, mdl, mu, sigma2: fit_localized(obs, mdl, 2, mu, sigma2))
+    return [(fit, obs, model) for fit in fits for obs in sets]
+
+
 class TestFitValidation:
     def test_bad_sigma2(self):
         with pytest.raises(ValueError):
             fit_global(ObservationSet([], dim=1), M52, 0.0, 0.0)
+        for fit, obs, model in level_check_cases():
+            for sigma2 in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="sigma2 must be a positive finite real"):
+                    fit(obs, model, 0.0, sigma2)
 
     def test_bad_mu(self):
         with pytest.raises(ValueError):
             fit_global(ObservationSet([], dim=1), M52, float("nan"), 1.0)
+        for fit, obs, model in level_check_cases():
+            for mu in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="mu must be finite"):
+                    fit(obs, model, mu, 1.0)
 
 
 class TestEstimatedLevels:
