@@ -1,11 +1,12 @@
 """Grid-free spatial prediction for stationary Gaussian random fields.
 
 Kernel predictors with finite-range correlation functions, linear-operator
-observations (point values, derivatives, interval integrals) and
-marginal-likelihood parameter inference.  ``fit_global`` and
-``fit_localized`` both return a :class:`KernelPredictor`, which
-``predict``, ``predict_variance``, ``predict_derivative``,
-``predict_average`` and ``rasterize`` take in either mode.
+observations (point values in any dimension; derivatives and interval
+integrals in 1D) and marginal-likelihood parameter inference.
+``fit_global`` and ``fit_localized`` both return a
+:class:`KernelPredictor`, which ``predict``, ``predict_variance``,
+``predict_derivative``, ``predict_average`` and ``rasterize`` take in
+either mode.
 """
 
 from .corrfn import (CorrelationModel, eval_gauss2, eval_matern52,

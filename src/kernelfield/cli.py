@@ -42,7 +42,7 @@ from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import fit_localized
 from .obsmodel import (KIND_CODES, Observation, ObservationSet, assemble,
                        read_observations_csv)
-from .predictor import GridSpec, KernelPredictor, fit_global, rasterize
+from .predictor import GridSpec, KernelPredictor, _check_levels, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
 PREDICTOR_VERSION = 3
@@ -111,12 +111,14 @@ def _observation_columns(obs: ObservationSet) -> dict:
 
 def _json_numbers(a, name: str, kinds: str = "fiu") -> np.ndarray:
     """``a`` as the array ``np.asarray`` makes of it, whose dtype kind must be
-    one of ``kinds`` unless it is empty (ValueError naming ``name``).
+    one of ``kinds`` unless it is empty, and whose values must be finite
+    (ValueError naming ``name``).
 
     One check of the whole array, with no loop over its elements, refuses
     strings (``U``), nulls and integers beyond 64 bits (``O``) and lists of
     booleans (``b``); a boolean among numbers converts to 0 or 1, as numpy
-    converts it.
+    converts it.  Python's ``json`` reads ``NaN`` and ``Infinity``, which
+    the finiteness check refuses.
     """
     try:
         arr = np.asarray(a)
@@ -125,6 +127,8 @@ def _json_numbers(a, name: str, kinds: str = "fiu") -> np.ndarray:
     if arr.size and arr.dtype.kind not in kinds:
         what = "JSON integers" if kinds == "iu" else "JSON numbers"
         raise ValueError(f"{name} must hold {what}, got {arr.dtype} values")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must hold finite numbers")
     return arr
 
 
@@ -195,12 +199,15 @@ def load_predictor(path) -> KernelPredictor:
     must be an object whose ``order`` is the JSON integer m, whose ``rows``
     and ``cols`` are JSON integers in ``[0, order)`` and whose ``vals`` are
     JSON numbers, the three flat lists of one length, with no entry repeated
-    in either triangle.  ``weights`` and the observation columns ``value``,
-    ``error_var``, ``site``, ``direction`` and ``bounds`` must hold JSON
-    numbers: a list that numpy reads as strings, nulls, integers beyond 64
-    bits or booleans is refused, with one dtype check per list.  A missing
-    top-level field, a model number that is not a JSON number, or any other
-    malformed content is a :class:`ConfigError` naming it.
+    in either triangle.  ``weights``, Psi's ``vals`` and the observation
+    columns ``value``, ``error_var``, ``site``, ``direction`` and ``bounds``
+    must hold finite JSON numbers: a list that numpy reads as strings,
+    nulls, integers beyond 64 bits or booleans is refused, with one dtype
+    check per list, and so is ``NaN`` or ``Infinity``.  The model's ``mu``
+    must be finite and its ``sigma2`` positive and finite, as a fit checks
+    them.  A missing top-level field, a model number that is not a JSON
+    number, or any other malformed content is a :class:`ConfigError` naming
+    it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -225,6 +232,10 @@ def load_predictor(path) -> KernelPredictor:
         raise ConfigError(f"{path}: model: {exc}") from None
     if mu == "estimate" or sigma2 == "estimate":
         raise ConfigError(f"{path}: saved predictor must carry numeric mu and sigma2")
+    try:
+        _check_levels(mu, sigma2)
+    except ValueError as exc:  # "mu must be ..." or "sigma2 must be ..."
+        raise ConfigError(f"{path}: model.{exc}") from None
     obs = _observations_from_columns(path, doc)
     try:
         weights = _json_numbers(doc["weights"], "weights").astype(float)

@@ -2,10 +2,10 @@
 
 Given the correlation parameters, the mean and variance estimators are
 closed-form generalized-least-squares expressions through the inverse
-inter-correlation matrix (supplied as a factor solve, a sparse approximate
-inverse, or any linear action).  :func:`profile_levels` turns one
-unit-variance Cholesky factor into those estimates and the negative
-log-likelihood at them.  The likelihood maximized over the mean and variance
+inter-correlation matrix: the Cholesky factor of the global fit, or the
+sparse approximate inverse of the localized one.  :func:`profile_levels`
+turns one unit-variance Cholesky factor into those estimates and the
+negative log-likelihood at them.  The likelihood maximized over the mean and variance
 is then a function of the range alone (Mardia & Marshall 1984, Biometrika
 71), so the joint estimate is one bounded scalar search over the range.
 
@@ -57,22 +57,20 @@ class MleResult:
         }
 
 
-def _as_action(obj) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalize the inverse-matrix action: factor solve, sparse approximate
-    inverse (applied by multiplication), dense matrix, or callable."""
-    if isinstance(obj, CholeskyFactor):
-        return obj.solve
-    if isinstance(obj, SparseSymmetric):
-        return obj.matvec
-    if isinstance(obj, np.ndarray):
-        return lambda v: obj @ v
-    if callable(obj):
-        return obj
-    raise TypeError(f"cannot interpret {type(obj).__name__} as an inverse action")
+def _as_action(s_inv) -> Callable[[np.ndarray], np.ndarray]:
+    """The action of an inverse: a Cholesky factor's solve, or the product
+    with a sparse approximate inverse."""
+    if isinstance(s_inv, CholeskyFactor):
+        return s_inv.solve
+    if isinstance(s_inv, SparseSymmetric):
+        return s_inv.matvec
+    raise TypeError(f"cannot interpret {type(s_inv).__name__} as an inverse")
 
 
 def estimate_mu(s_inv_action, values, mean_image=None) -> float:
-    """Generalized-least-squares mean through the (approximate) inverse.
+    """Generalized-least-squares mean through the inverse ``s_inv_action``:
+    a :class:`CholeskyFactor` of S, or a sparse approximate inverse of S as
+    a :class:`SparseSymmetric`.
 
     ``mean_image`` generalizes the all-ones vector to operator observations
     (0 for derivatives, interval length for interval integrals).
@@ -91,10 +89,11 @@ def estimate_mu(s_inv_action, values, mean_image=None) -> float:
 
 
 def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
-    """Quadratic-form variance estimator with divisor m.
+    """Quadratic-form variance estimator with divisor m, through the inverse
+    ``s_inv_action`` as in :func:`estimate_mu`.
 
     Raises :class:`EstimationError` when the estimate is negative, which an
-    indefinite inverse action (a sparse approximate inverse) can give.
+    indefinite sparse approximate inverse can give.
     """
     act = _as_action(s_inv_action)
     values = np.asarray(values, dtype=float)

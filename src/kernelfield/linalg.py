@@ -23,7 +23,7 @@ fails if it is imported at the top again.
 import functools
 import itertools
 import math
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,20 +328,20 @@ def _factor_layout(a: SparseSymmetric, perm: Optional[np.ndarray]):
     return perm, (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
 
 
-def cholesky(a: Union[SparseSymmetric, np.ndarray], order="rcm") -> CholeskyFactor:
-    """Cholesky factorization, in band storage where a sparse matrix allows it.
+def cholesky(a: SparseSymmetric, order="rcm") -> CholeskyFactor:
+    """Cholesky factorization of a :class:`SparseSymmetric` matrix, in band
+    storage where it allows it.
 
-    A :class:`SparseSymmetric` input is reordered by reverse Cuthill-McKee
-    (RCM, :func:`_band_order`).  If that order brings every stored entry
+    The matrix is reordered by reverse Cuthill-McKee (RCM,
+    :func:`_band_order`).  If that order brings every stored entry
     within ``bw`` of the diagonal with ``2 * (bw + 1) <= m``, the factor is
     held in (bw + 1, m) band storage (LAPACK ``dpbtrf``) and no m-by-m array
     is made.  Any other matrix, a full one in particular, is factored densely
     in natural order (``dpotrf``).  That layout is made once per stored
     pattern (:meth:`SparseSymmetric.with_values`); a call then scatters the
-    values and factors them.  Dense ``ndarray`` inputs are factored densely
-    in natural order.
+    values and factors them.
 
-    ``order`` skips the choice for a sparse input whose order is known, such
+    ``order`` skips the choice for a matrix whose order is known, such
     as a saved factor's (:attr:`CholeskyFactor.perm` in band storage): None
     factors densely in natural order, and a permutation of ``0..m-1``
     factors in band storage in that order (ValueError if the band does not
@@ -350,61 +350,45 @@ def cholesky(a: Union[SparseSymmetric, np.ndarray], order="rcm") -> CholeskyFact
     Raises :class:`FactorizationError` naming the failing pivot (original
     indexing) when the matrix is not positive definite.
     """
-    if isinstance(a, SparseSymmetric):
-        if not isinstance(order, str):
-            a._layout = _factor_layout(a, order)
-            if a._layout is None:
-                raise ValueError("the band does not fit in the given order")
-        elif a._layout is None:
-            perm = _band_order(a)
-            layout = None if perm is None else _factor_layout(a, perm)
-            a._layout = layout or _factor_layout(a, None)
-        perm, shape, at = a._layout
-        transposed = np.zeros(shape[::-1])
-        transposed.reshape(-1)[at] = a._values
-        target = transposed.T
-    else:
-        target = np.asarray(a, dtype=float)
-        if target.ndim != 2 or target.shape[0] != target.shape[1]:
-            raise ValueError("matrix must be square")
-        target = 0.5 * (target + target.T)
-        perm = np.arange(target.shape[0], dtype=np.int64)
-    band = target.shape[0] < target.shape[1]
+    if not isinstance(order, str):
+        a._layout = _factor_layout(a, order)
+        if a._layout is None:
+            raise ValueError("the band does not fit in the given order")
+    elif a._layout is None:
+        perm = _band_order(a)
+        layout = None if perm is None else _factor_layout(a, perm)
+        a._layout = layout or _factor_layout(a, None)
+    perm, shape, at = a._layout
+    transposed = np.zeros(shape[::-1])
+    transposed.reshape(-1)[at] = a._values
+    target = transposed.T
+    band = shape[0] < shape[1]
     factor, info = (dpbtrf(target, lower=1, overwrite_ab=1) if band
                     else dpotrf(target, lower=1, clean=1, overwrite_a=1))
     _check_factor_info(info, perm, "dpbtrf" if band else "dpotrf")
     return CholeskyFactor(factor, perm)
 
 
-def dense_spd_inverse(a: np.ndarray, center_index=None, row=None) -> np.ndarray:
-    """Inverse of a dense SPD matrix (n, n), or of each matrix of a (k, n, n) stack.
+def dense_spd_inverse(stack: np.ndarray, center_index, row) -> np.ndarray:
+    """Row ``row[j]`` of the inverse of each dense SPD matrix ``stack[j]`` of
+    a (k, n, n) stack, as a (k, n) array.
 
-    Each matrix is factored and solved by one LAPACK ``dposv`` call, which
-    reads its lower triangle only and fails where the matrix is not positive
-    definite.  ``center_index`` labels the FactorizationError raised then: one
-    label for a matrix, one per matrix of a stack (the localized neighborhood
-    inversions pass their center rows).  Unlabelled, the error names the
-    failing pivot of the first failing matrix.
-
-    ``row`` (one position per matrix) asks for that row of each inverse only,
-    solved for against a unit vector: an (n,) row, or (k, n) for a stack.
-    Without it each matrix is solved against the identity.
+    Each row is solved for against a unit vector by one LAPACK ``dposv``
+    call, which reads the matrix's lower triangle only and fails where it is
+    not positive definite; the FactorizationError raised then names
+    ``center_index[j]`` (the localized neighborhood inversions pass their
+    center rows).
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    labels = None if center_index is None else np.ravel(center_index)
-    eye = np.eye(n)
-    rhs = itertools.repeat(eye) if row is None else eye[np.ravel(row)]
-    out = np.empty(stack.shape if row is None else stack.shape[:2])
-    for j, (member, b) in enumerate(zip(stack, rhs)):
+    eye = np.eye(stack.shape[-1])
+    out = np.empty(stack.shape[:2])
+    for j, member in enumerate(stack):
         # member.T is Fortran-ordered, so LAPACK takes it uncopied; its upper
         # triangle holds the lower one of member.
-        x, info = dposv(member.T, b, lower=0)[1:]
+        x, info = dposv(member.T, eye[row[j]], lower=0)[1:]
         if info > 0:
-            raise FactorizationError(int(info - 1 if labels is None else labels[j]))
+            raise FactorizationError(int(center_index[j]))
         out[j] = x
-    return out.reshape(a.shape if row is None else a.shape[:-1])
+    return out
 
 
 class SpatialIndex:

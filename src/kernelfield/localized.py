@@ -25,7 +25,6 @@ is what ``predict_variance`` returns.
 """
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -51,7 +50,7 @@ _STACK_ENTRIES = 1 << 20  # most matrix entries in one stack of sub-matrices
 
 
 def approximate_inverse(S: SparseSymmetric, locations, delta: float,
-                        workers: Optional[int] = 1) -> SparseSymmetric:
+                        workers: int = 1) -> SparseSymmetric:
     """Sparse approximation of the inverse of a symmetric PD matrix.
 
     ``locations`` (one per row of ``S``) define the neighborhoods: row i of
@@ -65,10 +64,10 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
     only the center row of the inverse is solved for.  A stack is gathered
     from a dense copy of ``S`` up to order ``_DENSE_GATHER_CUTOFF`` and from
-    its CSR form above.  ``workers`` > 1 (or None for all cores) maps a
-    thread pool over the stacks, which depend only on the sizes, so the
-    output is bit-identical for any worker count; only the gathers run in
-    parallel, as the inversions hold the interpreter lock.
+    its CSR form above.  ``workers`` > 1 maps a thread pool of that size
+    over the stacks, which depend only on the sizes, so the output is
+    bit-identical for any worker count; only the gathers run in parallel,
+    as the inversions hold the interpreter lock.
     """
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError("delta must be positive and finite")
@@ -108,7 +107,7 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
             r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
             sub = np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
         center = np.count_nonzero(idx < rows[:, None], axis=1)
-        return slots, dense_spd_inverse(sub, center_index=rows, row=center)
+        return slots, dense_spd_inverse(sub, rows, center)
 
     if workers == 1:
         results = [chunk_task(rows) for rows in chunks]
@@ -124,7 +123,7 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
                   mu: Optional[float] = None, sigma2: Optional[float] = None,
-                  workers: Optional[int] = 1,
+                  workers: int = 1,
                   count_negative_variance: bool = False) -> KernelPredictor:
     """Fit the localized predictor with localization range ``k * taper_range``.
 
@@ -132,9 +131,10 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     computed through the approximate inverse; pass explicit values to pin
     them (required when the set is empty, and for sets with observation
     errors where estimation is not supported), checked as
-    :func:`~.predictor.fit_global` checks them.  ``count_negative_variance``
-    sets ``negative_variance_at_obs``: the count of raw variances at the
-    point sites below ``-1e-12 * sigma2``.
+    :func:`~.predictor.fit_global` checks them; an estimated ``sigma2``
+    that is not positive is an :class:`EstimationError`, as in the global
+    fit.  ``count_negative_variance`` sets ``negative_variance_at_obs``: the
+    count of raw variances at the point sites below ``-1e-12 * sigma2``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
@@ -161,8 +161,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     mu = estimate_mu(psi, d, a) if mu is None else float(mu)
     if sigma2 is None:
         sigma2 = estimate_sigma2(psi, d, mu, a)
-        if sigma2 == 0.0:
-            warnings.warn("zero localized variance estimate: residuals vanish")
+        if sigma2 <= 0.0:
+            raise EstimationError("estimated sigma2 is not positive")
     weights = psi.matvec(d - mu * a)
     deviation_var, negative = _site_diagnostics(obs_set, model, mat, psi, mu, float(sigma2),
                                                 weights, count_negative_variance)

@@ -1,8 +1,8 @@
 """Heterogeneous observations as linear operators on a stationary random field.
 
 Three observation kinds: ``point`` (the field value at a location, possibly
-with Gaussian error), ``deriv`` (the directional derivative at a location)
-and ``avg`` (the unnormalized integral of the field over a 1D interval).  A
+with Gaussian error), ``deriv`` (the signed derivative at a 1D location) and
+``avg`` (the unnormalized integral of the field over a 1D interval).  A
 set holds its observations as columns, built and validated in one place
 (:meth:`ObservationSet.from_arrays`); the CSV reader, the predictor file and
 synthetic sets fill the columns directly, with no per-row objects.
@@ -11,9 +11,11 @@ Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
 inter-correlation entries.  Both are evaluated as arrays, one call per pair
 of observation kinds.  Interval entries have closed forms for both untapered
-bases (Matern-5/2 and gauss2); only interval entries under a tapered model
-use adaptive quadrature, and only derivatives at dim >= 2 (numeric mode) use
-finite differences.  Entries that are provably zero under a finite-range
+bases (Matern-5/2 and gauss2), and derivative entries use the model's
+analytic lag derivatives; only interval entries under a tapered model use
+adaptive quadrature.  (Only :func:`~.predictor.predict_derivative` uses
+finite differences, at dim >= 2: it predicts a derivative, but no
+observation is one.)  Entries that are provably zero under a finite-range
 model (support separation at or beyond the taper range) are never stored,
 neither in the inter-correlation matrix nor in the kernels of a block of
 query points, which are then a sparse (CSR) matrix of the pairs that one
@@ -56,7 +58,6 @@ _P, _D, _A = (KIND_CODES[k] for k in KINDS)
 BLOCK_ROWS = 256
 
 QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combination
-_FD_STEP = 1e-5
 _CSV_FIELDS = ["kind", "value", "error_var", "p1", "p2"]  # after the site columns x1..xq
 
 
@@ -64,11 +65,12 @@ _CSV_FIELDS = ["kind", "value", "error_var", "p1", "p2"]  # after the site colum
 class Observation:
     """One hand-built observed datum (tests, ``example-a``); sets hold columns.
 
-    ``location``: the q-vector site of ``point`` and ``deriv`` kinds, the
-    (lower, upper) bounds of ``avg`` (1D only).  ``error_var``: additive
-    Gaussian error variance (0 = exact).  ``direction`` (deriv only, default
-    all ones) is normalized.  Packed as a one-row set, the row is validated
-    by :meth:`ObservationSet.from_arrays`, shapes included.
+    ``location``: the q-vector site of ``point``, the 1D site of ``deriv``,
+    the (lower, upper) bounds of ``avg``; ``deriv`` and ``avg`` are 1D only.
+    ``error_var``: additive Gaussian error variance (0 = exact).
+    ``direction`` (deriv only): the derivative's sign, a nonzero 1-vector
+    (default [1]) normalized to [1] or [-1].  Packed as a one-row set, the
+    row is validated by :meth:`ObservationSet.from_arrays`, shapes included.
     """
 
     kind: str
@@ -86,7 +88,7 @@ class Observation:
         self.value, self.error_var = float(self.value), float(self.error_var)
         if self.kind == DERIV and self.direction is None:
             self.direction = np.ones(self.location.shape)
-        unit = ObservationSet([self], allow_numeric=True).directions[0]  # validates the row
+        unit = ObservationSet([self]).directions[0]  # validates the row
         self.direction = unit.copy() if self.kind == DERIV else None
 
     @property
@@ -96,7 +98,7 @@ class Observation:
     @property
     def mean_image(self) -> float:
         """Multiplier of the field mean in the observation's expectation."""
-        return float(ObservationSet([self], allow_numeric=True).mean_image()[0])
+        return float(ObservationSet([self]).mean_image()[0])
 
 
 class _InvalidRow(ValueError):
@@ -123,11 +125,10 @@ class ObservationSet:
     unit directions (zero for non-deriv rows) and interval bounds (NaN for
     non-avg rows).  ``ObservationSet([...])`` packs hand-built
     :class:`Observation` objects; indexing or iterating builds them back.
-    ``allow_numeric`` permits deriv kinds outside 1D (finite differences).
+    A set with a ``deriv`` or ``avg`` row is 1D.
     """
 
-    def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None,
-                 allow_numeric: bool = False):
+    def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None):
         obs = list(observations)
         if dim is None and not obs:
             raise ValueError("dimension required for an empty observation set")
@@ -140,26 +141,25 @@ class ObservationSet:
             [[math.nan] * dim if o.kind == AVG else o.location for o in obs],
             [o.value for o in obs], [o.error_var for o in obs],
             [o.direction if o.kind == DERIV else [0.0] * dim for o in obs],
-            [o.location if o.kind == AVG else [math.nan] * 2 for o in obs], dim, allow_numeric)
+            [o.location if o.kind == AVG else [math.nan] * 2 for o in obs], dim)
 
     @classmethod
     def from_arrays(cls, kinds, sites, values, error_vars, directions=None, bounds=None,
-                    dim: Optional[int] = None, allow_numeric: bool = False) -> "ObservationSet":
+                    dim: Optional[int] = None) -> "ObservationSet":
         """The set of m observations as columns: kind codes (m,), sites (m, dim)
         of point and deriv rows, values and error variances (m,), directions
         (m, dim) of deriv rows (normalized here), bounds (m, 2) of avg rows.
 
         The one validator of observations; its ``ValueError`` names the first
-        row with a non-finite number, a negative error variance, an unknown
-        kind, ``lower >= upper``, a zero direction or a kind ``dim`` forbids.
+        row with an unknown kind, a deriv or avg row outside 1D, a non-finite
+        number, a negative error variance, ``lower >= upper`` or a zero
+        direction.
         """
         obs_set = cls.__new__(cls)
-        obs_set._set_columns(kinds, sites, values, error_vars, directions, bounds, dim,
-                             allow_numeric)
+        obs_set._set_columns(kinds, sites, values, error_vars, directions, bounds, dim)
         return obs_set
 
-    def _set_columns(self, kinds, sites, values, error_vars, directions, bounds, dim,
-                     allow_numeric):
+    def _set_columns(self, kinds, sites, values, error_vars, directions, bounds, dim):
         kinds, dim = np.asarray(kinds), np.shape(sites)[-1] if dim is None else dim
         if kinds.ndim != 1 or int(dim) != dim or dim < 1:
             raise ValueError(f"kinds must be 1-D and dim a positive integer, got "
@@ -179,6 +179,7 @@ class ObservationSet:
             width, twice_mid = hi - lo, lo + hi
         checks = [  # (bad rows, reason); of the rules a row breaks, the first is named
             (~(point | deriv | avg), "unknown observation kind"),
+            ((deriv | avg) & (dim != 1), "deriv and avg observations are 1D only"),
             (~(avg | np.isfinite(sites).all(axis=1)) | ~np.isfinite(values),
              "observation location and value must be finite"),
             (~np.isfinite(error_vars) | (error_vars < 0.0),
@@ -187,15 +188,12 @@ class ObservationSet:
              "avg interval must satisfy lower < upper, with a finite length and midpoint"),
             (deriv & ~(np.isfinite(norms) & (norms > 0.0)),
              "direction must be a nonzero finite vector"),
-            ((deriv | avg) & (dim != 1 and not allow_numeric),
-             "operator kinds need dim 1 unless numeric mode is enabled"),
-            (avg & (dim != 1), "avg observations are 1D only"),
         ]
         bad = np.array([mask.argmax() if mask.any() else m for mask, _ in checks])
         if bad.min() < m:
             raise _InvalidRow(int(bad.min()), checks[int(bad.argmin())][1])
         directions[deriv] /= norms[deriv, None]
-        self.dim, self.allow_numeric = dim, bool(allow_numeric)
+        self.dim = dim
         self.kinds, self.directions, self.bounds = kinds.astype(np.int8), directions, bounds
         self._reps = np.where(avg[:, None], (0.5 * twice_mid)[:, None], sites)
         self._radii = np.where(avg, 0.5 * width, 0.0)
@@ -247,8 +245,7 @@ class ObservationSet:
     def with_values(self, values: np.ndarray) -> "ObservationSet":
         """Copy of the set with observed values replaced (same geometry)."""
         return ObservationSet.from_arrays(self.kinds, self._reps, values, self._error_vars,
-                                          self.directions, self.bounds, self.dim,
-                                          self.allow_numeric)
+                                          self.directions, self.bounds, self.dim)
 
 
 # -- operator correlations, evaluated as arrays by kind pair ----------------
@@ -384,8 +381,7 @@ def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Opera
     kind code ``kb``, elementwise over their broadcast shape.
 
     The pair is put in kind-code order first, so entries are exactly
-    symmetric.  Derivatives in 1D use the signed-lag derivatives of the
-    model; at dim >= 2 (numeric mode) they are central differences.
+    symmetric.  Derivatives (1D) use the signed-lag derivatives of the model.
     """
     if ka > kb:
         return _entries(model, kb, b, ka, a)
@@ -400,21 +396,10 @@ def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Opera
     if pair == (_D, _A):
         c = a.x[..., 0]
         return a.z[..., 0] * (model.eval(np.abs(c - b.lo)) - model.eval(np.abs(c - b.hi)))
-    if a.x.shape[-1] == 1:
-        lag = a.x[..., 0] - b.x[..., 0]
-        if pair == (_P, _D):
-            return b.z[..., 0] * -model.deriv1(lag)
-        return a.z[..., 0] * b.z[..., 0] * -model.deriv2(lag)
-    h = _FD_STEP
-
-    def pp(u, v):
-        return model.eval(_distances(u, v))
-
-    bp, bm = b.x + h * b.z, b.x - h * b.z
+    lag = a.x[..., 0] - b.x[..., 0]
     if pair == (_P, _D):
-        return (pp(a.x, bp) - pp(a.x, bm)) / (2.0 * h)
-    ap, am = a.x + h * a.z, a.x - h * a.z
-    return (pp(ap, bp) - pp(ap, bm) - pp(am, bp) + pp(am, bm)) / (4.0 * h * h)
+        return b.z[..., 0] * -model.deriv1(lag)
+    return a.z[..., 0] * b.z[..., 0] * -model.deriv2(lag)
 
 
 def _correlations(obs_set: ObservationSet, kind: int, ops: _Operators, n: int,
@@ -474,7 +459,7 @@ def kernel_value(obs, x, model: CorrelationModel):
     zeros.
     """
     one = isinstance(obs, Observation)
-    obs_set = ObservationSet([obs], allow_numeric=True) if one else obs
+    obs_set = ObservationSet([obs]) if one else obs
     x = np.asarray(x, dtype=float)
     block = x.reshape(1, -1) if x.ndim <= 1 else x
     if block.ndim != 2 or block.shape[1] != obs_set.dim:
@@ -520,7 +505,7 @@ def kernel_gradient_1d(obs_set: ObservationSet, x: float, model: CorrelationMode
 def _support_separations(obs_set: ObservationSet, i, j) -> np.ndarray:
     """Euclidean distances between the supports of observations ``i`` and ``j``."""
     reps = obs_set.rep_points()
-    if obs_set.dim > 1:  # points and derivatives only
+    if obs_set.dim > 1:  # points only
         return _distances(reps[i], reps[j])
     lo, hi = np.where(np.isnan(obs_set.bounds), reps, obs_set.bounds).T
     return np.maximum(0.0, np.maximum(lo[i] - hi[j], lo[j] - hi[i]))
@@ -528,7 +513,7 @@ def _support_separations(obs_set: ObservationSet, i, j) -> np.ndarray:
 
 def support_separation(a: Observation, b: Observation) -> float:
     """Euclidean distance between the supports of two observations."""
-    return float(_support_separations(ObservationSet([a, b], allow_numeric=True), 0, 1))
+    return float(_support_separations(ObservationSet([a, b]), 0, 1))
 
 
 def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
@@ -541,7 +526,7 @@ def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
     """
     if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
         raise ValueError("sigma2_r must be a positive finite real")
-    pair = ObservationSet([a, b], allow_numeric=True)
+    pair = ObservationSet([a, b])
     ka, kb = pair.kinds.tolist()
     val = float(_entries(model, ka, _operators(pair, ka, 0), kb, _operators(pair, kb, 1)))
     if a is b:
@@ -678,11 +663,12 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
 # -- observation CSV --------------------------------------------------------
 
 
-def read_observations_csv(path, allow_numeric: bool = False) -> ObservationSet:
+def read_observations_csv(path) -> ObservationSet:
     """The observation set of a CSV file ``x1[,x2[,x3]],kind,value,error_var,p1,p2``,
-    read column by column: x = site (the midpoint of an avg row, ignored), p1
-    and p2 = interval bounds or direction components (a 1D direction is p1,
-    default 1).  Blank lines are skipped; a malformed row raises
+    read column by column: x = site (the midpoint of an avg row, ignored);
+    p1 = the direction of a deriv row (its sign, default 1); p1,p2 = the
+    bounds of an avg row.  Deriv and avg rows are 1D only, and other rows
+    ignore p1 and p2.  Blank lines are skipped; a malformed row raises
     :class:`ObservationParseError` naming the 1-based line of the first one.
     """
     with open(path, "r", newline="") as fh:
@@ -700,7 +686,7 @@ def read_observations_csv(path, allow_numeric: bool = False) -> ObservationSet:
     lines = [n for n, row in enumerate(rows, start=2) if "".join(row).strip()]
     body = [rows[n - 2] for n in lines]
     try:
-        return _parse_rows(body, dim, allow_numeric)
+        return _parse_rows(body, dim)
     except ValueError as exc:
         error = exc
     # Every rule concerns one row, so rows [good, bad) hold a bad row exactly
@@ -709,14 +695,14 @@ def read_observations_csv(path, allow_numeric: bool = False) -> ObservationSet:
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            _parse_rows(body[good:mid], dim, allow_numeric)
+            _parse_rows(body[good:mid], dim)
             good = mid
         except ValueError as exc:
             bad, error = mid, exc
     raise ObservationParseError(lines[bad - 1], getattr(error, "reason", str(error)))
 
 
-def _parse_rows(rows, dim: int, allow_numeric: bool) -> ObservationSet:
+def _parse_rows(rows, dim: int) -> ObservationSet:
     """The set of CSV data rows, one column at a time (ValueError on a bad row)."""
     width = dim + 5
     sizes = {len(row) for row in rows} - {width}
@@ -727,23 +713,18 @@ def _parse_rows(rows, dim: int, allow_numeric: bool) -> ObservationSet:
     kinds = np.array([KIND_CODES.get(name, -1) for name in names], dtype=np.int8)
     if (kinds < 0).any():
         raise ValueError(f"unknown kind {names[int(np.argmax(kinds < 0))]!r}")
-    deriv = np.flatnonzero(kinds == _D).tolist()
-    if deriv and dim > 2:
-        raise ValueError("deriv rows support dim <= 2 (p1,p2 hold the direction)")
-    paired = np.flatnonzero((kinds == _A) | ((kinds == _D) & (dim == 2))).tolist()
-    missing = [i for i in paired if not (p1[i] and p2[i])]
-    if missing:
-        raise ValueError(f"{names[missing[0]]} row needs both p1 and p2")
+    deriv, avg = (np.flatnonzero(kinds == code).tolist() for code in (_D, _A))
+    if any(not (p1[i] and p2[i]) for i in avg):
+        raise ValueError("avg row needs both p1 and p2")
     p = np.zeros((len(rows), 2))
-    p[paired] = np.column_stack([_floats([q[i] for i in paired], name)
-                                 for q, name in ((p1, "p1"), (p2, "p2"))])
-    if dim == 1:
-        p[deriv, 0] = _floats([p1[i] or "1" for i in deriv], "p1")
+    p[avg] = np.column_stack([_floats([q[i] for i in avg], name)
+                              for q, name in ((p1, "p1"), (p2, "p2"))])
+    p[deriv, 0] = _floats([p1[i] or "1" for i in deriv], "p1")
     sites = np.column_stack([_floats(col, f"x{k + 1}") for k, col in enumerate(cols[:dim])])
     return ObservationSet.from_arrays(
         kinds, sites, _floats(cols[dim + 1], "value"),
         _floats([f or "0" for f in cols[dim + 2]], "error_var"),
-        p[:, :dim] if dim <= 2 else None, p, dim, allow_numeric)
+        p[:, :1] if dim == 1 else None, p, dim)
 
 
 def _floats(fields, name: str) -> np.ndarray:
@@ -760,7 +741,7 @@ def write_observations_csv(path, obs_set: ObservationSet):
     table[:, :dim] = obs_set.rep_points()
     table[:, dim] = np.array(KINDS, dtype=object)[kinds]
     table[:, dim + 1:dim + 3] = np.column_stack([obs_set.values(), obs_set.error_vars()])
-    table[kinds == _D, dim + 3:dim + 3 + min(dim, 2)] = obs_set.directions[kinds == _D, :2]
+    table[kinds == _D, dim + 3] = obs_set.directions[kinds == _D, 0]  # deriv rows are 1D
     table[kinds == _A, dim + 3:] = obs_set.bounds[kinds == _A]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([[f"x{k + 1}" for k in range(dim)] + _CSV_FIELDS]

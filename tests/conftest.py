@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from kernelfield import AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
+                         SparseSymmetric, cholesky)
 
 
 def well_separated_points(rng, m, dim, lo, hi, min_sep):
@@ -22,6 +24,11 @@ def well_separated_points(rng, m, dim, lo, hi, min_sep):
         if all(np.linalg.norm(cand - p) >= min_sep for p in pts):
             pts.append(cand)
     return np.array(pts)
+
+
+def dense_factor(a):
+    """The Cholesky factor of a dense SPD array, held densely in natural order."""
+    return cholesky(SparseSymmetric.from_dense(a), None)
 
 
 def random_instance(seed):
@@ -68,6 +75,23 @@ def random_instance(seed):
                 continue
         observations.append(Observation(POINT, pts[i], value, error_var))
     return ObservationSet(observations, dim=dim), model, mu, sigma2
+
+
+@st.composite
+def mixed_1d_lattice(draw):
+    """A 1-D set of every kind on a jittered lattice (so it factors):
+    signed derivatives, intervals, some error variances."""
+    rows = draw(st.lists(st.tuples(st.sampled_from([POINT, DERIV, AVG]), st.floats(0.0, 0.5),
+                                   st.floats(0.1, 1.0), st.floats(-1e3, 1e3),
+                                   st.sampled_from([0.0, 0.0, 0.05]),
+                                   st.sampled_from([-3.0, 2.0])),
+                         min_size=1, max_size=15))
+    obs = []
+    for i, (kind, jitter, width, value, error_var, z) in enumerate(rows):
+        site = 2.0 * i + jitter
+        obs.append(Observation(kind, [site, site + width] if kind == AVG else [site], value,
+                               error_var, [z] if kind == DERIV else None))
+    return ObservationSet(obs)
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, Obser
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 from kernelfield.localized import variance_localized
 
+from conftest import mixed_1d_lattice
+
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
 
@@ -183,6 +185,36 @@ def test_vanishing_variance_writes_null_nll(tmp_path, capsys):
     assert infer(obs, write_json(tmp_path / "model.json", UNTAPERED_MODEL)) == 0
     doc = strict_json(capsys.readouterr().out)
     assert doc["nll"] is None and doc["sigma2"] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_zero_variance_estimate_exit_3(tmp_path, capsys, mode):
+    # Two equal values out of each other's reach: the residuals vanish.
+    obs = write_points(tmp_path / "two.csv", [(0.0, 0.0, 2.5), (7.0, 0.0, 2.5)])
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    capsys.readouterr()
+    assert main(["fit", "--obs", obs, "--model", model, "--mode", mode,
+                 "--out", str(tmp_path / "p.json")]) == 3
+    assert "estimated sigma2 is not positive" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+    if mode == "global":  # the documented null likelihood of a vanishing variance
+        assert infer(obs, model) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["nll"] is None and doc["sigma2"] == 0.0
+    else:
+        assert infer(obs, model, "--mode", mode) == 3
+        assert "estimated sigma2 is not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0,deriv,1.0,,1.0,0.0", "1.0,2.0,avg,1.0,,0.0,1.0"])
+def test_operator_row_in_2d_exit_2(tmp_path, capsys, row):
+    path = tmp_path / "obs.csv"
+    path.write_text(f"x1,x2,kind,value,error_var,p1,p2\n0.5,0.5,point,1.0,,,\n{row}\n")
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    capsys.readouterr()
+    assert main(["fit", "--obs", str(path), "--model", model,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert "line 3: deriv and avg observations are 1D only" in capsys.readouterr().err
 
 
 def test_range_search_reports_eta_within_bounds(tmp_path, inputs, capsys):
@@ -459,23 +491,6 @@ def saved_and_loaded(fitted):
         return load_predictor(path)
 
 
-@st.composite
-def mixed_1d_lattice(draw):
-    """A 1-D set of every kind on a jittered lattice (so it factors):
-    signed derivatives, intervals, some error variances."""
-    rows = draw(st.lists(st.tuples(st.sampled_from([POINT, DERIV, AVG]), st.floats(0.0, 0.5),
-                                   st.floats(0.1, 1.0), st.floats(-1e3, 1e3),
-                                   st.sampled_from([0.0, 0.0, 0.05]),
-                                   st.sampled_from([-3.0, 2.0])),
-                         min_size=1, max_size=15))
-    obs = []
-    for i, (kind, jitter, width, value, error_var, z) in enumerate(rows):
-        site = 2.0 * i + jitter
-        obs.append(Observation(kind, [site, site + width] if kind == AVG else [site], value,
-                               error_var, [z] if kind == DERIV else None))
-    return ObservationSet(obs)
-
-
 def test_subnormal_residual_loads():
     obs = ObservationSet([Observation(DERIV, [0.0], 5e-324, 0.05)])
     fitted = fit_global(obs, CorrelationModel("matern52", 0.5), 0.3, 1.7)
@@ -684,12 +699,17 @@ def _all_bools(a):
 
 
 NUMBER_EDITS = {"numeric text": _at(3, "0.5"), "all bools": _all_bools, "null": _at(3, None),
-                "huge int": _at(3, 10 ** 400), "nested list": _at(3, [1.0])}
+                "huge int": _at(3, 10 ** 400), "nested list": _at(3, [1.0]),
+                "nan": _at(3, float("nan")), "infinity": _at(3, float("inf"))}
 INDEX_EDITS = {"numeric text": _at(3, "3"), "all bools": _all_bools, "null": _at(3, None),
                "index 1.5": _at(3, 1.5), "index -1": _at(3, -1), "index m": _at(3, 30),
                "short": lambda a: a[:-1]}
 ORDER_EDITS = {"numeric text": "30", "bool": True, "null": None, "float m": 30.0,
                "negative": -1, "list": [30]}  # m + 1: test_approximate_inverse_of_wrong_order
+# Levels that a fit refuses (Python's json reads NaN and Infinity).
+LEVEL_EDITS = {"sigma2": {"-1": -1.0, "0": 0.0, "nan": float("nan"), "infinity": float("inf")},
+               "mu": {"nan": float("nan"), "infinity": float("inf"),
+                      "-infinity": float("-inf")}}
 PSI = ("localized", "psi_lower")
 
 
@@ -706,6 +726,10 @@ MALFORMED_FIELDS = [
       for mode in ("global", "localized")
       for path in [("weights",)] + [("observations", c) for c in ("value", "error_var", "site")]
       for name, fn in NUMBER_EDITS.items()],
+    *[pytest.param(mode, f"model.{level}", _set("model", level, value=value),
+                   id=f"{mode}-model.{level}-{name}")
+      for mode in ("global", "localized") for level, values in LEVEL_EDITS.items()
+      for name, value in values.items()],
     *[pytest.param("localized", f"localized.psi_lower.{key}", _edit(*PSI, key, fn=fn),
                    id=f"psi-{key}-{name}")
       for key, edits in (("rows", INDEX_EDITS), ("cols", INDEX_EDITS), ("vals", NUMBER_EDITS))

@@ -13,6 +13,8 @@ from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseS
 from kernelfield.cli import synthetic_observations
 from kernelfield.linalg import QUAD_GROUP, _band_order, dense_spd_inverse, neighbors
 
+from conftest import dense_factor
+
 
 def random_spd(rng, n, jitter=1.0):
     b = rng.normal(size=(n, n))
@@ -65,7 +67,7 @@ class TestCholesky:
         assert np.allclose(np.diag(f.lower), 1.0)
 
     def test_hand_checked_2x2(self):
-        f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        f = dense_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
         assert np.allclose(f.lower, [[2.0, 0.0], [1.0, math.sqrt(2.0)]])
 
     def test_random_spd_reconstruction(self):
@@ -78,7 +80,7 @@ class TestCholesky:
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(FactorizationError) as exc:
-            cholesky(a)
+            dense_factor(a)
         assert exc.value.pivot_index == 1
 
     def test_sparse_failure_names_original_pivot(self):
@@ -105,7 +107,7 @@ class TestCholesky:
             a[np.arange(off, n), np.arange(n - off)] = d
         rhs = rng.normal(size=n)
         x_sparse = cholesky(SparseSymmetric.from_dense(a)).solve(rhs)
-        x_dense = cholesky(a).solve(rhs)
+        x_dense = dense_factor(a).solve(rhs)
         assert np.linalg.norm(x_sparse - x_dense) / np.linalg.norm(x_dense) < 1e-12
 
 
@@ -137,7 +139,7 @@ def tapered_set():
 class TestFactorStorage:
     def test_band_matches_dense_on_tapered_set(self, tapered_set):
         obs, mat = tapered_set
-        band, dense = cholesky(mat), cholesky(mat.to_dense())
+        band, dense = cholesky(mat), dense_factor(mat.to_dense())
         assert (band.storage, dense.storage) == ("band", "dense")
         assert band.lower.shape == (band.bandwidth + 1, 400)
 
@@ -194,7 +196,7 @@ class TestFactorStorage:
         nodes = GridSpec.parse("0,20,9;0,20,9").nodes()
         kernels = kernel_vector(obs, nodes, TAPERED_M52).T
         assert sp.issparse(kernels)
-        for f in (cholesky(mat), cholesky(mat.to_dense())):
+        for f in (cholesky(mat), dense_factor(mat.to_dense())):
             assert np.array_equal(f.solve(kernels), f.solve(kernels.toarray()))
             assert np.array_equal(f.quadratic_forms(kernels),
                                   f.quadratic_forms(kernels.toarray()))
@@ -202,7 +204,7 @@ class TestFactorStorage:
     @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
     def test_zero_column_rhs(self, tapered_set, dense):
         obs, mat = tapered_set
-        f = cholesky(mat.to_dense() if dense else mat)
+        f = dense_factor(mat.to_dense()) if dense else cholesky(mat)
         for rhs in (np.empty((400, 0)), sp.csr_matrix((400, 0))):
             assert f.solve(rhs).shape == (400, 0)
             assert f.quadratic_forms(rhs).shape == (0,)
@@ -251,7 +253,7 @@ class TestFactorStorage:
 
         chosen = cholesky(fresh())
         assert chosen.storage == "band"
-        for order, want in ((chosen.perm.copy(), chosen), (None, cholesky(mat.to_dense()))):
+        for order, want in ((chosen.perm.copy(), chosen), (None, dense_factor(mat.to_dense()))):
             got = cholesky(fresh(), order)
             assert got.storage == want.storage and np.array_equal(got.perm, want.perm)
             assert got.lower.tobytes() == want.lower.tobytes()
@@ -305,19 +307,19 @@ class TestQuadraticForms:
         for given_rhs in (rhs, sp.csc_matrix(rhs), sp.csr_matrix(rhs.T).T):
             assert f.quadratic_forms(given_rhs).tobytes() == want.tobytes()
         exact = np.sum(rhs * np.linalg.solve(a, rhs), axis=0)
-        dense = cholesky(a)
+        dense = dense_factor(a)
         assert dense.storage == "dense"
         assert np.abs(dense.quadratic_forms(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 class TestSolve:
     def test_identity(self):
-        f = cholesky(np.eye(4))
+        f = dense_factor(np.eye(4))
         v = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(f.solve(v), v)
 
     def test_diagonal(self):
-        f = cholesky(np.diag([2.0, 4.0]))
+        f = dense_factor(np.diag([2.0, 4.0]))
         assert np.allclose(f.solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_constructed_solution(self):
@@ -336,55 +338,55 @@ class TestSolve:
         assert rel < 1e-8
 
     def test_dimension_mismatch(self):
-        f = cholesky(np.eye(3))
+        f = dense_factor(np.eye(3))
         with pytest.raises(ValueError):
             f.solve(np.ones(4))
+
+
+def every_row(a):
+    """A dense SPD matrix as a stack of n copies, to ask for each of its rows."""
+    n = a.shape[0]
+    return np.repeat(a[None], n, axis=0), np.arange(n), np.arange(n)
 
 
 class TestDenseInverse:
     def test_matches_numpy(self):
         rng = np.random.default_rng(6)
         a = random_spd(rng, 30)
-        assert np.allclose(dense_spd_inverse(a), np.linalg.inv(a), atol=1e-9)
+        assert np.allclose(dense_spd_inverse(*every_row(a)), np.linalg.inv(a), atol=1e-9)
 
     def test_one_by_one_exact(self):
-        assert np.array_equal(dense_spd_inverse(np.array([[1.0]])), np.array([[1.0]]))
+        assert np.array_equal(dense_spd_inverse(np.array([[[1.0]]]), [0], [0]), [[1.0]])
 
     def test_failure_labels_center(self):
         with pytest.raises(FactorizationError) as exc:
-            dense_spd_inverse(np.array([[1.0, 0.0], [0.0, -1.0]]), center_index=17)
+            dense_spd_inverse(np.array([[[1.0, 0.0], [0.0, -1.0]]]), [17], [0])
         assert exc.value.pivot_index == 17
 
     def test_stack_equals_per_matrix_inverses(self):
         rng = np.random.default_rng(7)
         stack = np.stack([random_spd(rng, 6) for _ in range(4)])
-        got = dense_spd_inverse(stack, center_index=np.arange(4))
-        assert got.shape == (4, 6, 6)
-        for a, inv in zip(stack, got):
-            assert np.array_equal(inv, dense_spd_inverse(a))
+        row = np.array([5, 0, 2, 2])
+        got = dense_spd_inverse(stack, np.arange(4), row)
+        assert got.shape == (4, 6)
+        for j, a in enumerate(stack):
+            assert np.array_equal(got[j], dense_spd_inverse(a[None], [j], row[j:j + 1])[0])
 
     def test_row_equals_that_row_of_the_inverse(self):
         rng = np.random.default_rng(9)
         stack = np.stack([random_spd(rng, 7) for _ in range(5)])
         row = np.array([0, 3, 6, 2, 2])
-        got = dense_spd_inverse(stack, center_index=np.arange(5), row=row)
+        got = dense_spd_inverse(stack, np.arange(5), row)
         want = np.linalg.inv(stack)[np.arange(5), row]
         assert got.shape == (5, 7)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(dense_spd_inverse(stack[1], row=3), got[1])
-
-    def test_unlabelled_stack_failure_names_pivot(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
-        with pytest.raises(FactorizationError) as exc:
-            dense_spd_inverse(stack)
-        assert exc.value.pivot_index == 1
 
     def test_stack_failure_labels_failing_member(self):
         rng = np.random.default_rng(8)
         stack = np.stack([random_spd(rng, 3) for _ in range(3)])
         stack[1] = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(FactorizationError) as exc:
-            dense_spd_inverse(stack, center_index=[5, 9, 12])
+            dense_spd_inverse(stack, [5, 9, 12], [0, 0, 0])
         assert exc.value.pivot_index == 9
 
     def test_row_mode_failure_labels_failing_member(self):
@@ -392,11 +394,11 @@ class TestDenseInverse:
         stack = np.stack([random_spd(rng, 3) for _ in range(3)])
         stack[2] = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(FactorizationError) as exc:
-            dense_spd_inverse(stack, center_index=[5, 9, 12], row=[0, 2, 1])
+            dense_spd_inverse(stack, [5, 9, 12], [0, 2, 1])
         assert exc.value.pivot_index == 12
 
     # The localized fit inverts stacks of many orders; a few members each,
-    # in row and full mode, against numpy's LU inverse.
+    # against numpy's LU inverse.
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_stacks_of_mixed_orders_match_numpy(self, n):
         rng = np.random.default_rng(n)
@@ -404,9 +406,10 @@ class TestDenseInverse:
         want = np.linalg.inv(stack)
         scale = np.abs(want).max()
         row = rng.integers(0, n, 4)
-        got_rows = dense_spd_inverse(stack, center_index=np.arange(4), row=row)
+        got_rows = dense_spd_inverse(stack, np.arange(4), row)
         assert np.abs(got_rows - want[np.arange(4), row]).max() <= 1e-12 * scale
-        assert np.abs(dense_spd_inverse(stack) - want).max() <= 1e-12 * scale
+        for a, inv in zip(stack, want):
+            assert np.abs(dense_spd_inverse(*every_row(a)) - inv).max() <= 1e-12 * scale
 
 
 def brute_force_neighbors(points, center, radius):

@@ -51,8 +51,8 @@ class TestObservationValidation:
             av(2.0, 1.0)
 
     def test_direction_normalized(self):
-        o = Observation(DERIV, np.array([0.0, 0.0]), 1.0, direction=np.array([3.0, 4.0]))
-        assert np.allclose(o.direction, [0.6, 0.8])
+        o = Observation(DERIV, np.array([0.0]), 1.0, direction=np.array([-3.0]))
+        assert np.array_equal(o.direction, [-1.0])
 
     def test_direction_on_point_rejected(self):
         with pytest.raises(ValueError):
@@ -66,11 +66,14 @@ class TestObservationValidation:
         with pytest.raises(ValueError):
             ObservationSet([pt([0.0]), pt([0.0, 1.0])])
 
-    def test_set_rejects_operators_in_2d_by_default(self):
-        o = Observation(DERIV, np.array([0.0, 0.0]), 1.0, direction=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ObservationSet([o])
-        ObservationSet([o], allow_numeric=True)  # opt-in is fine
+    def test_set_rejects_operators_in_2d(self):
+        with pytest.raises(ValueError, match="deriv and avg observations are 1D only"):
+            Observation(DERIV, np.array([0.0, 0.0]), 1.0, direction=np.array([1.0, 0.0]))
+        for kind in (DERIV, AVG):
+            with pytest.raises(ValueError, match="observation 1: deriv and avg .* 1D only"):
+                ObservationSet.from_arrays([KIND_CODES[POINT], KIND_CODES[kind]], np.zeros((2, 2)),
+                                           np.ones(2), np.zeros(2), [[0.0, 0.0], [1.0, 0.0]],
+                                           [[np.nan, np.nan], [0.0, 1.0]])
 
     def test_empty_set_needs_dimension(self):
         with pytest.raises(ValueError):
@@ -256,23 +259,6 @@ class TestGauss2ClosedForms:
         oracle = dblquad(lambda u, v: G2.eval(abs(u - v)), b[0], b[1], a[0], a[1],
                          epsabs=1e-14, epsrel=1e-13)[0]
         assert cross_correlation(av(*a), av(*b), G2, 1.0) == pytest.approx(oracle, abs=1e-12)
-
-
-class TestNumericMode:
-    def test_2d_derivatives_match_the_analytic_directional_derivative(self):
-        # Central differences of point correlations at dim 2, against
-        # d/ds rho(|x - c - s z|) = rho'(r) * -((x - c) . z) / r at s = 0
-        # and the self entry -rho''(0) = 5/3 of the unit-range Matern-5/2.
-        c, z = np.array([0.5, -0.3]), np.array([0.6, 0.8])
-        d = Observation(DERIV, c, 0.0, direction=z)
-        obs = ObservationSet([pt([0.2, 0.1]), d], allow_numeric=True)
-        xs = np.array([[1.4, 0.2], [-0.3, -0.9], [0.6, 0.4]])
-        r = np.linalg.norm(xs - c, axis=1)
-        expect = M52.deriv1(r) * -((xs - c) @ z) / r
-        np.testing.assert_allclose(kernel_vector(obs, xs, M52)[:, 1], expect, rtol=0, atol=1e-8)
-        assert cross_correlation(d, d, M52, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-5)
-        dense = assemble(obs, M52, 1.0).to_dense()
-        assert dense[1, 0] == cross_correlation(obs[1], obs[0], M52, 1.0)
 
 
 class TestSupportSeparation:
@@ -656,15 +642,15 @@ BAD_ROWS = {
 }
 
 
-def read_lines(tmp_path, *lines, allow_numeric=True):
+def read_lines(tmp_path, *lines):
     path = tmp_path / "obs.csv"
     path.write_text("\n".join(lines) + "\n")
-    return read_observations_csv(path, allow_numeric=allow_numeric)
+    return read_observations_csv(path)
 
 
-def parse_error_line(tmp_path, *lines, allow_numeric=True):
+def parse_error_line(tmp_path, *lines):
     with pytest.raises(ObservationParseError) as exc:
-        read_lines(tmp_path, *lines, allow_numeric=allow_numeric)
+        read_lines(tmp_path, *lines)
     return exc.value.line
 
 
@@ -682,10 +668,10 @@ def test_first_bad_row_is_named_whatever_its_fault(tmp_path):
     assert parse_error_line(tmp_path, CSV_1D, "1.0,point", "", rule, field) == 2
 
 
-def test_operators_in_2d_without_numeric_mode_name_their_line(tmp_path):
-    row = "1.0,2.0,deriv,1.0,,1.0,0.0"
-    assert read_lines(tmp_path, CSV_2D, GOOD_2D, row).m == 2
-    assert parse_error_line(tmp_path, CSV_2D, GOOD_2D, "", row, allow_numeric=False) == 4
+def test_operators_in_2d_name_their_line(tmp_path):
+    for row in ("1.0,2.0,deriv,1.0,,1.0,0.0", "1.0,2.0,deriv,1.0,,,", "1.0,2.0,avg,1.0,,0.0,1.0"):
+        with pytest.raises(ObservationParseError, match="line 4: deriv and avg .* 1D only"):
+            read_lines(tmp_path, CSV_2D, GOOD_2D, "", row)
 
 
 def test_point_rows_ignore_p_fields(tmp_path):
@@ -700,7 +686,7 @@ def columns_of(obs):
 
 
 def assert_same_columns(a, b):
-    assert (a.dim, a.allow_numeric) == (b.dim, b.allow_numeric)
+    assert a.dim == b.dim
     for x, y in zip(columns_of(a), columns_of(b)):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 

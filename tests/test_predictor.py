@@ -5,6 +5,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
@@ -18,7 +20,7 @@ from kernelfield.cli import demo_observation_set
 from kernelfield.inference import profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
-from conftest import random_instance, well_separated_points
+from conftest import mixed_1d_lattice, random_instance, well_separated_points
 
 M52 = CorrelationModel("matern52", 1.0)
 
@@ -195,6 +197,32 @@ class TestOperatorPredictions:
     def test_average_empty_interval_rejected(self, demo_fit):
         with pytest.raises(ValueError):
             predict_average(demo_fit, (2.0, 2.0))
+
+    @pytest.mark.parametrize("model", [CorrelationModel("gauss2", 0.5),
+                                       CorrelationModel("matern52", 0.5)],
+                             ids=["gauss2", "matern52"])
+    @settings(max_examples=25, deadline=None)
+    @given(obs=mixed_1d_lattice(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_operator_predictions_under_a_permutation(self, model, obs, seed):
+        assume(np.any(obs.mean_image() != 0.0))  # a set of derivatives alone has no GLS mean
+        p = np.random.default_rng(seed).permutation(obs.m)
+        permuted = ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p],
+                                              obs.values()[p], obs.error_vars()[p],
+                                              obs.directions[p], obs.bounds[p], 1)
+        want, got = fit_global(obs, model, sigma2=1.7), fit_global(permuted, model, sigma2=1.7)
+        # Scaled by the largest |value| too: where the field is flat, mu and the
+        # predictions carry round-off of that size.
+        scale = np.abs(obs.values()).max()
+        assert abs(got.mu - want.mu) <= 1e-12 * max(abs(want.mu), scale)
+        end = 2.0 * obs.m + 1.0
+        nodes = np.linspace(-2.0, end + 2.0, 41)[:, None]
+        intervals = [(-1.0, 0.5), (0.3, end / 2.0), (end / 3.0, end + 1.0)]
+        for query, x in ((predict, nodes), (predict_variance, nodes),
+                         (lambda f, xs: [predict_derivative(f, x) for x in xs], nodes[::4]),
+                         (lambda f, ivs: [predict_average(f, iv) for iv in ivs], intervals)):
+            a, b = np.asarray(query(want, x)), np.asarray(query(got, x))
+            floor = 0.0 if query is predict_variance else scale
+            assert np.abs(b - a).max() <= 1e-10 * max(np.abs(a).max(), floor)
 
 
 class TestRasterize:
