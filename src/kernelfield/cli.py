@@ -30,7 +30,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,49 +47,23 @@ PREDICTOR_FORMAT = "kernelfield-predictor"
 PREDICTOR_VERSION = 3
 
 
-@dataclass
-class RunConfig:
-    """Everything a fit/infer run needs, resolved from flags and the model file."""
-
-    model: corrfn.CorrelationModel
-    mu_spec: object  # float or "estimate"
-    sigma2_spec: object
-    obs_path: str
-    mode: str = "global"
-    k: int = 2
-    out_path: Optional[str] = None
-    summary_path: Optional[str] = None
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.mode not in ("global", "localized"):
-            raise ConfigError(f"mode must be global or localized, got {self.mode!r}")
-        if self.mode == "localized" and self.model.taper_range is None:
-            raise ConfigError("localized mode requires a model with taper_range")
-        if self.k < 1:
-            raise ConfigError("k must be a positive integer")
-        if self.workers < 1:
-            raise ConfigError("--workers must be a positive integer")
-
-
 def _load_model_file(path):
+    """The model of a model file and its levels, None for "estimate"."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return corrfn.parse_model_config(cfg)
+    model, *levels = corrfn.parse_model_config(cfg)
+    return (model, *(None if spec == "estimate" else float(spec) for spec in levels))
 
 
-def _config_from_args(args) -> RunConfig:
-    model, mu_spec, sigma2_spec = _load_model_file(args.model)
-    return RunConfig(
-        model=model, mu_spec=mu_spec, sigma2_spec=sigma2_spec,
-        obs_path=args.obs, mode=args.mode, k=args.k,
-        out_path=getattr(args, "out", None),
-        summary_path=getattr(args, "summary", None),
-        workers=getattr(args, "workers", 1),
-    )
+def _check_counts(args):
+    """ConfigError unless ``--k`` and ``--workers`` are positive."""
+    if args.k < 1:
+        raise ConfigError("k must be a positive integer")
+    if args.workers < 1:
+        raise ConfigError("--workers must be a positive integer")
 
 
 # -- predictor (de)serialization --------------------------------------------
@@ -383,18 +356,17 @@ def _matrix_stats(mat: Optional[SparseSymmetric],
 
 
 def cmd_fit(args) -> int:
-    cfg = _config_from_args(args)
+    model, mu, sigma2 = _load_model_file(args.model)
+    _check_counts(args)
     t0 = time.perf_counter()
-    obs = read_observations_csv(cfg.obs_path)
-    summary = {"command": "fit", "mode": cfg.mode, "m": obs.m, "dim": obs.dim}
-    mu, sigma2 = (None if spec == "estimate" else float(spec)
-                  for spec in (cfg.mu_spec, cfg.sigma2_spec))
+    obs = read_observations_csv(args.obs)
+    summary = {"command": "fit", "mode": args.mode, "m": obs.m, "dim": obs.dim}
 
-    if cfg.mode == "global":
-        fitted = fit_global(obs, cfg.model, mu, sigma2)
+    if args.mode == "global":
+        fitted = fit_global(obs, model, mu, sigma2)
     else:
-        fitted = fit_localized(obs, cfg.model, cfg.k, mu=mu, sigma2=sigma2,
-                               workers=cfg.workers, count_negative_variance=True)
+        fitted = fit_localized(obs, model, args.k, mu=mu, sigma2=sigma2,
+                               workers=args.workers, count_negative_variance=True)
     psi = fitted.inverse if fitted.mode == "localized" else None
     summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=fitted.deviation_var,
                    k=fitted.k, delta=fitted.delta,
@@ -402,11 +374,11 @@ def cmd_fit(args) -> int:
                    approx_inverse=_matrix_stats(psi), neighborhood_sizes=_neighborhood_sizes(psi),
                    negative_variance_at_obs=fitted.negative_variance_at_obs)
 
-    if cfg.out_path:
-        save_predictor(cfg.out_path, fitted)
+    if args.out:
+        save_predictor(args.out, fitted)
     summary["timing_s"] = {"total": time.perf_counter() - t0}
-    summary["outputs"] = {"predictor": cfg.out_path}
-    _emit(summary, cfg.summary_path)
+    summary["outputs"] = {"predictor": args.out}
+    _emit(summary, args.summary)
     return 0
 
 
@@ -458,26 +430,27 @@ def cmd_infer(args) -> int:
     ``nll: null``: that mode exists to avoid a global factor, and the
     likelihood needs one.
     """
-    cfg = _config_from_args(args)
+    model = _load_model_file(args.model)[0]
+    _check_counts(args)
     eta_bounds = _parse_eta_bounds(args.eta_bounds) if args.eta_bounds is not None else None
-    if eta_bounds is not None and cfg.mode == "localized":
+    if eta_bounds is not None and args.mode == "localized":
         raise ConfigError("--eta-bounds (a range search) needs --mode global")
-    obs = read_observations_csv(cfg.obs_path)
-    if obs.m == 0:
-        raise EstimationError("cannot infer parameters from an empty observation set")
+    obs = read_observations_csv(args.obs)
 
-    if cfg.mode == "localized":
-        fit = fit_localized(obs, cfg.model, cfg.k, workers=cfg.workers)
+    if args.mode == "localized":  # which refuses an untapered model and an empty set
+        fit = fit_localized(obs, model, args.k, workers=args.workers)
         result = inference.MleResult(fit.mu, fit.sigma2, None, None, 1, True)
+    elif obs.m == 0:
+        raise EstimationError("cannot infer parameters from an empty observation set")
     elif eta_bounds is not None:
-        def family(eta, _m=cfg.model):
-            return corrfn.CorrelationModel(_m.base_kind, eta, _m.taper_range)
+        def family(eta):
+            return corrfn.CorrelationModel(model.base_kind, eta, model.taper_range)
         result = inference.estimate_joint(obs, family, eta_bounds)
     else:
-        mu, sigma2, nll = inference.profile_levels(obs, cfg.model)
+        mu, sigma2, nll = inference.profile_levels(obs, model)
         result = inference.MleResult(mu, sigma2, None, nll, 1, True)
 
-    _emit(result.to_dict(), getattr(args, "out", None))
+    _emit(result.to_dict(), args.out)
     return 0
 
 
@@ -574,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output predictor JSON path")
     p_fit.add_argument("--summary", help="also write the run summary JSON here")
     p_fit.add_argument("--workers", type=int, default=1,
-                       help="threads over the localized stacks of neighborhood inversions")
+                       help="threads that gather the localized fit's neighborhood "
+                            "sub-matrices (the inversions run one at a time)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_grid = sub.add_parser("grid", help="rasterize a saved predictor")

@@ -3,11 +3,13 @@
 Given the correlation parameters, the mean and variance estimators are
 closed-form generalized-least-squares expressions through the inverse
 inter-correlation matrix: the Cholesky factor of the global fit, or the
-sparse approximate inverse of the localized one.  :func:`profile_levels`
-turns one unit-variance Cholesky factor into those estimates and the
-negative log-likelihood at them.  The likelihood maximized over the mean and variance
-is then a function of the range alone (Mardia & Marshall 1984, Biometrika
-71), so the joint estimate is one bounded scalar search over the range.
+sparse approximate inverse of the localized one.  Both fits and the
+likelihood take the set's matrix from :func:`level_matrix` and the levels
+through its inverse from :func:`gls_levels` (the fits) or from
+:func:`profile_levels`, which adds the negative log-likelihood at them.
+The likelihood maximized over the mean and variance is then a function of
+the range alone (Mardia & Marshall 1984, Biometrika 71), so the joint
+estimate is one bounded scalar search over the range.
 
 The search analyses once and factors many times (as CHOLMOD does; Chen et
 al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
@@ -108,56 +110,80 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
     return s2
 
 
-def _levels(factor: CholeskyFactor, obs_set: ObservationSet, mu: Optional[float],
-            sigma2: Optional[float]) -> Tuple[float, float, Optional[float]]:
-    """:func:`profile_levels` through the factor of the set's matrix, made
-    with ``sigma2_r`` = ``sigma2``, or 1 for an estimated variance."""
-    values, a, m = obs_set.values(), obs_set.mean_image(), obs_set.m
+def level_matrix(obs_set: ObservationSet, model: CorrelationModel,
+                 sigma2: Optional[float] = None,
+                 structure: Optional[PairStructure] = None) -> SparseSymmetric:
+    """The set's matrix S = R + diag(error_var / sigma2_r), from ``structure``
+    (the set's :class:`PairStructure` at the model's taper range) if given:
+    ``sigma2_r`` is a given ``sigma2``, or 1 for one to be estimated
+    (``None``), which needs exact observations (:class:`EstimationError`)."""
+    if sigma2 is None and obs_set.error_vars().any():  # error variances are >= 0
+        raise EstimationError("variance estimation with observation errors is not supported")
+    sigma2_r = 1.0 if sigma2 is None else sigma2
+    if structure is None:
+        return assemble(obs_set, model, sigma2_r)
+    return structure.matrix(model, sigma2_r)
+
+
+def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float], sigma2: Optional[float],
+            refuse_vanishing: bool = True) -> Tuple[float, float]:
+    """``mu`` and ``sigma2``, each as given or, where ``None``, its GLS
+    estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`).
+    An estimated variance that is not positive is an :class:`EstimationError`,
+    or returned as it is when ``refuse_vanishing`` is false."""
     if mu is None:
-        mu = estimate_mu(factor, values, a)
-    s2_hat = estimate_sigma2(factor, values, mu, a)
-    sigma2 = s2_hat if sigma2 is None else sigma2
-    if sigma2 <= 0.0:
-        return mu, sigma2, None
-    return mu, sigma2, 0.5 * (m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
-                              + m * s2_hat / sigma2)
+        mu = estimate_mu(s_inv, obs_set.values(), obs_set.mean_image())
+    if sigma2 is None:
+        sigma2 = estimate_sigma2(s_inv, obs_set.values(), mu, obs_set.mean_image())
+        if sigma2 <= 0.0 and refuse_vanishing:
+            raise EstimationError("estimated sigma2 is not positive")
+    return mu, sigma2
+
+
+def gls_levels(s_inv, obs_set: ObservationSet, mu: Optional[float] = None,
+               sigma2: Optional[float] = None) -> Tuple[float, float, np.ndarray]:
+    """The levels of :func:`_levels` and the weights A (values - mu *
+    mean_image) through A = ``s_inv``, the :class:`CholeskyFactor` of the
+    set's :func:`level_matrix` or a sparse approximate inverse Psi of it."""
+    mu, sigma2 = _levels(s_inv, obs_set, mu, sigma2)
+    return mu, sigma2, _as_action(s_inv)(obs_set.values() - mu * obs_set.mean_image())
 
 
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    mu: Optional[float] = None, sigma2: Optional[float] = None,
-                   structure: Optional[PairStructure] = None
+                   structure: Optional[PairStructure] = None, refuse_vanishing: bool = False
                    ) -> Tuple[float, float, Optional[float]]:
     """Mean, variance and negative log-likelihood from one factorization.
 
     Levels left as ``None`` take their GLS estimates under ``model``; with
     both estimated the NLL is the profiled ``(m log(2 pi sigma2) + log det R
-    + m) / 2``.  The NLL is ``None`` when the variance is not positive.
-    The matrix comes from ``structure``, the set's :class:`PairStructure` at
-    the model's taper range, if given (to the same bits).  Raises
-    :class:`FactorizationError` where the matrix does not factor.
+    + m) / 2``.  The NLL is ``None`` when the variance is not positive
+    (refused as in :func:`gls_levels` when ``refuse_vanishing``).  The
+    matrix is the set's :func:`level_matrix`, from ``structure`` if given.
+    Raises :class:`FactorizationError` where it does not factor.
     """
-    if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
-        raise EstimationError("variance estimation with observation errors is not supported")
-    sigma2_r = 1.0 if sigma2 is None else sigma2
-    factor = cholesky(assemble(obs_set, model, sigma2_r) if structure is None
-                      else structure.matrix(model, sigma2_r))
-    return _levels(factor, obs_set, mu, sigma2)
+    factor = cholesky(level_matrix(obs_set, model, sigma2, structure))
+    mu, s2 = _levels(factor, obs_set, mu, sigma2, refuse_vanishing)
+    if s2 <= 0.0:
+        return mu, s2, None
+    m = obs_set.m
+    s2_hat = s2 if sigma2 is None else estimate_sigma2(factor, obs_set.values(), mu,
+                                                       obs_set.mean_image())
+    return mu, s2, 0.5 * (m * math.log(2.0 * math.pi * s2) + factor.logdet() + m * s2_hat / s2)
 
 
 def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float],
                sigma2: Optional[float], structure: Optional[PairStructure] = None
                ) -> Tuple[float, Optional[Tuple[float, float]]]:
-    """NLL and levels of :func:`profile_levels` on the set's ``structure``
-    under the model's taper range (built if not given); ``inf`` where the
-    matrix does not factor."""
+    """NLL and levels of :func:`profile_levels`, refusing a vanishing variance,
+    on the set's ``structure`` under the model's taper range (built if not
+    given); ``inf`` where the matrix does not factor."""
     structure = structure or PairStructure(obs_set, model.taper_range)
     try:
-        factor = cholesky(structure.matrix(model, 1.0 if sigma2 is None else sigma2))
+        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2, structure,
+                                         refuse_vanishing=True)
     except FactorizationError:
         return math.inf, None
-    mu, sigma2, nll = _levels(factor, obs_set, mu, sigma2)
-    if nll is None:
-        raise EstimationError("zero variance estimate; residuals vanish")
     return nll, (mu, sigma2)
 
 

@@ -33,10 +33,10 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .corrfn import CorrelationModel
-from .errors import ConfigError, EstimationError
-from .inference import estimate_mu, estimate_sigma2
+from .errors import ConfigError
+from .inference import gls_levels, level_matrix
 from .linalg import SparseSymmetric, dense_spd_inverse
-from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
+from .obsmodel import ObservationSet, kernel_vector, over_query_blocks
 from .predictor import (KernelPredictor, _check_levels, _variances, predict,
                         rasterize)
 
@@ -127,43 +127,30 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
                   count_negative_variance: bool = False) -> KernelPredictor:
     """Fit the localized predictor with localization range ``k * taper_range``.
 
-    ``mu`` and ``sigma2`` default to the generalized-least-squares estimates
-    computed through the approximate inverse; pass explicit values to pin
-    them (required when the set is empty, and for sets with observation
-    errors where estimation is not supported), checked as
-    :func:`~.predictor.fit_global` checks them; an estimated ``sigma2``
-    that is not positive is an :class:`EstimationError`, as in the global
-    fit.  ``count_negative_variance`` sets ``negative_variance_at_obs``: the
-    count of raw variances at the point sites below ``-1e-12 * sigma2``.
+    ``mu`` and ``sigma2`` default to their GLS estimates through the
+    approximate inverse, checked, estimated and refused as in
+    :func:`~.predictor.fit_global` (an empty set, or one with observation
+    errors, needs them given).  ``workers`` threads gather the stacks of
+    neighborhood sub-matrices of :func:`approximate_inverse`; the inversions
+    (LAPACK ``dposv``) hold the interpreter lock, so only the gathers overlap.
+    ``count_negative_variance`` sets ``negative_variance_at_obs``: the count
+    of raw variances at the point sites below ``-1e-12 * sigma2``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
-    _check_levels(mu, sigma2)
+    _check_levels(mu, sigma2, obs_set.m)
     k, delta = int(k), float(k) * model.taper_range
 
     if obs_set.m == 0:
-        if mu is None or sigma2 is None:
-            raise EstimationError("empty observation set: mu and sigma2 must be supplied")
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0),
                                SparseSymmetric.from_entries(0, [], [], []), k=k, delta=delta,
                                negative_variance_at_obs=0 if count_negative_variance else None)
 
-    if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
-        raise EstimationError(
-            "variance estimation with observation errors is not supported; supply sigma2"
-        )
-    mat = assemble(obs_set, model, sigma2 if sigma2 is not None else 1.0)
+    mat = level_matrix(obs_set, model, sigma2)
     psi = approximate_inverse(mat, obs_set.rep_points(), delta, workers=workers)
-
-    a, d = obs_set.mean_image(), obs_set.values()
-    mu = estimate_mu(psi, d, a) if mu is None else float(mu)
-    if sigma2 is None:
-        sigma2 = estimate_sigma2(psi, d, mu, a)
-        if sigma2 <= 0.0:
-            raise EstimationError("estimated sigma2 is not positive")
-    weights = psi.matvec(d - mu * a)
+    mu, sigma2, weights = gls_levels(psi, obs_set, mu, sigma2)
     deviation_var, negative = _site_diagnostics(obs_set, model, mat, psi, mu, float(sigma2),
                                                 weights, count_negative_variance)
     return KernelPredictor(model, obs_set, mu, sigma2, weights, psi, deviation_var=deviation_var,

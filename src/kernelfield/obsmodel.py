@@ -668,10 +668,11 @@ def read_observations_csv(path) -> ObservationSet:
     read column by column: x = site (the midpoint of an avg row, ignored);
     p1 = the direction of a deriv row (its sign, default 1); p1,p2 = the
     bounds of an avg row.  Deriv and avg rows are 1D only, and other rows
-    ignore p1 and p2.  Blank lines are skipped; a malformed row raises
+    ignore p1 and p2.  Blank lines are skipped, and so is a UTF-8 byte-order
+    mark (as spreadsheet "CSV UTF-8" exports write); a malformed row raises
     :class:`ObservationParseError` naming the 1-based line of the first one.
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

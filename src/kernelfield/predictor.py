@@ -24,7 +24,7 @@ import numpy as np
 from . import obsmodel
 from .corrfn import CorrelationModel
 from .errors import EstimationError
-from .inference import estimate_mu, estimate_sigma2
+from .inference import gls_levels, level_matrix
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
@@ -124,13 +124,16 @@ class KernelPredictor:
         return "global" if self.k is None else "localized"
 
 
-def _check_levels(mu: Optional[float], sigma2: Optional[float]):
+def _check_levels(mu: Optional[float], sigma2: Optional[float], m: Optional[int] = None):
     """ValueError unless a given ``mu`` is finite and a given ``sigma2`` is a
-    positive finite real (None stands for an estimate)."""
+    positive finite real (None stands for an estimate); EstimationError if
+    a level is to be estimated from ``m`` = 0 observations."""
     if sigma2 is not None and (not math.isfinite(sigma2) or sigma2 <= 0.0):
         raise ValueError("sigma2 must be a positive finite real")
     if mu is not None and not math.isfinite(mu):
         raise ValueError("mu must be finite")
+    if m == 0 and (mu is None or sigma2 is None):
+        raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
 
 
 def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float] = None,
@@ -140,26 +143,16 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
     ``mean_image`` is the multiplier of ``mu`` in each observation's
     expectation (1 for point values, 0 for derivatives, interval length for
     interval integrals).  A level passed as ``None`` takes its GLS estimate
-    through the same factor (estimating sigma2 needs exact observations, so
-    S does not depend on it).  The Cholesky factor is retained for variance
-    queries.  An empty observation set yields the prior.
+    through the factor of S (:func:`~.inference.level_matrix`,
+    :func:`~.inference.gls_levels`), which is retained for variance queries.
+    An empty observation set yields the prior.
     """
-    _check_levels(mu, sigma2)
+    _check_levels(mu, sigma2, obs_set.m)
     if obs_set.m == 0:
-        if mu is None or sigma2 is None:
-            raise EstimationError("cannot estimate mu/sigma2 from an empty observation set")
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0), None)
-    if sigma2 is None and np.any(obs_set.error_vars() > 0.0):
-        raise EstimationError("variance estimation with observation errors is not supported")
-    matrix = assemble(obs_set, model, 1.0 if sigma2 is None else sigma2)
+    matrix = level_matrix(obs_set, model, sigma2)
     factor = cholesky(matrix)
-    values, a = obs_set.values(), obs_set.mean_image()
-    mu = estimate_mu(factor, values, a) if mu is None else mu
-    if sigma2 is None:
-        sigma2 = estimate_sigma2(factor, values, mu, a)
-        if sigma2 <= 0.0:
-            raise EstimationError("estimated sigma2 is not positive")
-    weights = factor.solve(values - mu * a)
+    mu, sigma2, weights = gls_levels(factor, obs_set, mu, sigma2)
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 
 

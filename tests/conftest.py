@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
                          SparseSymmetric, cholesky)
+
+
+# Hypothesis's explain phase replays each shrunk failure through pytest's
+# report formatting, which can take minutes for one failing property of this
+# suite; without it the failure is still found, shrunk and reported.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 def well_separated_points(rng, m, dim, lo, hi, min_sep):

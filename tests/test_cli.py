@@ -49,6 +49,17 @@ def fit(tmp_path, obs, model, mode="global"):
     return out
 
 
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, inputs, mode):
+    marked, plain = tmp_path / "marked.csv", tmp_path / "plain"
+    with open(inputs[0], "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    plain.mkdir()
+    got, want = fit(tmp_path, str(marked), inputs[1], mode), fit(plain, *inputs, mode)
+    with open(got, "rb") as a, open(want, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_duplicate_signed_zero_points_exit_2(tmp_path, capsys):
     obs = write_points(tmp_path / "dup.csv", [(0.0, 1.0, 2.0), (1.0, 1.0, 0.5), (-0.0, 1.0, 3.0)])
     model = write_json(tmp_path / "model.json", TAPERED_MODEL)

@@ -611,6 +611,15 @@ class TestCsv:
         obs = read_observations_csv(path)
         assert obs.m == 0 and obs.dim == 2
 
+    def test_byte_order_mark_reads_as_without_it(self, tmp_path):
+        text = "x1,kind,value,error_var,p1,p2\n0.5,point,1.0,,,\n2.0,deriv,-0.5,0.1,-1,\n" \
+               "3.0,avg,2.0,,2.5,3.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert_same_columns(read_observations_csv(marked), read_observations_csv(plain))
+
 
 # -- columns: malformed CSV rows, round trips, from_arrays -------------------
 

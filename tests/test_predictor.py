@@ -25,6 +25,27 @@ from conftest import mixed_1d_lattice, random_instance, well_separated_points
 M52 = CorrelationModel("matern52", 1.0)
 
 
+def permute(obs, seed):
+    """The 1D set ``obs`` with its rows in a seeded random order."""
+    p = np.random.default_rng(seed).permutation(obs.m)
+    return ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p], obs.values()[p],
+                                      obs.error_vars()[p], obs.directions[p], obs.bounds[p], 1)
+
+
+@st.composite
+def tapered_points_and_intervals(draw):
+    """A 1-D set of 2 to 6 point values and interval integrals on a jittered
+    lattice of spacing 0.8, so that the benchmark's taper range 1.5 links
+    neighbours and the set factors."""
+    rows = draw(st.lists(st.tuples(st.sampled_from([POINT, AVG]), st.floats(0.0, 0.3),
+                                   st.floats(0.1, 0.6), st.floats(-1e3, 1e3)),
+                         min_size=2, max_size=6))
+    return ObservationSet([
+        Observation(kind, [0.8 * i + jitter, 0.8 * i + jitter + width] if kind == AVG
+                    else [0.8 * i + jitter], value)
+        for i, (kind, jitter, width, value) in enumerate(rows)])
+
+
 def empty_predictor(mu=1.5, sigma2=2.0, dim=1):
     return fit_global(ObservationSet([], dim=dim), M52, mu, sigma2)
 
@@ -205,10 +226,7 @@ class TestOperatorPredictions:
     @given(obs=mixed_1d_lattice(), seed=st.integers(0, 2 ** 32 - 1))
     def test_operator_predictions_under_a_permutation(self, model, obs, seed):
         assume(np.any(obs.mean_image() != 0.0))  # a set of derivatives alone has no GLS mean
-        p = np.random.default_rng(seed).permutation(obs.m)
-        permuted = ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p],
-                                              obs.values()[p], obs.error_vars()[p],
-                                              obs.directions[p], obs.bounds[p], 1)
+        permuted = permute(obs, seed)
         want, got = fit_global(obs, model, sigma2=1.7), fit_global(permuted, model, sigma2=1.7)
         # Scaled by the largest |value| too: where the field is flat, mu and the
         # predictions carry round-off of that size.
@@ -222,6 +240,24 @@ class TestOperatorPredictions:
                          (lambda f, ivs: [predict_average(f, iv) for iv in ivs], intervals)):
             a, b = np.asarray(query(want, x)), np.asarray(query(got, x))
             floor = 0.0 if query is predict_variance else scale
+            assert np.abs(b - a).max() <= 1e-10 * max(np.abs(a).max(), floor)
+
+    @pytest.mark.parametrize("fit", [fit_global, lambda obs, model, **levels: fit_localized(
+        obs, model, 2, **levels)], ids=["global", "localized"])
+    @settings(max_examples=15, deadline=None)
+    @given(obs=tapered_points_and_intervals(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tapered_predictions_under_a_permutation(self, fit, obs, seed):
+        # Tapered interval entries are quadratures, so the sets stay small.
+        model = CorrelationModel("matern52", 0.5, 1.5)
+        want, got = fit(obs, model, sigma2=1.7), fit(permute(obs, seed), model, sigma2=1.7)
+        scale = np.abs(obs.values()).max()
+        end = 0.8 * obs.m + 1.0  # beyond the last interval
+        nodes = np.linspace(-1.0, end, 31)[:, None]
+        intervals = [(-1.0, 0.5), (0.3, end / 2.0), (end / 3.0, end)]
+        for query, x, floor in ((predict, nodes, scale), (predict_variance, nodes, 0.0),
+                                (lambda f, ivs: [predict_average(f, iv) for iv in ivs],
+                                 intervals, scale)):
+            a, b = np.asarray(query(want, x)), np.asarray(query(got, x))
             assert np.abs(b - a).max() <= 1e-10 * max(np.abs(a).max(), floor)
 
 
