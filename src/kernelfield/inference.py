@@ -125,18 +125,14 @@ def level_matrix(obs_set: ObservationSet, model: CorrelationModel,
     return structure.matrix(model, sigma2_r)
 
 
-def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float], sigma2: Optional[float],
-            refuse_vanishing: bool = True) -> Tuple[float, float]:
+def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float],
+            sigma2: Optional[float]) -> Tuple[float, float]:
     """``mu`` and ``sigma2``, each as given or, where ``None``, its GLS
-    estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`).
-    An estimated variance that is not positive is an :class:`EstimationError`,
-    or returned as it is when ``refuse_vanishing`` is false."""
+    estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`)."""
     if mu is None:
         mu = estimate_mu(s_inv, obs_set.values(), obs_set.mean_image())
     if sigma2 is None:
         sigma2 = estimate_sigma2(s_inv, obs_set.values(), mu, obs_set.mean_image())
-        if sigma2 <= 0.0 and refuse_vanishing:
-            raise EstimationError("estimated sigma2 is not positive")
     return mu, sigma2
 
 
@@ -144,26 +140,29 @@ def gls_levels(s_inv, obs_set: ObservationSet, mu: Optional[float] = None,
                sigma2: Optional[float] = None) -> Tuple[float, float, np.ndarray]:
     """The levels of :func:`_levels` and the weights A (values - mu *
     mean_image) through A = ``s_inv``, the :class:`CholeskyFactor` of the
-    set's :func:`level_matrix` or a sparse approximate inverse Psi of it."""
+    set's :func:`level_matrix` or a sparse approximate inverse Psi of it.
+    A variance that is not positive (the fits check a given one first) is
+    an :class:`EstimationError`."""
     mu, sigma2 = _levels(s_inv, obs_set, mu, sigma2)
+    if sigma2 <= 0.0:
+        raise EstimationError("estimated sigma2 is not positive")
     return mu, sigma2, _as_action(s_inv)(obs_set.values() - mu * obs_set.mean_image())
 
 
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    mu: Optional[float] = None, sigma2: Optional[float] = None,
-                   structure: Optional[PairStructure] = None, refuse_vanishing: bool = False
+                   structure: Optional[PairStructure] = None
                    ) -> Tuple[float, float, Optional[float]]:
     """Mean, variance and negative log-likelihood from one factorization.
 
     Levels left as ``None`` take their GLS estimates under ``model``; with
     both estimated the NLL is the profiled ``(m log(2 pi sigma2) + log det R
-    + m) / 2``.  The NLL is ``None`` when the variance is not positive
-    (refused as in :func:`gls_levels` when ``refuse_vanishing``).  The
-    matrix is the set's :func:`level_matrix`, from ``structure`` if given.
+    + m) / 2``.  The NLL is ``None`` when the variance is not positive.
+    The matrix is the set's :func:`level_matrix`, from ``structure`` if given.
     Raises :class:`FactorizationError` where it does not factor.
     """
     factor = cholesky(level_matrix(obs_set, model, sigma2, structure))
-    mu, s2 = _levels(factor, obs_set, mu, sigma2, refuse_vanishing)
+    mu, s2 = _levels(factor, obs_set, mu, sigma2)
     if s2 <= 0.0:
         return mu, s2, None
     m = obs_set.m
@@ -175,15 +174,16 @@ def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
 def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float],
                sigma2: Optional[float], structure: Optional[PairStructure] = None
                ) -> Tuple[float, Optional[Tuple[float, float]]]:
-    """NLL and levels of :func:`profile_levels`, refusing a vanishing variance,
-    on the set's ``structure`` under the model's taper range (built if not
-    given); ``inf`` where the matrix does not factor."""
+    """NLL and levels of :func:`profile_levels` on the set's ``structure``
+    under the model's taper range (built if not given); ``inf`` where the
+    matrix does not factor."""
     structure = structure or PairStructure(obs_set, model.taper_range)
     try:
-        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2, structure,
-                                         refuse_vanishing=True)
+        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2, structure)
     except FactorizationError:
         return math.inf, None
+    if nll is None:
+        raise EstimationError("zero variance estimate; residuals vanish")
     return nll, (mu, sigma2)
 
 

@@ -217,6 +217,14 @@ def test_zero_variance_estimate_exit_3(tmp_path, capsys, mode):
         assert "estimated sigma2 is not positive" in capsys.readouterr().err
 
 
+def test_range_search_refuses_vanishing_residuals_exit_3(tmp_path, capsys):
+    # Out of each other's reach at every range tried: S = I, the residuals vanish.
+    obs = write_points(tmp_path / "two.csv", [(0.0, 0.0, 2.5), (7.0, 0.0, 2.5)])
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    assert infer(obs, model, "--eta-bounds", "0.1,3") == 3
+    assert "zero variance estimate; residuals vanish" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["1.0,2.0,deriv,1.0,,1.0,0.0", "1.0,2.0,avg,1.0,,0.0,1.0"])
 def test_operator_row_in_2d_exit_2(tmp_path, capsys, row):
     path = tmp_path / "obs.csv"
@@ -287,6 +295,32 @@ def test_non_positive_workers_exit_2(tmp_path, inputs, capsys, command, mode, wo
                "--workers", workers, *extra])
     assert rc == 2
     assert "--workers must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "infer"])
+@pytest.mark.parametrize("mode", ["global", "localized"])
+@pytest.mark.parametrize("case, code, message", [
+    ("k0", 2, "k must be a positive integer"),
+    ("untapered", 2, "requires a finite-range (tapered) model"),
+    ("empty", 3, "from an empty observation set"),
+])
+def test_refused_runs_exit_codes(tmp_path, inputs, capsys, command, mode, case, code, message):
+    obs, model, extra = inputs[0], inputs[1], []
+    if case == "k0":
+        extra = ["--k", "0"]
+    elif case == "untapered":
+        model = write_json(tmp_path / "untapered.json", UNTAPERED_MODEL)
+    else:
+        obs = write_points(tmp_path / "empty.csv", [])
+    if command == "fit":
+        extra += ["--out", str(tmp_path / "p.json")]
+    rc = main([command, "--obs", obs, "--model", model, "--mode", mode, *extra])
+    if case == "untapered" and mode == "global":  # the global fit takes any model
+        assert rc == 0
+        return
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 def mixed_1d_set():
