@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -439,7 +440,7 @@ def cmd_infer(args) -> int:
 
     if args.mode == "localized":  # which refuses an untapered model and an empty set
         fit = fit_localized(obs, model, args.k, workers=args.workers)
-        result = inference.MleResult(fit.mu, fit.sigma2, None, None, 1, True)
+        result = inference.MleResult(fit.mu, fit.sigma2)
     elif obs.m == 0:
         raise EstimationError("cannot infer parameters from an empty observation set")
     elif eta_bounds is not None:
@@ -448,9 +449,9 @@ def cmd_infer(args) -> int:
         result = inference.estimate_joint(obs, family, eta_bounds)
     else:
         mu, sigma2, nll = inference.profile_levels(obs, model)
-        result = inference.MleResult(mu, sigma2, None, nll, 1, True)
+        result = inference.MleResult(mu, sigma2, nll=nll)
 
-    _emit(result.to_dict(), args.out)
+    _emit(dataclasses.asdict(result), args.out)
     return 0
 
 

@@ -15,6 +15,9 @@ The search analyses once and factors many times (as CHOLMOD does; Chen et
 al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
 found once per taper range, so one evaluation is the correlation values on
 those pairs, one scatter into LAPACK storage, one factorization and two solves.
+Bounded Brent (Brent 1973) answers with a range it evaluated, so the search
+keeps the levels and NLL of each range it evaluates and does not factor again
+at its answer: a search's ``iterations`` is its number of factorizations.
 
 ``scipy.optimize`` is imported by :func:`estimate_eta`, on a process's first
 range search, not with this module: it adds about 9 MB of resident memory and
@@ -23,7 +26,6 @@ but ``infer --eta-bounds``).  ``tests/test_cli.py`` fails if it is imported
 at the top again.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -41,22 +43,16 @@ _FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
 
 @dataclass
 class MleResult:
-    mu_hat: float
-    sigma2_hat: float
-    eta_hat: Optional[float]
-    neg_log_likelihood: Optional[float]
-    iterations: int
-    converged: bool = True
+    """Estimated levels, and the range and NLL where a search or a likelihood
+    gave them; ``iterations`` counts a search's factorizations (1 without a
+    search).  The field names are the keys of ``infer``'s JSON document."""
 
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu_hat,
-            "sigma2": self.sigma2_hat,
-            "eta": self.eta_hat,
-            "nll": self.neg_log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+    mu: float
+    sigma2: float
+    eta: Optional[float] = None
+    nll: Optional[float] = None
+    iterations: int = 1
+    converged: bool = True
 
 
 def _as_action(s_inv) -> Callable[[np.ndarray], np.ndarray]:
@@ -150,77 +146,74 @@ def gls_levels(s_inv, obs_set: ObservationSet, mu: Optional[float] = None,
 
 
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
-                   mu: Optional[float] = None, sigma2: Optional[float] = None,
                    structure: Optional[PairStructure] = None
                    ) -> Tuple[float, float, Optional[float]]:
-    """Mean, variance and negative log-likelihood from one factorization.
+    """GLS mean and variance and the profiled NLL ``(m log(2 pi sigma2) +
+    log det R + m) / 2`` under ``model``, from one factorization of the
+    set's :func:`level_matrix` (from ``structure`` if given).
 
-    Levels left as ``None`` take their GLS estimates under ``model``; with
-    both estimated the NLL is the profiled ``(m log(2 pi sigma2) + log det R
-    + m) / 2``.  The NLL is ``None`` when the variance is not positive.
-    The matrix is the set's :func:`level_matrix`, from ``structure`` if given.
-    Raises :class:`FactorizationError` where it does not factor.
+    The NLL is ``None`` when the variance is not positive.  Raises
+    :class:`FactorizationError` where the matrix does not factor.
     """
-    factor = cholesky(level_matrix(obs_set, model, sigma2, structure))
-    mu, s2 = _levels(factor, obs_set, mu, sigma2)
+    factor = cholesky(level_matrix(obs_set, model, None, structure))
+    mu, s2 = _levels(factor, obs_set, None, None)
     if s2 <= 0.0:
         return mu, s2, None
-    m = obs_set.m
-    s2_hat = s2 if sigma2 is None else estimate_sigma2(factor, obs_set.values(), mu,
-                                                       obs_set.mean_image())
-    return mu, s2, 0.5 * (m * math.log(2.0 * math.pi * s2) + factor.logdet() + m * s2_hat / s2)
+    m = obs_set.m  # m * s2 / s2, not m: m alone moves the last digit of some reported NLLs
+    return mu, s2, 0.5 * (m * math.log(2.0 * math.pi * s2) + factor.logdet() + m * s2 / s2)
 
 
-def _objective(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[float],
-               sigma2: Optional[float], structure: Optional[PairStructure] = None
-               ) -> Tuple[float, Optional[Tuple[float, float]]]:
-    """NLL and levels of :func:`profile_levels` on the set's ``structure``
-    under the model's taper range (built if not given); ``inf`` where the
-    matrix does not factor."""
-    structure = structure or PairStructure(obs_set, model.taper_range)
-    try:
-        mu, sigma2, nll = profile_levels(obs_set, model, mu, sigma2, structure)
-    except FactorizationError:
-        return math.inf, None
-    if nll is None:
-        raise EstimationError("zero variance estimate; residuals vanish")
-    return nll, (mu, sigma2)
+def negative_log_likelihood(obs_set: ObservationSet, model: CorrelationModel,
+                            mu: float, sigma2: float) -> float:
+    """Gaussian marginal NLL of the observed values at the given levels: one
+    factor of the set's :func:`level_matrix`, its log-determinant and one
+    quadratic form."""
+    factor = cholesky(level_matrix(obs_set, model, sigma2))
+    resid = obs_set.values() - mu * obs_set.mean_image()
+    return 0.5 * (obs_set.m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
+                  + float(resid @ factor.solve(resid)) / sigma2)
 
 
 def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
-                 mu: Optional[float], sigma2: Optional[float],
-                 search_bounds: Tuple[float, float], rel_tol: float = 1e-4,
-                 max_iter: int = 500, structures: Optional[dict] = None) -> float:
-    """Range in ``search_bounds`` minimizing the NLL at the given levels, or
-    at the GLS levels of each range for a level given as ``None``.
+                 search_bounds: Tuple[float, float], rel_tol: float,
+                 max_iter: int) -> MleResult:
+    """The range in ``search_bounds`` minimizing the profiled NLL of
+    :func:`profile_levels`, with its levels and NLL.
 
     One bounded Brent search (``minimize_scalar``) to the absolute tolerance
     ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
     factorization each, on one pair structure while the taper range stays.
-    A range that does not factor scores ``inf``.  Brent
-    cannot leave an infinite first probe, so while that probe fails the top
-    of the bracket moves down to it (smaller ranges are better conditioned);
-    :class:`EstimationError` is raised if no probe factors.  The search's
-    structure is kept in the dict ``structures``, keyed by taper range.
+    A range that does not factor scores ``inf``.  Brent cannot leave an
+    infinite first probe, so while that probe fails the top of the bracket
+    moves down to it (smaller ranges are better conditioned);
+    :class:`EstimationError` is raised if no probe factors.
+
+    Brent's answer is always a range it evaluated, so the result takes its
+    levels and NLL from that evaluation, and ``iterations`` counts the
+    search's factorizations.  ``converged`` is false when all ``max_iter``
+    were spent, which is when Brent reports that it stopped short; that is
+    reported, never raised.
     """
-    if np.any(obs_set.error_vars() > 0.0):
-        raise EstimationError("range estimation with observation errors is not supported")
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
+    evaluated = {}  # range -> (NLL, mu, sigma2); Brent's first evaluation is the last probe
+    structure = None  # the set's pair structure under the last taper range
 
-    structures = {} if structures is None else structures
-
-    def structure(taper_range):  # the set's pair structure under the last taper range asked for
-        if taper_range not in structures:
-            structures.clear()
-            structures[taper_range] = PairStructure(obs_set, taper_range)
-        return structures[taper_range]
-
-    @functools.cache  # Brent's first evaluation is the last probe below
     def objective(eta):
-        model = model_family(eta)
-        return _objective(obs_set, model, mu, sigma2, structure(model.taper_range))[0]
+        nonlocal structure
+        if eta not in evaluated:
+            model = model_family(eta)
+            if structure is None or structure.taper_range != model.taper_range:
+                structure = PairStructure(obs_set, model.taper_range)
+            try:
+                mu, sigma2, nll = profile_levels(obs_set, model, structure)
+            except FactorizationError:
+                mu, sigma2, nll = None, None, math.inf
+            if nll is None:
+                raise EstimationError("zero variance estimate; residuals vanish")
+            evaluated[eta] = nll, mu, sigma2
+        return evaluated[eta][0]
 
     for failed in range(max_iter):
         probe = lo + _FIRST_PROBE * (hi - lo)
@@ -234,38 +227,17 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     with np.errstate(invalid="ignore"):  # Brent's parabolic steps meet inf values
         result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                                  options={"xatol": rel_tol * lo, "maxiter": max_iter - failed})
-    return float(result.x)
-
-
-def negative_log_likelihood(obs_set: ObservationSet, model: CorrelationModel,
-                            mu: float, sigma2: float) -> float:
-    """Full Gaussian marginal negative log-likelihood of the observed values."""
-    return profile_levels(obs_set, model, mu, sigma2)[2]
+    eta = float(result.x)
+    nll, mu, sigma2 = evaluated[eta]
+    return MleResult(mu, sigma2, eta, nll, len(evaluated), len(evaluated) < max_iter)
 
 
 def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
                    search_bounds: Tuple[float, float], max_iter: int = 50,
                    rel_tol: float = 1e-5) -> MleResult:
-    """Joint maximum-likelihood mean, variance and range.
-
-    The GLS levels maximize the likelihood at any fixed range, so this is
-    :func:`estimate_eta` with both levels profiled out, then the levels at
-    the estimate on the search's pair structure if it has the estimate's taper
-    range.  ``iterations`` counts the search's objective evaluations.
-    ``converged`` is false when all ``max_iter`` were spent, which is when
-    Brent reports that it stopped short; that is reported, never raised.
-    """
+    """Joint maximum-likelihood mean, variance and range: :func:`estimate_eta`
+    on a set of at least two observations.  The GLS levels maximize the
+    likelihood at any fixed range, so the search is over the range alone."""
     if obs_set.m < 2:
         raise EstimationError("joint estimation needs at least two observations")
-    evaluated = []
-
-    def counted_family(eta):
-        evaluated.append(eta)
-        return model_family(eta)
-
-    structures = {}
-    eta = estimate_eta(obs_set, counted_family, None, None, search_bounds, rel_tol, max_iter,
-                       structures)
-    model = model_family(eta)
-    mu, sigma2, nll = profile_levels(obs_set, model, structure=structures.get(model.taper_range))
-    return MleResult(mu, sigma2, eta, nll, len(evaluated), len(evaluated) < max_iter)
+    return estimate_eta(obs_set, model_family, search_bounds, rel_tol, max_iter)

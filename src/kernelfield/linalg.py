@@ -1,6 +1,8 @@
 """Sparse symmetric storage, Cholesky factorization, dense (stacked) SPD
-inversion, and a grid-bucket spatial index (no longer used by the package,
-which finds neighborhoods with ``scipy.spatial.cKDTree``).
+inversion, and a k-d tree spatial index.  The package finds its
+neighborhoods with ``scipy.spatial.cKDTree`` pair queries and does not query
+:class:`SpatialIndex`; it is kept for the benchmark's tracer, which wraps
+``SpatialIndex.neighbors``.
 
 A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
 band (a finite-range correlation) is factored in LAPACK band storage; a full
@@ -21,7 +23,6 @@ fails if it is imported at the top again.
 """
 
 import functools
-import itertools
 import math
 from typing import Optional, Tuple
 
@@ -29,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotrs, dtbtrs
+from scipy.spatial import cKDTree
 
 from .errors import FactorizationError
 
@@ -42,8 +44,10 @@ class SparseSymmetric:
     """Symmetric n-by-n matrix stored as the lower triangle in CSR form.
 
     The stored pattern is explicit-zero-free and closed under transpose by
-    construction.  Instances are immutable after construction.  A producer
-    that holds the full view, with no stored zero, may preset it as ``full``.
+    construction.  The matrix an instance holds never changes; what it caches
+    does: the full view (a producer that holds it, with no stored zero, may
+    preset it as ``full``) and the factor layout that :func:`cholesky` works
+    out for the pattern, which :meth:`with_values` copies share.
     """
 
     def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
@@ -392,27 +396,16 @@ def dense_spd_inverse(stack: np.ndarray, center_index, row) -> np.ndarray:
 
 
 class SpatialIndex:
-    """Uniform-grid bucket index over a fixed point set in R^q, q in {1,2,3}.
+    """A k-d tree (``scipy.spatial.cKDTree``) over a fixed point set in R^q.
+    Neighborhoods use the strict inequality ``distance < radius``."""
 
-    Cell edge defaults to the intended query radius; queries at other radii
-    remain correct (more cells are scanned).  Neighborhoods use the strict
-    inequality ``distance < radius`` throughout.
-    """
-
-    def __init__(self, points: np.ndarray, cell: float):
+    def __init__(self, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.size == 0:
             points = points.reshape(0, 1)
-        if not math.isfinite(cell) or cell <= 0.0:
-            raise ValueError("cell edge must be positive and finite")
         self.points = points
-        self.cell = float(cell)
         self.dim = points.shape[1]
-        self._origin = points.min(axis=0) if len(points) else np.zeros(self.dim)
-        self._buckets: dict = {}
-        keys = np.floor((points - self._origin) / self.cell).astype(np.int64)
-        for i, key in enumerate(map(tuple, keys)):
-            self._buckets.setdefault(key, []).append(i)
+        self._tree = cKDTree(points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -421,23 +414,8 @@ class SpatialIndex:
         """Sorted indices of all points with Euclidean distance < radius."""
         if not math.isfinite(radius) or radius <= 0.0:
             raise ValueError("radius must be positive and finite")
-        if len(self.points) == 0:
-            return np.empty(0, dtype=np.int64)
         center = np.asarray(center, dtype=float).reshape(self.dim)
-        lo = np.floor((center - radius - self._origin) / self.cell).astype(np.int64)
-        hi = np.floor((center + radius - self._origin) / self.cell).astype(np.int64)
-        ranges = [range(lo[k], hi[k] + 1) for k in range(self.dim)]
-        cand: list = []
-        for key in itertools.product(*ranges):
-            cand.extend(self._buckets.get(key, ()))
-        if not cand:
-            return np.empty(0, dtype=np.int64)
-        cand = np.asarray(cand, dtype=np.int64)
+        cand = np.array(self._tree.query_ball_point(center, radius, return_sorted=True),
+                        dtype=np.int64)  # distance <= radius
         diff = self.points[cand] - center
-        mask = np.einsum("ij,ij->i", diff, diff) < radius * radius
-        return np.sort(cand[mask])
-
-
-def neighbors(index: SpatialIndex, center, radius: float) -> np.ndarray:
-    """Module-level alias for :meth:`SpatialIndex.neighbors`."""
-    return index.neighbors(center, radius)
+        return cand[np.einsum("ij,ij->i", diff, diff) < radius * radius]

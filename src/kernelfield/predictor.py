@@ -213,18 +213,30 @@ def kriging_predict(obs_set: ObservationSet, model: CorrelationModel, mu: float,
     return pred, var
 
 
+def _finite_numbers(values, n: int, name: str) -> np.ndarray:
+    """``values`` as a float vector, refused unless it holds exactly ``n``
+    finite numbers (a lone number counts as one)."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.shape != (n,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must hold exactly {n} finite number{'s' * (n > 1)}")
+    return v
+
+
 def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
-    """Directional derivative of the predictor at ``x``.
+    """Directional derivative of the predictor at the point ``x``.
 
     1D uses analytic kernel derivatives; higher dimensions use a central
-    finite difference of :func:`predict` along the given unit direction.
+    finite difference of :func:`predict` along the given direction, scaled
+    to unit length.  ``x`` and ``direction`` must each hold ``dim`` finite
+    numbers (``ValueError``).
     """
     q = p.dim
     if direction is None:
         if q != 1:
             raise ValueError("direction required for dim >= 2")
-        direction = np.array([1.0])
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
+        direction = [1.0]
+    x = _finite_numbers(x, q, "x")
+    direction = _finite_numbers(direction, q, "direction")
     norm = float(np.linalg.norm(direction))
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
@@ -232,19 +244,18 @@ def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
     if p.obs.m == 0:
         return 0.0
     if q == 1:
-        xf = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        gradients = obsmodel.kernel_gradient_1d(p.obs, xf, p.model)
+        gradients = obsmodel.kernel_gradient_1d(p.obs, float(x[0]), p.model)
         return float(direction[0]) * float(p.weights @ gradients)
     h = _FD_STEP_HIGHDIM
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     return (predict(p, x + h * direction) - predict(p, x - h * direction)) / (2.0 * h)
 
 
 def predict_average(p: KernelPredictor, interval) -> float:
-    """Predicted spatial average of the field over a 1D interval."""
+    """Predicted spatial average of the field over a 1D interval, two finite
+    numbers ``(lo, hi)`` with lo < hi (``ValueError``)."""
     if p.dim != 1:
         raise ValueError("average prediction is 1D only")
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = map(float, _finite_numbers(interval, 2, "interval"))
     if not lo < hi:
         raise ValueError("interval must satisfy lower < upper")
     cross = obsmodel.interval_vector(p.obs, lo, hi, p.model)

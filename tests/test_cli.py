@@ -261,6 +261,16 @@ def test_infer_on_noisy_observations_exit_3(tmp_path, capsys):
     assert "observation errors is not supported" in capsys.readouterr().err
 
 
+def test_range_search_on_noisy_observations_exit_3(tmp_path, capsys):
+    obs = tmp_path / "noisy.csv"
+    obs.write_text("x1,x2,kind,value,error_var,p1,p2\n0,0,point,1.0,0.5,,\n"
+                   "1,0,point,2.0,,,\n2.5,0,point,0.5,,,\n")
+    model = write_json(tmp_path / "model.json", UNTAPERED_MODEL)
+    assert infer(str(obs), model, "--eta-bounds", "0.1,3") == 3
+    assert capsys.readouterr().err == (
+        "error: variance estimation with observation errors is not supported\n")
+
+
 @pytest.mark.parametrize("bounds", ["0,inf;0,1", "0.1", "0,1;0,1,2", "nan,1", "1,0"])
 def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
     rc = main(["synth", "--m", "3", "--bounds", bounds, "--out", str(tmp_path / "o.csv")])

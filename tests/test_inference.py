@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
@@ -10,7 +11,7 @@ from kernelfield import (POINT, CorrelationModel, EstimationError, Factorization
                          estimate_eta, estimate_joint, estimate_mu, estimate_sigma2,
                          fit_localized, inference, linalg)
 from kernelfield.cli import synthetic_observations
-from kernelfield.inference import _objective, negative_log_likelihood, profile_levels
+from kernelfield.inference import level_matrix, negative_log_likelihood, profile_levels
 from kernelfield.linalg import CholeskyFactor, SparseSymmetric
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
@@ -115,13 +116,17 @@ def taper_family(eta):
     return CorrelationModel("gauss2", 0.5 * eta, taper_range=eta)
 
 
+def stepped_taper_family(eta):
+    return CorrelationModel("matern52", 0.3 * eta, 1.0 if eta < 1.2 else 2.0)
+
+
 class TestEstimateEta:
     def test_objective_prefers_small_range_for_iid_data(self):
         # seeded sanity direction check: for uncorrelated data the profiled
         # objective should not improve as the range parameter grows
         rng = np.random.default_rng(21)
         obs = spaced_point_set(rng, 150, min_sep=0.5)
-        objs = [_objective(obs, taper_family(eta), 0.0, 1.0)[0]
+        objs = [negative_log_likelihood(obs, taper_family(eta), 0.0, 1.0)
                 for eta in (0.3, 0.6, 1.2, 2.4)]
         assert all(objs[i] <= objs[i + 1] + 1e-9 for i in range(len(objs) - 1))
 
@@ -129,28 +134,28 @@ class TestEstimateEta:
         rng = np.random.default_rng(22)
         obs = spaced_point_set(rng, 30, min_sep=0.4)
         lo, hi = 0.2, 3.0
-        eta_hat = estimate_eta(obs, taper_family, 0.0, 1.0, (lo, hi))
-        f_hat = _objective(obs, taper_family(eta_hat), 0.0, 1.0)[0]
-        assert f_hat <= _objective(obs, taper_family(lo), 0.0, 1.0)[0] + 1e-9
-        assert f_hat <= _objective(obs, taper_family(hi), 0.0, 1.0)[0] + 1e-9
+        f_hat = estimate_eta(obs, taper_family, (lo, hi), 1e-4, 500).nll
+        assert f_hat <= profile_levels(obs, taper_family(lo))[2] + 1e-9
+        assert f_hat <= profile_levels(obs, taper_family(hi))[2] + 1e-9
 
     def test_two_observation_smoke(self):
         obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0),
-                              Observation(POINT, np.array([1.0]), 1.0)])
-        eta = estimate_eta(obs, taper_family, 1.0, 1.0, (0.5, 2.0))
-        assert 0.5 <= eta <= 2.0
-        assert np.isfinite(_objective(obs, taper_family(eta), 1.0, 1.0)[0])
+                              Observation(POINT, np.array([1.0]), 2.0)])
+        result = estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
+        assert 0.5 <= result.eta <= 2.0
+        assert np.isfinite(result.nll)
+        assert result.nll == profile_levels(obs, taper_family(result.eta))[2]
 
     def test_bad_bounds(self):
         obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0)])
         with pytest.raises(ValueError):
-            estimate_eta(obs, taper_family, 0.0, 1.0, (1.0, 0.5))
+            estimate_eta(obs, taper_family, (1.0, 0.5), 1e-4, 500)
 
     def test_rejects_observation_errors(self):
         obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0, error_var=0.5),
                               Observation(POINT, np.array([1.0]), 1.0)])
-        with pytest.raises(EstimationError):
-            estimate_eta(obs, taper_family, 0.0, 1.0, (0.5, 2.0))
+        with pytest.raises(EstimationError, match="observation errors"):
+            estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
 
 
 class TestEstimateJoint:
@@ -161,9 +166,9 @@ class TestEstimateJoint:
         # so the inter-correlation matrix is the identity throughout
         result = estimate_joint(obs, taper_family, (0.05, 0.2))
         values = obs.values()
-        assert result.mu_hat == pytest.approx(values.mean(), abs=1e-10)
-        assert result.sigma2_hat == pytest.approx(np.mean((values - values.mean()) ** 2),
-                                                  abs=1e-10)
+        assert result.mu == pytest.approx(values.mean(), abs=1e-10)
+        assert result.sigma2 == pytest.approx(np.mean((values - values.mean()) ** 2),
+                                              abs=1e-10)
         assert result.converged
 
     def test_deterministic(self):
@@ -182,9 +187,9 @@ class TestEstimateJoint:
         values = np.linalg.cholesky(mat) @ rng.standard_normal(200)  # mu=0, sigma2=1
         obs = obs_geom.with_values(values)
         result = estimate_joint(obs, taper_family, (0.4, 2.5))
-        fhat = cholesky(assemble(obs, taper_family(result.eta_hat), 1.0))
-        se = np.sqrt(result.sigma2_hat / (np.ones(200) @ fhat.solve(np.ones(200))))
-        assert abs(result.mu_hat - 0.0) <= 3.0 * se
+        fhat = cholesky(assemble(obs, taper_family(result.eta), 1.0))
+        se = np.sqrt(result.sigma2 / (np.ones(200) @ fhat.solve(np.ones(200))))
+        assert abs(result.mu - 0.0) <= 3.0 * se
         assert result.converged
 
     def test_needs_two_observations(self):
@@ -260,9 +265,9 @@ class TestProfiledSearch:
         scan = min(dense_profiled_nll(obs, matern_family(eta))
                    for eta in np.geomspace(0.1, 3.0, 200))
         assert result.converged
-        assert result.neg_log_likelihood <= scan + 1e-6
-        assert result.neg_log_likelihood == pytest.approx(
-            dense_profiled_nll(obs, matern_family(result.eta_hat)), rel=1e-10)
+        assert result.nll <= scan + 1e-6
+        assert result.nll == pytest.approx(
+            dense_profiled_nll(obs, matern_family(result.eta)), rel=1e-10)
 
     def test_range_that_does_not_factor_never_wins(self):
         obs = gauss_1d_lattice()
@@ -273,11 +278,11 @@ class TestProfiledSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = estimate_joint(obs, gauss_family, (lo, hi))
-        assert np.isfinite(result.neg_log_likelihood)
-        assert lo <= result.eta_hat <= hi
+        assert np.isfinite(result.nll)
+        assert lo <= result.eta <= hi
         scan = min(dense_profiled_nll(obs, gauss_family(eta))
                    for eta in np.geomspace(lo, 2.0, 200))
-        assert result.neg_log_likelihood <= scan + 1e-6
+        assert result.nll <= scan + 1e-6
 
     def test_nothing_factors_raises(self):
         obs = gauss_1d_lattice()
@@ -288,7 +293,7 @@ class TestProfiledSearch:
         result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=3)
         assert not result.converged
         assert result.iterations == 3
-        assert np.isfinite(result.neg_log_likelihood)
+        assert np.isfinite(result.nll)
 
     @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
     def test_iterations_count_search_factorizations(self, monkeypatch, case):
@@ -315,14 +320,13 @@ class TestProfiledSearch:
         monkeypatch.setattr(inference, "cholesky", counting_cholesky)
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
         result = estimate_joint(obs, family, bounds)
-        assert result.iterations == calls["search"]
-        assert calls["all"] == calls["search"] + 1  # the levels at the estimate
+        assert result.iterations == calls["search"] == calls["all"]
 
     @pytest.mark.parametrize("family", [matern_family, lambda eta: CorrelationModel(
         "matern52", eta, 1.5)], ids=["untapered", "tapered"])
     def test_levels_at_the_estimate_reuse_the_search_structure(self, monkeypatch, family):
         obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
-        eta = estimate_eta(obs, family, None, None, (0.1, 1.4), 1e-5, 50)
+        eta = estimate_eta(obs, family, (0.1, 1.4), 1e-5, 50).eta
         mu, sigma2, nll = profile_levels(obs, family(eta))
         built, layouts, factored, in_search = [], [], [], []
         real_structure, real_layout = inference.PairStructure, linalg._factor_layout
@@ -343,10 +347,10 @@ class TestProfiledSearch:
                             lambda a: factored.append(bool(in_search)) or real_cholesky(a))
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
         result = estimate_joint(obs, family, (0.1, 1.4))
-        assert (result.eta_hat, result.mu_hat, result.sigma2_hat,
-                result.neg_log_likelihood) == (eta, mu, sigma2, nll)  # bit for bit
+        assert (result.eta, result.mu, result.sigma2,
+                result.nll) == (eta, mu, sigma2, nll)  # bit for bit
         assert (len(built), len(layouts)) == (1, 1)
-        assert factored == [True] * result.iterations + [False]
+        assert factored == [True] * result.iterations  # none after the search
 
 
 class TestProfileLevels:
@@ -371,9 +375,13 @@ class TestProfileLevels:
         model = CorrelationModel("matern52", 1.0)
         with pytest.raises(EstimationError):
             profile_levels(obs, model)
-        mu, s2, nll = profile_levels(obs, model, sigma2=2.0)
-        assert s2 == 2.0
-        assert nll == pytest.approx(negative_log_likelihood(obs, model, mu, 2.0), rel=1e-12)
+        factor = cholesky(level_matrix(obs, model, 2.0))
+        mu = estimate_mu(factor, obs.values())
+        mat = 2.0 * assemble(obs, model, 2.0).to_dense()  # 2 R + diag(error_var)
+        r = obs.values() - mu
+        direct = 0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(mat)[1]
+                        + r @ np.linalg.solve(mat, r))
+        assert negative_log_likelihood(obs, model, mu, 2.0) == pytest.approx(direct, rel=1e-12)
 
 
 def factor_or_pivot(make):
@@ -410,7 +418,44 @@ def search_cases(draw):
     return obs, lambda eta: CorrelationModel(base, eta), etas
 
 
+@st.composite
+def taper_changing_cases(draw):
+    """A 1D point set and a family whose taper range changes with the range
+    (equal to it, or stepped), with ranges drawn as in :func:`search_cases`."""
+    obs = spaced_point_set(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                           draw(st.integers(2, 24)), min_sep=0.35)
+    family = draw(st.sampled_from([taper_family, stepped_taper_family]))
+    return obs, family, draw(st.lists(st.floats(0.3, 2.5), min_size=2, max_size=4))
+
+
 class TestPairStructureReuse:
+    @given(st.one_of(search_cases(), taper_changing_cases()))
+    @settings(max_examples=60, deadline=None)
+    def test_search_factors_exactly_iterations_times(self, case):
+        obs, family, etas = case
+        lo, hi = min(etas), max(etas)
+        assume(lo < hi)
+        factored, asked = [], []
+
+        def counting_cholesky(*args, **kwargs):
+            factored.append(1)
+            return linalg.cholesky(*args, **kwargs)
+
+        def recorded_family(eta):
+            asked.append(eta)
+            return family(eta)
+
+        with mock.patch.object(inference, "cholesky", counting_cholesky):
+            try:
+                result = estimate_joint(obs, recorded_family, (lo, hi))
+            except EstimationError as exc:
+                assume("does not factor" not in str(exc))  # no probe factors
+                raise
+        assert len(factored) == result.iterations
+        assert result.eta in asked  # Brent answers with a range it evaluated
+        assert (result.mu, result.sigma2, result.nll) == profile_levels(
+            obs, family(result.eta))  # bit for bit
+
     @given(search_cases())
     @settings(max_examples=80, deadline=None)
     def test_levels_through_one_structure_equal_fresh_assembly(self, case):
@@ -424,19 +469,17 @@ class TestPairStructureReuse:
                 obs.m, *assemble(obs, model, 1.0).lower_entries()))
             if not isinstance(fresh, CholeskyFactor):
                 assert reused == fresh  # the same failing pivot
-                assert _objective(obs, model, None, None, structure) == (np.inf, None)
+                with pytest.raises(FactorizationError):
+                    profile_levels(obs, model, structure)
                 continue
             assert np.array_equal(reused.lower, fresh.lower)
             assert np.array_equal(reused.perm, fresh.perm)
-            nll, levels = _objective(obs, model, None, None, structure)
-            mu, sigma2, want = profile_levels(obs, model)
-            assert (nll, levels) == (want, (mu, sigma2))  # bit for bit
+            # bit for bit
+            assert profile_levels(obs, model, structure) == profile_levels(obs, model)
 
     @pytest.mark.parametrize("family", ["taper-is-range", "stepped-taper"])
     def test_taper_range_changing_with_eta(self, monkeypatch, family):
-        family = {"taper-is-range": taper_family,
-                  "stepped-taper": lambda eta: CorrelationModel(
-                      "matern52", 0.3 * eta, 1.0 if eta < 1.2 else 2.0)}[family]
+        family = {"taper-is-range": taper_family, "stepped-taper": stepped_taper_family}[family]
         obs = spaced_point_set(np.random.default_rng(23), 25, min_sep=0.35)
         real_structure = inference.PairStructure
         built, tapers = [], []
@@ -457,8 +500,7 @@ class TestPairStructureReuse:
 
         monkeypatch.setattr(inference, "PairStructure", recording_structure)
         result = estimate_joint(obs, recorded_family, (0.3, 2.5))
-        search = tapers[:-1]  # the last model gives the levels at the estimate
-        assert len(search) == result.iterations
-        assert built == [t for k, t in enumerate(search) if k == 0 or t != search[k - 1]]
+        assert len(tapers) == result.iterations
+        assert built == [t for k, t in enumerate(tapers) if k == 0 or t != tapers[k - 1]]
         monkeypatch.setattr(inference, "PairStructure", FreshEachTime)
         assert estimate_joint(obs, family, (0.3, 2.5)) == result

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          SpatialIndex, assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import QUAD_GROUP, _band_order, dense_spd_inverse, neighbors
+from kernelfield.linalg import QUAD_GROUP, _band_order, dense_spd_inverse
 
 from conftest import dense_factor
 
@@ -419,22 +419,22 @@ def brute_force_neighbors(points, center, radius):
 
 class TestSpatialIndex:
     def test_single_location(self):
-        idx = SpatialIndex(np.array([[0.5, 0.5]]), cell=1.0)
+        idx = SpatialIndex(np.array([[0.5, 0.5]]))
         assert list(idx.neighbors([0.5, 0.5], 1.0)) == [0]
         assert list(idx.neighbors([5.0, 5.0], 1.0)) == []
 
     def test_1d_hand_count(self):
-        idx = SpatialIndex(np.array([[0.0], [1.0], [2.0], [3.0]]), cell=1.5)
-        assert list(neighbors(idx, [1.0], 1.5)) == [0, 1, 2]
+        idx = SpatialIndex(np.array([[0.0], [1.0], [2.0], [3.0]]))
+        assert list(idx.neighbors([1.0], 1.5)) == [0, 1, 2]
 
     def test_strict_inequality(self):
-        idx = SpatialIndex(np.array([[0.0], [1.0]]), cell=1.0)
+        idx = SpatialIndex(np.array([[0.0], [1.0]]))
         assert list(idx.neighbors([0.0], 1.0)) == [0]
 
     def test_matches_brute_force_500_points(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 8, (500, 2))
-        idx = SpatialIndex(pts, cell=1.0)
+        idx = SpatialIndex(pts)
         for _ in range(200):
             center = rng.uniform(-1, 9, 2)
             radius = float(rng.uniform(0.2, 2.5))
@@ -447,13 +447,13 @@ class TestSpatialIndex:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(-3, 3, (int(rng.integers(1, 60)), dim))
-        idx = SpatialIndex(pts, cell=float(rng.uniform(0.3, 2.0)))
+        idx = SpatialIndex(pts)
         center = rng.uniform(-4, 4, dim)
         radius = float(rng.uniform(0.1, 3.0))
         assert np.array_equal(idx.neighbors(center, radius),
                               brute_force_neighbors(pts, center, radius))
 
     def test_invalid_radius(self):
-        idx = SpatialIndex(np.array([[0.0]]), cell=1.0)
+        idx = SpatialIndex(np.array([[0.0]]))
         with pytest.raises(ValueError):
             idx.neighbors([0.0], 0.0)

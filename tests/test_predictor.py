@@ -13,11 +13,11 @@ from scipy.spatial.distance import cdist
 import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
-                         Observation, ObservationSet, assemble, fit_global, fit_localized,
-                         kriging_predict, predict, predict_average, predict_derivative,
-                         predict_variance, rasterize)
+                         Observation, ObservationSet, assemble, cholesky, estimate_mu,
+                         fit_global, fit_localized, kriging_predict, predict,
+                         predict_average, predict_derivative, predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
-from kernelfield.inference import profile_levels
+from kernelfield.inference import level_matrix, profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
 from conftest import mixed_1d_lattice, random_instance, well_separated_points
@@ -219,6 +219,28 @@ class TestOperatorPredictions:
         with pytest.raises(ValueError):
             predict_average(demo_fit, (2.0, 2.0))
 
+    @pytest.mark.parametrize("x, direction", [
+        ([2.0, 7.0], None), ([2.0], [1.0, 5.0]), ([[2.0]], None), ([], None),
+        ([np.nan], None), ([2.0], [np.inf]), ([2.0], [[1.0]])])
+    def test_malformed_1d_derivative_query_refused(self, demo_fit, x, direction):
+        with pytest.raises(ValueError, match="exactly 1 finite number"):
+            predict_derivative(demo_fit, x, direction)
+
+    @pytest.mark.parametrize("x, direction", [
+        ([1.0], [1.0, 0.0]), ([1.0, 1.0], [1.0]), ([1.0, 1.0, 1.0], [1.0, 0.0]),
+        ([1.0, np.inf], [1.0, 0.0]), ([1.0, 1.0], [1.0, np.nan]), ([[1.0, 1.0]], [1.0, 0.0])])
+    def test_malformed_2d_derivative_query_refused(self, x, direction):
+        p = fit_global(*random_instance(1))  # dim 2
+        with pytest.raises(ValueError, match="exactly 2 finite numbers"):
+            predict_derivative(p, x, direction)
+
+    @pytest.mark.parametrize("interval", [
+        (1.0, 2.0, 9.0), (1.0,), (), (1.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0),
+        [[1.0, 2.0]]])
+    def test_malformed_interval_refused(self, demo_fit, interval):
+        with pytest.raises(ValueError, match="exactly 2 finite numbers"):
+            predict_average(demo_fit, interval)
+
     @pytest.mark.parametrize("model", [CorrelationModel("gauss2", 0.5),
                                        CorrelationModel("matern52", 0.5)],
                              ids=["gauss2", "matern52"])
@@ -397,7 +419,8 @@ class TestEstimatedLevels:
             assert (got.mu, got.sigma2) == (mu, sigma2)
             assert got.weights.tobytes() == want.weights.tobytes()
         got = fit_global(obs, model, None, sigma2)
-        assert got.mu == profile_levels(obs, model, None, sigma2)[0]
+        assert got.mu == estimate_mu(cholesky(level_matrix(obs, model, sigma2)), obs.values(),
+                                     obs.mean_image())
 
     def test_refusals(self):
         noisy = ObservationSet([Observation(POINT, [0.0], 1.0, error_var=0.5),
