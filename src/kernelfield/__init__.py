@@ -2,7 +2,9 @@
 
 Kernel predictors with finite-range correlation functions, linear-operator
 observations (point values in any dimension; derivatives and interval
-integrals in 1D) and marginal-likelihood parameter inference.
+integrals in 1D) and marginal-likelihood parameter inference.  An
+:class:`ObservationSet` holds its observations as columns (kind codes,
+sites, values, error variances, directions, bounds) and is built from them.
 ``fit_global`` and ``fit_localized`` both return a
 :class:`KernelPredictor`, which ``predict``, ``predict_variance``,
 ``predict_derivative``, ``predict_average`` and ``rasterize`` take in
@@ -17,7 +19,7 @@ from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
                         estimate_sigma2)
 from .linalg import SparseSymmetric, SpatialIndex, cholesky
 from .localized import approximate_inverse, fit_localized
-from .obsmodel import (AVG, DERIV, POINT, Observation, ObservationSet,
+from .obsmodel import (AVG, DERIV, POINT, ObservationSet,
                        assemble, cross_correlation, kernel_value,
                        kernel_vector, read_observations_csv,
                        write_observations_csv)
@@ -31,7 +33,7 @@ __all__ = [
     "AVG", "DERIV", "POINT",
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
     "GridSpec", "KernelPredictor",
-    "MleResult", "Observation", "ObservationParseError", "ObservationSet",
+    "MleResult", "ObservationParseError", "ObservationSet",
     "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
     "approximate_inverse", "assemble", "cholesky",
     "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu",

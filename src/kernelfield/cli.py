@@ -40,7 +40,7 @@ from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError)
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import fit_localized
-from .obsmodel import (KIND_CODES, Observation, ObservationSet, assemble,
+from .obsmodel import (KIND_CODES, ObservationSet, assemble,
                        read_observations_csv)
 from .predictor import GridSpec, KernelPredictor, _check_levels, fit_global, rasterize
 
@@ -118,9 +118,8 @@ def _observations_from_columns(path, doc) -> ObservationSet:
             full[name] = np.zeros((kinds.size, width))
             full[name][rows] = obsmodel.shaped_floats(numbers[name], (width, int(rows.sum())),
                                                       name).T
-        return ObservationSet.from_arrays(kinds, full["site"], numbers["value"],
-                                          numbers["error_var"], full["direction"],
-                                          full["bounds"], dim)
+        return ObservationSet(kinds, full["site"], numbers["value"], numbers["error_var"],
+                              full["direction"], full["bounds"], dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed observation columns ({exc})") from None
 
@@ -463,11 +462,10 @@ def demo_observation_set(values=(1.0, 0.0, 2.0)) -> ObservationSet:
     v = [float(x) for x in values]
     if len(v) != 3:
         raise ConfigError("example-a needs exactly three observed values")
-    return ObservationSet([
-        Observation(obsmodel.POINT, np.array([0.0]), v[0]),
-        Observation(obsmodel.DERIV, np.array([-5.0]), v[1], direction=np.array([1.0])),
-        Observation(obsmodel.AVG, np.array([5.0, 6.0]), v[2]),
-    ])
+    kinds = [KIND_CODES[k] for k in (obsmodel.POINT, obsmodel.DERIV, obsmodel.AVG)]
+    nan = math.nan
+    return ObservationSet(kinds, [[0.0], [-5.0], [nan]], v, np.zeros(3),
+                          [[0.0], [1.0], [0.0]], [[nan, nan], [nan, nan], [5.0, 6.0]])
 
 
 def cmd_example_a(args) -> int:
@@ -508,7 +506,7 @@ def synthetic_observations(m: int, bounds, seed: int) -> ObservationSet:
     freqs = rng.uniform(0.4, 1.6, size=(n_waves, q)) * rng.choice([-1.0, 1.0], size=(n_waves, q))
     phases = rng.uniform(0.0, 2.0 * np.pi, n_waves)
     vals = 10.0 + (amps[None, :] * np.cos(pts @ freqs.T + phases[None, :])).sum(axis=1)
-    return ObservationSet.from_arrays(np.zeros(m, dtype=np.int8), pts, vals, np.zeros(m))
+    return ObservationSet(np.zeros(m, dtype=np.int8), pts, vals, np.zeros(m))
 
 
 def _parse_bounds(text: str):

@@ -45,7 +45,9 @@ _FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
 class MleResult:
     """Estimated levels, and the range and NLL where a search or a likelihood
     gave them; ``iterations`` counts a search's factorizations (1 without a
-    search).  The field names are the keys of ``infer``'s JSON document."""
+    search), and ``converged`` is false where a search ran out of them or
+    answered at an end of its bracket (:func:`estimate_eta`).  The field
+    names are the keys of ``infer``'s JSON document."""
 
     mu: float
     sigma2: float
@@ -65,20 +67,21 @@ def _as_action(s_inv) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError(f"cannot interpret {type(s_inv).__name__} as an inverse")
 
 
-def estimate_mu(s_inv_action, values, mean_image=None) -> float:
+def estimate_mu(s_inv_action, values, mean_image) -> float:
     """Generalized-least-squares mean through the inverse ``s_inv_action``:
     a :class:`CholeskyFactor` of S, or a sparse approximate inverse of S as
     a :class:`SparseSymmetric`.
 
-    ``mean_image`` generalizes the all-ones vector to operator observations
-    (0 for derivatives, interval length for interval integrals).
+    ``mean_image`` is the set's multiplier of the mean in each observation's
+    expectation (:meth:`ObservationSet.mean_image`: 1 for point values, 0
+    for derivatives, the length of an interval integral's interval).
     """
     act = _as_action(s_inv_action)
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     if m < 1:
         raise EstimationError("mean estimation needs at least one observation")
-    a = np.ones(m) if mean_image is None else np.asarray(mean_image, dtype=float)
+    a = np.asarray(mean_image, dtype=float)
     sa = act(a)
     denom = float(a @ sa)
     if denom <= 0.0:
@@ -86,9 +89,9 @@ def estimate_mu(s_inv_action, values, mean_image=None) -> float:
     return float(sa @ values) / denom
 
 
-def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
+def estimate_sigma2(s_inv_action, values, mu: float, mean_image) -> float:
     """Quadratic-form variance estimator with divisor m, through the inverse
-    ``s_inv_action`` as in :func:`estimate_mu`.
+    ``s_inv_action`` and with the ``mean_image`` of :func:`estimate_mu`.
 
     Raises :class:`EstimationError` when the estimate is negative, which an
     indefinite sparse approximate inverse can give.
@@ -98,7 +101,7 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image=None) -> float:
     m = values.shape[0]
     if m < 1:
         raise EstimationError("variance estimation needs at least one observation")
-    a = np.ones(m) if mean_image is None else np.asarray(mean_image, dtype=float)
+    a = np.asarray(mean_image, dtype=float)
     resid = values - mu * a
     s2 = float(resid @ act(resid)) / m
     if s2 < 0.0:
@@ -191,12 +194,16 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     Brent's answer is always a range it evaluated, so the result takes its
     levels and NLL from that evaluation, and ``iterations`` counts the
     search's factorizations.  ``converged`` is false when all ``max_iter``
-    were spent, which is when Brent reports that it stopped short; that is
-    reported, never raised.
+    were spent, which is when Brent reports that it stopped short, and when
+    the answer lies at an end of the bracket searched (``hi`` after any
+    failed probe): within Brent's stopping distance of it, ``xatol + 2
+    sqrt(eps) eta``, where a likelihood with no optimum inside the bracket
+    ends.  Either is reported, never raised.
     """
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
+    xatol = rel_tol * lo
     evaluated = {}  # range -> (NLL, mu, sigma2); Brent's first evaluation is the last probe
     structure = None  # the set's pair structure under the last taper range
 
@@ -226,10 +233,12 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     from scipy.optimize import minimize_scalar  # deferred: see the module docstring
     with np.errstate(invalid="ignore"):  # Brent's parabolic steps meet inf values
         result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                 options={"xatol": rel_tol * lo, "maxiter": max_iter - failed})
+                                 options={"xatol": xatol, "maxiter": max_iter - failed})
     eta = float(result.x)
     nll, mu, sigma2 = evaluated[eta]
-    return MleResult(mu, sigma2, eta, nll, len(evaluated), len(evaluated) < max_iter)
+    at_end = min(eta - lo, hi - eta) <= xatol + 2.0 * math.sqrt(np.finfo(float).eps) * eta
+    return MleResult(mu, sigma2, eta, nll, len(evaluated),
+                     len(evaluated) < max_iter and not at_end)
 
 
 def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],

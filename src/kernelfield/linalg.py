@@ -46,8 +46,8 @@ class SparseSymmetric:
     The stored pattern is explicit-zero-free and closed under transpose by
     construction.  The matrix an instance holds never changes; what it caches
     does: the full view (a producer that holds it, with no stored zero, may
-    preset it as ``full``) and the factor layout that :func:`cholesky` works
-    out for the pattern, which :meth:`with_values` copies share.
+    preset it as ``full``) and the factor layout that :func:`cholesky` chooses
+    for the pattern, which :meth:`with_values` copies share.
     """
 
     def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
@@ -56,7 +56,7 @@ class SparseSymmetric:
         lower.sum_duplicates()
         self._lower = self._pattern = lower
         self._values, self._full = lower.data, full
-        self._layout = None  # cholesky's layout of the pattern, handed on to with_values copies
+        self._layout = None  # the layout cholesky chose, shared with with_values copies
 
     @functools.cached_property
     def _lower(self) -> sp.csr_matrix:  # of a with_values copy, made on first use
@@ -349,20 +349,23 @@ def cholesky(a: SparseSymmetric, order="rcm") -> CholeskyFactor:
     as a saved factor's (:attr:`CholeskyFactor.perm` in band storage): None
     factors densely in natural order, and a permutation of ``0..m-1``
     factors in band storage in that order (ValueError if the band does not
-    fit).  Either lays the pattern out afresh.
+    fit).  Either lays the pattern out afresh and keeps nothing, so a later
+    call without ``order`` still makes the choice.
 
     Raises :class:`FactorizationError` naming the failing pivot (original
     indexing) when the matrix is not positive definite.
     """
     if not isinstance(order, str):
-        a._layout = _factor_layout(a, order)
-        if a._layout is None:
+        layout = _factor_layout(a, order)
+        if layout is None:
             raise ValueError("the band does not fit in the given order")
-    elif a._layout is None:
-        perm = _band_order(a)
-        layout = None if perm is None else _factor_layout(a, perm)
-        a._layout = layout or _factor_layout(a, None)
-    perm, shape, at = a._layout
+    else:
+        if a._layout is None:
+            perm = _band_order(a)
+            layout = None if perm is None else _factor_layout(a, perm)
+            a._layout = layout or _factor_layout(a, None)
+        layout = a._layout
+    perm, shape, at = layout
     transposed = np.zeros(shape[::-1])
     transposed.reshape(-1)[at] = a._values
     target = transposed.T

@@ -4,8 +4,8 @@ Three observation kinds: ``point`` (the field value at a location, possibly
 with Gaussian error), ``deriv`` (the signed derivative at a 1D location) and
 ``avg`` (the unnormalized integral of the field over a 1D interval).  A
 set holds its observations as columns, built and validated in one place
-(:meth:`ObservationSet.from_arrays`); the CSV reader, the predictor file and
-synthetic sets fill the columns directly, with no per-row objects.
+(the :class:`ObservationSet` constructor); the CSV reader, the predictor
+file, synthetic sets and the demonstration set fill the columns directly.
 
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
@@ -30,8 +30,7 @@ imported at the top again.
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,46 +60,6 @@ QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combinatio
 _CSV_FIELDS = ["kind", "value", "error_var", "p1", "p2"]  # after the site columns x1..xq
 
 
-@dataclass(eq=False)
-class Observation:
-    """One hand-built observed datum (tests, ``example-a``); sets hold columns.
-
-    ``location``: the q-vector site of ``point``, the 1D site of ``deriv``,
-    the (lower, upper) bounds of ``avg``; ``deriv`` and ``avg`` are 1D only.
-    ``error_var``: additive Gaussian error variance (0 = exact).
-    ``direction`` (deriv only): the derivative's sign, a nonzero 1-vector
-    (default [1]) normalized to [1] or [-1].  Packed as a one-row set, the
-    row is validated by :meth:`ObservationSet.from_arrays`, shapes included.
-    """
-
-    kind: str
-    location: np.ndarray
-    value: float
-    error_var: float = 0.0
-    direction: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise ValueError(f"unknown observation kind {self.kind!r}")
-        if self.direction is not None and self.kind != DERIV:
-            raise ValueError("direction is only valid for deriv observations")
-        self.location = np.atleast_1d(np.asarray(self.location, dtype=float))
-        self.value, self.error_var = float(self.value), float(self.error_var)
-        if self.kind == DERIV and self.direction is None:
-            self.direction = np.ones(self.location.shape)
-        unit = ObservationSet([self]).directions[0]  # validates the row
-        self.direction = unit.copy() if self.kind == DERIV else None
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.kind == AVG else self.location.shape[0]
-
-    @property
-    def mean_image(self) -> float:
-        """Multiplier of the field mean in the observation's expectation."""
-        return float(ObservationSet([self]).mean_image()[0])
-
-
 class _InvalidRow(ValueError):
     """Row ``row`` (0-based) of a set's columns breaks the rule ``reason``."""
 
@@ -119,47 +78,23 @@ def shaped_floats(a, shape, name: str) -> np.ndarray:
 
 
 class ObservationSet:
-    """Ordered, immutable set of observations of one dimension, held as
+    """Ordered, immutable set of m observations of one dimension, held as
     read-only columns: kind codes (:data:`KIND_CODES`), rep points (site or
     interval midpoint), support radii, mean image, values, error variances,
     unit directions (zero for non-deriv rows) and interval bounds (NaN for
-    non-avg rows).  ``ObservationSet([...])`` packs hand-built
-    :class:`Observation` objects; indexing or iterating builds them back.
-    A set with a ``deriv`` or ``avg`` row is 1D.
+    non-avg rows).  A set with a ``deriv`` or ``avg`` row is 1D.
+
+    Built from kind codes (m,), sites (m, dim) of point and deriv rows,
+    values and error variances (m,), directions (m, dim) of deriv rows
+    (normalized here) and bounds (m, 2) of avg rows; ``dim`` defaults to
+    the sites' last axis.  The one validator of observations: its
+    ``ValueError`` names the first row with an unknown kind, a deriv or avg
+    row outside 1D, a non-finite number, a negative error variance,
+    ``lower >= upper`` or a zero direction.
     """
 
-    def __init__(self, observations: Sequence[Observation], dim: Optional[int] = None):
-        obs = list(observations)
-        if dim is None and not obs:
-            raise ValueError("dimension required for an empty observation set")
-        dim = obs[0].dim if dim is None else dim
-        for i, o in enumerate(obs):
-            if o.dim != dim:
-                raise ValueError(f"observation {i} has dimension {o.dim}, set has {dim}")
-        self._set_columns(
-            [KIND_CODES[o.kind] for o in obs],
-            [[math.nan] * dim if o.kind == AVG else o.location for o in obs],
-            [o.value for o in obs], [o.error_var for o in obs],
-            [o.direction if o.kind == DERIV else [0.0] * dim for o in obs],
-            [o.location if o.kind == AVG else [math.nan] * 2 for o in obs], dim)
-
-    @classmethod
-    def from_arrays(cls, kinds, sites, values, error_vars, directions=None, bounds=None,
-                    dim: Optional[int] = None) -> "ObservationSet":
-        """The set of m observations as columns: kind codes (m,), sites (m, dim)
-        of point and deriv rows, values and error variances (m,), directions
-        (m, dim) of deriv rows (normalized here), bounds (m, 2) of avg rows.
-
-        The one validator of observations; its ``ValueError`` names the first
-        row with an unknown kind, a deriv or avg row outside 1D, a non-finite
-        number, a negative error variance, ``lower >= upper`` or a zero
-        direction.
-        """
-        obs_set = cls.__new__(cls)
-        obs_set._set_columns(kinds, sites, values, error_vars, directions, bounds, dim)
-        return obs_set
-
-    def _set_columns(self, kinds, sites, values, error_vars, directions, bounds, dim):
+    def __init__(self, kinds, sites, values, error_vars, directions=None, bounds=None,
+                 dim: Optional[int] = None):
         kinds, dim = np.asarray(kinds), np.shape(sites)[-1] if dim is None else dim
         if kinds.ndim != 1 or int(dim) != dim or dim < 1:
             raise ValueError(f"kinds must be 1-D and dim a positive integer, got "
@@ -204,16 +139,6 @@ class ObservationSet:
                     self._mean_image, values, error_vars):
             arr.flags.writeable = False
 
-    def __len__(self) -> int:
-        return self.m
-
-    def __getitem__(self, i) -> Observation:  # iterating a set goes through here too
-        i = range(self.m)[i]
-        kind = KINDS[self.kinds[i]]
-        return Observation(kind, (self.bounds if kind == AVG else self._reps)[i].copy(),
-                           self._values[i], self._error_vars[i],
-                           self.directions[i].copy() if kind == DERIV else None)
-
     @property
     def m(self) -> int:
         return self.kinds.shape[0]
@@ -241,11 +166,6 @@ class ObservationSet:
         if self._tree is None:
             self._tree = cKDTree(self._reps)
         return self._tree
-
-    def with_values(self, values: np.ndarray) -> "ObservationSet":
-        """Copy of the set with observed values replaced (same geometry)."""
-        return ObservationSet.from_arrays(self.kinds, self._reps, values, self._error_vars,
-                                          self.directions, self.bounds, self.dim)
 
 
 # -- operator correlations, evaluated as arrays by kind pair ----------------
@@ -445,37 +365,30 @@ def _sparse_kernels(obs_set: ObservationSet, block: np.ndarray,
     return sp.csr_matrix((vals[keep], (i[keep], j[keep])), shape=(n, m))
 
 
-def kernel_value(obs, x, model: CorrelationModel):
-    """Kernel function nu_y(x): correlation between the field at ``x`` and the
-    observation ``obs``, or every observation of the set ``obs``.
+def kernel_value(obs_set: ObservationSet, x, model: CorrelationModel):
+    """Kernel functions nu_y(x): correlations between the field at ``x`` and
+    every observation y of the set.
 
-    ``x`` is one point (q,) or a block of n points (n, q).  For one
-    observation the result is a float at one point and an (n,) array over a
-    block.  For a set it is a length-m array at one point, and over a block
-    an (n, m) matrix: a CSR matrix of the nonzero kernels under a
-    finite-range model (see :func:`_sparse_kernels`), a dense array without
-    one.  Dense columns of each observation kind are one array evaluation;
-    under a finite-range model, columns beyond the taper range are exact
-    zeros.
+    ``x`` is one point (q,) or a block of n points (n, q).  The result is a
+    length-m array at one point, and over a block an (n, m) matrix: a CSR
+    matrix of the nonzero kernels under a finite-range model (see
+    :func:`_sparse_kernels`), a dense array without one.  Dense columns of
+    each observation kind are one array evaluation; under a finite-range
+    model, columns beyond the taper range are exact zeros.
     """
-    one = isinstance(obs, Observation)
-    obs_set = ObservationSet([obs]) if one else obs
     x = np.asarray(x, dtype=float)
     block = x.reshape(1, -1) if x.ndim <= 1 else x
     if block.ndim != 2 or block.shape[1] != obs_set.dim:
         raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
-    if model.taper_range is not None and x.ndim == 2 and not one:
+    if model.taper_range is not None and x.ndim == 2:
         return _sparse_kernels(obs_set, block, model)
     out = _correlations(obs_set, _P, _Operators(block[:, None, :]), block.shape[0], model)
-    out = out[:, 0] if one else out
-    return (float(out[0]) if one else out[0]) if x.ndim <= 1 else out
+    return out[0] if x.ndim <= 1 else out
 
 
 def kernel_vector(obs_set: ObservationSet, x, model: CorrelationModel):
-    """Kernel values nu_y(x) of every observation of a set: a length-m vector
-    at one query point ``x`` (q,), an (n, m) matrix at a block of n query
-    points (n, q), sparse (CSR) under a finite-range model and dense
-    otherwise.  This is :func:`kernel_value` of the whole set."""
+    """:func:`kernel_value`, under the name the predictors call: the
+    benchmark's tracer counts the calls of each."""
     return kernel_value(obs_set, x, model)
 
 
@@ -511,26 +424,19 @@ def _support_separations(obs_set: ObservationSet, i, j) -> np.ndarray:
     return np.maximum(0.0, np.maximum(lo[i] - hi[j], lo[j] - hi[i]))
 
 
-def support_separation(a: Observation, b: Observation) -> float:
-    """Euclidean distance between the supports of two observations."""
-    return float(_support_separations(ObservationSet([a, b]), 0, 1))
-
-
-def cross_correlation(a: Observation, b: Observation, model: CorrelationModel,
+def cross_correlation(obs_set: ObservationSet, i: int, j: int, model: CorrelationModel,
                       sigma2_r: float) -> float:
-    """Inter-correlation entry between two observations.
+    """Inter-correlation entry between observations ``i`` and ``j`` of a set.
 
-    Exactly symmetric in (a, b).  The error-variance ratio
-    ``error_var / sigma2_r`` is added only when ``a`` and ``b`` are the same
-    observation object (a diagonal entry).
+    Exactly symmetric in (i, j).  The error-variance ratio ``error_var /
+    sigma2_r`` is added only on the diagonal (``i == j``).
     """
     if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
         raise ValueError("sigma2_r must be a positive finite real")
-    pair = ObservationSet([a, b])
-    ka, kb = pair.kinds.tolist()
-    val = float(_entries(model, ka, _operators(pair, ka, 0), kb, _operators(pair, kb, 1)))
-    if a is b:
-        val += a.error_var / sigma2_r
+    ka, kb = obs_set.kinds[[i, j]].tolist()
+    val = float(_entries(model, ka, _operators(obs_set, ka, i), kb, _operators(obs_set, kb, j)))
+    if i == j:
+        val += obs_set.error_vars()[i] / sigma2_r
     return val
 
 
@@ -722,7 +628,7 @@ def _parse_rows(rows, dim: int) -> ObservationSet:
                               for q, name in ((p1, "p1"), (p2, "p2"))])
     p[deriv, 0] = _floats([p1[i] or "1" for i in deriv], "p1")
     sites = np.column_stack([_floats(col, f"x{k + 1}") for k, col in enumerate(cols[:dim])])
-    return ObservationSet.from_arrays(
+    return ObservationSet(
         kinds, sites, _floats(cols[dim + 1], "value"),
         _floats([f or "0" for f in cols[dim + 2]], "error_var"),
         p[:, :1] if dim == 1 else None, p, dim)

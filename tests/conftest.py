@@ -1,12 +1,15 @@
 """Shared generators for seeded random test instances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
-                         SparseSymmetric, cholesky)
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, SparseSymmetric,
+                         cholesky)
+from kernelfield.obsmodel import KIND_CODES
 
 
 # Hypothesis's explain phase replays each shrunk failure through pytest's
@@ -14,6 +17,22 @@ from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, Obser
 # suite; without it the failure is still found, shrunk and reported.
 settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("no-explain")
+
+
+def observation_set(rows, dim=None):
+    """The set of ``rows`` ``(kind, location, value[, error_var[, direction]])``
+    as columns: ``location`` is a site, or an avg row's (lower, upper) bounds,
+    and ``direction`` is a deriv row's sign (default 1)."""
+    cols = []
+    for kind, location, value, *rest in rows:
+        error_var, direction = (*rest, *(0.0, 1.0)[len(rest):])
+        location = np.atleast_1d(np.asarray(location, dtype=float))
+        site = [math.nan] if kind == AVG else location
+        cols.append((KIND_CODES[kind], site, value, error_var,
+                     [direction] if kind == DERIV else np.zeros(len(site)),
+                     location if kind == AVG else [math.nan, math.nan]))
+    kinds, sites, values, error_vars, directions, bounds = zip(*cols) if cols else ([],) * 6
+    return ObservationSet(kinds, sites, values, error_vars, directions, bounds, dim)
 
 
 def well_separated_points(rng, m, dim, lo, hi, min_sep):
@@ -70,19 +89,17 @@ def random_instance(seed):
         if dim == 1:
             u = rng.random()
             if u < 0.15 and model.smooth_origin:
-                observations.append(Observation(
-                    DERIV, pts[i], float(rng.normal(0.0, 1.0)), error_var,
-                    direction=np.array([rng.choice([-1.0, 1.0])])))
+                observations.append((DERIV, pts[i], float(rng.normal(0.0, 1.0)), error_var,
+                                     rng.choice([-1.0, 1.0])))
                 continue
             if u < 0.30:
                 width = float(rng.uniform(0.3, 1.2))
                 lo_b = float(pts[i][0])
-                observations.append(Observation(
-                    AVG, np.array([lo_b, lo_b + width]),
-                    float(rng.normal(mu * width, 1.0)), error_var))
+                observations.append((AVG, [lo_b, lo_b + width],
+                                     float(rng.normal(mu * width, 1.0)), error_var))
                 continue
-        observations.append(Observation(POINT, pts[i], value, error_var))
-    return ObservationSet(observations, dim=dim), model, mu, sigma2
+        observations.append((POINT, pts[i], value, error_var))
+    return observation_set(observations, dim), model, mu, sigma2
 
 
 @st.composite
@@ -94,12 +111,10 @@ def mixed_1d_lattice(draw):
                                    st.sampled_from([0.0, 0.0, 0.05]),
                                    st.sampled_from([-3.0, 2.0])),
                          min_size=1, max_size=15))
-    obs = []
-    for i, (kind, jitter, width, value, error_var, z) in enumerate(rows):
-        site = 2.0 * i + jitter
-        obs.append(Observation(kind, [site, site + width] if kind == AVG else [site], value,
-                               error_var, [z] if kind == DERIV else None))
-    return ObservationSet(obs)
+    return observation_set([
+        (kind, [2.0 * i + jitter, 2.0 * i + jitter + width] if kind == AVG
+         else 2.0 * i + jitter, value, error_var, z)
+        for i, (kind, jitter, width, value, error_var, z) in enumerate(rows)])
 
 
 @pytest.fixture

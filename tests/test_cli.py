@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelfield
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, Observation, ObservationSet,
-                         fit_global, fit_localized, predict, predict_variance,
-                         read_observations_csv, write_observations_csv)
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, fit_global,
+                         fit_localized, predict, predict_variance, write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 from kernelfield.localized import variance_localized
 
-from conftest import mixed_1d_lattice
+from conftest import mixed_1d_lattice, observation_set
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
@@ -241,7 +240,10 @@ def test_range_search_reports_eta_within_bounds(tmp_path, inputs, capsys):
     assert infer(inputs[0], model, "--eta-bounds", "0.1,3") == 0
     doc = strict_json(capsys.readouterr().out)
     assert np.isfinite(doc["eta"]) and 0.1 <= doc["eta"] <= 3.0
-    assert np.isfinite(doc["nll"]) and doc["converged"] is True
+    # The values are independent draws, so the likelihood rises toward range
+    # zero and the search ends at the bracket's lower end, not converged.
+    assert doc["eta"] < 0.1 + 1e-5
+    assert np.isfinite(doc["nll"]) and doc["converged"] is False
 
 
 @pytest.mark.parametrize("model", [TAPERED_MODEL, UNTAPERED_MODEL], ids=["tapered", "untapered"])
@@ -333,16 +335,25 @@ def test_refused_runs_exit_codes(tmp_path, inputs, capsys, command, mode, case, 
     assert not (tmp_path / "p.json").exists()
 
 
+def test_example_a_weights_and_refusals(capsys):
+    assert main(["example-a", "--out-prefix", ""]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weights"] == [0.9992489065501217, -0.0008487217470239764, 2.238762075353067]
+    assert (doc["range"], doc["values"], doc["raster"]) == (1.0, [1.0, 0.0, 2.0], None)
+    for args, message in ((["--values", "1,2"], "example-a needs exactly three observed values"),
+                          (["--range", "0"], "range must be positive")):
+        assert main(["example-a", "--out-prefix", "", *args]) == 2
+        assert message in capsys.readouterr().err
+
+
 def mixed_1d_set():
     """1D points, some noisy, and interval integrals: the point sites and the
     exact point sites differ."""
     rng = np.random.default_rng(11)
-    obs = [Observation(POINT, np.array([x]), float(np.sin(x)),
-                       error_var=0.05 if i % 4 == 1 else 0.0)
-           for i, x in enumerate(np.arange(0.0, 8.0, 0.3) + rng.uniform(0, 0.1, 27))]
-    obs += [Observation(AVG, np.array([lo, lo + 0.5]), float(rng.normal(0, 0.5)))
-            for lo in (0.7, 3.1, 5.6)]
-    return ObservationSet(obs)
+    rows = [(POINT, x, float(np.sin(x)), 0.05 if i % 4 == 1 else 0.0)
+            for i, x in enumerate(np.arange(0.0, 8.0, 0.3) + rng.uniform(0, 0.1, 27))]
+    rows += [(AVG, (lo, lo + 0.5), float(rng.normal(0, 0.5))) for lo in (0.7, 3.1, 5.6)]
+    return observation_set(rows)
 
 
 MIXED_MODEL = CorrelationModel("matern52", 0.6, 1.2)
@@ -547,7 +558,7 @@ def saved_and_loaded(fitted):
 
 
 def test_subnormal_residual_loads():
-    obs = ObservationSet([Observation(DERIV, [0.0], 5e-324, 0.05)])
+    obs = observation_set([(DERIV, 0.0, 5e-324, 0.05)])
     fitted = fit_global(obs, CorrelationModel("matern52", 0.5), 0.3, 1.7)
     assert saved_and_loaded(fitted).weights.tobytes() == fitted.weights.tobytes()
 
@@ -567,30 +578,13 @@ def test_mixed_1d_predictor_round_trip(obs):
                 min_size=1, max_size=30))
 def test_2d_point_predictor_round_trip(points):
     sites = np.array([(i % 6 + a, i // 6 + b) for i, (a, b, _) in enumerate(points)])
-    obs = ObservationSet.from_arrays(np.zeros(len(points), dtype=np.int8), sites,
-                                     [v for *_, v in points], np.zeros(len(points)))
+    obs = ObservationSet(np.zeros(len(points), dtype=np.int8), sites,
+                         [v for *_, v in points], np.zeros(len(points)))
     for fitted in (fit_global(obs, MIXED_MODEL, 0.1, 1.3),
                    fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)):
         loaded = saved_and_loaded(fitted)
         assert_same_set(loaded.obs, obs)
         assert loaded.weights.tobytes() == fitted.weights.tobytes()
-
-
-def test_columnar_paths_build_no_observation(tmp_path, monkeypatch):
-    obs = mixed_1d_set()
-    fitted = fit_global(obs, MIXED_MODEL, 0.1, 1.3)
-
-    def refuse(self):
-        raise AssertionError("an Observation was built")
-
-    monkeypatch.setattr(Observation, "__post_init__", refuse)
-    path, csv_path = str(tmp_path / "p.json"), str(tmp_path / "o.csv")
-    save_predictor(path, fitted)
-    assert load_predictor(path).obs.m == obs.m
-    write_observations_csv(csv_path, obs)
-    assert read_observations_csv(csv_path).m == obs.m
-    assert obs.with_values(np.zeros(obs.m)).m == obs.m
-    assert synthetic_observations(10, [(0.0, 1.0)], 1).m == 10
 
 
 BAD_NUMBERS = {"bool": True, "numeric text": "2.0", "nan text": "nan", "null": None,
@@ -855,10 +849,10 @@ def operator_set_1d(m=30):
     """A 1-D jittered lattice of points, derivatives and interval integrals."""
     rng = np.random.default_rng(3)
     sites = 0.5 * (np.arange(m) + rng.uniform(-0.2, 0.2, m))
-    obs = [Observation(POINT, [x], float(np.sin(x))) if i % 3 == 0 else
-           Observation(DERIV, [x], float(np.cos(x)), direction=[1.0]) if i % 3 == 1 else
-           Observation(AVG, [x, x + 0.2], float(0.2 * np.sin(x))) for i, x in enumerate(sites)]
-    return ObservationSet(obs)
+    return observation_set([(POINT, x, float(np.sin(x))) if i % 3 == 0 else
+                            (DERIV, x, float(np.cos(x))) if i % 3 == 1 else
+                            (AVG, (x, x + 0.2), float(0.2 * np.sin(x)))
+                            for i, x in enumerate(sites)])
 
 
 def test_cli_loads_only_the_scipy_it_uses(tmp_path):

@@ -7,15 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
-                         Observation, ObservationSet, assemble, cholesky,
-                         estimate_eta, estimate_joint, estimate_mu, estimate_sigma2,
-                         fit_localized, inference, linalg)
+                         assemble, cholesky, estimate_eta, estimate_joint, estimate_mu,
+                         estimate_sigma2, fit_localized, inference, linalg)
 from kernelfield.cli import synthetic_observations
 from kernelfield.inference import level_matrix, negative_log_likelihood, profile_levels
 from kernelfield.linalg import CholeskyFactor, SparseSymmetric
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
-from conftest import dense_factor, well_separated_points
+from conftest import dense_factor, observation_set, well_separated_points
 
 
 def spd_action(rng, n):
@@ -33,16 +32,17 @@ def spaced_point_set(rng, m, min_sep=0.5, values=None):
     hi = 2.5 * m * min_sep  # room to place m points at the requested separation
     pts = well_separated_points(rng, m, 1, 0.0, hi, min_sep)
     vals = rng.normal(size=m) if values is None else values
-    return ObservationSet([Observation(POINT, pts[i], float(vals[i])) for i in range(m)])
+    return observation_set([(POINT, pts[i], float(vals[i])) for i in range(m)])
 
 
 class TestEstimateMu:
     def test_identity_gives_sample_mean(self):
         values = np.array([1.0, 2.0, 6.0])
-        assert estimate_mu(product_action(np.eye(3)), values) == pytest.approx(values.mean(), abs=1e-14)
+        assert estimate_mu(product_action(np.eye(3)), values, np.ones(3)) == pytest.approx(
+            values.mean(), abs=1e-14)
 
     def test_single_observation(self):
-        assert estimate_mu(product_action(np.eye(1)), np.array([3.7])) == 3.7
+        assert estimate_mu(product_action(np.eye(1)), np.array([3.7]), np.ones(1)) == 3.7
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -53,17 +53,17 @@ class TestEstimateMu:
         values = rng.normal(size=n)
         ones = np.ones(n)
         oracle = (ones @ inv @ values) / (ones @ inv @ ones)
-        assert estimate_mu(dense_factor(a), values) == pytest.approx(oracle, abs=1e-10)
+        assert estimate_mu(dense_factor(a), values, ones) == pytest.approx(oracle, abs=1e-10)
 
     def test_singular_normalizer_raises(self):
         with pytest.raises(EstimationError):
-            estimate_mu(product_action(np.zeros((2, 2))), np.array([1.0, 2.0]))
+            estimate_mu(product_action(np.zeros((2, 2))), np.array([1.0, 2.0]), np.ones(2))
 
     def test_is_quadratic_form_minimizer(self):
         rng = np.random.default_rng(11)
         a, inv = spd_action(rng, 6)
         values = rng.normal(size=6)
-        mu_hat = estimate_mu(dense_factor(a), values)
+        mu_hat = estimate_mu(dense_factor(a), values, np.ones(6))
 
         def qform(mu):
             r = values - mu
@@ -77,17 +77,17 @@ class TestEstimateSigma2:
     def test_identity_gives_population_variance(self):
         values = np.array([1.0, 2.0, 6.0])
         mu = values.mean()
-        assert estimate_sigma2(product_action(np.eye(3)), values, mu) == pytest.approx(
+        assert estimate_sigma2(product_action(np.eye(3)), values, mu, np.ones(3)) == pytest.approx(
             np.mean((values - mu) ** 2), abs=1e-14)
 
     def test_zero_when_residuals_vanish(self):
         values = np.full(4, 2.5)
-        assert estimate_sigma2(product_action(np.eye(4)), values, 2.5) == 0.0
+        assert estimate_sigma2(product_action(np.eye(4)), values, 2.5, np.ones(4)) == 0.0
 
     def test_negative_estimate_is_refused(self):
         # An indefinite action, as a sparse approximate inverse can be.
         with pytest.raises(EstimationError, match="negative variance estimate"):
-            estimate_sigma2(product_action(-np.eye(3)), np.array([1.0, 2.0, 6.0]), 0.0)
+            estimate_sigma2(product_action(-np.eye(3)), np.array([1.0, 2.0, 6.0]), 0.0, np.ones(3))
 
     @given(st.integers(min_value=0, max_value=10**6),
            st.floats(min_value=0.1, max_value=10.0))
@@ -99,8 +99,8 @@ class TestEstimateSigma2:
         values = rng.normal(size=n)
         mu = 0.4
         f = dense_factor(a)
-        s1 = estimate_sigma2(f, values, mu)
-        s2 = estimate_sigma2(f, mu + c * (values - mu), mu)
+        s1 = estimate_sigma2(f, values, mu, np.ones(n))
+        s2 = estimate_sigma2(f, mu + c * (values - mu), mu, np.ones(n))
         assert s2 == pytest.approx(c * c * s1, rel=1e-9)
 
     def test_matches_dense_inverse_formula(self):
@@ -108,7 +108,8 @@ class TestEstimateSigma2:
         a, inv = spd_action(rng, 7)
         values = rng.normal(size=7)
         oracle = (values - 0.3) @ inv @ (values - 0.3) / 7
-        assert estimate_sigma2(dense_factor(a), values, 0.3) == pytest.approx(oracle, abs=1e-10)
+        assert estimate_sigma2(dense_factor(a), values, 0.3, np.ones(7)) == pytest.approx(
+            oracle, abs=1e-10)
 
 
 def taper_family(eta):
@@ -139,21 +140,19 @@ class TestEstimateEta:
         assert f_hat <= profile_levels(obs, taper_family(hi))[2] + 1e-9
 
     def test_two_observation_smoke(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0),
-                              Observation(POINT, np.array([1.0]), 2.0)])
+        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
         result = estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
         assert 0.5 <= result.eta <= 2.0
         assert np.isfinite(result.nll)
         assert result.nll == profile_levels(obs, taper_family(result.eta))[2]
 
     def test_bad_bounds(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0)])
+        obs = observation_set([(POINT, 0.0, 1.0)])
         with pytest.raises(ValueError):
             estimate_eta(obs, taper_family, (1.0, 0.5), 1e-4, 500)
 
     def test_rejects_observation_errors(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0, error_var=0.5),
-                              Observation(POINT, np.array([1.0]), 1.0)])
+        obs = observation_set([(POINT, 0.0, 1.0, 0.5), (POINT, 1.0, 1.0)])
         with pytest.raises(EstimationError, match="observation errors"):
             estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
 
@@ -169,7 +168,7 @@ class TestEstimateJoint:
         assert result.mu == pytest.approx(values.mean(), abs=1e-10)
         assert result.sigma2 == pytest.approx(np.mean((values - values.mean()) ** 2),
                                               abs=1e-10)
-        assert result.converged
+        assert not result.converged  # a flat likelihood: Brent ends at the top of the bracket
 
     def test_deterministic(self):
         rng = np.random.default_rng(32)
@@ -182,10 +181,10 @@ class TestEstimateJoint:
         rng = np.random.default_rng(33)
         pts = well_separated_points(rng, 200, 1, 0.0, 20.0, 0.06)
         model_true = taper_family(1.0)
-        obs_geom = ObservationSet([Observation(POINT, p, 0.0) for p in pts])
+        obs_geom = observation_set([(POINT, p, 0.0) for p in pts])
         mat = assemble(obs_geom, model_true, 1.0).to_dense()
         values = np.linalg.cholesky(mat) @ rng.standard_normal(200)  # mu=0, sigma2=1
-        obs = obs_geom.with_values(values)
+        obs = observation_set([(POINT, p, v) for p, v in zip(pts, values)])
         result = estimate_joint(obs, taper_family, (0.4, 2.5))
         fhat = cholesky(assemble(obs, taper_family(result.eta), 1.0))
         se = np.sqrt(result.sigma2 / (np.ones(200) @ fhat.solve(np.ones(200))))
@@ -193,7 +192,7 @@ class TestEstimateJoint:
         assert result.converged
 
     def test_needs_two_observations(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0)])
+        obs = observation_set([(POINT, 0.0, 1.0)])
         with pytest.raises(EstimationError):
             estimate_joint(obs, taper_family, (0.5, 2.0))
 
@@ -203,13 +202,12 @@ class TestLocalizedVsGlobal:
         rng = np.random.default_rng(41)
         pts = well_separated_points(rng, 30, 1, 0.0, 5.0, 0.12)
         values = np.sin(pts[:, 0]) + rng.normal(0, 0.2, 30)
-        obs = ObservationSet([Observation(POINT, pts[i], float(values[i]))
-                              for i in range(30)])
+        obs = observation_set([(POINT, pts[i], float(values[i])) for i in range(30)])
         model = CorrelationModel("matern52", 0.7, 1.0)
         f = fit_localized(obs, model, k=10)  # delta 10 >> diameter 5
         factor = cholesky(assemble(obs, model, 1.0))
-        mu_g = estimate_mu(factor, obs.values())
-        s2_g = estimate_sigma2(factor, obs.values(), mu_g)
+        mu_g = estimate_mu(factor, obs.values(), obs.mean_image())
+        s2_g = estimate_sigma2(factor, obs.values(), mu_g, obs.mean_image())
         assert f.mu == pytest.approx(mu_g, abs=1e-8)
         assert f.sigma2 == pytest.approx(s2_g, abs=1e-8)
 
@@ -254,8 +252,7 @@ def gauss_1d_lattice():
     rng = np.random.default_rng(7)
     x = 0.5 * np.arange(20) + rng.uniform(-0.1, 0.1, 20)
     values = np.sin(0.7 * x) + 0.1 * rng.normal(size=20)
-    return ObservationSet([Observation(POINT, np.array([xi]), float(v))
-                           for xi, v in zip(x, values)])
+    return observation_set([(POINT, xi, float(v)) for xi, v in zip(x, values)])
 
 
 class TestProfiledSearch:
@@ -288,6 +285,18 @@ class TestProfiledSearch:
         obs = gauss_1d_lattice()
         with pytest.raises(EstimationError, match="does not factor"):
             estimate_joint(obs, gauss_family, (8.0, 20.0))
+
+    @pytest.mark.parametrize("bounds, at_end", [
+        ((0.1, 0.25), True), ((0.001, 0.25), True), ((1.0, 3.0), True), ((0.001, 1.0), False),
+    ], ids=["below", "below-wide", "above", "interior-wide"])
+    def test_converged_only_inside_the_bracket(self, bounds, at_end):
+        # The optimum is near 0.53 (test_reaches_scan_minimum).  At the wide
+        # brackets Brent ends further than xatol = 1e-5 * lo from an end.
+        lo, hi = bounds
+        result = estimate_joint(matern_2d_set(), matern_family, bounds)
+        assert result.iterations < 50  # stopped by its tolerance, not by its cap
+        assert (min(result.eta - lo, hi - result.eta) < 1e-5) == at_end
+        assert result.converged == (not at_end)
 
     def test_evaluation_cap_reports_not_converged(self):
         result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=3)
@@ -360,23 +369,23 @@ class TestProfileLevels:
         model = CorrelationModel("matern52", 1.1)
         mu, s2, nll = profile_levels(obs, model)
         factor = cholesky(assemble(obs, model, 1.0))
-        assert mu == pytest.approx(estimate_mu(factor, obs.values()), rel=1e-12)
-        assert s2 == pytest.approx(estimate_sigma2(factor, obs.values(), mu), rel=1e-12)
+        assert mu == pytest.approx(estimate_mu(factor, obs.values(), obs.mean_image()), rel=1e-12)
+        assert s2 == pytest.approx(estimate_sigma2(factor, obs.values(), mu, obs.mean_image()),
+                                   rel=1e-12)
         assert nll == pytest.approx(negative_log_likelihood(obs, model, mu, s2), rel=1e-12)
         assert nll == pytest.approx(dense_profiled_nll(obs, model), rel=1e-10)
 
     def test_vanishing_residuals_give_no_nll(self):
-        obs = ObservationSet([Observation(POINT, np.array([float(i)]), 0.0) for i in range(4)])
+        obs = observation_set([(POINT, float(i), 0.0) for i in range(4)])
         assert profile_levels(obs, CorrelationModel("matern52", 1.0)) == (0.0, 0.0, None)
 
     def test_fixed_variance_allows_observation_errors(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 1.0, error_var=0.5),
-                              Observation(POINT, np.array([1.0]), 2.0)])
+        obs = observation_set([(POINT, 0.0, 1.0, 0.5), (POINT, 1.0, 2.0)])
         model = CorrelationModel("matern52", 1.0)
         with pytest.raises(EstimationError):
             profile_levels(obs, model)
         factor = cholesky(level_matrix(obs, model, 2.0))
-        mu = estimate_mu(factor, obs.values())
+        mu = estimate_mu(factor, obs.values(), obs.mean_image())
         mat = 2.0 * assemble(obs, model, 2.0).to_dense()  # 2 R + diag(error_var)
         r = obs.values() - mu
         direct = 0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(mat)[1]
@@ -403,16 +412,16 @@ def search_cases(draw):
     etas = draw(st.lists(st.floats(0.02, 3.0), min_size=2, max_size=4))
     if case.startswith("2d"):
         pts = well_separated_points(rng, m, 2, 0.0, 6.0, 0.3)
-        obs = ObservationSet([Observation(POINT, p, float(rng.normal())) for p in pts])
+        obs = observation_set([(POINT, p, float(rng.normal())) for p in pts])
         taper = 1.5 if case == "2d-tapered" else None
         return obs, lambda eta: CorrelationModel("matern52", eta, taper), etas
     x = 0.5 * (np.arange(m) + rng.uniform(-0.2, 0.2, m))
     kinds = rng.choice([POINT, POINT, POINT, DERIV, AVG], m)
     kinds[0] = POINT  # the mean is estimable
-    obs = ObservationSet([
-        Observation(DERIV, [xi], float(rng.normal()), direction=[rng.choice([-1.0, 1.0])])
-        if kind == DERIV else Observation(AVG, [xi - 0.1, xi + 0.1], float(rng.normal()))
-        if kind == AVG else Observation(POINT, [xi], float(rng.normal()))
+    obs = observation_set([
+        (DERIV, xi, float(rng.normal()), 0.0, rng.choice([-1.0, 1.0]))
+        if kind == DERIV else (AVG, [xi - 0.1, xi + 0.1], float(rng.normal()))
+        if kind == AVG else (POINT, xi, float(rng.normal()))
         for xi, kind in zip(x, kinds)])
     base = "gauss2" if case == "1d-gauss2" else "matern52"
     return obs, lambda eta: CorrelationModel(base, eta), etas

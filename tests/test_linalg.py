@@ -260,6 +260,10 @@ class TestFactorStorage:
         laid_out = fresh()
         cholesky(laid_out)
         assert cholesky(laid_out, None).storage == "dense"  # a given order lays out afresh
+        assert cholesky(laid_out).storage == "band"  # and leaves the chosen layout
+        given_first = fresh()
+        assert cholesky(given_first, None).storage == "dense"
+        assert cholesky(given_first).storage == "band"  # a given order is not kept
         with pytest.raises(ValueError, match="the band does not fit in the given order"):
             cholesky(fresh(), np.arange(400))  # the natural order of a 2-D set
 

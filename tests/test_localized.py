@@ -4,21 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (AVG, POINT, ConfigError, CorrelationModel, EstimationError,
-                         FactorizationError, GridSpec, Observation, ObservationSet,
-                         SparseSymmetric, approximate_inverse, assemble, fit_global,
-                         fit_localized, kernel_value, predict, predict_variance, rasterize)
+                         FactorizationError, GridSpec, ObservationSet, SparseSymmetric,
+                         approximate_inverse, assemble, fit_global, fit_localized, predict,
+                         predict_variance, rasterize)
 from kernelfield import localized
 from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
+
+from conftest import observation_set
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
 G2T = CorrelationModel("gauss2", 0.5, 1.0)
 
 
 def line_points(n, spacing, value_fn=np.sin):
-    obs = [Observation(POINT, np.array([i * spacing]), float(value_fn(i * spacing)))
-           for i in range(n)]
-    return ObservationSet(obs)
+    return observation_set([(POINT, i * spacing, float(value_fn(i * spacing)))
+                            for i in range(n)])
 
 
 class TestApproximateInverse:
@@ -31,14 +32,14 @@ class TestApproximateInverse:
 
     def test_singleton_neighborhoods_unit_diagonal_identity(self):
         pts = np.array([[0.0], [10.0], [20.0], [30.0]])
-        obs = ObservationSet([Observation(POINT, p, 1.0) for p in pts])
+        obs = observation_set([(POINT, p, 1.0) for p in pts])
         mat = assemble(obs, TAPERED, 1.0)
         psi = approximate_inverse(mat, pts, delta=0.5)
         assert np.array_equal(psi.to_dense(), np.eye(4))
 
     def test_five_colinear_points_hand_oracle(self):
         pts = np.array([[0.0], [0.4], [0.8], [1.2], [1.6]])
-        obs = ObservationSet([Observation(POINT, p, 0.0) for p in pts])
+        obs = observation_set([(POINT, p, 0.0) for p in pts])
         mat = assemble(obs, CorrelationModel("matern52", 1.0, 1.0), 1.0)
         delta = 1.0
         got = approximate_inverse(mat, pts, delta).to_dense()
@@ -85,7 +86,7 @@ class TestApproximateInverse:
 
     def test_site_exactly_delta_away_is_outside(self):
         pts = np.array([[0.0], [0.5], [1.0]])
-        obs = ObservationSet([Observation(POINT, p, 0.0) for p in pts])
+        obs = observation_set([(POINT, p, 0.0) for p in pts])
         mat = assemble(obs, TAPERED, 1.0)
         assert mat.nnz_lower == 5  # 0 and 1.0 are one taper range apart
         psi = approximate_inverse(mat, pts, delta=0.5)
@@ -155,7 +156,7 @@ class TestFitLocalized:
                 predict_variance(g, [x]), abs=1e-8 * f.sigma2)
 
     def test_single_point_reproduced(self):
-        obs = ObservationSet([Observation(POINT, np.array([1.0]), 4.5)])
+        obs = observation_set([(POINT, 1.0, 4.5)])
         for k in (1, 3):
             with pytest.raises(EstimationError, match="estimated sigma2 is not positive"):
                 fit_localized(obs, TAPERED, k=k)  # one value: the residual vanishes
@@ -176,7 +177,7 @@ class TestFitLocalized:
             fit_localized(obs, TAPERED, k=0)
 
     def test_empty_set_needs_levels(self):
-        obs = ObservationSet([], dim=1)
+        obs = observation_set([], 1)
         with pytest.raises(EstimationError):
             fit_localized(obs, TAPERED, k=2)
         f = fit_localized(obs, TAPERED, k=2, mu=3.0, sigma2=2.0)
@@ -185,10 +186,7 @@ class TestFitLocalized:
         assert predict_variance(f, [0.0]) == 2.0
 
     def test_errors_require_explicit_sigma2(self):
-        obs = ObservationSet([
-            Observation(POINT, np.array([0.0]), 1.0, error_var=0.2),
-            Observation(POINT, np.array([0.5]), 2.0),
-        ])
+        obs = observation_set([(POINT, 0.0, 1.0, 0.2), (POINT, 0.5, 2.0)])
         with pytest.raises(EstimationError):
             fit_localized(obs, TAPERED, k=2)
         fit_localized(obs, TAPERED, k=2, sigma2=1.0)
@@ -212,11 +210,7 @@ class TestDeviationVariance:
         assert f2.deviation_var <= f1.deviation_var
 
     def test_excludes_non_point_observations(self):
-        obs = ObservationSet([
-            Observation(POINT, np.array([0.0]), 1.0),
-            Observation(POINT, np.array([0.4]), 1.2),
-            Observation("avg", np.array([1.0, 1.5]), 0.6),
-        ])
+        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 0.4, 1.2), (AVG, (1.0, 1.5), 0.6)])
         f = fit_localized(obs, TAPERED, k=30)
         assert f.deviation_var < 1e-16
 
@@ -233,12 +227,10 @@ def site_pass_cases(draw):
     rng = np.random.default_rng(seed)
     x = 0.3 * np.arange(m) + rng.uniform(0.0, 0.1, m)
     noisy = rng.random(m) < draw(st.floats(0.0, 0.5))
-    obs = [Observation(POINT, np.array([xi]), float(np.sin(xi)), error_var=0.05 if e else 0.0)
-           for xi, e in zip(x, noisy)]
+    rows = [(POINT, xi, float(np.sin(xi)), 0.05 if e else 0.0) for xi, e in zip(x, noisy)]
     lows = 0.3 * m * rng.random(draw(st.integers(0, 3))) // 1.5 * 1.5  # 1.5 apart at least
-    obs += [Observation(AVG, np.array([lo, lo + 0.5]), float(rng.normal(0.0, 0.5)))
-            for lo in np.unique(lows)]
-    return ObservationSet(obs), model
+    rows += [(AVG, (lo, lo + 0.5), float(rng.normal(0.0, 0.5))) for lo in np.unique(lows)]
+    return observation_set(rows), model
 
 
 class TestSitePass:
@@ -281,8 +273,8 @@ class TestPermutationInvariance:
         obs = synthetic_observations(m, [(0.0, side), (0.0, side)], seed=seed)
         rng = np.random.default_rng(seed)
         p = rng.permutation(m)
-        permuted = ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p],
-                                              obs.values()[p], obs.error_vars()[p])
+        permuted = ObservationSet(obs.kinds[p], obs.rep_points()[p], obs.values()[p],
+                                  obs.error_vars()[p])
         nodes = rng.uniform(-0.5, side + 0.5, (60, 2))
         model = CorrelationModel("matern52", 0.5, 1.5)
         for fit in (fit_global, lambda o, mdl: fit_localized(o, mdl, 2)):
@@ -304,7 +296,8 @@ class TestInfluenceRadius:
         values = obs.values().copy()
         f1 = fit_localized(obs, TAPERED, k=k, mu=0.1, sigma2=1.0)
         values[far] += 123.0
-        f2 = fit_localized(obs.with_values(values), TAPERED, k=k, mu=0.1, sigma2=1.0)
+        moved = ObservationSet(obs.kinds, obs.rep_points(), values, obs.error_vars())
+        f2 = fit_localized(moved, TAPERED, k=k, mu=0.1, sigma2=1.0)
         assert predict(f1, x_query) == predict(f2, x_query)
 
     def test_near_value_perturbation_is_visible(self):
@@ -312,7 +305,8 @@ class TestInfluenceRadius:
         values = obs.values().copy()
         values[1] += 1.0
         f1 = fit_localized(obs, TAPERED, k=2, mu=0.1, sigma2=1.0)
-        f2 = fit_localized(obs.with_values(values), TAPERED, k=2, mu=0.1, sigma2=1.0)
+        moved = ObservationSet(obs.kinds, obs.rep_points(), values, obs.error_vars())
+        f2 = fit_localized(moved, TAPERED, k=2, mu=0.1, sigma2=1.0)
         assert predict(f1, [0.0]) != predict(f2, [0.0])
 
 
@@ -338,7 +332,7 @@ class TestVariances:
         assert predict_variance(f, x) == pytest.approx(f.deviation_var, abs=1e-4 * f.sigma2)
 
     def test_m0_variance_is_sigma2(self):
-        f = fit_localized(ObservationSet([], dim=2), G2T, k=2, mu=0.0, sigma2=5.0)
+        f = fit_localized(observation_set([], 2), G2T, k=2, mu=0.0, sigma2=5.0)
         assert variance_localized(f, [0.0, 0.0]) == 5.0
 
 
@@ -360,7 +354,7 @@ class TestRasterizeLocalized:
         table = rasterize(f, grid)
         psi = f.inverse.to_dense()
         for x, raw in zip(grid.nodes(), table[:, 3]):
-            nu = np.array([kernel_value(o, x, G2T) for o in obs])
+            nu = G2T.eval(np.linalg.norm(obs.rep_points() - x, axis=1))
             assert raw == pytest.approx(f.sigma2 * (1.0 - nu @ psi @ nu),
                                         abs=1e-12 * f.sigma2)
 

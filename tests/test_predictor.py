@@ -13,14 +13,14 @@ from scipy.spatial.distance import cdist
 import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
-                         Observation, ObservationSet, assemble, cholesky, estimate_mu,
+                         ObservationSet, assemble, cholesky, estimate_mu,
                          fit_global, fit_localized, kriging_predict, predict,
                          predict_average, predict_derivative, predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
 from kernelfield.inference import level_matrix, profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
-from conftest import mixed_1d_lattice, random_instance, well_separated_points
+from conftest import mixed_1d_lattice, observation_set, random_instance, well_separated_points
 
 M52 = CorrelationModel("matern52", 1.0)
 
@@ -28,8 +28,8 @@ M52 = CorrelationModel("matern52", 1.0)
 def permute(obs, seed):
     """The 1D set ``obs`` with its rows in a seeded random order."""
     p = np.random.default_rng(seed).permutation(obs.m)
-    return ObservationSet.from_arrays(obs.kinds[p], obs.rep_points()[p], obs.values()[p],
-                                      obs.error_vars()[p], obs.directions[p], obs.bounds[p], 1)
+    return ObservationSet(obs.kinds[p], obs.rep_points()[p], obs.values()[p],
+                          obs.error_vars()[p], obs.directions[p], obs.bounds[p], 1)
 
 
 @st.composite
@@ -40,14 +40,14 @@ def tapered_points_and_intervals(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from([POINT, AVG]), st.floats(0.0, 0.3),
                                    st.floats(0.1, 0.6), st.floats(-1e3, 1e3)),
                          min_size=2, max_size=6))
-    return ObservationSet([
-        Observation(kind, [0.8 * i + jitter, 0.8 * i + jitter + width] if kind == AVG
-                    else [0.8 * i + jitter], value)
+    return observation_set([
+        (kind, [0.8 * i + jitter, 0.8 * i + jitter + width] if kind == AVG
+         else 0.8 * i + jitter, value)
         for i, (kind, jitter, width, value) in enumerate(rows)])
 
 
 def empty_predictor(mu=1.5, sigma2=2.0, dim=1):
-    return fit_global(ObservationSet([], dim=dim), M52, mu, sigma2)
+    return fit_global(observation_set([], dim), M52, mu, sigma2)
 
 
 class TestGridSpec:
@@ -91,7 +91,7 @@ class TestPriorOnly:
         assert predict_variance(p, [0.3]) == 2.0
 
     def test_kriging_matches(self):
-        obs = ObservationSet([], dim=1)
+        obs = observation_set([], 1)
         assert kriging_predict(obs, M52, 1.5, 2.0, [0.0]) == (1.5, 2.0)
 
     def test_rasterize_constant(self):
@@ -111,7 +111,7 @@ class TestExactness:
         assert predict_variance(demo_fit, [0.0]) <= 1e-8
 
     def test_noisy_point_not_interpolated(self):
-        obs = ObservationSet([Observation(POINT, np.array([0.0]), 2.0, error_var=1.0)])
+        obs = observation_set([(POINT, 0.0, 2.0, 1.0)])
         p = fit_global(obs, M52, 0.0, 1.0)
         assert predict(p, [0.0]) == pytest.approx(1.0, abs=1e-12)  # shrunk halfway to the mean
         assert predict_variance(p, [0.0]) > 0.1
@@ -140,7 +140,7 @@ class TestKrigingEquivalence:
             assert predict_variance(p, x) == pytest.approx(max(kv, 0.0), abs=1e-8)
 
     def test_single_exact_point_at_query(self):
-        obs = ObservationSet([Observation(POINT, np.array([2.0]), 7.5)])
+        obs = observation_set([(POINT, 2.0, 7.5)])
         pred, var = kriging_predict(obs, M52, 1.0, 2.0, [2.0])
         assert pred == pytest.approx(7.5, abs=1e-12)
         assert abs(var) <= 1e-12
@@ -151,7 +151,8 @@ class TestValueIndependenceAndLocality:
         obs, model, mu, sigma2 = random_instance(4)
         p1 = fit_global(obs, model, mu, sigma2)
         rng = np.random.default_rng(77)
-        obs2 = obs.with_values(rng.normal(size=obs.m))
+        obs2 = ObservationSet(obs.kinds, obs.rep_points(), rng.normal(size=obs.m),
+                              obs.error_vars(), obs.directions, obs.bounds, obs.dim)
         p2 = fit_global(obs2, model, mu, sigma2)
         for x in rng.uniform(0, 10, (50, obs.dim)):
             assert predict_variance(p1, x) == predict_variance(p2, x)
@@ -160,7 +161,7 @@ class TestValueIndependenceAndLocality:
         model = CorrelationModel("gauss2", 0.5, 1.0)
         x = np.array([5.0])
         for value in (1.0, 100.0):
-            obs = ObservationSet([Observation(POINT, np.array([0.0]), value)])
+            obs = observation_set([(POINT, 0.0, value)])
             p = fit_global(obs, model, 0.25, 1.0)
             assert predict(p, x) == 0.25
 
@@ -173,7 +174,7 @@ class TestOperatorPredictions:
             assert predict_derivative(demo_fit, [x]) == pytest.approx(fd, abs=1e-6)
 
     def test_derivative_zero_at_lone_point_obs(self):
-        obs = ObservationSet([Observation(POINT, np.array([1.0]), 3.0)])
+        obs = observation_set([(POINT, 1.0, 3.0)])
         p = fit_global(obs, M52, 0.0, 1.0)
         assert predict_derivative(p, [1.0]) == 0.0
 
@@ -197,12 +198,8 @@ class TestOperatorPredictions:
             assert predict_average(demo_fit, (a, b)) == pytest.approx(oracle, abs=1e-8)
 
     def test_average_matches_quadrature_gauss2(self):
-        obs = ObservationSet([
-            Observation(POINT, np.array([0.0]), 1.2),
-            Observation(DERIV, np.array([0.7]), -0.5, direction=np.array([1.0])),
-            Observation(AVG, np.array([1.0, 1.8]), 0.9),
-            Observation(POINT, np.array([2.5]), 0.4, error_var=0.1),
-        ])
+        obs = observation_set([(POINT, 0.0, 1.2), (DERIV, 0.7, -0.5, 0.0, 1.0),
+                               (AVG, (1.0, 1.8), 0.9), (POINT, 2.5, 0.4, 0.1)])
         p = fit_global(obs, CorrelationModel("gauss2", 0.6), 0.3, 1.5)
         for (a, b) in [(-1.0, 0.4), (0.9, 2.0), (-3.0, 5.0)]:
             oracle = quad(lambda u: predict(p, [u]), a, b,
@@ -305,21 +302,15 @@ class TestRasterize:
         rng = np.random.default_rng(31)
         model = CorrelationModel("matern52", 0.7, 1.5)
         pts = well_separated_points(rng, 40, 2, 0.0, 6.0, 0.3)
-        obs = ObservationSet([Observation(POINT, p, float(rng.normal(2.0, 1.0)),
-                                          error_var=0.3 if k % 7 == 0 else 0.0)
-                              for k, p in enumerate(pts)])
+        obs = observation_set([(POINT, p, float(rng.normal(2.0, 1.0)), 0.3 if k % 7 == 0 else 0.0)
+                               for k, p in enumerate(pts)])
         self._assert_matches_kriging(obs, model, 2.0, 1.7,
                                      GridSpec((-0.5, 0.3), (6.5, 5.9), (1, n_nodes)))
 
     def test_untapered_1d_operators_match_kriging(self):
-        obs = ObservationSet([
-            Observation(POINT, np.array([0.0]), 1.0),
-            Observation(POINT, np.array([1.1]), 0.4, error_var=0.2),
-            Observation(DERIV, np.array([2.0]), -0.5, direction=np.array([-1.0])),
-            Observation(AVG, np.array([3.0, 3.6]), 0.9),
-            Observation(POINT, np.array([4.2]), 1.6),
-            Observation(DERIV, np.array([5.0]), 0.3),
-            Observation(AVG, np.array([5.5, 7.0]), 2.5),
+        obs = observation_set([
+            (POINT, 0.0, 1.0), (POINT, 1.1, 0.4, 0.2), (DERIV, 2.0, -0.5, 0.0, -1.0),
+            (AVG, (3.0, 3.6), 0.9), (POINT, 4.2, 1.6), (DERIV, 5.0, 0.3), (AVG, (5.5, 7.0), 2.5),
         ])
         for model in (M52, CorrelationModel("gauss2", 0.8)):
             self._assert_matches_kriging(obs, model, 0.5, 1.3, GridSpec.parse("-1,8,45"))
@@ -343,7 +334,7 @@ class TestSparseKernels:
     def test_tapered_queries_equal_dense_kernel_evaluation(self):
         rng = np.random.default_rng(12)
         pts = well_separated_points(rng, 60, 2, 0.0, 8.0, 0.3)
-        obs = ObservationSet([Observation(POINT, p, float(rng.normal(1.0, 1.0))) for p in pts])
+        obs = observation_set([(POINT, p, float(rng.normal(1.0, 1.0))) for p in pts])
         fitted = fit_global(obs, self.TAPERED, 1.0, 2.0)
         nodes = np.concatenate([rng.uniform(-1.0, 9.0, (30, 2)), pts[:3]])
         dense = self.TAPERED.eval(cdist(nodes, pts))
@@ -382,8 +373,8 @@ class TestSparseKernels:
 def level_check_cases():
     """Each fit, global and localized, on an empty and a non-empty 1D set."""
     model = CorrelationModel("matern52", 1.0, 1.5)
-    sets = (ObservationSet([], dim=1),
-            ObservationSet([Observation(POINT, [0.4 * i], np.sin(i)) for i in range(6)]))
+    sets = (observation_set([], 1),
+            observation_set([(POINT, 0.4 * i, np.sin(i)) for i in range(6)]))
     fits = (fit_global, lambda obs, mdl, mu, sigma2: fit_localized(obs, mdl, 2, mu, sigma2))
     return [(fit, obs, model) for fit in fits for obs in sets]
 
@@ -391,7 +382,7 @@ def level_check_cases():
 class TestFitValidation:
     def test_bad_sigma2(self):
         with pytest.raises(ValueError):
-            fit_global(ObservationSet([], dim=1), M52, 0.0, 0.0)
+            fit_global(observation_set([], 1), M52, 0.0, 0.0)
         for fit, obs, model in level_check_cases():
             for sigma2 in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="sigma2 must be a positive finite real"):
@@ -399,7 +390,7 @@ class TestFitValidation:
 
     def test_bad_mu(self):
         with pytest.raises(ValueError):
-            fit_global(ObservationSet([], dim=1), M52, float("nan"), 1.0)
+            fit_global(observation_set([], 1), M52, float("nan"), 1.0)
         for fit, obs, model in level_check_cases():
             for mu in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(ValueError, match="mu must be finite"):
@@ -410,8 +401,8 @@ class TestEstimatedLevels:
     @pytest.mark.parametrize("seed", range(0, 12, 2))
     def test_equal_to_the_levels_of_profile_levels_bitwise(self, seed):
         obs, model, _, _ = random_instance(seed)
-        exact = ObservationSet.from_arrays(obs.kinds, obs.rep_points(), obs.values(),
-                                           np.zeros(obs.m), obs.directions, obs.bounds, obs.dim)
+        exact = ObservationSet(obs.kinds, obs.rep_points(), obs.values(), np.zeros(obs.m),
+                               obs.directions, obs.bounds, obs.dim)
         mu, sigma2, _ = profile_levels(exact, model)
         want = fit_global(exact, model, mu, sigma2)
         for levels in ((None, None), (mu, None)):
@@ -423,12 +414,11 @@ class TestEstimatedLevels:
                                      obs.mean_image())
 
     def test_refusals(self):
-        noisy = ObservationSet([Observation(POINT, [0.0], 1.0, error_var=0.5),
-                                Observation(POINT, [1.0], 2.0)])
+        noisy = observation_set([(POINT, 0.0, 1.0, 0.5), (POINT, 1.0, 2.0)])
         with pytest.raises(EstimationError, match="observation errors"):
             fit_global(noisy, M52, 0.0)
         with pytest.raises(EstimationError, match="empty observation set"):
-            fit_global(ObservationSet([], dim=1), M52, None, 1.0)
-        flat = ObservationSet([Observation(POINT, [float(i)], 0.0) for i in range(4)])
+            fit_global(observation_set([], 1), M52, None, 1.0)
+        flat = observation_set([(POINT, float(i), 0.0) for i in range(4)])
         with pytest.raises(EstimationError, match="estimated sigma2 is not positive"):
             fit_global(flat, M52)
