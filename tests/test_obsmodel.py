@@ -164,8 +164,12 @@ class TestCrossCorrelation:
         obs = observation_set([pt(0.0, error_var=1.0), pt(0.0, error_var=1.0)])
         assert cross_correlation(obs, 1, 1, M52, 1.0) == 2.0
         assert cross_correlation(obs, 1, 1, M52, 4.0) == 1.25
+
+    def test_identical_but_distinct_objects_are_offdiagonal(self):
         # two identical rows are still two observations: off the diagonal, no ratio
+        obs = observation_set([pt(0.0, error_var=1.0), pt(0.0, error_var=1.0)])
         assert cross_correlation(obs, 0, 1, M52, 1.0) == 1.0
+        assert cross_correlation(obs, 1, 0, M52, 4.0) == 1.0
 
     def test_derivative_self_value(self):
         a = dv(2.0)
