@@ -4,7 +4,8 @@ Kernel predictors with finite-range correlation functions, linear-operator
 observations (point values in any dimension; derivatives and interval
 integrals in 1D) and marginal-likelihood parameter inference.  An
 :class:`ObservationSet` holds its observations as columns (kind codes,
-sites, values, error variances, directions, bounds) and is built from them.
+sites, values, error variances, directions, bounds) and is built from them;
+its kind codes are :data:`KIND_CODES`, by the names in :data:`KINDS`.
 ``fit_global`` and ``fit_localized`` both return a
 :class:`KernelPredictor`, which ``predict``, ``predict_variance``,
 ``predict_derivative``, ``predict_average`` and ``rasterize`` take in
@@ -19,7 +20,7 @@ from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
                         estimate_sigma2)
 from .linalg import SparseSymmetric, SpatialIndex, cholesky
 from .localized import approximate_inverse, fit_localized
-from .obsmodel import (AVG, DERIV, POINT, ObservationSet,
+from .obsmodel import (AVG, DERIV, KIND_CODES, KINDS, POINT, ObservationSet,
                        assemble, cross_correlation, kernel_value,
                        kernel_vector, read_observations_csv,
                        write_observations_csv)
@@ -30,7 +31,7 @@ from .predictor import (GridSpec, KernelPredictor, fit_global, kriging_predict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AVG", "DERIV", "POINT",
+    "AVG", "DERIV", "KIND_CODES", "KINDS", "POINT",
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
     "GridSpec", "KernelPredictor",
     "MleResult", "ObservationParseError", "ObservationSet",

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
-                     ObservationParseError)
+                     ObservationParseError, UnsupportedOperatorError)
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import fit_localized
 from .obsmodel import (KIND_CODES, ObservationSet, assemble,
@@ -590,13 +590,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ObservationParseError, ConfigError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, ValueError, KeyError) as exc:
+        with np.errstate(over="raise", invalid="raise"):  # exit 3, not a warning and a NaN
+            return args.func(args)
+    except (ObservationParseError, ConfigError, UnsupportedOperatorError, OSError,
+            ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FactorizationError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"error: {exc}: an input number is too large to compute with", file=sys.stderr)
         return 3
 
 

@@ -109,27 +109,7 @@ class CorrelationModel:
         if self.taper_range is not None:
             _check_scale(self.taper_range, "taper_range")
 
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def finite_range(self) -> bool:
-        return self.taper_range is not None
-
-    @property
-    def smooth_origin(self) -> bool:
-        """True when the correlation is twice differentiable at lag 0.
-
-        Both shipped bases are; the spherical taper introduces a kink at the
-        origin, so tapered models cannot carry derivative observations.
-        """
-        return self.taper_range is None
-
     # -- evaluation ----------------------------------------------------
-
-    def base_eval(self, dist: ArrayLike) -> ArrayLike:
-        if self.base_kind == "matern52":
-            return eval_matern52(dist, self.base_scale)
-        return eval_gauss2(dist, self.base_scale)
 
     def eval(self, dist: ArrayLike) -> ArrayLike:
         """Correlation at Euclidean distance ``dist`` (base times taper)."""
@@ -138,13 +118,18 @@ class CorrelationModel:
     def _eval(self, d: np.ndarray) -> np.ndarray:
         """:meth:`eval` of a float array of distances already checked to be
         finite and non-negative, such as a pair structure's."""
-        base = (_matern52 if self.base_kind == "matern52" else _gauss2)(d, self.base_scale)
+        base = self._base(d)
         return base if self.taper_range is None else base * _spherical(d, self.taper_range)
 
-    # -- signed-lag derivatives (1D operator support) --------------------
+    def _base(self, d: np.ndarray) -> np.ndarray:
+        """The base correlation at checked distances ``d`` (no taper)."""
+        return (_matern52 if self.base_kind == "matern52" else _gauss2)(d, self.base_scale)
+
+    # -- lag derivatives (derivative operators) ---------------------------
 
     def deriv1(self, lag: ArrayLike) -> ArrayLike:
-        """d/dtau of the correlation as a function of the signed 1D lag.
+        """d/dtau of the correlation as a function of the signed 1D lag; at a
+        distance (lag >= 0) it is the slope rho'(d) of any dimension.
 
         Odd function; 0 at lag 0.  For tapered models the true one-sided
         slopes at lag 0 differ, so the symmetric value 0.0 is returned there
@@ -158,10 +143,10 @@ class CorrelationModel:
         base_d1 = self._base_deriv1_abs(a) * s
         if self.taper_range is None:
             return _return_like(lag, base_d1)
-        tap = np.asarray(eval_spherical(a, self.taper_range))
-        tap_d1 = self._spherical_deriv1_abs(a) * s
-        inside = a < self.taper_range
-        val = np.where(inside, base_d1 * tap + np.asarray(self.base_eval(a)) * tap_d1, 0.0)
+        t0 = self.taper_range
+        u = a / t0
+        tap_d1 = -(1.5 / t0) * (1.0 - u * u) * s  # the taper's slope within its range
+        val = np.where(a < t0, base_d1 * _spherical(a, t0) + self._base(a) * tap_d1, 0.0)
         return _return_like(lag, val)
 
     def deriv2(self, lag: ArrayLike) -> ArrayLike:
@@ -189,11 +174,6 @@ class CorrelationModel:
             return -(k * k / 3.0) * (a + k * a * a) * np.exp(-k * a)
         s2 = self.base_scale * self.base_scale
         return -(2.0 * a / s2) * np.exp(-(a * a) / s2)
-
-    def _spherical_deriv1_abs(self, a: np.ndarray) -> np.ndarray:
-        t0 = self.taper_range
-        u = a / t0
-        return np.where(u < 1.0, -(1.5 / t0) * (1.0 - u * u), 0.0)
 
 
 def spot_check_nonneg_definite(

@@ -93,8 +93,9 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image) -> float:
     """Quadratic-form variance estimator with divisor m, through the inverse
     ``s_inv_action`` and with the ``mean_image`` of :func:`estimate_mu`.
 
-    Raises :class:`EstimationError` when the estimate is negative, which an
-    indefinite sparse approximate inverse can give.
+    Raises :class:`EstimationError` when the estimate is negative and finite,
+    which an indefinite sparse approximate inverse can give (an overflow to
+    ``-inf`` is returned, for :func:`_levels` to refuse as not finite).
     """
     act = _as_action(s_inv_action)
     values = np.asarray(values, dtype=float)
@@ -104,7 +105,7 @@ def estimate_sigma2(s_inv_action, values, mu: float, mean_image) -> float:
     a = np.asarray(mean_image, dtype=float)
     resid = values - mu * a
     s2 = float(resid @ act(resid)) / m
-    if s2 < 0.0:
+    if -math.inf < s2 < 0.0:
         raise EstimationError(f"negative variance estimate {s2!r} (indefinite inverse action)")
     return s2
 
@@ -127,11 +128,17 @@ def level_matrix(obs_set: ObservationSet, model: CorrelationModel,
 def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float],
             sigma2: Optional[float]) -> Tuple[float, float]:
     """``mu`` and ``sigma2``, each as given or, where ``None``, its GLS
-    estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`)."""
-    if mu is None:
-        mu = estimate_mu(s_inv, obs_set.values(), obs_set.mean_image())
-    if sigma2 is None:
-        sigma2 = estimate_sigma2(s_inv, obs_set.values(), mu, obs_set.mean_image())
+    estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`).
+    An estimate that overflows (values near the largest float) is an
+    :class:`EstimationError`, not a warning and a non-finite level."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu is None:
+            mu = estimate_mu(s_inv, obs_set.values(), obs_set.mean_image())
+        if sigma2 is None:
+            sigma2 = estimate_sigma2(s_inv, obs_set.values(), mu, obs_set.mean_image())
+    if not (math.isfinite(mu) and math.isfinite(sigma2)):
+        raise EstimationError(f"the estimated levels are not finite (mu {mu!r}, sigma2 "
+                              f"{sigma2!r}): the observed values are too large")
     return mu, sigma2
 
 

@@ -18,10 +18,13 @@ The fit is a :class:`~.predictor.KernelPredictor` whose inverse is Psi, so
 the global predictor's ``predict``, ``predict_variance`` and ``rasterize``
 serve it.  It keeps the correct spatial texture of the model (no
 neighborhood-switching discontinuities) but no longer reproduces exact
-observations perfectly; the mean squared mismatch at exactly observed
-points (the deviation variance) quantifies the approximation and is added
-to the raw localized variance to give a reliable adjusted variance, which
-is what ``predict_variance`` returns.
+observations perfectly.  The mean squared mismatch at the exactly observed
+points (the deviation variance) measures the approximation, and the
+adjusted variance, which ``predict_variance`` returns, is the raw localized
+variance plus it.  It is a mean over the sites, not a per-node bound on the
+localized predictor's error: on values drawn from a Matern-5/2 model (tau
+0.5, taper 1.5) at m=4000 and k=2, it fell below the exact mean squared
+error at 238 of 3600 nodes (by up to 1.9e-9, sigma2 = 1.79).
 """
 
 import math

@@ -10,12 +10,12 @@ file, synthetic sets and the demonstration set fill the columns directly.
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
 inter-correlation entries.  Both are evaluated as arrays, one call per pair
-of observation kinds.  Interval entries have closed forms for both untapered
-bases (Matern-5/2 and gauss2), and derivative entries use the model's
-analytic lag derivatives; only interval entries under a tapered model use
-adaptive quadrature.  (Only :func:`~.predictor.predict_derivative` uses
-finite differences, at dim >= 2: it predicts a derivative, but no
-observation is one.)  Entries that are provably zero under a finite-range
+of observation kinds (:func:`_entries`), and so are the correlations with a
+predicted derivative (in any dimension) or interval integral.  Interval
+entries have closed forms for both untapered bases (Matern-5/2 and gauss2),
+and derivative entries use the model's analytic lag derivatives; only
+interval entries under a tapered model use adaptive quadrature, and no entry
+is a finite difference.  Entries that are provably zero under a finite-range
 model (support separation at or beyond the taper range) are never stored,
 neither in the inter-correlation matrix nor in the kernels of a block of
 query points, which are then a sparse (CSR) matrix of the pairs that one
@@ -288,8 +288,12 @@ def _interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> np.ndarra
     return H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
 
 
-def _require_smooth(model: CorrelationModel):
-    if not model.smooth_origin:
+def _require_smooth(obs_set: ObservationSet, taper_range: Optional[float]):
+    """Refuse a set with a derivative observation under a taper: the spherical
+    taper has a kink at the origin, so the correlation of two derivatives (the
+    second lag derivative) is undefined there.  Checked where a set meets a
+    model, not per entry."""
+    if taper_range is not None and np.any(obs_set.kinds == _D):
         raise UnsupportedOperatorError(
             "derivative observations need a correlation model that is twice "
             "differentiable at the origin; the spherical taper is not"
@@ -301,7 +305,9 @@ def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Opera
     kind code ``kb``, elementwise over their broadcast shape.
 
     The pair is put in kind-code order first, so entries are exactly
-    symmetric.  Derivatives (1D) use the signed-lag derivatives of the model.
+    symmetric.  A point and a derivative along z at sites u and v, distance
+    d, correlate as -rho'(d) ((u - v).z) / d in any dimension (0 at d = 0);
+    the other derivative pairs, like the interval pairs, are 1D.
     """
     if ka > kb:
         return _entries(model, kb, b, ka, a)
@@ -312,14 +318,15 @@ def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Opera
         return _interval_point(model, a.x[..., 0], b.lo, b.hi)
     if pair == (_A, _A):
         return _interval_interval(model, a.lo, a.hi, b.lo, b.hi)
-    _require_smooth(model)
+    if pair == (_P, _D):
+        d = _distances(a.x, b.x)
+        along = sum((a.x[..., k] - b.x[..., k]) * b.z[..., k] for k in range(a.x.shape[-1]))
+        along = np.divide(along, d, out=np.zeros(np.shape(d)), where=d > 0.0)
+        return -model.deriv1(d) * along
     if pair == (_D, _A):
         c = a.x[..., 0]
         return a.z[..., 0] * (model.eval(np.abs(c - b.lo)) - model.eval(np.abs(c - b.hi)))
-    lag = a.x[..., 0] - b.x[..., 0]
-    if pair == (_P, _D):
-        return b.z[..., 0] * -model.deriv1(lag)
-    return a.z[..., 0] * b.z[..., 0] * -model.deriv2(lag)
+    return a.z[..., 0] * b.z[..., 0] * -model.deriv2(a.x[..., 0] - b.x[..., 0])
 
 
 def _correlations(obs_set: ObservationSet, kind: int, ops: _Operators, n: int,
@@ -349,8 +356,6 @@ def _sparse_kernels(obs_set: ObservationSet, block: np.ndarray,
     n, m = block.shape[0], obs_set.m
     if m == 0:
         return sp.csr_matrix((n, 0))
-    if np.any(obs_set.kinds == _D):
-        _require_smooth(model)  # as the dense path, whether or not a derivative is in reach
     reach = model.taper_range + float(obs_set.support_radii().max())
     pairs = cKDTree(block).sparse_distance_matrix(obs_set.rep_tree(), reach,
                                                    output_type="ndarray")
@@ -380,6 +385,7 @@ def kernel_value(obs_set: ObservationSet, x, model: CorrelationModel):
     block = x.reshape(1, -1) if x.ndim <= 1 else x
     if block.ndim != 2 or block.shape[1] != obs_set.dim:
         raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
+    _require_smooth(obs_set, model.taper_range)
     if model.taper_range is not None and x.ndim == 2:
         return _sparse_kernels(obs_set, block, model)
     out = _correlations(obs_set, _P, _Operators(block[:, None, :]), block.shape[0], model)
@@ -400,19 +406,13 @@ def interval_vector(obs_set: ObservationSet, lo: float, hi: float,
     return _correlations(obs_set, _A, probe, 1, model)[0]
 
 
-def kernel_gradient_1d(obs_set: ObservationSet, x: float, model: CorrelationModel) -> np.ndarray:
-    """d/dx of every observation's kernel function at the 1D location ``x`` (analytic)."""
-    lag = x - obs_set.rep_points()[:, 0]
-    out = np.zeros(obs_set.m)
-    pts = obs_set.point_mask()
-    out[pts] = model.deriv1(lag[pts])
-    derivs = obs_set.kinds == KIND_CODES[DERIV]
-    if derivs.any():
-        out[derivs] = obs_set.directions[derivs, 0] * -model.deriv2(lag[derivs])
-    avgs = obs_set.kinds == KIND_CODES[AVG]
-    lo, hi = obs_set.bounds[avgs].T
-    out[avgs] = model.eval(np.abs(x - lo)) - model.eval(np.abs(x - hi))
-    return out
+def derivative_vector(obs_set: ObservationSet, x: np.ndarray, z: np.ndarray,
+                      model: CorrelationModel) -> np.ndarray:
+    """Correlations between every observation of a set and the derivative of
+    the field at the point ``x`` along the unit vector ``z``: the derivatives
+    along z of the observations' kernel functions at x."""
+    probe = _Operators(x.reshape(1, 1, -1), z.reshape(1, 1, -1))
+    return _correlations(obs_set, _D, probe, 1, model)[0]
 
 
 def _support_separations(obs_set: ObservationSet, i, j) -> np.ndarray:
@@ -433,6 +433,7 @@ def cross_correlation(obs_set: ObservationSet, i: int, j: int, model: Correlatio
     """
     if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
         raise ValueError("sigma2_r must be a positive finite real")
+    _require_smooth(obs_set, model.taper_range)
     ka, kb = obs_set.kinds[[i, j]].tolist()
     val = float(_entries(model, ka, _operators(obs_set, ka, i), kb, _operators(obs_set, kb, j)))
     if i == j:
@@ -456,23 +457,25 @@ def over_query_blocks(x, fn):
     return np.concatenate([fn(x[s:s + BLOCK_ROWS]) for s in starts])
 
 
-def _check_duplicate_exact_points(obs_set: ObservationSet, i: np.ndarray, j: np.ndarray):
-    """Reject two exact point observations at one location, among the pairs
-    ``(i[k], j[k])`` in CSR order, ``i >= j``, which must include every point
-    pair at distance zero.
+def _check_duplicate_exact(obs_set: ObservationSet, kind: int, i: np.ndarray, j: np.ndarray):
+    """Reject two exact observations of kind code ``kind`` with one operator
+    (a derivative's sign aside), whose equal (or opposite) rows make the
+    matrix singular, among the pairs ``(i[k], j[k])`` of that kind in CSR
+    order, ``i >= j``, which must include every such pair.
 
-    Names the first observation whose location an earlier one already has,
-    and the first observation at that location.  Coordinates compare with
+    Names the first observation whose operator an earlier one already has,
+    and the first observation with that operator.  Coordinates compare with
     ``==``, so signed zeros count as one location, and two sites whose
     distance underflows to zero do not.
     """
-    exact = obs_set.point_mask() & (obs_set.error_vars() == 0.0)
+    exact = obs_set.error_vars() == 0.0
     both = np.flatnonzero(exact[i] & exact[j] & (i != j))
-    reps = obs_set.rep_points()
-    same = both[np.all(reps[i[both]] == reps[j[both]], axis=1)]
+    ops = obs_set.bounds if kind == _A else obs_set.rep_points()
+    same = both[np.all(ops[i[both]] == ops[j[both]], axis=1)]
     if same.size:
         raise ValueError(
-            f"duplicate exact point observations at one location "
+            f"duplicate exact {KINDS[kind]} observations "
+            f"{'over one interval' if kind == _A else 'at one location'} "
             f"(indices {j[same[0]]} and {i[same[0]]}) make the inter-correlation "
             f"matrix singular"
         )
@@ -489,16 +492,19 @@ class PairStructure:
 
     Each point pair's distance is computed once: where every support is a
     site (dim > 1), it is the support separation of the pair, which also
-    selects the pairs under a taper.  Building the structure looks for
-    duplicate exact points among the coincident point pairs only (distance
-    zero) and checks the distances once, so that :meth:`matrix` evaluates
-    the model on them unchecked.
+    selects the pairs under a taper.  Building the structure refuses a set
+    with a derivative under a taper, looks for duplicate exact points among
+    the coincident point pairs only (distance zero) and for duplicate exact
+    derivatives or intervals among the pairs of their kind, and checks the
+    distances once, so that :meth:`matrix` evaluates the model on them
+    unchecked.
     """
 
     def __init__(self, obs_set: ObservationSet, taper_range: Optional[float]):
         m = obs_set.m
         if m < 1:
             raise ValueError("assemble requires at least one observation")
+        _require_smooth(obs_set, taper_range)
         sep = None  # support separations of the stored pairs, kept where they are distances
         if taper_range is None:
             i, j = np.tril_indices(m)
@@ -526,9 +532,11 @@ class PairStructure:
                 reps = obs_set.rep_points()
                 dist = _distances(reps[i[sel]], reps[j[sel]]) if sep is None else sep[sel]
                 coincident = sel[dist == 0.0]
-                _check_duplicate_exact_points(obs_set, i[coincident], j[coincident])
+                _check_duplicate_exact(obs_set, _P, i[coincident], j[coincident])
                 self._groups.append((sel, _check_dist(dist)))
             else:
+                if ka == kb:  # every pair of one operator is stored: supports meet
+                    _check_duplicate_exact(obs_set, ka, i[sel], j[sel])
                 self._groups.append((sel, ka, _operators(obs_set, ka, i[sel]),
                                      kb, _operators(obs_set, kb, j[sel])))
 

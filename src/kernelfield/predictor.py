@@ -28,8 +28,6 @@ from .inference import gls_levels, level_matrix
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
 
-_FD_STEP_HIGHDIM = 1e-6
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -223,12 +221,12 @@ def _finite_numbers(values, n: int, name: str) -> np.ndarray:
 
 
 def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
-    """Directional derivative of the predictor at the point ``x``.
-
-    1D uses analytic kernel derivatives; higher dimensions use a central
-    finite difference of :func:`predict` along the given direction, scaled
-    to unit length.  ``x`` and ``direction`` must each hold ``dim`` finite
-    numbers (``ValueError``).
+    """Directional derivative of the predictor at the point ``x``, along
+    ``direction`` scaled to unit length (in 1D, +1 by default): the weighted
+    sum of the kernels' derivatives, which are the correlations of the
+    observations with a derivative probe (:func:`~.obsmodel.derivative_vector`),
+    analytic in every dimension.  ``x`` and ``direction`` must each hold
+    ``dim`` finite numbers (``ValueError``).
     """
     q = p.dim
     if direction is None:
@@ -240,14 +238,9 @@ def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
     norm = float(np.linalg.norm(direction))
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
-    direction = direction / norm
     if p.obs.m == 0:
         return 0.0
-    if q == 1:
-        gradients = obsmodel.kernel_gradient_1d(p.obs, float(x[0]), p.model)
-        return float(direction[0]) * float(p.weights @ gradients)
-    h = _FD_STEP_HIGHDIM
-    return (predict(p, x + h * direction) - predict(p, x - h * direction)) / (2.0 * h)
+    return float(p.weights @ obsmodel.derivative_vector(p.obs, x, direction / norm, p.model))
 
 
 def predict_average(p: KernelPredictor, interval) -> float:

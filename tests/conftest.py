@@ -7,9 +7,8 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, SparseSymmetric,
-                         cholesky)
-from kernelfield.obsmodel import KIND_CODES
+from kernelfield import (AVG, DERIV, KIND_CODES, POINT, CorrelationModel, ObservationSet,
+                         SparseSymmetric, cholesky)
 
 
 # Hypothesis's explain phase replays each shrunk failure through pytest's
@@ -88,7 +87,7 @@ def random_instance(seed):
         error_var = float(rng.uniform(0.05, 0.5)) if rng.random() < 0.2 else 0.0
         if dim == 1:
             u = rng.random()
-            if u < 0.15 and model.smooth_origin:
+            if u < 0.15 and model.taper_range is None:
                 observations.append((DERIV, pts[i], float(rng.normal(0.0, 1.0)), error_var,
                                      rng.choice([-1.0, 1.0])))
                 continue

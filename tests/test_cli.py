@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -898,3 +900,170 @@ def test_cli_loads_only_the_scipy_it_uses(tmp_path):
         assert all(seen[name][1] for name in needed), f"{needed} not all loaded after {names}"
         loaded = [name for name in absent if seen[name] == [False, True]]
         assert not loaded, f"{loaded} loaded by {names}"
+
+
+# -- faulty numbers and repeated rows: exit 2 or 3, one error line ----------
+
+def _fault_free_tables():
+    """A valid 1D mixed-operator CSV and a valid 2D point CSV, as rows of
+    fields, each with the models its runs take: (header, rows, models)."""
+    rng = np.random.default_rng(2)
+    ops = []
+    for i, x in enumerate(0.6 * np.arange(12) + rng.uniform(0.0, 0.1, 12)):
+        x, v = repr(float(x)), repr(float(np.sin(x)))
+        ops.append([x, "point", v, "0", "", ""] if i % 3 == 0 else
+                   [x, "deriv", v, "0", "-1" if i % 2 else "1", ""] if i % 3 == 1 else
+                   [x, "avg", v, "0", x, repr(float(x) + 0.3)])
+    points = [[repr(float(a)), repr(float(b)), "point", repr(float(np.cos(a + b))), "0", "", ""]
+              for a, b in rng.uniform(0.0, 4.0, (12, 2))]
+    return [("x1,kind,value,error_var,p1,p2", ops, (UNTAPERED_MODEL, TAPERED_MODEL)),
+            ("x1,x2,kind,value,error_var,p1,p2", points, (TAPERED_MODEL, TAPERED_MODEL))]
+
+
+FAULT_FREE = _fault_free_tables()
+BAD_NUMBERS = ["nan", "inf", "-inf", "1.7e308"]
+
+
+def _csv_text(header, rows):
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _used_fields(row, dim):
+    """The fields of a row that the reader turns into numbers it keeps, with
+    the bad numbers each may take (a deriv row's p1 is a direction, whose
+    size does not matter, so only a non-finite one is a fault)."""
+    kind = row[dim]
+    sites = [] if kind == "avg" else list(range(dim))
+    fields = [(k, BAD_NUMBERS) for k in sites + [dim + 1, dim + 2]]
+    if kind == "deriv":
+        fields.append((dim + 3, BAD_NUMBERS[:3]))
+    if kind == "avg":
+        fields += [(dim + 3, BAD_NUMBERS), (dim + 4, BAD_NUMBERS)]
+    return fields
+
+
+@st.composite
+def faulty_table(draw):
+    """One fault-free table with one number made bad, or one row repeated."""
+    header, rows, models = draw(st.sampled_from(FAULT_FREE))
+    dim = header.split(",").index("kind")
+    rows = [list(row) for row in rows]
+    r = draw(st.integers(0, len(rows) - 1))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[r]))
+    else:
+        field, numbers = draw(st.sampled_from(_used_fields(rows[r], dim)))
+        rows[r][field] = draw(st.sampled_from(numbers))
+    return _csv_text(header, rows), models
+
+
+def _run_commands(tmp, table, models):
+    """The exit codes and standard error of fit (both modes) and infer."""
+    obs = os.path.join(tmp, "obs.csv")
+    with open(obs, "w") as fh:
+        fh.write(table)
+    paths = [os.path.join(tmp, f"model{i}.json") for i in range(2)]
+    for path, model in zip(paths, models):
+        with open(path, "w") as fh:
+            json.dump(model, fh)
+    out = os.path.join(tmp, "p.json")
+    runs = [["fit", "--obs", obs, "--model", paths[0], "--out", out],
+            ["fit", "--obs", obs, "--model", paths[1], "--mode", "localized", "--out", out],
+            ["infer", "--obs", obs, "--model", paths[0]]]
+    results = []
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        results.append((argv[:1] + argv[-2:], rc, err.getvalue()))
+    return results
+
+
+@pytest.mark.parametrize("case", range(len(FAULT_FREE)), ids=["ops-1d", "points-2d"])
+def test_fault_free_tables_run(case):
+    header, rows, models = FAULT_FREE[case]
+    table = _csv_text(header, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = [rc for _, rc, _ in _run_commands(tmp, table, models)]
+    # The 1D set has derivatives, which a tapered (localized) model refuses.
+    assert codes == ([0, 2, 0] if case == 0 else [0, 0, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_table())
+def test_a_bad_number_or_a_repeated_row_exits_2_or_3(fault):
+    table, models = fault
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, rc, err in _run_commands(tmp, table, models):
+            assert rc in (2, 3), (argv, rc, err)
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["fit", "--mode", "localized"], ["infer"],
+                                  ["infer", "--eta-bounds", "0.1,3"]])
+def test_derivatives_under_a_taper_exit_2(tmp_path, capsys, argv):
+    obs = str(tmp_path / "ops.csv")
+    write_observations_csv(obs, operator_set_1d())
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    extra = ["--out", str(tmp_path / "p.json")] if argv[0] == "fit" else []
+    assert main([*argv, "--obs", obs, "--model", model, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: derivative observations need a correlation model that is "
+                          "twice differentiable") and err.count("\n") == 1
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_unwritable_or_unreadable_paths_exit_2(tmp_path, inputs, capsys):
+    too_long = str(tmp_path / ("p" * 300 + ".json"))  # ENAMETOOLONG
+    assert main(["fit", "--obs", inputs[0], "--model", inputs[1], "--out", too_long]) == 2
+    assert "File name too long" in capsys.readouterr().err
+    under_a_file = os.path.join(inputs[0], "x")  # NotADirectoryError
+    assert main(["grid", "--predictor", under_a_file, "--grid", "0,1,3;0,1,3",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [[1.7e308] * 20, [1e200, -1e200] * 10],
+                         ids=["largest", "alternating"])
+def test_overflowing_level_estimates_exit_3(tmp_path, capsys, values):
+    rng = np.random.default_rng(8)
+    sites = rng.uniform(0, 4, (20, 2))
+    obs = write_points(tmp_path / "big.csv",
+                       [(x1, x2, repr(v)) for (x1, x2), v in zip(sites, values)])
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    out = str(tmp_path / "p.json")
+    for argv in (["infer"], ["infer", "--mode", "localized"], ["fit", "--out", out],
+                 ["fit", "--mode", "localized", "--out", out]):
+        assert main([*argv, "--obs", obs, "--model", model]) == 3, argv
+        assert "the estimated levels are not finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_an_overflowing_variance_is_not_called_indefinite(tmp_path):
+    header, rows, models = FAULT_FREE[1]
+    rows = [list(row) for row in rows]
+    rows[4][3] = "1.7e308"  # here the variance's quadratic form overflows to -inf
+    table = _csv_text(header, rows)
+    for argv, rc, err in _run_commands(str(tmp_path), table, models):
+        assert rc == 3 and "the estimated levels are not finite" in err, (argv, err)
+        assert "sigma2 -inf" in err
+
+
+def test_overflowing_levels_are_an_estimation_error():
+    rng = np.random.default_rng(8)
+    obs = ObservationSet(np.zeros(20, dtype=np.int8), rng.uniform(0, 4, (20, 2)),
+                         np.full(20, 1.7e308), np.zeros(20))
+    model = CorrelationModel("matern52", 0.5, 1.5)
+    for fit_fn in (fit_global, lambda o, m: fit_localized(o, m, 2)):
+        with pytest.raises(kernelfield.EstimationError, match="levels are not finite"):
+            fit_fn(obs, model)
+
+
+def test_a_site_too_far_to_compute_with_exits_3(tmp_path, capsys):
+    obs = tmp_path / "far.csv"
+    obs.write_text("x1,kind,value,error_var,p1,p2\n1.7e308,point,1.0,,,\n0.5,point,2.0,,,\n"
+                   "1.5,point,0.5,,,\n")
+    model = write_json(tmp_path / "model.json", UNTAPERED_MODEL)
+    assert infer(str(obs), model) == 3
+    assert capsys.readouterr().err == ("error: overflow encountered in square: an input "
+                                       "number is too large to compute with\n")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.spatial.distance import cdist
 
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationParseError,
-                         ObservationSet, UnsupportedOperatorError, assemble, cholesky,
-                         cross_correlation, kernel_value, kernel_vector,
+import kernelfield.obsmodel
+from kernelfield import (AVG, DERIV, KIND_CODES, KINDS, POINT, CorrelationModel,
+                         ObservationParseError, ObservationSet, UnsupportedOperatorError,
+                         assemble, cholesky, cross_correlation, kernel_value, kernel_vector,
                          read_observations_csv, write_observations_csv)
 from kernelfield.cli import demo_observation_set
-from kernelfield.obsmodel import (KIND_CODES, KINDS, PairStructure, _distances,
-                                  _support_separations)
+from kernelfield.obsmodel import (PairStructure, _distances, _support_separations,
+                                  derivative_vector)
 
 from conftest import observation_set
 
@@ -56,6 +58,12 @@ def separation(a, b):
 
 
 class TestObservationValidation:
+    def test_package_exports_the_kind_codes(self):
+        assert KIND_CODES is kernelfield.obsmodel.KIND_CODES
+        assert [KIND_CODES[k] for k in KINDS] == [0, 1, 2]
+        obs = ObservationSet([KIND_CODES[DERIV]], [[0.5]], [1.0], [0.0], [[-2.0]])
+        assert obs.kinds.tolist() == [1] and obs.directions.tolist() == [[-1.0]]
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="observation 0: unknown observation kind"):
             ObservationSet([5], [[0.0]], [1.0], [0.0])
@@ -144,6 +152,27 @@ class TestKernelValue:
             kernel_of(dv(0.0), [0.5], TAPERED)
         with pytest.raises(UnsupportedOperatorError):  # a sparse block, none in reach
             kernel_vector(observation_set([pt(0.0), dv(1.0)]), [[50.0], [60.0]], TAPERED)
+
+    def test_derivative_set_refused_wherever_it_meets_a_taper(self):
+        obs = observation_set([pt(0.0), dv(1.0), av(2.0, 3.0)])
+        for meet in (lambda: assemble(obs, TAPERED, 1.0),
+                     lambda: PairStructure(obs, TAPERED.taper_range),
+                     lambda: cross_correlation(obs, 0, 2, TAPERED, 1.0),  # no derivative pair
+                     lambda: kernel_value(obs, [9.0], TAPERED)):
+            with pytest.raises(UnsupportedOperatorError, match="twice differentiable"):
+                meet()
+        assert assemble(obs, M52, 1.0).order == 3
+
+    def test_derivative_probe_works_under_a_taper(self):
+        # The probe's own derivative is not an observation: a point set has
+        # kernels that are differentiable away from their sites, and the
+        # symmetric slope 0 at them.
+        obs = observation_set([pt([0.0, 0.0]), pt([0.5, 0.0]), pt([3.0, 3.0])], 2)
+        z = np.array([1.0, 0.0])
+        got = derivative_vector(obs, np.array([0.0, 0.0]), z, TAPERED)
+        assert got[0] == 0.0 and got[2] == 0.0  # at its site; beyond the taper range
+        assert got[1] == pytest.approx(-TAPERED.deriv1(0.5), rel=1e-14)  # toward the site
+
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -358,6 +387,17 @@ class TestAssemble:
         with pytest.raises(ValueError, match=rf"duplicate exact point.*indices {named}\)"):
             assemble(obs, model, 1.0)
 
+    @pytest.mark.parametrize("rows, named", [
+        ([dv(1.0), pt(0.0), dv(1.0, z=-1.0)],
+         "deriv observations at one location (indices 0 and 2)"),
+        ([av(1.0, 2.0), av(1.0, 2.5), av(1.0, 2.0)],
+         "avg observations over one interval (indices 0 and 2)")], ids=["deriv", "avg"])
+    def test_duplicate_exact_operators_rejected(self, rows, named):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate exact {named}")):
+            assemble(observation_set(rows), M52, 1.0)
+        noisy = [row[:3] + (0.1,) + row[4:] for row in rows]  # error variances make it regular
+        assert assemble(observation_set(noisy), M52, 1.0).order == 3
+
     def test_duplicate_with_error_allowed(self):
         obs = observation_set([pt([1.0, 2.0], 1.0), pt([1.0, 2.0], 3.0, error_var=0.5)])
         s = assemble(obs, G2, 1.0)
@@ -519,7 +559,7 @@ class TestKernelVector:
                   rng.uniform(-1, 4, (9, 2)))]
         for obs, model, block in cases:
             got = kernel_vector(obs, block, model)
-            got = got.toarray() if model.finite_range else got
+            got = got.toarray() if model.taper_range is not None else got
             assert got.shape == (block.shape[0], obs.m)
             for row, x in zip(got, block):
                 np.testing.assert_allclose(row, kernel_vector(obs, x, model),
@@ -529,13 +569,13 @@ class TestKernelVector:
     def test_block_matches_per_entry_kernel_value(self, model):
         rng = np.random.default_rng(6)
         rows = [pt(x) for x in rng.uniform(-3, 3, 5)] + [av(-1.0, 0.5), av(1.2, 1.3), av(2.0, 4.5)]
-        if model.smooth_origin:
+        if model.taper_range is None:
             rows += [dv(-0.4), dv(2.1, z=-1.0)]
         obs = observation_set(rows)
         block = np.concatenate([rng.uniform(-5, 5, (9, 1)), [[-1.0], [1.3], [2.0]]])
         expect = [[kernel_of(row, x, model) for row in rows] for x in block]
         got = kernel_vector(obs, block, model)
-        got = got.toarray() if model.finite_range else got
+        got = got.toarray() if model.taper_range is not None else got
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
 
     def test_block_type_by_model(self):

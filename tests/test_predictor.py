@@ -191,6 +191,30 @@ class TestOperatorPredictions:
         fd = (predict(p, x + h * u) - predict(p, x - h * u)) / (2 * h)
         assert predict_derivative(p, x, direction=u) == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("model", [CorrelationModel("matern52", 1.0),
+                                       CorrelationModel("gauss2", 0.8),
+                                       CorrelationModel("matern52", 0.8, 1.5)],
+                             ids=["matern52", "gauss2", "tapered"])
+    def test_derivative_matches_central_difference(self, dim, model):
+        # Analytic in every dimension.  At a site a tapered kernel has a
+        # cone, whose central difference is its symmetric slope 0, as the
+        # derivative's convention; away from the sites both are smooth.
+        rng = np.random.default_rng(dim)
+        sites = well_separated_points(rng, 25, dim, 0.0, 4.0, 0.5)
+        obs = ObservationSet(np.zeros(25, dtype=np.int8), sites, rng.normal(2.0, 1.0, 25),
+                             np.zeros(25))
+        fits = [fit_global(obs, model)]
+        if model.taper_range is not None:
+            fits.append(fit_localized(obs, model, 2))
+        h = 1e-5
+        for p in fits:
+            for x in np.concatenate([rng.uniform(-0.5, 4.5, (12, dim)), sites[:6]]):
+                z = rng.normal(size=dim)
+                fd = (predict(p, x + h * z / np.linalg.norm(z))
+                      - predict(p, x - h * z / np.linalg.norm(z))) / (2 * h)
+                assert predict_derivative(p, x, z) == pytest.approx(fd, abs=1e-8)
+
     def test_average_matches_quadrature(self, demo_fit):
         for (a, b) in [(-1.0, 2.0), (4.5, 6.5), (-9.0, 9.0)]:
             oracle = quad(lambda u: predict(demo_fit, [u]), a, b,
