@@ -12,8 +12,7 @@ its kind codes are :data:`KIND_CODES`, by the names in :data:`KINDS`.
 either mode.
 """
 
-from .corrfn import (CorrelationModel, eval_gauss2, eval_matern52,
-                     eval_spherical, spot_check_nonneg_definite)
+from .corrfn import CorrelationModel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
 from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
@@ -24,9 +23,8 @@ from .obsmodel import (AVG, DERIV, KIND_CODES, KINDS, POINT, ObservationSet,
                        assemble, cross_correlation, kernel_value,
                        kernel_vector, read_observations_csv,
                        write_observations_csv)
-from .predictor import (GridSpec, KernelPredictor, fit_global, kriging_predict,
-                        predict, predict_average, predict_derivative,
-                        predict_variance, rasterize)
+from .predictor import (GridSpec, KernelPredictor, fit_global, predict, predict_average,
+                        predict_derivative, predict_variance, rasterize)
 
 __version__ = "0.1.0"
 
@@ -38,9 +36,8 @@ __all__ = [
     "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
     "approximate_inverse", "assemble", "cholesky",
     "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu",
-    "estimate_sigma2", "eval_gauss2", "eval_matern52", "eval_spherical",
-    "fit_global", "fit_localized", "kernel_value", "kernel_vector",
-    "kriging_predict", "predict", "predict_average", "predict_derivative",
+    "estimate_sigma2", "fit_global", "fit_localized", "kernel_value",
+    "kernel_vector", "predict", "predict_average", "predict_derivative",
     "predict_variance", "rasterize", "read_observations_csv",
-    "spot_check_nonneg_definite", "write_observations_csv",
+    "write_observations_csv",
 ]

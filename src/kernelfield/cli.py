@@ -365,8 +365,7 @@ def cmd_fit(args) -> int:
     if args.mode == "global":
         fitted = fit_global(obs, model, mu, sigma2)
     else:
-        fitted = fit_localized(obs, model, args.k, mu=mu, sigma2=sigma2,
-                               workers=args.workers, count_negative_variance=True)
+        fitted = fit_localized(obs, model, args.k, mu=mu, sigma2=sigma2, workers=args.workers)
     psi = fitted.inverse if fitted.mode == "localized" else None
     summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=fitted.deviation_var,
                    k=fitted.k, delta=fitted.delta,

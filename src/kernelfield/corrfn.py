@@ -15,10 +15,9 @@ sparsity patterns are deterministic.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, UnsupportedOperatorError
 
@@ -49,43 +48,25 @@ def _return_like(dist, value: np.ndarray):
     return float(value) if np.isscalar(dist) or np.ndim(dist) == 0 else value
 
 
-# The formulas alone: their callers check the distances and scales.
+# The formulas alone: their callers check the distances and scales.  Each
+# clips the distance where its exponential is already exactly 0 (exp(-x) is
+# 0 for x above about 745), so that no tiny scale overflows a product on the
+# way there.
 
 def _matern52(d: np.ndarray, tau_m: float) -> np.ndarray:
-    kd = (SQRT5 / tau_m) * d
+    k = SQRT5 / tau_m
+    kd = k * np.minimum(d, 800.0 / k)
     return (1.0 + kd + kd * kd / 3.0) * np.exp(-kd)
 
 
 def _gauss2(d: np.ndarray, scale: float) -> np.ndarray:
-    u = d / scale
+    u = np.minimum(d, 30.0 * scale) / scale
     return np.exp(-(u * u))
 
 
 def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
     u = d / tau0
     return np.where(u < 1.0, (1.0 + 0.5 * u) * (1.0 - u) ** 2, 0.0)
-
-
-def eval_matern52(dist: ArrayLike, tau_m: float) -> ArrayLike:
-    """Matern-5/2 correlation at Euclidean distance ``dist`` with range ``tau_m``.
-
-    ``rho(d) = (1 + k*d + (k*d)^2/3) * exp(-k*d)``, ``k = sqrt(5)/tau_m``.
-    Equals 1 at d = 0 and decays monotonically; scale invariant in d/tau_m.
-    """
-    return _return_like(dist, _matern52(_check_dist(dist), _check_scale(tau_m, "tau_m")))
-
-
-def eval_gauss2(dist: ArrayLike, scale: float) -> ArrayLike:
-    """Second-order exponential correlation ``exp(-(dist/scale)^2)``."""
-    return _return_like(dist, _gauss2(_check_dist(dist), _check_scale(scale, "scale")))
-
-
-def eval_spherical(dist: ArrayLike, tau0: float) -> ArrayLike:
-    """Isotropic spherical correlation with finite range ``tau0``.
-
-    ``(1 + d/(2*tau0)) * (1 - d/tau0)^2`` for ``d < tau0``, exactly 0.0 beyond.
-    """
-    return _return_like(dist, _spherical(_check_dist(dist), _check_scale(tau0, "tau0")))
 
 
 @dataclass(frozen=True)
@@ -174,28 +155,6 @@ class CorrelationModel:
             return -(k * k / 3.0) * (a + k * a * a) * np.exp(-k * a)
         s2 = self.base_scale * self.base_scale
         return -(2.0 * a / s2) * np.exp(-(a * a) / s2)
-
-
-def spot_check_nonneg_definite(
-    model, trials: int, n: int, rng_seed: int, dim: int = 2
-) -> bool:
-    """Empirical non-negative-definiteness check.
-
-    Draws ``n`` uniform locations in the unit box for each of ``trials``
-    seeded trials, forms the n-by-n correlation matrix and returns True iff
-    every minimum eigenvalue is >= -1e-8.  ``model`` may be a
-    ``CorrelationModel`` or any callable mapping distance to correlation.
-    """
-    if trials < 1 or n < 1:
-        raise ValueError("trials and n must be >= 1")
-    fn: Callable = model.eval if isinstance(model, CorrelationModel) else model
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(trials):
-        pts = rng.random((n, dim))
-        mat = np.asarray(fn(cdist(pts, pts)))
-        if np.linalg.eigvalsh(mat).min() < -1e-8:
-            return False
-    return True
 
 
 # -- model configuration (JSON object) ---------------------------------

@@ -113,13 +113,6 @@ class SparseSymmetric:
         indptr = np.append(0, np.cumsum(np.bincount(lo_r, minlength=order)))
         return cls(sp.csr_matrix((vals[csr], lo_c[csr], indptr), shape=(order, order)))
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseSymmetric":
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("dense input must be square")
-        return cls(sp.csr_matrix(np.tril(dense)))
-
     # -- views -----------------------------------------------------------
 
     @property
@@ -263,16 +256,6 @@ class CholeskyFactor:
         """log determinant of A (twice the log-diagonal sum of the factor)."""
         return 2.0 * float(np.sum(np.log(self._diagonal())))
 
-    def reconstruct(self) -> np.ndarray:
-        """A in the original ordering; used by tests."""
-        low = self.lower
-        if self.storage == "band":
-            m = self.order
-            low = sp.diags([low[k, :m - k] for k in range(low.shape[0])],
-                           -np.arange(low.shape[0]), shape=(m, m)).toarray()
-        a_perm = low @ low.T
-        return a_perm[np.ix_(self._inv_perm, self._inv_perm)]
-
 
 def _check_factor_info(info: int, perm: np.ndarray, routine: str):
     if info > 0:
@@ -409,9 +392,6 @@ class SpatialIndex:
         self.points = points
         self.dim = points.shape[1]
         self._tree = cKDTree(points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def neighbors(self, center, radius: float) -> np.ndarray:
         """Sorted indices of all points with Euclidean distance < radius."""

@@ -126,8 +126,7 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
                   mu: Optional[float] = None, sigma2: Optional[float] = None,
-                  workers: int = 1,
-                  count_negative_variance: bool = False) -> KernelPredictor:
+                  workers: int = 1) -> KernelPredictor:
     """Fit the localized predictor with localization range ``k * taper_range``.
 
     ``mu`` and ``sigma2`` default to their GLS estimates through the
@@ -136,8 +135,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     errors, needs them given).  ``workers`` threads gather the stacks of
     neighborhood sub-matrices of :func:`approximate_inverse`; the inversions
     (LAPACK ``dposv``) hold the interpreter lock, so only the gathers overlap.
-    ``count_negative_variance`` sets ``negative_variance_at_obs``: the count
-    of raw variances at the point sites below ``-1e-12 * sigma2``.
+    The predictor's ``negative_variance_at_obs`` is the count of raw
+    variances at the point sites below ``-1e-12 * sigma2``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
@@ -149,25 +148,24 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     if obs_set.m == 0:
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0),
                                SparseSymmetric.from_entries(0, [], [], []), k=k, delta=delta,
-                               negative_variance_at_obs=0 if count_negative_variance else None)
+                               negative_variance_at_obs=0)
 
     mat = level_matrix(obs_set, model, sigma2)
     psi = approximate_inverse(mat, obs_set.rep_points(), delta, workers=workers)
     mu, sigma2, weights = gls_levels(psi, obs_set, mu, sigma2)
     deviation_var, negative = _site_diagnostics(obs_set, model, mat, psi, mu, float(sigma2),
-                                                weights, count_negative_variance)
+                                                weights)
     return KernelPredictor(model, obs_set, mu, sigma2, weights, psi, deviation_var=deviation_var,
                            k=k, delta=delta, negative_variance_at_obs=negative)
 
 
 def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSymmetric,
-                      psi: SparseSymmetric, mu: float, sigma2: float, weights: np.ndarray,
-                      count_negative_variance: bool):
+                      psi: SparseSymmetric, mu: float, sigma2: float, weights: np.ndarray):
     """The deviation variance (mean squared mismatch between the exact point
-    values and their localized predictions) and, if asked, the count of raw
-    variances at the point sites that are negative beyond round-off (None if
-    not).  A point site's kernels are its row of ``S`` = R + diag(error_var /
-    sigma2_r), with its own entry set to the lag-0 correlation."""
+    values and their localized predictions) and the count of raw variances at
+    the point sites that are negative beyond round-off.  A point site's
+    kernels are its row of ``S`` = R + diag(error_var / sigma2_r), with its own
+    entry set to the lag-0 correlation."""
     points = np.flatnonzero(obs.point_mask())
     kernels = S.full()[points]
     own = kernels.indices == np.repeat(points, np.diff(kernels.indptr))
@@ -175,8 +173,6 @@ def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSym
     exact = obs.error_vars()[points] == 0.0
     err = obs.values()[points][exact] - (mu + kernels @ weights)[exact]
     deviation_var = float(np.mean(err * err)) if exact.any() else 0.0
-    if not count_negative_variance:
-        return deviation_var, None
     raw = sigma2 * (1.0 - psi.quadratic_forms(kernels.T))
     return deviation_var, int(np.count_nonzero(raw < -1e-12 * sigma2))
 

@@ -9,10 +9,10 @@ global fit here, or the sparse approximate inverse Psi of the localized fit
 (:mod:`.localized`).  One type, :class:`KernelPredictor`, holds either, and
 :func:`predict`, :func:`predict_variance` and :func:`rasterize` serve both.
 
-The pointwise Kriging construction (one weight solve per query location) is
-kept alongside as an independent cross-check; it and the global predictor
-are mathematically identical and the test suite holds them to near machine
-agreement.
+The pointwise Kriging construction (one weight solve per query location),
+its independent cross-check, lives with the tests (``tests/oracles.py``):
+it and the global predictor are mathematically identical, and the test suite
+holds them to near machine agreement.
 """
 
 import math
@@ -26,7 +26,7 @@ from .corrfn import CorrelationModel
 from .errors import EstimationError
 from .inference import gls_levels, level_matrix
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
-from .obsmodel import ObservationSet, assemble, kernel_vector, over_query_blocks
+from .obsmodel import ObservationSet, kernel_vector, over_query_blocks
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ class KernelPredictor:
     the sparse approximate inverse Psi for the localized fit.  The localized
     fit alone sets ``k`` and ``delta = k * taper_range``, so a predictor is
     localized exactly when ``k`` is not None; it also sets ``deviation_var``
-    (0 for the global fit) and, when asked to, ``negative_variance_at_obs``:
-    the count of raw variances at the point sites below ``-1e-12 * sigma2``
-    (None otherwise, and on a predictor loaded from file).  Under a
+    (0 for the global fit) and ``negative_variance_at_obs``: the count of raw
+    variances at the point sites below ``-1e-12 * sigma2`` (None for the
+    global fit and on a predictor loaded from file).  Under a
     finite-range model each block of query points finds the observations
     within reach with one k-d tree pair query, and its kernels are a sparse
     matrix of those pairs.
@@ -188,27 +188,6 @@ def predict_variance(p: KernelPredictor, x):
     variance is sigma2."""
     return over_query_blocks(
         x, lambda block: _variances(p, kernel_vector(p.obs, block, p.model))[-1])
-
-
-def kriging_predict(obs_set: ObservationSet, model: CorrelationModel, mu: float,
-                    sigma2: float, x, assembled: Optional[SparseSymmetric] = None
-                    ) -> Tuple[float, float]:
-    """Pointwise best-linear-unbiased prediction and variance at ``x``.
-
-    Solves for a per-location weight vector with a plain dense LU solve,
-    independent of the kernel predictor's factorization path; serves as the
-    equivalence oracle.  ``assembled`` optionally reuses a precomputed
-    inter-correlation matrix when querying many locations.
-    """
-    if obs_set.m == 0:
-        return mu, sigma2
-    mat = assembled if assembled is not None else assemble(obs_set, model, sigma2)
-    dense = mat.to_dense()
-    nu = kernel_vector(obs_set, x, model)
-    alpha_x = np.linalg.solve(dense, nu)
-    pred = mu + float(alpha_x @ (obs_set.values() - mu * obs_set.mean_image()))
-    var = sigma2 * (1.0 - float(alpha_x @ dense @ alpha_x))
-    return pred, var
 
 
 def _finite_numbers(values, n: int, name: str) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared generators for seeded random test instances."""
+"""Shared generators for seeded random test instances.  The reference
+implementations the tests compare against are in ``oracles.py``."""
 
 import math
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from kernelfield import (AVG, DERIV, KIND_CODES, POINT, CorrelationModel, ObservationSet,
-                         SparseSymmetric, cholesky)
+from kernelfield import AVG, DERIV, KIND_CODES, POINT, CorrelationModel, ObservationSet, cholesky
+
+from oracles import from_dense
 
 
 # Hypothesis's explain phase replays each shrunk failure through pytest's
@@ -54,7 +56,7 @@ def well_separated_points(rng, m, dim, lo, hi, min_sep):
 
 def dense_factor(a):
     """The Cholesky factor of a dense SPD array, held densely in natural order."""
-    return cholesky(SparseSymmetric.from_dense(a), None)
+    return cholesky(from_dense(a), None)
 
 
 def random_instance(seed):

@@ -1,0 +1,97 @@
+"""Reference implementations the tests hold the package to.
+
+The program runs none of these.  Each computes by the plain route what the
+package computes another way: the pointwise Kriging predictor, the closed
+forms of the correlation functions as the ``corrfn`` docstring writes them,
+an eigenvalue check of non-negative definiteness, and the dense matrix
+behind a sparse one or a Cholesky factor.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.spatial.distance import cdist
+
+from kernelfield import CorrelationModel, SparseSymmetric, assemble, kernel_vector
+
+
+# -- correlation functions, with no clipping: inf or nan where a product
+# overflows, so a comparison keeps only the finite values.
+
+def matern52(d, tau_m):
+    """``(1 + k*d + (k*d)^2/3) * exp(-k*d)`` with ``k = sqrt(5)/tau_m``."""
+    with np.errstate(all="ignore"):
+        kd = (math.sqrt(5.0) / tau_m) * np.asarray(d, dtype=float)
+        return (1.0 + kd + kd ** 2 / 3.0) * np.exp(-kd)
+
+
+def gauss2(d, scale):
+    """``exp(-(d/scale)^2)``."""
+    with np.errstate(all="ignore"):
+        return np.exp(-(np.asarray(d, dtype=float) / scale) ** 2)
+
+
+def spherical(d, tau0):
+    """``(1 + d/(2*tau0)) * (1 - d/tau0)^2`` for ``d < tau0``, 0 beyond."""
+    d = np.asarray(d, dtype=float)
+    return np.where(d < tau0, (1.0 + d / (2.0 * tau0)) * (1.0 - d / tau0) ** 2, 0.0)
+
+
+def spot_check_nonneg_definite(model, trials: int, n: int, rng_seed: int, dim: int = 2) -> bool:
+    """Empirical non-negative-definiteness check.
+
+    Draws ``n`` uniform locations in the unit box for each of ``trials``
+    seeded trials, forms the n-by-n correlation matrix and returns True iff
+    every minimum eigenvalue is >= -1e-8.  ``model`` may be a
+    ``CorrelationModel`` or any callable mapping distance to correlation.
+    """
+    if trials < 1 or n < 1:
+        raise ValueError("trials and n must be >= 1")
+    fn = model.eval if isinstance(model, CorrelationModel) else model
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(trials):
+        pts = rng.random((n, dim))
+        mat = np.asarray(fn(cdist(pts, pts)))
+        if np.linalg.eigvalsh(mat).min() < -1e-8:
+            return False
+    return True
+
+
+def kriging_predict(obs_set, model, mu: float, sigma2: float, x, assembled=None):
+    """Pointwise best-linear-unbiased prediction and variance at ``x``.
+
+    Solves for a per-location weight vector with a plain dense LU solve,
+    independent of the kernel predictor's factorization path.  ``assembled``
+    optionally reuses a precomputed inter-correlation matrix when querying
+    many locations.
+    """
+    if obs_set.m == 0:
+        return mu, sigma2
+    mat = assembled if assembled is not None else assemble(obs_set, model, sigma2)
+    dense = mat.to_dense()
+    nu = kernel_vector(obs_set, x, model)
+    alpha_x = np.linalg.solve(dense, nu)
+    pred = mu + float(alpha_x @ (obs_set.values() - mu * obs_set.mean_image()))
+    var = sigma2 * (1.0 - float(alpha_x @ dense @ alpha_x))
+    return pred, var
+
+
+def from_dense(dense) -> SparseSymmetric:
+    """The :class:`SparseSymmetric` of a square array's lower triangle."""
+    dense = np.asarray(dense, dtype=float)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise ValueError("dense input must be square")
+    return SparseSymmetric(sp.csr_matrix(np.tril(dense)))
+
+
+def reconstruct(factor) -> np.ndarray:
+    """The matrix a :class:`CholeskyFactor` factors, ``L L'`` in the original
+    order, from its dense or band storage."""
+    low = factor.lower
+    if factor.storage == "band":
+        m = factor.order
+        low = sp.diags([low[k, :m - k] for k in range(low.shape[0])],
+                       -np.arange(low.shape[0]), shape=(m, m)).toarray()
+    inv_perm = np.argsort(factor.perm)
+    return (low @ low.T)[np.ix_(inv_perm, inv_perm)]

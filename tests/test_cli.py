@@ -385,8 +385,7 @@ def test_save_load_save_is_byte_identical(tmp_path, mode):
 
 def test_localized_site_diagnostics(tmp_path, capsys):
     obs = mixed_1d_set()
-    fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3, count_negative_variance=True)
-    assert fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3).negative_variance_at_obs is None
+    fitted = fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)
     points = obs.point_mask()
     exact = points & (obs.error_vars() == 0.0)
     assert exact.sum() < points.sum()
@@ -1067,3 +1066,46 @@ def test_a_site_too_far_to_compute_with_exits_3(tmp_path, capsys):
     assert infer(str(obs), model) == 3
     assert capsys.readouterr().err == ("error: overflow encountered in square: an input "
                                        "number is too large to compute with\n")
+
+
+@pytest.mark.parametrize("kind", ["gauss2", "matern52"])
+def test_a_tiny_model_scale_leaves_the_sites_uncorrelated(tmp_path, capsys, kind):
+    # Every correlation between distinct sites is exactly 0, so the levels are
+    # the sample mean and the variance with divisor m.
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=20)
+    obs = write_points(tmp_path / "obs.csv", [(x1, x2, repr(float(v))) for (x1, x2), v
+                                              in zip(rng.uniform(0, 4, (20, 2)), values)])
+    model = write_json(tmp_path / "model.json", {"base": {"kind": kind, "scale": 1e-160}})
+    assert infer(obs, model) == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["mu"] == pytest.approx(values.mean(), rel=1e-12)
+    assert doc["sigma2"] == pytest.approx(np.var(values), rel=1e-12)
+
+
+PUBLIC_NAMES = [
+    "AVG", "ConfigError", "CorrelationModel", "DERIV", "EstimationError",
+    "FactorizationError", "GridSpec", "KINDS", "KIND_CODES", "KernelPredictor", "MleResult",
+    "ObservationParseError", "ObservationSet", "POINT", "SparseSymmetric", "SpatialIndex",
+    "UnsupportedOperatorError", "approximate_inverse", "assemble", "cholesky",
+    "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu", "estimate_sigma2",
+    "fit_global", "fit_localized", "kernel_value", "kernel_vector", "predict",
+    "predict_average", "predict_derivative", "predict_variance", "rasterize",
+    "read_observations_csv", "write_observations_csv",
+]
+
+
+def test_the_package_exports_only_what_the_program_runs():
+    from kernelfield import corrfn, linalg, predictor
+    assert sorted(kernelfield.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(kernelfield, name) is not None
+    # The reference implementations the tests use live in tests/oracles.py.
+    moved = ["eval_gauss2", "eval_matern52", "eval_spherical", "spot_check_nonneg_definite"]
+    for owner, names in [(kernelfield, moved + ["kriging_predict"]), (corrfn, moved),
+                         (predictor, ["kriging_predict"]),
+                         (linalg.SparseSymmetric, ["from_dense"]),
+                         (linalg.CholeskyFactor, ["reconstruct"]),
+                         (linalg.SpatialIndex, ["__len__"])]:
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelfield import (CorrelationModel, UnsupportedOperatorError,
-                         eval_gauss2, eval_matern52, eval_spherical,
-                         spot_check_nonneg_definite)
+from kernelfield import CorrelationModel, UnsupportedOperatorError
+from kernelfield.corrfn import _spherical
+
+import oracles
+from oracles import spot_check_nonneg_definite
 
 # frozen from 50-digit evaluation of the closed forms
 MATERN52_AT_1 = 0.52399410883182031
@@ -18,16 +20,24 @@ def taper_model(kind="gauss2", scale=0.5, tau0=1.0):
     return CorrelationModel(kind, scale, tau0)
 
 
+def matern52(d, tau_m):
+    return CorrelationModel("matern52", tau_m).eval(d)
+
+
+def gauss2(d, scale):
+    return CorrelationModel("gauss2", scale).eval(d)
+
+
 class TestMatern52:
     def test_origin(self):
-        assert eval_matern52(0.0, 1.0) == 1.0
+        assert matern52(0.0, 1.0) == 1.0
 
     def test_reference_value(self):
-        assert eval_matern52(1.0, 1.0) == pytest.approx(MATERN52_AT_1, abs=1e-15)
+        assert matern52(1.0, 1.0) == pytest.approx(MATERN52_AT_1, abs=1e-15)
 
     def test_scale_invariance_examples(self):
         for t in [0.3, 1.0, 2.7, 9.9]:
-            assert eval_matern52(t, 3.0) == pytest.approx(eval_matern52(t / 3.0, 1.0), abs=1e-14)
+            assert matern52(t, 3.0) == pytest.approx(matern52(t / 3.0, 1.0), abs=1e-14)
 
     @given(
         st.floats(min_value=0.0, max_value=5.0),
@@ -36,50 +46,54 @@ class TestMatern52:
     )
     @settings(max_examples=200, deadline=None)
     def test_scale_invariance_property(self, d, tau, c):
-        assert abs(eval_matern52(d, c * tau) - eval_matern52(d / c, tau)) <= 1e-14
+        assert abs(matern52(d, c * tau) - matern52(d / c, tau)) <= 1e-14
 
     def test_vectorized(self):
         d = np.linspace(0, 5, 11)
-        v = eval_matern52(d, 1.0)
+        v = matern52(d, 1.0)
         assert v.shape == d.shape
         assert v[0] == 1.0 and np.all((v >= 0) & (v <= 1))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            eval_matern52(-0.1, 1.0)
+            matern52(-0.1, 1.0)
         with pytest.raises(ValueError):
-            eval_matern52(float("nan"), 1.0)
+            matern52(float("nan"), 1.0)
         with pytest.raises(ValueError):
-            eval_matern52(1.0, 0.0)
+            CorrelationModel("matern52", 0.0)
         with pytest.raises(ValueError):
-            eval_matern52(1.0, float("inf"))
+            CorrelationModel("matern52", float("inf"))
 
 
 class TestGauss2:
     def test_origin(self):
-        assert eval_gauss2(0.0, 0.5) == 1.0
+        assert gauss2(0.0, 0.5) == 1.0
 
     def test_reference_value(self):
-        assert eval_gauss2(0.5, 0.5) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert gauss2(0.5, 0.5) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_tail_decay(self):
-        assert eval_gauss2(10.0, 0.5) < 1e-170
+        assert gauss2(10.0, 0.5) < 1e-170
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            eval_gauss2(1.0, -1.0)
+            CorrelationModel("gauss2", -1.0)
 
 
 class TestSpherical:
     def test_origin(self):
-        assert eval_spherical(0.0, 1.0) == 1.0
+        assert _spherical(np.float64(0.0), 1.0) == 1.0
 
     def test_boundary_exact_zero(self):
-        assert eval_spherical(1.0, 1.0) == 0.0
-        assert eval_spherical(1.5, 1.0) == 0.0
+        assert _spherical(np.float64(1.0), 1.0) == 0.0
+        assert _spherical(np.float64(1.5), 1.0) == 0.0
 
     def test_interior_value(self):
-        assert eval_spherical(0.5, 1.0) == pytest.approx(0.3125, abs=1e-15)
+        assert _spherical(np.float64(0.5), 1.0) == pytest.approx(0.3125, abs=1e-15)
+        d = np.linspace(0.0, 3.0, 301)
+        for tau0 in (0.3, 1.0, 2.5):
+            np.testing.assert_allclose(_spherical(d, tau0), oracles.spherical(d, tau0),
+                                       rtol=1e-14, atol=1e-16)
 
 
 class TestModelEval:
@@ -115,6 +129,28 @@ class TestModelEval:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CorrelationModel("cubic", 1.0)
+
+
+class TestExtremeScales:
+    """Where the scaled distance is past the point at which the exponential
+    is exactly 0, no product on the way there overflows, however small the
+    scale.  Underflow is not an error: it is how the tail reaches 0."""
+
+    @given(st.sampled_from(["matern52", "gauss2"]), st.floats(-300.0, 3.0),
+           st.lists(st.floats(0.0, 1e150), max_size=10),
+           st.lists(st.floats(0.0, 60.0), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_eval_raises_nothing_and_matches_the_closed_form(self, kind, log_scale, dists,
+                                                             ratios):
+        scale = 10.0 ** log_scale
+        d = np.array(dists + [scale * r for r in ratios])  # raw, and near the cut
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = CorrelationModel(kind, scale).eval(d)
+        assert np.all((got >= 0.0) & (got <= 1.0 + np.finfo(float).eps))
+        want = getattr(oracles, kind)(d, scale)
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14,
+                                   atol=np.finfo(float).tiny)
 
 
 class TestDerivatives:
@@ -154,7 +190,7 @@ class TestSpotCheck:
         assert spot_check_nonneg_definite(model, trials=20, n=15, rng_seed=7)
 
     def test_spherical_alone_is_nonneg_definite(self):
-        assert spot_check_nonneg_definite(lambda d: eval_spherical(d, 0.8),
+        assert spot_check_nonneg_definite(lambda d: _spherical(d, 0.8),
                                           trials=10, n=20, rng_seed=3)
 
     def test_invalid_function_fails(self):

@@ -15,6 +15,7 @@ from kernelfield.linalg import CholeskyFactor, SparseSymmetric
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import dense_factor, observation_set, well_separated_points
+from oracles import from_dense
 
 
 def spd_action(rng, n):
@@ -25,7 +26,7 @@ def spd_action(rng, n):
 
 def product_action(a):
     """``a`` applied by multiplication, as a sparse approximate inverse is."""
-    return SparseSymmetric.from_dense(a)
+    return from_dense(a)
 
 
 def spaced_point_set(rng, m, min_sep=0.5, values=None):

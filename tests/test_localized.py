@@ -12,6 +12,7 @@ from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
 
 from conftest import observation_set
+from oracles import from_dense
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
 G2T = CorrelationModel("gauss2", 0.5, 1.0)
@@ -81,7 +82,7 @@ class TestApproximateInverse:
         dense = np.eye(5)
         dense[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
         with pytest.raises(FactorizationError) as exc:
-            approximate_inverse(SparseSymmetric.from_dense(dense), pts, 0.5, workers=workers)
+            approximate_inverse(from_dense(dense), pts, 0.5, workers=workers)
         assert exc.value.pivot_index == 1
 
     def test_site_exactly_delta_away_is_outside(self):
@@ -241,7 +242,7 @@ class TestSitePass:
     @settings(max_examples=40, deadline=None)
     def test_rows_of_the_matrix_give_the_kernel_path_figures(self, case):
         obs, model = case
-        f = fit_localized(obs, model, 2, sigma2=1.3, count_negative_variance=True)
+        f = fit_localized(obs, model, 2, sigma2=1.3)
         points = obs.point_mask()
         sites = obs.rep_points()[points]
         exact = obs.error_vars()[points] == 0.0

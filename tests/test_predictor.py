@@ -14,13 +14,14 @@ import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
                          ObservationSet, assemble, cholesky, estimate_mu,
-                         fit_global, fit_localized, kriging_predict, predict,
-                         predict_average, predict_derivative, predict_variance, rasterize)
+                         fit_global, fit_localized, predict, predict_average,
+                         predict_derivative, predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
 from kernelfield.inference import level_matrix, profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
 from conftest import mixed_1d_lattice, observation_set, random_instance, well_separated_points
+from oracles import kriging_predict
 
 M52 = CorrelationModel("matern52", 1.0)
 
