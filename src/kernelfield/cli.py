@@ -60,9 +60,10 @@ def _load_model_file(path):
 
 
 def _check_counts(args):
-    """ConfigError unless ``--k`` and ``--workers`` are positive."""
-    if args.k < 1:
-        raise ConfigError("k must be a positive integer")
+    """ConfigError unless ``--k`` (at most ``sys.maxsize``, as a predictor file's
+    k) and ``--workers`` are positive."""
+    if not 1 <= args.k <= sys.maxsize:
+        raise ConfigError(f"k must be a positive integer no larger than {sys.maxsize}")
     if args.workers < 1:
         raise ConfigError("--workers must be a positive integer")
 

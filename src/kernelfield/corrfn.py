@@ -14,6 +14,7 @@ sparsity patterns are deterministic.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,9 +39,12 @@ def _check_dist(dist) -> np.ndarray:
 
 
 def _check_scale(scale, name) -> float:
+    """A scale from the smallest normal float up: below it sqrt(5)/scale, the
+    Matern-5/2 rate, overflows."""
     s = float(scale)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"{name} must be a positive finite real, got {scale!r}")
+    if not math.isfinite(s) or s < sys.float_info.min:
+        raise ValueError(f"{name} must be a finite real of at least {sys.float_info.min!r}, "
+                         f"got {scale!r}")
     return s
 
 
@@ -65,8 +69,8 @@ def _gauss2(d: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
-    u = d / tau0
-    return np.where(u < 1.0, (1.0 + 0.5 * u) * (1.0 - u) ** 2, 0.0)
+    u = np.minimum(d, tau0) / tau0  # 1, and the taper exactly 0, from tau0 on
+    return (1.0 + 0.5 * u) * (1.0 - u) ** 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ class CorrelationModel:
         if self.taper_range is None:
             return _return_like(lag, base_d1)
         t0 = self.taper_range
-        u = a / t0
+        u = np.minimum(a, t0) / t0
         tap_d1 = -(1.5 / t0) * (1.0 - u * u) * s  # the taper's slope within its range
         val = np.where(a < t0, base_d1 * _spherical(a, t0) + self._base(a) * tap_d1, 0.0)
         return _return_like(lag, val)

@@ -28,6 +28,7 @@ error at 238 of 3600 nodes (by up to 1.9e-9, sigma2 = 1.79).
 """
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -140,8 +141,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
+    if int(k) != k or not 1 <= k <= sys.maxsize:  # the bound a predictor file's k keeps
+        raise ValueError(f"k must be a positive integer no larger than {sys.maxsize}")
     _check_levels(mu, sigma2, obs_set.m)
     k, delta = int(k), float(k) * model.taper_range
 

@@ -12,20 +12,14 @@ between the field at ``x`` and the observed quantity) and pairwise
 inter-correlation entries.  Both are evaluated as arrays, one call per pair
 of observation kinds (:func:`_entries`), and so are the correlations with a
 predicted derivative (in any dimension) or interval integral.  Interval
-entries have closed forms for both untapered bases (Matern-5/2 and gauss2),
-and derivative entries use the model's analytic lag derivatives; only
-interval entries under a tapered model use adaptive quadrature, and no entry
-is a finite difference.  Entries that are provably zero under a finite-range
-model (support separation at or beyond the taper range) are never stored,
-neither in the inter-correlation matrix nor in the kernels of a block of
-query points, which are then a sparse (CSR) matrix of the pairs that one
-k-d tree query finds within reach (a dense array without a taper).
-
-``scipy.integrate`` is imported by the two quadrature routines, on the first
-tapered interval entry, not with this module: with the ``scipy.optimize`` it
-imports, it adds about 12 MB of resident memory and 0.2 s to the start-up of
-a process that has no such entry.  ``tests/test_cli.py`` fails if it is
-imported at the top again.
+entries are closed forms for every model (:func:`_base_integrals`; under a
+taper, incomplete gamma functions), derivative entries use the model's
+analytic lag derivatives, and no entry is a quadrature or a finite
+difference.  Entries that are provably zero under a finite-range model
+(support separation at or beyond the taper range) are exact zeros and are
+never stored, neither in the inter-correlation matrix nor in the kernels of
+a block of query points, which are then a sparse (CSR) matrix of the pairs
+that one k-d tree query finds within reach (a dense array without a taper).
 """
 
 import csv
@@ -36,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.special import erf
+from scipy.special import erf, gamma, gammainc
 
 from .corrfn import SQRT5, CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
@@ -56,7 +50,6 @@ _P, _D, _A = (KIND_CODES[k] for k in KINDS)
 # variance's forward solve, while keeping per-block overhead small.
 BLOCK_ROWS = 256
 
-QUAD_ABS_TOL = 1e-12  # keeps quadrature entries good to ~1e-10 after combination
 _CSV_FIELDS = ["kind", "value", "error_var", "p1", "p2"]  # after the site columns x1..xq
 
 
@@ -199,20 +192,53 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _base_integrals(model: CorrelationModel):
-    """Closed-form integrals of the untapered base, as functions of a signed lag array.
+    """Closed-form integrals of the correlation, as functions of a signed lag array.
 
     Returns the odd antiderivative F(t) = int_0^t rho and the even double
-    antiderivative H(t) = int_0^t F, or ``None`` under a taper.  With a = |t|:
+    antiderivative H(t) = int_0^t F.  With a = |t|, for the untapered bases:
 
     * Matern-5/2, k = sqrt(5)/tau_m:
       F = (k/3) (8/k^2 - (8/k^2 + 5a/k + a^2) e^{-ka}),
       H = 8a/(3k) - 5/k^2 + (15/k^2 + 7a/k + a^2) e^{-ka} / 3;
     * gauss2 with scale s (erf integrals, Abramowitz & Stegun 7.1, 7.4):
       F = (s sqrt(pi)/2) erf(t/s),  H = t F(t) + (s^2/2) (e^{-(t/s)^2} - 1).
+
+    The spherical taper is the cubic 1 - 1.5 u/tau0 + 0.5 (u/tau0)^3 below
+    tau0 (Furrer, Genton & Nychka 2006), so under it F = b_0 - 1.5 b_1 +
+    0.5 b_3 and H = a F - tau0 (b_1 - 1.5 b_2 + 0.5 b_4), with the base's
+    moments b_n = int_0^c (u/tau0)^n rho_base(u) du at c = min(a, tau0).
+    Each is l (l/tau0)^n, for a base length l (1/k, or s), times regularized
+    lower incomplete gamma functions P of c/l (Abramowitz & Stegun 6.5), so
+    no huge factor meets a tiny one.  c/l is clipped where P is 1, and l at
+    1e8 tau0, past which the base is 1 to rounding on [0, tau0].
     """
-    if model.taper_range is not None:
-        return None
     s = model.base_scale
+    if model.taper_range is not None:
+        tau0 = model.taper_range
+        matern = model.base_kind == "matern52"
+        # tau0^n b_n is sum_j a_j (n+j)! P(n+j+1, kc) / k^(n+1) with a = (1, 1, 1/3)
+        # for Matern-5/2, and s^(n+1) Gamma((n+1)/2) P((n+1)/2, (c/s)^2) / 2 for gauss2.
+        length = min(s, 1e8 * tau0) / (SQRT5 if matern else 1.0)
+        c_max = min(tau0, (800.0 if matern else 30.0) * length)
+
+        def moments(t):  # |t|, and b_0..b_4 on a new first axis
+            a = np.abs(t)
+            x = np.minimum(a, c_max) / length
+            n = np.arange(7.0).reshape(-1, *[1] * x.ndim)
+            if matern:
+                q = gamma(n + 1.0) * gammainc(n + 1.0, x)
+                g = q[:5] + q[1:6] + q[2:] / 3.0
+            else:
+                g = 0.5 * gamma(0.5 * n[:5] + 0.5) * gammainc(0.5 * n[:5] + 0.5, x * x)
+            return a, length * (length / tau0) ** n[:5] * g
+
+        def taper(b):
+            return b[0] - 1.5 * b[1] + 0.5 * b[3]
+
+        def H(t):
+            a, b = moments(t)
+            return a * taper(b) - tau0 * taper(b[1:])
+        return (lambda t: np.sign(t) * taper(moments(t)[1])), H
     if model.base_kind == "matern52":
         k = SQRT5 / s
 
@@ -231,61 +257,22 @@ def _base_integrals(model: CorrelationModel):
     return (lambda t: np.sign(t) * F0(np.abs(t))), (lambda t: H0(np.abs(t)))
 
 
-# -- quadrature for tapered interval entries --------------------------------
-
-def _quad_interval_point(model: CorrelationModel, x: float, lo: float, hi: float) -> float:
-    from scipy.integrate import quad  # deferred: see the module docstring
-    tau0 = model.taper_range  # breakpoints at the kernel's kinks
-    pts = [p for p in (x - tau0, x, x + tau0) if lo < p < hi]
-    return quad(lambda u: model.eval(abs(x - u)), lo, hi, points=pts or None, limit=200,
-                epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)[0]
-
-
-def _quad_interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> float:
-    # Reduce the double integral over two intervals to one lag integral:
-    # int int rho(u - v) dv du = int rho(t) * overlap(t) dt, where overlap(t)
-    # is the length of [lo1, hi1] meeting [lo2 + t, hi2 + t].
-    from scipy.integrate import quad  # deferred: see the module docstring
-    a, b = lo1 - hi2, hi1 - lo2
-    tau0 = model.taper_range
-
-    def integrand(t):
-        w = min(hi1, hi2 + t) - max(lo1, lo2 + t)
-        return model.eval(abs(t)) * w if w > 0.0 else 0.0
-
-    pts = sorted({p for p in (lo1 - lo2, hi1 - hi2, 0.0, -tau0, tau0) if a < p < b})
-    return quad(integrand, a, b, points=pts or None, limit=200,
-                epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)[0]
-
-
-def _quadrature(model: CorrelationModel, integral, separation, *bounds) -> np.ndarray:
-    """The scalar ``integral(model, *bounds)`` at each element of the broadcast
-    arrays whose supports are closer than the taper range; the others are
-    exact zeros.  This is the one per-entry loop, for tapered intervals."""
-    separation, *bounds = np.broadcast_arrays(separation, *bounds)
-    near = separation < model.taper_range
-    out = np.zeros(near.shape)
-    out[near] = [integral(model, *e) for e in zip(*(b[near].tolist() for b in bounds))]
-    return out
-
-
 def _interval_point(model: CorrelationModel, x, lo, hi) -> np.ndarray:
-    """int_lo^hi rho(|x - u|) du, elementwise."""
-    closed = _base_integrals(model)
-    if closed is None:
-        return _quadrature(model, _quad_interval_point, np.maximum(lo - x, x - hi), x, lo, hi)
-    F, _ = closed
+    """int_lo^hi rho(|x - u|) du, elementwise; an exact 0 where the interval
+    lies at least the taper range from x (F is constant there)."""
+    F, _ = _base_integrals(model)
     return F(hi - x) - F(lo - x)
 
 
 def _interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> np.ndarray:
-    """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2], elementwise."""
-    closed = _base_integrals(model)
-    if closed is None:
-        return _quadrature(model, _quad_interval_interval, np.maximum(lo1 - hi2, lo2 - hi1),
-                           lo1, hi1, lo2, hi2)
-    _, H = closed
-    return H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
+    """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2],
+    elementwise; an exact 0 where the intervals lie at least the taper range
+    apart (H is linear there, and its four terms cancel only up to rounding)."""
+    _, H = _base_integrals(model)
+    val = H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
+    if model.taper_range is None:
+        return val
+    return np.where(np.maximum(lo1 - hi2, lo2 - hi1) < model.taper_range, val, 0.0)
 
 
 def _require_smooth(obs_set: ObservationSet, taper_range: Optional[float]):

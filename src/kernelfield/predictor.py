@@ -163,8 +163,8 @@ def _variances(p: KernelPredictor, kernels) -> list:
     guaranteed non-negative definite), and the adjusted variance, raw plus
     the deviation variance, floored at zero.
     """
-    quad = p.inverse.quadratic_forms(kernels.T) if p.obs.m else np.zeros(kernels.shape[0])
-    var = p.sigma2 * (1.0 - quad)
+    forms = p.inverse.quadratic_forms(kernels.T) if p.obs.m else np.zeros(kernels.shape[0])
+    var = p.sigma2 * (1.0 - forms)
     if p.k is None:
         return [np.clip(var, 0.0, p.sigma2)]
     adjusted = var + p.deviation_var

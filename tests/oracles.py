@@ -3,14 +3,16 @@
 The program runs none of these.  Each computes by the plain route what the
 package computes another way: the pointwise Kriging predictor, the closed
 forms of the correlation functions as the ``corrfn`` docstring writes them,
-an eigenvalue check of non-negative definiteness, and the dense matrix
-behind a sparse one or a Cholesky factor.
+interval integrals of a correlation by adaptive quadrature, an eigenvalue
+check of non-negative definiteness, and the dense matrix behind a sparse one
+or a Cholesky factor.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 from kernelfield import CorrelationModel, SparseSymmetric, assemble, kernel_vector
@@ -35,7 +37,43 @@ def gauss2(d, scale):
 def spherical(d, tau0):
     """``(1 + d/(2*tau0)) * (1 - d/tau0)^2`` for ``d < tau0``, 0 beyond."""
     d = np.asarray(d, dtype=float)
-    return np.where(d < tau0, (1.0 + d / (2.0 * tau0)) * (1.0 - d / tau0) ** 2, 0.0)
+    with np.errstate(all="ignore"):  # beyond tau0, where the value is not used
+        return np.where(d < tau0, (1.0 + d / (2.0 * tau0)) * (1.0 - d / tau0) ** 2, 0.0)
+
+
+# -- interval integrals of a correlation by adaptive quadrature
+
+QUAD_TOL = 1e-12  # keeps the entries good to ~1e-10 after combination
+
+
+def _breakpoints(model, centre: float, lo: float, hi: float, *more):
+    """Where quad must split [lo, hi] for an integrand rho(|u - centre|): the
+    kink at the centre, the taper range and where the base falls off (1 to
+    64 scales), so that a base much narrower than the interval is resolved."""
+    offsets = [0.0] + [f * model.base_scale * 4.0 ** j for j in range(4) for f in (-1, 1)]
+    if model.taper_range is not None:
+        offsets += [-model.taper_range, model.taper_range]
+    return sorted({p for p in [centre + o for o in offsets] + list(more) if lo < p < hi}) or None
+
+
+def quad_interval_point(model, x: float, lo: float, hi: float) -> float:
+    """int_lo^hi rho(|x - u|) du."""
+    return quad(lambda u: model.eval(abs(x - u)), lo, hi, points=_breakpoints(model, x, lo, hi),
+                limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+
+
+def quad_interval_interval(model, lo1: float, hi1: float, lo2: float, hi2: float) -> float:
+    """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2], as one lag
+    integral: int rho(|t|) overlap(t) dt, where overlap(t) is the length of
+    [lo1, hi1] meeting [lo2 + t, hi2 + t]."""
+    a, b = lo1 - hi2, hi1 - lo2
+
+    def integrand(t):
+        w = min(hi1, hi2 + t) - max(lo1, lo2 + t)
+        return model.eval(abs(t)) * w if w > 0.0 else 0.0
+
+    return quad(integrand, a, b, points=_breakpoints(model, 0.0, a, b, lo1 - lo2, hi1 - hi2),
+                limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
 
 def spot_check_nonneg_definite(model, trials: int, n: int, rng_seed: int, dim: int = 2) -> bool:

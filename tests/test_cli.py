@@ -337,6 +337,27 @@ def test_refused_runs_exit_codes(tmp_path, inputs, capsys, command, mode, case, 
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "infer"])
+@pytest.mark.parametrize("k", ["100000000000000000000", "1" + "0" * 400], ids=["1e20", "1e400"])
+def test_k_beyond_sys_maxsize_exits_2(tmp_path, inputs, capsys, command, k):
+    # 1e20 once fitted a file that grid refused; 1e400 overflowed float(k) * taper_range
+    extra = ["--out", str(tmp_path / "p.json")] if command == "fit" else []
+    rc = main([command, "--obs", inputs[0], "--model", inputs[1], "--mode", "localized",
+               "--k", k, *extra])
+    assert rc == 2
+    assert f"k must be a positive integer no larger than {sys.maxsize}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_fit_at_k_sys_maxsize_writes_a_file_grid_loads(tmp_path, inputs):
+    out = str(tmp_path / "p.json")
+    assert main(["fit", "--obs", inputs[0], "--model", inputs[1], "--mode", "localized",
+                 "--k", str(sys.maxsize), "--out", out]) == 0
+    assert main(["grid", "--predictor", out, "--grid", "0,4,3;0,4,3",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_example_a_weights_and_refusals(capsys):
     assert main(["example-a", "--out-prefix", ""]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -828,7 +849,8 @@ def test_a_bool_among_numbers_fails_the_weight_check(tmp_path, inputs, capsys, m
     assert rc == 2 and refusal in err
 
 
-# Modules that kernelfield imports only in the function that needs them.
+# Modules that kernelfield imports only in the function that needs them, and
+# scipy.integrate, which it never imports.
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse.csgraph")
 
 IMPORT_GUARD = textwrap.dedent("""
@@ -885,7 +907,8 @@ def test_cli_loads_only_the_scipy_it_uses(tmp_path):
          ("scipy.sparse.csgraph",), ("scipy.optimize", "scipy.integrate")),
         ([["infer", "--obs", files["pts.csv"], "--model", models["untapered"],
            "--eta-bounds", "0.1,3"]], ("scipy.optimize",), ("scipy.integrate",)),
-        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], ("scipy.integrate",), ()),
+        # tapered interval entries are closed forms too
+        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], (), ("scipy.integrate",)),
     ]
     src = os.path.dirname(os.path.dirname(kernelfield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1081,6 +1104,18 @@ def test_a_tiny_model_scale_leaves_the_sites_uncorrelated(tmp_path, capsys, kind
     doc = strict_json(capsys.readouterr().out)
     assert doc["mu"] == pytest.approx(values.mean(), rel=1e-12)
     assert doc["sigma2"] == pytest.approx(np.var(values), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, taper", [(1e-308, None), (1.0, 1e-310)],
+                         ids=["base_scale", "taper_range"])
+def test_a_scale_below_the_smallest_normal_float_exits_2(tmp_path, inputs, capsys, scale,
+                                                         taper):
+    # sqrt(5) / 1e-308 overflows, so the model is refused before it is used
+    model = write_json(tmp_path / "model.json",
+                       {"base": {"kind": "matern52", "scale": scale}, "taper_range": taper})
+    assert infer(inputs[0], model) == 2
+    assert f"must be a finite real of at least {sys.float_info.min!r}" in \
+        capsys.readouterr().err
 
 
 PUBLIC_NAMES = [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,20 +138,34 @@ class TestExtremeScales:
     scale.  Underflow is not an error: it is how the tail reaches 0."""
 
     @given(st.sampled_from(["matern52", "gauss2"]), st.floats(-300.0, 3.0),
+           st.one_of(st.none(), st.floats(-300.0, 3.0)),
            st.lists(st.floats(0.0, 1e150), max_size=10),
            st.lists(st.floats(0.0, 60.0), max_size=10))
     @settings(max_examples=300, deadline=None)
-    def test_eval_raises_nothing_and_matches_the_closed_form(self, kind, log_scale, dists,
-                                                             ratios):
+    def test_eval_raises_nothing_and_matches_the_closed_form(self, kind, log_scale, log_taper,
+                                                             dists, ratios):
         scale = 10.0 ** log_scale
-        d = np.array(dists + [scale * r for r in ratios])  # raw, and near the cut
+        taper = None if log_taper is None else 10.0 ** log_taper
+        d = np.array(dists + [scale * r for r in ratios]  # raw, and near the cuts
+                     + ([] if taper is None else [taper * r / 30.0 for r in ratios]))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = CorrelationModel(kind, scale).eval(d)
+            got = CorrelationModel(kind, scale, taper).eval(d)
         assert np.all((got >= 0.0) & (got <= 1.0 + np.finfo(float).eps))
         want = getattr(oracles, kind)(d, scale)
+        if taper is not None:
+            want = want * oracles.spherical(d, taper)
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14,
                                    atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("kind", ["matern52", "gauss2"])
+    def test_scales_below_the_smallest_normal_float_refused(self, kind):
+        tiny = sys.float_info.min
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert CorrelationModel(kind, tiny, tiny).eval([0.0, 1.0]).tolist() == [1.0, 0.0]
+        for scale, taper in ((1e-308, None), (tiny / 2.0, None), (1.0, 1e-308)):
+            with pytest.raises(ValueError, match="must be a finite real of at least"):
+                CorrelationModel(kind, scale, taper)
 
 
 class TestDerivatives:
@@ -176,6 +191,11 @@ class TestDerivatives:
     def test_deriv2_rejected_for_tapered(self):
         with pytest.raises(UnsupportedOperatorError):
             taper_model().deriv2(0.3)
+
+    def test_tapered_deriv1_raises_nothing_for_a_tiny_taper_range(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = CorrelationModel("matern52", 1.0, 1e-200).deriv1([0.0, 1.0, -3.0])
+        assert got.tolist() == [0.0, 0.0, 0.0]
 
     def test_tapered_deriv1_zero_beyond_range(self):
         model = taper_model()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,12 @@ class TestFitLocalized:
         obs = line_points(5, 0.3)
         with pytest.raises(ValueError):
             fit_localized(obs, TAPERED, k=0)
+
+    @pytest.mark.parametrize("k", [sys.maxsize + 1, 10 ** 400], ids=["maxsize_plus_1", "1e400"])
+    def test_k_beyond_sys_maxsize_refused(self, k):
+        # a predictor file's k is at most sys.maxsize, and float(10**400) overflows
+        with pytest.raises(ValueError, match="no larger than"):
+            fit_localized(line_points(5, 0.3), TAPERED, k=k)
 
     def test_empty_set_needs_levels(self):
         obs = observation_set([], 1)

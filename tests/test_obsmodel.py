@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.spatial.distance import cdist
@@ -20,6 +20,7 @@ from kernelfield.cli import demo_observation_set
 from kernelfield.obsmodel import (PairStructure, _distances, _support_separations,
                                   derivative_vector)
 
+import oracles
 from conftest import observation_set
 
 M52 = CorrelationModel("matern52", 1.0)
@@ -305,6 +306,64 @@ class TestGauss2ClosedForms:
         assert entry(av(*a), av(*b), G2, 1.0) == pytest.approx(oracle, abs=1e-12)
 
 
+# Positions in units of the taper range: the origin, +-1 and points just
+# inside and beyond them, and points beyond reach of the origin.
+LANDMARKS = (0.0, 1.0, -1.0, 1.0 - 1e-9, -1.0 + 1e-9, 1.0 + 1e-9, 2.5, -4.0)
+
+
+@st.composite
+def interval_cases(draw, max_log_ratio, max_log2_unit=0):
+    """(model, unit, x, (lo1, hi1), (lo2, hi2)): a base of either kind, with or
+    without the taper range ``unit`` (a power of 2), whose scale is 10^r units (|r| <= max_log_ratio); a point and
+    two intervals from the landmarks and [-3, 3] units, so that intervals
+    cross 0 and +-unit and some supports lie beyond reach of each other."""
+    unit = 2.0 ** draw(st.integers(-max_log2_unit, max_log2_unit))
+    scale = unit * 10.0 ** draw(st.floats(-max_log_ratio, max_log_ratio))
+    model = CorrelationModel(draw(st.sampled_from(["matern52", "gauss2"])), scale,
+                             draw(st.sampled_from([None, unit])))
+    where = st.one_of(st.sampled_from(LANDMARKS), st.floats(-3.0, 3.0))
+    x = unit * draw(where)
+    a, b = (tuple(unit * np.sort(draw(st.lists(where, min_size=2, max_size=2))))
+            for _ in range(2))
+    assume(a[0] < a[1] and b[0] < b[1])  # also after a subnormal bound is scaled
+    return model, unit, x, a, b
+
+
+class TestIntervalEntries:
+    """(point, avg) and (avg, avg) entries of both bases, tapered or not, in
+    closed form, against quadrature and at extreme scale ratios."""
+
+    @given(interval_cases(3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_match_quadrature(self, case):
+        model, _, x, a, b = case
+        assert entry(pt(x), av(*a), model, 1.0) == pytest.approx(
+            oracles.quad_interval_point(model, x, *a), abs=1e-10)
+        assert entry(av(*a), av(*b), model, 1.0) == pytest.approx(
+            oracles.quad_interval_interval(model, *a, *b), abs=1e-8)
+
+    @given(interval_cases(6.0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_bounded_and_zero_beyond_reach_at_extreme_ratios(self, case):
+        model, unit, x, a, b = case
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            point_avg = entry(pt(x), av(*a), model, 1.0)
+            avg_avg = entry(av(*a), av(*b), model, 1.0)
+        assert math.isfinite(avg_avg)
+        # An integral of a correlation in [0, 1] over [lo, hi], up to the
+        # rounding of the closed form's terms: as large as the lags (8 units at
+        # most), or 8/(3k), about 1.2 scales, in the untapered Matern-5/2 F,
+        # whose terms cancel where the scale dwarfs the lag.
+        size = 8.0 * unit
+        if model.taper_range is None and model.base_kind == "matern52":
+            size = max(size, 1.2 * model.base_scale)
+        slack = 64.0 * np.finfo(float).eps * size
+        assert -slack <= point_avg <= a[1] - a[0] + slack
+        if model.taper_range is not None:
+            assert point_avg == 0.0 or separation(pt(x), av(*a)) < unit
+            assert avg_avg == 0.0 or separation(av(*a), av(*b)) < unit
+
+
 class TestSupportSeparation:
     def test_points(self):
         assert separation(pt(0.0), pt(3.0)) == 3.0
@@ -344,6 +403,14 @@ def brute_force_matrix(obs, model, sigma2_r):
             dense[i, j] = dense[j, i] = cross_correlation(obs, i, j, model, sigma2_r)
             kept[i, j] = kept[j, i] = True
     return dense, kept
+
+
+def pattern(indptr, indices, m):
+    """The symmetric boolean pattern of CSR index arrays (either triangle or both)."""
+    out = np.zeros((m, m), dtype=bool)
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    out[rows, indices] = out[indices, rows] = True
+    return out
 
 
 class TestAssemble:
@@ -454,9 +521,14 @@ class TestAssemble:
                                      error_var=0.2 if k % 5 == 0 else 0.0)
                                   for k in range(25)])
         dense, kept = brute_force_matrix(obs, model, sigma2)
-        got = assemble(obs, model, sigma2).to_dense()
-        np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
-        assert np.array_equal(got != 0.0, kept)
+        s = assemble(obs, model, sigma2)
+        np.testing.assert_allclose(s.to_dense(), dense, rtol=0.0, atol=1e-15)
+        # The structure selects the pairs; an entry that evaluates to zero (the
+        # interval 1e-9 inside reach has an exact entry of about 1e-29) is not stored.
+        structure = PairStructure(obs, model.taper_range)
+        assert np.array_equal(pattern(structure._indptr, structure._cols, obs.m), kept)
+        full = s.full()
+        assert np.array_equal(pattern(full.indptr, full.indices, obs.m), kept & (dense != 0.0))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)

@@ -231,6 +231,17 @@ class TestOperatorPredictions:
                           epsabs=1e-13, epsrel=1e-13, limit=300)[0] / (b - a)
             assert predict_average(p, (a, b)) == pytest.approx(oracle, abs=1e-10)
 
+    def test_average_matches_quadrature_tapered(self):
+        # intervals that cross the taper range's kinks around the sites, and one beyond reach
+        obs = observation_set([(POINT, 0.0, 1.2), (AVG, (1.0, 1.8), 0.9),
+                               (POINT, 2.5, 0.4, 0.1)])
+        p = fit_global(obs, CorrelationModel("matern52", 0.6, 1.5), 0.3, 1.5)
+        for (a, b) in [(-1.0, 0.4), (0.9, 2.0), (-3.0, 5.0), (4.5, 6.0)]:
+            kinks = [x for s in (0.0, 1.0, 1.8, 2.5) for x in (s - 1.5, s, s + 1.5) if a < x < b]
+            oracle = quad(lambda u: predict(p, [u]), a, b, points=kinks or None,
+                          epsabs=1e-13, epsrel=1e-13, limit=300)[0] / (b - a)
+            assert predict_average(p, (a, b)) == pytest.approx(oracle, abs=1e-10)
+
     def test_average_degenerate_interval_limits_to_point(self, demo_fit):
         x = 0.7
         w = 1e-6
@@ -291,7 +302,6 @@ class TestOperatorPredictions:
     @settings(max_examples=15, deadline=None)
     @given(obs=tapered_points_and_intervals(), seed=st.integers(0, 2 ** 32 - 1))
     def test_tapered_predictions_under_a_permutation(self, fit, obs, seed):
-        # Tapered interval entries are quadratures, so the sets stay small.
         model = CorrelationModel("matern52", 0.5, 1.5)
         want, got = fit(obs, model, sigma2=1.7), fit(permute(obs, seed), model, sigma2=1.7)
         scale = np.abs(obs.values()).max()
