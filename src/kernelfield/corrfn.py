@@ -1,16 +1,18 @@
 """Stationary isotropic correlation functions with an optional finite-range taper.
 
-Two base correlations are shipped:
+This module owns every base-correlation formula.  Each base kind is written
+once, in a scaled distance ``x`` clipped where the exponential is already
+exactly 0, so that no tiny scale overflows a product on the way there:
+``matern52`` (:class:`_Matern52`, Matern-5/2 with range ``tau_m``) is
+``(1 + x + x^2/3) exp(-x)`` at ``x = sqrt(5) d/tau_m``, and ``gauss2``
+(:class:`_Gauss2`) is ``exp(-x^2)`` at ``x = d/scale``.  From ``x`` come the
+value, the first two lag derivatives (scaled before the exponential, so they
+overflow only where their plain closed forms do), and the antiderivatives and
+moments of every interval integral (:meth:`CorrelationModel._integrals`).
 
-* ``matern52`` -- Matern with shape 5/2 and range parameter ``tau_m``:
-  ``rho(d) = (1 + k*d + k^2*d^2/3) * exp(-k*d)`` with ``k = sqrt(5)/tau_m``.
-* ``gauss2`` -- second-order exponential: ``rho(d) = exp(-(d/scale)^2)``.
-
-A finite range is obtained by multiplying the base with the isotropic
-spherical correlation ``(1 + d/(2*tau0)) * (1 - d/tau0)^2`` which is exactly
-zero for ``d >= tau0``.  The product is again a valid correlation function,
-and evaluating it returns an exact 0.0 beyond the taper range so downstream
-sparsity patterns are deterministic.
+The spherical taper ``(1 + d/(2*tau0)) * (1 - d/tau0)^2``, exactly 0 from
+``d = tau0`` on, multiplies the base to give a finite range: the product is
+again a correlation, and its exact zeros make sparsity patterns deterministic.
 """
 
 import math
@@ -19,12 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import erf, gamma, gammainc
 
 from .errors import ConfigError, UnsupportedOperatorError
 
 SQRT5 = math.sqrt(5.0)
-
-BASE_KINDS = ("matern52", "gauss2")
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -52,25 +53,87 @@ def _return_like(dist, value: np.ndarray):
     return float(value) if np.isscalar(dist) or np.ndim(dist) == 0 else value
 
 
-# The formulas alone: their callers check the distances and scales.  Each
-# clips the distance where its exponential is already exactly 0 (exp(-x) is
-# 0 for x above about 745), so that no tiny scale overflows a product on the
-# way there.
+class _Matern52:
+    """Matern-5/2 at x = k d: its value, lag derivatives, F, H and moments."""
 
-def _matern52(d: np.ndarray, tau_m: float) -> np.ndarray:
-    k = SQRT5 / tau_m
-    kd = k * np.minimum(d, 800.0 / k)
-    return (1.0 + kd + kd * kd / 3.0) * np.exp(-kd)
+    @staticmethod
+    def scaled(d, tau_m):
+        """k, d clipped where e^{-x} is exactly 0, and x."""
+        k = SQRT5 / tau_m
+        c = np.minimum(d, 800.0 / k)
+        return k, c, k * c
+
+    @staticmethod
+    def rho(d, tau_m, order):
+        """rho (order 0), or its first or second derivative in d."""
+        k, c, x = _Matern52.scaled(d, tau_m)
+        if order == 0:
+            return (1.0 + x + x * x / 3.0) * np.exp(-x)
+        return -(k * k / 3.0) * (c + x * c if order == 1 else 1.0 + x - x * x) * np.exp(-x)
+
+    @staticmethod
+    def integrals(a, tau_m):
+        """F(a) = int_0^a rho and H(a) = int_0^a F, linear from the clip on."""
+        k, _, x = _Matern52.scaled(a, tau_m)
+        e, m = np.exp(-x), np.expm1(-x)
+        return ((-8.0 * m - (5.0 * x + x * x) * e) / (3.0 * k),
+                (8.0 * k * a + 15.0 * m + (7.0 * x + x * x) * e) / (3.0 * k * k))
+
+    @staticmethod
+    def moments(c, tau_m):
+        """The length 1/k, and G_n = int_0^x t^n rho(t) dt for n < 5, each a
+        sum of lower incomplete gamma functions j! P(j + 1, x) (A&S 6.5)."""
+        k, _, x = _Matern52.scaled(c, tau_m)
+        j = np.arange(7.0).reshape(-1, *[1] * np.ndim(x))
+        q = gamma(j + 1.0) * gammainc(j + 1.0, x)
+        return 1.0 / k, q[:5] + q[1:6] + q[2:] / 3.0
 
 
-def _gauss2(d: np.ndarray, scale: float) -> np.ndarray:
-    u = np.minimum(d, 30.0 * scale) / scale
-    return np.exp(-(u * u))
+class _Gauss2:
+    """gauss2 at u = d/s: its value, lag derivatives, F, H and moments."""
+
+    @staticmethod
+    def scaled(d, s):
+        """u, clipped where e^{-u^2} is exactly 0."""
+        return np.minimum(d, 30.0 * s) / s
+
+    @staticmethod
+    def rho(d, s, order):
+        """rho (order 0), or its first or second derivative in d."""
+        u = _Gauss2.scaled(d, s)
+        e = np.exp(-(u * u))
+        return e if order == 0 else e * (
+            -(2.0 / s) * u if order == 1 else 2.0 / s * ((2.0 * u * u - 1.0) / s))
+
+    @staticmethod
+    def integrals(a, s):
+        """F(a) and H(a) by erf and expm1 (Abramowitz & Stegun 7.1)."""
+        u = _Gauss2.scaled(a, s)
+        f = 0.5 * s * math.sqrt(math.pi) * erf(u)
+        return f, a * f + 0.5 * s * s * np.expm1(-(u * u))
+
+    @staticmethod
+    def moments(c, s):
+        """The length s, and G_n = int_0^u t^n e^{-t^2} dt for n < 5, each
+        Gamma(h) P(h, u^2)/2 at h = (n + 1)/2 (A&S 6.5)."""
+        u = _Gauss2.scaled(c, s)
+        h = 0.5 * np.arange(1.0, 6.0).reshape(-1, *[1] * np.ndim(u))
+        return s, 0.5 * gamma(h) * gammainc(h, u * u)
+
+
+_BASES = {"matern52": _Matern52, "gauss2": _Gauss2}
 
 
 def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
     u = np.minimum(d, tau0) / tau0  # 1, and the taper exactly 0, from tau0 on
     return (1.0 + 0.5 * u) * (1.0 - u) ** 2
+
+
+def _check_lag(lag) -> np.ndarray:
+    t = np.asarray(lag, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("lag must be finite")
+    return t
 
 
 @dataclass(frozen=True)
@@ -88,8 +151,9 @@ class CorrelationModel:
     taper_range: Optional[float] = None
 
     def __post_init__(self):
-        if self.base_kind not in BASE_KINDS:
-            raise ValueError(f"unknown base_kind {self.base_kind!r}, expected one of {BASE_KINDS}")
+        if self.base_kind not in _BASES:
+            raise ValueError(f"unknown base_kind {self.base_kind!r}, "
+                             f"expected one of {tuple(_BASES)}")
         _check_scale(self.base_scale, "base_scale")
         if self.taper_range is not None:
             _check_scale(self.taper_range, "taper_range")
@@ -106,9 +170,10 @@ class CorrelationModel:
         base = self._base(d)
         return base if self.taper_range is None else base * _spherical(d, self.taper_range)
 
-    def _base(self, d: np.ndarray) -> np.ndarray:
-        """The base correlation at checked distances ``d`` (no taper)."""
-        return (_matern52 if self.base_kind == "matern52" else _gauss2)(d, self.base_scale)
+    def _base(self, d: np.ndarray, order: int = 0) -> np.ndarray:
+        """The base correlation (no taper) at checked distances ``d``, or its
+        first or second derivative in ``d``."""
+        return _BASES[self.base_kind].rho(d, self.base_scale, order)
 
     # -- lag derivatives (derivative operators) ---------------------------
 
@@ -120,12 +185,10 @@ class CorrelationModel:
         slopes at lag 0 differ, so the symmetric value 0.0 is returned there
         by convention.
         """
-        t = np.asarray(lag, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("lag must be finite")
+        t = _check_lag(lag)
         a = np.abs(t)
         s = np.sign(t)
-        base_d1 = self._base_deriv1_abs(a) * s
+        base_d1 = self._base(a, 1) * s
         if self.taper_range is None:
             return _return_like(lag, base_d1)
         t0 = self.taper_range
@@ -140,25 +203,28 @@ class CorrelationModel:
             raise UnsupportedOperatorError(
                 "second derivative undefined at the origin for tapered correlation models"
             )
-        t = np.asarray(lag, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("lag must be finite")
-        a = np.abs(t)
-        if self.base_kind == "matern52":
-            k = SQRT5 / self.base_scale
-            val = -(k * k / 3.0) * (1.0 + k * a - (k * a) ** 2) * np.exp(-k * a)
-        else:
-            s2 = self.base_scale * self.base_scale
-            val = (4.0 * a * a / (s2 * s2) - 2.0 / s2) * np.exp(-(a * a) / s2)
-        return _return_like(lag, val)
+        return _return_like(lag, self._base(np.abs(_check_lag(lag)), 2))
 
-    def _base_deriv1_abs(self, a: np.ndarray) -> np.ndarray:
-        # derivative of the base wrt |lag|, evaluated at a >= 0
-        if self.base_kind == "matern52":
-            k = SQRT5 / self.base_scale
-            return -(k * k / 3.0) * (a + k * a * a) * np.exp(-k * a)
-        s2 = self.base_scale * self.base_scale
-        return -(2.0 * a / s2) * np.exp(-(a * a) / s2)
+    # -- interval integrals (interval operators) ---------------------------
+
+    def _integrals(self, t: np.ndarray):
+        """F(t) = int_0^t rho (odd) and H(t) = int_0^t F (even) at signed lags t:
+        untapered, the base kind's.  Below tau0 the spherical taper is the
+        cubic 1 - 1.5 u/tau0 + 0.5 (u/tau0)^3 (Furrer, Genton & Nychka 2006), so
+        under it F = b_0 - 1.5 b_1 + 0.5 b_3 and H = a F - tau0 (b_1 - 1.5 b_2 +
+        0.5 b_4), a = |t|, with the base's moments b_n = int_0^c (u/tau0)^n
+        rho_base(u) du = l (l/tau0)^n G_n(c/l) at c = min(a, tau0) for its length
+        l, so no huge factor meets a tiny one.  The base scale is clipped at 1e8
+        tau0, past which the base is 1 to rounding on [0, tau0].
+        """
+        kind, a, tau0 = _BASES[self.base_kind], np.abs(t), self.taper_range
+        if tau0 is None:
+            f, h = kind.integrals(a, self.base_scale)
+            return np.sign(t) * f, h
+        l, g = kind.moments(np.minimum(a, tau0), min(self.base_scale, 1e8 * tau0))
+        b = l * (l / tau0) ** np.arange(5.0).reshape(-1, *[1] * a.ndim) * g
+        f = b[0] - 1.5 * b[1] + 0.5 * b[3]
+        return np.sign(t) * f, a * f - tau0 * (b[1] - 1.5 * b[2] + 0.5 * b[4])
 
 
 # -- model configuration (JSON object) ---------------------------------

@@ -12,10 +12,10 @@ between the field at ``x`` and the observed quantity) and pairwise
 inter-correlation entries.  Both are evaluated as arrays, one call per pair
 of observation kinds (:func:`_entries`), and so are the correlations with a
 predicted derivative (in any dimension) or interval integral.  Interval
-entries are closed forms for every model (:func:`_base_integrals`; under a
-taper, incomplete gamma functions), derivative entries use the model's
-analytic lag derivatives, and no entry is a quadrature or a finite
-difference.  Entries that are provably zero under a finite-range model
+entries are closed forms for every model, which :mod:`.corrfn` writes with
+every other base formula (:meth:`CorrelationModel._integrals`), derivative
+entries use the model's analytic lag derivatives, and no entry is a
+quadrature or a finite difference.  Entries that are provably zero under a finite-range model
 (support separation at or beyond the taper range) are exact zeros and are
 never stored, neither in the inter-correlation matrix nor in the kernels of
 a block of query points, which are then a sparse (CSR) matrix of the pairs
@@ -30,9 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.special import erf, gamma, gammainc
 
-from .corrfn import SQRT5, CorrelationModel, _check_dist
+from .corrfn import CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
 from .linalg import SparseSymmetric
 
@@ -191,84 +190,18 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum((u[..., k] - v[..., k]) ** 2 for k in range(u.shape[-1])))
 
 
-def _base_integrals(model: CorrelationModel):
-    """Closed-form integrals of the correlation, as functions of a signed lag array.
-
-    Returns the odd antiderivative F(t) = int_0^t rho and the even double
-    antiderivative H(t) = int_0^t F.  With a = |t|, for the untapered bases:
-
-    * Matern-5/2, k = sqrt(5)/tau_m:
-      F = (k/3) (8/k^2 - (8/k^2 + 5a/k + a^2) e^{-ka}),
-      H = 8a/(3k) - 5/k^2 + (15/k^2 + 7a/k + a^2) e^{-ka} / 3;
-    * gauss2 with scale s (erf integrals, Abramowitz & Stegun 7.1, 7.4):
-      F = (s sqrt(pi)/2) erf(t/s),  H = t F(t) + (s^2/2) (e^{-(t/s)^2} - 1).
-
-    The spherical taper is the cubic 1 - 1.5 u/tau0 + 0.5 (u/tau0)^3 below
-    tau0 (Furrer, Genton & Nychka 2006), so under it F = b_0 - 1.5 b_1 +
-    0.5 b_3 and H = a F - tau0 (b_1 - 1.5 b_2 + 0.5 b_4), with the base's
-    moments b_n = int_0^c (u/tau0)^n rho_base(u) du at c = min(a, tau0).
-    Each is l (l/tau0)^n, for a base length l (1/k, or s), times regularized
-    lower incomplete gamma functions P of c/l (Abramowitz & Stegun 6.5), so
-    no huge factor meets a tiny one.  c/l is clipped where P is 1, and l at
-    1e8 tau0, past which the base is 1 to rounding on [0, tau0].
-    """
-    s = model.base_scale
-    if model.taper_range is not None:
-        tau0 = model.taper_range
-        matern = model.base_kind == "matern52"
-        # tau0^n b_n is sum_j a_j (n+j)! P(n+j+1, kc) / k^(n+1) with a = (1, 1, 1/3)
-        # for Matern-5/2, and s^(n+1) Gamma((n+1)/2) P((n+1)/2, (c/s)^2) / 2 for gauss2.
-        length = min(s, 1e8 * tau0) / (SQRT5 if matern else 1.0)
-        c_max = min(tau0, (800.0 if matern else 30.0) * length)
-
-        def moments(t):  # |t|, and b_0..b_4 on a new first axis
-            a = np.abs(t)
-            x = np.minimum(a, c_max) / length
-            n = np.arange(7.0).reshape(-1, *[1] * x.ndim)
-            if matern:
-                q = gamma(n + 1.0) * gammainc(n + 1.0, x)
-                g = q[:5] + q[1:6] + q[2:] / 3.0
-            else:
-                g = 0.5 * gamma(0.5 * n[:5] + 0.5) * gammainc(0.5 * n[:5] + 0.5, x * x)
-            return a, length * (length / tau0) ** n[:5] * g
-
-        def taper(b):
-            return b[0] - 1.5 * b[1] + 0.5 * b[3]
-
-        def H(t):
-            a, b = moments(t)
-            return a * taper(b) - tau0 * taper(b[1:])
-        return (lambda t: np.sign(t) * taper(moments(t)[1])), H
-    if model.base_kind == "matern52":
-        k = SQRT5 / s
-
-        def F0(a):
-            return (k / 3.0) * (8.0 / (k * k) - (8.0 / (k * k) + 5.0 * a / k + a * a) * np.exp(-k * a))
-
-        def H0(a):
-            return (8.0 * a / (3.0 * k) - 5.0 / (k * k)
-                    + (15.0 / (k * k) + 7.0 * a / k + a * a) * np.exp(-k * a) / 3.0)
-    else:
-        def F0(a):
-            return 0.5 * s * math.sqrt(math.pi) * erf(a / s)
-
-        def H0(a):
-            return a * F0(a) + 0.5 * s * s * np.expm1(-(a / s) ** 2)
-    return (lambda t: np.sign(t) * F0(np.abs(t))), (lambda t: H0(np.abs(t)))
-
-
 def _interval_point(model: CorrelationModel, x, lo, hi) -> np.ndarray:
     """int_lo^hi rho(|x - u|) du, elementwise; an exact 0 where the interval
     lies at least the taper range from x (F is constant there)."""
-    F, _ = _base_integrals(model)
-    return F(hi - x) - F(lo - x)
+    return model._integrals(hi - x)[0] - model._integrals(lo - x)[0]
 
 
 def _interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> np.ndarray:
     """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2],
     elementwise; an exact 0 where the intervals lie at least the taper range
     apart (H is linear there, and its four terms cancel only up to rounding)."""
-    _, H = _base_integrals(model)
+    def H(t):
+        return model._integrals(t)[1]
     val = H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
     if model.taper_range is None:
         return val

@@ -2,8 +2,8 @@
 
 The program runs none of these.  Each computes by the plain route what the
 package computes another way: the pointwise Kriging predictor, the closed
-forms of the correlation functions as the ``corrfn`` docstring writes them,
-interval integrals of a correlation by adaptive quadrature, an eigenvalue
+forms of the correlation functions and their first two derivatives, with no
+clip, interval integrals of a correlation by adaptive quadrature, an eigenvalue
 check of non-negative definiteness, and the dense matrix behind a sparse one
 or a Cholesky factor.
 """
@@ -32,6 +32,37 @@ def gauss2(d, scale):
     """``exp(-(d/scale)^2)``."""
     with np.errstate(all="ignore"):
         return np.exp(-(np.asarray(d, dtype=float) / scale) ** 2)
+
+
+def matern52_deriv1(d, tau_m):
+    """``-(k^2/3) (d + k d^2) exp(-k d)``, the first derivative in ``d``."""
+    with np.errstate(all="ignore"):
+        k = math.sqrt(5.0) / tau_m
+        d = np.asarray(d, dtype=float)
+        return -(k * k / 3.0) * (d + k * d * d) * np.exp(-k * d)
+
+
+def matern52_deriv2(d, tau_m):
+    """``-(k^2/3) (1 + k d - (k d)^2) exp(-k d)``, the second derivative in ``d``."""
+    with np.errstate(all="ignore"):
+        k = math.sqrt(5.0) / tau_m
+        kd = k * np.asarray(d, dtype=float)
+        return -(k * k / 3.0) * (1.0 + kd - kd ** 2) * np.exp(-kd)
+
+
+def gauss2_deriv1(d, scale):
+    """``-(2 d/scale^2) exp(-(d/scale)^2)``, with no square of the scale to
+    underflow."""
+    with np.errstate(all="ignore"):
+        u = np.asarray(d, dtype=float) / scale
+        return -(2.0 * u / scale) * np.exp(-u ** 2)
+
+
+def gauss2_deriv2(d, scale):
+    """``(4 (d/scale)^2 - 2) exp(-(d/scale)^2) / scale^2``."""
+    with np.errstate(all="ignore"):
+        u = np.asarray(d, dtype=float) / scale
+        return (4.0 * u ** 2 - 2.0) / scale / scale * np.exp(-u ** 2)
 
 
 def spherical(d, tau0):

@@ -1106,6 +1106,25 @@ def test_a_tiny_model_scale_leaves_the_sites_uncorrelated(tmp_path, capsys, kind
     assert doc["sigma2"] == pytest.approx(np.var(values), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, scale, var", [("matern52", 1e-150, 5.0 / 3.0 / 1e-150 ** 2),
+                                               ("gauss2", 1e-100, 2.0 / 1e-100 ** 2)])
+def test_a_derivative_row_at_a_tiny_model_scale(tmp_path, capsys, kind, scale, var):
+    # The far point's slope is exactly 0 and no other pair correlates, so the
+    # matrix is diag(1, var, 1), with var = -rho''(0) finite: the levels and
+    # the likelihood are those of three independent rows.
+    obs = tmp_path / "obs.csv"
+    obs.write_text("x1,kind,value,error_var,p1,p2\n0,point,1.0,,,\n1,deriv,0.5,,1,\n"
+                   "100000,point,2.0,,,\n")
+    model = write_json(tmp_path / "model.json",
+                       {"base": {"kind": kind, "scale": scale}, "mu": 0, "sigma2": 1})
+    assert infer(str(obs), model) == 0
+    doc = strict_json(capsys.readouterr().out)
+    sigma2 = (0.5 + 0.25 / var) / 3.0
+    assert doc["mu"] == 1.5 and doc["sigma2"] == pytest.approx(sigma2, rel=1e-15)
+    assert doc["nll"] == pytest.approx(
+        0.5 * (3.0 * np.log(2.0 * np.pi * sigma2) + np.log(var) + 3.0), rel=1e-13)
+
+
 @pytest.mark.parametrize("scale, taper", [(1e-308, None), (1.0, 1e-310)],
                          ids=["base_scale", "taper_range"])
 def test_a_scale_below_the_smallest_normal_float_exits_2(tmp_path, inputs, capsys, scale,

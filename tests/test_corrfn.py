@@ -158,6 +158,21 @@ class TestExtremeScales:
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14,
                                    atol=np.finfo(float).tiny)
 
+    @given(st.sampled_from(["matern52", "gauss2"]), st.sampled_from([1, 2]),
+           st.floats(-300.0, 3.0), st.lists(st.floats(0.0, 1e150), max_size=10),
+           st.lists(st.one_of(st.floats(0.0, 60.0), st.floats(300.0, 400.0)), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_derivatives_raise_nothing_and_match_the_closed_form(self, kind, order, log_scale,
+                                                                 dists, ratios):
+        # Near the cuts: a gauss2 ratio of 30, a Matern-5/2 ratio of 800/sqrt(5).
+        scale = 10.0 ** log_scale
+        d = np.array(dists + [scale * r for r in ratios])
+        want = getattr(oracles, f"{kind}_deriv{order}")(d, scale)
+        d, want = d[np.isfinite(want)], want[np.isfinite(want)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = getattr(CorrelationModel(kind, scale), f"deriv{order}")(d)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=np.finfo(float).tiny)
+
     @pytest.mark.parametrize("kind", ["matern52", "gauss2"])
     def test_scales_below_the_smallest_normal_float_refused(self, kind):
         tiny = sys.float_info.min

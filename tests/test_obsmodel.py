@@ -342,6 +342,18 @@ class TestIntervalEntries:
         assert entry(av(*a), av(*b), model, 1.0) == pytest.approx(
             oracles.quad_interval_interval(model, *a, *b), abs=1e-8)
 
+    @pytest.mark.parametrize("tau_m", [1e3, 1e6])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_untapered_matern_at_huge_scales_matches_quadrature(self, tau_m, data):
+        # The positions of interval_cases; its model is replaced.
+        _, _, x, a, b = data.draw(interval_cases(0.0))
+        model = CorrelationModel("matern52", tau_m)
+        assert entry(pt(x), av(*a), model, 1.0) == pytest.approx(
+            oracles.quad_interval_point(model, x, *a), abs=1e-10)
+        assert entry(av(*a), av(*b), model, 1.0) == pytest.approx(
+            oracles.quad_interval_interval(model, *a, *b), abs=1e-8)
+
     @given(interval_cases(6.0, 10))
     @settings(max_examples=300, deadline=None)
     def test_finite_bounded_and_zero_beyond_reach_at_extreme_ratios(self, case):
@@ -352,11 +364,8 @@ class TestIntervalEntries:
         assert math.isfinite(avg_avg)
         # An integral of a correlation in [0, 1] over [lo, hi], up to the
         # rounding of the closed form's terms: as large as the lags (8 units at
-        # most), or 8/(3k), about 1.2 scales, in the untapered Matern-5/2 F,
-        # whose terms cancel where the scale dwarfs the lag.
+        # most).
         size = 8.0 * unit
-        if model.taper_range is None and model.base_kind == "matern52":
-            size = max(size, 1.2 * model.base_scale)
         slack = 64.0 * np.finfo(float).eps * size
         assert -slack <= point_avg <= a[1] - a[0] + slack
         if model.taper_range is not None:
