@@ -245,8 +245,7 @@ def load_predictor(path) -> KernelPredictor:
         _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
                        "the weights are not the approximate inverse applied to the "
                        "residuals of the saved observations")
-    return KernelPredictor(model, obs, mu, sigma2, weights, psi, deviation_var=deviation_var,
-                           k=k, delta=float(delta))
+    return KernelPredictor(model, obs, mu, sigma2, weights, psi, deviation_var=deviation_var, k=k)
 
 
 def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
@@ -370,7 +369,7 @@ def cmd_fit(args) -> int:
     psi = fitted.inverse if fitted.mode == "localized" else None
     summary.update(mu=fitted.mu, sigma2=fitted.sigma2, deviation_var=fitted.deviation_var,
                    k=fitted.k, delta=fitted.delta,
-                   matrix=_matrix_stats(fitted.matrix, fitted.inverse),
+                   matrix=_matrix_stats(fitted.matrix, fitted.inverse if psi is None else None),
                    approx_inverse=_matrix_stats(psi), neighborhood_sizes=_neighborhood_sizes(psi),
                    negative_variance_at_obs=fitted.negative_variance_at_obs)
 

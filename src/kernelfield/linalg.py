@@ -47,7 +47,7 @@ class SparseSymmetric:
     construction.  The matrix an instance holds never changes; what it caches
     does: the full view (a producer that holds it, with no stored zero, may
     preset it as ``full``) and the factor layout that :func:`cholesky` chooses
-    for the pattern, which :meth:`with_values` copies share.
+    for the pattern, kept in one holder that :meth:`with_values` copies share.
     """
 
     def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
@@ -56,7 +56,7 @@ class SparseSymmetric:
         lower.sum_duplicates()
         self._lower = self._pattern = lower
         self._values, self._full = lower.data, full
-        self._layout = None  # the layout cholesky chose, shared with with_values copies
+        self._layout = [None]  # holds the layout cholesky chose for the pattern
 
     @functools.cached_property
     def _lower(self) -> sp.csr_matrix:  # of a with_values copy, made on first use
@@ -66,26 +66,18 @@ class SparseSymmetric:
     def with_values(self, values: np.ndarray) -> "SparseSymmetric":
         """This stored pattern holding the lower-triangle ``values`` (CSR order).
 
-        Where none is zero, the copy shares the pattern and the factor layout
-        made so far, so that :func:`cholesky` lays a pattern out once, and no
-        CSR matrix is built.  Zeros are dropped, as by the constructor.
+        Where none is zero, the copy shares the pattern and its layout holder,
+        so that the first copy :func:`cholesky` factors lays the pattern out
+        for all, and no CSR matrix is built.  Zeros are dropped, as by the
+        constructor, into a pattern of the copy's own.
         """
-        p = self._pattern
-        if not values.all():  # copied, so that dropping zeros leaves the pattern whole
-            return SparseSymmetric(sp.csr_matrix((values, p.indices, p.indptr), p.shape, copy=True))
-        return SparseSymmetric._canonical(p, values, self._layout)
-
-    @classmethod
-    def _canonical(cls, pattern: sp.csr_matrix, values: np.ndarray,
-                   layout=None) -> "SparseSymmetric":
-        """The lower-triangle CSR ``pattern``, canonical (sorted, with no
-        repeated entry), holding ``values``, none zero, and with the factor
-        ``layout`` of that pattern if one is known: no pass over the arrays.
-        Where ``values`` are the pattern's own data, it is the lower triangle."""
-        out = cls.__new__(cls)
-        out.__dict__.update(_pattern=pattern, _values=values, _full=None, _layout=layout)
-        if values is pattern.data:
-            out._lower = pattern
+        p, layout = self._pattern, self._layout
+        if not values.all():  # dropped from a copy, so the pattern stays whole; both are canonical
+            p = sp.csr_matrix((values, p.indices, p.indptr), p.shape, copy=True)
+            p.eliminate_zeros()
+            values, layout = p.data, [None]
+        out = SparseSymmetric.__new__(SparseSymmetric)
+        out.__dict__.update(_pattern=p, _values=values, _full=None, _layout=layout)
         return out
 
     # -- constructors ----------------------------------------------------
@@ -135,8 +127,9 @@ class SparseSymmetric:
 
     def lower_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the stored lower triangle."""
-        coo = self._lower.tocoo()
-        return coo.row.copy(), coo.col.copy(), coo.data.copy()
+        p = self._pattern
+        rows = np.repeat(np.arange(self.order), np.diff(p.indptr))
+        return rows, p.indices.copy(), self._values.copy()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.full() @ np.asarray(v, dtype=float)
@@ -270,25 +263,14 @@ def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
     entries needs a bandwidth of at least d / 2 in every order, so the band
     needs ``d + 2 <= m``.
 
-    The graph is the full symmetric pattern, built from the stored lower
-    triangle without the full view: row r is the stored row r followed by
-    column r's entries below the diagonal (one ``tocsc``), so its indices are
-    sorted as in the full view and the order is the same.
+    scipy builds the graph from the stored lower triangle L as L + L' (with
+    ``symmetric_mode=False``): no entry cancels, as L and L' share only the
+    diagonal, so it is the full view's pattern and the order is the same.
     """
-    m, lower = a.order, a._pattern
-    row_nnz = a._row_nnz()
-    if not m or row_nnz.max() + 1 > m:
+    if not a.order or a.max_row_nnz() + 1 > a.order:
         return None
     from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: see the module docstring
-    csc = lower.tocsc()
-    cols = np.repeat(np.arange(m), np.diff(csc.indptr))
-    below = csc.indices > cols
-    rows = np.concatenate([np.repeat(np.arange(m), np.diff(lower.indptr)), cols[below]])
-    indices = np.concatenate([lower.indices, csc.indices[below]])
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
-    graph = sp.csr_matrix((np.ones(indices.size, dtype=np.int8),
-                           indices[np.argsort(rows, kind="stable")], indptr), (m, m))
-    return np.asarray(reverse_cuthill_mckee(graph, symmetric_mode=True), dtype=np.int64)
+    return np.asarray(reverse_cuthill_mckee(a._pattern, symmetric_mode=False), dtype=np.int64)
 
 
 def _factor_layout(a: SparseSymmetric, perm: Optional[np.ndarray]):
@@ -343,11 +325,11 @@ def cholesky(a: SparseSymmetric, order="rcm") -> CholeskyFactor:
         if layout is None:
             raise ValueError("the band does not fit in the given order")
     else:
-        if a._layout is None:
+        if a._layout[0] is None:
             perm = _band_order(a)
             layout = None if perm is None else _factor_layout(a, perm)
-            a._layout = layout or _factor_layout(a, None)
-        layout = a._layout
+            a._layout[0] = layout or _factor_layout(a, None)
+        layout = a._layout[0]
     perm, shape, at = layout
     transposed = np.zeros(shape[::-1])
     transposed.reshape(-1)[at] = a._values

@@ -148,7 +148,7 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
 
     if obs_set.m == 0:
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0),
-                               SparseSymmetric.from_entries(0, [], [], []), k=k, delta=delta,
+                               SparseSymmetric.from_entries(0, [], [], []), k=k,
                                negative_variance_at_obs=0)
 
     mat = level_matrix(obs_set, model, sigma2)
@@ -156,8 +156,8 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     mu, sigma2, weights = gls_levels(psi, obs_set, mu, sigma2)
     deviation_var, negative = _site_diagnostics(obs_set, model, mat, psi, mu, float(sigma2),
                                                 weights)
-    return KernelPredictor(model, obs_set, mu, sigma2, weights, psi, deviation_var=deviation_var,
-                           k=k, delta=delta, negative_variance_at_obs=negative)
+    return KernelPredictor(model, obs_set, mu, sigma2, weights, psi, mat,
+                           deviation_var=deviation_var, k=k, negative_variance_at_obs=negative)
 
 
 def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSymmetric,

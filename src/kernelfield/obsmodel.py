@@ -403,7 +403,8 @@ def _check_duplicate_exact(obs_set: ObservationSet, kind: int, i: np.ndarray, j:
 
 class PairStructure:
     """What of a set's inter-correlation matrix only the taper range changes:
-    the stored pairs (i >= j) in CSR order, the kind pairs with their operator
+    the stored pairs (i >= j) in CSR order, as a :class:`SparseSymmetric`
+    pattern whose copies hold the matrices, the kind pairs with their operator
     arrays and the point-point distances.  Without a taper every pair is
     stored; under one, the pairs of rep points within ``taper_range + 2 * max
     radius`` (a k-d tree query) whose supports are closer than the taper
@@ -439,9 +440,9 @@ class PairStructure:
             i, j = i[csr], j[csr]
             sep = np.append(sep[near], np.zeros(m))[csr] if obs_set.dim > 1 else None
         self.obs_set, self.taper_range = obs_set, taper_range
-        self._diagonal, self._cols = np.flatnonzero(i == j), j
-        self._indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
-        self._whole = None  # the first matrix with no zero entry; later ones share its layout
+        self._diagonal = np.flatnonzero(i == j)
+        indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
+        self._pattern = SparseSymmetric(sp.csr_matrix((np.ones(j.size), j, indptr), (m, m)))
         kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
         # (positions, distances) of point pairs, (positions, ka, a, kb, b) of other kinds
         self._groups = []
@@ -462,27 +463,18 @@ class PairStructure:
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the
-        diagonal: one array evaluation per kind pair, on the structure's
-        pattern and factor layout (:meth:`SparseSymmetric.with_values`)."""
+        diagonal: one array evaluation per kind pair, held by a copy of the
+        structure's pattern (:meth:`SparseSymmetric.with_values`)."""
         if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
             raise ValueError("sigma2_r must be a positive finite real")
         if model.taper_range != self.taper_range:
             raise ValueError(f"a model of taper range {model.taper_range} on a pair "
                              f"structure of taper range {self.taper_range}")
-        vals = np.empty(self._cols.size)
+        vals = np.empty(self._pattern.nnz_lower)
         for sel, *args in self._groups:
             vals[sel] = model._eval(*args) if len(args) == 1 else _entries(model, *args)
         vals[self._diagonal] += self.obs_set.error_vars() / sigma2_r
-        if self._whole is not None:
-            return self._whole.with_values(vals)
-        m, whole = self.obs_set.m, bool(vals.all())
-        # Copied where zeros are to be dropped, so that dropping leaves the structure whole;
-        # otherwise the pattern is canonical by construction, and is not checked again.
-        lower = sp.csr_matrix((vals, self._cols, self._indptr), (m, m), copy=not whole)
-        if not whole:
-            return SparseSymmetric(lower)
-        self._whole = SparseSymmetric._canonical(lower, lower.data)
-        return self._whole
+        return self._pattern.with_values(vals)
 
 
 def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:

@@ -83,10 +83,10 @@ class KernelPredictor:
 
     ``inverse`` stands for the inverse of the inter-correlation matrix S
     through its ``quadratic_forms``: the :class:`CholeskyFactor` of S for the
-    global fit (None for an empty set), which also keeps S as ``matrix``, or
-    the sparse approximate inverse Psi for the localized fit.  The localized
-    fit alone sets ``k`` and ``delta = k * taper_range``, so a predictor is
-    localized exactly when ``k`` is not None; it also sets ``deviation_var``
+    global fit (None for an empty set), or the sparse approximate inverse Psi
+    for the localized fit; a fit keeps S as ``matrix``.  The localized fit
+    alone sets ``k``, so a predictor is localized exactly when ``k`` is not
+    None, with ``delta = k * taper_range``; it also sets ``deviation_var``
     (0 for the global fit) and ``negative_variance_at_obs``: the count of raw
     variances at the point sites below ``-1e-12 * sigma2`` (None for the
     global fit and on a predictor loaded from file).  Under a
@@ -99,8 +99,7 @@ class KernelPredictor:
                  sigma2: float, weights: np.ndarray,
                  inverse: Union[CholeskyFactor, SparseSymmetric, None],
                  matrix: Optional[SparseSymmetric] = None, *, deviation_var: float = 0.0,
-                 k: Optional[int] = None, delta: Optional[float] = None,
-                 negative_variance_at_obs: Optional[int] = None):
+                 k: Optional[int] = None, negative_variance_at_obs: Optional[int] = None):
         self.model = model
         self.obs = obs
         self.mu = float(mu)
@@ -110,8 +109,12 @@ class KernelPredictor:
         self.matrix = matrix
         self.deviation_var = float(deviation_var)
         self.k = k
-        self.delta = delta
         self.negative_variance_at_obs = negative_variance_at_obs
+
+    @property
+    def delta(self) -> Optional[float]:
+        """The localization range ``k * taper_range`` (None for a global fit)."""
+        return None if self.k is None else float(self.k) * self.model.taper_range
 
     @property
     def dim(self) -> int:

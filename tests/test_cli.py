@@ -147,6 +147,22 @@ def test_fit_summary_reports_the_factor(tmp_path, capsys, taper_range, storage):
     assert 0.0 < stats["min_pivot"] <= 1.0
 
 
+def test_fit_summary_reports_the_matrix_in_both_modes(tmp_path, capsys):
+    # Both fits assemble S; only the global one factors it.
+    obs = str(tmp_path / "obs.csv")
+    assert main(["synth", "--m", "400", "--bounds", "0,20;0,20", "--seed", "1",
+                 "--out", obs]) == 0
+    model = write_json(tmp_path / "model.json", TAPERED_MODEL)
+    stats = {}
+    for mode in ("global", "localized"):
+        capsys.readouterr()
+        fit(tmp_path, obs, model, mode)
+        stats[mode] = json.loads(capsys.readouterr().out)["matrix"]
+    shared = ("order", "nnz_lower", "density", "max_row_nnz")
+    assert stats["localized"] == {key: stats["global"][key] for key in shared}
+    assert stats["localized"]["order"] == 400 and stats["global"]["factor_storage"] == "band"
+
+
 def test_approximate_inverse_of_wrong_order_exit_2(tmp_path, inputs, capsys):
     predictor = fit(tmp_path, *inputs, mode="localized")
     with open(predictor) as fh:

@@ -487,6 +487,27 @@ class TestPairStructureReuse:
             # bit for bit
             assert profile_levels(obs, model, structure) == profile_levels(obs, model)
 
+    def test_matrices_with_underflowed_zeros_are_laid_out_on_their_own(self, monkeypatch):
+        # Untapered gauss2 is exactly 0 beyond about 27 ranges, so at small
+        # ranges the far entries of this lattice underflow: such a matrix
+        # drops them into a pattern of its own, laid out afresh, while the
+        # zero-free matrices share the structure's one layout.
+        rng = np.random.default_rng(10)
+        x = 0.5 * np.arange(40) + rng.uniform(-0.1, 0.1, 40)
+        obs = observation_set([(POINT, xi, float(rng.normal())) for xi in x])
+        matrices, layouts = [], []
+        real_cholesky, real_band_order = inference.cholesky, linalg._band_order
+        monkeypatch.setattr(inference, "cholesky",
+                            lambda a: matrices.append(a) or real_cholesky(a))
+        monkeypatch.setattr(linalg, "_band_order",
+                            lambda a: layouts.append(1) or real_band_order(a))
+        result = estimate_joint(obs, gauss_family, (0.05, 2.0))
+        with_zeros = sum(a.nnz_lower < obs.m * (obs.m + 1) // 2 for a in matrices)
+        assert len(matrices) == result.iterations and 0 < with_zeros < result.iterations
+        assert len(layouts) == with_zeros + 1
+        assert (result.mu, result.sigma2, result.nll) == profile_levels(
+            obs, gauss_family(result.eta))  # bit for bit
+
     @pytest.mark.parametrize("family", ["taper-is-range", "stepped-taper"])
     def test_taper_range_changing_with_eta(self, monkeypatch, family):
         family = {"taper-is-range": taper_family, "stepped-taper": stepped_taper_family}[family]

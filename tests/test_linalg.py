@@ -233,11 +233,15 @@ class TestFactorStorage:
             assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 80), st.floats(0.0, 0.2), st.integers(0, 2 ** 16))
-    @example(1, 0.0, 0)
-    def test_band_order_is_the_rcm_order_of_the_full_view(self, n, density, seed):
+    @given(st.integers(1, 80), st.floats(0.0, 0.2), st.integers(0, 2 ** 16), st.booleans())
+    @example(1, 0.0, 0, False)
+    @example(40, 0.2, 0, True)
+    def test_band_order_is_the_rcm_order_of_the_full_view(self, n, density, seed, signed):
+        # scipy orders L + L' of the stored triangle L: signed values pin that no entry cancels.
         rng = np.random.default_rng(seed)
-        pattern = sp.random(n, n, density, random_state=rng) + sp.diags(rng.integers(0, 2, n).astype(float))
+        draw = rng.standard_normal if signed else None  # None: scipy's uniform draws
+        pattern = (sp.random(n, n, density, random_state=rng, data_rvs=draw)
+                   + sp.diags(rng.integers(0, 2, n).astype(float)))
         a = SparseSymmetric(sp.tril(pattern + pattern.T).tocsr())  # some diagonals unstored
         got = _band_order(a)
         if a.max_row_nnz() + 1 > n:

@@ -535,7 +535,8 @@ class TestAssemble:
         # The structure selects the pairs; an entry that evaluates to zero (the
         # interval 1e-9 inside reach has an exact entry of about 1e-29) is not stored.
         structure = PairStructure(obs, model.taper_range)
-        assert np.array_equal(pattern(structure._indptr, structure._cols, obs.m), kept)
+        lower = structure._pattern._lower
+        assert np.array_equal(pattern(lower.indptr, lower.indices, obs.m), kept)
         full = s.full()
         assert np.array_equal(pattern(full.indptr, full.indices, obs.m), kept & (dense != 0.0))
 
