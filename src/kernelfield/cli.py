@@ -38,7 +38,7 @@ import numpy as np
 from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
-from .linalg import CholeskyFactor, SparseSymmetric, cholesky
+from .linalg import CholeskyFactor, SparseSymmetric, cholesky, layout_in_order
 from .localized import fit_localized
 from .obsmodel import (KIND_CODES, ObservationSet, assemble,
                        read_observations_csv)
@@ -225,7 +225,7 @@ def load_predictor(path) -> KernelPredictor:
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
         try:
-            factor = cholesky(matrix, order)
+            factor = cholesky(matrix, layout_in_order(matrix, order))
         except ValueError as exc:  # the band does not fit in that order
             raise ConfigError(f"{path}: factor_order: {exc}") from None
         return KernelPredictor(model, obs, mu, sigma2, weights, factor, matrix)

@@ -13,8 +13,8 @@ estimate is one bounded scalar search over the range.
 
 The search analyses once and factors many times (as CHOLMOD does; Chen et
 al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
-found once per taper range, so one evaluation is the correlation values on
-those pairs, one scatter into LAPACK storage, one factorization and two solves.
+found once per taper range, so one evaluation is the values on those pairs (zeros
+included), one scatter into LAPACK storage, one factorization and two solves.
 Bounded Brent (Brent 1973) answers with a range it evaluated, so the search
 keeps the levels and NLL of each range it evaluates and does not factor again
 at its answer: a search's ``iterations`` is its number of factorizations.
@@ -160,12 +160,13 @@ def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    ) -> Tuple[float, float, Optional[float]]:
     """GLS mean and variance and the profiled NLL ``(m log(2 pi sigma2) +
     log det R + m) / 2`` under ``model``, from one factorization of the
-    set's :func:`level_matrix` (from ``structure`` if given).
+    set's :func:`level_matrix` (from ``structure`` if given, in its layout).
 
     The NLL is ``None`` when the variance is not positive.  Raises
     :class:`FactorizationError` where the matrix does not factor.
     """
-    factor = cholesky(level_matrix(obs_set, model, None, structure))
+    factor = cholesky(level_matrix(obs_set, model, None, structure),
+                      None if structure is None else structure.layout)
     mu, s2 = _levels(factor, obs_set, None, None)
     if s2 <= 0.0:
         return mu, s2, None

@@ -4,16 +4,16 @@ neighborhoods with ``scipy.spatial.cKDTree`` pair queries and does not query
 :class:`SpatialIndex`; it is kept for the benchmark's tracer, which wraps
 ``SpatialIndex.neighbors``.
 
-A sparse matrix whose reverse Cuthill-McKee order confines it to a narrow
-band (a finite-range correlation) is factored in LAPACK band storage; a full
-or wide-banded one is factored densely in natural order.  An order known
-beforehand, such as a saved factor's, is used without choosing one.  The
-forward solves of the global variance's quadratic forms start at each
-column's first nonzero row (Gilbert & Peierls 1988).  Localized sub-problems are inverted densely on
-purpose, one LAPACK ``dposv`` call (a Cholesky factorization, its
-positive-definiteness check and the solve) per matrix of a stack.  That call
-holds the interpreter lock, so threads do not run the inversions of a stack
-in parallel.
+A stored pattern is analysed once into a :class:`FactorLayout` and factored
+many times in it (CHOLMOD's analyse and factorize phases: Chen, Davis, Hager &
+Rajamanickam 2008, ACM TOMS 35(3)): a narrow-banded pattern (a finite-range
+correlation) in LAPACK band storage, a full or wide-banded one densely.  The
+forward solves of the global variance's quadratic forms start at each column's
+first nonzero row (Gilbert & Peierls 1988).  Localized sub-problems are
+inverted densely on purpose, one LAPACK ``dposv`` call (a Cholesky
+factorization, its positive-definiteness check and the solve) per matrix of a
+stack.  That call holds the interpreter lock, so threads do not run the
+inversions of a stack in parallel.
 
 ``scipy.sparse.csgraph`` (reverse Cuthill-McKee) is imported by
 :func:`_band_order` after its skip test, not with this module: it adds about
@@ -24,7 +24,7 @@ fails if it is imported at the top again.
 
 import functools
 import math
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,11 +43,11 @@ QUAD_GROUP = 32
 class SparseSymmetric:
     """Symmetric n-by-n matrix stored as the lower triangle in CSR form.
 
-    The stored pattern is explicit-zero-free and closed under transpose by
-    construction.  The matrix an instance holds never changes; what it caches
+    The stored pattern is closed under transpose by construction, and the
+    constructor stores no explicit zero; a :meth:`with_values` copy stores
+    zeros too.  The matrix an instance holds never changes; what it caches
     does: the full view (a producer that holds it, with no stored zero, may
-    preset it as ``full``) and the factor layout that :func:`cholesky` chooses
-    for the pattern, kept in one holder that :meth:`with_values` copies share.
+    preset it as ``full``).
     """
 
     def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
@@ -56,7 +56,13 @@ class SparseSymmetric:
         lower.sum_duplicates()
         self._lower = self._pattern = lower
         self._values, self._full = lower.data, full
-        self._layout = [None]  # holds the layout cholesky chose for the pattern
+
+    @classmethod
+    def _on_pattern(cls, pattern: sp.csr_matrix, values: np.ndarray) -> "SparseSymmetric":
+        """``values`` (CSR order) on a canonical lower-triangle CSR ``pattern``, as given."""
+        out = cls.__new__(cls)
+        out._pattern, out._values, out._full = pattern, values, None
+        return out
 
     @functools.cached_property
     def _lower(self) -> sp.csr_matrix:  # of a with_values copy, made on first use
@@ -64,21 +70,9 @@ class SparseSymmetric:
         return sp.csr_matrix((self._values, p.indices, p.indptr), p.shape)
 
     def with_values(self, values: np.ndarray) -> "SparseSymmetric":
-        """This stored pattern holding the lower-triangle ``values`` (CSR order).
-
-        Where none is zero, the copy shares the pattern and its layout holder,
-        so that the first copy :func:`cholesky` factors lays the pattern out
-        for all, and no CSR matrix is built.  Zeros are dropped, as by the
-        constructor, into a pattern of the copy's own.
-        """
-        p, layout = self._pattern, self._layout
-        if not values.all():  # dropped from a copy, so the pattern stays whole; both are canonical
-            p = sp.csr_matrix((values, p.indices, p.indptr), p.shape, copy=True)
-            p.eliminate_zeros()
-            values, layout = p.data, [None]
-        out = SparseSymmetric.__new__(SparseSymmetric)
-        out.__dict__.update(_pattern=p, _values=values, _full=None, _layout=layout)
-        return out
+        """This stored pattern holding the lower-triangle ``values`` (CSR order),
+        zeros too: the copy shares the pattern, and so its layout (:func:`analyse`)."""
+        return self._on_pattern(self._pattern, values)
 
     # -- constructors ----------------------------------------------------
 
@@ -127,9 +121,11 @@ class SparseSymmetric:
 
     def lower_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the stored lower triangle."""
-        p = self._pattern
-        rows = np.repeat(np.arange(self.order), np.diff(p.indptr))
-        return rows, p.indices.copy(), self._values.copy()
+        return self._rows(), self._pattern.indices.copy(), self._values.copy()
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry, in CSR order."""
+        return np.repeat(np.arange(self.order), np.diff(self._pattern.indptr))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.full() @ np.asarray(v, dtype=float)
@@ -160,6 +156,20 @@ class SparseSymmetric:
         return int(self._row_nnz().sum()) / (n * n) if n else 0.0
 
 
+class FactorLayout(NamedTuple):
+    """Where :func:`cholesky` puts a stored pattern's entries: the factor's
+    order ``perm`` and its inverse, the ``storage`` ("band", of ``shape``
+    (bw + 1, m) with ``2 * (bw + 1) <= m``, or "dense", (m, m)) and each
+    entry's flat position ``at`` in it in Fortran order, which LAPACK takes
+    uncopied.  Its arrays are read-only."""
+
+    perm: np.ndarray
+    inv_perm: np.ndarray
+    storage: str
+    shape: Tuple[int, int]
+    at: np.ndarray
+
+
 class CholeskyFactor:
     """Lower Cholesky factor L of a permuted SPD matrix, ``L @ L.T == A[perm][:, perm]``.
 
@@ -170,11 +180,9 @@ class CholeskyFactor:
     ordering throughout.
     """
 
-    def __init__(self, lower: np.ndarray, perm: np.ndarray):
+    def __init__(self, lower: np.ndarray, layout: FactorLayout):
         self.lower = lower
-        self.perm = perm
-        self._inv_perm = np.argsort(perm)
-        self.storage = "band" if lower.shape[0] < lower.shape[1] else "dense"
+        self.perm, self._inv_perm, self.storage = layout.perm, layout.inv_perm, layout.storage
         # Sub-diagonals of L held by the storage (m - 1 when dense).
         self.bandwidth = lower.shape[0] - 1
 
@@ -250,13 +258,6 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(self._diagonal())))
 
 
-def _check_factor_info(info: int, perm: np.ndarray, routine: str):
-    if info > 0:
-        raise FactorizationError(int(perm[info - 1]))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
-
-
 def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
     """The reverse Cuthill-McKee order of the graph of ``a``, or None where a
     row's entry count already rules the band out: a row with d off-diagonal
@@ -273,72 +274,63 @@ def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
     return np.asarray(reverse_cuthill_mckee(a._pattern, symmetric_mode=False), dtype=np.int64)
 
 
-def _factor_layout(a: SparseSymmetric, perm: Optional[np.ndarray]):
-    """Where :func:`cholesky` puts the stored entries of ``a`` when factoring
-    in the order ``perm``: the permutation, the storage shape, and each
-    entry's flat position in that storage in Fortran order, in which LAPACK
-    takes it without a copy.
-
-    With ``perm`` None the storage is dense in natural order.  With a
-    permutation it is band storage in that order, and the result is None if
-    the band does not fit (``2 * (bw + 1) > m``).
-    """
-    m, lower = a.order, a._pattern
-    rows = np.repeat(np.arange(m), np.diff(lower.indptr))
+def _layout(a: SparseSymmetric, rows: np.ndarray, perm: Optional[np.ndarray]):
+    """The layout of the pattern of ``a``, with entries in ``rows``: dense in natural
+    order with ``perm`` None, else band storage in the order ``perm`` if it fits."""
+    m, cols = a.order, a._pattern.indices
     if perm is None:
-        return np.arange(m, dtype=np.int64), (m, m), lower.indices * m + rows
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(m)
-    r, c = inv_perm[rows], inv_perm[lower.indices]
-    sub = np.abs(r - c)
-    bw = int(sub.max())
-    if 2 * (bw + 1) > m:
-        return None
-    return perm, (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
-
-
-def cholesky(a: SparseSymmetric, order="rcm") -> CholeskyFactor:
-    """Cholesky factorization of a :class:`SparseSymmetric` matrix, in band
-    storage where it allows it.
-
-    The matrix is reordered by reverse Cuthill-McKee (RCM,
-    :func:`_band_order`).  If that order brings every stored entry
-    within ``bw`` of the diagonal with ``2 * (bw + 1) <= m``, the factor is
-    held in (bw + 1, m) band storage (LAPACK ``dpbtrf``) and no m-by-m array
-    is made.  Any other matrix, a full one in particular, is factored densely
-    in natural order (``dpotrf``).  That layout is made once per stored
-    pattern (:meth:`SparseSymmetric.with_values`); a call then scatters the
-    values and factors them.
-
-    ``order`` skips the choice for a matrix whose order is known, such
-    as a saved factor's (:attr:`CholeskyFactor.perm` in band storage): None
-    factors densely in natural order, and a permutation of ``0..m-1``
-    factors in band storage in that order (ValueError if the band does not
-    fit).  Either lays the pattern out afresh and keeps nothing, so a later
-    call without ``order`` still makes the choice.
-
-    Raises :class:`FactorizationError` naming the failing pivot (original
-    indexing) when the matrix is not positive definite.
-    """
-    if not isinstance(order, str):
-        layout = _factor_layout(a, order)
-        if layout is None:
-            raise ValueError("the band does not fit in the given order")
+        perm = inv_perm = np.arange(m, dtype=np.int64)
+        storage, shape, at = "dense", (m, m), cols * m + rows
     else:
-        if a._layout[0] is None:
-            perm = _band_order(a)
-            layout = None if perm is None else _factor_layout(a, perm)
-            a._layout[0] = layout or _factor_layout(a, None)
-        layout = a._layout[0]
-    perm, shape, at = layout
-    transposed = np.zeros(shape[::-1])
-    transposed.reshape(-1)[at] = a._values
-    target = transposed.T
-    band = shape[0] < shape[1]
-    factor, info = (dpbtrf(target, lower=1, overwrite_ab=1) if band
-                    else dpotrf(target, lower=1, clean=1, overwrite_a=1))
-    _check_factor_info(info, perm, "dpbtrf" if band else "dpotrf")
-    return CholeskyFactor(factor, perm)
+        inv_perm = np.empty_like(perm)
+        inv_perm[perm] = np.arange(m)
+        r, c = inv_perm[rows], inv_perm[cols]
+        sub = np.abs(r - c)
+        bw = int(sub.max(initial=0))
+        if 2 * (bw + 1) > m:
+            return None
+        storage, shape, at = "band", (bw + 1, m), np.minimum(r, c) * (bw + 1) + sub
+    for arr in (perm, inv_perm, at):
+        arr.flags.writeable = False
+    return FactorLayout(perm, inv_perm, storage, shape, at)
+
+
+def analyse(a: SparseSymmetric) -> FactorLayout:
+    """The layout of the stored pattern of ``a``, stored zeros included: band
+    storage (LAPACK ``dpbtrf``) in the reverse Cuthill-McKee order
+    (:func:`_band_order`) where the band fits, with no m-by-m array; else, for
+    a full pattern in particular, dense storage in natural order (``dpotrf``)."""
+    rows, perm = a._rows(), _band_order(a)
+    return (perm is not None and _layout(a, rows, perm)) or _layout(a, rows, None)
+
+
+def layout_in_order(a: SparseSymmetric, order: Optional[np.ndarray]) -> FactorLayout:
+    """The layout of the stored pattern of ``a`` in a known order, such as a saved
+    factor's: None is dense in natural order, and a permutation of ``0..m-1``
+    band storage in that order (ValueError if the band does not fit)."""
+    layout = _layout(a, a._rows(), None if order is None else np.array(order, dtype=np.int64))
+    if layout is None:
+        raise ValueError("the band does not fit in the given order")
+    return layout
+
+
+def cholesky(a: SparseSymmetric, layout: Optional[FactorLayout] = None) -> CholeskyFactor:
+    """Cholesky factorization of a :class:`SparseSymmetric` matrix: its values
+    scattered into ``layout``, a layout of its stored pattern (:func:`analyse`
+    of ``a`` if None), and factored there by LAPACK; :class:`FactorizationError`
+    names the failing pivot (original indexing) of one not positive definite."""
+    if layout is None:
+        layout = analyse(a)
+    transposed = np.zeros(layout.shape[::-1])
+    transposed.reshape(-1)[layout.at] = a._values
+    band = layout.storage == "band"
+    factor, info = (dpbtrf(transposed.T, lower=1, overwrite_ab=1) if band
+                    else dpotrf(transposed.T, lower=1, clean=1, overwrite_a=1))
+    if info > 0:
+        raise FactorizationError(int(layout.perm[info - 1]))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {'dpbtrf' if band else 'dpotrf'}")
+    return CholeskyFactor(factor, layout)
 
 
 def dense_spd_inverse(stack: np.ndarray, center_index, row) -> np.ndarray:

@@ -180,7 +180,7 @@ def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSym
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these three names, so
 # they stay, as functions over the shared path rather than aliases, until it
-# drops those metrics (ROADMAP, open item 2).
+# drops those metrics (ROADMAP, open items 1 and 7).
 
 def predict_localized(f: KernelPredictor, x):
     """:func:`~.predictor.predict` of a localized predictor."""

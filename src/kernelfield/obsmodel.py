@@ -23,6 +23,7 @@ that one k-d tree query finds within reach (a dense array without a taper).
 """
 
 import csv
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -33,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from .corrfn import CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
-from .linalg import SparseSymmetric
+from .linalg import FactorLayout, SparseSymmetric, analyse
 
 POINT = "point"
 DERIV = "deriv"
@@ -403,13 +404,13 @@ def _check_duplicate_exact(obs_set: ObservationSet, kind: int, i: np.ndarray, j:
 
 class PairStructure:
     """What of a set's inter-correlation matrix only the taper range changes:
-    the stored pairs (i >= j) in CSR order, as a :class:`SparseSymmetric`
-    pattern whose copies hold the matrices, the kind pairs with their operator
-    arrays and the point-point distances.  Without a taper every pair is
-    stored; under one, the pairs of rep points within ``taper_range + 2 * max
-    radius`` (a k-d tree query) whose supports are closer than the taper
-    range; the others are provably zero.  The pairs are put in CSR order by
-    one int64 key, ``i * m + j``.
+    the stored pairs (i >= j), put in CSR order by one int64 key, as a
+    canonical :class:`SparseSymmetric` pattern whose copies hold the matrices,
+    its factor layout, the kind pairs with their operator arrays and the
+    point-point distances.  Without a taper every pair is stored; under one,
+    the pairs of rep points within ``taper_range + 2 * max radius`` (a k-d
+    tree query) whose supports are closer than the taper range, the others
+    being provably zero.
 
     Each point pair's distance is computed once: where every support is a
     site (dim > 1), it is the support separation of the pair, which also
@@ -442,7 +443,8 @@ class PairStructure:
         self.obs_set, self.taper_range = obs_set, taper_range
         self._diagonal = np.flatnonzero(i == j)
         indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
-        self._pattern = SparseSymmetric(sp.csr_matrix((np.ones(j.size), j, indptr), (m, m)))
+        pattern = sp.csr_matrix((np.ones(j.size), j, indptr), (m, m))
+        self._pattern = SparseSymmetric._on_pattern(pattern, pattern.data)
         kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
         # (positions, distances) of point pairs, (positions, ka, a, kb, b) of other kinds
         self._groups = []
@@ -461,10 +463,15 @@ class PairStructure:
                 self._groups.append((sel, ka, _operators(obs_set, ka, i[sel]),
                                      kb, _operators(obs_set, kb, j[sel])))
 
+    @functools.cached_property
+    def layout(self) -> FactorLayout:
+        """The pattern's layout (:func:`~.linalg.analyse`), made on first use."""
+        return analyse(self._pattern)
+
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the
         diagonal: one array evaluation per kind pair, held by a copy of the
-        structure's pattern (:meth:`SparseSymmetric.with_values`)."""
+        structure's pattern (:meth:`SparseSymmetric.with_values`), zeros too."""
         if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
             raise ValueError("sigma2_r must be a positive finite real")
         if model.taper_range != self.taper_range:
@@ -481,8 +488,7 @@ def assemble(obs_set: ObservationSet, model: CorrelationModel, sigma2_r: float) 
     """Assemble the symmetric m-by-m observation inter-correlation matrix:
     the set's :class:`PairStructure` under the model's taper range (one sort
     key, one distance per point pair, duplicate exact points looked for among
-    the coincident pairs only), then its values.  Entries that underflow to
-    zero are not stored."""
+    the coincident pairs only), then its values, an underflowed zero too."""
     return PairStructure(obs_set, model.taper_range).matrix(model, sigma2_r)
 
 

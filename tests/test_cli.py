@@ -147,6 +147,25 @@ def test_fit_summary_reports_the_factor(tmp_path, capsys, taper_range, storage):
     assert 0.0 < stats["min_pivot"] <= 1.0
 
 
+def test_fit_summary_counts_underflowed_entries(tmp_path, capsys):
+    # Untapered gauss2 is exactly 0 beyond about 27 ranges: at range 0.3 the
+    # far pairs of this 19.5-long row of sites underflow.  An untapered matrix
+    # stores every pair all the same, and is factored densely.
+    rng = np.random.default_rng(4)
+    obs = write_points(tmp_path / "obs.csv",
+                       [(0.5 * k, 0.0, v) for k, v in enumerate(rng.normal(size=40))])
+    model = write_json(tmp_path / "model.json", {"base": {"kind": "gauss2", "scale": 0.3},
+                                                 "mu": "estimate", "sigma2": "estimate"})
+    capsys.readouterr()
+    predictor = fit(tmp_path, obs, model)
+    stats = json.loads(capsys.readouterr().out)["matrix"]
+    assert (stats["nnz_lower"], stats["density"], stats["max_row_nnz"]) == (820, 1.0, 40)
+    assert (stats["factor_storage"], stats["bandwidth"]) == ("dense", 39)
+    with open(predictor) as fh:
+        assert json.load(fh)["factor_order"] is None
+    assert load_predictor(predictor).inverse.storage == "dense"
+
+
 def test_fit_summary_reports_the_matrix_in_both_modes(tmp_path, capsys):
     # Both fits assemble S; only the global one factors it.
     obs = str(tmp_path / "obs.csv")

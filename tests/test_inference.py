@@ -15,7 +15,7 @@ from kernelfield.linalg import CholeskyFactor, SparseSymmetric
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import dense_factor, observation_set, well_separated_points
-from oracles import from_dense
+from oracles import from_dense, reconstruct
 
 
 def spd_action(rng, n):
@@ -339,7 +339,7 @@ class TestProfiledSearch:
         eta = estimate_eta(obs, family, (0.1, 1.4), 1e-5, 50).eta
         mu, sigma2, nll = profile_levels(obs, family(eta))
         built, layouts, factored, in_search = [], [], [], []
-        real_structure, real_layout = inference.PairStructure, linalg._factor_layout
+        real_structure, real_band_order = inference.PairStructure, linalg._band_order
         real_cholesky, real_estimate_eta = inference.cholesky, inference.estimate_eta
 
         def marked_estimate_eta(*args, **kwargs):
@@ -351,10 +351,10 @@ class TestProfiledSearch:
 
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
-        monkeypatch.setattr(linalg, "_factor_layout",
-                            lambda *args: layouts.append(1) or real_layout(*args))
+        monkeypatch.setattr(linalg, "_band_order",  # one call per analysis
+                            lambda a: layouts.append(1) or real_band_order(a))
         monkeypatch.setattr(inference, "cholesky",
-                            lambda a: factored.append(bool(in_search)) or real_cholesky(a))
+                            lambda *args: factored.append(bool(in_search)) or real_cholesky(*args))
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
         result = estimate_joint(obs, family, (0.1, 1.4))
         assert (result.eta, result.mu, result.sigma2,
@@ -394,9 +394,9 @@ class TestProfileLevels:
         assert negative_log_likelihood(obs, model, mu, 2.0) == pytest.approx(direct, rel=1e-12)
 
 
-def factor_or_pivot(make):
+def factor_or_pivot(factor):
     try:
-        return cholesky(make())
+        return factor()
     except FactorizationError as exc:
         return exc.pivot_index
 
@@ -473,40 +473,71 @@ class TestPairStructureReuse:
         structure = PairStructure(obs, family(etas[0]).taper_range)
         for eta in etas:
             model = family(eta)
-            reused = factor_or_pivot(lambda: structure.matrix(model, 1.0))
+            matrix = structure.matrix(model, 1.0)
+            reused = factor_or_pivot(lambda: cholesky(matrix, structure.layout))
             # A matrix made by the constructor: no zero stored, a layout of its own.
-            fresh = factor_or_pivot(lambda: SparseSymmetric.from_entries(
-                obs.m, *assemble(obs, model, 1.0).lower_entries()))
+            zero_free = SparseSymmetric.from_entries(obs.m, *matrix.lower_entries())
+            fresh = factor_or_pivot(lambda: cholesky(zero_free))
             if not isinstance(fresh, CholeskyFactor):
                 assert reused == fresh  # the same failing pivot
                 with pytest.raises(FactorizationError):
                     profile_levels(obs, model, structure)
                 continue
-            assert np.array_equal(reused.lower, fresh.lower)
-            assert np.array_equal(reused.perm, fresh.perm)
+            if fresh.storage == "dense":
+                # Zeros scattered into dense storage in natural order change no
+                # value of the factor (an underflowed -0.0 may leave a -0.0 in it).
+                assert np.array_equal(reused.lower, fresh.lower)
+                assert np.array_equal(reused.perm, fresh.perm)
+            else:  # a band factor, maybe in another RCM order than the zero-free pattern's
+                want = zero_free.to_dense()
+                scale = np.abs(want).max()
+                for f in (reused, fresh):
+                    assert np.abs(reconstruct(f) - want).max() <= 1e-13 * obs.m * scale
+                assert reused.logdet() == pytest.approx(fresh.logdet(), rel=1e-9, abs=1e-9)
             # bit for bit
             assert profile_levels(obs, model, structure) == profile_levels(obs, model)
 
-    def test_matrices_with_underflowed_zeros_are_laid_out_on_their_own(self, monkeypatch):
-        # Untapered gauss2 is exactly 0 beyond about 27 ranges, so at small
-        # ranges the far entries of this lattice underflow: such a matrix
-        # drops them into a pattern of its own, laid out afresh, while the
-        # zero-free matrices share the structure's one layout.
+    @pytest.mark.parametrize("case", ["untapered-1d", "tapered-2d"])
+    def test_matrices_with_underflowed_zeros_share_the_structure_layout(self, monkeypatch,
+                                                                        case):
+        # gauss2 is exactly 0 beyond about 27.3 ranges, so at small ranges the
+        # far entries of the 1D lattice underflow, and under a taper of 1.5
+        # those of the 2D set within the taper range (at the first probe,
+        # eta = 0.0506 < 1.5 / 27.3).  The matrices store them as zeros on the
+        # structure's pattern: one layout serves the whole search, and an
+        # untapered matrix stays dense.
         rng = np.random.default_rng(10)
-        x = 0.5 * np.arange(40) + rng.uniform(-0.1, 0.1, 40)
-        obs = observation_set([(POINT, xi, float(rng.normal())) for xi in x])
-        matrices, layouts = [], []
+        if case == "untapered-1d":
+            x = 0.5 * np.arange(40) + rng.uniform(-0.1, 0.1, 40)
+            obs = observation_set([(POINT, xi, float(rng.normal())) for xi in x])
+            family, bounds = gauss_family, (0.05, 2.0)
+        else:
+            obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
+            family, bounds = (lambda eta: CorrelationModel("gauss2", eta, 1.5)), (0.02, 0.1)
+        matrices, factors, layouts, built = [], [], [], []
         real_cholesky, real_band_order = inference.cholesky, linalg._band_order
-        monkeypatch.setattr(inference, "cholesky",
-                            lambda a: matrices.append(a) or real_cholesky(a))
-        monkeypatch.setattr(linalg, "_band_order",
+        real_structure = inference.PairStructure
+
+        def recording_cholesky(a, layout=None):
+            matrices.append(a)
+            factors.append(real_cholesky(a, layout))
+            return factors[-1]
+
+        monkeypatch.setattr(inference, "cholesky", recording_cholesky)
+        monkeypatch.setattr(linalg, "_band_order",  # one call per analysis
                             lambda a: layouts.append(1) or real_band_order(a))
-        result = estimate_joint(obs, gauss_family, (0.05, 2.0))
-        with_zeros = sum(a.nnz_lower < obs.m * (obs.m + 1) // 2 for a in matrices)
+        monkeypatch.setattr(inference, "PairStructure",
+                            lambda *args: built.append(1) or real_structure(*args))
+        result = estimate_joint(obs, family, bounds)
+        with_zeros = sum(not a._values.all() for a in matrices)
         assert len(matrices) == result.iterations and 0 < with_zeros < result.iterations
-        assert len(layouts) == with_zeros + 1
-        assert (result.mu, result.sigma2, result.nll) == profile_levels(
-            obs, gauss_family(result.eta))  # bit for bit
+        assert len({a.nnz_lower for a in matrices}) == 1  # every pair the structure selects
+        assert (len(built), len(layouts)) == (1, 1)
+        assert {f.storage for f in factors} == {"dense" if case == "untapered-1d" else "band"}
+        monkeypatch.undo()
+        model = family(result.eta)
+        assert (result.mu, result.sigma2, result.nll) == profile_levels(obs, model)  # bit for bit
+        assert result.nll == pytest.approx(dense_profiled_nll(obs, model), rel=1e-10)
 
     @pytest.mark.parametrize("family", ["taper-is-range", "stepped-taper"])
     def test_taper_range_changing_with_eta(self, monkeypatch, family):
@@ -523,7 +554,8 @@ class TestPairStructureReuse:
             taper_range = object()  # equal to no model's, so one is built per evaluation
 
             def __init__(self, obs_set, taper_range):
-                self.matrix = real_structure(obs_set, taper_range).matrix
+                real = real_structure(obs_set, taper_range)
+                self.matrix, self.layout = real.matrix, real.layout
 
         def recorded_family(eta):
             tapers.append(family(eta).taper_range)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          SpatialIndex, assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import QUAD_GROUP, _band_order, dense_spd_inverse
+from kernelfield.linalg import (QUAD_GROUP, _band_order, analyse, dense_spd_inverse,
+                                layout_in_order)
 
 from conftest import dense_factor
 from oracles import from_dense, reconstruct
@@ -221,16 +222,29 @@ class TestFactorStorage:
         rng = np.random.default_rng(12)
         a = shuffled(rng, banded_spd(rng, 40, 2)) if band else random_spd(rng, 12)
         first = from_dense(a)
-        assert cholesky(first).storage == ("band" if band else "dense")
+        layout = analyse(first)
+        assert layout.storage == ("band" if band else "dense")
         rows, cols, vals = first.lower_entries()
         for scale in (2.0, 0.5):
             shifted = scale * vals + (rows == cols)  # same pattern, new values
             copy = first.with_values(shifted)
             fresh = SparseSymmetric.from_entries(first.order, rows, cols, shifted)
-            assert copy._layout is first._layout  # the pattern is laid out once
+            assert copy._pattern is first._pattern  # so the pattern is laid out once
             assert np.array_equal(copy.to_dense(), fresh.to_dense())
-            got, want = cholesky(copy), cholesky(fresh)
-            assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+            want = cholesky(fresh)
+            for got in (cholesky(copy, layout), cholesky(copy)):
+                assert got.lower.tobytes() == want.lower.tobytes()
+                assert np.array_equal(got.perm, want.perm)
+
+    def test_layout_is_immutable(self, tapered_set):
+        layout = analyse(tapered_set[1])
+        assert layout.storage == "band"
+        for arr in (layout.perm, layout.inv_perm, layout.at):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            layout.perm = np.arange(400)
+        assert np.array_equal(layout.inv_perm[layout.perm], np.arange(400))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 80), st.floats(0.0, 0.2), st.integers(0, 2 ** 16), st.booleans())
@@ -258,32 +272,35 @@ class TestFactorStorage:
 
         chosen = cholesky(fresh())
         assert chosen.storage == "band"
-        for order, want in ((chosen.perm.copy(), chosen), (None, dense_factor(mat.to_dense()))):
-            got = cholesky(fresh(), order)
+        for order, want in ((chosen.perm.tolist(), chosen), (None, dense_factor(mat.to_dense()))):
+            a = fresh()
+            got = cholesky(a, layout_in_order(a, order))
             assert got.storage == want.storage and np.array_equal(got.perm, want.perm)
+            assert got.perm.dtype == np.int64
             assert got.lower.tobytes() == want.lower.tobytes()
-        laid_out = fresh()
-        cholesky(laid_out)
-        assert cholesky(laid_out, None).storage == "dense"  # a given order lays out afresh
-        assert cholesky(laid_out).storage == "band"  # and leaves the chosen layout
-        given_first = fresh()
-        assert cholesky(given_first, None).storage == "dense"
-        assert cholesky(given_first).storage == "band"  # a given order is not kept
+            assert cholesky(a).storage == "band"  # a given order is kept nowhere
         with pytest.raises(ValueError, match="the band does not fit in the given order"):
-            cholesky(fresh(), np.arange(400))  # the natural order of a 2-D set
+            layout_in_order(fresh(), np.arange(400))  # the natural order of a 2-D set
 
-    def test_with_values_drops_zeros_into_a_pattern_of_its_own(self):
+    def test_with_values_keeps_zeros_in_the_pattern(self):
         a = banded_spd(np.random.default_rng(13), 30, 3)
         first = from_dense(a)
-        cholesky(first)
+        layout = analyse(first)
         rows, cols, vals = first.lower_entries()
         vals = np.where(np.abs(rows - cols) == 3, 0.0, vals)
         copy = first.with_values(vals)
-        assert copy.nnz_lower == first.nnz_lower - np.count_nonzero(np.abs(rows - cols) == 3)
-        assert copy._layout is not first._layout
-        want = cholesky(SparseSymmetric.from_entries(30, rows, cols, vals))
-        got = cholesky(copy)
-        assert np.array_equal(got.lower, want.lower) and np.array_equal(got.perm, want.perm)
+        assert copy.nnz_lower == first.nnz_lower and copy.max_row_nnz() == first.max_row_nnz()
+        assert np.array_equal(copy.lower_entries()[2], vals)
+        zero_free = SparseSymmetric.from_entries(30, rows, cols, vals)
+        assert zero_free.nnz_lower == first.nnz_lower - np.count_nonzero(np.abs(rows - cols) == 3)
+        assert np.array_equal(copy.to_dense(), zero_free.to_dense())
+        got, want = cholesky(copy, layout), cholesky(zero_free)
+        assert got.storage == "band" and np.array_equal(got.perm, layout.perm)
+        assert got.bandwidth == cholesky(first).bandwidth  # the zeros keep their band
+        scale = np.abs(a).max()
+        for f in (got, want):  # want may hold the zero-free pattern in another order
+            assert np.abs(reconstruct(f) - zero_free.to_dense()).max() <= 1e-14 * scale
+        assert got.logdet() == pytest.approx(want.logdet(), rel=1e-12)
 
 
 def full_range_forms(f, rhs):

@@ -532,13 +532,14 @@ class TestAssemble:
         dense, kept = brute_force_matrix(obs, model, sigma2)
         s = assemble(obs, model, sigma2)
         np.testing.assert_allclose(s.to_dense(), dense, rtol=0.0, atol=1e-15)
-        # The structure selects the pairs; an entry that evaluates to zero (the
-        # interval 1e-9 inside reach has an exact entry of about 1e-29) is not stored.
+        # The structure selects the pairs, and the matrix stores each of them
+        # whatever its value, zero included (the interval 1e-9 inside reach
+        # has an exact entry of about 1e-29).
         structure = PairStructure(obs, model.taper_range)
-        lower = structure._pattern._lower
-        assert np.array_equal(pattern(lower.indptr, lower.indices, obs.m), kept)
-        full = s.full()
-        assert np.array_equal(pattern(full.indptr, full.indices, obs.m), kept & (dense != 0.0))
+        for lower in (structure._pattern._lower, s._lower):
+            assert np.array_equal(pattern(lower.indptr, lower.indices, obs.m), kept)
+        rows, cols, vals = s.lower_entries()
+        assert np.array_equal(vals, dense[rows, cols])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -561,7 +562,7 @@ class TestAssemble:
         dist = _distances(sites[i], sites[j])
         vals = model.eval(dist) + np.where(i == j, error_vars[i] / 2.0, 0.0)
         csr = np.lexsort((j, i))
-        csr = csr[(dist[csr] < tau0) & (vals[csr] != 0.0)]
+        csr = csr[dist[csr] < tau0]
         assert np.array_equal(got.indptr, np.append(0, np.cumsum(np.bincount(i[csr], minlength=m))))
         assert np.array_equal(got.indices, j[csr])
         assert np.array_equal(got.data, vals[csr])
