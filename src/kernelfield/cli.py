@@ -12,19 +12,24 @@ Subcommands:
 * ``synth``     -- generate a seeded synthetic observation CSV.
 
 A saved predictor is JSON with ``format`` "kernelfield-predictor" and
-``version`` 3 (other versions exit 2): ``mode``, ``model``, ``dim``,
-``weights``, ``observations``, the columns ``kind``, ``value``,
-``error_var`` and ``site``, ``direction`` and ``bounds``: one list per
-coordinate over the rows of the kinds that have them (no ``NaN``), and
-either ``factor_order`` (global) or ``localized`` (localized).
-``factor_order`` is the order of the fit's Cholesky factor, so that loading
-factors without choosing it again: the permutation of a factor in band
-storage, or ``null`` for a dense factor in natural order.
+``version`` 4 (other versions exit 2): ``mode``, ``model``, ``dim``,
+``weights`` (JSON numbers), ``observations`` and either ``factor_order``
+(global) or ``localized`` (localized).  The observation columns and
+``factor_order`` are binary arrays, after NumPy's ``.npy`` header (NEP 1):
+``{"dtype": ..., "shape": [...], "data": <base64 of the C-order bytes>}``.
+The columns are ``kind`` (``"|i1"`` codes of :data:`obsmodel.KIND_CODES`),
+``value`` and ``error_var`` (``"<f8"``, shape (m,)), and ``site``,
+``direction`` and ``bounds`` (``"<f8"``, shape (width, rows): one row per
+coordinate over the rows of the kinds that have them).  ``factor_order`` is
+the order of the fit's Cholesky factor, so that loading factors without
+choosing it again: the ``"<i8"`` permutation of a factor in band storage, or
+``null`` for a dense factor in natural order.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 import argparse
+import base64
 import dataclasses
 import functools
 import json
@@ -45,7 +50,7 @@ from .obsmodel import (KIND_CODES, ObservationSet, assemble,
 from .predictor import GridSpec, KernelPredictor, _check_levels, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
-PREDICTOR_VERSION = 3
+PREDICTOR_VERSION = 4
 
 
 def _load_model_file(path):
@@ -75,19 +80,57 @@ def _kind_rows(kinds) -> dict:  # the rows of each per-kind column of a predicto
     return {"site": ~avg, "direction": kinds == KIND_CODES[obsmodel.DERIV], "bounds": avg}
 
 
+_ITEMSIZES = {"|i1": 1, "<i8": 8, "<f8": 8}  # of the dtypes a predictor file stores
+
+
+def _encode(a: np.ndarray, dtype: str) -> dict:
+    """``a`` as a binary array of a predictor file: its dtype string, its shape
+    and the base64 of its C-order bytes in that dtype."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return {"dtype": dtype, "shape": list(a.shape),
+            "data": base64.b64encode(a.data).decode("ascii")}
+
+
+def _decode(doc, name: str, dtype: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """The read-only array of an :func:`_encode` object ``doc`` (ValueError
+    naming ``name`` unless its dtype string is ``dtype``, its shape a list of
+    non-negative JSON integers, equal to ``shape`` if given, and its data
+    strict base64 of exactly the bytes that shape holds)."""
+    if not isinstance(doc, dict) or doc.get("dtype") != dtype:
+        raise ValueError(f"{name} must be an array object of dtype {dtype!r}")
+    dims, data = doc.get("shape"), doc.get("data")
+    if not isinstance(dims, list) or any(type(n) is not int or n < 0 for n in dims):
+        raise ValueError(f"{name}.shape must be a list of non-negative JSON integers")
+    if shape is not None and tuple(dims) != shape:
+        raise ValueError(f"{name} of shape {tuple(dims)}, expected {shape}")
+    if not isinstance(data, str):
+        raise ValueError(f"{name}.data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        raise ValueError(f"{name}.data is not valid base64") from None
+    if len(raw) != _ITEMSIZES[dtype] * math.prod(dims):
+        raise ValueError(f"{name} holds {len(raw)} bytes, not the {dtype} bytes of shape "
+                         f"{tuple(dims)}")
+    return np.frombuffer(raw, dtype=dtype).reshape(dims)
+
+
 def _observation_columns(obs: ObservationSet) -> dict:
-    """The observations as JSON columns; ``site``, ``direction`` and ``bounds``
-    hold one list per coordinate over the rows of the kinds that have them."""
+    """The observations as binary columns; ``site``, ``direction`` and
+    ``bounds`` hold one row per coordinate over the rows of the kinds that
+    have them."""
     full = {"site": obs.rep_points(), "direction": obs.directions, "bounds": obs.bounds}
-    return {"kind": np.array(obsmodel.KINDS)[obs.kinds].tolist(),
-            "value": obs.values().tolist(), "error_var": obs.error_vars().tolist(),
-            **{name: full[name][rows].T.tolist() for name, rows in _kind_rows(obs.kinds).items()}}
+    return {"kind": _encode(obs.kinds, "|i1"), "value": _encode(obs.values(), "<f8"),
+            "error_var": _encode(obs.error_vars(), "<f8"),
+            **{name: _encode(full[name][rows].T, "<f8")
+               for name, rows in _kind_rows(obs.kinds).items()}}
 
 
 def _json_numbers(a, name: str, kinds: str = "fiu") -> np.ndarray:
     """``a`` as the array ``np.asarray`` makes of it, whose dtype kind must be
     one of ``kinds`` unless it is empty, and whose values must be finite
-    (ValueError naming ``name``).
+    (ValueError naming ``name``): the check of the predictor file's lists of
+    JSON numbers, ``weights`` and Psi's ``rows``, ``cols`` and ``vals``.
 
     One check of the whole array, with no loop over its elements, refuses
     strings (``U``), nulls and integers beyond 64 bits (``O``) and lists of
@@ -111,15 +154,20 @@ def _observations_from_columns(path, doc) -> ObservationSet:
     """The observation set of a predictor file (ConfigError if malformed)."""
     try:
         cols, dim = doc["observations"], doc["dim"]
-        kinds = np.array([KIND_CODES[k] for k in cols["kind"]], dtype=np.int8)
-        numbers = {name: _json_numbers(cols[name], f"observations.{name}")
-                   for name in ("site", "direction", "bounds", "value", "error_var")}
-        full = {}
-        for (name, rows), width in zip(_kind_rows(kinds).items(), (dim, dim, 2)):
-            full[name] = np.zeros((kinds.size, width))
-            full[name][rows] = obsmodel.shaped_floats(numbers[name], (width, int(rows.sum())),
-                                                      name).T
-        return ObservationSet(kinds, full["site"], numbers["value"], numbers["error_var"],
+        kinds = _decode(cols["kind"], "observations.kind", "|i1")
+        if kinds.ndim != 1:
+            raise ValueError(f"observations.kind of shape {kinds.shape}, expected (m,)")
+        kind_rows = _kind_rows(kinds)  # a deriv or avg row is 1D: checked before (m, dim) arrays
+        if dim != 1 and (kind_rows["direction"] | kind_rows["bounds"]).any():
+            raise ValueError(f"dim {dim!r}: deriv and avg observations are 1D only")
+        m, full = kinds.size, {}
+        for (name, rows), width in zip(kind_rows.items(), (dim, dim, 2)):
+            given = _decode(cols[name], f"observations.{name}", "<f8", (width, int(rows.sum())))
+            full[name] = np.zeros((m, width))
+            full[name][rows] = given.T
+        return ObservationSet(kinds, full["site"],
+                              *(_decode(cols[name], f"observations.{name}", "<f8", (m,))
+                                for name in ("value", "error_var")),
                               full["direction"], full["bounds"], dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed observation columns ({exc})") from None
@@ -138,7 +186,7 @@ def save_predictor(path, fitted: KernelPredictor):
     }
     if fitted.mode == "global":
         band = fitted.inverse is not None and fitted.inverse.storage == "band"
-        doc["factor_order"] = fitted.inverse.perm.tolist() if band else None
+        doc["factor_order"] = _encode(fitted.inverse.perm, "<i8") if band else None
     else:
         rows, cols, vals = fitted.inverse.lower_entries()
         doc["localized"] = {
@@ -162,26 +210,30 @@ def load_predictor(path) -> KernelPredictor:
     Global predictors reassemble and refactor the inter-correlation matrix
     (deterministically, from the echoed observations) for variance queries,
     in the saved ``factor_order``, so that no fill-reducing order is chosen
-    again.  That order must be ``null`` or a permutation of ``0..m-1`` in
-    which the band fits (``2 * (bw + 1) <= m``); any such order gives a valid
-    factor, so it needs no other check.  Weights and parameters are taken
-    verbatim from the file, after a check that the weights solve that system
-    to round-off.  Localized weights are checked to equal the saved
+    again.  That order must be ``null`` or an int64 permutation of ``0..m-1``
+    in which the band fits (``2 * (bw + 1) <= m``); any such order gives a
+    valid factor, so it needs no other check.  Weights and parameters are
+    taken verbatim from the file, after a check that the weights solve that
+    system to round-off.  Localized weights are checked to equal the saved
     approximate inverse applied to the residuals of the observations, to
     round-off; their ``k`` must be a positive integer and their ``delta``
     equal ``k * taper_range`` as the fit computes it.  Their ``psi_lower``
     must be an object whose ``order`` is the JSON integer m, whose ``rows``
     and ``cols`` are JSON integers in ``[0, order)`` and whose ``vals`` are
     JSON numbers, the three flat lists of one length, with no entry repeated
-    in either triangle.  ``weights``, Psi's ``vals`` and the observation
-    columns ``value``, ``error_var``, ``site``, ``direction`` and ``bounds``
-    must hold finite JSON numbers: a list that numpy reads as strings,
-    nulls, integers beyond 64 bits or booleans is refused, with one dtype
-    check per list, and so is ``NaN`` or ``Infinity``.  The model's ``mu``
-    must be finite and its ``sigma2`` positive and finite, as a fit checks
-    them.  A missing top-level field, a model number that is not a JSON
-    number, or any other malformed content is a :class:`ConfigError` naming
-    it.
+    in either triangle.  ``weights`` and Psi's ``vals`` must hold finite JSON
+    numbers: a list that numpy reads as strings, nulls, integers beyond 64
+    bits or booleans is refused, with one dtype check per list, and so is
+    ``NaN`` or ``Infinity``.  Each binary array (the observation columns and
+    ``factor_order``) must carry exactly its dtype string, a shape list of
+    non-negative JSON integers that fits the file's m and kinds, and strict
+    base64 of exactly the bytes of that shape; its values are then checked
+    as a fit's are (:class:`ObservationSet` refuses an unknown kind code, a
+    non-finite site, value or error variance, a bad interval and a bad
+    direction).  The model's ``mu`` must be finite and its ``sigma2``
+    positive and finite, as a fit checks them.  A missing top-level field, a
+    model number that is not a JSON number, or any other malformed content
+    is a :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -287,15 +339,17 @@ def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
 
 
 def _factor_order(path, order, m: int) -> Optional[np.ndarray]:
-    """A saved ``factor_order``: None, or an int64 permutation of ``0..m-1``
-    (not a bool, a float, a string or a repeated or missing index)."""
+    """A saved ``factor_order``: None, or an int64 permutation of ``0..m-1``."""
     if order is None:
         return None
-    if (not isinstance(order, list) or not 0 < len(order) == m or set(map(type, order)) != {int}
-            or not np.array_equal(np.sort(order), np.arange(m))):
+    try:
+        order = _decode(order, "factor_order", "<i8", (m,))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if m == 0 or not np.array_equal(np.sort(order), np.arange(m)):
         raise ConfigError(f"{path}: factor_order must be null or a permutation of the "
                           f"{m} observation indices")
-    return np.array(order, dtype=np.int64)
+    return order
 
 
 def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
@@ -331,10 +385,9 @@ def _write_raster_csv(path, table: np.ndarray, dim: int):
     ``variance`` and, for a localized predictor, ``adjusted_variance``."""
     cols = [f"x{k + 1}" for k in range(dim)]
     cols += ["prediction", "variance", "adjusted_variance"][:table.shape[1] - dim]
+    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in table.tolist()]
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in table.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- fit -----------------------------------------------------------------

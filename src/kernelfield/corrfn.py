@@ -7,8 +7,9 @@ exactly 0, so that no tiny scale overflows a product on the way there:
 ``(1 + x + x^2/3) exp(-x)`` at ``x = sqrt(5) d/tau_m``, and ``gauss2``
 (:class:`_Gauss2`) is ``exp(-x^2)`` at ``x = d/scale``.  From ``x`` come the
 value, the first two lag derivatives (scaled before the exponential, so they
-overflow only where their plain closed forms do), and the antiderivatives and
-moments of every interval integral (:meth:`CorrelationModel._integrals`).
+overflow only where their plain closed forms do; Matern-5/2's first, at most
+``0.28 k``, nowhere), and the antiderivatives and moments of every interval
+integral (:meth:`CorrelationModel._integrals`).
 
 The spherical taper ``(1 + d/(2*tau0)) * (1 - d/tau0)^2``, exactly 0 from
 ``d = tau0`` on, multiplies the base to give a finite range: the product is
@@ -58,18 +59,21 @@ class _Matern52:
 
     @staticmethod
     def scaled(d, tau_m):
-        """k, d clipped where e^{-x} is exactly 0, and x."""
+        """k, d clipped where e^{-x/2} (and so e^{-x}) is exactly 0, and x."""
         k = SQRT5 / tau_m
-        c = np.minimum(d, 800.0 / k)
+        c = np.minimum(d, 1500.0 / k)
         return k, c, k * c
 
     @staticmethod
     def rho(d, tau_m, order):
         """rho (order 0), or its first or second derivative in d."""
-        k, c, x = _Matern52.scaled(d, tau_m)
+        k, _, x = _Matern52.scaled(d, tau_m)
         if order == 0:
             return (1.0 + x + x * x / 3.0) * np.exp(-x)
-        return -(k * k / 3.0) * (c + x * c if order == 1 else 1.0 + x - x * x) * np.exp(-x)
+        if order == 1:  # k/3 times x(1 + x)e^{-x}: k^2 overflows below tau_m ~ 1.7e-154
+            h = np.exp(-0.5 * x)  # e^{-x} in halves: subnormal where rho' may be normal
+            return -(k / 3.0) * (x * (1.0 + x) * h) * h
+        return -(k * k / 3.0) * (1.0 + x - x * x) * np.exp(-x)
 
     @staticmethod
     def integrals(a, tau_m):

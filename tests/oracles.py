@@ -35,11 +35,14 @@ def gauss2(d, scale):
 
 
 def matern52_deriv1(d, tau_m):
-    """``-(k^2/3) (d + k d^2) exp(-k d)``, the first derivative in ``d``."""
+    """``-(k^2/3) (d + k d^2) exp(-k d)``, the first derivative in ``d``, with
+    the exponential as two halves: from ``k d`` ~ 708 on ``exp(-k d)`` is
+    subnormal, and short of digits, where the derivative may be normal."""
     with np.errstate(all="ignore"):
         k = math.sqrt(5.0) / tau_m
         d = np.asarray(d, dtype=float)
-        return -(k * k / 3.0) * (d + k * d * d) * np.exp(-k * d)
+        half = np.exp(-0.5 * k * d)
+        return -(k * k / 3.0) * (d + k * d * d) * half * half
 
 
 def matern52_deriv2(d, tau_m):

@@ -1,6 +1,8 @@
+import base64
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 import kernelfield
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, fit_global,
-                         fit_localized, predict, predict_variance, write_observations_csv)
+                         fit_localized, predict, predict_variance, read_observations_csv,
+                         write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 from kernelfield.localized import variance_localized
+from kernelfield.obsmodel import KINDS
 
 from conftest import mixed_1d_lattice, observation_set
 
@@ -48,6 +52,20 @@ def fit(tmp_path, obs, model, mode="global"):
     out = str(tmp_path / f"{mode}.json")
     assert main(["fit", "--obs", obs, "--model", model, "--mode", mode, "--out", out]) == 0
     return out
+
+
+def binary(a, dtype):
+    """``a`` as a binary array object of a predictor file, written with numpy
+    and base64 alone."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return {"dtype": dtype, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def unbinary(obj):
+    """A writable copy of the array of a binary array object."""
+    raw = base64.b64decode(obj["data"], validate=True)
+    return np.frombuffer(raw, obj["dtype"]).reshape(obj["shape"]).copy()
 
 
 @pytest.mark.parametrize("mode", ["global", "localized"])
@@ -319,20 +337,45 @@ def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, None, "3"])
+@pytest.mark.parametrize("version", [1, 2, 3, None, "4"])
 def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version):
     predictor = fit(tmp_path, *inputs)
     with open(predictor) as fh:
         doc = json.load(fh)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     doc["version"] = version
     write_json(tmp_path / "bad.json", doc)
     capsys.readouterr()
     rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert f"bad.json: predictor file version {version!r} is not the supported version 3" in \
+    assert f"bad.json: predictor file version {version!r} is not the supported version 4" in \
         capsys.readouterr().err
+
+
+def version_3(doc):
+    """A version 4 document as version 3 wrote it: the observation columns
+    (kinds by name) and ``factor_order`` as JSON lists."""
+    old = json.loads(json.dumps(doc))
+    cols = old["observations"]
+    cols.update((name, unbinary(obj).tolist()) for name, obj in cols.items())
+    cols["kind"] = [KINDS[code] for code in cols["kind"]]
+    if old.get("factor_order") is not None:
+        old["factor_order"] = unbinary(old["factor_order"]).tolist()
+    old["version"] = 3
+    return old
+
+
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_version_3_file_exit_2(tmp_path, inputs, capsys, mode):
+    with open(fit(tmp_path, *inputs, mode=mode)) as fh:
+        old = version_3(json.load(fh))
+    rc, err = grid_error(tmp_path, capsys, old)
+    assert rc == 2 and "bad.json: predictor file version 3 is not the supported version 4" in err
+    old["version"] = 4  # its JSON lists are not binary arrays
+    rc, err = grid_error(tmp_path, capsys, old)
+    assert rc == 2
+    assert "observations.kind must be an array object of dtype '|i1'" in err
 
 
 @pytest.mark.parametrize("command", ["fit", "infer"])
@@ -396,7 +439,7 @@ def test_fit_at_k_sys_maxsize_writes_a_file_grid_loads(tmp_path, inputs):
 def test_example_a_weights_and_refusals(capsys):
     assert main(["example-a", "--out-prefix", ""]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["weights"] == [0.9992489065501217, -0.0008487217470239764, 2.238762075353067]
+    assert doc["weights"] == [0.9992489065501217, -0.0008487217470239765, 2.238762075353067]
     assert (doc["range"], doc["values"], doc["raster"]) == (1.0, [1.0, 0.0, 2.0], None)
     for args, message in ((["--values", "1,2"], "example-a needs exactly three observed values"),
                           (["--range", "0"], "range must be positive")):
@@ -481,7 +524,7 @@ def test_version_1_predictor_file_exit_2(tmp_path, capsys):
                                 "error_var": 0.0, "direction": None}],
               "weights": [0.5]}
     assert grid_exit_code(tmp_path, legacy) == 2
-    assert "predictor file version 1 is not the supported version 3" in capsys.readouterr().err
+    assert "predictor file version 1 is not the supported version 4" in capsys.readouterr().err
 
 
 BAD_DEVIATION_VARS = {"text": "x", "null": None, "nan": float("nan"), "inf": float("inf"),
@@ -561,40 +604,138 @@ def _set(*path, value):
     return mutate
 
 
-MALFORMED_COLUMNS = {
-    "short value": lambda cols: cols["value"].pop(),
-    "short kind": lambda cols: cols["kind"].pop(),
-    "short site column": lambda cols: cols["site"][1].pop(),
-    "one site column": lambda cols: cols["site"].pop(),
-    "bounds of no avg row": _set("bounds", 0, value=[0.0]),
-    "missing error_var": lambda cols: cols.pop("error_var"),
-    "unknown kind": _set("kind", 2, value="slope"),
-    "unhashable kind": _set("kind", 2, value=["point"]),
-    "nan value": _set("value", 3, value=float("nan")),
-    "null value": _set("value", 3, value=None),
-    "text value": _set("value", 3, value="x"),
-    "inf site": _set("site", 0, 4, value=float("inf")),
-    "negative error_var": _set("error_var", 5, value=-1.0),
-    "site not a list": _set("site", 0, value=3.0),
+def _column(name, fn):
+    """Replace the observation column ``name`` by ``fn`` of it."""
+    def mutate(cols):
+        cols[name] = fn(cols[name])
+    return mutate
+
+
+def _recoded(fn, dtype=None):
+    """A binary array object whose array is ``fn`` of the given one's, written
+    as ``dtype`` (by default the given one's)."""
+    return lambda obj: binary(fn(unbinary(obj)), dtype or obj["dtype"])
+
+
+def _element(k, value):  # element k of a binary array, in C order, set to value
+    def fn(a):
+        a.reshape(-1)[k] = value
+        return a
+    return _recoded(fn)
+
+
+def _short_data(obj):  # the bytes of one element fewer than the shape holds
+    return dict(obj, data=base64.b64encode(unbinary(obj).reshape(-1)[:-1].tobytes()).decode())
+
+
+def _without_data(obj):
+    return {key: obj[key] for key in obj if key != "data"}
+
+
+def _no_array(field, dtype):
+    return f"{field} must be an array object of dtype {dtype!r}"
+
+
+MALFORMED_COLUMNS = {  # (edit of the columns, the refusal)
+    "short value": (_column("value", _recoded(lambda a: a[:-1])),
+                    "observations.value of shape (29,), expected (30,)"),
+    "short kind": (_column("kind", _recoded(lambda a: a[:-1])),
+                   "observations.site of shape (2, 30), expected (2, 29)"),
+    "short site column": (_column("site", _recoded(lambda a: a[:, :-1])),
+                          "observations.site of shape (2, 29), expected (2, 30)"),
+    "one site column": (_column("site", _recoded(lambda a: a[:1])),
+                        "observations.site of shape (1, 30), expected (2, 30)"),
+    "bounds of no avg row": (_set("bounds", value=binary([[0.0], [1.0]], "<f8")),
+                             "observations.bounds of shape (2, 1), expected (2, 0)"),
+    "missing error_var": (lambda cols: cols.pop("error_var"), "'error_var'"),
+    "unknown kind": (_column("kind", _element(2, 5)), "observation 2: unknown observation kind"),
+    "unhashable kind": (_column("kind", lambda obj: dict(obj, dtype=[obj["dtype"]])),
+                        _no_array("observations.kind", "|i1")),
+    "nan value": (_column("value", _element(3, math.nan)),
+                  "observation 3: observation location and value must be finite"),
+    "null value": (_set("value", value=None), _no_array("observations.value", "<f8")),
+    "text value": (_set("value", value="x"), _no_array("observations.value", "<f8")),
+    "inf site": (_column("site", _element(4, math.inf)),
+                 "observation 4: observation location and value must be finite"),
+    "negative error_var": (_column("error_var", _element(5, -1.0)),
+                           "observation 5: error_var must be a finite non-negative real"),
+    "site not a list": (_column("site", lambda obj: dict(obj, shape=60)),
+                        "observations.site.shape must be a list of non-negative JSON integers"),
+    "value as <f4": (_column("value", _recoded(lambda a: a, "<f4")),
+                     _no_array("observations.value", "<f8")),
+    "value as >f8": (_column("value", _recoded(lambda a: a, ">f8")),
+                     _no_array("observations.value", "<f8")),
+    "kind as int64": (_column("kind", _recoded(lambda a: a, "<i8")),
+                      _no_array("observations.kind", "|i1")),
+    "kind names": (_column("kind", lambda obj: ["point"] * 30),
+                   _no_array("observations.kind", "|i1")),
+    "value bad base64": (_column("value", lambda obj: dict(obj, data="*" + obj["data"][1:])),
+                         "observations.value.data is not valid base64"),
+    "site unpadded base64": (_column("site", lambda obj: dict(obj, data=obj["data"][:-1])),
+                             "observations.site.data is not valid base64"),
+    "value data not text": (_column("value", lambda obj: dict(obj, data=[obj["data"]])),
+                            "observations.value.data must be a base64 string"),
+    "value data missing": (_column("value", _without_data),
+                           "observations.value.data must be a base64 string"),
+    "value bytes short of the shape": (_column("value", _short_data),
+                                       "observations.value holds 232 bytes, not the <f8 bytes "
+                                       "of shape (30,)"),
+    "kind bytes short of the shape": (_column("kind", _short_data),
+                                      "observations.kind holds 29 bytes, not the |i1 bytes of "
+                                      "shape (30,)"),
+    "site negative shape": (_column("site", lambda obj: dict(obj, shape=[-2, 30])),
+                            "observations.site.shape must be a list of non-negative JSON "
+                            "integers"),
+    "2-D kind": (_column("kind", _recoded(lambda a: a.reshape(2, 15))),
+                 "observations.kind of shape (2, 15), expected (m,)"),
 }
 
 
-@pytest.mark.parametrize("mutate", MALFORMED_COLUMNS.values(), ids=list(MALFORMED_COLUMNS))
-def test_malformed_observation_columns_exit_2(tmp_path, inputs, capsys, mutate):
+@pytest.mark.parametrize("mutate, refusal", MALFORMED_COLUMNS.values(),
+                         ids=list(MALFORMED_COLUMNS))
+def test_malformed_observation_columns_exit_2(tmp_path, inputs, capsys, mutate, refusal):
     with open(fit(tmp_path, *inputs)) as fh:
         doc = json.load(fh)
     mutate(doc["observations"])
     capsys.readouterr()
     assert grid_exit_code(tmp_path, doc) == 2
-    assert "bad.json: malformed observation columns" in capsys.readouterr().err
+    assert f"bad.json: malformed observation columns ({refusal}" in capsys.readouterr().err
+
+
+def test_huge_dim_of_an_interval_set_exit_2(tmp_path, capsys):
+    # A binary column declares its shape: (dim, 0) costs no bytes however
+    # large dim is, and no (m, dim) array may be made of it.
+    fitted = fit_global(observation_set([(AVG, (3.0 * i, 3.0 * i + 1.0), 1.0) for i in range(5)]),
+                        CorrelationModel("matern52", 0.5), 0.0, 1.0)
+    save_predictor(str(tmp_path / "avg.json"), fitted)
+    doc = json.loads((tmp_path / "avg.json").read_text())
+    doc["dim"] = 10 ** 12
+    for name in ("site", "direction"):
+        doc["observations"][name]["shape"] = [10 ** 12, 0]
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "malformed observation columns (dim 1000000000000: deriv and avg observations " \
+        "are 1D only)" in err
 
 
 def test_predictor_columns_are_strict_json(tmp_path, inputs):
+    # Binary arrays in a strict JSON document; the weights stay JSON numbers.
     with open(fit(tmp_path, *inputs)) as fh:
-        cols = strict_json(fh.read())["observations"]
-    assert cols["kind"] == ["point"] * 30 and len(cols["value"]) == 30
-    assert np.array(cols["site"]).shape == (2, 30)
-    assert cols["direction"] == [[], []] and cols["bounds"] == [[], []]
+        doc = strict_json(fh.read())
+    cols = doc["observations"]
+    assert {name: (obj["dtype"], obj["shape"], sorted(obj)) for name, obj in cols.items()} == {
+        name: (dtype, shape, ["data", "dtype", "shape"]) for name, dtype, shape in (
+            ("kind", "|i1", [30]), ("value", "<f8", [30]), ("error_var", "<f8", [30]),
+            ("site", "<f8", [2, 30]), ("direction", "<f8", [2, 0]), ("bounds", "<f8", [2, 0]))}
+    obs = read_observations_csv(inputs[0])
+    assert unbinary(cols["kind"]).tolist() == [0] * 30
+    for got, want in ((cols["value"], obs.values()), (cols["site"], obs.rep_points().T)):
+        assert unbinary(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert len(doc["weights"]) == 30 and all(type(w) is float for w in doc["weights"])
+
+
+def assert_same_array(x, y):
+    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def assert_same_set(a, b):
@@ -602,7 +743,22 @@ def assert_same_set(a, b):
                      a.bounds, a.mean_image()],
                     [b.kinds, b.rep_points(), b.values(), b.error_vars(), b.directions,
                      b.bounds, b.mean_image()]):
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert_same_array(x, y)
+
+
+def assert_same_predictor(loaded, fitted):
+    """Every array of a loaded predictor equals the fitted one's in dtype,
+    shape and bytes, and every number equals it."""
+    assert (loaded.mode, loaded.model, loaded.mu, loaded.sigma2, loaded.k,
+            loaded.deviation_var) == (fitted.mode, fitted.model, fitted.mu, fitted.sigma2,
+                                      fitted.k, fitted.deviation_var)
+    assert_same_set(loaded.obs, fitted.obs)
+    assert_same_array(loaded.weights, fitted.weights)
+    if fitted.mode == "global":
+        assert_same_factor(loaded.inverse, fitted.inverse)
+    else:
+        for x, y in zip(loaded.inverse.lower_entries(), fitted.inverse.lower_entries()):
+            assert_same_array(x, y)
 
 
 def saved_and_loaded(fitted):
@@ -624,24 +780,24 @@ def test_subnormal_residual_loads():
 @given(mixed_1d_lattice())
 def test_mixed_1d_predictor_round_trip(obs):
     fitted = fit_global(obs, CorrelationModel("matern52", 0.5), 0.3, 1.7)
-    loaded = saved_and_loaded(fitted)
-    assert_same_set(loaded.obs, obs)
-    assert (loaded.mu, loaded.sigma2) == (fitted.mu, fitted.sigma2)
-    assert loaded.weights.tobytes() == fitted.weights.tobytes()
+    assert_same_predictor(saved_and_loaded(fitted), fitted)
+    assert_same_set(fitted.obs, obs)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(-1e3, 1e3)),
                 min_size=1, max_size=30))
+@example([(0.3, 0.3, 1.0)] * 3)  # the tapered global factor is dense
+@example([(0.3, 0.3, 1.0)] * 30)  # and in band storage
 def test_2d_point_predictor_round_trip(points):
     sites = np.array([(i % 6 + a, i // 6 + b) for i, (a, b, _) in enumerate(points)])
     obs = ObservationSet(np.zeros(len(points), dtype=np.int8), sites,
                          [v for *_, v in points], np.zeros(len(points)))
-    for fitted in (fit_global(obs, MIXED_MODEL, 0.1, 1.3),
+    untapered = CorrelationModel(MIXED_MODEL.base_kind, MIXED_MODEL.base_scale)
+    for fitted in (fit_global(obs, MIXED_MODEL, 0.1, 1.3), fit_global(obs, untapered, 0.1, 1.3),
                    fit_localized(obs, MIXED_MODEL, 2, sigma2=1.3)):
-        loaded = saved_and_loaded(fitted)
-        assert_same_set(loaded.obs, obs)
-        assert loaded.weights.tobytes() == fitted.weights.tobytes()
+        assert_same_predictor(saved_and_loaded(fitted), fitted)
+        assert_same_set(fitted.obs, obs)
 
 
 BAD_NUMBERS = {"bool": True, "numeric text": "2.0", "nan text": "nan", "null": None,
@@ -729,54 +885,71 @@ def band_predictor(tmp_path):
     path = fit(tmp_path, obs, write_json(tmp_path / "model.json", TAPERED_MODEL))
     with open(path) as fh:
         doc = json.load(fh)
-    assert sorted(doc["factor_order"]) == list(range(200))
+    assert (doc["factor_order"]["dtype"], doc["factor_order"]["shape"]) == ("<i8", [200])
+    assert sorted(unbinary(doc["factor_order"]).tolist()) == list(range(200))
     return path, doc
 
 
-def _replace(k, value):
-    def edit(order):
-        order[k] = value
-        return order
-    return edit
+def _float_bits(obj):  # a nonzero index holding the bytes of its value as a float
+    a = unbinary(obj)
+    k = int(np.argmax(a != 0))
+    a[k] = np.float64(a[k]).view(np.int64)
+    return binary(a, "<i8")
 
 
-BAD_FACTOR_ORDERS = {
-    "short": lambda order: order[:-1],
-    "long": lambda order: order + [0],
-    "repeated index": lambda order: order[:-1] + order[:1],
-    "index m": _replace(0, 200),
-    "negative index": _replace(0, -1),
-    "huge index": _replace(0, 10 ** 400),
-    "float index": lambda order: [float(i) for i in order],
-    "one float index": lambda order: [float(order[0])] + order[1:],
-    "bool index": lambda order: [bool(i) if i in (0, 1) else i for i in order],
-    "text index": lambda order: [str(order[0])] + order[1:],
-    "not a list": lambda order: {"perm": order},
-    "a number": lambda order: 0,
-    "empty": lambda order: [],
-    "band does not fit": lambda order: sorted(order),  # natural order of a 2-D set
+PERMUTATION = "factor_order must be null or a permutation of the 200 observation indices"
+NO_ORDER_ARRAY = _no_array("factor_order", "<i8")
+BAD_FACTOR_ORDERS = {  # (edit of the order, the refusal)
+    "short": (_recoded(lambda a: a[:-1]), "factor_order of shape (199,), expected (200,)"),
+    "long": (_recoded(lambda a: np.append(a, 0)),
+             "factor_order of shape (201,), expected (200,)"),
+    "repeated index": (_recoded(lambda a: np.append(a[:-1], a[:1])), PERMUTATION),
+    "index m": (_element(0, 200), PERMUTATION),
+    "negative index": (_element(0, -1), PERMUTATION),
+    "huge index": (_element(0, np.iinfo(np.int64).max), PERMUTATION),
+    "float index": (_recoded(lambda a: a, "<f8"), NO_ORDER_ARRAY),
+    "one float index": (_float_bits, PERMUTATION),
+    "bool index": (_recoded(lambda a: a != 0, "|b1"), NO_ORDER_ARRAY),
+    "text index": (lambda obj: dict(obj, data=" ".join(map(str, unbinary(obj)))),
+                   "factor_order.data is not valid base64"),
+    "not a list": (lambda obj: {"perm": obj}, NO_ORDER_ARRAY),
+    "a number": (lambda obj: 0, NO_ORDER_ARRAY),
+    "empty": (lambda obj: binary([], "<i8"), "factor_order of shape (0,), expected (200,)"),
+    "band does not fit": (_recoded(np.sort), "factor_order: the band does not fit"),
+    "version 3 list": (lambda obj: unbinary(obj).tolist(), NO_ORDER_ARRAY),
+    "big-endian": (_recoded(lambda a: a, ">i8"), NO_ORDER_ARRAY),
+    "int32": (_recoded(lambda a: a, "<i4"), NO_ORDER_ARRAY),
+    "bad base64": (lambda obj: dict(obj, data=obj["data"][:-4] + "AA!="),
+                   "factor_order.data is not valid base64"),
+    "bytes short of the shape": (_short_data, "factor_order holds 1592 bytes, not the <i8 "
+                                              "bytes of shape (200,)"),
+    "data missing": (_without_data, "factor_order.data must be a base64 string"),
+    "float shape": (lambda obj: dict(obj, shape=[200.0]),
+                    "factor_order.shape must be a list of non-negative JSON integers"),
+    "bool shape": (lambda obj: dict(obj, shape=[True]),
+                   "factor_order.shape must be a list of non-negative JSON integers"),
 }
 
 
-@pytest.mark.parametrize("edit", BAD_FACTOR_ORDERS.values(), ids=list(BAD_FACTOR_ORDERS))
-def test_bad_factor_order_exit_2(tmp_path, capsys, band_predictor, edit):
+@pytest.mark.parametrize("edit, refusal", BAD_FACTOR_ORDERS.values(),
+                         ids=list(BAD_FACTOR_ORDERS))
+def test_bad_factor_order_exit_2(tmp_path, capsys, band_predictor, edit, refusal):
     doc = band_predictor[1]
     doc["factor_order"] = edit(doc["factor_order"])
     rc, err = grid_error(tmp_path, capsys, doc)
     assert rc == 2
-    want = ("factor_order: the band does not fit" if edit is BAD_FACTOR_ORDERS["band does not fit"]
-            else "factor_order must be null or a permutation of the 200 observation indices")
-    assert f"bad.json: {want}" in err
+    assert f"bad.json: {refusal}" in err
 
 
 @pytest.mark.parametrize("order", ["reversed", "null"])
 def test_any_valid_factor_order_loads_the_same_predictor(tmp_path, band_predictor, order):
     path, doc = band_predictor
-    doc["factor_order"] = doc["factor_order"][::-1] if order == "reversed" else None
+    perm = unbinary(doc["factor_order"])[::-1] if order == "reversed" else np.arange(200)
+    doc["factor_order"] = binary(perm, "<i8") if order == "reversed" else None
     other = load_predictor(write_json(tmp_path / "other.json", doc))
     saved = load_predictor(path)
     assert other.inverse.storage == ("band" if order == "reversed" else "dense")
-    assert other.inverse.perm.tolist() == (doc["factor_order"] or list(range(200)))
+    assert other.inverse.perm.tolist() == perm.tolist()
     nodes = np.random.default_rng(2).uniform(0.0, 20.0, (50, 2))
     for got, want in ((other.inverse.logdet(), saved.inverse.logdet()),
                       (predict_variance(other, nodes), predict_variance(saved, nodes))):
@@ -817,6 +990,15 @@ LEVEL_EDITS = {"sigma2": {"-1": -1.0, "0": 0.0, "nan": float("nan"), "infinity":
                "mu": {"nan": float("nan"), "infinity": float("inf"),
                       "-infinity": float("-inf")}}
 PSI = ("localized", "psi_lower")
+# The edits of NUMBER_EDITS as binary observation columns meet them: each is
+# refused by the column's name, a NaN or an infinity by the set's own check
+# of the observation it lands in.
+COLUMN_EDITS = {
+    "numeric text": lambda obj: dict(obj, shape=[str(n) for n in obj["shape"]]),
+    "all bools": _recoded(lambda a: a != 0, "|b1"), "null": lambda obj: dict(obj, data=None),
+    "huge int": lambda obj: dict(obj, shape=[10 ** 400] + obj["shape"][1:]),
+    "nested list": lambda obj: dict(obj, shape=[obj["shape"]]),
+    "nan": _element(3, math.nan), "infinity": _element(3, math.inf)}
 
 
 def _repeat_an_entry(psi, flip):
@@ -828,10 +1010,12 @@ def _repeat_an_entry(psi, flip):
 
 
 MALFORMED_FIELDS = [
-    *[pytest.param(mode, ".".join(path), _edit(*path, fn=fn), id=f"{mode}-{path[-1]}-{name}")
-      for mode in ("global", "localized")
-      for path in [("weights",)] + [("observations", c) for c in ("value", "error_var", "site")]
-      for name, fn in NUMBER_EDITS.items()],
+    *[pytest.param(mode, "weights", _edit("weights", fn=fn), id=f"{mode}-weights-{name}")
+      for mode in ("global", "localized") for name, fn in NUMBER_EDITS.items()],
+    *[pytest.param(mode, "observation 3: " if name in ("nan", "infinity") else f"observations.{c}",
+                   _edit("observations", c, fn=fn), id=f"{mode}-{c}-{name}")
+      for mode in ("global", "localized") for c in ("value", "error_var", "site")
+      for name, fn in COLUMN_EDITS.items()],
     *[pytest.param(mode, f"model.{level}", _set("model", level, value=value),
                    id=f"{mode}-model.{level}-{name}")
       for mode in ("global", "localized") for level, values in LEVEL_EDITS.items()
@@ -876,10 +1060,11 @@ def test_malformed_predictor_field_exit_2(tmp_path, inputs, capsys, mode, field,
     ("localized", PSI + ("vals",), "the weights are not the approximate inverse")])
 def test_a_bool_among_numbers_fails_the_weight_check(tmp_path, inputs, capsys, mode, path,
                                                      refusal):
-    # numpy reads [0.3, true] as [0.3, 1.0]; the weights then no longer fit
+    # numpy reads [0.3, true] as [0.3, 1.0]; the weights then no longer fit.  A
+    # binary value column holds no bool: its element 3 becomes that 1.0.
     with open(fit(tmp_path, *inputs, mode=mode)) as fh:
         doc = json.load(fh)
-    _edit(*path, fn=_at(3, True))(doc)
+    _edit(*path, fn=_element(3, 1.0) if path[0] == "observations" else _at(3, True))(doc)
     rc, err = grid_error(tmp_path, capsys, doc)
     assert rc == 2 and refusal in err
 

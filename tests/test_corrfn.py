@@ -160,11 +160,12 @@ class TestExtremeScales:
 
     @given(st.sampled_from(["matern52", "gauss2"]), st.sampled_from([1, 2]),
            st.floats(-300.0, 3.0), st.lists(st.floats(0.0, 1e150), max_size=10),
-           st.lists(st.one_of(st.floats(0.0, 60.0), st.floats(300.0, 400.0)), max_size=10))
+           st.lists(st.one_of(st.floats(0.0, 60.0), st.floats(300.0, 700.0)), max_size=10))
     @settings(max_examples=300, deadline=None)
     def test_derivatives_raise_nothing_and_match_the_closed_form(self, kind, order, log_scale,
                                                                  dists, ratios):
-        # Near the cuts: a gauss2 ratio of 30, a Matern-5/2 ratio of 800/sqrt(5).
+        # Near the cuts: a gauss2 ratio of 30, a Matern-5/2 ratio of 1500/sqrt(5); and
+        # Matern-5/2 ratios of 317 to 333, where exp(-x) is subnormal.
         scale = 10.0 ** log_scale
         d = np.array(dists + [scale * r for r in ratios])
         want = getattr(oracles, f"{kind}_deriv{order}")(d, scale)
@@ -181,6 +182,21 @@ class TestExtremeScales:
         for scale, taper in ((1e-308, None), (tiny / 2.0, None), (1.0, 1e-308)):
             with pytest.raises(ValueError, match="must be a finite real of at least"):
                 CorrelationModel(kind, scale, taper)
+
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, sys.float_info.min])
+    def test_matern52_deriv1_is_finite_at_any_scale(self, scale):
+        # rho'(d) at range tau is rho'(d / tau) at range 1, over tau: finite,
+        # though k^2 = 5/tau^2 overflows below tau ~ 1.7e-154.  The two x = k d
+        # differ by rounding, which exp(-x) scales by x: 2 x eps is 3.2e-13 at 320.
+        # 320: exp(-x) is subnormal; 700: past the clip
+        ratios = np.array([0.0, 0.05, 0.4, 1.0, 3.0, 10.0, 320.0, 700.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = CorrelationModel("matern52", scale).deriv1(scale * ratios)
+            assert CorrelationModel("matern52", scale).deriv1([0.0, 1.0]).tolist() == [0.0, 0.0]
+        want = CorrelationModel("matern52", 1.0).deriv1(ratios) / scale
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestDerivatives:
