@@ -70,10 +70,12 @@ class _Matern52:
         k, _, x = _Matern52.scaled(d, tau_m)
         if order == 0:
             return (1.0 + x + x * x / 3.0) * np.exp(-x)
+        h = np.exp(-0.5 * x)  # e^{-x} in halves: subnormal where rho' and rho'' may be normal
         if order == 1:  # k/3 times x(1 + x)e^{-x}: k^2 overflows below tau_m ~ 1.7e-154
-            h = np.exp(-0.5 * x)  # e^{-x} in halves: subnormal where rho' may be normal
             return -(k / 3.0) * (x * (1.0 + x) * h) * h
-        return -(k * k / 3.0) * (1.0 + x - x * x) * np.exp(-x)
+        # -(k^2/3)(1 + x - x^2)e^{-x} as two factors, each with one k and one half:
+        # both are normal where rho'' is, and 0 (not inf times 0) past the clip
+        return (-(k / 3.0) * ((1.0 + x - x * x) * h)) * (k * h)
 
     @staticmethod
     def integrals(a, tau_m):
@@ -106,8 +108,14 @@ class _Gauss2:
         """rho (order 0), or its first or second derivative in d."""
         u = _Gauss2.scaled(d, s)
         e = np.exp(-(u * u))
-        return e if order == 0 else e * (
-            -(2.0 / s) * u if order == 1 else 2.0 / s * ((2.0 * u * u - 1.0) / s))
+        if order == 0:
+            return e
+        # e times 2/s first, and the polynomial of rho'' cut to 0 where e is, so that
+        # no tiny scale makes inf times 0 past the clip (at a power-of-two scale the
+        # order of the factors moves no bit)
+        if order == 1:
+            return e * -(2.0 / s) * u
+        return e * (2.0 / s) * (np.where(e > 0.0, 2.0 * u * u - 1.0, 0.0) / s)
 
     @staticmethod
     def integrals(a, s):
@@ -189,17 +197,19 @@ class CorrelationModel:
         slopes at lag 0 differ, so the symmetric value 0.0 is returned there
         by convention.
         """
-        t = _check_lag(lag)
+        return _return_like(lag, self._deriv1(_check_lag(lag)))
+
+    def _deriv1(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`deriv1` of a float array of lags already checked to be finite."""
         a = np.abs(t)
         s = np.sign(t)
         base_d1 = self._base(a, 1) * s
         if self.taper_range is None:
-            return _return_like(lag, base_d1)
+            return base_d1
         t0 = self.taper_range
         u = np.minimum(a, t0) / t0
         tap_d1 = -(1.5 / t0) * (1.0 - u * u) * s  # the taper's slope within its range
-        val = np.where(a < t0, base_d1 * _spherical(a, t0) + self._base(a) * tap_d1, 0.0)
-        return _return_like(lag, val)
+        return np.where(a < t0, base_d1 * _spherical(a, t0) + self._base(a) * tap_d1, 0.0)
 
     def deriv2(self, lag: ArrayLike) -> ArrayLike:
         """Second derivative of the signed-lag correlation (untapered only)."""

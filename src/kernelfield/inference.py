@@ -4,8 +4,9 @@ Given the correlation parameters, the mean and variance estimators are
 closed-form generalized-least-squares expressions through the inverse
 inter-correlation matrix: the Cholesky factor of the global fit, or the
 sparse approximate inverse of the localized one.  Both fits and the
-likelihood take the set's matrix from :func:`level_matrix` and the levels
-through its inverse from :func:`gls_levels` (the fits) or from
+likelihood take the set's matrix from :func:`level_matrix` (the global fit
+and the likelihood with its factor, from :func:`level_factor`) and the
+levels through its inverse from :func:`gls_levels` (the fits) or from
 :func:`profile_levels`, which adds the negative log-likelihood at them.
 The likelihood maximized over the mean and variance is then a function of
 the range alone (Mardia & Marshall 1984, Biometrika 71), so the joint
@@ -125,6 +126,18 @@ def level_matrix(obs_set: ObservationSet, model: CorrelationModel,
     return structure.matrix(model, sigma2_r)
 
 
+def level_factor(obs_set: ObservationSet, model: CorrelationModel,
+                 sigma2: Optional[float] = None, structure: Optional[PairStructure] = None
+                 ) -> Tuple[SparseSymmetric, CholeskyFactor]:
+    """The set's :func:`level_matrix` and its Cholesky factor in the layout of
+    ``structure`` (the set's :class:`PairStructure` at the model's taper
+    range, built here if None), so a full pattern is never band-searched."""
+    if structure is None:
+        structure = PairStructure(obs_set, model.taper_range)
+    matrix = level_matrix(obs_set, model, sigma2, structure)
+    return matrix, cholesky(matrix, structure.layout)
+
+
 def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float],
             sigma2: Optional[float]) -> Tuple[float, float]:
     """``mu`` and ``sigma2``, each as given or, where ``None``, its GLS
@@ -160,13 +173,12 @@ def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    ) -> Tuple[float, float, Optional[float]]:
     """GLS mean and variance and the profiled NLL ``(m log(2 pi sigma2) +
     log det R + m) / 2`` under ``model``, from one factorization of the
-    set's :func:`level_matrix` (from ``structure`` if given, in its layout).
+    set's :func:`level_matrix` (:func:`level_factor`, on ``structure`` if given).
 
     The NLL is ``None`` when the variance is not positive.  Raises
     :class:`FactorizationError` where the matrix does not factor.
     """
-    factor = cholesky(level_matrix(obs_set, model, None, structure),
-                      None if structure is None else structure.layout)
+    factor = level_factor(obs_set, model, None, structure)[1]
     mu, s2 = _levels(factor, obs_set, None, None)
     if s2 <= 0.0:
         return mu, s2, None
@@ -179,7 +191,7 @@ def negative_log_likelihood(obs_set: ObservationSet, model: CorrelationModel,
     """Gaussian marginal NLL of the observed values at the given levels: one
     factor of the set's :func:`level_matrix`, its log-determinant and one
     quadratic form."""
-    factor = cholesky(level_matrix(obs_set, model, sigma2))
+    factor = level_factor(obs_set, model, sigma2)[1]
     resid = obs_set.values() - mu * obs_set.mean_image()
     return 0.5 * (obs_set.m * math.log(2.0 * math.pi * sigma2) + factor.logdet()
                   + float(resid @ factor.solve(resid)) / sigma2)

@@ -9,9 +9,11 @@ file, synthetic sets and the demonstration set fill the columns directly.
 
 Each observation ``y`` induces a kernel function ``nu_y(x)`` (the correlation
 between the field at ``x`` and the observed quantity) and pairwise
-inter-correlation entries.  Both are evaluated as arrays, one call per pair
-of observation kinds (:func:`_entries`), and so are the correlations with a
-predicted derivative (in any dimension) or interval integral.  Interval
+inter-correlation entries.  Both are evaluated as arrays, one call per
+unordered pair of observation kinds (:func:`_entries`), and so are the
+correlations with a predicted derivative (in any dimension) or interval
+integral; the model is evaluated unchecked, on columns validated where a set
+is built and query points checked where they enter.  Interval
 entries are closed forms for every model, which :mod:`.corrfn` writes with
 every other base formula (:meth:`CorrelationModel._integrals`), derivative
 entries use the model's analytic lag derivatives, and no entry is a
@@ -34,7 +36,7 @@ from scipy.spatial.distance import cdist
 
 from .corrfn import CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
-from .linalg import FactorLayout, SparseSymmetric, analyse
+from .linalg import FactorLayout, SparseSymmetric, analyse, layout_in_order
 
 POINT = "point"
 DERIV = "deriv"
@@ -192,21 +194,25 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _interval_point(model: CorrelationModel, x, lo, hi) -> np.ndarray:
-    """int_lo^hi rho(|x - u|) du, elementwise; an exact 0 where the interval
-    lies at least the taper range from x (F is constant there)."""
-    return model._integrals(hi - x)[0] - model._integrals(lo - x)[0]
+    """int_lo^hi rho(|x - u|) du, elementwise, from one evaluation of F at
+    both lags; an exact 0 where the interval lies at least the taper range
+    from x (F is constant there)."""
+    f = model._integrals(np.stack([hi - x, lo - x]))[0]
+    return f[0] - f[1]
 
 
 def _interval_interval(model: CorrelationModel, lo1, hi1, lo2, hi2) -> np.ndarray:
     """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2],
-    elementwise; an exact 0 where the intervals lie at least the taper range
-    apart (H is linear there, and its four terms cancel only up to rounding)."""
-    def H(t):
-        return model._integrals(t)[1]
-    val = H(hi1 - lo2) + H(lo1 - hi2) - H(hi1 - hi2) - H(lo1 - lo2)
+    elementwise, from one evaluation of H at the four lags; an exact 0 where
+    the intervals lie at least the taper range apart (H is linear there, and
+    its four terms cancel only up to rounding)."""
+    t = np.stack([hi1 - lo2, lo1 - hi2, hi1 - hi2, lo1 - lo2])
+    h = model._integrals(t)[1]
+    val = h[0] + h[1] - h[2] - h[3]
     if model.taper_range is None:
         return val
-    return np.where(np.maximum(lo1 - hi2, lo2 - hi1) < model.taper_range, val, 0.0)
+    gap = np.maximum(t[1], -t[0])  # the larger of lo1 - hi2 and lo2 - hi1
+    return np.where(gap < model.taper_range, val, 0.0)
 
 
 def _require_smooth(obs_set: ObservationSet, taper_range: Optional[float]):
@@ -223,18 +229,23 @@ def _require_smooth(obs_set: ObservationSet, taper_range: Optional[float]):
 
 def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Operators) -> np.ndarray:
     """Correlations between operators ``a`` of kind code ``ka`` and ``b`` of
-    kind code ``kb``, elementwise over their broadcast shape.
+    kind code ``kb``, elementwise over their broadcast shape: one array
+    evaluation of the model per formula, each formula's terms stacked.
 
-    The pair is put in kind-code order first, so entries are exactly
-    symmetric.  A point and a derivative along z at sites u and v, distance
-    d, correlate as -rho'(d) ((u - v).z) / d in any dimension (0 at d = 0);
-    the other derivative pairs, like the interval pairs, are 1D.
+    The pair is put in kind-code order first (a pair structure stores its
+    pairs so oriented), so entries are exactly symmetric.  A point and a
+    derivative along z at sites u and v, distance d, correlate as -rho'(d)
+    ((u - v).z) / d in any dimension (0 at d = 0); the other derivative
+    pairs, like the interval pairs, are 1D.  The model is evaluated
+    unchecked: the operators come from a validated set or a finite query
+    block, and a set with a derivative meets no tapered model, as
+    :func:`_require_smooth` refuses it where the two meet.
     """
     if ka > kb:
         return _entries(model, kb, b, ka, a)
     pair = (ka, kb)
     if pair == (_P, _P):
-        return model.eval(_distances(a.x, b.x))
+        return model._eval(_distances(a.x, b.x))
     if pair == (_P, _A):
         return _interval_point(model, a.x[..., 0], b.lo, b.hi)
     if pair == (_A, _A):
@@ -243,11 +254,12 @@ def _entries(model: CorrelationModel, ka: int, a: _Operators, kb: int, b: _Opera
         d = _distances(a.x, b.x)
         along = sum((a.x[..., k] - b.x[..., k]) * b.z[..., k] for k in range(a.x.shape[-1]))
         along = np.divide(along, d, out=np.zeros(np.shape(d)), where=d > 0.0)
-        return -model.deriv1(d) * along
+        return -model._deriv1(d) * along
     if pair == (_D, _A):
         c = a.x[..., 0]
-        return a.z[..., 0] * (model.eval(np.abs(c - b.lo)) - model.eval(np.abs(c - b.hi)))
-    return a.z[..., 0] * b.z[..., 0] * -model.deriv2(a.x[..., 0] - b.x[..., 0])
+        rho = model._eval(np.abs(np.stack([c - b.lo, c - b.hi])))
+        return a.z[..., 0] * (rho[0] - rho[1])
+    return a.z[..., 0] * b.z[..., 0] * -model._base(np.abs(a.x[..., 0] - b.x[..., 0]), 2)
 
 
 def _correlations(obs_set: ObservationSet, kind: int, ops: _Operators, n: int,
@@ -285,7 +297,7 @@ def _sparse_kernels(obs_set: ObservationSet, block: np.ndarray,
     vals = np.empty(i.size)
     for code in np.flatnonzero(np.bincount(kinds)).tolist():
         sel = np.flatnonzero(kinds == code)
-        vals[sel] = model.eval(pairs["v"][sel]) if code == _P else _entries(
+        vals[sel] = model._eval(pairs["v"][sel]) if code == _P else _entries(
             model, _P, _Operators(block[i[sel]]), code, _operators(obs_set, code, j[sel]))
     keep = vals != 0.0
     return sp.csr_matrix((vals[keep], (i[keep], j[keep])), shape=(n, m))
@@ -300,12 +312,16 @@ def kernel_value(obs_set: ObservationSet, x, model: CorrelationModel):
     matrix of the nonzero kernels under a finite-range model (see
     :func:`_sparse_kernels`), a dense array without one.  Dense columns of
     each observation kind are one array evaluation; under a finite-range
-    model, columns beyond the taper range are exact zeros.
+    model, columns beyond the taper range are exact zeros.  The block is
+    checked once to be finite (``ValueError``), and the model evaluated on
+    it unchecked.
     """
     x = np.asarray(x, dtype=float)
     block = x.reshape(1, -1) if x.ndim <= 1 else x
     if block.ndim != 2 or block.shape[1] != obs_set.dim:
         raise ValueError(f"query points of shape {x.shape} for dimension {obs_set.dim}")
+    if not np.isfinite(block).all():
+        raise ValueError("query points must be finite")
     _require_smooth(obs_set, model.taper_range)
     if model.taper_range is not None and x.ndim == 2:
         return _sparse_kernels(obs_set, block, model)
@@ -332,6 +348,7 @@ def derivative_vector(obs_set: ObservationSet, x: np.ndarray, z: np.ndarray,
     """Correlations between every observation of a set and the derivative of
     the field at the point ``x`` along the unit vector ``z``: the derivatives
     along z of the observations' kernel functions at x."""
+    _require_smooth(obs_set, model.taper_range)
     probe = _Operators(x.reshape(1, 1, -1), z.reshape(1, 1, -1))
     return _correlations(obs_set, _D, probe, 1, model)[0]
 
@@ -404,13 +421,14 @@ def _check_duplicate_exact(obs_set: ObservationSet, kind: int, i: np.ndarray, j:
 
 class PairStructure:
     """What of a set's inter-correlation matrix only the taper range changes:
-    the stored pairs (i >= j), put in CSR order by one int64 key, as a
-    canonical :class:`SparseSymmetric` pattern whose copies hold the matrices,
-    its factor layout, the kind pairs with their operator arrays and the
-    point-point distances.  Without a taper every pair is stored; under one,
-    the pairs of rep points within ``taper_range + 2 * max radius`` (a k-d
-    tree query) whose supports are closer than the taper range, the others
-    being provably zero.
+    the stored pairs (i >= j) in CSR order, as a canonical
+    :class:`SparseSymmetric` pattern whose copies hold the matrices, its
+    factor layout, the point-point distances, and the other pairs grouped by
+    their unordered kind pair (at most five groups), each pair's operators
+    put in kind-code order, as arrays.  Without a taper every pair is stored,
+    row by row; under one, the pairs of rep points within ``taper_range + 2 *
+    max radius`` (a k-d tree query) whose supports are closer than the taper
+    range, the others being provably zero, sorted by one int64 key.
 
     Each point pair's distance is computed once: where every support is a
     site (dim > 1), it is the support separation of the pair, which also
@@ -418,8 +436,8 @@ class PairStructure:
     with a derivative under a taper, looks for duplicate exact points among
     the coincident point pairs only (distance zero) and for duplicate exact
     derivatives or intervals among the pairs of their kind, and checks the
-    distances once, so that :meth:`matrix` evaluates the model on them
-    unchecked.
+    distances once; the set's columns are checked where it is built, so
+    :meth:`matrix` evaluates the model on all of them unchecked.
     """
 
     def __init__(self, obs_set: ObservationSet, taper_range: Optional[float]):
@@ -428,8 +446,10 @@ class PairStructure:
             raise ValueError("assemble requires at least one observation")
         _require_smooth(obs_set, taper_range)
         sep = None  # support separations of the stored pairs, kept where they are distances
-        if taper_range is None:
-            i, j = np.tril_indices(m)
+        if taper_range is None:  # every pair: row r holds columns 0..r
+            indptr = np.cumsum(np.arange(m + 1))
+            i = np.repeat(np.arange(m), np.arange(1, m + 1))
+            j = np.arange(indptr[-1]) - indptr[i]
         else:
             reach = taper_range + 2.0 * float(obs_set.support_radii().max())
             j, i = obs_set.rep_tree().query_pairs(reach, output_type="ndarray").reshape(-1, 2).T
@@ -440,38 +460,53 @@ class PairStructure:
             csr = np.argsort(i * m + j)  # unique keys: the order of lexsort((j, i))
             i, j = i[csr], j[csr]
             sep = np.append(sep[near], np.zeros(m))[csr] if obs_set.dim > 1 else None
+            indptr = np.append(0, np.flatnonzero(i == j) + 1)  # each CSR row ends on its diagonal
         self.obs_set, self.taper_range = obs_set, taper_range
-        self._diagonal = np.flatnonzero(i == j)
-        indptr = np.append(0, self._diagonal + 1)  # each CSR row ends on its diagonal
+        self._diagonal = indptr[1:] - 1
         pattern = sp.csr_matrix((np.ones(j.size), j, indptr), (m, m))
         self._pattern = SparseSymmetric._on_pattern(pattern, pattern.data)
-        kind_pairs = len(KINDS) * obs_set.kinds[i].astype(np.intp) + obs_set.kinds[j]
+        kinds = obs_set.kinds
+        if kinds.any():  # orient each pair in kind-code order, then group by one stable sort
+            flip = kinds[i] > kinds[j]
+            a, b = np.where(flip, j, i), np.where(flip, i, j)
+            pairs = len(KINDS) * kinds[a].astype(np.intp) + kinds[b]
+            by_pair = np.argsort(pairs, kind="stable")  # CSR order within a group
+            ends = np.cumsum(np.bincount(pairs, minlength=len(KINDS) ** 2)).tolist()
+            groups = [(by_pair[start:end], *divmod(code, len(KINDS)))
+                      for code, (start, end) in enumerate(zip([0] + ends, ends)) if end > start]
+        else:  # points only
+            a, b, groups = i, j, [(slice(None), _P, _P)]
         # (positions, distances) of point pairs, (positions, ka, a, kb, b) of other kinds
         self._groups = []
-        for code in np.flatnonzero(np.bincount(kind_pairs)).tolist():
-            sel = np.flatnonzero(kind_pairs == code)
-            ka, kb = divmod(code, len(KINDS))
-            if code == 0:
+        for sel, ka, kb in groups:
+            at_a, at_b = a[sel], b[sel]
+            if ka == kb == _P:
                 reps = obs_set.rep_points()
-                dist = _distances(reps[i[sel]], reps[j[sel]]) if sep is None else sep[sel]
-                coincident = sel[dist == 0.0]
-                _check_duplicate_exact(obs_set, _P, i[coincident], j[coincident])
+                dist = _distances(reps[at_a], reps[at_b]) if sep is None else sep[sel]
+                coincident = dist == 0.0
+                _check_duplicate_exact(obs_set, _P, at_a[coincident], at_b[coincident])
                 self._groups.append((sel, _check_dist(dist)))
             else:
                 if ka == kb:  # every pair of one operator is stored: supports meet
-                    _check_duplicate_exact(obs_set, ka, i[sel], j[sel])
-                self._groups.append((sel, ka, _operators(obs_set, ka, i[sel]),
-                                     kb, _operators(obs_set, kb, j[sel])))
+                    _check_duplicate_exact(obs_set, ka, at_a, at_b)
+                self._groups.append((sel, ka, _operators(obs_set, ka, at_a),
+                                     kb, _operators(obs_set, kb, at_b)))
 
     @functools.cached_property
     def layout(self) -> FactorLayout:
-        """The pattern's layout (:func:`~.linalg.analyse`), made on first use."""
+        """The pattern's layout, made on first use: a tapered one's from
+        :func:`~.linalg.analyse`, and the full pattern of an untapered one
+        dense in natural order (:func:`~.linalg.layout_in_order`), with no
+        band search."""
+        if self.taper_range is None:
+            return layout_in_order(self._pattern, None)
         return analyse(self._pattern)
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the
-        diagonal: one array evaluation per kind pair, held by a copy of the
-        structure's pattern (:meth:`SparseSymmetric.with_values`), zeros too."""
+        diagonal: one array evaluation per unordered kind pair, held by a copy
+        of the structure's pattern (:meth:`SparseSymmetric.with_values`),
+        zeros too."""
         if not math.isfinite(sigma2_r) or sigma2_r <= 0.0:
             raise ValueError("sigma2_r must be a positive finite real")
         if model.taper_range != self.taper_range:

@@ -24,8 +24,8 @@ import numpy as np
 from . import obsmodel
 from .corrfn import CorrelationModel
 from .errors import EstimationError
-from .inference import gls_levels, level_matrix
-from .linalg import CholeskyFactor, SparseSymmetric, cholesky
+from .inference import gls_levels, level_factor
+from .linalg import CholeskyFactor, SparseSymmetric
 from .obsmodel import ObservationSet, kernel_vector, over_query_blocks
 
 
@@ -144,15 +144,14 @@ def fit_global(obs_set: ObservationSet, model: CorrelationModel, mu: Optional[fl
     ``mean_image`` is the multiplier of ``mu`` in each observation's
     expectation (1 for point values, 0 for derivatives, interval length for
     interval integrals).  A level passed as ``None`` takes its GLS estimate
-    through the factor of S (:func:`~.inference.level_matrix`,
-    :func:`~.inference.gls_levels`), which is retained for variance queries.
-    An empty observation set yields the prior.
+    through the factor of S (:func:`~.inference.level_factor`, in the layout of
+    the set's pair structure; :func:`~.inference.gls_levels`), which is
+    retained for variance queries.  An empty observation set yields the prior.
     """
     _check_levels(mu, sigma2, obs_set.m)
     if obs_set.m == 0:
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0), None)
-    matrix = level_matrix(obs_set, model, sigma2)
-    factor = cholesky(matrix)
+    matrix, factor = level_factor(obs_set, model, sigma2)
     mu, sigma2, weights = gls_levels(factor, obs_set, mu, sigma2)
     return KernelPredictor(model, obs_set, mu, sigma2, weights, factor, matrix)
 

@@ -46,11 +46,16 @@ def matern52_deriv1(d, tau_m):
 
 
 def matern52_deriv2(d, tau_m):
-    """``-(k^2/3) (1 + k d - (k d)^2) exp(-k d)``, the second derivative in ``d``."""
+    """``-(k^2/3) (1 + k d - (k d)^2) exp(-k d)``, the second derivative in ``d``,
+    as two factors with one ``k`` and one half of the exponential each: both are
+    normal where the derivative is (``exp(-k d)`` alone is subnormal from ``k d``
+    ~ 708 on), and 0 where the halves are, though ``k^2`` overflows below
+    ``tau_m`` ~ 1.7e-154."""
     with np.errstate(all="ignore"):
         k = math.sqrt(5.0) / tau_m
         kd = k * np.asarray(d, dtype=float)
-        return -(k * k / 3.0) * (1.0 + kd - kd ** 2) * np.exp(-kd)
+        half = np.exp(-0.5 * kd)
+        return (-(k / 3.0) * ((1.0 + kd - kd ** 2) * half)) * (k * half)
 
 
 def gauss2_deriv1(d, scale):

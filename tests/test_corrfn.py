@@ -199,6 +199,26 @@ class TestExtremeScales:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+    @pytest.mark.parametrize("kind", ["matern52", "gauss2"])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, sys.float_info.min])
+    def test_derivatives_are_zero_past_the_clip_at_any_scale(self, kind, scale):
+        # Past the clip the exponential is exactly 0, and so are rho' and rho'',
+        # though their factors of k, k^2, 1/s or 1/s^2 overflow at these scales.
+        lags = np.array([1.0, -1.0, 700.0 * scale, -1e3 * scale])
+        model = CorrelationModel(kind, scale)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            slope, curvature = model.deriv1(lags), model.deriv2(lags)
+        assert slope.tolist() == [0.0] * 4
+        assert curvature.tolist() == [0.0] * 4 and not np.signbit(curvature).any()
+
+    def test_matern52_deriv2_where_exp_is_subnormal(self):
+        # x = sqrt(5) d / tau_m = 737.9: e^{-x} is subnormal, rho'' normal.  40-digit
+        # mpmath of -(k^2/3)(1 + x - x^2)e^{-x} at these two floats; the x of the code
+        # differs from it by rounding, which e^{-x} scales by x: 2 x eps is 3.3e-13.
+        got = CorrelationModel("matern52", 1e-5).deriv2(3.3e-3)
+        assert got == pytest.approx(3.0924467697860032888e-305, rel=1e-12, abs=0.0)
+
+
 class TestDerivatives:
     def test_deriv1_odd_and_zero_at_origin(self):
         model = CorrelationModel("matern52", 1.0)

@@ -338,8 +338,9 @@ class TestProfiledSearch:
         obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
         eta = estimate_eta(obs, family, (0.1, 1.4), 1e-5, 50).eta
         mu, sigma2, nll = profile_levels(obs, family(eta))
-        built, layouts, factored, in_search = [], [], [], []
+        built, layouts, band_searches, factored, in_search = [], [], [], [], []
         real_structure, real_band_order = inference.PairStructure, linalg._band_order
+        real_layout = linalg._layout
         real_cholesky, real_estimate_eta = inference.cholesky, inference.estimate_eta
 
         def marked_estimate_eta(*args, **kwargs):
@@ -351,15 +352,19 @@ class TestProfiledSearch:
 
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
-        monkeypatch.setattr(linalg, "_band_order",  # one call per analysis
-                            lambda a: layouts.append(1) or real_band_order(a))
+        monkeypatch.setattr(linalg, "_band_order",  # one call per band search
+                            lambda a: band_searches.append(1) or real_band_order(a))
+        monkeypatch.setattr(linalg, "_layout",  # one call per layout made
+                            lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "cholesky",
                             lambda *args: factored.append(bool(in_search)) or real_cholesky(*args))
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
         result = estimate_joint(obs, family, (0.1, 1.4))
         assert (result.eta, result.mu, result.sigma2,
                 result.nll) == (eta, mu, sigma2, nll)  # bit for bit
-        assert (len(built), len(layouts)) == (1, 1)
+        # one layout; a full (untapered) pattern is laid out with no band search
+        tapered = family(eta).taper_range is not None
+        assert (len(built), len(layouts), len(band_searches)) == (1, 1, int(tapered))
         assert factored == [True] * result.iterations  # none after the search
 
 
@@ -514,9 +519,9 @@ class TestPairStructureReuse:
         else:
             obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
             family, bounds = (lambda eta: CorrelationModel("gauss2", eta, 1.5)), (0.02, 0.1)
-        matrices, factors, layouts, built = [], [], [], []
+        matrices, factors, layouts, band_searches, built = [], [], [], [], []
         real_cholesky, real_band_order = inference.cholesky, linalg._band_order
-        real_structure = inference.PairStructure
+        real_structure, real_layout = inference.PairStructure, linalg._layout
 
         def recording_cholesky(a, layout=None):
             matrices.append(a)
@@ -524,15 +529,18 @@ class TestPairStructureReuse:
             return factors[-1]
 
         monkeypatch.setattr(inference, "cholesky", recording_cholesky)
-        monkeypatch.setattr(linalg, "_band_order",  # one call per analysis
-                            lambda a: layouts.append(1) or real_band_order(a))
+        monkeypatch.setattr(linalg, "_band_order",  # one call per band search
+                            lambda a: band_searches.append(1) or real_band_order(a))
+        monkeypatch.setattr(linalg, "_layout",  # one call per layout made
+                            lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
         result = estimate_joint(obs, family, bounds)
         with_zeros = sum(not a._values.all() for a in matrices)
         assert len(matrices) == result.iterations and 0 < with_zeros < result.iterations
         assert len({a.nnz_lower for a in matrices}) == 1  # every pair the structure selects
-        assert (len(built), len(layouts)) == (1, 1)
+        # one layout; a full (untapered) pattern is laid out with no band search
+        assert (len(built), len(layouts), len(band_searches)) == (1, 1, int(case == "tapered-2d"))
         assert {f.storage for f in factors} == {"dense" if case == "untapered-1d" else "band"}
         monkeypatch.undo()
         model = family(result.eta)

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,7 +423,51 @@ def pattern(indptr, indices, m):
     return out
 
 
+@st.composite
+def operator_sets(draw):
+    """A 1-D set on a jittered lattice with a model for it: every kind under an
+    untapered gauss2 or Matern-5/2 model, points and intervals under a taper;
+    signed derivatives, overlapping intervals and some error variances."""
+    taper = draw(st.one_of(st.none(), st.floats(0.5, 4.0)))
+    model = CorrelationModel(draw(st.sampled_from(["gauss2", "matern52"])),
+                             draw(st.floats(0.2, 3.0)), taper)
+    spacing = draw(st.floats(0.3, 2.0))
+    rows = draw(st.lists(st.tuples(st.sampled_from([POINT, AVG] if taper else KINDS),
+                                   st.floats(0.0, 0.4), st.floats(0.1, 1.5),
+                                   st.floats(-1e3, 1e3), st.sampled_from([0.0, 0.0, 0.05]),
+                                   st.sampled_from([-3.0, 2.0])),
+                         min_size=1, max_size=20))
+    sites = [spacing * (i + jitter) for i, (_, jitter, *_) in enumerate(rows)]
+    return observation_set([
+        (kind, [x, x + width] if kind == AVG else x, value, error_var, z)
+        for x, (kind, _, width, value, error_var, z) in zip(sites, rows)]), model
+
+
 class TestAssemble:
+    @given(operator_sets(), st.sampled_from([1.0, 2.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_evaluation_per_unordered_kind_pair_equals_per_entry(self, case, sigma2_r):
+        # The structure orients each stored pair in kind-code order and groups
+        # the pairs by unordered kind pair: one _entries call per group (no
+        # swapped call), the point pairs one evaluation on their distances.
+        obs, model = case
+        structure = PairStructure(obs, model.taper_range)
+        calls, real_entries = [], kernelfield.obsmodel._entries
+
+        def counting_entries(mdl, ka, a, kb, b):
+            calls.append((ka, kb))
+            return real_entries(mdl, ka, a, kb, b)
+
+        with mock.patch.object(kernelfield.obsmodel, "_entries", counting_entries):
+            counted = structure.matrix(model, sigma2_r)
+        rows, cols, vals = assemble(obs, model, sigma2_r).lower_entries()
+        kinds = np.sort(np.column_stack([obs.kinds[rows], obs.kinds[cols]]), axis=1)
+        present = {tuple(pair) for pair in kinds.tolist()} - {(KIND_CODES[POINT],) * 2}
+        assert sorted(calls) == sorted(present)
+        assert counted._values.tobytes() == vals.tobytes()
+        want = [cross_correlation(obs, r, c, model, sigma2_r) for r, c in zip(rows, cols)]
+        assert vals.tobytes() == np.array(want).tobytes()  # bit for bit, signed zeros too
+
     def test_single_exact_point(self):
         s = assemble(observation_set([pt(0.0, value=1.0)]), M52, 1.0)
         assert np.array_equal(s.to_dense(), [[1.0]])

@@ -405,6 +405,23 @@ class TestSparseKernels:
         assert run.stdout.strip() == "ok"
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize("fit", ["global-untapered", "global-tapered", "localized"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_point_refused(self, fit, bad):
+        # The kernels are evaluated unchecked, so the query block is checked
+        # once: dense (untapered) and sparse (tapered) kernels, both fits.
+        model = CorrelationModel("matern52", 1.0, None if fit == "global-untapered" else 1.5)
+        obs = observation_set([(POINT, [0.4 * i, 0.1 * i], np.sin(i)) for i in range(6)])
+        p = (fit_localized(obs, model, 2, 0.0, 1.0) if fit == "localized"
+             else fit_global(obs, model, 0.0, 1.0))
+        block = np.array([[0.3, 0.2], [bad, 0.5], [1.0, 1.0]])
+        for x in (block[1], block[1, ::-1], block):
+            for query in (predict, predict_variance):
+                with pytest.raises(ValueError, match="query points must be finite"):
+                    query(p, x)
+
+
 def level_check_cases():
     """Each fit, global and localized, on an empty and a non-empty 1D set."""
     model = CorrelationModel("matern52", 1.0, 1.5)
