@@ -437,7 +437,7 @@ def cmd_fit(args) -> int:
 def _neighborhood_sizes(psi: Optional[SparseSymmetric]) -> Optional[dict]:
     if psi is None or psi.order == 0:
         return None
-    counts = np.diff(psi.full().indptr)
+    counts = psi._row_nnz()
     return {"min": int(counts.min()), "mean": float(counts.mean()), "max": int(counts.max())}
 
 

@@ -1,8 +1,9 @@
-"""Sparse symmetric storage, Cholesky factorization, dense (stacked) SPD
-inversion, and a k-d tree spatial index.  The package finds its
-neighborhoods with ``scipy.spatial.cKDTree`` pair queries and does not query
-:class:`SpatialIndex`; it is kept for the benchmark's tracer, which wraps
-``SpatialIndex.neighbors``.
+"""Sparse symmetric storage (a lower-triangle CSR pattern and its values as
+given; only ``SparseSymmetric.from_entries`` drops explicit zeros), Cholesky
+factorization, dense (stacked) SPD inversion, and a k-d tree spatial index.
+The package finds its neighborhoods with ``scipy.spatial.cKDTree`` pair
+queries and does not query :class:`SpatialIndex`; it is kept for the
+benchmark's tracer, which wraps ``SpatialIndex.neighbors``.
 
 A stored pattern is analysed once into a :class:`FactorLayout` and factored
 many times in it (CHOLMOD's analyse and factorize phases: Chen, Davis, Hager &
@@ -22,7 +23,6 @@ matrices are all full, as an untapered model's are.  ``tests/test_cli.py``
 fails if it is imported at the top again.
 """
 
-import functools
 import math
 from typing import NamedTuple, Optional, Tuple
 
@@ -41,40 +41,25 @@ QUAD_GROUP = 32
 
 
 class SparseSymmetric:
-    """Symmetric n-by-n matrix stored as the lower triangle in CSR form.
+    """Symmetric n-by-n matrix held as its lower triangle L in CSR form.
 
-    The stored pattern is closed under transpose by construction, and the
-    constructor stores no explicit zero; a :meth:`with_values` copy stores
-    zeros too.  The matrix an instance holds never changes; what it caches
-    does: the full view (a producer that holds it, with no stored zero, may
-    preset it as ``full``).
+    ``SparseSymmetric(pattern, values=None)`` holds ``values`` (``pattern.data``
+    if None) on ``pattern`` as given: no copy, zeros too.  Its unchecked
+    precondition: ``pattern`` is a canonical lower-triangle CSR matrix (column
+    <= row, sorted and unique in each row) and ``values`` one float per entry.
+    :meth:`with_values` copies share the pattern, and so its layout.
+    :meth:`from_entries` validates triplets from outside and is the one place
+    that drops explicit zeros.  The full view is made on first use.
     """
 
-    def __init__(self, lower: sp.csr_matrix, full: Optional[sp.csr_matrix] = None):
-        lower = sp.csr_matrix(lower)
-        lower.eliminate_zeros()
-        lower.sum_duplicates()
-        self._lower = self._pattern = lower
-        self._values, self._full = lower.data, full
-
-    @classmethod
-    def _on_pattern(cls, pattern: sp.csr_matrix, values: np.ndarray) -> "SparseSymmetric":
-        """``values`` (CSR order) on a canonical lower-triangle CSR ``pattern``, as given."""
-        out = cls.__new__(cls)
-        out._pattern, out._values, out._full = pattern, values, None
-        return out
-
-    @functools.cached_property
-    def _lower(self) -> sp.csr_matrix:  # of a with_values copy, made on first use
-        p = self._pattern
-        return sp.csr_matrix((self._values, p.indices, p.indptr), p.shape)
+    def __init__(self, pattern: sp.csr_matrix, values: Optional[np.ndarray] = None):
+        self._pattern = pattern
+        self._values = pattern.data if values is None else values
+        self._full: Optional[sp.csr_matrix] = None
 
     def with_values(self, values: np.ndarray) -> "SparseSymmetric":
-        """This stored pattern holding the lower-triangle ``values`` (CSR order),
-        zeros too: the copy shares the pattern, and so its layout (:func:`analyse`)."""
-        return self._on_pattern(self._pattern, values)
-
-    # -- constructors ----------------------------------------------------
+        """This stored pattern holding the lower-triangle ``values`` (CSR order), zeros too."""
+        return SparseSymmetric(self._pattern, values)
 
     @classmethod
     def from_entries(cls, order: int, rows, cols, vals) -> "SparseSymmetric":
@@ -83,7 +68,8 @@ class SparseSymmetric:
         Each entry is folded to the lower triangle and the CSR arrays are
         built directly, after one sort on the int64 key ``row * order + col``.
         A repeated entry, such as one given as both (i, j) and (j, i), is a
-        ``ValueError`` naming it: it is never summed.
+        ``ValueError`` naming it: it is never summed.  An entry of value zero
+        is not stored.
         """
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -96,7 +82,8 @@ class SparseSymmetric:
         if repeated.any():
             k = csr[repeated.argmax()]
             raise ValueError(f"repeated entry ({lo_r[k]}, {lo_c[k]}) of the lower triangle")
-        indptr = np.append(0, np.cumsum(np.bincount(lo_r, minlength=order)))
+        csr = csr[vals[csr] != 0.0]
+        indptr = np.append(0, np.cumsum(np.bincount(lo_r[csr], minlength=order)))
         return cls(sp.csr_matrix((vals[csr], lo_c[csr], indptr), shape=(order, order)))
 
     # -- views -----------------------------------------------------------
@@ -110,10 +97,13 @@ class SparseSymmetric:
         return self._pattern.nnz
 
     def full(self) -> sp.csr_matrix:
-        """Full symmetric CSR view (cached)."""
+        """Full symmetric CSR view L + strict(L)' with no stored zero (cached), strict(L)
+        being L's values masked to zero from the diagonal up, on L's pattern."""
         if self._full is None:
-            strict = sp.tril(self._lower, k=-1)
-            self._full = (self._lower + strict.T).tocsr()
+            p = self._pattern
+            lower = sp.csr_matrix((self._values, p.indices, p.indptr), p.shape)
+            strict = np.where(p.indices < self._rows(), self._values, 0.0)
+            self._full = lower + sp.csr_matrix((strict, p.indices, p.indptr), p.shape).T
         return self._full
 
     def to_dense(self) -> np.ndarray:
@@ -142,11 +132,12 @@ class SparseSymmetric:
         return self.full()[np.ix_(idx, idx)].toarray()
 
     def _row_nnz(self) -> np.ndarray:
-        """Entries in each row of the full view, counted on the lower triangle:
-        the row's stored length plus its column's off-diagonal entries."""
+        """Entries in each row of the full pattern (stored zeros too), counted on
+        the lower triangle: the row's stored length plus its column's entries
+        off the diagonal, found by position."""
         p = self._pattern
-        off_diagonal = np.bincount(p.indices, minlength=self.order) - (p.diagonal() != 0)
-        return np.diff(p.indptr) + off_diagonal
+        off_diagonal = p.indices[p.indices != self._rows()]
+        return np.diff(p.indptr) + np.bincount(off_diagonal, minlength=self.order)
 
     def max_row_nnz(self) -> int:
         return int(self._row_nnz().max(initial=0))

@@ -60,9 +60,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     ``locations`` (one per row of ``S``) define the neighborhoods: row i of
     the support matrix receives the center row of the dense inverse of the
     sub-matrix over all indices with ``|x_i - x_j| < delta`` (strict).  The
-    returned matrix is the symmetrized support matrix, with that sum as its
-    preset full view; entry (i, j) is structurally zero whenever the
-    locations are ``delta`` or more apart.
+    returned matrix is the symmetrized support matrix, its lower half taken by
+    :meth:`SparseSymmetric.from_entries`, which stores no exact zero; entry
+    (i, j) is structurally zero whenever the locations are ``delta`` or more apart.
 
     Rows with neighborhoods of one size are inverted together, as (k, n, n)
     stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
@@ -121,8 +121,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     for slots, vals in results:
         psi.data[slots] = vals
     sym = (psi + psi.T) * 0.5
-    sym.eliminate_zeros()  # then it is the full view rebuilt from the lower triangle
-    return SparseSymmetric(sp.tril(sym, format="csr"), full=sym)
+    rows = np.repeat(np.arange(m), np.diff(sym.indptr))
+    lower = sym.indices <= rows
+    return SparseSymmetric.from_entries(m, rows[lower], sym.indices[lower], sym.data[lower])
 
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,

@@ -464,7 +464,7 @@ class PairStructure:
         self.obs_set, self.taper_range = obs_set, taper_range
         self._diagonal = indptr[1:] - 1
         pattern = sp.csr_matrix((np.ones(j.size), j, indptr), (m, m))
-        self._pattern = SparseSymmetric._on_pattern(pattern, pattern.data)
+        self._pattern = SparseSymmetric(pattern)
         kinds = obs_set.kinds
         if kinds.any():  # orient each pair in kind-code order, then group by one stable sort
             flip = kinds[i] > kinds[j]

@@ -216,7 +216,7 @@ def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
         direction = [1.0]
     x = _finite_numbers(x, q, "x")
     direction = _finite_numbers(direction, q, "direction")
-    norm = float(np.linalg.norm(direction))
+    norm = float(np.hypot.reduce(np.abs(direction)))  # as ObservationSet: no squares
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
     if p.obs.m == 0:
@@ -226,12 +226,13 @@ def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
 
 def predict_average(p: KernelPredictor, interval) -> float:
     """Predicted spatial average of the field over a 1D interval, two finite
-    numbers ``(lo, hi)`` with lo < hi (``ValueError``)."""
+    numbers ``(lo, hi)`` with lo < hi and a finite length and midpoint, as an
+    avg row's (``ValueError``)."""
     if p.dim != 1:
         raise ValueError("average prediction is 1D only")
     lo, hi = map(float, _finite_numbers(interval, 2, "interval"))
-    if not lo < hi:
-        raise ValueError("interval must satisfy lower < upper")
+    if not (lo < hi and math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise ValueError("interval must satisfy lower < upper, with a finite length and midpoint")
     cross = obsmodel.interval_vector(p.obs, lo, hi, p.model)
     return p.mu + float(cross @ p.weights) / (hi - lo)
 

@@ -4,8 +4,8 @@ The program runs none of these.  Each computes by the plain route what the
 package computes another way: the pointwise Kriging predictor, the closed
 forms of the correlation functions and their first two derivatives, with no
 clip, interval integrals of a correlation by adaptive quadrature, an eigenvalue
-check of non-negative definiteness, and the dense matrix behind a sparse one
-or a Cholesky factor.
+check of non-negative definiteness, the dense matrix behind a sparse one
+or a Cholesky factor, and scipy's full view of a sparse one.
 """
 
 import math
@@ -160,6 +160,14 @@ def from_dense(dense) -> SparseSymmetric:
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("dense input must be square")
     return SparseSymmetric(sp.csr_matrix(np.tril(dense)))
+
+
+def full_view(a: SparseSymmetric) -> sp.csr_matrix:
+    """scipy's full view of a :class:`SparseSymmetric`, L + strict(L)' of its
+    stored lower triangle L."""
+    rows, cols, vals = a.lower_entries()
+    lower = sp.csr_matrix((vals, (rows, cols)), shape=(a.order, a.order))
+    return (lower + sp.tril(lower, -1).T).tocsr()
 
 
 def reconstruct(factor) -> np.ndarray:

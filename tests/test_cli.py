@@ -193,11 +193,16 @@ def test_fit_summary_reports_the_matrix_in_both_modes(tmp_path, capsys):
     stats = {}
     for mode in ("global", "localized"):
         capsys.readouterr()
-        fit(tmp_path, obs, model, mode)
-        stats[mode] = json.loads(capsys.readouterr().out)["matrix"]
+        predictor = fit(tmp_path, obs, model, mode)
+        stats[mode] = json.loads(capsys.readouterr().out)
     shared = ("order", "nnz_lower", "density", "max_row_nnz")
-    assert stats["localized"] == {key: stats["global"][key] for key in shared}
-    assert stats["localized"]["order"] == 400 and stats["global"]["factor_storage"] == "band"
+    assert stats["localized"]["matrix"] == {key: stats["global"]["matrix"][key] for key in shared}
+    assert stats["localized"]["matrix"]["order"] == 400
+    assert stats["global"]["matrix"]["factor_storage"] == "band"
+    # Psi stores no zero, so its neighbourhood sizes are its full view's row lengths.
+    counts = np.diff(load_predictor(predictor).inverse.full().indptr)
+    assert stats["localized"]["neighborhood_sizes"] == {
+        "min": int(counts.min()), "mean": float(counts.mean()), "max": int(counts.max())}
 
 
 def test_approximate_inverse_of_wrong_order_exit_2(tmp_path, inputs, capsys):

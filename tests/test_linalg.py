@@ -15,7 +15,7 @@ from kernelfield.linalg import (QUAD_GROUP, _band_order, analyse, dense_spd_inve
                                 layout_in_order)
 
 from conftest import dense_factor
-from oracles import from_dense, reconstruct
+from oracles import from_dense, full_view, reconstruct
 
 
 def random_spd(rng, n, jitter=1.0):
@@ -33,6 +33,36 @@ class TestSparseSymmetric:
     def test_explicit_zeros_dropped(self):
         s = SparseSymmetric.from_entries(2, [0, 1, 1], [0, 0, 1], [1.0, 0.0, 1.0])
         assert s.nnz_lower == 2
+
+    def test_constructor_stores_zeros_as_given_and_from_entries_drops_them(self):
+        lower = sp.csr_matrix((np.array([0.0, -0.0, 2.0]), np.array([0, 0, 1]),
+                               np.array([0, 1, 3])), shape=(2, 2))
+        for values in (None, np.array([0.0, 0.0, 3.0])):
+            s = SparseSymmetric(lower, values)
+            assert s._pattern is lower  # no copy
+            rows, cols, vals = s.lower_entries()
+            assert (rows.tolist(), cols.tolist()) == ([0, 1, 1], [0, 0, 1])
+            assert vals.tobytes() == (lower.data if values is None else values).tobytes()
+            # The stored zero on the diagonal is counted by position.
+            assert s.nnz_lower == 3 and s.max_row_nnz() == 2 and s.density() == 1.0
+            assert s.full().nnz == 1  # the full view stores no zero
+            dropped = SparseSymmetric.from_entries(2, rows, cols, vals)
+            assert [a.tolist() for a in dropped.lower_entries()] == [[1], [1], [vals[2]]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 0.5), st.integers(0, 2 ** 16))
+    def test_full_view_is_scipys(self, n, density, seed):
+        # Copies that store zeros of both signs, on a pattern with some diagonals unstored.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+        a[np.diag_indices(n)] *= rng.random(n) < 0.5
+        first = from_dense(a + a.T)
+        vals = first.lower_entries()[2]
+        zeros = np.where(rng.random(vals.size) < 0.5, 0.0, -0.0)
+        for s in (first, first.with_values(np.where(rng.random(vals.size) < 0.3, zeros, vals))):
+            got, want = s.full(), full_view(s)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("rows, cols", [([0, 1, 1, 1], [0, 0, 1, 0]),
                                             ([0, 1, 1, 0], [0, 0, 1, 1])])

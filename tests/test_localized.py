@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (AVG, POINT, ConfigError, CorrelationModel, EstimationError,
-                         FactorizationError, GridSpec, ObservationSet, SparseSymmetric,
+                         FactorizationError, GridSpec, ObservationSet,
                          approximate_inverse, assemble, fit_global, fit_localized, predict,
                          predict_variance, rasterize)
 from kernelfield import localized
@@ -14,7 +14,7 @@ from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
 
 from conftest import observation_set
-from oracles import from_dense
+from oracles import from_dense, full_view
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
 G2T = CorrelationModel("gauss2", 0.5, 1.0)
@@ -262,14 +262,15 @@ class TestSitePass:
 
     @given(site_pass_cases())
     @settings(max_examples=40, deadline=None)
-    def test_preset_full_view_of_psi_is_the_rebuilt_one(self, case):
+    def test_full_views_of_s_and_psi_are_scipys(self, case):
         obs, model = case
-        psi = approximate_inverse(assemble(obs, model, 1.3), obs.rep_points(), delta=2.0)
-        got = psi.full()
-        want = SparseSymmetric.from_entries(psi.order, *psi.lower_entries()).full()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert np.all(got.data != 0.0)
+        mat = assemble(obs, model, 1.3)
+        psi = approximate_inverse(mat, obs.rep_points(), delta=2.0)
+        for a in (mat, psi):
+            got, want = a.full(), full_view(a)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.all(psi.lower_entries()[2] != 0.0)  # Psi's exact zeros are not stored
 
 
 class TestPermutationInvariance:

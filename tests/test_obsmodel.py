@@ -415,11 +415,10 @@ def brute_force_matrix(obs, model, sigma2_r):
     return dense, kept
 
 
-def pattern(indptr, indices, m):
-    """The symmetric boolean pattern of CSR index arrays (either triangle or both)."""
+def pattern(rows, cols, m):
+    """The symmetric boolean pattern of (row, col) index arrays (either triangle or both)."""
     out = np.zeros((m, m), dtype=bool)
-    rows = np.repeat(np.arange(m), np.diff(indptr))
-    out[rows, indices] = out[indices, rows] = True
+    out[rows, cols] = out[cols, rows] = True
     return out
 
 
@@ -581,8 +580,9 @@ class TestAssemble:
         # whatever its value, zero included (the interval 1e-9 inside reach
         # has an exact entry of about 1e-29).
         structure = PairStructure(obs, model.taper_range)
-        for lower in (structure._pattern._lower, s._lower):
-            assert np.array_equal(pattern(lower.indptr, lower.indices, obs.m), kept)
+        for a in (structure._pattern, s):
+            rows, cols, _ = a.lower_entries()
+            assert np.array_equal(pattern(rows, cols, obs.m), kept)
         rows, cols, vals = s.lower_entries()
         assert np.array_equal(vals, dense[rows, cols])
 
@@ -602,15 +602,14 @@ class TestAssemble:
         order = rng.permutation(len(sites))
         sites, error_vars, m = sites[order], error_vars[order], len(sites)
         obs = ObservationSet(np.zeros(m, dtype=np.int8), sites, np.zeros(m), error_vars)
-        got = assemble(obs, model, 2.0)._lower
+        rows, cols, got = assemble(obs, model, 2.0).lower_entries()
         i, j = np.tril_indices(m)
         dist = _distances(sites[i], sites[j])
         vals = model.eval(dist) + np.where(i == j, error_vars[i] / 2.0, 0.0)
         csr = np.lexsort((j, i))
         csr = csr[dist[csr] < tau0]
-        assert np.array_equal(got.indptr, np.append(0, np.cumsum(np.bincount(i[csr], minlength=m))))
-        assert np.array_equal(got.indices, j[csr])
-        assert np.array_equal(got.data, vals[csr])
+        assert np.array_equal(rows, i[csr]) and np.array_equal(cols, j[csr])
+        assert np.array_equal(got, vals[csr])
 
     def test_gauss2_interval_entries_match_quadrature(self):
         # brute_force_matrix shares the array path with assemble; this

@@ -274,6 +274,22 @@ class TestOperatorPredictions:
         with pytest.raises(ValueError, match="exactly 2 finite numbers"):
             predict_average(demo_fit, interval)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_direction_normalized_as_an_observation_set_does(self, scale):
+        # Its length is taken as ObservationSet takes a deriv row's, with no
+        # squares to overflow or underflow.
+        obs = ObservationSet(np.zeros(3, dtype=np.int8), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                             [1.0, 2.0, 0.5], np.zeros(3))
+        p = fit_global(obs, M52)
+        want = predict_derivative(p, [0.3, 0.4], [1.0, 1.0])
+        assert predict_derivative(p, [0.3, 0.4], [scale, scale]) == pytest.approx(want, rel=1e-15)
+
+    def test_interval_of_infinite_length_refused_as_an_avg_row(self, demo_fit):
+        with pytest.raises(ValueError, match="with a finite length and midpoint"):
+            predict_average(demo_fit, (-1e308, 1e308))
+        with pytest.raises(ValueError, match="with a finite length and midpoint"):
+            predict_average(demo_fit, (1e308, 1.7e308))
+
     @pytest.mark.parametrize("model", [CorrelationModel("gauss2", 0.5),
                                        CorrelationModel("matern52", 0.5)],
                              ids=["gauss2", "matern52"])
