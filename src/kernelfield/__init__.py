@@ -17,12 +17,10 @@ from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
 from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
                         estimate_sigma2)
-from .linalg import SparseSymmetric, SpatialIndex, cholesky
+from .linalg import SparseSymmetric, cholesky
 from .localized import approximate_inverse, fit_localized
-from .obsmodel import (AVG, DERIV, KIND_CODES, KINDS, POINT, ObservationSet,
-                       assemble, cross_correlation, kernel_value,
-                       kernel_vector, read_observations_csv,
-                       write_observations_csv)
+from .obsmodel import (AVG, DERIV, KIND_CODES, KINDS, POINT, ObservationSet, assemble,
+                       kernel_vector, read_observations_csv, write_observations_csv)
 from .predictor import (GridSpec, KernelPredictor, fit_global, predict, predict_average,
                         predict_derivative, predict_variance, rasterize)
 
@@ -31,13 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AVG", "DERIV", "KIND_CODES", "KINDS", "POINT",
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
-    "GridSpec", "KernelPredictor",
-    "MleResult", "ObservationParseError", "ObservationSet",
-    "SparseSymmetric", "SpatialIndex", "UnsupportedOperatorError",
-    "approximate_inverse", "assemble", "cholesky",
-    "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu",
-    "estimate_sigma2", "fit_global", "fit_localized", "kernel_value",
-    "kernel_vector", "predict", "predict_average", "predict_derivative",
-    "predict_variance", "rasterize", "read_observations_csv",
+    "GridSpec", "KernelPredictor", "MleResult", "ObservationParseError", "ObservationSet",
+    "SparseSymmetric", "UnsupportedOperatorError", "approximate_inverse", "assemble",
+    "cholesky", "estimate_eta", "estimate_joint", "estimate_mu", "estimate_sigma2",
+    "fit_global", "fit_localized", "kernel_vector", "predict", "predict_average",
+    "predict_derivative", "predict_variance", "rasterize", "read_observations_csv",
     "write_observations_csv",
 ]

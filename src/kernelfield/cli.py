@@ -231,9 +231,9 @@ def load_predictor(path) -> KernelPredictor:
     as a fit's are (:class:`ObservationSet` refuses an unknown kind code, a
     non-finite site, value or error variance, a bad interval and a bad
     direction).  The model's ``mu`` must be finite and its ``sigma2``
-    positive and finite, as a fit checks them.  A missing top-level field, a
-    model number that is not a JSON number, or any other malformed content
-    is a :class:`ConfigError` naming it.
+    positive and finite, as a fit checks them, and ``dim`` a positive JSON
+    integer.  A missing top-level field, a model number that is not a JSON
+    number, or any other malformed content is a :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -262,6 +262,8 @@ def load_predictor(path) -> KernelPredictor:
         _check_levels(mu, sigma2)
     except ValueError as exc:  # "mu must be ..." or "sigma2 must be ..."
         raise ConfigError(f"{path}: model.{exc}") from None
+    if type(doc["dim"]) is not int or not 1 <= doc["dim"] <= sys.maxsize:  # as k: not a bool
+        raise ConfigError(f"{path}: dim must be a positive JSON integer, got {doc['dim']!r}")
     obs = _observations_from_columns(path, doc)
     try:
         weights = _json_numbers(doc["weights"], "weights").astype(float)
@@ -413,6 +415,7 @@ def cmd_fit(args) -> int:
     _check_counts(args)
     t0 = time.perf_counter()
     obs = read_observations_csv(args.obs)
+    t_read = time.perf_counter()
     summary = {"command": "fit", "mode": args.mode, "m": obs.m, "dim": obs.dim}
 
     if args.mode == "global":
@@ -425,10 +428,12 @@ def cmd_fit(args) -> int:
                    matrix=_matrix_stats(fitted.matrix, fitted.inverse if psi is None else None),
                    approx_inverse=_matrix_stats(psi), neighborhood_sizes=_neighborhood_sizes(psi),
                    negative_variance_at_obs=fitted.negative_variance_at_obs)
-
+    t_fit = time.perf_counter()
     if args.out:
         save_predictor(args.out, fitted)
-    summary["timing_s"] = {"total": time.perf_counter() - t0}
+    t_save = time.perf_counter()
+    summary["timing_s"] = {"read": t_read - t0, "fit": t_fit - t_read, "save": t_save - t_fit,
+                           "total": t_save - t0}
     summary["outputs"] = {"predictor": args.out}
     _emit(summary, args.summary)
     return 0
@@ -511,12 +516,11 @@ def cmd_infer(args) -> int:
 def demo_observation_set(values=(1.0, 0.0, 2.0)) -> ObservationSet:
     """The built-in 1D demonstration set: a point value at 0, a derivative
     at -5, and an interval integral over [5, 6]."""
-    v = [float(x) for x in values]
-    if len(v) != 3:
+    if len(values) != 3:
         raise ConfigError("example-a needs exactly three observed values")
     kinds = [KIND_CODES[k] for k in (obsmodel.POINT, obsmodel.DERIV, obsmodel.AVG)]
     nan = math.nan
-    return ObservationSet(kinds, [[0.0], [-5.0], [nan]], v, np.zeros(3),
+    return ObservationSet(kinds, [[0.0], [-5.0], [nan]], values, np.zeros(3),
                           [[0.0], [1.0], [0.0]], [[nan, nan], [nan, nan], [5.0, 6.0]])
 
 
@@ -524,11 +528,14 @@ def cmd_example_a(args) -> int:
     rng_param = float(args.range)
     if rng_param <= 0.0:
         raise ConfigError("range must be positive")
-    values = tuple(float(v) for v in args.values.split(","))
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}") from None
     obs = demo_observation_set(values)
     model = corrfn.CorrelationModel("matern52", rng_param)
     fitted = fit_global(obs, model, mu=0.0, sigma2=1.0)
-    out = {"range": rng_param, "values": list(values),
+    out = {"range": rng_param, "values": values,
            "weights": [float(w) for w in fitted.weights]}
     raster_path = None
     if args.out_prefix:
@@ -572,6 +579,8 @@ def _parse_bounds(text: str):
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     bounds = _parse_bounds(args.bounds)
     obs = synthetic_observations(args.m, bounds, args.seed)
     obsmodel.write_observations_csv(args.out, obs)

@@ -9,7 +9,9 @@ exactly 0, so that no tiny scale overflows a product on the way there:
 value, the first two lag derivatives (scaled before the exponential, so they
 overflow only where their plain closed forms do; Matern-5/2's first, at most
 ``0.28 k``, nowhere), and the antiderivatives and moments of every interval
-integral (:meth:`CorrelationModel._integrals`).
+integral (:meth:`CorrelationModel._integrals`).  Only ``eval`` checks its input:
+the operator table calls the cores ``_eval``, ``_deriv1``, ``_base`` and
+``_integrals`` on distances and lags checked where they are made.
 
 The spherical taper ``(1 + d/(2*tau0)) * (1 - d/tau0)^2``, exactly 0 from
 ``d = tau0`` on, multiplies the base to give a finite range: the product is
@@ -24,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import erf, gamma, gammainc
 
-from .errors import ConfigError, UnsupportedOperatorError
+from .errors import ConfigError
 
 SQRT5 = math.sqrt(5.0)
 
@@ -48,10 +50,6 @@ def _check_scale(scale, name) -> float:
         raise ValueError(f"{name} must be a finite real of at least {sys.float_info.min!r}, "
                          f"got {scale!r}")
     return s
-
-
-def _return_like(dist, value: np.ndarray):
-    return float(value) if np.isscalar(dist) or np.ndim(dist) == 0 else value
 
 
 class _Matern52:
@@ -141,13 +139,6 @@ def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
     return (1.0 + 0.5 * u) * (1.0 - u) ** 2
 
 
-def _check_lag(lag) -> np.ndarray:
-    t = np.asarray(lag, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("lag must be finite")
-    return t
-
-
 @dataclass(frozen=True)
 class CorrelationModel:
     """Base correlation plus optional spherical taper.
@@ -173,8 +164,10 @@ class CorrelationModel:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, dist: ArrayLike) -> ArrayLike:
-        """Correlation at Euclidean distance ``dist`` (base times taper)."""
-        return _return_like(dist, self._eval(_check_dist(dist)))
+        """Correlation at Euclidean distance ``dist`` (base times taper), a
+        float for a scalar ``dist``: the one checked evaluation."""
+        value = self._eval(_check_dist(dist))
+        return float(value) if np.ndim(dist) == 0 else value
 
     def _eval(self, d: np.ndarray) -> np.ndarray:
         """:meth:`eval` of a float array of distances already checked to be
@@ -189,18 +182,11 @@ class CorrelationModel:
 
     # -- lag derivatives (derivative operators) ---------------------------
 
-    def deriv1(self, lag: ArrayLike) -> ArrayLike:
-        """d/dtau of the correlation as a function of the signed 1D lag; at a
-        distance (lag >= 0) it is the slope rho'(d) of any dimension.
-
-        Odd function; 0 at lag 0.  For tapered models the true one-sided
-        slopes at lag 0 differ, so the symmetric value 0.0 is returned there
-        by convention.
-        """
-        return _return_like(lag, self._deriv1(_check_lag(lag)))
-
     def _deriv1(self, t: np.ndarray) -> np.ndarray:
-        """:meth:`deriv1` of a float array of lags already checked to be finite."""
+        """d/dtau of the correlation as a function of the signed 1D lags ``t``
+        (floats checked to be finite); at a distance (lag >= 0) it is the slope
+        rho'(d) of any dimension.  Odd, and 0 at lag 0, where a tapered model's
+        one-sided slopes differ: their mean 0 is returned by convention."""
         a = np.abs(t)
         s = np.sign(t)
         base_d1 = self._base(a, 1) * s
@@ -210,14 +196,6 @@ class CorrelationModel:
         u = np.minimum(a, t0) / t0
         tap_d1 = -(1.5 / t0) * (1.0 - u * u) * s  # the taper's slope within its range
         return np.where(a < t0, base_d1 * _spherical(a, t0) + self._base(a) * tap_d1, 0.0)
-
-    def deriv2(self, lag: ArrayLike) -> ArrayLike:
-        """Second derivative of the signed-lag correlation (untapered only)."""
-        if self.taper_range is not None:
-            raise UnsupportedOperatorError(
-                "second derivative undefined at the origin for tapered correlation models"
-            )
-        return _return_like(lag, self._base(np.abs(_check_lag(lag)), 2))
 
     # -- interval integrals (interval operators) ---------------------------
 

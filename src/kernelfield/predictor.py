@@ -51,30 +51,24 @@ class GridSpec:
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
         """Parse ``"min,max,count[;min,max,count[;...]]"``."""
-        mins, maxs, counts = [], [], []
+        axes = []
         for part in text.split(";"):
-            fields = part.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"grid axis {part!r} must be min,max,count")
-            mins.append(float(fields[0]))
-            maxs.append(float(fields[1]))
-            counts.append(int(fields[2]))
-        return cls(tuple(mins), tuple(maxs), tuple(counts))
+            try:
+                lo, hi, n = part.split(",")
+                axes.append((float(lo), float(hi), int(n)))
+            except ValueError:  # not three fields, or not two numbers and an integer
+                raise ValueError(f"grid axis {part!r} must be min,max,count: two numbers "
+                                 f"and an integer") from None
+        return cls(*zip(*axes))
 
     @property
     def dim(self) -> int:
         return len(self.counts)
 
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.counts))
-
-    def axes(self):
-        return [np.linspace(lo, hi, n) for lo, hi, n in zip(self.mins, self.maxs, self.counts)]
-
     def nodes(self) -> np.ndarray:
         """(n_nodes, dim) node coordinates, row-major (last axis fastest)."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
+        grids = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi, n
+                              in zip(self.mins, self.maxs, self.counts)), indexing="ij")
         return np.stack([g.ravel(order="C") for g in grids], axis=1)
 
 
@@ -201,21 +195,17 @@ def _finite_numbers(values, n: int, name: str) -> np.ndarray:
     return v
 
 
-def predict_derivative(p: KernelPredictor, x, direction=None) -> float:
+def predict_derivative(p: KernelPredictor, x, direction) -> float:
     """Directional derivative of the predictor at the point ``x``, along
-    ``direction`` scaled to unit length (in 1D, +1 by default): the weighted
-    sum of the kernels' derivatives, which are the correlations of the
-    observations with a derivative probe (:func:`~.obsmodel.derivative_vector`),
-    analytic in every dimension.  ``x`` and ``direction`` must each hold
-    ``dim`` finite numbers (``ValueError``).
+    ``direction`` scaled to unit length (``[1.0]`` in 1D for d/dx): the
+    weighted sum of the kernels' derivatives, which are the correlations of
+    the observations with a derivative probe
+    (:func:`~.obsmodel.derivative_vector`), analytic in every dimension.
+    ``x`` and ``direction`` must each hold ``dim`` finite numbers
+    (``ValueError``).
     """
-    q = p.dim
-    if direction is None:
-        if q != 1:
-            raise ValueError("direction required for dim >= 2")
-        direction = [1.0]
-    x = _finite_numbers(x, q, "x")
-    direction = _finite_numbers(direction, q, "direction")
+    x = _finite_numbers(x, p.dim, "x")
+    direction = _finite_numbers(direction, p.dim, "direction")
     norm = float(np.hypot.reduce(np.abs(direction)))  # as ObservationSet: no squares
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")

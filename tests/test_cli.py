@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -203,6 +204,17 @@ def test_fit_summary_reports_the_matrix_in_both_modes(tmp_path, capsys):
     counts = np.diff(load_predictor(predictor).inverse.full().indptr)
     assert stats["localized"]["neighborhood_sizes"] == {
         "min": int(counts.min()), "mean": float(counts.mean()), "max": int(counts.max())}
+
+
+@pytest.mark.parametrize("mode", ["global", "localized"])
+def test_fit_reports_the_time_of_each_stage(tmp_path, inputs, capsys, mode):
+    capsys.readouterr()
+    fit(tmp_path, *inputs, mode)
+    timing = json.loads(capsys.readouterr().out)["timing_s"]
+    assert sorted(timing) == ["fit", "read", "save", "total"]
+    assert all(seconds >= 0.0 for seconds in timing.values())
+    stages = timing["read"] + timing["fit"] + timing["save"]
+    assert stages == pytest.approx(timing["total"], rel=0.0, abs=1e-9)  # to rounding
 
 
 def test_approximate_inverse_of_wrong_order_exit_2(tmp_path, inputs, capsys):
@@ -450,6 +462,35 @@ def test_example_a_weights_and_refusals(capsys):
                           (["--range", "0"], "range must be positive")):
         assert main(["example-a", "--out-prefix", "", *args]) == 2
         assert message in capsys.readouterr().err
+
+
+UNNAMED_REFUSALS = {  # each once exited 2 with a message that named no field
+    "dim true": ("dim", True, "dim must be a positive JSON integer, got True"),
+    "dim 1.0": ("dim", 1.0, "dim must be a positive JSON integer, got 1.0"),
+    "dim string": ("dim", "1", "dim must be a positive JSON integer, got '1'"),
+    "dim null": ("dim", None, "dim must be a positive JSON integer, got None"),
+    "grid count 2.5": ("--grid", "0,1,2.5", "grid axis '0,1,2.5' must be min,max,count"),
+    "grid min a": ("--grid", "a,1,3", "grid axis 'a,1,3' must be min,max,count"),
+    "values x": ("--values", "1,x,2", "--values must be comma-separated numbers: '1,x,2'"),
+    "seed -1": ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", UNNAMED_REFUSALS.values(),
+                         ids=list(UNNAMED_REFUSALS))
+def test_each_refusal_names_its_field(tmp_path, inputs, capsys, field, value, message):
+    predictor, out = fit(tmp_path, *inputs), str(tmp_path / "out.csv")
+    if field == "dim":
+        doc = json.loads((tmp_path / "global.json").read_text())
+        doc["dim"] = value
+        predictor = write_json(tmp_path / "bad.json", doc)
+    argv = {"dim": ["grid", "--predictor", predictor, "--grid", "0,4,3;0,4,3", "--out", out],
+            "--grid": ["grid", "--predictor", predictor, "--grid", value, "--out", out],
+            "--values": ["example-a", "--out-prefix", "", "--values", value],
+            "--seed": ["synth", "--m", "5", "--bounds", "0,1", "--seed", value, "--out", out]}
+    capsys.readouterr()
+    assert main(argv[field]) == 2
+    assert message in capsys.readouterr().err
 
 
 def mixed_1d_set():
@@ -1365,26 +1406,36 @@ def test_a_scale_below_the_smallest_normal_float_exits_2(tmp_path, inputs, capsy
 PUBLIC_NAMES = [
     "AVG", "ConfigError", "CorrelationModel", "DERIV", "EstimationError",
     "FactorizationError", "GridSpec", "KINDS", "KIND_CODES", "KernelPredictor", "MleResult",
-    "ObservationParseError", "ObservationSet", "POINT", "SparseSymmetric", "SpatialIndex",
+    "ObservationParseError", "ObservationSet", "POINT", "SparseSymmetric",
     "UnsupportedOperatorError", "approximate_inverse", "assemble", "cholesky",
-    "cross_correlation", "estimate_eta", "estimate_joint", "estimate_mu", "estimate_sigma2",
-    "fit_global", "fit_localized", "kernel_value", "kernel_vector", "predict",
+    "estimate_eta", "estimate_joint", "estimate_mu", "estimate_sigma2",
+    "fit_global", "fit_localized", "kernel_vector", "predict",
     "predict_average", "predict_derivative", "predict_variance", "rasterize",
     "read_observations_csv", "write_observations_csv",
 ]
 
 
 def test_the_package_exports_only_what_the_program_runs():
-    from kernelfield import corrfn, linalg, predictor
-    assert sorted(kernelfield.__all__) == PUBLIC_NAMES
+    from kernelfield import corrfn, linalg, obsmodel, predictor
+    assert sorted(kernelfield.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 33
     for name in PUBLIC_NAMES:
         assert getattr(kernelfield, name) is not None
     # The reference implementations the tests use live in tests/oracles.py.
     moved = ["eval_gauss2", "eval_matern52", "eval_spherical", "spot_check_nonneg_definite"]
-    for owner, names in [(kernelfield, moved + ["kriging_predict"]), (corrfn, moved),
+    # Forms no command reaches are gone; these three stay in their modules,
+    # where the benchmark's tracer wraps them, but the package does not export them.
+    unexported = ["SpatialIndex", "cross_correlation", "kernel_value"]
+    for owner, names in [(kernelfield, moved + ["kriging_predict"] + unexported),
+                         (corrfn, moved + ["_check_lag", "_return_like"]),
                          (predictor, ["kriging_predict"]),
+                         (corrfn.CorrelationModel, ["deriv1", "deriv2"]),
+                         (predictor.GridSpec, ["n_nodes", "axes"]),
                          (linalg.SparseSymmetric, ["from_dense"]),
                          (linalg.CholeskyFactor, ["reconstruct"]),
                          (linalg.SpatialIndex, ["__len__"])]:
         for name in names:
             assert not hasattr(owner, name), (owner, name)
+    assert callable(linalg.SpatialIndex.neighbors)
+    assert callable(obsmodel.cross_correlation) and callable(obsmodel.kernel_value)
+    direction = inspect.signature(predictor.predict_derivative).parameters["direction"]
+    assert direction.default is inspect.Parameter.empty

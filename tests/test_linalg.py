@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
-                         SpatialIndex, assemble, cholesky, kernel_vector)
+                         assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import (QUAD_GROUP, _band_order, analyse, dense_spd_inverse,
-                                layout_in_order)
+from kernelfield.linalg import (QUAD_GROUP, SpatialIndex, _band_order, analyse,
+                                dense_spd_inverse, layout_in_order)
 
 from conftest import dense_factor
 from oracles import from_dense, full_view, reconstruct

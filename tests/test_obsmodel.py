@@ -15,11 +15,11 @@ from scipy.spatial.distance import cdist
 import kernelfield.obsmodel
 from kernelfield import (AVG, DERIV, KIND_CODES, KINDS, POINT, CorrelationModel,
                          ObservationParseError, ObservationSet, UnsupportedOperatorError,
-                         assemble, cholesky, cross_correlation, kernel_value, kernel_vector,
-                         read_observations_csv, write_observations_csv)
+                         assemble, cholesky, kernel_vector, read_observations_csv,
+                         write_observations_csv)
 from kernelfield.cli import demo_observation_set
 from kernelfield.obsmodel import (PairStructure, _distances, _support_separations,
-                                  derivative_vector)
+                                  cross_correlation, derivative_vector, kernel_value)
 
 import oracles
 from conftest import observation_set
@@ -173,7 +173,8 @@ class TestKernelValue:
         z = np.array([1.0, 0.0])
         got = derivative_vector(obs, np.array([0.0, 0.0]), z, TAPERED)
         assert got[0] == 0.0 and got[2] == 0.0  # at its site; beyond the taper range
-        assert got[1] == pytest.approx(-TAPERED.deriv1(0.5), rel=1e-14)  # toward the site
+        toward_the_site = -TAPERED._deriv1(np.array(0.5))
+        assert got[1] == pytest.approx(toward_the_site, rel=1e-14)
 
 
     def test_dimension_mismatch(self):

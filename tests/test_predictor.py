@@ -54,7 +54,7 @@ def empty_predictor(mu=1.5, sigma2=2.0, dim=1):
 class TestGridSpec:
     def test_parse_2d(self):
         g = GridSpec.parse("0,1,5;2,4,3")
-        assert g.dim == 2 and g.n_nodes == 15
+        assert g.dim == 2 and len(g.nodes()) == 15
         assert g.mins == (0.0, 2.0) and g.counts == (5, 3)
 
     def test_nodes_row_major(self):
@@ -102,7 +102,7 @@ class TestPriorOnly:
 
     def test_derivative_and_average(self):
         p = empty_predictor()
-        assert predict_derivative(p, [0.0]) == 0.0
+        assert predict_derivative(p, [0.0], [1.0]) == 0.0
         assert predict_average(p, (0.0, 1.0)) == 1.5
 
 
@@ -172,12 +172,12 @@ class TestOperatorPredictions:
         h = 1e-5
         for x in (-8.0, -5.0, -1.3, 0.0, 2.2, 5.5, 7.9):
             fd = (predict(demo_fit, [x + h]) - predict(demo_fit, [x - h])) / (2 * h)
-            assert predict_derivative(demo_fit, [x]) == pytest.approx(fd, abs=1e-6)
+            assert predict_derivative(demo_fit, [x], [1.0]) == pytest.approx(fd, abs=1e-6)
 
     def test_derivative_zero_at_lone_point_obs(self):
         obs = observation_set([(POINT, 1.0, 3.0)])
         p = fit_global(obs, M52, 0.0, 1.0)
-        assert predict_derivative(p, [1.0]) == 0.0
+        assert predict_derivative(p, [1.0], [1.0]) == 0.0
 
     def test_derivative_direction_flip(self, demo_fit):
         assert predict_derivative(demo_fit, [2.0], direction=[-1.0]) == \
@@ -307,7 +307,8 @@ class TestOperatorPredictions:
         nodes = np.linspace(-2.0, end + 2.0, 41)[:, None]
         intervals = [(-1.0, 0.5), (0.3, end / 2.0), (end / 3.0, end + 1.0)]
         for query, x in ((predict, nodes), (predict_variance, nodes),
-                         (lambda f, xs: [predict_derivative(f, x) for x in xs], nodes[::4]),
+                         (lambda f, xs: [predict_derivative(f, x, [1.0]) for x in xs],
+                          nodes[::4]),
                          (lambda f, ivs: [predict_average(f, iv) for iv in ivs], intervals)):
             a, b = np.asarray(query(want, x)), np.asarray(query(got, x))
             floor = 0.0 if query is predict_variance else scale
@@ -372,7 +373,7 @@ class TestRasterize:
         mat = assemble(obs, model, sigma2)
         oracle = np.array([kriging_predict(obs, model, mu, sigma2, x, assembled=mat)
                            for x in grid.nodes()])
-        assert table.shape == (grid.n_nodes, grid.dim + 2)
+        assert table.shape == (len(grid.nodes()), grid.dim + 2)
         assert np.array_equal(table[:, :grid.dim], grid.nodes())
         np.testing.assert_allclose(table[:, grid.dim], oracle[:, 0], rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(table[:, grid.dim + 1], np.clip(oracle[:, 1], 0.0, sigma2),
