@@ -136,7 +136,9 @@ _BASES = {"matern52": _Matern52, "gauss2": _Gauss2}
 
 def _spherical(d: np.ndarray, tau0: float) -> np.ndarray:
     u = np.minimum(d, tau0) / tau0  # 1, and the taper exactly 0, from tau0 on
-    return (1.0 + 0.5 * u) * (1.0 - u) ** 2
+    # np.square, not ** 2: on a 0-d array ** 2 is the scalar power, which can
+    # differ from an array's square in the last bit
+    return (1.0 + 0.5 * u) * np.square(1.0 - u)
 
 
 @dataclass(frozen=True)

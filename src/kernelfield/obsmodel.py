@@ -187,10 +187,11 @@ def _operators(obs_set: ObservationSet, kind: int, idx) -> _Operators:
 
 def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Euclidean distances between sites over the last axis, elementwise over
-    the broadcast shape; summed per coordinate, so no (..., q) temporary."""
+    the broadcast shape; summed per coordinate, so no (..., q) temporary, and
+    squared by np.square, so that one pair's distance is an array's to the bit."""
     if u.ndim == 3 and u.shape[1] == 1 and v.ndim == 2:  # query block (n, 1, q) vs sites (m, q)
         return cdist(u[:, 0], v)
-    return np.sqrt(sum((u[..., k] - v[..., k]) ** 2 for k in range(u.shape[-1])))
+    return np.sqrt(sum(np.square(u[..., k] - v[..., k]) for k in range(u.shape[-1])))
 
 
 def _interval_point(model: CorrelationModel, x, lo, hi) -> np.ndarray:

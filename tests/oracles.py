@@ -95,8 +95,20 @@ def _breakpoints(model, centre: float, lo: float, hi: float, *more):
     return sorted({p for p in [centre + o for o in offsets] + list(more) if lo < p < hi}) or None
 
 
+def _too_narrow(lo: float, hi: float) -> bool:
+    """Whether quad cannot be trusted to integrate over [lo, hi]: QUADPACK
+    refuses to bisect a range within about 100 ulps of its ends, or 1000
+    smallest normals wide ("extremely bad integrand behavior"), which an
+    interval with a subnormal bound can ask for.  A range under 1e-12 of its
+    magnitude (or 1e-12) is taken to be such."""
+    return hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi))
+
+
 def quad_interval_point(model, x: float, lo: float, hi: float) -> float:
-    """int_lo^hi rho(|x - u|) du."""
+    """int_lo^hi rho(|x - u|) du; over a range too narrow for quad, the
+    midpoint rule, off by at most (hi - lo)^2 max|rho'| / 2."""
+    if _too_narrow(lo, hi):
+        return (hi - lo) * model.eval(abs(x - 0.5 * (lo + hi)))
     return quad(lambda u: model.eval(abs(x - u)), lo, hi, points=_breakpoints(model, x, lo, hi),
                 limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
@@ -104,8 +116,12 @@ def quad_interval_point(model, x: float, lo: float, hi: float) -> float:
 def quad_interval_interval(model, lo1: float, hi1: float, lo2: float, hi2: float) -> float:
     """Double integral of rho(|u - v|) over [lo1, hi1] x [lo2, hi2], as one lag
     integral: int rho(|t|) overlap(t) dt, where overlap(t) is the length of
-    [lo1, hi1] meeting [lo2 + t, hi2 + t]."""
+    [lo1, hi1] meeting [lo2 + t, hi2 + t].  Over a lag range too narrow for
+    quad, rho at the midpoints' lag times int overlap = the two lengths' product,
+    off by at most that product times (b - a) max|rho'|."""
     a, b = lo1 - hi2, hi1 - lo2
+    if _too_narrow(a, b):
+        return (hi1 - lo1) * (hi2 - lo2) * model.eval(abs(0.5 * (lo1 + hi1) - 0.5 * (lo2 + hi2)))
 
     def integrand(t):
         w = min(hi1, hi2 + t) - max(lo1, lo2 + t)

@@ -137,6 +137,14 @@ class TestModelEval:
         model = taper_model()
         assert model.eval(0.37) == model.eval(0.37)
 
+    def test_scalar_equals_array_to_the_bit(self):
+        # At this distance a scalar's (1 - u) ** 2 (the scalar power) rounds
+        # differently from an array's square, so a lone entry would differ
+        # from the same entry assembled in an array.
+        model = CorrelationModel("gauss2", 1.0, 1.1482589838037862)
+        d = 0.6270629957669446 - 0.3
+        assert model.eval(d) == model.eval(np.array([d]))[0] == 0.5250274236403600
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CorrelationModel("cubic", 1.0)
