@@ -9,18 +9,16 @@ A stored pattern is analysed once into a :class:`FactorLayout` and factored
 many times in it (CHOLMOD's analyse and factorize phases: Chen, Davis, Hager &
 Rajamanickam 2008, ACM TOMS 35(3)): a narrow-banded pattern (a finite-range
 correlation) in LAPACK band storage, a full or wide-banded one densely.  The
-forward solves of the global variance's quadratic forms start at each column's
-first nonzero row (Gilbert & Peierls 1988).  Localized sub-problems are
-inverted densely on purpose, one LAPACK ``dposv`` call (a Cholesky
-factorization, its positive-definiteness check and the solve) per matrix of a
-stack.  That call holds the interpreter lock, so threads do not run the
-inversions of a stack in parallel.
-
-``scipy.sparse.csgraph`` (reverse Cuthill-McKee) is imported by
-:func:`_band_order` after its skip test, not with this module: it adds about
-2 MB of resident memory and 20 ms to the start-up of a process whose
-matrices are all full, as an untapered model's are.  ``tests/test_cli.py``
-fails if it is imported at the top again.
+band's order sorts the sites along the coordinate axis that gives the
+narrowest band (a band ordering as in George & Liu 1981, *Computer Solution
+of Large Sparse Positive Definite Systems*): a finite-range pattern joins
+only sites closer than the range, so a sort along a long side of the sites'
+box keeps every pair's indices close.  The forward solves of the global
+variance's quadratic forms start at each column's first nonzero row (Gilbert
+& Peierls 1988).  Localized sub-problems are inverted densely on purpose, one
+LAPACK ``dposv`` call (a Cholesky factorization, its positive-definiteness
+check and the solve) per matrix of a stack.  That call holds the interpreter
+lock, so threads do not run the inversions of a stack in parallel.
 """
 
 import math
@@ -149,10 +147,11 @@ class SparseSymmetric:
 
 class FactorLayout(NamedTuple):
     """Where :func:`cholesky` puts a stored pattern's entries: the factor's
-    order ``perm`` and its inverse, the ``storage`` ("band", of ``shape``
-    (bw + 1, m) with ``2 * (bw + 1) <= m``, or "dense", (m, m)) and each
-    entry's flat position ``at`` in it in Fortran order, which LAPACK takes
-    uncopied.  Its arrays are read-only."""
+    order ``perm`` (a coordinate sort of the sites from :func:`analyse`, or a
+    saved order from :func:`layout_in_order`) and its inverse, the ``storage``
+    ("band", of ``shape`` (bw + 1, m) with ``2 * (bw + 1) <= m``, or "dense",
+    (m, m) in natural order) and each entry's flat position ``at`` in it in
+    Fortran order, which LAPACK takes uncopied.  Its arrays are read-only."""
 
     perm: np.ndarray
     inv_perm: np.ndarray
@@ -249,22 +248,6 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(self._diagonal())))
 
 
-def _band_order(a: SparseSymmetric) -> Optional[np.ndarray]:
-    """The reverse Cuthill-McKee order of the graph of ``a``, or None where a
-    row's entry count already rules the band out: a row with d off-diagonal
-    entries needs a bandwidth of at least d / 2 in every order, so the band
-    needs ``d + 2 <= m``.
-
-    scipy builds the graph from the stored lower triangle L as L + L' (with
-    ``symmetric_mode=False``): no entry cancels, as L and L' share only the
-    diagonal, so it is the full view's pattern and the order is the same.
-    """
-    if not a.order or a.max_row_nnz() + 1 > a.order:
-        return None
-    from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: see the module docstring
-    return np.asarray(reverse_cuthill_mckee(a._pattern, symmetric_mode=False), dtype=np.int64)
-
-
 def _layout(a: SparseSymmetric, rows: np.ndarray, perm: Optional[np.ndarray]):
     """The layout of the pattern of ``a``, with entries in ``rows``: dense in natural
     order with ``perm`` None, else band storage in the order ``perm`` if it fits."""
@@ -286,13 +269,26 @@ def _layout(a: SparseSymmetric, rows: np.ndarray, perm: Optional[np.ndarray]):
     return FactorLayout(perm, inv_perm, storage, shape, at)
 
 
-def analyse(a: SparseSymmetric) -> FactorLayout:
-    """The layout of the stored pattern of ``a``, stored zeros included: band
-    storage (LAPACK ``dpbtrf``) in the reverse Cuthill-McKee order
-    (:func:`_band_order`) where the band fits, with no m-by-m array; else, for
-    a full pattern in particular, dense storage in natural order (``dpotrf``)."""
-    rows, perm = a._rows(), _band_order(a)
-    return (perm is not None and _layout(a, rows, perm)) or _layout(a, rows, None)
+def analyse(a: SparseSymmetric, sites: Optional[np.ndarray] = None) -> FactorLayout:
+    """The layout of the stored pattern of ``a``, stored zeros included, with
+    ``sites`` an (m, q) array of one location per row (the set's rep points),
+    or None for the row index as the one coordinate.  Each axis's stable sort
+    is a candidate order, whose band is the largest rank difference over the
+    stored entries; the narrowest band wins, the first axis on a tie.  It is
+    laid out in band storage (LAPACK ``dpbtrf``) where ``2 * (bw + 1) <= m``,
+    with no m-by-m array; else, for a full pattern in particular, densely in
+    natural order (``dpotrf``)."""
+    m, rows, cols = a.order, a._rows(), a._pattern.indices
+    coords = np.arange(m)[:, None] if sites is None else sites
+    best, width = None, m
+    for axis in coords.T:
+        order = np.argsort(axis, kind="stable")
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        bw = int(np.abs(rank[rows] - rank[cols]).max(initial=0))
+        if bw < width:
+            best, width = order, bw
+    return _layout(a, rows, best) or _layout(a, rows, None)
 
 
 def layout_in_order(a: SparseSymmetric, order: Optional[np.ndarray]) -> FactorLayout:
@@ -307,8 +303,9 @@ def layout_in_order(a: SparseSymmetric, order: Optional[np.ndarray]) -> FactorLa
 
 def cholesky(a: SparseSymmetric, layout: Optional[FactorLayout] = None) -> CholeskyFactor:
     """Cholesky factorization of a :class:`SparseSymmetric` matrix: its values
-    scattered into ``layout``, a layout of its stored pattern (:func:`analyse`
-    of ``a`` if None), and factored there by LAPACK; :class:`FactorizationError`
+    scattered into ``layout``, a layout of its stored pattern (if None,
+    :func:`analyse` of ``a`` with its rows in natural order as the one
+    coordinate), and factored there by LAPACK; :class:`FactorizationError`
     names the failing pivot (original indexing) of one not positive definite."""
     if layout is None:
         layout = analyse(a)

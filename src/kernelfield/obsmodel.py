@@ -496,12 +496,13 @@ class PairStructure:
     @functools.cached_property
     def layout(self) -> FactorLayout:
         """The pattern's layout, made on first use: a tapered one's from
-        :func:`~.linalg.analyse`, and the full pattern of an untapered one
+        :func:`~.linalg.analyse` of the set's rep points (the band of the
+        narrowest coordinate sort), and the full pattern of an untapered one
         dense in natural order (:func:`~.linalg.layout_in_order`), with no
         band search."""
         if self.taper_range is None:
             return layout_in_order(self._pattern, None)
-        return analyse(self._pattern)
+        return analyse(self._pattern, self.obs_set.rep_points())
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:
         """The matrix under ``model``, with ``error_var / sigma2_r`` on the

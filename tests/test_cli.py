@@ -16,14 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelfield
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, fit_global,
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, assemble, fit_global,
                          fit_localized, predict, predict_variance, read_observations_csv,
                          write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 from kernelfield.localized import variance_localized
 from kernelfield.obsmodel import KINDS
 
-from conftest import mixed_1d_lattice, observation_set
+from conftest import mixed_1d_lattice, observation_set, well_separated_points
+from oracles import kriging_predict
 
 TAPERED_MODEL = {"base": {"kind": "matern52", "scale": 0.5}, "taper_range": 1.5,
                  "mu": "estimate", "sigma2": "estimate"}
@@ -909,8 +910,8 @@ def assert_same_factor(got, want):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 200), st.floats(0.5, 20.0), st.integers(0, 2 ** 16), st.booleans())
-@example(30, 3.0, 1, True)  # RCM runs, but its band does not fit: dense in natural order
-@example(60, 1.0, 1, True)  # a full row: no RCM, dense in natural order
+@example(30, 3.0, 1, True)  # no axis sort's band fits: dense in natural order
+@example(60, 1.0, 1, True)  # a full row: no band in any order, dense in natural order
 @example(200, 20.0, 1, True)  # band storage
 @example(200, 20.0, 1, False)  # untapered: dense
 def test_global_round_trip_keeps_the_factor(m, side, seed, tapered):
@@ -920,6 +921,27 @@ def test_global_round_trip_keeps_the_factor(m, side, seed, tapered):
     assert_same_factor(loaded.inverse, fitted.inverse)
     if not tapered:
         assert fitted.inverse.storage == "dense"
+
+
+def test_tapered_3d_fit_in_band_storage():
+    # 150 sites in a cube at density 1: the analysis has three axes to sort along.
+    rng = np.random.default_rng(4)
+    side = 150 ** (1 / 3)
+    sites = well_separated_points(rng, 150, 3, 0.0, side, 0.3)
+    obs = observation_set([(POINT, p, float(np.cos(p).sum())) for p in sites], 3)
+    model = CorrelationModel("matern52", 0.5, 1.5)
+    fitted = fit_global(obs, model)
+    f = fitted.inverse
+    assert f.storage == "band" and 2 * (f.bandwidth + 1) <= 150
+    assert any(np.array_equal(f.perm, np.argsort(sites[:, k], kind="stable")) for k in range(3))
+    mat = assemble(obs, model, fitted.sigma2)
+    for x in rng.uniform(0.0, side, (25, 3)):
+        kp, kv = kriging_predict(obs, model, fitted.mu, fitted.sigma2, x, assembled=mat)
+        assert predict(fitted, x) == pytest.approx(kp, abs=1e-8)
+        assert predict_variance(fitted, x) == pytest.approx(max(kv, 0.0), abs=1e-8)
+    assert np.abs(predict(fitted, sites) - obs.values()).max() <= 1e-8
+    assert predict_variance(fitted, sites).max() <= 1e-8
+    assert_same_factor(saved_and_loaded(fitted).inverse, f)
 
 
 @pytest.fixture
@@ -1115,8 +1137,8 @@ def test_a_bool_among_numbers_fails_the_weight_check(tmp_path, inputs, capsys, m
     assert rc == 2 and refusal in err
 
 
-# Modules that kernelfield imports only in the function that needs them, and
-# scipy.integrate, which it never imports.
+# scipy.optimize, which kernelfield imports only in the range search, and
+# scipy.integrate and scipy.sparse.csgraph, which it never imports.
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse.csgraph")
 
 IMPORT_GUARD = textwrap.dedent("""
@@ -1170,11 +1192,11 @@ def test_cli_loads_only_the_scipy_it_uses(tmp_path):
          + [["example-a", "--out-prefix", ""]], (), DEFERRED),
         (pipeline(files["pts.csv"], "tapered", grid_2d)
          + pipeline(files["pts.csv"], "tapered", grid_2d, "--mode", "localized"),
-         ("scipy.sparse.csgraph",), ("scipy.optimize", "scipy.integrate")),
+         (), DEFERRED),
         ([["infer", "--obs", files["pts.csv"], "--model", models["untapered"],
-           "--eta-bounds", "0.1,3"]], ("scipy.optimize",), ("scipy.integrate",)),
+           "--eta-bounds", "0.1,3"]], ("scipy.optimize",), DEFERRED[1:]),
         # tapered interval entries are closed forms too
-        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], (), ("scipy.integrate",)),
+        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], (), DEFERRED[1:]),
     ]
     src = os.path.dirname(os.path.dirname(kernelfield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

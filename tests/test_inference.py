@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
                          assemble, cholesky, estimate_eta, estimate_joint, estimate_mu,
-                         estimate_sigma2, fit_localized, inference, linalg)
+                         estimate_sigma2, fit_localized, inference, linalg, obsmodel)
 from kernelfield.cli import synthetic_observations
 from kernelfield.inference import level_matrix, negative_log_likelihood, profile_levels
-from kernelfield.linalg import CholeskyFactor, SparseSymmetric
+from kernelfield.linalg import CholeskyFactor, SparseSymmetric, analyse
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import dense_factor, observation_set, well_separated_points
@@ -338,8 +338,8 @@ class TestProfiledSearch:
         obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
         eta = estimate_eta(obs, family, (0.1, 1.4), 1e-5, 50).eta
         mu, sigma2, nll = profile_levels(obs, family(eta))
-        built, layouts, band_searches, factored, in_search = [], [], [], [], []
-        real_structure, real_band_order = inference.PairStructure, linalg._band_order
+        built, layouts, analyses, factored, in_search = [], [], [], [], []
+        real_structure, real_analyse = inference.PairStructure, obsmodel.analyse
         real_layout = linalg._layout
         real_cholesky, real_estimate_eta = inference.cholesky, inference.estimate_eta
 
@@ -352,8 +352,8 @@ class TestProfiledSearch:
 
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
-        monkeypatch.setattr(linalg, "_band_order",  # one call per band search
-                            lambda a: band_searches.append(1) or real_band_order(a))
+        monkeypatch.setattr(obsmodel, "analyse",  # one call per band search
+                            lambda *args: analyses.append(1) or real_analyse(*args))
         monkeypatch.setattr(linalg, "_layout",  # one call per layout made
                             lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "cholesky",
@@ -364,7 +364,7 @@ class TestProfiledSearch:
                 result.nll) == (eta, mu, sigma2, nll)  # bit for bit
         # one layout; a full (untapered) pattern is laid out with no band search
         tapered = family(eta).taper_range is not None
-        assert (len(built), len(layouts), len(band_searches)) == (1, 1, int(tapered))
+        assert (len(built), len(layouts), len(analyses)) == (1, 1, int(tapered))
         assert factored == [True] * result.iterations  # none after the search
 
 
@@ -482,7 +482,8 @@ class TestPairStructureReuse:
             reused = factor_or_pivot(lambda: cholesky(matrix, structure.layout))
             # A matrix made by the constructor: no zero stored, a layout of its own.
             zero_free = SparseSymmetric.from_entries(obs.m, *matrix.lower_entries())
-            fresh = factor_or_pivot(lambda: cholesky(zero_free))
+            fresh = factor_or_pivot(
+                lambda: cholesky(zero_free, analyse(zero_free, obs.rep_points())))
             if not isinstance(fresh, CholeskyFactor):
                 assert reused == fresh  # the same failing pivot
                 with pytest.raises(FactorizationError):
@@ -493,7 +494,7 @@ class TestPairStructureReuse:
                 # value of the factor (an underflowed -0.0 may leave a -0.0 in it).
                 assert np.array_equal(reused.lower, fresh.lower)
                 assert np.array_equal(reused.perm, fresh.perm)
-            else:  # a band factor, maybe in another RCM order than the zero-free pattern's
+            else:  # a band factor, maybe sorted along another axis than the zero-free pattern's
                 want = zero_free.to_dense()
                 scale = np.abs(want).max()
                 for f in (reused, fresh):
@@ -519,8 +520,8 @@ class TestPairStructureReuse:
         else:
             obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
             family, bounds = (lambda eta: CorrelationModel("gauss2", eta, 1.5)), (0.02, 0.1)
-        matrices, factors, layouts, band_searches, built = [], [], [], [], []
-        real_cholesky, real_band_order = inference.cholesky, linalg._band_order
+        matrices, factors, layouts, analyses, built = [], [], [], [], []
+        real_cholesky, real_analyse = inference.cholesky, obsmodel.analyse
         real_structure, real_layout = inference.PairStructure, linalg._layout
 
         def recording_cholesky(a, layout=None):
@@ -529,8 +530,8 @@ class TestPairStructureReuse:
             return factors[-1]
 
         monkeypatch.setattr(inference, "cholesky", recording_cholesky)
-        monkeypatch.setattr(linalg, "_band_order",  # one call per band search
-                            lambda a: band_searches.append(1) or real_band_order(a))
+        monkeypatch.setattr(obsmodel, "analyse",  # one call per band search
+                            lambda *args: analyses.append(1) or real_analyse(*args))
         monkeypatch.setattr(linalg, "_layout",  # one call per layout made
                             lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "PairStructure",
@@ -540,7 +541,7 @@ class TestPairStructureReuse:
         assert len(matrices) == result.iterations and 0 < with_zeros < result.iterations
         assert len({a.nnz_lower for a in matrices}) == 1  # every pair the structure selects
         # one layout; a full (untapered) pattern is laid out with no band search
-        assert (len(built), len(layouts), len(band_searches)) == (1, 1, int(case == "tapered-2d"))
+        assert (len(built), len(layouts), len(analyses)) == (1, 1, int(case == "tapered-2d"))
         assert {f.storage for f in factors} == {"dense" if case == "untapered-1d" else "band"}
         monkeypatch.undo()
         model = family(result.eta)

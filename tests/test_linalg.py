@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelfield import (CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
+from kernelfield import (POINT, CorrelationModel, FactorizationError, GridSpec, SparseSymmetric,
                          assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
-from kernelfield.linalg import (QUAD_GROUP, SpatialIndex, _band_order, analyse,
+from kernelfield.linalg import (QUAD_GROUP, SpatialIndex, analyse,
                                 dense_spd_inverse, layout_in_order)
 
-from conftest import dense_factor
+from conftest import dense_factor, observation_set
 from oracles import from_dense, full_view, reconstruct
 
 
@@ -155,8 +154,15 @@ def banded_spd(rng, n, bw):
 
 
 def shuffled(rng, a):
+    """``a`` with its rows and columns in a random order, and each row's
+    position in ``a`` as its one coordinate, the sites to :func:`analyse`."""
     p = rng.permutation(a.shape[0])
-    return a[np.ix_(p, p)]
+    return a[np.ix_(p, p)], p[:, None].astype(float)
+
+
+def site_factor(obs, mat):
+    """The factor of ``mat`` in the analysis of the rep points of ``obs``."""
+    return cholesky(mat, analyse(mat, obs.rep_points()))
 
 
 TAPERED_M52 = CorrelationModel("matern52", 0.5, 1.5)
@@ -171,7 +177,7 @@ def tapered_set():
 class TestFactorStorage:
     def test_band_matches_dense_on_tapered_set(self, tapered_set):
         obs, mat = tapered_set
-        band, dense = cholesky(mat), dense_factor(mat.to_dense())
+        band, dense = site_factor(obs, mat), dense_factor(mat.to_dense())
         assert (band.storage, dense.storage) == ("band", "dense")
         assert band.lower.shape == (band.bandwidth + 1, 400)
 
@@ -194,8 +200,9 @@ class TestFactorStorage:
     def test_random_banded_spd_property(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 80))
-        a = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, max(1, n // 8) + 1))))
-        f = cholesky(from_dense(a))
+        a, pos = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, max(1, n // 8) + 1))))
+        s = from_dense(a)
+        f = cholesky(s, analyse(s, pos))
         if f.storage == "band":
             assert f.lower.shape == (f.bandwidth + 1, n) and 2 * (f.bandwidth + 1) <= n
         rhs = rng.normal(size=(n, 3))
@@ -208,11 +215,16 @@ class TestFactorStorage:
     @pytest.mark.parametrize("k", [0, 23, 59])
     def test_band_failure_names_original_pivot(self, k):
         rng = np.random.default_rng(k)
-        a = shuffled(rng, banded_spd(rng, 60, 3))
-        assert cholesky(from_dense(a)).storage == "band"
+        a, pos = shuffled(rng, banded_spd(rng, 60, 3))
+
+        def factor():
+            s = from_dense(a)
+            return cholesky(s, analyse(s, pos))
+
+        assert factor().storage == "band"
         a[k, k] = -1.0
         with pytest.raises(FactorizationError) as exc:
-            cholesky(from_dense(a))
+            factor()
         assert exc.value.pivot_index == k
 
     def test_full_matrix_factors_densely_in_natural_order(self):
@@ -228,7 +240,7 @@ class TestFactorStorage:
         nodes = GridSpec.parse("0,20,9;0,20,9").nodes()
         kernels = kernel_vector(obs, nodes, TAPERED_M52).T
         assert sp.issparse(kernels)
-        for f in (cholesky(mat), dense_factor(mat.to_dense())):
+        for f in (site_factor(obs, mat), dense_factor(mat.to_dense())):
             assert np.array_equal(f.solve(kernels), f.solve(kernels.toarray()))
             assert np.array_equal(f.quadratic_forms(kernels),
                                   f.quadratic_forms(kernels.toarray()))
@@ -236,23 +248,23 @@ class TestFactorStorage:
     @pytest.mark.parametrize("dense", [False, True], ids=["band", "dense"])
     def test_zero_column_rhs(self, tapered_set, dense):
         obs, mat = tapered_set
-        f = dense_factor(mat.to_dense()) if dense else cholesky(mat)
+        f = dense_factor(mat.to_dense()) if dense else site_factor(obs, mat)
         for rhs in (np.empty((400, 0)), sp.csr_matrix((400, 0))):
             assert f.solve(rhs).shape == (400, 0)
             assert f.quadratic_forms(rhs).shape == (0,)
 
     def test_tapered_set_band_untapered_set_dense(self, tapered_set):
         obs, mat = tapered_set
-        assert cholesky(mat).storage == "band"
+        assert site_factor(obs, mat).storage == "band"
         untapered = assemble(obs, CorrelationModel("matern52", 0.5), 1.0)
-        assert cholesky(untapered).storage == "dense"
+        assert site_factor(obs, untapered).storage == "dense"
 
     @pytest.mark.parametrize("band", [True, False], ids=["band", "dense"])
     def test_with_values_factors_as_a_fresh_matrix(self, band):
         rng = np.random.default_rng(12)
-        a = shuffled(rng, banded_spd(rng, 40, 2)) if band else random_spd(rng, 12)
+        a, pos = shuffled(rng, banded_spd(rng, 40, 2)) if band else (random_spd(rng, 12), None)
         first = from_dense(a)
-        layout = analyse(first)
+        layout = analyse(first, pos)
         assert layout.storage == ("band" if band else "dense")
         rows, cols, vals = first.lower_entries()
         for scale in (2.0, 0.5):
@@ -261,13 +273,14 @@ class TestFactorStorage:
             fresh = SparseSymmetric.from_entries(first.order, rows, cols, shifted)
             assert copy._pattern is first._pattern  # so the pattern is laid out once
             assert np.array_equal(copy.to_dense(), fresh.to_dense())
-            want = cholesky(fresh)
-            for got in (cholesky(copy, layout), cholesky(copy)):
+            want = cholesky(fresh, analyse(fresh, pos))
+            for got in (cholesky(copy, layout), cholesky(copy, analyse(copy, pos))):
                 assert got.lower.tobytes() == want.lower.tobytes()
                 assert np.array_equal(got.perm, want.perm)
 
     def test_layout_is_immutable(self, tapered_set):
-        layout = analyse(tapered_set[1])
+        obs, mat = tapered_set
+        layout = analyse(mat, obs.rep_points())
         assert layout.storage == "band"
         for arr in (layout.perm, layout.inv_perm, layout.at):
             with pytest.raises(ValueError, match="read-only"):
@@ -276,23 +289,53 @@ class TestFactorStorage:
             layout.perm = np.arange(400)
         assert np.array_equal(layout.inv_perm[layout.perm], np.arange(400))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 80), st.floats(0.0, 0.2), st.integers(0, 2 ** 16), st.booleans())
-    @example(1, 0.0, 0, False)
-    @example(40, 0.2, 0, True)
-    def test_band_order_is_the_rcm_order_of_the_full_view(self, n, density, seed, signed):
-        # scipy orders L + L' of the stored triangle L: signed values pin that no entry cancels.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 150), st.floats(0.3, 4.0), st.floats(0.2, 3.0),
+           st.integers(0, 2 ** 16))
+    @example(1, 1, 1.0, 1.5, 0)  # one row: dense
+    @example(2, 60, 4.0, 3.0, 1)  # the taper reaches across the box: dense in natural order
+    @example(2, 150, 1.0, 1.5, 1)  # band storage
+    @example(3, 150, 1.0, 1.5, 1)  # three candidate axes
+    def test_analysis_keeps_the_narrowest_axis_sort(self, dim, m, density, taper, seed):
+        # Sites uniform in a box of about ``density`` sites per unit volume, some
+        # of it stretched along a random axis; a nugget keeps the matrix well
+        # conditioned wherever two sites come close.
         rng = np.random.default_rng(seed)
-        draw = rng.standard_normal if signed else None  # None: scipy's uniform draws
-        pattern = (sp.random(n, n, density, random_state=rng, data_rvs=draw)
-                   + sp.diags(rng.integers(0, 2, n).astype(float)))
-        a = SparseSymmetric(sp.tril(pattern + pattern.T).tocsr())  # some diagonals unstored
-        got = _band_order(a)
-        if a.max_row_nnz() + 1 > n:
-            assert got is None
-            return
-        want = reverse_cuthill_mckee(a.full(), symmetric_mode=True)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        side = (m / density) ** (1.0 / dim) * rng.uniform(0.5, 2.0, dim)
+        sites = rng.uniform(0.0, 1.0, (m, dim)) * side
+        obs = observation_set([(POINT, p, float(rng.normal()), 0.5) for p in sites], dim)
+        mat = assemble(obs, CorrelationModel("matern52", 0.5, taper), 1.0)
+        layout = analyse(mat, obs.rep_points())
+        # Oracle: the band of each axis's stable sort, read off the dense pattern.
+        pattern = mat.with_values(np.ones(mat.nnz_lower)).to_dense() != 0.0
+        sorts = [np.argsort(sites[:, k], kind="stable") for k in range(dim)]
+        widths = []
+        for perm in sorts:
+            i, j = np.nonzero(pattern[np.ix_(perm, perm)])
+            widths.append(int(np.abs(i - j).max()))
+        bw = min(widths)
+        assert layout.perm.dtype == np.int64
+        assert np.array_equal(np.sort(layout.perm), np.arange(m))
+        if 2 * (bw + 1) <= m:
+            assert (layout.storage, layout.shape) == ("band", (bw + 1, m))
+            assert np.array_equal(layout.perm, sorts[widths.index(bw)])  # the first on a tie
+        else:
+            assert (layout.storage, layout.shape) == ("dense", (m, m))
+            assert np.array_equal(layout.perm, np.arange(m))
+        got, want = cholesky(mat, layout), dense_factor(mat.to_dense())
+
+        def rel(x, y):
+            return np.abs(x - y).max() / np.abs(y).max()
+
+        rhs = np.column_stack([obs.values(), rng.normal(size=m)])
+        assert rel(got.solve(rhs), want.solve(rhs)) <= 1e-12
+        assert rel(got.quadratic_forms(rhs), want.quadratic_forms(rhs)) <= 1e-12
+        assert abs(got.logdet() - want.logdet()) <= 1e-12 * max(abs(want.logdet()), 1.0)
+        # Without sites the row index is the one coordinate.
+        natural = analyse(mat)
+        for x, y in zip(natural, analyse(mat, np.arange(m, dtype=float)[:, None])):
+            assert np.array_equal(x, y)
+        assert np.array_equal(natural.perm, np.arange(m))
 
     def test_given_order_factors_as_the_chosen_one(self, tapered_set):
         obs, mat = tapered_set
@@ -300,7 +343,7 @@ class TestFactorStorage:
         def fresh():
             return SparseSymmetric.from_entries(mat.order, *mat.lower_entries())
 
-        chosen = cholesky(fresh())
+        chosen = site_factor(obs, fresh())
         assert chosen.storage == "band"
         for order, want in ((chosen.perm.tolist(), chosen), (None, dense_factor(mat.to_dense()))):
             a = fresh()
@@ -308,7 +351,7 @@ class TestFactorStorage:
             assert got.storage == want.storage and np.array_equal(got.perm, want.perm)
             assert got.perm.dtype == np.int64
             assert got.lower.tobytes() == want.lower.tobytes()
-            assert cholesky(a).storage == "band"  # a given order is kept nowhere
+            assert site_factor(obs, a).storage == "band"  # a given order is kept nowhere
         with pytest.raises(ValueError, match="the band does not fit in the given order"):
             layout_in_order(fresh(), np.arange(400))  # the natural order of a 2-D set
 
@@ -350,8 +393,9 @@ class TestQuadraticForms:
     def test_band_forms_equal_the_full_range_solve_bitwise(self, seed, cols):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 150))
-        a = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, n // 10 + 1))))
-        f = cholesky(from_dense(a))
+        a, pos = shuffled(rng, banded_spd(rng, n, int(rng.integers(0, n // 10 + 1))))
+        s = from_dense(a)
+        f = cholesky(s, analyse(s, pos))
         assert f.storage == "band"
         rhs = rng.normal(size=(n, cols)) * (rng.random((n, cols)) < rng.uniform(0.0, 0.3))
         # An empty column, and one whose only nonzero is the last permuted row

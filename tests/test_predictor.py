@@ -13,11 +13,11 @@ from scipy.spatial.distance import cdist
 import kernelfield
 
 from kernelfield import (AVG, DERIV, POINT, CorrelationModel, EstimationError, GridSpec,
-                         ObservationSet, assemble, cholesky, estimate_mu,
+                         ObservationSet, assemble, estimate_mu,
                          fit_global, fit_localized, predict, predict_average,
                          predict_derivative, predict_variance, rasterize)
 from kernelfield.cli import demo_observation_set
-from kernelfield.inference import level_matrix, profile_levels
+from kernelfield.inference import level_factor, profile_levels
 from kernelfield.obsmodel import BLOCK_ROWS
 
 from conftest import mixed_1d_lattice, observation_set, random_instance, well_separated_points
@@ -479,7 +479,7 @@ class TestEstimatedLevels:
             assert (got.mu, got.sigma2) == (mu, sigma2)
             assert got.weights.tobytes() == want.weights.tobytes()
         got = fit_global(obs, model, None, sigma2)
-        assert got.mu == estimate_mu(cholesky(level_matrix(obs, model, sigma2)), obs.values(),
+        assert got.mu == estimate_mu(level_factor(obs, model, sigma2)[1], obs.values(),
                                      obs.mean_image())
 
     def test_refusals(self):
