@@ -364,19 +364,12 @@ def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
     and the rounding error of a product.  A fresh global solve is not
     compared instead: on an ill-conditioned matrix it may differ from weights
     saved under another BLAS by far more than eps, while both solve the
-    system to round-off.  ``M x`` and the row sums of ``|M|`` are summed from
-    the stored lower triangle, so loading builds no full view of M.
+    system to round-off.  ``M x`` and the row sums of ``|M|`` are products
+    with the stored lower triangle, so loading builds no full view of M.
     """
     m = matrix.order
-    rows, cols, vals = matrix.lower_entries()
-    off = rows != cols
-
-    def row_sums(lower, upper):  # of the stored entries, and of their mirror images
-        return np.bincount(rows, lower, m) + np.bincount(cols[off], upper[off], m)
-
-    product = row_sums(vals * x[cols], vals * x[rows])
-    row_abs = row_sums(np.abs(vals), np.abs(vals))
-    residual = float(np.abs(b - product).max())
+    row_abs = matrix.with_values(np.abs(matrix.lower_entries()[2])).matvec(np.ones(m))
+    residual = float(np.abs(b - matrix.matvec(x)).max())
     scale = row_abs.max() * np.abs(x).max() + np.abs(b).max()
     if not residual <= m * (np.finfo(float).eps * scale + np.finfo(float).tiny):
         raise ConfigError(f"{path}: {refusal} (residual {residual:.3g})")

@@ -77,11 +77,12 @@ class _Matern52:
 
     @staticmethod
     def integrals(a, tau_m):
-        """F(a) = int_0^a rho and H(a) = int_0^a F, linear from the clip on."""
+        """F(a) = int_0^a rho and H(a) = int_0^a F = a F(a) - G_1/k^2 (by parts, with no
+        terms of size a/k to cancel at small k a), linear from the clip on."""
         k, _, x = _Matern52.scaled(a, tau_m)
-        e, m = np.exp(-x), np.expm1(-x)
-        return ((-8.0 * m - (5.0 * x + x * x) * e) / (3.0 * k),
-                (8.0 * k * a + 15.0 * m + (7.0 * x + x * x) * e) / (3.0 * k * k))
+        f = (-8.0 * np.expm1(-x) - (5.0 * x + x * x) * np.exp(-x)) / (3.0 * k)
+        l, g = _Matern52.moments(a, tau_m)
+        return f, a * f - l * l * g[1]
 
     @staticmethod
     def moments(c, tau_m):

@@ -1,6 +1,6 @@
 """Sparse symmetric storage (a lower-triangle CSR pattern and its values as
-given; only ``SparseSymmetric.from_entries`` drops explicit zeros), Cholesky
-factorization, dense (stacked) SPD inversion, and a k-d tree spatial index.
+given, multiplied on that triangle), Cholesky factorization, dense (stacked)
+SPD inversion, and a k-d tree spatial index.
 The package finds its neighborhoods with ``scipy.spatial.cKDTree`` pair
 queries and does not query :class:`SpatialIndex`; it is kept for the
 benchmark's tracer, which wraps ``SpatialIndex.neighbors``.
@@ -46,8 +46,8 @@ class SparseSymmetric:
     precondition: ``pattern`` is a canonical lower-triangle CSR matrix (column
     <= row, sorted and unique in each row) and ``values`` one float per entry.
     :meth:`with_values` copies share the pattern, and so its layout.
-    :meth:`from_entries` validates triplets from outside and is the one place
-    that drops explicit zeros.  The full view is made on first use.
+    :meth:`from_entries` validates triplets from outside, dropping zeros.  Products
+    read the stored triangle; the full view, made on first use, gathers rows.
     """
 
     def __init__(self, pattern: sp.csr_matrix, values: Optional[np.ndarray] = None):
@@ -116,13 +116,20 @@ class SparseSymmetric:
         return np.repeat(np.arange(self.order), np.diff(self._pattern.indptr))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.full() @ np.asarray(v, dtype=float)
+        """``A v``: each stored entry's term, and off the diagonal its mirror's."""
+        v = np.asarray(v, dtype=float)
+        rows, cols, vals = self._rows(), self._pattern.indices, self._values
+        return (np.bincount(rows, vals * v[cols], self.order)
+                + np.bincount(cols, np.where(rows != cols, vals * v[rows], 0.0), self.order))
 
     def quadratic_forms(self, rhs) -> np.ndarray:
         """``v' A v`` for each column v of a dense or sparse (m, n) ``rhs``:
-        the row sums of (K A) * K, elementwise, with K = rhs'."""
-        k = sp.csr_matrix(rhs.T)
-        return np.asarray((k @ self.full()).multiply(k).sum(axis=1)).ravel()
+        the row sums of (K D) * K, elementwise, with K = rhs' and D the stored
+        triangle, its off-diagonal doubled: ``sum_{i >= j} (2 - [i = j]) a_ij v_i v_j``."""
+        p = self._pattern
+        doubled = np.where(p.indices == self._rows(), self._values, 2.0 * self._values)
+        k, d = sp.csr_matrix(rhs.T), sp.csr_matrix((doubled, p.indices, p.indptr), p.shape)
+        return np.asarray((k @ d).multiply(k).sum(axis=1)).ravel()
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """Dense symmetric sub-matrix for the given sorted index list."""

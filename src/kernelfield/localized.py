@@ -5,14 +5,10 @@ built from per-observation neighborhood inversions: for every observation,
 the sub-matrix over all observations within the localization range
 ``delta = k * taper_range`` is inverted densely and the center row of that
 sub-inverse is copied into a support matrix, which is then symmetrized as
-``(Psi + Psi') / 2``.  All neighborhoods come from one k-d tree pair query;
-rows whose neighborhoods have the same size are gathered and inverted
-together as one stack, and the stacks depend only on the sizes, so a thread
-pool over them gives bit-identical output for any worker count.  The
-inversions (LAPACK ``dposv``) hold the interpreter lock, so the workers
-overlap only the gathers of the sub-matrices.  The fit makes one pass over
-the assembled matrix: the gather builds its full view, and the diagnostics
-at the point sites read their kernels off its rows.
+``(Psi + Psi') / 2`` (:func:`approximate_inverse`).  Psi keeps its lower
+triangle, which every product reads.  The fit makes one pass over the
+assembled matrix: the gather builds its full view, and the point sites'
+diagnostics read its rows.
 
 The fit is a :class:`~.predictor.KernelPredictor` whose inverse is Psi, so
 the global predictor's ``predict``, ``predict_variance`` and ``rasterize``
@@ -60,9 +56,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     ``locations`` (one per row of ``S``) define the neighborhoods: row i of
     the support matrix receives the center row of the dense inverse of the
     sub-matrix over all indices with ``|x_i - x_j| < delta`` (strict).  The
-    returned matrix is the symmetrized support matrix, its lower half taken by
-    :meth:`SparseSymmetric.from_entries`, which stores no exact zero; entry
-    (i, j) is structurally zero whenever the locations are ``delta`` or more apart.
+    returned matrix is the lower half of ``(Psi + Psi') / 2``, each entry of
+    the symmetric delta-pattern averaged with its mirror, with no exact zero
+    stored; entry (i, j) is zero whenever the locations are ``delta`` or more apart.
 
     Rows with neighborhoods of one size are inverted together, as (k, n, n)
     stacks of at most ``_STACK_ENTRIES`` matrix entries; of each sub-matrix
@@ -80,17 +76,16 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
     if locations.shape[0] != m:
         raise ValueError(f"{locations.shape[0]} locations for order-{m} matrix")
     if m == 0:
-        return SparseSymmetric.from_entries(0, [], [], [])
+        return SparseSymmetric(sp.csr_matrix((0, 0)))
 
     # query_pairs keeps pairs at distance exactly delta; the strict test drops them.
     i, j = cKDTree(locations).query_pairs(delta, output_type="ndarray").reshape(-1, 2).T
     diff = locations[i] - locations[j]
     near = np.einsum("ij,ij->i", diff, diff) < delta * delta
-    rows = np.concatenate([i[near], j[near], np.arange(m)])
-    cols = np.concatenate([j[near], i[near], np.arange(m)])
-    psi = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))  # Psi's pattern
-    psi.sort_indices()
-    indptr, indices = psi.indptr, psi.indices
+    i, j = i[near], j[near]  # the delta-pattern, sorted into CSR order by key row * m + col
+    keys = np.sort(np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)]))
+    rows, indices = np.divmod(keys, m)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=m)))
     dense = S.to_dense() if m <= _DENSE_GATHER_CUTOFF else None
     full = None if dense is not None else S.full()
 
@@ -101,29 +96,32 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
         step = max(1, _STACK_ENTRIES // int(sizes[group[0]]) ** 2)
         chunks += [group[s:s + step] for s in range(0, group.size, step)]
 
-    def chunk_task(rows: np.ndarray):
-        n = int(sizes[rows[0]])
-        slots = indptr[rows][:, None] + np.arange(n)
+    def chunk_task(centers: np.ndarray):
+        n = int(sizes[centers[0]])
+        slots = indptr[centers][:, None] + np.arange(n)
         idx = indices[slots]
         if dense is not None:
             sub = np.take(dense, idx[:, :, None] * m + idx[:, None, :])
         else:
             r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
             sub = np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
-        center = np.count_nonzero(idx < rows[:, None], axis=1)
-        return slots, dense_spd_inverse(sub, rows, center)
+        center = np.count_nonzero(idx < centers[:, None], axis=1)
+        return slots, dense_spd_inverse(sub, centers, center)
 
     if workers == 1:
-        results = [chunk_task(rows) for rows in chunks]
+        results = [chunk_task(centers) for centers in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk_task, chunks))
+    support = np.empty(keys.size)  # the center rows, on the delta-pattern
     for slots, vals in results:
-        psi.data[slots] = vals
-    sym = (psi + psi.T) * 0.5
-    rows = np.repeat(np.arange(m), np.diff(sym.indptr))
-    lower = sym.indices <= rows
-    return SparseSymmetric.from_entries(m, rows[lower], sym.indices[lower], sym.data[lower])
+        support[slots] = vals
+    mirror = np.empty_like(keys)  # the entry (j, i) of each (i, j): the rank of key j * m + i
+    mirror[np.argsort(indices * m + rows)] = np.arange(keys.size)
+    sym = (support + support[mirror]) * 0.5
+    keep = (indices <= rows) & (sym != 0.0)
+    indptr = np.append(0, np.cumsum(np.bincount(rows[keep], minlength=m)))
+    return SparseSymmetric(sp.csr_matrix((sym[keep], indices[keep], indptr), shape=(m, m)))
 
 
 def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
@@ -134,11 +132,9 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
     ``mu`` and ``sigma2`` default to their GLS estimates through the
     approximate inverse, checked, estimated and refused as in
     :func:`~.predictor.fit_global` (an empty set, or one with observation
-    errors, needs them given).  ``workers`` threads gather the stacks of
-    neighborhood sub-matrices of :func:`approximate_inverse`; the inversions
-    (LAPACK ``dposv``) hold the interpreter lock, so only the gathers overlap.
-    The predictor's ``negative_variance_at_obs`` is the count of raw
-    variances at the point sites below ``-1e-12 * sigma2``.
+    errors, needs them given), and ``workers`` is that of
+    :func:`approximate_inverse`.  The predictor's ``negative_variance_at_obs``
+    is the count of raw variances at the point sites below ``-1e-12 * sigma2``.
     """
     if model.taper_range is None:
         raise ConfigError("localized fitting requires a finite-range (tapered) model")
@@ -149,7 +145,7 @@ def fit_localized(obs_set: ObservationSet, model: CorrelationModel, k: int,
 
     if obs_set.m == 0:
         return KernelPredictor(model, obs_set, mu, sigma2, np.empty(0),
-                               SparseSymmetric.from_entries(0, [], [], []), k=k,
+                               SparseSymmetric(sp.csr_matrix((0, 0))), k=k,
                                negative_variance_at_obs=0)
 
     mat = level_matrix(obs_set, model, sigma2)

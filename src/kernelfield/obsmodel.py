@@ -311,7 +311,8 @@ def kernel_value(obs_set: ObservationSet, x, model: CorrelationModel):
     ``x`` is one point (q,) or a block of n points (n, q).  The result is a
     length-m array at one point, and over a block an (n, m) matrix: a CSR
     matrix of the nonzero kernels under a finite-range model (see
-    :func:`_sparse_kernels`), a dense array without one.  Dense columns of
+    :func:`_sparse_kernels`; one point is the dense row of its one-point
+    block), a dense array without one.  Dense columns of
     each observation kind are one array evaluation; under a finite-range
     model, columns beyond the taper range are exact zeros.  The block is
     checked once to be finite (``ValueError``), and the model evaluated on
@@ -324,8 +325,9 @@ def kernel_value(obs_set: ObservationSet, x, model: CorrelationModel):
     if not np.isfinite(block).all():
         raise ValueError("query points must be finite")
     _require_smooth(obs_set, model.taper_range)
-    if model.taper_range is not None and x.ndim == 2:
-        return _sparse_kernels(obs_set, block, model)
+    if model.taper_range is not None:
+        kernels = _sparse_kernels(obs_set, block, model)
+        return kernels if x.ndim == 2 else kernels.toarray()[0]
     out = _correlations(obs_set, _P, _Operators(block[:, None, :]), block.shape[0], model)
     return out[0] if x.ndim <= 1 else out
 

@@ -5,7 +5,8 @@ package computes another way: the pointwise Kriging predictor, the closed
 forms of the correlation functions and their first two derivatives, with no
 clip, interval integrals of a correlation by adaptive quadrature, an eigenvalue
 check of non-negative definiteness, the dense matrix behind a sparse one
-or a Cholesky factor, and scipy's full view of a sparse one.
+or a Cholesky factor, scipy's full view of a sparse one, and the approximate
+inverse symmetrized by scipy.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 from kernelfield import CorrelationModel, SparseSymmetric, assemble, kernel_vector
+from kernelfield.linalg import dense_spd_inverse
 
 
 # -- correlation functions, with no clipping: inf or nan where a product
@@ -196,3 +198,27 @@ def reconstruct(factor) -> np.ndarray:
                        -np.arange(low.shape[0]), shape=(m, m)).toarray()
     inv_perm = np.argsort(factor.perm)
     return (low @ low.T)[np.ix_(inv_perm, inv_perm)]
+
+
+def approximate_inverse_lower(S: SparseSymmetric, locations, delta: float) -> sp.csr_matrix:
+    """The lower triangle of the approximate inverse of ``S``, by scipy: row i
+    of the support matrix is the center row of the inverse of the dense
+    sub-matrix over the sites closer than ``delta`` to site i (squared
+    distances against ``delta**2``, found by brute force; each sub-matrix
+    inverted alone by the package's LAPACK call, so a row's bits are the
+    package's), assembled from triplets; then ``(Psi + Psi') * 0.5``, its
+    lower half, and its exact zeros dropped."""
+    dense, pts = S.to_dense(), np.asarray(locations, dtype=float)
+    rows, cols, vals = [], [], []
+    for i in range(S.order):
+        idx = np.flatnonzero(((pts - pts[i]) ** 2).sum(axis=1) < delta * delta)
+        sub = dense[np.ix_(idx, idx)][None]
+        vals.append(dense_spd_inverse(sub, [i], [np.searchsorted(idx, i)])[0])
+        rows.append(np.full(idx.size, i))
+        cols.append(idx)
+    psi = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(S.order, S.order))
+    lower = sp.tril((psi + psi.T) * 0.5, format="csr")
+    lower.eliminate_zeros()
+    lower.sort_indices()
+    return lower

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelfield
-from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, assemble, fit_global,
-                         fit_localized, predict, predict_variance, read_observations_csv,
-                         write_observations_csv)
+from kernelfield import (AVG, DERIV, POINT, CorrelationModel, ObservationSet, SparseSymmetric,
+                         assemble, cli, fit_global, fit_localized, localized, predict,
+                         predict_variance, read_observations_csv, write_observations_csv)
 from kernelfield.cli import load_predictor, main, save_predictor, synthetic_observations
 from kernelfield.localized import variance_localized
 from kernelfield.obsmodel import KINDS
@@ -457,7 +457,7 @@ def test_fit_at_k_sys_maxsize_writes_a_file_grid_loads(tmp_path, inputs):
 def test_example_a_weights_and_refusals(capsys):
     assert main(["example-a", "--out-prefix", ""]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["weights"] == [0.9992489065501217, -0.0008487217470239765, 2.238762075353067]
+    assert doc["weights"] == [0.9992489065501217, -0.0008487217470239765, 2.2387620753530677]
     assert (doc["range"], doc["values"], doc["raster"]) == (1.0, [1.0, 0.0, 2.0], None)
     for args, message in ((["--values", "1,2"], "example-a needs exactly three observed values"),
                           (["--range", "0"], "range must be positive")):
@@ -550,6 +550,32 @@ def test_localized_site_diagnostics(tmp_path, capsys):
     doc = json.loads(summary.read_text())
     assert doc["negative_variance_at_obs"] == fitted.negative_variance_at_obs
     assert doc["deviation_var"] == fitted.deviation_var
+
+
+def test_localized_pipeline_builds_no_full_view_of_psi(tmp_path, inputs, monkeypatch):
+    # Psi is multiplied on its stored lower triangle: fitting, saving, loading
+    # and rasterizing take full views of S alone (its rows, for the gather of
+    # the sub-matrices and the site diagnostics).
+    psis, viewed, full = [], [], SparseSymmetric.full
+
+    def recording_full(self):
+        viewed.append(self)
+        return full(self)
+
+    def keeping(make):
+        def kept(*args, **kwargs):
+            psis.append(make(*args, **kwargs))
+            return psis[-1]
+        return kept
+
+    monkeypatch.setattr(SparseSymmetric, "full", recording_full)
+    monkeypatch.setattr(localized, "approximate_inverse", keeping(localized.approximate_inverse))
+    monkeypatch.setattr(cli, "_psi_from_entries", keeping(cli._psi_from_entries))
+    predictor = fit(tmp_path, *inputs, mode="localized")
+    assert main(["grid", "--predictor", predictor, "--grid", "0,4,5;0,4,5",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(psis) == 2 and viewed  # the fit's Psi and the loaded one; S's views
+    assert not any(a is psi for a in viewed for psi in psis)
 
 
 def grid_exit_code(tmp_path, doc):

@@ -76,6 +76,22 @@ class TestMatern52:
             CorrelationModel("matern52", float("inf"))
 
 
+# H(a) = int_0^a int_0^t rho, untapered Matern-5/2, at (tau_m, a): 50-digit
+# values of its closed form by mpmath (a nested mpmath.quad agrees to 1e-44).
+MATERN52_H = [(1e6, 0.5, 0.1249999999999956597222), (1e6, 2.0, 1.999999999998888888889),
+              (1e6, 6.0, 17.99999999991), (0.5, 0.5, 0.111650108045026234668),
+              (0.5, 2.0, 0.9429123434090026960208), (0.5, 6.0, 3.327708764033832061342)]
+
+
+class TestMatern52Integrals:
+    # At tau_m = 1e6 the closed form in expm1 cancels terms of size 1.2 a tau_m
+    # (off by up to 5.9e-10); a F(a) - G_1/k^2 is within a few ulps.
+    @pytest.mark.parametrize("tau_m, a, want", MATERN52_H)
+    def test_h_against_50_digit_values(self, tau_m, a, want):
+        h = CorrelationModel("matern52", tau_m)._integrals(np.array([a, -a]))[1]
+        assert np.all(np.abs(h - want) <= 1e-14)
+
+
 class TestGauss2:
     def test_origin(self):
         assert gauss2(0.0, 0.5) == 1.0

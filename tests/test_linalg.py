@@ -78,6 +78,31 @@ class TestSparseSymmetric:
         v = rng.normal(size=6)
         assert np.allclose(s.matvec(v), a @ v)
 
+    # matvec and quadratic_forms read the stored triangle, mirror terms and
+    # doubled off-diagonal values; the dense products sum the full matrix.
+    # Each side sums at most n + 1 rounded terms for A v, and 2n + 1 for
+    # v' A v, so (to first order) they differ by at most 2(n + 1) eps and
+    # 4(n + 1) eps times the sum of the terms' magnitudes.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 0.6), st.integers(1, 5), st.integers(0, 2 ** 16))
+    def test_products_match_the_dense_matrix(self, n, density, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+        a[np.diag_indices(n)] *= rng.random(n) < 0.5  # some diagonal entries unstored
+        first = from_dense(a + a.T)
+        vals = first.lower_entries()[2]
+        zeros = np.where(rng.random(vals.size) < 0.5, 0.0, -0.0)
+        s = first.with_values(np.where(rng.random(vals.size) < 0.3, zeros, vals))
+        dense, eps = s.to_dense(), np.finfo(float).eps
+        v = rng.normal(size=(n, cols)) * (rng.random((n, cols)) < 0.7)
+        for col in v.T:
+            bound = 2 * (n + 1) * eps * (np.abs(dense) @ np.abs(col))
+            assert np.all(np.abs(s.matvec(col) - dense @ col) <= bound)
+        want = np.einsum("ij,ij->j", v, dense @ v)
+        bound = 4 * (n + 1) * eps * np.einsum("ij,ij->j", np.abs(v), np.abs(dense) @ np.abs(v))
+        for rhs in (v, sp.csr_matrix(v)):
+            got = s.quadratic_forms(rhs)
+            assert got.shape == (cols,) and np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_counts_read_off_the_lower_triangle(self, seed):

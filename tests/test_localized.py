@@ -14,7 +14,7 @@ from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
 
 from conftest import observation_set
-from oracles import from_dense, full_view
+from oracles import approximate_inverse_lower, from_dense, full_view
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
 G2T = CorrelationModel("gauss2", 0.5, 1.0)
@@ -138,6 +138,26 @@ class TestApproximateInverse:
         # Both sides are backward stable: their difference is a few rounding
         # units of the worst neighbourhood's condition number.
         assert np.abs(got - want).max() <= 1e-14 * cond * np.abs(want).max()
+
+    # Psi is symmetrized on the CSR arrays of its delta-pattern, each entry
+    # averaged with its mirror: the same bits as scipy's (Psi + Psi') * 0.5,
+    # lower half and zeros dropped, from either gather of the sub-matrices.
+    @pytest.mark.parametrize("cutoff", [localized._DENSE_GATHER_CUTOFF, 0], ids=["dense", "csr"])
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=60),
+           st.sampled_from([1, 2]), st.sampled_from(["matern52", "gauss2"]),
+           st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=1.0, max_value=12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scipys_symmetrized_support_bitwise(self, cutoff, seed, m, q, kind, delta,
+                                                        side):
+        obs = synthetic_observations(m, [(0.0, side)] * q, seed=seed)
+        mat = assemble(obs, CorrelationModel(kind, 0.6, 1.0), 1.0)
+        want = approximate_inverse_lower(mat, obs.rep_points(), delta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(localized, "_DENSE_GATHER_CUTOFF", cutoff)
+            rows, cols, vals = approximate_inverse(mat, obs.rep_points(), delta).lower_entries()
+        assert np.array_equal(rows, np.repeat(np.arange(m), np.diff(want.indptr)))
+        assert np.array_equal(cols, want.indices)
+        assert vals.tobytes() == want.data.tobytes()
 
     def test_invalid_delta(self):
         obs = line_points(3, 0.5)
