@@ -12,18 +12,17 @@ Subcommands:
 * ``synth``     -- generate a seeded synthetic observation CSV.
 
 A saved predictor is JSON with ``format`` "kernelfield-predictor" and
-``version`` 4 (other versions exit 2): ``mode``, ``model``, ``dim``,
-``weights`` (JSON numbers), ``observations`` and either ``factor_order``
-(global) or ``localized`` (localized).  The observation columns and
-``factor_order`` are binary arrays, after NumPy's ``.npy`` header (NEP 1):
-``{"dtype": ..., "shape": [...], "data": <base64 of the C-order bytes>}``.
-The columns are ``kind`` (``"|i1"`` codes of :data:`obsmodel.KIND_CODES`),
-``value`` and ``error_var`` (``"<f8"``, shape (m,)), and ``site``,
-``direction`` and ``bounds`` (``"<f8"``, shape (width, rows): one row per
-coordinate over the rows of the kinds that have them).  ``factor_order`` is
-the order of the fit's Cholesky factor, so that loading factors without
-choosing it again: the ``"<i8"`` permutation of a factor in band storage, or
-``null`` for a dense factor in natural order.
+``version`` 5 (other versions exit 2): ``mode``, ``model``, ``dim``,
+``weights`` (JSON numbers), ``observations`` and, for a localized predictor,
+``localized``.  The observation columns are binary arrays, after NumPy's
+``.npy`` header (NEP 1): ``{"dtype": ..., "shape": [...], "data": <base64 of
+the C-order bytes>}``: ``kind`` (``"|i1"`` codes of
+:data:`obsmodel.KIND_CODES`), ``value`` and ``error_var`` (``"<f8"``, shape
+(m,)), and ``site``, ``direction`` and ``bounds`` (``"<f8"``, shape (width,
+rows): one row per coordinate over the rows of the kinds that have them).  A
+global file stores no factor: loading analyses the set's pattern as the fit
+does (:func:`linalg.analyse`), so a change to that analysis's order rule
+changes the factor a file loads into and bumps the file version.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -43,14 +42,13 @@ import numpy as np
 from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
-from .linalg import CholeskyFactor, SparseSymmetric, cholesky, layout_in_order
+from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .localized import fit_localized
-from .obsmodel import (KIND_CODES, ObservationSet, assemble,
-                       read_observations_csv)
+from .obsmodel import KIND_CODES, ObservationSet, PairStructure, read_observations_csv
 from .predictor import GridSpec, KernelPredictor, _check_levels, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
-PREDICTOR_VERSION = 4
+PREDICTOR_VERSION = 5
 
 
 def _load_model_file(path):
@@ -80,7 +78,7 @@ def _kind_rows(kinds) -> dict:  # the rows of each per-kind column of a predicto
     return {"site": ~avg, "direction": kinds == KIND_CODES[obsmodel.DERIV], "bounds": avg}
 
 
-_ITEMSIZES = {"|i1": 1, "<i8": 8, "<f8": 8}  # of the dtypes a predictor file stores
+_ITEMSIZES = {"|i1": 1, "<f8": 8}  # of the dtypes a predictor file stores
 
 
 def _encode(a: np.ndarray, dtype: str) -> dict:
@@ -184,10 +182,7 @@ def save_predictor(path, fitted: KernelPredictor):
         "observations": _observation_columns(fitted.obs),
         "weights": fitted.weights.tolist(),
     }
-    if fitted.mode == "global":
-        band = fitted.inverse is not None and fitted.inverse.storage == "band"
-        doc["factor_order"] = _encode(fitted.inverse.perm, "<i8") if band else None
-    else:
+    if fitted.mode == "localized":
         rows, cols, vals = fitted.inverse.lower_entries()
         doc["localized"] = {
             "k": fitted.k,
@@ -207,14 +202,13 @@ def save_predictor(path, fitted: KernelPredictor):
 def load_predictor(path) -> KernelPredictor:
     """Load a fitted predictor saved by :func:`save_predictor`.
 
-    Global predictors reassemble and refactor the inter-correlation matrix
-    (deterministically, from the echoed observations) for variance queries,
-    in the saved ``factor_order``, so that no fill-reducing order is chosen
-    again.  That order must be ``null`` or an int64 permutation of ``0..m-1``
-    in which the band fits (``2 * (bw + 1) <= m``); any such order gives a
-    valid factor, so it needs no other check.  Weights and parameters are
-    taken verbatim from the file, after a check that the weights solve that
-    system to round-off.  Localized weights are checked to equal the saved
+    A global predictor's factor is made as the fit makes it, from the
+    observation columns, which round-trip bit for bit: the set's
+    :class:`~.obsmodel.PairStructure`, its matrix, and the Cholesky factor in
+    the structure's layout, so the loaded factor equals the fitted one byte
+    for byte.  Weights and parameters are taken verbatim from the file, after
+    a check, ahead of the factorization, that the weights solve that system
+    to round-off.  Localized weights are checked to equal the saved
     approximate inverse applied to the residuals of the observations, to
     round-off; their ``k`` must be a positive integer and their ``delta``
     equal ``k * taper_range`` as the fit computes it.  Their ``psi_lower``
@@ -224,13 +218,12 @@ def load_predictor(path) -> KernelPredictor:
     in either triangle.  ``weights`` and Psi's ``vals`` must hold finite JSON
     numbers: a list that numpy reads as strings, nulls, integers beyond 64
     bits or booleans is refused, with one dtype check per list, and so is
-    ``NaN`` or ``Infinity``.  Each binary array (the observation columns and
-    ``factor_order``) must carry exactly its dtype string, a shape list of
-    non-negative JSON integers that fits the file's m and kinds, and strict
-    base64 of exactly the bytes of that shape; its values are then checked
-    as a fit's are (:class:`ObservationSet` refuses an unknown kind code, a
-    non-finite site, value or error variance, a bad interval and a bad
-    direction).  The model's ``mu`` must be finite and its ``sigma2``
+    ``NaN`` or ``Infinity``.  Each binary observation column must carry
+    exactly its dtype string, a shape list of non-negative JSON integers that
+    fits the file's m and kinds, and strict base64 of exactly the bytes of
+    that shape; its values are then checked as a fit's are
+    (:class:`ObservationSet` refuses an unknown kind code, a non-finite site,
+    value or error variance, a bad interval and a bad direction).  The model's ``mu`` must be finite and its ``sigma2``
     positive and finite, as a fit checks them, and ``dim`` a positive JSON
     integer.  A missing top-level field, a model number that is not a JSON
     number, or any other malformed content is a :class:`ConfigError` naming it.
@@ -247,9 +240,8 @@ def load_predictor(path) -> KernelPredictor:
         raise ConfigError(f"{path}: mode must be global or localized, got {mode!r}")
     if mode == "localized" and not isinstance(loc, dict):
         raise ConfigError(f"{path}: a localized predictor needs its 'localized' block")
-    fields = ("model", "dim", "weights", "observations") + (
-        ("factor_order",) if mode == "global" else ())
-    missing = [field for field in fields if field not in doc]
+    missing = [field for field in ("model", "dim", "weights", "observations")
+               if field not in doc]
     if missing:
         raise ConfigError(f"{path}: missing field {missing[0]!r}")
     try:
@@ -272,16 +264,13 @@ def load_predictor(path) -> KernelPredictor:
     if weights.shape != (obs.m,):
         raise ConfigError(f"{path}: {weights.size} weights for {obs.m} observations")
     if mode == "global":
-        order = _factor_order(path, doc["factor_order"], obs.m)
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None)
-        matrix = assemble(obs, model, sigma2)
+        structure = PairStructure(obs, model.taper_range)
+        matrix = structure.matrix(model, sigma2)
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
-        try:
-            factor = cholesky(matrix, layout_in_order(matrix, order))
-        except ValueError as exc:  # the band does not fit in that order
-            raise ConfigError(f"{path}: factor_order: {exc}") from None
+        factor = cholesky(matrix, structure.layout)
         return KernelPredictor(model, obs, mu, sigma2, weights, factor, matrix)
     deviation_var = loc.get("deviation_var")  # not a bool, NaN, inf or a huge int
     if (type(deviation_var) not in (int, float)
@@ -340,20 +329,6 @@ def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
         raise ConfigError(f"{path}: {field}: {exc}") from None
 
 
-def _factor_order(path, order, m: int) -> Optional[np.ndarray]:
-    """A saved ``factor_order``: None, or an int64 permutation of ``0..m-1``."""
-    if order is None:
-        return None
-    try:
-        order = _decode(order, "factor_order", "<i8", (m,))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if m == 0 or not np.array_equal(np.sort(order), np.arange(m)):
-        raise ConfigError(f"{path}: factor_order must be null or a permutation of the "
-                          f"{m} observation indices")
-    return order
-
-
 def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
                    refusal: str):
     """Refuse with ``refusal`` unless ``matrix @ x`` reproduces ``b`` to round-off.
@@ -368,8 +343,8 @@ def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,
     with the stored lower triangle, so loading builds no full view of M.
     """
     m = matrix.order
-    row_abs = matrix.with_values(np.abs(matrix.lower_entries()[2])).matvec(np.ones(m))
-    residual = float(np.abs(b - matrix.matvec(x)).max())
+    mx, row_abs = matrix.matvec_and_abs_row_sums(x)
+    residual = float(np.abs(b - mx).max())
     scale = row_abs.max() * np.abs(x).max() + np.abs(b).max()
     if not residual <= m * (np.finfo(float).eps * scale + np.finfo(float).tiny):
         raise ConfigError(f"{path}: {refusal} (residual {residual:.3g})")

@@ -117,10 +117,19 @@ class SparseSymmetric:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``A v``: each stored entry's term, and off the diagonal its mirror's."""
-        v = np.asarray(v, dtype=float)
-        rows, cols, vals = self._rows(), self._pattern.indices, self._values
-        return (np.bincount(rows, vals * v[cols], self.order)
-                + np.bincount(cols, np.where(rows != cols, vals * v[rows], 0.0), self.order))
+        return self._products(self._rows(), self._values, np.asarray(v, dtype=float))
+
+    def _products(self, rows: np.ndarray, vals: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`matvec` of ``v`` for ``vals`` on this pattern, whose entries lie in ``rows``."""
+        cols, n = self._pattern.indices, self.order
+        return (np.bincount(rows, vals * v[cols], n)
+                + np.bincount(cols, np.where(rows != cols, vals * v[rows], 0.0), n))
+
+    def matvec_and_abs_row_sums(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``A v`` and the row sums of ``|A|``, finding the stored entries' rows once."""
+        rows = self._rows()
+        return (self._products(rows, self._values, np.asarray(v, dtype=float)),
+                self._products(rows, np.abs(self._values), np.ones(self.order)))
 
     def quadratic_forms(self, rhs) -> np.ndarray:
         """``v' A v`` for each column v of a dense or sparse (m, n) ``rhs``:
@@ -154,11 +163,11 @@ class SparseSymmetric:
 
 class FactorLayout(NamedTuple):
     """Where :func:`cholesky` puts a stored pattern's entries: the factor's
-    order ``perm`` (a coordinate sort of the sites from :func:`analyse`, or a
-    saved order from :func:`layout_in_order`) and its inverse, the ``storage``
-    ("band", of ``shape`` (bw + 1, m) with ``2 * (bw + 1) <= m``, or "dense",
-    (m, m) in natural order) and each entry's flat position ``at`` in it in
-    Fortran order, which LAPACK takes uncopied.  Its arrays are read-only."""
+    order ``perm`` (a coordinate sort of the sites from :func:`analyse`, or
+    the natural order) and its inverse, the ``storage`` ("band", of ``shape``
+    (bw + 1, m) with ``2 * (bw + 1) <= m``, or "dense", (m, m) in natural
+    order) and each entry's flat position ``at`` in it in Fortran order,
+    which LAPACK takes uncopied.  Its arrays are read-only."""
 
     perm: np.ndarray
     inv_perm: np.ndarray
@@ -298,14 +307,9 @@ def analyse(a: SparseSymmetric, sites: Optional[np.ndarray] = None) -> FactorLay
     return _layout(a, rows, best) or _layout(a, rows, None)
 
 
-def layout_in_order(a: SparseSymmetric, order: Optional[np.ndarray]) -> FactorLayout:
-    """The layout of the stored pattern of ``a`` in a known order, such as a saved
-    factor's: None is dense in natural order, and a permutation of ``0..m-1``
-    band storage in that order (ValueError if the band does not fit)."""
-    layout = _layout(a, a._rows(), None if order is None else np.array(order, dtype=np.int64))
-    if layout is None:
-        raise ValueError("the band does not fit in the given order")
-    return layout
+def dense_layout(a: SparseSymmetric) -> FactorLayout:
+    """The layout of the stored pattern of ``a`` held densely in natural order."""
+    return _layout(a, a._rows(), None)
 
 
 def cholesky(a: SparseSymmetric, layout: Optional[FactorLayout] = None) -> CholeskyFactor:

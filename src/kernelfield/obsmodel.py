@@ -36,7 +36,7 @@ from scipy.spatial.distance import cdist
 
 from .corrfn import CorrelationModel, _check_dist
 from .errors import ObservationParseError, UnsupportedOperatorError
-from .linalg import FactorLayout, SparseSymmetric, analyse, layout_in_order
+from .linalg import FactorLayout, SparseSymmetric, analyse, dense_layout
 
 POINT = "point"
 DERIV = "deriv"
@@ -500,10 +500,10 @@ class PairStructure:
         """The pattern's layout, made on first use: a tapered one's from
         :func:`~.linalg.analyse` of the set's rep points (the band of the
         narrowest coordinate sort), and the full pattern of an untapered one
-        dense in natural order (:func:`~.linalg.layout_in_order`), with no
+        dense in natural order (:func:`~.linalg.dense_layout`), with no
         band search."""
         if self.taper_range is None:
-            return layout_in_order(self._pattern, None)
+            return dense_layout(self._pattern)
         return analyse(self._pattern, self.obs_set.rep_points())
 
     def matrix(self, model: CorrelationModel, sigma2_r: float) -> SparseSymmetric:

@@ -9,7 +9,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from kernelfield import AVG, DERIV, KIND_CODES, POINT, CorrelationModel, ObservationSet, cholesky
-from kernelfield.linalg import layout_in_order
+from kernelfield.linalg import dense_layout
 
 from oracles import from_dense
 
@@ -58,7 +58,7 @@ def well_separated_points(rng, m, dim, lo, hi, min_sep):
 def dense_factor(a):
     """The Cholesky factor of a dense SPD array, held densely in natural order."""
     a = from_dense(a)
-    return cholesky(a, layout_in_order(a, None))
+    return cholesky(a, dense_layout(a))
 
 
 def random_instance(seed):

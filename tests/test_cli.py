@@ -181,8 +181,6 @@ def test_fit_summary_counts_underflowed_entries(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)["matrix"]
     assert (stats["nnz_lower"], stats["density"], stats["max_row_nnz"]) == (820, 1.0, 40)
     assert (stats["factor_storage"], stats["bandwidth"]) == ("dense", 39)
-    with open(predictor) as fh:
-        assert json.load(fh)["factor_order"] is None
     assert load_predictor(predictor).inverse.storage == "dense"
 
 
@@ -355,42 +353,56 @@ def test_bad_synth_bounds_exit_2(tmp_path, capsys, bounds):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, None, "4"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, None, "5"])
 def test_unsupported_predictor_version_exit_2(tmp_path, inputs, capsys, version):
     predictor = fit(tmp_path, *inputs)
     with open(predictor) as fh:
         doc = json.load(fh)
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     doc["version"] = version
     write_json(tmp_path / "bad.json", doc)
     capsys.readouterr()
     rc = main(["grid", "--predictor", str(tmp_path / "bad.json"), "--grid", "0,4,3;0,4,3",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert f"bad.json: predictor file version {version!r} is not the supported version 4" in \
+    assert f"bad.json: predictor file version {version!r} is not the supported version 5" in \
         capsys.readouterr().err
 
 
+def version_4(doc, path):
+    """A version 5 document as version 4 wrote it: a global file, saved at
+    ``path``, also kept its factor's order ``factor_order``, the int64
+    permutation of a band factor (``null`` for a dense one)."""
+    old = json.loads(json.dumps(doc))
+    if old["mode"] == "global":
+        factor = load_predictor(path).inverse
+        old["factor_order"] = binary(factor.perm, "<i8") if factor.storage == "band" else None
+    old["version"] = 4
+    return old
+
+
 def version_3(doc):
-    """A version 4 document as version 3 wrote it: the observation columns
-    (kinds by name) and ``factor_order`` as JSON lists."""
+    """A version 4 document as version 3 wrote it: its binary arrays (the
+    observation columns, kinds by name, and a global file's factor order) as
+    JSON lists."""
     old = json.loads(json.dumps(doc))
     cols = old["observations"]
     cols.update((name, unbinary(obj).tolist()) for name, obj in cols.items())
     cols["kind"] = [KINDS[code] for code in cols["kind"]]
-    if old.get("factor_order") is not None:
-        old["factor_order"] = unbinary(old["factor_order"]).tolist()
+    old.update([(name, unbinary(obj).tolist()) for name, obj in old.items()
+                if isinstance(obj, dict) and "dtype" in obj])
     old["version"] = 3
     return old
 
 
 @pytest.mark.parametrize("mode", ["global", "localized"])
 def test_version_3_file_exit_2(tmp_path, inputs, capsys, mode):
-    with open(fit(tmp_path, *inputs, mode=mode)) as fh:
-        old = version_3(json.load(fh))
+    path = fit(tmp_path, *inputs, mode=mode)
+    with open(path) as fh:
+        old = version_3(version_4(json.load(fh), path))
     rc, err = grid_error(tmp_path, capsys, old)
-    assert rc == 2 and "bad.json: predictor file version 3 is not the supported version 4" in err
-    old["version"] = 4  # its JSON lists are not binary arrays
+    assert rc == 2 and "bad.json: predictor file version 3 is not the supported version 5" in err
+    old["version"] = 5  # its JSON lists are not binary arrays
     rc, err = grid_error(tmp_path, capsys, old)
     assert rc == 2
     assert "observations.kind must be an array object of dtype '|i1'" in err
@@ -597,7 +609,7 @@ def test_version_1_predictor_file_exit_2(tmp_path, capsys):
                                 "error_var": 0.0, "direction": None}],
               "weights": [0.5]}
     assert grid_exit_code(tmp_path, legacy) == 2
-    assert "predictor file version 1 is not the supported version 4" in capsys.readouterr().err
+    assert "predictor file version 1 is not the supported version 5" in capsys.readouterr().err
 
 
 BAD_DEVIATION_VARS = {"text": "x", "null": None, "nan": float("nan"), "inf": float("inf"),
@@ -740,6 +752,10 @@ MALFORMED_COLUMNS = {  # (edit of the columns, the refusal)
                      _no_array("observations.value", "<f8")),
     "kind as int64": (_column("kind", _recoded(lambda a: a, "<i8")),
                       _no_array("observations.kind", "|i1")),
+    "kind as <f8": (_column("kind", _recoded(lambda a: a, "<f8")),
+                    _no_array("observations.kind", "|i1")),
+    "kind as |b1": (_column("kind", _recoded(lambda a: a != 0, "|b1")),
+                    _no_array("observations.kind", "|i1")),
     "kind names": (_column("kind", lambda obj: ["point"] * 30),
                    _no_array("observations.kind", "|i1")),
     "value bad base64": (_column("value", lambda obj: dict(obj, data="*" + obj["data"][1:])),
@@ -759,6 +775,12 @@ MALFORMED_COLUMNS = {  # (edit of the columns, the refusal)
     "site negative shape": (_column("site", lambda obj: dict(obj, shape=[-2, 30])),
                             "observations.site.shape must be a list of non-negative JSON "
                             "integers"),
+    "site float shape": (_column("site", lambda obj: dict(obj, shape=[2.0, 30])),
+                         "observations.site.shape must be a list of non-negative JSON "
+                         "integers"),
+    "site bool shape": (_column("site", lambda obj: dict(obj, shape=[True, 30])),
+                        "observations.site.shape must be a list of non-negative JSON "
+                        "integers"),
     "2-D kind": (_column("kind", _recoded(lambda a: a.reshape(2, 15))),
                  "observations.kind of shape (2, 15), expected (m,)"),
 }
@@ -909,8 +931,7 @@ def test_integer_model_numbers_are_accepted(tmp_path, inputs):
 
 @pytest.mark.parametrize("mode, field", [
     (mode, field) for mode in ("global", "localized")
-    for field in ("model", "dim", "weights", "observations", "factor_order")
-    if (mode, field) != ("localized", "factor_order")])
+    for field in ("model", "dim", "weights", "observations")])
 def test_missing_top_level_field_exit_2(tmp_path, inputs, capsys, mode, field):
     with open(fit(tmp_path, *inputs, mode=mode)) as fh:
         doc = json.load(fh)
@@ -935,13 +956,19 @@ def assert_same_factor(got, want):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 200), st.floats(0.5, 20.0), st.integers(0, 2 ** 16), st.booleans())
-@example(30, 3.0, 1, True)  # no axis sort's band fits: dense in natural order
-@example(60, 1.0, 1, True)  # a full row: no band in any order, dense in natural order
-@example(200, 20.0, 1, True)  # band storage
-@example(200, 20.0, 1, False)  # untapered: dense
-def test_global_round_trip_keeps_the_factor(m, side, seed, tapered):
-    obs = synthetic_observations(m, [(0.0, side), (0.0, side)], seed)
+@given(st.integers(2, 200), st.floats(0.5, 20.0), st.integers(0, 2 ** 16), st.booleans(),
+       st.sampled_from([1, 2, 3]))
+@example(30, 3.0, 1, True, 2)  # no axis sort's band fits: dense in natural order
+@example(60, 1.0, 1, True, 2)  # a full row: no band in any order, dense in natural order
+@example(200, 20.0, 1, True, 2)  # band storage
+@example(200, 20.0, 1, False, 2)  # untapered: dense
+@example(200, 20.0, 1, True, 1)  # band storage along the one axis
+@example(200, 20.0, 1, True, 3)  # band storage, sorted along one of three axes
+def test_global_round_trip_keeps_the_factor(m, side, seed, tapered, dim):
+    # A load analyses the set's pattern afresh, as the fit does.  ``side`` is
+    # a square's side; the box of another dimension keeps its mean spacing.
+    edge = side * m ** (1.0 / dim - 0.5)
+    obs = synthetic_observations(m, [(0.0, edge)] * dim, seed)
     fitted = fit_global(obs, CorrelationModel("matern52", 0.5, 1.5 if tapered else None))
     loaded = saved_and_loaded(fitted)
     assert_same_factor(loaded.inverse, fitted.inverse)
@@ -970,84 +997,20 @@ def test_tapered_3d_fit_in_band_storage():
     assert_same_factor(saved_and_loaded(fitted).inverse, f)
 
 
-@pytest.fixture
-def band_predictor(tmp_path):
-    """A global predictor file whose factor is in band storage, and its document."""
+def test_version_4_file_exit_2(tmp_path, capsys):
+    # A version 4 global file kept its band factor's order, which a load now
+    # works out again as the fit does; the file is refused by its version.
     obs = str(tmp_path / "obs.csv")
     assert main(["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
                  "--out", obs]) == 0
     path = fit(tmp_path, obs, write_json(tmp_path / "model.json", TAPERED_MODEL))
     with open(path) as fh:
         doc = json.load(fh)
-    assert (doc["factor_order"]["dtype"], doc["factor_order"]["shape"]) == ("<i8", [200])
-    assert sorted(unbinary(doc["factor_order"]).tolist()) == list(range(200))
-    return path, doc
-
-
-def _float_bits(obj):  # a nonzero index holding the bytes of its value as a float
-    a = unbinary(obj)
-    k = int(np.argmax(a != 0))
-    a[k] = np.float64(a[k]).view(np.int64)
-    return binary(a, "<i8")
-
-
-PERMUTATION = "factor_order must be null or a permutation of the 200 observation indices"
-NO_ORDER_ARRAY = _no_array("factor_order", "<i8")
-BAD_FACTOR_ORDERS = {  # (edit of the order, the refusal)
-    "short": (_recoded(lambda a: a[:-1]), "factor_order of shape (199,), expected (200,)"),
-    "long": (_recoded(lambda a: np.append(a, 0)),
-             "factor_order of shape (201,), expected (200,)"),
-    "repeated index": (_recoded(lambda a: np.append(a[:-1], a[:1])), PERMUTATION),
-    "index m": (_element(0, 200), PERMUTATION),
-    "negative index": (_element(0, -1), PERMUTATION),
-    "huge index": (_element(0, np.iinfo(np.int64).max), PERMUTATION),
-    "float index": (_recoded(lambda a: a, "<f8"), NO_ORDER_ARRAY),
-    "one float index": (_float_bits, PERMUTATION),
-    "bool index": (_recoded(lambda a: a != 0, "|b1"), NO_ORDER_ARRAY),
-    "text index": (lambda obj: dict(obj, data=" ".join(map(str, unbinary(obj)))),
-                   "factor_order.data is not valid base64"),
-    "not a list": (lambda obj: {"perm": obj}, NO_ORDER_ARRAY),
-    "a number": (lambda obj: 0, NO_ORDER_ARRAY),
-    "empty": (lambda obj: binary([], "<i8"), "factor_order of shape (0,), expected (200,)"),
-    "band does not fit": (_recoded(np.sort), "factor_order: the band does not fit"),
-    "version 3 list": (lambda obj: unbinary(obj).tolist(), NO_ORDER_ARRAY),
-    "big-endian": (_recoded(lambda a: a, ">i8"), NO_ORDER_ARRAY),
-    "int32": (_recoded(lambda a: a, "<i4"), NO_ORDER_ARRAY),
-    "bad base64": (lambda obj: dict(obj, data=obj["data"][:-4] + "AA!="),
-                   "factor_order.data is not valid base64"),
-    "bytes short of the shape": (_short_data, "factor_order holds 1592 bytes, not the <i8 "
-                                              "bytes of shape (200,)"),
-    "data missing": (_without_data, "factor_order.data must be a base64 string"),
-    "float shape": (lambda obj: dict(obj, shape=[200.0]),
-                    "factor_order.shape must be a list of non-negative JSON integers"),
-    "bool shape": (lambda obj: dict(obj, shape=[True]),
-                   "factor_order.shape must be a list of non-negative JSON integers"),
-}
-
-
-@pytest.mark.parametrize("edit, refusal", BAD_FACTOR_ORDERS.values(),
-                         ids=list(BAD_FACTOR_ORDERS))
-def test_bad_factor_order_exit_2(tmp_path, capsys, band_predictor, edit, refusal):
-    doc = band_predictor[1]
-    doc["factor_order"] = edit(doc["factor_order"])
-    rc, err = grid_error(tmp_path, capsys, doc)
-    assert rc == 2
-    assert f"bad.json: {refusal}" in err
-
-
-@pytest.mark.parametrize("order", ["reversed", "null"])
-def test_any_valid_factor_order_loads_the_same_predictor(tmp_path, band_predictor, order):
-    path, doc = band_predictor
-    perm = unbinary(doc["factor_order"])[::-1] if order == "reversed" else np.arange(200)
-    doc["factor_order"] = binary(perm, "<i8") if order == "reversed" else None
-    other = load_predictor(write_json(tmp_path / "other.json", doc))
-    saved = load_predictor(path)
-    assert other.inverse.storage == ("band" if order == "reversed" else "dense")
-    assert other.inverse.perm.tolist() == perm.tolist()
-    nodes = np.random.default_rng(2).uniform(0.0, 20.0, (50, 2))
-    for got, want in ((other.inverse.logdet(), saved.inverse.logdet()),
-                      (predict_variance(other, nodes), predict_variance(saved, nodes))):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    assert "factor_order" not in doc
+    old = version_4(doc, path)
+    assert sorted(unbinary(old["factor_order"]).tolist()) == list(range(200))
+    rc, err = grid_error(tmp_path, capsys, old)
+    assert rc == 2 and "bad.json: predictor file version 4 is not the supported version 5" in err
 
 
 def _edit(*path, fn):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import CorrelationModel
-from kernelfield.corrfn import _spherical
+from kernelfield.corrfn import SQRT5, _Matern52, _spherical
 
 import oracles
 from oracles import spot_check_nonneg_definite
@@ -82,6 +83,42 @@ MATERN52_H = [(1e6, 0.5, 0.1249999999999956597222), (1e6, 2.0, 1.999999999998888
               (1e6, 6.0, 17.99999999991), (0.5, 0.5, 0.111650108045026234668),
               (0.5, 2.0, 0.9429123434090026960208), (0.5, 6.0, 3.327708764033832061342)]
 
+# G_n(x) = int_0^x t^n (1 + t + t^2/3) e^{-t} dt, Matern-5/2's moments, at the
+# double x for n = 0..4: 50-digit values of its incomplete gamma sum by mpmath
+# (an mpmath.quad of the integrand agrees to 1e-54).
+MATERN52_MOMENTS = [
+    (1e-08, ["1.0000000000000000153670052745729168543950643278874e-8",
+             "5.0000000000000001675589416346180594827184022601054e-17",
+             "3.3333333333333335092256083012847282389464785693795e-25",
+             "2.500000000000000181447830523506952575531697647613e-33",
+             "2.0000000000000001854160844917609229603973399445414e-41"]),
+    (1e-06, ["9.9999999999994439919255627867157474105135526544197e-7",
+             "4.999999999999582880814451661715762940184520191335e-13",
+             "3.3333333333329995474811183184618088931361865818215e-19",
+             "2.4999999999997217697033405332435682499681164202473e-25",
+             "1.9999999999997614522430230671390836032728496897855e-31"]),
+    (0.0001, ["9.9999999944444449319947668572252053488305700615801e-5",
+              "4.9999999958333338194948197660380695646590375964898e-9",
+              "3.3333333300000004851694626222164496535618323987894e-13",
+              "2.499999997222222706647668088817004666350058385137e-17",
+              "1.9999999976190481028943859012368614268070889281906e-21"]),
+    (0.01, ["9.9999444452740841830631787908691563180874646340759e-3",
+            "4.9999583340246120457142887619048491177571283327051e-5",
+            "3.3333000005924682258263000750713075022580382315946e-7",
+            "2.4999722227405935579549429696349173034628099719982e-9",
+            "1.9999761909369377250205909707740200956525939676187e-11"]),
+    (0.1, ["9.9944524171328016332632033040157597975485720273544e-2",
+           "4.9958399688245034964789620028426688564295325831285e-3",
+           "3.3300056821630885500675819634280181812402129936517e-4",
+           "2.4972271904444979206550743538268729431969461365817e-5",
+           "1.9976234612095064325636866904320776093831829886755e-6"]),
+    (1.0, ["9.4989594119993583255422240591318261858621472185175e-1",
+           "4.6282022555221136698854016800864930150166271727486e-1",
+           "3.0381051001846094525765247311100298897872507597791e-1",
+           "2.2553265781643967071565825937625547444448881430803e-1",
+           "1.7911637779517780200353313154249496487038662352223e-1"]),
+]
+
 
 class TestMatern52Integrals:
     # At tau_m = 1e6 the closed form in expm1 cancels terms of size 1.2 a tau_m
@@ -90,6 +127,19 @@ class TestMatern52Integrals:
     def test_h_against_50_digit_values(self, tau_m, a, want):
         h = CorrelationModel("matern52", tau_m)._integrals(np.array([a, -a]))[1]
         assert np.all(np.abs(h - want) <= 1e-14)
+
+    # The gamma sums lost up to 59 eps at x = 1e-8; the series below x = 1.5
+    # is exact to round-off.  At tau_m = sqrt(5) the rate k is exactly 1, so x
+    # is the lag itself.
+    @pytest.mark.parametrize("x, want", MATERN52_MOMENTS,
+                             ids=[f"x={x:g}" for x, _ in MATERN52_MOMENTS])
+    def test_moments_against_50_digit_values(self, x, want):
+        length, g = _Matern52.moments(np.float64(x), SQRT5)
+        assert length == 1.0 and g.shape == (5,)
+        eps = decimal.Decimal(np.finfo(float).eps)
+        for got, value in zip(g.tolist(), want):
+            exact = decimal.Decimal(value)
+            assert abs(decimal.Decimal(got) - exact) <= 4 * eps * exact
 
 
 class TestGauss2:

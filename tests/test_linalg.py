@@ -11,7 +11,7 @@ from kernelfield import (POINT, CorrelationModel, FactorizationError, GridSpec, 
                          assemble, cholesky, kernel_vector)
 from kernelfield.cli import synthetic_observations
 from kernelfield.linalg import (QUAD_GROUP, SpatialIndex, analyse,
-                                dense_spd_inverse, layout_in_order)
+                                dense_layout, dense_spd_inverse)
 
 from conftest import dense_factor, observation_set
 from oracles import from_dense, full_view, reconstruct
@@ -78,8 +78,9 @@ class TestSparseSymmetric:
         v = rng.normal(size=6)
         assert np.allclose(s.matvec(v), a @ v)
 
-    # matvec and quadratic_forms read the stored triangle, mirror terms and
-    # doubled off-diagonal values; the dense products sum the full matrix.
+    # matvec, matvec_and_abs_row_sums and quadratic_forms read the stored
+    # triangle, mirror terms and doubled off-diagonal values; the dense
+    # products sum the full matrix.
     # Each side sums at most n + 1 rounded terms for A v, and 2n + 1 for
     # v' A v, so (to first order) they differ by at most 2(n + 1) eps and
     # 4(n + 1) eps times the sum of the terms' magnitudes.
@@ -98,6 +99,10 @@ class TestSparseSymmetric:
         for col in v.T:
             bound = 2 * (n + 1) * eps * (np.abs(dense) @ np.abs(col))
             assert np.all(np.abs(s.matvec(col) - dense @ col) <= bound)
+            product, row_abs = s.matvec_and_abs_row_sums(col)
+            assert product.tobytes() == s.matvec(col).tobytes()
+        want = np.abs(dense).sum(axis=1)
+        assert np.all(np.abs(row_abs - want) <= 2 * (n + 1) * eps * want)
         want = np.einsum("ij,ij->j", v, dense @ v)
         bound = 4 * (n + 1) * eps * np.einsum("ij,ij->j", np.abs(v), np.abs(dense) @ np.abs(v))
         for rhs in (v, sp.csr_matrix(v)):
@@ -363,22 +368,16 @@ class TestFactorStorage:
         assert np.array_equal(natural.perm, np.arange(m))
 
     def test_given_order_factors_as_the_chosen_one(self, tapered_set):
+        # A layout given to cholesky is used for that call and kept nowhere:
+        # the dense natural-order layout of a banded pattern factors as the
+        # dense oracle, and the pattern's analysis still chooses a band.
         obs, mat = tapered_set
-
-        def fresh():
-            return SparseSymmetric.from_entries(mat.order, *mat.lower_entries())
-
-        chosen = site_factor(obs, fresh())
-        assert chosen.storage == "band"
-        for order, want in ((chosen.perm.tolist(), chosen), (None, dense_factor(mat.to_dense()))):
-            a = fresh()
-            got = cholesky(a, layout_in_order(a, order))
-            assert got.storage == want.storage and np.array_equal(got.perm, want.perm)
-            assert got.perm.dtype == np.int64
-            assert got.lower.tobytes() == want.lower.tobytes()
-            assert site_factor(obs, a).storage == "band"  # a given order is kept nowhere
-        with pytest.raises(ValueError, match="the band does not fit in the given order"):
-            layout_in_order(fresh(), np.arange(400))  # the natural order of a 2-D set
+        a = SparseSymmetric.from_entries(mat.order, *mat.lower_entries())
+        got, want = cholesky(a, dense_layout(a)), dense_factor(mat.to_dense())
+        assert got.storage == want.storage == "dense"
+        assert np.array_equal(got.perm, np.arange(mat.order)) and got.perm.dtype == np.int64
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert site_factor(obs, a).storage == "band"
 
     def test_with_values_keeps_zeros_in_the_pattern(self):
         a = banded_spd(np.random.default_rng(13), 30, 3)

@@ -13,7 +13,7 @@ from kernelfield import localized
 from kernelfield.localized import variance_localized
 from kernelfield.cli import synthetic_observations
 
-from conftest import observation_set
+from conftest import observation_set, well_separated_points
 from oracles import approximate_inverse_lower, from_dense, full_view
 
 TAPERED = CorrelationModel("matern52", 0.8, 1.0)
@@ -177,6 +177,19 @@ class TestFitLocalized:
             assert predict(f, [x]) == pytest.approx(predict(g, [x]), abs=1e-8)
             assert variance_localized(f, [x]) == pytest.approx(
                 predict_variance(g, [x]), abs=1e-8 * f.sigma2)
+        # A tapered Matern-5/2 cube at density 1 per unit volume: delta 7.5
+        # exceeds its diameter 4 sqrt(3).
+        sites = well_separated_points(rng, 64, 3, 0.0, 4.0, 0.3)
+        obs = ObservationSet(np.zeros(64, dtype=np.int8), sites, np.cos(sites).sum(axis=1),
+                             np.zeros(64))
+        model = CorrelationModel("matern52", 0.5, 1.5)
+        f = fit_localized(obs, model, k=5)
+        g = fit_global(obs, model, f.mu, f.sigma2)
+        assert np.abs(f.weights - g.weights).max() < 1e-8
+        nodes = rng.uniform(-0.5, 4.5, (100, 3))
+        np.testing.assert_allclose(predict(f, nodes), predict(g, nodes), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(variance_localized(f, nodes), predict_variance(g, nodes),
+                                   rtol=0, atol=1e-8 * f.sigma2)
 
     def test_single_point_reproduced(self):
         obs = observation_set([(POINT, 1.0, 4.5)])

@@ -166,6 +166,23 @@ class TestValueIndependenceAndLocality:
             p = fit_global(obs, model, 0.25, 1.0)
             assert predict(p, x) == 0.25
 
+    def test_far_observation_cannot_move_a_3d_prediction(self):
+        # A tapered Matern-5/2 cube at density 1 per unit volume and one site
+        # beyond the taper range of every other site and every node: its value
+        # moves no prediction or variance there, global or localized, by a bit.
+        rng = np.random.default_rng(3)
+        sites = np.vstack([well_separated_points(rng, 27, 3, 0.0, 3.0, 0.3), [[9.0] * 3]])
+        model = CorrelationModel("matern52", 0.5, 1.5)
+        nodes = rng.uniform(-0.5, 3.5, (60, 3))
+        outputs = []
+        for value in (1.0, 100.0):
+            obs = ObservationSet(np.zeros(28, dtype=np.int8), sites,
+                                 np.append(np.cos(sites[:-1]).sum(axis=1), value), np.zeros(28))
+            for p in (fit_global(obs, model, 0.25, 1.0),
+                      fit_localized(obs, model, 2, mu=0.25, sigma2=1.0)):
+                outputs.append((predict(p, nodes).tobytes(), predict_variance(p, nodes).tobytes()))
+        assert outputs[:2] == outputs[2:]
+
 
 class TestOperatorPredictions:
     def test_derivative_matches_fd(self, demo_fit):
