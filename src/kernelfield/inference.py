@@ -16,18 +16,17 @@ The search analyses once and factors many times (as CHOLMOD does; Chen et
 al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
 found once per taper range, so one evaluation is the values on those pairs (zeros
 included), one scatter into LAPACK storage, one factorization and two solves.
-Bounded Brent (Brent 1973) answers with a range it evaluated, so the search
-keeps the levels and NLL of each range it evaluates and does not factor again
-at its answer: a search's ``iterations`` is its number of factorizations.
-
-``scipy.optimize`` is imported by :func:`estimate_eta`, on a process's first
-range search, not with this module: it adds about 9 MB of resident memory and
-0.1-0.17 s to the start-up of a process that never searches (every command
-but ``infer --eta-bounds``).  ``tests/test_cli.py`` fails if it is imported
-at the top again.
+The search is bounded Brent without derivatives (Brent 1973, ch. 5; Forsythe,
+Malcolm & Moler 1977, ``fmin``), scipy's ``minimize_scalar(method="bounded")``
+ported line for line onto Python floats, so that no process loads scipy's
+optimizers (about 9 MB); a test holds it to scipy's evaluated points.  It
+answers with a range it evaluated, so the search keeps the levels and NLL of
+each range it evaluates and does not factor again at its answer: a search's
+``iterations`` is its number of factorizations.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -38,8 +37,10 @@ from .errors import EstimationError, FactorizationError
 from .linalg import CholeskyFactor, SparseSymmetric, cholesky
 from .obsmodel import ObservationSet, PairStructure, assemble
 
-# Bounded Brent (minimize_scalar) first evaluates lo + _FIRST_PROBE * (hi - lo).
+# Bounded Brent first evaluates lo + _FIRST_PROBE * (hi - lo), and a golden
+# step goes this fraction of the way into the larger part of the bracket.
 _FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's literal, not the machine epsilon: its steps to the bit
 
 
 @dataclass
@@ -197,32 +198,110 @@ def negative_log_likelihood(obs_set: ObservationSet, model: CorrelationModel,
                   + float(resid @ factor.solve(resid)) / sigma2)
 
 
+def _bounded_brent(f: Callable[[float], float], a: float, b: float, xatol: float,
+                   max_evals: int) -> float:
+    """The best point of ``f`` in [a, b] that bounded Brent finds in at most
+    ``max_evals`` evaluations: scipy's ``_minimize_scalar_bounded`` step for
+    step, but stopped at the cap (scipy evaluates twice before it checks its
+    ``maxiter``).  ``xf`` is the best point, ``nfc`` the second best and
+    ``fulc`` the one before; ``rat`` is the last step and ``e`` the one before.
+    ``f`` returns Python floats, whose arithmetic on ``inf`` (a range that
+    does not factor) gives a quiet nan where numpy's would consult its error
+    state."""
+    fulc = a + _FIRST_PROBE * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while num < max_evals and abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = abs(e) <= tol1
+        if not golden:  # a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm < xf else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _FIRST_PROBE * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf
+
+
 def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
                  search_bounds: Tuple[float, float], rel_tol: float,
                  max_iter: int) -> MleResult:
     """The range in ``search_bounds`` minimizing the profiled NLL of
     :func:`profile_levels`, with its levels and NLL.
 
-    One bounded Brent search (``minimize_scalar``) to the absolute tolerance
-    ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
+    One bounded Brent search (:func:`_bounded_brent`) to the absolute
+    tolerance ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
     factorization each, on one pair structure while the taper range stays.
     A range that does not factor scores ``inf``.  Brent cannot leave an
     infinite first probe, so while that probe fails the top of the bracket
     moves down to it (smaller ranges are better conditioned);
-    :class:`EstimationError` is raised if no probe factors.
+    :class:`EstimationError` is raised if no probe factors.  Bounds that do
+    not satisfy ``0 < lo < hi < inf``, a ``max_iter`` that is not a positive
+    integer and a ``rel_tol`` that is not a positive finite real are a
+    :class:`ValueError`.
 
     Brent's answer is always a range it evaluated, so the result takes its
     levels and NLL from that evaluation, and ``iterations`` counts the
-    search's factorizations.  ``converged`` is false when all ``max_iter``
-    were spent, which is when Brent reports that it stopped short, and when
-    the answer lies at an end of the bracket searched (``hi`` after any
-    failed probe): within Brent's stopping distance of it, ``xatol + 2
-    sqrt(eps) eta``, where a likelihood with no optimum inside the bracket
-    ends.  Either is reported, never raised.
+    search's factorizations, never more than ``max_iter``: the search stops
+    at the cap and answers the best range evaluated.  ``converged`` is false
+    when all ``max_iter`` were spent, and when the answer lies at an end of
+    the bracket searched (``hi`` after any failed probe): within Brent's
+    stopping distance of it, ``xatol + 2 sqrt(eps) eta``, where a likelihood
+    with no optimum inside the bracket ends.  Either is reported, never
+    raised.
     """
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if isinstance(rel_tol, bool) or not (isinstance(rel_tol, numbers.Real)
+                                         and 0.0 < rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be a positive finite real, got {rel_tol!r}")
     xatol = rel_tol * lo
     evaluated = {}  # range -> (NLL, mu, sigma2); Brent's first evaluation is the last probe
     structure = None  # the set's pair structure under the last taper range
@@ -250,11 +329,7 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     else:
         raise EstimationError(f"the inter-correlation matrix does not factor at any "
                               f"range tried in [{lo}, {search_bounds[1]}]")
-    from scipy.optimize import minimize_scalar  # deferred: see the module docstring
-    with np.errstate(invalid="ignore"):  # Brent's parabolic steps meet inf values
-        result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                 options={"xatol": xatol, "maxiter": max_iter - failed})
-    eta = float(result.x)
+    eta = _bounded_brent(objective, lo, hi, xatol, max_iter - failed)
     nll, mu, sigma2 = evaluated[eta]
     at_end = min(eta - lo, hi - eta) <= xatol + 2.0 * math.sqrt(np.finfo(float).eps) * eta
     return MleResult(mu, sigma2, eta, nll, len(evaluated),

@@ -5,8 +5,8 @@ package computes another way: the pointwise Kriging predictor, the closed
 forms of the correlation functions and their first two derivatives, with no
 clip, interval integrals of a correlation by adaptive quadrature, an eigenvalue
 check of non-negative definiteness, the dense matrix behind a sparse one
-or a Cholesky factor, scipy's full view of a sparse one, and the approximate
-inverse symmetrized by scipy.
+or a Cholesky factor, scipy's full view of a sparse one, the approximate
+inverse symmetrized by scipy, and scipy's bounded Brent search.
 """
 
 import math
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from kernelfield import CorrelationModel, SparseSymmetric, assemble, kernel_vector
@@ -222,3 +223,19 @@ def approximate_inverse_lower(S: SparseSymmetric, locations, delta: float) -> sp
     lower.eliminate_zeros()
     lower.sort_indices()
     return lower
+
+
+def bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int):
+    """scipy's bounded Brent search (``minimize_scalar(method="bounded")``)
+    for the least ``f`` in [lo, hi]: its answer and the points it evaluated,
+    in order.  Its parabolic steps subtract infinite values of ``f``."""
+    points = []
+
+    def recorded(x):
+        points.append(float(x))
+        return f(x)
+
+    with np.errstate(invalid="ignore"):
+        result = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
+                                 options={"xatol": xatol, "maxiter": maxiter})
+    return float(result.x), points

@@ -1126,8 +1126,9 @@ def test_a_bool_among_numbers_fails_the_weight_check(tmp_path, inputs, capsys, m
     assert rc == 2 and refusal in err
 
 
-# scipy.optimize, which kernelfield imports only in the range search, and
-# scipy.integrate and scipy.sparse.csgraph, which it never imports.
+# scipy modules that kernelfield never imports: the range search is its own
+# bounded Brent, tapered interval entries are closed forms and a band factor's
+# order is a coordinate sort of the sites.
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse.csgraph")
 
 IMPORT_GUARD = textwrap.dedent("""
@@ -1156,7 +1157,7 @@ def operator_set_1d(m=30):
 
 
 def test_cli_loads_only_the_scipy_it_uses(tmp_path):
-    """Each deferred module stays out of a process until a command needs it."""
+    """No command loads a deferred module, the range search included."""
     files = {name: str(tmp_path / name) for name in ("pts.csv", "ops.csv", "mixed.csv")}
     write_observations_csv(files["ops.csv"], operator_set_1d())
     write_observations_csv(files["mixed.csv"], mixed_1d_set())
@@ -1173,32 +1174,29 @@ def test_cli_loads_only_the_scipy_it_uses(tmp_path):
                 ["infer", "--obs", obs, "--model", models[model], *fit_extra]]
 
     grid_2d, grid_1d = "0,20,5;0,20,5", "0,15,9"
-    phases = [  # (commands, modules that must be loaded, modules that must not be)
-        ([["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
-           "--out", files["pts.csv"]]]
-         + pipeline(files["pts.csv"], "untapered", grid_2d)
-         + pipeline(files["ops.csv"], "gauss2", grid_1d)
-         + [["example-a", "--out-prefix", ""]], (), DEFERRED),
-        (pipeline(files["pts.csv"], "tapered", grid_2d)
-         + pipeline(files["pts.csv"], "tapered", grid_2d, "--mode", "localized"),
-         (), DEFERRED),
-        ([["infer", "--obs", files["pts.csv"], "--model", models["untapered"],
-           "--eta-bounds", "0.1,3"]], ("scipy.optimize",), DEFERRED[1:]),
+    phases = [
+        [["synth", "--m", "200", "--bounds", "0,20;0,20", "--seed", "1",
+          "--out", files["pts.csv"]]]
+        + pipeline(files["pts.csv"], "untapered", grid_2d)
+        + pipeline(files["ops.csv"], "gauss2", grid_1d)
+        + [["example-a", "--out-prefix", ""]],
+        pipeline(files["pts.csv"], "tapered", grid_2d)
+        + pipeline(files["pts.csv"], "tapered", grid_2d, "--mode", "localized"),
+        [["infer", "--obs", files["pts.csv"], "--model", models["untapered"],
+          "--eta-bounds", "0.1,3"]],
         # tapered interval entries are closed forms too
-        (pipeline(files["mixed.csv"], "mixed", grid_1d)[:2], (), DEFERRED[1:]),
+        pipeline(files["mixed.csv"], "mixed", grid_1d)[:2],
     ]
     src = os.path.dirname(os.path.dirname(kernelfield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
-                          json.dumps([commands for commands, *_ in phases]), *DEFERRED],
+                          json.dumps(phases), *DEFERRED],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    for (commands, needed, absent), seen in zip(phases, json.loads(run.stdout)):
-        names = [argv[0] for argv in commands]
-        assert all(seen[name][1] for name in needed), f"{needed} not all loaded after {names}"
-        loaded = [name for name in absent if seen[name] == [False, True]]
-        assert not loaded, f"{loaded} loaded by {names}"
+    for commands, seen in zip(phases, json.loads(run.stdout)):
+        loaded = [name for name in DEFERRED if seen[name] == [False, True]]
+        assert not loaded, f"{loaded} loaded by {[argv[0] for argv in commands]}"
 
 
 # -- faulty numbers and repeated rows: exit 2 or 3, one error line ----------

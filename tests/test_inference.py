@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -15,7 +16,7 @@ from kernelfield.linalg import CholeskyFactor, SparseSymmetric, analyse
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import dense_factor, observation_set, well_separated_points
-from oracles import from_dense, reconstruct
+from oracles import bounded_brent, from_dense, reconstruct
 
 
 def spd_action(rng, n):
@@ -157,6 +158,20 @@ class TestEstimateEta:
         with pytest.raises(EstimationError, match="observation errors"):
             estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
 
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
+    def test_refuses_a_cap_that_is_not_a_positive_integer(self, max_iter):
+        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            estimate_eta(obs, lambda eta: pytest.fail("a range was evaluated"), (0.5, 2.0),
+                         1e-4, max_iter)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-4, "1e-4", True])
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, rel_tol):
+        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
+        with pytest.raises(ValueError, match="rel_tol must be a positive finite real"):
+            estimate_eta(obs, lambda eta: pytest.fail("a range was evaluated"), (0.5, 2.0),
+                         rel_tol, 500)
+
 
 class TestEstimateJoint:
     def test_identity_limit_recovers_moments(self):
@@ -282,6 +297,14 @@ class TestProfiledSearch:
                    for eta in np.geomspace(lo, 2.0, 200))
         assert result.nll <= scan + 1e-6
 
+    def test_a_search_through_infinite_values_raises_no_floating_point_error(self):
+        # The first probe (2.35) factors and the golden step after it (3.75)
+        # does not; Brent's next parabola multiplies that inf by zero.  The
+        # CLI runs under np.errstate(invalid="raise").
+        with np.errstate(all="raise"):
+            result = estimate_joint(gauss_1d_lattice(), gauss_family, (0.1, 6.0))
+        assert result.converged and 0.1 < result.eta < 2.35
+
     def test_nothing_factors_raises(self):
         obs = gauss_1d_lattice()
         with pytest.raises(EstimationError, match="does not factor"):
@@ -304,6 +327,32 @@ class TestProfiledSearch:
         assert not result.converged
         assert result.iterations == 3
         assert np.isfinite(result.nll)
+
+    def test_cap_holds_when_the_probes_leave_brent_one_evaluation(self, monkeypatch):
+        # Ranges above 0.5 do not factor: the probes at 1.21 and 0.52 fail and
+        # the one at 0.26 leaves Brent one of the three evaluations.
+        real_profile_levels, evaluated = inference.profile_levels, []
+
+        def failing_above_half(obs_set, model, structure=None):
+            evaluated.append(model.base_scale)
+            if model.base_scale > 0.5:
+                raise FactorizationError(0)
+            return real_profile_levels(obs_set, model, structure)
+
+        monkeypatch.setattr(inference, "profile_levels", failing_above_half)
+        result = estimate_eta(matern_2d_set(), matern_family, (0.1, 3.0), 1e-5, 3)
+        assert len(evaluated) == result.iterations == 3
+        assert evaluated[0] > evaluated[1] > 0.5 > evaluated[2] == result.eta
+        assert not result.converged
+
+    def test_cap_of_one_evaluation_answers_the_first_probe(self, monkeypatch):
+        factored, real_cholesky = [], inference.cholesky
+        monkeypatch.setattr(inference, "cholesky",
+                            lambda *args: factored.append(1) or real_cholesky(*args))
+        result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=1)
+        assert len(factored) == result.iterations == 1
+        assert result.eta == 0.1 + inference._FIRST_PROBE * (3.0 - 0.1)
+        assert not result.converged
 
     @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
     def test_iterations_count_search_factorizations(self, monkeypatch, case):
@@ -576,3 +625,76 @@ class TestPairStructureReuse:
         assert built == [t for k, t in enumerate(tapers) if k == 0 or t != tapers[k - 1]]
         monkeypatch.setattr(inference, "PairStructure", FreshEachTime)
         assert estimate_joint(obs, family, (0.3, 2.5)) == result
+
+
+@st.composite
+def brent_cases(draw):
+    """An objective on a bracket, with Brent's tolerance and cap: smooth (a
+    parabola), multimodal (a sloped sine), rounded (either, to 0-3 digits:
+    flat steps and ties) or with an inf plateau on one side of a threshold;
+    brackets from 1e-6 to 1e3 wide, optima inside or outside them."""
+    kind = draw(st.sampled_from(["smooth", "multimodal", "rounded", "inf-plateau"]))
+    lo = draw(st.floats(-10.0, 10.0))
+    width = 10.0 ** draw(st.floats(-6.0, 3.0))
+    hi = lo + width
+    centre = lo + draw(st.floats(-0.5, 1.5)) * width
+    freq, phase = draw(st.floats(0.5, 60.0)) / width, draw(st.floats(0.0, 6.3))
+    slope = draw(st.floats(-2.0, 2.0)) / width
+    unrounded = kind in ("smooth", "multimodal")
+    multimodal = kind == "multimodal" if unrounded else draw(st.booleans())
+
+    def base(x):
+        x = float(x)
+        if multimodal:
+            return math.sin(freq * (x - lo) + phase) + slope * (x - lo)
+        u = (x - centre) / width
+        return u * u
+
+    if unrounded:
+        f = base
+    elif kind == "rounded":
+        digits = draw(st.integers(0, 3))
+        f = lambda x: round(base(x), digits)
+    else:
+        threshold, above = lo + draw(st.floats(0.0, 1.0)) * width, draw(st.booleans())
+        f = lambda x: math.inf if (float(x) > threshold) == above else base(x)
+    xatol = 10.0 ** draw(st.floats(-10.0, -1.0))
+    return f, lo, hi, xatol, draw(st.integers(2, 60))
+
+
+class TestBoundedBrent:
+    @given(brent_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluates_the_points_of_minimize_scalar(self, case):
+        f, lo, hi, xatol, maxiter = case
+        assume(lo < hi)
+        points = []
+        x = inference._bounded_brent(lambda x: points.append(x) or f(x), lo, hi, xatol, maxiter)
+        assert (x, points) == bounded_brent(f, lo, hi, xatol, maxiter)
+
+    def test_stops_at_one_evaluation_where_minimize_scalar_takes_two(self):
+        points = []
+        x = inference._bounded_brent(lambda x: points.append(x) or (x - 1.0) ** 2,
+                                     0.0, 3.0, 1e-5, 1)
+        scipy_x, scipy_points = bounded_brent(lambda x: (x - 1.0) ** 2, 0.0, 3.0, 1e-5, 1)
+        assert points == [x] == scipy_points[:1] and len(scipy_points) == 2
+
+    @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
+    def test_search_evaluates_the_ranges_of_minimize_scalar(self, monkeypatch, case):
+        # matern-2d is shaped like the benchmark's mle-2d sets; on gauss-1d
+        # the first probe and the largest ranges do not factor (inf).
+        obs, family, bounds = {
+            "matern-2d": (matern_2d_set(), matern_family, (0.1, 3.0)),
+            "gauss-1d": (gauss_1d_lattice(), gauss_family, (0.1, 20.0)),
+        }[case]
+        asked = []
+
+        def recorded_family(eta):
+            asked.append(float(eta))
+            return family(eta)
+
+        result = estimate_joint(obs, recorded_family, bounds)
+        ported, asked[:] = asked[:], []
+        monkeypatch.setattr(inference, "_bounded_brent", lambda *args: bounded_brent(*args)[0])
+        assert estimate_joint(obs, recorded_family, bounds) == result  # bit for bit
+        assert asked == ported and len(ported) == result.iterations
