@@ -14,15 +14,18 @@ Subcommands:
 A saved predictor is JSON with ``format`` "kernelfield-predictor" and
 ``version`` 5 (other versions exit 2): ``mode``, ``model``, ``dim``,
 ``weights`` (JSON numbers), ``observations`` and, for a localized predictor,
-``localized``.  The observation columns are binary arrays, after NumPy's
+``localized``, whose ``psi_lower`` holds Psi's nonzero lower triangle in CSR
+order as JSON lists ``rows``, ``cols`` and ``vals``, read back in that one
+form.  The observation columns are binary arrays, after NumPy's
 ``.npy`` header (NEP 1): ``{"dtype": ..., "shape": [...], "data": <base64 of
 the C-order bytes>}``: ``kind`` (``"|i1"`` codes of
 :data:`obsmodel.KIND_CODES`), ``value`` and ``error_var`` (``"<f8"``, shape
 (m,)), and ``site``, ``direction`` and ``bounds`` (``"<f8"``, shape (width,
 rows): one row per coordinate over the rows of the kinds that have them).  A
-global file stores no factor: loading analyses the set's pattern as the fit
-does (:func:`linalg.analyse`), so a change to that analysis's order rule
-changes the factor a file loads into and bumps the file version.
+global file stores no factor: loading makes it by the fit's own call
+(:func:`inference.level_factor`), so a change to the order rule of
+:func:`linalg.analyse` changes the factor a file loads into and bumps the file
+version.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -38,13 +41,14 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import corrfn, inference, obsmodel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
-from .linalg import CholeskyFactor, SparseSymmetric, cholesky
+from .linalg import CholeskyFactor, SparseSymmetric
 from .localized import fit_localized
-from .obsmodel import KIND_CODES, ObservationSet, PairStructure, read_observations_csv
+from .obsmodel import KIND_CODES, ObservationSet, read_observations_csv
 from .predictor import GridSpec, KernelPredictor, _check_levels, fit_global, rasterize
 
 PREDICTOR_FORMAT = "kernelfield-predictor"
@@ -202,31 +206,32 @@ def save_predictor(path, fitted: KernelPredictor):
 def load_predictor(path) -> KernelPredictor:
     """Load a fitted predictor saved by :func:`save_predictor`.
 
-    A global predictor's factor is made as the fit makes it, from the
-    observation columns, which round-trip bit for bit: the set's
-    :class:`~.obsmodel.PairStructure`, its matrix, and the Cholesky factor in
-    the structure's layout, so the loaded factor equals the fitted one byte
+    A global predictor's matrix and factor are made by the fit's own call,
+    :func:`~.inference.level_factor`, from the observation columns, which
+    round-trip bit for bit, so the loaded factor equals the fitted one byte
     for byte.  Weights and parameters are taken verbatim from the file, after
-    a check, ahead of the factorization, that the weights solve that system
-    to round-off.  Localized weights are checked to equal the saved
-    approximate inverse applied to the residuals of the observations, to
-    round-off; their ``k`` must be a positive integer and their ``delta``
-    equal ``k * taper_range`` as the fit computes it.  Their ``psi_lower``
-    must be an object whose ``order`` is the JSON integer m, whose ``rows``
-    and ``cols`` are JSON integers in ``[0, order)`` and whose ``vals`` are
-    JSON numbers, the three flat lists of one length, with no entry repeated
-    in either triangle.  ``weights`` and Psi's ``vals`` must hold finite JSON
-    numbers: a list that numpy reads as strings, nulls, integers beyond 64
-    bits or booleans is refused, with one dtype check per list, and so is
-    ``NaN`` or ``Infinity``.  Each binary observation column must carry
-    exactly its dtype string, a shape list of non-negative JSON integers that
-    fits the file's m and kinds, and strict base64 of exactly the bytes of
-    that shape; its values are then checked as a fit's are
+    a check that the weights solve that system to round-off (a matrix that
+    does not factor fails first, with exit 3).  Localized weights are checked
+    to equal the saved approximate inverse applied to the residuals of the
+    observations, to round-off; their ``k`` must be a positive integer and
+    their ``delta`` equal ``k * taper_range`` as the fit computes it.  Their
+    ``psi_lower`` is read as the CSR lower triangle that this module saves
+    (:func:`_read_psi`): ``order`` the JSON integer m, ``rows`` and ``cols``
+    JSON integers in ``[0, order)`` and ``vals`` JSON numbers, three flat
+    lists of one length whose entries lie in the lower triangle, in strictly
+    increasing CSR order, each nonzero.  ``weights`` and Psi's ``vals`` must
+    hold finite JSON numbers: a list that numpy reads as strings, nulls,
+    integers beyond 64 bits or booleans is refused, with one dtype check per
+    list, and so is ``NaN`` or ``Infinity``.  Each binary observation column
+    must carry exactly its dtype string, a shape list of non-negative JSON
+    integers that fits the file's m and kinds, and strict base64 of exactly
+    the bytes of that shape; its values are then checked as a fit's are
     (:class:`ObservationSet` refuses an unknown kind code, a non-finite site,
-    value or error variance, a bad interval and a bad direction).  The model's ``mu`` must be finite and its ``sigma2``
-    positive and finite, as a fit checks them, and ``dim`` a positive JSON
-    integer.  A missing top-level field, a model number that is not a JSON
-    number, or any other malformed content is a :class:`ConfigError` naming it.
+    value or error variance, a bad interval and a bad direction).  The
+    model's ``mu`` must be finite and its ``sigma2`` positive and finite, as
+    a fit checks them, and ``dim`` a positive JSON integer.  A missing
+    top-level field, a model number that is not a JSON number, or any other
+    malformed content is a :class:`ConfigError` naming it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -266,11 +271,9 @@ def load_predictor(path) -> KernelPredictor:
     if mode == "global":
         if obs.m == 0:
             return KernelPredictor(model, obs, mu, sigma2, weights, None)
-        structure = PairStructure(obs, model.taper_range)
-        matrix = structure.matrix(model, sigma2)
+        matrix, factor = inference.level_factor(obs, model, sigma2)
         _check_weights(path, matrix, weights, obs.values() - mu * obs.mean_image(),
                        "the weights do not solve the system of the saved observations")
-        factor = cholesky(matrix, structure.layout)
         return KernelPredictor(model, obs, mu, sigma2, weights, factor, matrix)
     deviation_var = loc.get("deviation_var")  # not a bool, NaN, inf or a huge int
     if (type(deviation_var) not in (int, float)
@@ -283,7 +286,7 @@ def load_predictor(path) -> KernelPredictor:
     if (model.taper_range is None or type(delta) not in (int, float)
             or delta != float(k) * model.taper_range):
         raise ConfigError(f"{path}: localized.delta must be k * taper_range, got {delta!r}")
-    psi = _psi_from_entries(path, loc, obs.m)
+    psi = _read_psi(path, loc, obs.m)
     if obs.m:
         _check_weights(path, psi, obs.values() - mu * obs.mean_image(), weights,
                        "the weights are not the approximate inverse applied to the "
@@ -291,12 +294,14 @@ def load_predictor(path) -> KernelPredictor:
     return KernelPredictor(model, obs, mu, sigma2, weights, psi, deviation_var=deviation_var, k=k)
 
 
-def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
-    """The approximate inverse of a localized file's ``psi_lower`` block: an
-    object whose ``order`` is the JSON integer m and whose ``rows``, ``cols``
-    (JSON integers in ``[0, order)``) and ``vals`` (JSON numbers) are flat
-    lists of one length, with no entry repeated (as (i, j) twice, or as both
-    (i, j) and (j, i)).  A violation is a ConfigError naming the field."""
+def _read_psi(path, loc: dict, m: int) -> SparseSymmetric:
+    """The approximate inverse of a localized file's ``psi_lower`` block, read
+    as the CSR lower triangle :func:`save_predictor` writes: an object whose
+    ``order`` is the JSON integer m and whose ``rows``, ``cols`` (JSON
+    integers in ``[0, order)``) and ``vals`` (finite JSON numbers) are flat
+    lists of one length, each entry in the lower triangle (col <= row), its
+    key ``row * m + col`` above the one before and its value nonzero.  A
+    violation is a ConfigError naming the field (and the first bad entry)."""
     field = "localized.psi_lower"
     if "psi_lower" not in loc:
         raise ConfigError(f"{path}: missing field '{field}'")
@@ -323,10 +328,17 @@ def _psi_from_entries(path, loc: dict, m: int) -> SparseSymmetric:
                 raise ValueError(f"{field}.{key} must hold indices in [0, {m})")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    try:
-        return SparseSymmetric.from_entries(m, entries["rows"], entries["cols"], entries["vals"])
-    except ValueError as exc:  # a repeated entry
-        raise ConfigError(f"{path}: {field}: {exc}") from None
+    rows, cols = entries["rows"].astype(np.int64), entries["cols"].astype(np.int64)
+    vals, keys = entries["vals"].astype(float), rows * m + cols
+    bad = (cols > rows) | (vals == 0.0)
+    bad[1:] |= keys[1:] <= keys[:-1]  # a repeat, in either triangle, or a swap
+    if bad.any():
+        k = int(bad.argmax())
+        entry = f"({rows[k]}, {cols[k]}, {float(vals[k])!r})"
+        raise ConfigError(f"{path}: {field}: entry {k} {entry} is not the next nonzero entry "
+                          f"of a lower triangle in CSR order")
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    return SparseSymmetric(sp.csr_matrix((vals, cols, indptr), shape=(m, m)))
 
 
 def _check_weights(path, matrix: SparseSymmetric, x: np.ndarray, b: np.ndarray,

@@ -144,7 +144,9 @@ def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float],
     """``mu`` and ``sigma2``, each as given or, where ``None``, its GLS
     estimate through ``s_inv`` (:func:`estimate_mu`, :func:`estimate_sigma2`).
     An estimate that overflows (values near the largest float) is an
-    :class:`EstimationError`, not a warning and a non-finite level."""
+    :class:`EstimationError`, not a warning and a non-finite level, and so is
+    an estimated ``sigma2`` that is not positive (vanishing residuals; the
+    fits check a given one first)."""
     with np.errstate(over="ignore", invalid="ignore"):
         if mu is None:
             mu = estimate_mu(s_inv, obs_set.values(), obs_set.mean_image())
@@ -153,6 +155,8 @@ def _levels(s_inv, obs_set: ObservationSet, mu: Optional[float],
     if not (math.isfinite(mu) and math.isfinite(sigma2)):
         raise EstimationError(f"the estimated levels are not finite (mu {mu!r}, sigma2 "
                               f"{sigma2!r}): the observed values are too large")
+    if sigma2 <= 0.0:
+        raise EstimationError("estimated sigma2 is not positive")
     return mu, sigma2
 
 
@@ -160,29 +164,24 @@ def gls_levels(s_inv, obs_set: ObservationSet, mu: Optional[float] = None,
                sigma2: Optional[float] = None) -> Tuple[float, float, np.ndarray]:
     """The levels of :func:`_levels` and the weights A (values - mu *
     mean_image) through A = ``s_inv``, the :class:`CholeskyFactor` of the
-    set's :func:`level_matrix` or a sparse approximate inverse Psi of it.
-    A variance that is not positive (the fits check a given one first) is
-    an :class:`EstimationError`."""
+    set's :func:`level_matrix` or a sparse approximate inverse Psi of it."""
     mu, sigma2 = _levels(s_inv, obs_set, mu, sigma2)
-    if sigma2 <= 0.0:
-        raise EstimationError("estimated sigma2 is not positive")
     return mu, sigma2, _as_action(s_inv)(obs_set.values() - mu * obs_set.mean_image())
 
 
 def profile_levels(obs_set: ObservationSet, model: CorrelationModel,
                    structure: Optional[PairStructure] = None
-                   ) -> Tuple[float, float, Optional[float]]:
+                   ) -> Tuple[float, float, float]:
     """GLS mean and variance and the profiled NLL ``(m log(2 pi sigma2) +
     log det R + m) / 2`` under ``model``, from one factorization of the
     set's :func:`level_matrix` (:func:`level_factor`, on ``structure`` if given).
 
-    The NLL is ``None`` when the variance is not positive.  Raises
-    :class:`FactorizationError` where the matrix does not factor.
+    Raises :class:`FactorizationError` where the matrix does not factor, and
+    :class:`EstimationError` where the estimated variance is not positive
+    (:func:`_levels`), so the NLL is always a number.
     """
     factor = level_factor(obs_set, model, None, structure)[1]
     mu, s2 = _levels(factor, obs_set, None, None)
-    if s2 <= 0.0:
-        return mu, s2, None
     m = obs_set.m  # m * s2 / s2, not m: m alone moves the last digit of some reported NLLs
     return mu, s2, 0.5 * (m * math.log(2.0 * math.pi * s2) + factor.logdet() + m * s2 / s2)
 
@@ -279,7 +278,9 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     A range that does not factor scores ``inf``.  Brent cannot leave an
     infinite first probe, so while that probe fails the top of the bracket
     moves down to it (smaller ranges are better conditioned);
-    :class:`EstimationError` is raised if no probe factors.  Bounds that do
+    :class:`EstimationError` is raised if no probe factors, and where a
+    range's estimated variance is not positive (:func:`profile_levels`:
+    vanishing residuals).  Bounds that do
     not satisfy ``0 < lo < hi < inf``, a ``max_iter`` that is not a positive
     integer and a ``rel_tol`` that is not a positive finite real are a
     :class:`ValueError`.
@@ -316,8 +317,6 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
                 mu, sigma2, nll = profile_levels(obs_set, model, structure)
             except FactorizationError:
                 mu, sigma2, nll = None, None, math.inf
-            if nll is None:
-                raise EstimationError("zero variance estimate; residuals vanish")
             evaluated[eta] = nll, mu, sigma2
         return evaluated[eta][0]
 

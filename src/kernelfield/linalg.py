@@ -45,9 +45,11 @@ class SparseSymmetric:
     if None) on ``pattern`` as given: no copy, zeros too.  Its unchecked
     precondition: ``pattern`` is a canonical lower-triangle CSR matrix (column
     <= row, sorted and unique in each row) and ``values`` one float per entry.
-    :meth:`with_values` copies share the pattern, and so its layout.
-    :meth:`from_entries` validates triplets from outside, dropping zeros.  Products
-    read the stored triangle; the full view, made on first use, gathers rows.
+    :meth:`with_values` copies share the pattern, and so its layout.  It is
+    the one constructor: the pair structure, the localized fit and the
+    predictor file's reader each build that canonical pattern themselves.
+    Products read the stored triangle; the full view, made on first use,
+    gathers rows.
     """
 
     def __init__(self, pattern: sp.csr_matrix, values: Optional[np.ndarray] = None):
@@ -58,31 +60,6 @@ class SparseSymmetric:
     def with_values(self, values: np.ndarray) -> "SparseSymmetric":
         """This stored pattern holding the lower-triangle ``values`` (CSR order), zeros too."""
         return SparseSymmetric(self._pattern, values)
-
-    @classmethod
-    def from_entries(cls, order: int, rows, cols, vals) -> "SparseSymmetric":
-        """Build from (row, col, value) triples of one triangle (any mix).
-
-        Each entry is folded to the lower triangle and the CSR arrays are
-        built directly, after one sort on the int64 key ``row * order + col``.
-        A repeated entry, such as one given as both (i, j) and (j, i), is a
-        ``ValueError`` naming it: it is never summed.  An entry of value zero
-        is not stored.
-        """
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if not rows.shape == cols.shape == vals.shape:
-            raise ValueError("rows, cols and vals must be of one length")
-        lo_r, lo_c = np.maximum(rows, cols), np.minimum(rows, cols)
-        keys = lo_r * order + lo_c
-        csr = np.argsort(keys, kind="stable")  # linear on triples already in CSR order
-        repeated = keys[csr[1:]] == keys[csr[:-1]]
-        if repeated.any():
-            k = csr[repeated.argmax()]
-            raise ValueError(f"repeated entry ({lo_r[k]}, {lo_c[k]}) of the lower triangle")
-        csr = csr[vals[csr] != 0.0]
-        indptr = np.append(0, np.cumsum(np.bincount(lo_r[csr], minlength=order)))
-        return cls(sp.csr_matrix((vals[csr], lo_c[csr], indptr), shape=(order, order)))
 
     # -- views -----------------------------------------------------------
 

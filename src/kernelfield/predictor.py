@@ -209,8 +209,6 @@ def predict_derivative(p: KernelPredictor, x, direction) -> float:
     norm = float(np.hypot.reduce(np.abs(direction)))  # as ObservationSet: no squares
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
-    if p.obs.m == 0:
-        return 0.0
     return float(p.weights @ obsmodel.derivative_vector(p.obs, x, direction / norm, p.model))
 
 

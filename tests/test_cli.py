@@ -262,10 +262,12 @@ def test_localized_infer_writes_null_nll(inputs, capsys):
 
 
 def test_vanishing_variance_writes_null_nll(tmp_path, capsys):
+    # sigma2 = 0 has no likelihood, so infer writes no document: it exits 3,
+    # as fit does on these values.
     obs = write_points(tmp_path / "flat.csv", [(float(i), 0.0, 0.0) for i in range(5)])
-    assert infer(obs, write_json(tmp_path / "model.json", UNTAPERED_MODEL)) == 0
-    doc = strict_json(capsys.readouterr().out)
-    assert doc["nll"] is None and doc["sigma2"] == 0.0
+    assert infer(obs, write_json(tmp_path / "model.json", UNTAPERED_MODEL)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: estimated sigma2 is not positive\n"
 
 
 @pytest.mark.parametrize("mode", ["global", "localized"])
@@ -278,13 +280,8 @@ def test_zero_variance_estimate_exit_3(tmp_path, capsys, mode):
                  "--out", str(tmp_path / "p.json")]) == 3
     assert "estimated sigma2 is not positive" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
-    if mode == "global":  # the documented null likelihood of a vanishing variance
-        assert infer(obs, model) == 0
-        doc = strict_json(capsys.readouterr().out)
-        assert doc["nll"] is None and doc["sigma2"] == 0.0
-    else:
-        assert infer(obs, model, "--mode", mode) == 3
-        assert "estimated sigma2 is not positive" in capsys.readouterr().err
+    assert infer(obs, model, "--mode", mode) == 3  # one rule for fit and every infer mode
+    assert "estimated sigma2 is not positive" in capsys.readouterr().err
 
 
 def test_range_search_refuses_vanishing_residuals_exit_3(tmp_path, capsys):
@@ -292,7 +289,7 @@ def test_range_search_refuses_vanishing_residuals_exit_3(tmp_path, capsys):
     obs = write_points(tmp_path / "two.csv", [(0.0, 0.0, 2.5), (7.0, 0.0, 2.5)])
     model = write_json(tmp_path / "model.json", TAPERED_MODEL)
     assert infer(obs, model, "--eta-bounds", "0.1,3") == 3
-    assert "zero variance estimate; residuals vanish" in capsys.readouterr().err
+    assert "estimated sigma2 is not positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", ["1.0,2.0,deriv,1.0,,1.0,0.0", "1.0,2.0,avg,1.0,,0.0,1.0"])
@@ -582,7 +579,7 @@ def test_localized_pipeline_builds_no_full_view_of_psi(tmp_path, inputs, monkeyp
 
     monkeypatch.setattr(SparseSymmetric, "full", recording_full)
     monkeypatch.setattr(localized, "approximate_inverse", keeping(localized.approximate_inverse))
-    monkeypatch.setattr(cli, "_psi_from_entries", keeping(cli._psi_from_entries))
+    monkeypatch.setattr(cli, "_read_psi", keeping(cli._read_psi))
     predictor = fit(tmp_path, *inputs, mode="localized")
     assert main(["grid", "--predictor", predictor, "--grid", "0,4,5;0,4,5",
                  "--out", str(tmp_path / "r.csv")]) == 0
@@ -1058,9 +1055,14 @@ COLUMN_EDITS = {
     "nan": _element(3, math.nan), "infinity": _element(3, math.inf)}
 
 
-def _repeat_an_entry(psi, flip):
+def _off_diagonal(psi):
+    """The position of the first off-diagonal entry of ``psi`` and its (row, col)."""
     k = next(k for k, (r, c) in enumerate(zip(psi["rows"], psi["cols"])) if r != c)
-    row, col = psi["rows"][k], psi["cols"][k]
+    return k, psi["rows"][k], psi["cols"][k]
+
+
+def _repeat_an_entry(psi, flip):
+    row, col = _off_diagonal(psi)[1:]
     psi["rows"].append(col if flip else row)
     psi["cols"].append(row if flip else col)
     psi["vals"].append(0.0)
@@ -1093,7 +1095,7 @@ MALFORMED_FIELDS = [
                  lambda doc: doc["localized"]["psi_lower"].pop("vals"), id="psi-vals-missing"),
     # an off-diagonal entry again with the value 0.0, as (i, j) and as (j, i):
     # summed, it would leave Psi and the weight check unchanged
-    *[pytest.param("localized", "localized.psi_lower: repeated entry",
+    *[pytest.param("localized", "localized.psi_lower: entry ",
                    lambda doc, flip=flip: _repeat_an_entry(doc["localized"]["psi_lower"], flip),
                    id=f"psi-repeated-{name}")
       for name, flip in (("entry", False), ("transposed-entry", True))],
@@ -1109,6 +1111,65 @@ def test_malformed_predictor_field_exit_2(tmp_path, inputs, capsys, mode, field,
     rc, err = grid_error(tmp_path, capsys, doc)
     assert rc == 2
     assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and field in err
+
+
+def _transpose_an_entry(psi):
+    k, row, col = _off_diagonal(psi)
+    psi["rows"][k], psi["cols"][k] = col, row
+    return k
+
+
+def _swap_two_entries(psi):
+    k = _off_diagonal(psi)[0]
+    for key in ("rows", "cols", "vals"):
+        psi[key][k], psi[key][k + 1] = psi[key][k + 1], psi[key][k]
+    return k + 1  # the first of the two, now second, no longer follows the other
+
+
+def _zero_an_entry(psi):
+    k = _off_diagonal(psi)[0]
+    psi["vals"][k] = 0.0
+    return k
+
+
+def _insert_a_repeat(flip):
+    def edit(psi):  # entry k again right after it, with its own value: summed, it would double
+        k, row, col = _off_diagonal(psi)
+        for key, value in (("rows", col if flip else row), ("cols", row if flip else col),
+                           ("vals", psi["vals"][k])):
+            psi[key].insert(k + 1, value)
+        return k + 1
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _transpose_an_entry, _swap_two_entries, _zero_an_entry, _insert_a_repeat(False),
+    _insert_a_repeat(True)],
+    ids=["upper-entry", "swapped-entries", "zero-value", "repeat", "transposed-repeat"])
+def test_non_canonical_psi_exit_2(tmp_path, inputs, capsys, edit):
+    # Psi is read as the CSR lower triangle save_predictor writes: each entry
+    # in the lower triangle, after the one before it and nonzero.  Any other
+    # form is one error line naming the field and the first bad entry.
+    with open(fit(tmp_path, *inputs, mode="localized")) as fh:
+        doc = json.load(fh)
+    psi = doc["localized"]["psi_lower"]
+    k = edit(psi)  # the first bad entry
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 2 and err.count("\n") == 1
+    assert err == (f"error: {tmp_path / 'bad.json'}: localized.psi_lower: entry {k} "
+                   f"({psi['rows'][k]}, {psi['cols'][k]}, {psi['vals'][k]!r}) is not the next "
+                   f"nonzero entry of a lower triangle in CSR order\n")
+
+
+def test_a_global_file_whose_matrix_does_not_factor_exits_3(tmp_path, inputs, capsys):
+    # The loader factors the matrix by the fit's own call before it checks the
+    # weights, so a file whose model gives a matrix that is not positive
+    # definite fails as a fit would, with exit 3, whatever its weights.
+    with open(fit(tmp_path, *inputs)) as fh:
+        doc = json.load(fh)
+    doc["model"].update(base={"kind": "gauss2", "scale": 1e3}, taper_range=None)
+    rc, err = grid_error(tmp_path, capsys, doc)
+    assert rc == 3 and "not positive definite" in err
 
 
 @pytest.mark.parametrize("mode, path, refusal", [
@@ -1439,7 +1500,7 @@ def test_the_package_exports_only_what_the_program_runs():
                          (predictor, ["kriging_predict"]),
                          (corrfn.CorrelationModel, ["deriv1", "deriv2"]),
                          (predictor.GridSpec, ["n_nodes", "axes"]),
-                         (linalg.SparseSymmetric, ["from_dense"]),
+                         (linalg.SparseSymmetric, ["from_dense", "from_entries"]),
                          (linalg.CholeskyFactor, ["reconstruct"]),
                          (linalg.SpatialIndex, ["__len__"])]:
         for name in names:

@@ -12,7 +12,7 @@ from kernelfield import (POINT, CorrelationModel, EstimationError, Factorization
                          estimate_sigma2, fit_localized, inference, linalg, obsmodel)
 from kernelfield.cli import synthetic_observations
 from kernelfield.inference import level_matrix, negative_log_likelihood, profile_levels
-from kernelfield.linalg import CholeskyFactor, SparseSymmetric, analyse
+from kernelfield.linalg import CholeskyFactor, analyse
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
 from conftest import dense_factor, observation_set, well_separated_points
@@ -431,8 +431,10 @@ class TestProfileLevels:
         assert nll == pytest.approx(dense_profiled_nll(obs, model), rel=1e-10)
 
     def test_vanishing_residuals_give_no_nll(self):
+        # sigma2 = 0 has no likelihood: refused, as the fits refuse it.
         obs = observation_set([(POINT, float(i), 0.0) for i in range(4)])
-        assert profile_levels(obs, CorrelationModel("matern52", 1.0)) == (0.0, 0.0, None)
+        with pytest.raises(EstimationError, match="estimated sigma2 is not positive"):
+            profile_levels(obs, CorrelationModel("matern52", 1.0))
 
     def test_fixed_variance_allows_observation_errors(self):
         obs = observation_set([(POINT, 0.0, 1.0, 0.5), (POINT, 1.0, 2.0)])
@@ -530,7 +532,7 @@ class TestPairStructureReuse:
             matrix = structure.matrix(model, 1.0)
             reused = factor_or_pivot(lambda: cholesky(matrix, structure.layout))
             # A matrix made by the constructor: no zero stored, a layout of its own.
-            zero_free = SparseSymmetric.from_entries(obs.m, *matrix.lower_entries())
+            zero_free = from_dense(matrix.to_dense())
             fresh = factor_or_pivot(
                 lambda: cholesky(zero_free, analyse(zero_free, obs.rep_points())))
             if not isinstance(fresh, CholeskyFactor):
@@ -678,6 +680,20 @@ class TestBoundedBrent:
                                      0.0, 3.0, 1e-5, 1)
         scipy_x, scipy_points = bounded_brent(lambda x: (x - 1.0) ** 2, 0.0, 3.0, 1e-5, 1)
         assert points == [x] == scipy_points[:1] and len(scipy_points) == 2
+
+    def test_end_clamp_steps_right_where_the_best_point_is_the_midpoint(self):
+        # After four points on [0, 1] the best point 0.88196... is exactly the
+        # midpoint of the bracket [0.76393..., 1], and the next parabolic step
+        # lands within tol2 of an end.  scipy steps tol1 to the right there
+        # (sign(xm - xf) + (xm == xf)), so the fifth point is 0.93196....
+        def f(x):
+            u = x - 0.9789307483799152
+            return u * u - u * u * u
+
+        points = []
+        inference._bounded_brent(lambda x: points.append(x) or f(x), 0.0, 1.0, 0.15, 50)
+        assert points[3] == 0.5 * (points[2] + 1.0) and points[4] > points[3]
+        assert points == bounded_brent(f, 0.0, 1.0, 0.15, 50)[1]
 
     @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
     def test_search_evaluates_the_ranges_of_minimize_scalar(self, monkeypatch, case):

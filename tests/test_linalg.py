@@ -23,17 +23,9 @@ def random_spd(rng, n, jitter=1.0):
 
 
 class TestSparseSymmetric:
-    def test_from_entries_symmetrizes_pattern(self):
-        s = SparseSymmetric.from_entries(3, [0, 1, 2, 0], [0, 1, 2, 2], [1.0, 2.0, 3.0, 0.5])
-        dense = s.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert dense[0, 2] == 0.5 and dense[2, 0] == 0.5
-
-    def test_explicit_zeros_dropped(self):
-        s = SparseSymmetric.from_entries(2, [0, 1, 1], [0, 0, 1], [1.0, 0.0, 1.0])
-        assert s.nnz_lower == 2
-
-    def test_constructor_stores_zeros_as_given_and_from_entries_drops_them(self):
+    def test_constructor_stores_zeros_as_given(self):
+        # A predictor file's Psi holds no zero (its reader refuses one); the
+        # constructor stores what it is given, zeros of both signs too.
         lower = sp.csr_matrix((np.array([0.0, -0.0, 2.0]), np.array([0, 0, 1]),
                                np.array([0, 1, 3])), shape=(2, 2))
         for values in (None, np.array([0.0, 0.0, 3.0])):
@@ -45,8 +37,6 @@ class TestSparseSymmetric:
             # The stored zero on the diagonal is counted by position.
             assert s.nnz_lower == 3 and s.max_row_nnz() == 2 and s.density() == 1.0
             assert s.full().nnz == 1  # the full view stores no zero
-            dropped = SparseSymmetric.from_entries(2, rows, cols, vals)
-            assert [a.tolist() for a in dropped.lower_entries()] == [[1], [1], [vals[2]]]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 30), st.floats(0.0, 0.5), st.integers(0, 2 ** 16))
@@ -62,12 +52,6 @@ class TestSparseSymmetric:
             got, want = s.full(), full_view(s)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    @pytest.mark.parametrize("rows, cols", [([0, 1, 1, 1], [0, 0, 1, 0]),
-                                            ([0, 1, 1, 0], [0, 0, 1, 1])])
-    def test_repeated_entry_refused_not_summed(self, rows, cols):
-        with pytest.raises(ValueError, match=r"repeated entry \(1, 0\)"):
-            SparseSymmetric.from_entries(2, rows, cols, [1.0, 0.5, 1.0, 0.0])
 
     def test_submatrix_and_matvec(self):
         rng = np.random.default_rng(0)
@@ -300,7 +284,7 @@ class TestFactorStorage:
         for scale in (2.0, 0.5):
             shifted = scale * vals + (rows == cols)  # same pattern, new values
             copy = first.with_values(shifted)
-            fresh = SparseSymmetric.from_entries(first.order, rows, cols, shifted)
+            fresh = from_dense(scale * a + np.eye(a.shape[0]))
             assert copy._pattern is first._pattern  # so the pattern is laid out once
             assert np.array_equal(copy.to_dense(), fresh.to_dense())
             want = cholesky(fresh, analyse(fresh, pos))
@@ -372,7 +356,7 @@ class TestFactorStorage:
         # the dense natural-order layout of a banded pattern factors as the
         # dense oracle, and the pattern's analysis still chooses a band.
         obs, mat = tapered_set
-        a = SparseSymmetric.from_entries(mat.order, *mat.lower_entries())
+        a = from_dense(mat.to_dense())  # no stored zero
         got, want = cholesky(a, dense_layout(a)), dense_factor(mat.to_dense())
         assert got.storage == want.storage == "dense"
         assert np.array_equal(got.perm, np.arange(mat.order)) and got.perm.dtype == np.int64
@@ -388,7 +372,8 @@ class TestFactorStorage:
         copy = first.with_values(vals)
         assert copy.nnz_lower == first.nnz_lower and copy.max_row_nnz() == first.max_row_nnz()
         assert np.array_equal(copy.lower_entries()[2], vals)
-        zero_free = SparseSymmetric.from_entries(30, rows, cols, vals)
+        i, j = np.indices(a.shape)
+        zero_free = from_dense(np.where(np.abs(i - j) == 3, 0.0, a))
         assert zero_free.nnz_lower == first.nnz_lower - np.count_nonzero(np.abs(rows - cols) == 3)
         assert np.array_equal(copy.to_dense(), zero_free.to_dense())
         got, want = cholesky(copy, layout), cholesky(zero_free)

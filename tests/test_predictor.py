@@ -105,6 +105,14 @@ class TestPriorOnly:
         assert predict_derivative(p, [0.0], [1.0]) == 0.0
         assert predict_average(p, (0.0, 1.0)) == 1.5
 
+    @pytest.mark.parametrize("mode", ["global", "localized"])
+    def test_derivative_of_an_empty_tapered_2d_fit(self, mode):
+        # No weights and no kernels: the weighted sum is 0.0, with no special case.
+        obs, model = observation_set([], 2), CorrelationModel("matern52", 0.5, 1.5)
+        p = (fit_localized(obs, model, 2, 1.5, 2.0) if mode == "localized"
+             else fit_global(obs, model, 1.5, 2.0))
+        assert predict_derivative(p, [0.3, -0.1], [1.0, 1.0]) == 0.0
+
 
 class TestExactness:
     def test_exact_point_reproduced(self, demo_fit):
