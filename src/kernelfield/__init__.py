@@ -15,8 +15,7 @@ either mode.
 from .corrfn import CorrelationModel
 from .errors import (ConfigError, EstimationError, FactorizationError,
                      ObservationParseError, UnsupportedOperatorError)
-from .inference import (MleResult, estimate_eta, estimate_joint, estimate_mu,
-                        estimate_sigma2)
+from .inference import MleResult, estimate_joint, estimate_mu, estimate_sigma2
 from .linalg import SparseSymmetric, cholesky
 from .localized import approximate_inverse, fit_localized
 from .obsmodel import (AVG, DERIV, KIND_CODES, KINDS, POINT, ObservationSet, assemble,
@@ -31,7 +30,7 @@ __all__ = [
     "ConfigError", "CorrelationModel", "EstimationError", "FactorizationError",
     "GridSpec", "KernelPredictor", "MleResult", "ObservationParseError", "ObservationSet",
     "SparseSymmetric", "UnsupportedOperatorError", "approximate_inverse", "assemble",
-    "cholesky", "estimate_eta", "estimate_joint", "estimate_mu", "estimate_sigma2",
+    "cholesky", "estimate_joint", "estimate_mu", "estimate_sigma2",
     "fit_global", "fit_localized", "kernel_vector", "predict", "predict_average",
     "predict_derivative", "predict_variance", "rasterize", "read_observations_csv",
     "write_observations_csv",

@@ -82,9 +82,6 @@ def _kind_rows(kinds) -> dict:  # the rows of each per-kind column of a predicto
     return {"site": ~avg, "direction": kinds == KIND_CODES[obsmodel.DERIV], "bounds": avg}
 
 
-_ITEMSIZES = {"|i1": 1, "<f8": 8}  # of the dtypes a predictor file stores
-
-
 def _encode(a: np.ndarray, dtype: str) -> dict:
     """``a`` as a binary array of a predictor file: its dtype string, its shape
     and the base64 of its C-order bytes in that dtype."""
@@ -111,7 +108,7 @@ def _decode(doc, name: str, dtype: str, shape: Optional[tuple] = None) -> np.nda
         raw = base64.b64decode(data, validate=True)
     except ValueError:  # binascii.Error, or a character beyond ASCII
         raise ValueError(f"{name}.data is not valid base64") from None
-    if len(raw) != _ITEMSIZES[dtype] * math.prod(dims):
+    if len(raw) != np.dtype(dtype).itemsize * math.prod(dims):
         raise ValueError(f"{name} holds {len(raw)} bytes, not the {dtype} bytes of shape "
                          f"{tuple(dims)}")
     return np.frombuffer(raw, dtype=dtype).reshape(dims)
@@ -480,9 +477,7 @@ def cmd_infer(args) -> int:
     elif obs.m == 0:
         raise EstimationError("cannot infer parameters from an empty observation set")
     elif eta_bounds is not None:
-        def family(eta):
-            return corrfn.CorrelationModel(model.base_kind, eta, model.taper_range)
-        result = inference.estimate_joint(obs, family, eta_bounds)
+        result = inference.estimate_joint(obs, model, eta_bounds)
     else:
         mu, sigma2, nll = inference.profile_levels(obs, model)
         result = inference.MleResult(mu, sigma2, nll=nll)

@@ -65,15 +65,14 @@ class _Matern52:
 
     @staticmethod
     def scaled(d, tau_m):
-        """k, d clipped where e^{-x/2} (and so e^{-x}) is exactly 0, and x."""
+        """k, and x at d clipped where e^{-x/2} (and so e^{-x}) is exactly 0."""
         k = SQRT5 / tau_m
-        c = np.minimum(d, 1500.0 / k)
-        return k, c, k * c
+        return k, k * np.minimum(d, 1500.0 / k)
 
     @staticmethod
     def rho(d, tau_m, order):
         """rho (order 0), or its first or second derivative in d."""
-        k, _, x = _Matern52.scaled(d, tau_m)
+        k, x = _Matern52.scaled(d, tau_m)
         if order == 0:
             return (1.0 + x + x * x / 3.0) * np.exp(-x)
         h = np.exp(-0.5 * x)  # e^{-x} in halves: subnormal where rho' and rho'' may be normal
@@ -87,7 +86,7 @@ class _Matern52:
     def integrals(a, tau_m):
         """F(a) = int_0^a rho and H(a) = int_0^a F = a F(a) - G_1/k^2 (by parts, with no
         terms of size a/k to cancel at small k a), linear from the clip on."""
-        k, _, x = _Matern52.scaled(a, tau_m)
+        k, x = _Matern52.scaled(a, tau_m)
         f = (-8.0 * np.expm1(-x) - (5.0 * x + x * x) * np.exp(-x)) / (3.0 * k)
         l, g = _Matern52.moments(a, tau_m)
         return f, a * f - l * l * g[1]
@@ -97,7 +96,7 @@ class _Matern52:
         """The length 1/k, and G_n = int_0^x t^n rho(t) dt for n < 5: by Taylor
         series (:data:`_M52_SERIES`, Horner's rule) below x = 1.5, and from it
         on as a sum of lower incomplete gamma functions j! P(j + 1, x) (A&S 6.5)."""
-        k, _, x = _Matern52.scaled(c, tau_m)
+        k, x = _Matern52.scaled(c, tau_m)
         j = np.arange(7.0).reshape(-1, *[1] * np.ndim(x))
         q = gamma(j + 1.0) * gammainc(j + 1.0, x)
         series = 0.0

@@ -10,12 +10,13 @@ levels through its inverse from :func:`gls_levels` (the fits) or from
 :func:`profile_levels`, which adds the negative log-likelihood at them.
 The likelihood maximized over the mean and variance is then a function of
 the range alone (Mardia & Marshall 1984, Biometrika 71), so the joint
-estimate is one bounded scalar search over the range.
+estimate is one bounded scalar search over the base scale of a given model.
 
-The search analyses once and factors many times (as CHOLMOD does; Chen et
-al. 2008, ACM TOMS 35(3)): the set's pairs, distances and factor layout are
-found once per taper range, so one evaluation is the values on those pairs (zeros
-included), one scatter into LAPACK storage, one factorization and two solves.
+Its taper range stays, and with it the sparsity pattern, so the search
+analyses once and factors many times (as CHOLMOD does; Chen et al. 2008,
+ACM TOMS 35(3)): the set's pairs, distances and factor layout are found once
+per search, so one evaluation is the values on those pairs (zeros included),
+one scatter into LAPACK storage, one factorization and two solves.
 The search is bounded Brent without derivatives (Brent 1973, ch. 5; Forsythe,
 Malcolm & Moler 1977, ``fmin``), scipy's ``minimize_scalar(method="bounded")``
 ported line for line onto Python floats, so that no process loads scipy's
@@ -26,8 +27,7 @@ each range it evaluates and does not factor again at its answer: a search's
 """
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -41,15 +41,20 @@ from .obsmodel import ObservationSet, PairStructure, assemble
 # step goes this fraction of the way into the larger part of the bracket.
 _FIRST_PROBE = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)  # scipy's literal, not the machine epsilon: its steps to the bit
+# A range search's cap on factorizations, and its tolerance as a fraction of
+# the bracket's lower end.
+_MAX_EVALS = 50
+_REL_TOL = 1e-5
 
 
 @dataclass
 class MleResult:
-    """Estimated levels, and the range and NLL where a search or a likelihood
-    gave them; ``iterations`` counts a search's factorizations (1 without a
-    search), and ``converged`` is false where a search ran out of them or
-    answered at an end of its bracket (:func:`estimate_eta`).  The field
-    names are the keys of ``infer``'s JSON document."""
+    """Estimated levels, and the range (the searched model's base scale) and
+    NLL where a search or a likelihood gave them; ``iterations`` counts a
+    search's factorizations (1 without a search), and ``converged`` is false
+    where a search spent its cap of them or answered at an end of its bracket
+    (:func:`estimate_eta`).  The field names are the keys of ``infer``'s JSON
+    document."""
 
     mu: float
     sigma2: float
@@ -266,30 +271,28 @@ def _bounded_brent(f: Callable[[float], float], a: float, b: float, xatol: float
     return xf
 
 
-def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
-                 search_bounds: Tuple[float, float], rel_tol: float,
-                 max_iter: int) -> MleResult:
-    """The range in ``search_bounds`` minimizing the profiled NLL of
-    :func:`profile_levels`, with its levels and NLL.
+def estimate_eta(obs_set: ObservationSet, model: CorrelationModel,
+                 search_bounds: Tuple[float, float]) -> MleResult:
+    """The base scale in ``search_bounds`` minimizing the profiled NLL of
+    :func:`profile_levels` under ``model`` with that scale, with its levels
+    and NLL: ``model``'s kind and taper range stay, so one pair structure
+    serves every evaluation.
 
     One bounded Brent search (:func:`_bounded_brent`) to the absolute
-    tolerance ``rel_tol * lo``, with at most ``max_iter`` evaluations of one
-    factorization each, on one pair structure while the taper range stays.
-    A range that does not factor scores ``inf``.  Brent cannot leave an
-    infinite first probe, so while that probe fails the top of the bracket
-    moves down to it (smaller ranges are better conditioned);
-    :class:`EstimationError` is raised if no probe factors, and where a
-    range's estimated variance is not positive (:func:`profile_levels`:
-    vanishing residuals).  Bounds that do
-    not satisfy ``0 < lo < hi < inf``, a ``max_iter`` that is not a positive
-    integer and a ``rel_tol`` that is not a positive finite real are a
-    :class:`ValueError`.
+    tolerance ``_REL_TOL * lo``, with at most ``_MAX_EVALS`` evaluations of
+    one factorization each.  A range that does not factor scores ``inf``.
+    Brent cannot leave an infinite first probe, so while that probe fails the
+    top of the bracket moves down to it (smaller ranges are better
+    conditioned); :class:`EstimationError` is raised if no probe factors, and
+    where a range's estimated variance is not positive (:func:`profile_levels`:
+    vanishing residuals).  Bounds that do not satisfy ``0 < lo < hi < inf``
+    are a :class:`ValueError`.
 
     Brent's answer is always a range it evaluated, so the result takes its
     levels and NLL from that evaluation, and ``iterations`` counts the
-    search's factorizations, never more than ``max_iter``: the search stops
+    search's factorizations, never more than ``_MAX_EVALS``: the search stops
     at the cap and answers the best range evaluated.  ``converged`` is false
-    when all ``max_iter`` were spent, and when the answer lies at an end of
+    when all ``_MAX_EVALS`` were spent, and when the answer lies at an end of
     the bracket searched (``hi`` after any failed probe): within Brent's
     stopping distance of it, ``xatol + 2 sqrt(eps) eta``, where a likelihood
     with no optimum inside the bracket ends.  Either is reported, never
@@ -298,29 +301,21 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("search bounds must satisfy 0 < lo < hi < inf")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if isinstance(rel_tol, bool) or not (isinstance(rel_tol, numbers.Real)
-                                         and 0.0 < rel_tol < math.inf):
-        raise ValueError(f"rel_tol must be a positive finite real, got {rel_tol!r}")
-    xatol = rel_tol * lo
+    xatol = _REL_TOL * lo
+    structure = PairStructure(obs_set, model.taper_range)
     evaluated = {}  # range -> (NLL, mu, sigma2); Brent's first evaluation is the last probe
-    structure = None  # the set's pair structure under the last taper range
 
     def objective(eta):
-        nonlocal structure
         if eta not in evaluated:
-            model = model_family(eta)
-            if structure is None or structure.taper_range != model.taper_range:
-                structure = PairStructure(obs_set, model.taper_range)
             try:
-                mu, sigma2, nll = profile_levels(obs_set, model, structure)
+                mu, sigma2, nll = profile_levels(obs_set, replace(model, base_scale=eta),
+                                                 structure)
             except FactorizationError:
                 mu, sigma2, nll = None, None, math.inf
             evaluated[eta] = nll, mu, sigma2
         return evaluated[eta][0]
 
-    for failed in range(max_iter):
+    for failed in range(_MAX_EVALS):
         probe = lo + _FIRST_PROBE * (hi - lo)
         if math.isfinite(objective(probe)):
             break
@@ -328,19 +323,18 @@ def estimate_eta(obs_set: ObservationSet, model_family: Callable[[float], Correl
     else:
         raise EstimationError(f"the inter-correlation matrix does not factor at any "
                               f"range tried in [{lo}, {search_bounds[1]}]")
-    eta = _bounded_brent(objective, lo, hi, xatol, max_iter - failed)
+    eta = _bounded_brent(objective, lo, hi, xatol, _MAX_EVALS - failed)
     nll, mu, sigma2 = evaluated[eta]
     at_end = min(eta - lo, hi - eta) <= xatol + 2.0 * math.sqrt(np.finfo(float).eps) * eta
     return MleResult(mu, sigma2, eta, nll, len(evaluated),
-                     len(evaluated) < max_iter and not at_end)
+                     len(evaluated) < _MAX_EVALS and not at_end)
 
 
-def estimate_joint(obs_set: ObservationSet, model_family: Callable[[float], CorrelationModel],
-                   search_bounds: Tuple[float, float], max_iter: int = 50,
-                   rel_tol: float = 1e-5) -> MleResult:
+def estimate_joint(obs_set: ObservationSet, model: CorrelationModel,
+                   search_bounds: Tuple[float, float]) -> MleResult:
     """Joint maximum-likelihood mean, variance and range: :func:`estimate_eta`
     on a set of at least two observations.  The GLS levels maximize the
     likelihood at any fixed range, so the search is over the range alone."""
     if obs_set.m < 2:
         raise EstimationError("joint estimation needs at least two observations")
-    return estimate_eta(obs_set, model_family, search_bounds, rel_tol, max_iter)
+    return estimate_eta(obs_set, model, search_bounds)

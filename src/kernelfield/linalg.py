@@ -48,14 +48,15 @@ class SparseSymmetric:
     :meth:`with_values` copies share the pattern, and so its layout.  It is
     the one constructor: the pair structure, the localized fit and the
     predictor file's reader each build that canonical pattern themselves.
-    Products read the stored triangle; the full view, made on first use,
-    gathers rows.
+    Products read the stored triangle (quadratic forms its doubled copy); the
+    full view gathers rows.  Both views are made on first use and kept.
     """
 
     def __init__(self, pattern: sp.csr_matrix, values: Optional[np.ndarray] = None):
         self._pattern = pattern
         self._values = pattern.data if values is None else values
         self._full: Optional[sp.csr_matrix] = None
+        self._doubled: Optional[sp.csr_matrix] = None
 
     def with_values(self, values: np.ndarray) -> "SparseSymmetric":
         """This stored pattern holding the lower-triangle ``values`` (CSR order), zeros too."""
@@ -112,10 +113,12 @@ class SparseSymmetric:
         """``v' A v`` for each column v of a dense or sparse (m, n) ``rhs``:
         the row sums of (K D) * K, elementwise, with K = rhs' and D the stored
         triangle, its off-diagonal doubled: ``sum_{i >= j} (2 - [i = j]) a_ij v_i v_j``."""
-        p = self._pattern
-        doubled = np.where(p.indices == self._rows(), self._values, 2.0 * self._values)
-        k, d = sp.csr_matrix(rhs.T), sp.csr_matrix((doubled, p.indices, p.indptr), p.shape)
-        return np.asarray((k @ d).multiply(k).sum(axis=1)).ravel()
+        if self._doubled is None:  # made on first use, as the full view is
+            p = self._pattern
+            doubled = np.where(p.indices == self._rows(), self._values, 2.0 * self._values)
+            self._doubled = sp.csr_matrix((doubled, p.indices, p.indptr), p.shape)
+        k = sp.csr_matrix(rhs.T)
+        return np.asarray((k @ self._doubled).multiply(k).sum(axis=1)).ravel()
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """Dense symmetric sub-matrix for the given sorted index list."""

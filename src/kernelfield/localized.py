@@ -103,6 +103,9 @@ def approximate_inverse(S: SparseSymmetric, locations, delta: float,
         if dense is not None:
             sub = np.take(dense, idx[:, :, None] * m + idx[:, None, :])
         else:
+            # in full's own index dtype (int32, where the keys are int64), to
+            # which scipy would otherwise convert each of the n^2 query indices
+            idx = idx.astype(full.indices.dtype)
             r, c = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
             sub = np.asarray(full[r.ravel(), c.ravel()]).reshape(r.shape)
         center = np.count_nonzero(idx < centers[:, None], axis=1)
@@ -177,7 +180,7 @@ def _site_diagnostics(obs: ObservationSet, model: CorrelationModel, S: SparseSym
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these three names, so
 # they stay, as functions over the shared path rather than aliases, until it
-# drops those metrics (ROADMAP, open items 1 and 7).
+# drops those metrics (ROADMAP, open item 1a).
 
 def predict_localized(f: KernelPredictor, x):
     """:func:`~.predictor.predict` of a localized predictor."""

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (POINT, CorrelationModel, EstimationError, FactorizationError,
-                         assemble, cholesky, estimate_eta, estimate_joint, estimate_mu,
-                         estimate_sigma2, fit_localized, inference, linalg, obsmodel)
+                         assemble, cholesky, estimate_joint, estimate_mu, estimate_sigma2,
+                         fit_localized, inference, linalg, obsmodel)
 from kernelfield.cli import synthetic_observations
-from kernelfield.inference import level_matrix, negative_log_likelihood, profile_levels
+from kernelfield.inference import (estimate_eta, level_matrix, negative_log_likelihood,
+                                   profile_levels)
 from kernelfield.linalg import CholeskyFactor, analyse
 from kernelfield.obsmodel import AVG, DERIV, PairStructure
 
@@ -114,13 +116,13 @@ class TestEstimateSigma2:
             oracle, abs=1e-10)
 
 
-def taper_family(eta):
-    # range parameter drives both the shape scale and the support
-    return CorrelationModel("gauss2", 0.5 * eta, taper_range=eta)
+def scaled(model, eta):
+    """``model`` with base scale ``eta``, as a range search evaluates it."""
+    return replace(model, base_scale=eta)
 
 
-def stepped_taper_family(eta):
-    return CorrelationModel("matern52", 0.3 * eta, 1.0 if eta < 1.2 else 2.0)
+# A tapered template whose base scale a search varies (the scale it holds is never evaluated).
+TAPERED_GAUSS = CorrelationModel("gauss2", 7.0, taper_range=1.5)
 
 
 class TestEstimateEta:
@@ -129,7 +131,7 @@ class TestEstimateEta:
         # objective should not improve as the range parameter grows
         rng = np.random.default_rng(21)
         obs = spaced_point_set(rng, 150, min_sep=0.5)
-        objs = [negative_log_likelihood(obs, taper_family(eta), 0.0, 1.0)
+        objs = [negative_log_likelihood(obs, CorrelationModel("gauss2", 0.5 * eta, eta), 0.0, 1.0)
                 for eta in (0.3, 0.6, 1.2, 2.4)]
         assert all(objs[i] <= objs[i + 1] + 1e-9 for i in range(len(objs) - 1))
 
@@ -137,49 +139,35 @@ class TestEstimateEta:
         rng = np.random.default_rng(22)
         obs = spaced_point_set(rng, 30, min_sep=0.4)
         lo, hi = 0.2, 3.0
-        f_hat = estimate_eta(obs, taper_family, (lo, hi), 1e-4, 500).nll
-        assert f_hat <= profile_levels(obs, taper_family(lo))[2] + 1e-9
-        assert f_hat <= profile_levels(obs, taper_family(hi))[2] + 1e-9
+        f_hat = estimate_eta(obs, TAPERED_GAUSS, (lo, hi)).nll
+        assert f_hat <= profile_levels(obs, scaled(TAPERED_GAUSS, lo))[2] + 1e-9
+        assert f_hat <= profile_levels(obs, scaled(TAPERED_GAUSS, hi))[2] + 1e-9
 
     def test_two_observation_smoke(self):
         obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
-        result = estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
+        result = estimate_eta(obs, TAPERED_GAUSS, (0.5, 2.0))
         assert 0.5 <= result.eta <= 2.0
         assert np.isfinite(result.nll)
-        assert result.nll == profile_levels(obs, taper_family(result.eta))[2]
+        assert result.nll == profile_levels(obs, scaled(TAPERED_GAUSS, result.eta))[2]
 
     def test_bad_bounds(self):
         obs = observation_set([(POINT, 0.0, 1.0)])
         with pytest.raises(ValueError):
-            estimate_eta(obs, taper_family, (1.0, 0.5), 1e-4, 500)
+            estimate_eta(obs, TAPERED_GAUSS, (1.0, 0.5))
 
     def test_rejects_observation_errors(self):
         obs = observation_set([(POINT, 0.0, 1.0, 0.5), (POINT, 1.0, 1.0)])
         with pytest.raises(EstimationError, match="observation errors"):
-            estimate_eta(obs, taper_family, (0.5, 2.0), 1e-4, 500)
-
-    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
-    def test_refuses_a_cap_that_is_not_a_positive_integer(self, max_iter):
-        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
-        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-            estimate_eta(obs, lambda eta: pytest.fail("a range was evaluated"), (0.5, 2.0),
-                         1e-4, max_iter)
-
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-4, "1e-4", True])
-    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, rel_tol):
-        obs = observation_set([(POINT, 0.0, 1.0), (POINT, 1.0, 2.0)])
-        with pytest.raises(ValueError, match="rel_tol must be a positive finite real"):
-            estimate_eta(obs, lambda eta: pytest.fail("a range was evaluated"), (0.5, 2.0),
-                         rel_tol, 500)
+            estimate_eta(obs, TAPERED_GAUSS, (0.5, 2.0))
 
 
 class TestEstimateJoint:
     def test_identity_limit_recovers_moments(self):
         rng = np.random.default_rng(31)
         obs = spaced_point_set(rng, 25, min_sep=0.5)
-        # every eta in the bracket keeps the taper below the minimum spacing,
-        # so the inter-correlation matrix is the identity throughout
-        result = estimate_joint(obs, taper_family, (0.05, 0.2))
+        # the taper is below the minimum spacing, so the inter-correlation
+        # matrix is the identity at every range in the bracket
+        result = estimate_joint(obs, CorrelationModel("gauss2", 7.0, 0.2), (0.05, 0.2))
         values = obs.values()
         assert result.mu == pytest.approx(values.mean(), abs=1e-10)
         assert result.sigma2 == pytest.approx(np.mean((values - values.mean()) ** 2),
@@ -189,20 +177,20 @@ class TestEstimateJoint:
     def test_deterministic(self):
         rng = np.random.default_rng(32)
         obs = spaced_point_set(rng, 20, min_sep=0.45)
-        r1 = estimate_joint(obs, taper_family, (0.3, 2.0))
-        r2 = estimate_joint(obs, taper_family, (0.3, 2.0))
+        r1 = estimate_joint(obs, TAPERED_GAUSS, (0.3, 2.0))
+        r2 = estimate_joint(obs, TAPERED_GAUSS, (0.3, 2.0))
         assert r1 == r2
 
     def test_simulated_field_mean_within_three_se(self):
         rng = np.random.default_rng(33)
         pts = well_separated_points(rng, 200, 1, 0.0, 20.0, 0.06)
-        model_true = taper_family(1.0)
+        model_true = CorrelationModel("gauss2", 0.5, taper_range=1.0)
         obs_geom = observation_set([(POINT, p, 0.0) for p in pts])
         mat = assemble(obs_geom, model_true, 1.0).to_dense()
         values = np.linalg.cholesky(mat) @ rng.standard_normal(200)  # mu=0, sigma2=1
         obs = observation_set([(POINT, p, v) for p, v in zip(pts, values)])
-        result = estimate_joint(obs, taper_family, (0.4, 2.5))
-        fhat = cholesky(assemble(obs, taper_family(result.eta), 1.0))
+        result = estimate_joint(obs, model_true, (0.2, 1.25))
+        fhat = cholesky(assemble(obs, scaled(model_true, result.eta), 1.0))
         se = np.sqrt(result.sigma2 / (np.ones(200) @ fhat.solve(np.ones(200))))
         assert abs(result.mu - 0.0) <= 3.0 * se
         assert result.converged
@@ -210,7 +198,7 @@ class TestEstimateJoint:
     def test_needs_two_observations(self):
         obs = observation_set([(POINT, 0.0, 1.0)])
         with pytest.raises(EstimationError):
-            estimate_joint(obs, taper_family, (0.5, 2.0))
+            estimate_joint(obs, TAPERED_GAUSS, (0.5, 2.0))
 
 
 class TestLocalizedVsGlobal:
@@ -251,12 +239,8 @@ def dense_profiled_nll(obs, model):
     return 0.5 * (m * np.log(2 * np.pi * s2) + np.linalg.slogdet(k)[1] + m)
 
 
-def matern_family(eta):
-    return CorrelationModel("matern52", eta)
-
-
-def gauss_family(eta):
-    return CorrelationModel("gauss2", eta)
+MATERN = CorrelationModel("matern52", 7.0)  # untapered templates
+GAUSS = CorrelationModel("gauss2", 7.0)
 
 
 def matern_2d_set():
@@ -274,26 +258,26 @@ def gauss_1d_lattice():
 class TestProfiledSearch:
     def test_reaches_scan_minimum(self):
         obs = matern_2d_set()
-        result = estimate_joint(obs, matern_family, (0.1, 3.0))
-        scan = min(dense_profiled_nll(obs, matern_family(eta))
+        result = estimate_joint(obs, MATERN, (0.1, 3.0))
+        scan = min(dense_profiled_nll(obs, scaled(MATERN, eta))
                    for eta in np.geomspace(0.1, 3.0, 200))
         assert result.converged
         assert result.nll <= scan + 1e-6
         assert result.nll == pytest.approx(
-            dense_profiled_nll(obs, matern_family(result.eta)), rel=1e-10)
+            dense_profiled_nll(obs, scaled(MATERN, result.eta)), rel=1e-10)
 
     def test_range_that_does_not_factor_never_wins(self):
         obs = gauss_1d_lattice()
         lo, hi = 0.1, 20.0
         # Brent's first probe lands where the matrix does not factor.
         with pytest.raises(FactorizationError):
-            cholesky(assemble(obs, gauss_family(lo + 0.382 * (hi - lo)), 1.0))
+            cholesky(assemble(obs, scaled(GAUSS, lo + 0.382 * (hi - lo)), 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = estimate_joint(obs, gauss_family, (lo, hi))
+            result = estimate_joint(obs, GAUSS, (lo, hi))
         assert np.isfinite(result.nll)
         assert lo <= result.eta <= hi
-        scan = min(dense_profiled_nll(obs, gauss_family(eta))
+        scan = min(dense_profiled_nll(obs, scaled(GAUSS, eta))
                    for eta in np.geomspace(lo, 2.0, 200))
         assert result.nll <= scan + 1e-6
 
@@ -302,13 +286,13 @@ class TestProfiledSearch:
         # does not; Brent's next parabola multiplies that inf by zero.  The
         # CLI runs under np.errstate(invalid="raise").
         with np.errstate(all="raise"):
-            result = estimate_joint(gauss_1d_lattice(), gauss_family, (0.1, 6.0))
+            result = estimate_joint(gauss_1d_lattice(), GAUSS, (0.1, 6.0))
         assert result.converged and 0.1 < result.eta < 2.35
 
     def test_nothing_factors_raises(self):
         obs = gauss_1d_lattice()
         with pytest.raises(EstimationError, match="does not factor"):
-            estimate_joint(obs, gauss_family, (8.0, 20.0))
+            estimate_joint(obs, GAUSS, (8.0, 20.0))
 
     @pytest.mark.parametrize("bounds, at_end", [
         ((0.1, 0.25), True), ((0.001, 0.25), True), ((1.0, 3.0), True), ((0.001, 1.0), False),
@@ -317,13 +301,14 @@ class TestProfiledSearch:
         # The optimum is near 0.53 (test_reaches_scan_minimum).  At the wide
         # brackets Brent ends further than xatol = 1e-5 * lo from an end.
         lo, hi = bounds
-        result = estimate_joint(matern_2d_set(), matern_family, bounds)
-        assert result.iterations < 50  # stopped by its tolerance, not by its cap
+        result = estimate_joint(matern_2d_set(), MATERN, bounds)
+        assert result.iterations < inference._MAX_EVALS  # stopped by its tolerance, not its cap
         assert (min(result.eta - lo, hi - result.eta) < 1e-5) == at_end
         assert result.converged == (not at_end)
 
-    def test_evaluation_cap_reports_not_converged(self):
-        result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=3)
+    def test_evaluation_cap_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_EVALS", 3)
+        result = estimate_joint(matern_2d_set(), MATERN, (0.1, 3.0))
         assert not result.converged
         assert result.iterations == 3
         assert np.isfinite(result.nll)
@@ -340,7 +325,8 @@ class TestProfiledSearch:
             return real_profile_levels(obs_set, model, structure)
 
         monkeypatch.setattr(inference, "profile_levels", failing_above_half)
-        result = estimate_eta(matern_2d_set(), matern_family, (0.1, 3.0), 1e-5, 3)
+        monkeypatch.setattr(inference, "_MAX_EVALS", 3)
+        result = estimate_eta(matern_2d_set(), MATERN, (0.1, 3.0))
         assert len(evaluated) == result.iterations == 3
         assert evaluated[0] > evaluated[1] > 0.5 > evaluated[2] == result.eta
         assert not result.converged
@@ -349,16 +335,17 @@ class TestProfiledSearch:
         factored, real_cholesky = [], inference.cholesky
         monkeypatch.setattr(inference, "cholesky",
                             lambda *args: factored.append(1) or real_cholesky(*args))
-        result = estimate_joint(matern_2d_set(), matern_family, (0.1, 3.0), max_iter=1)
+        monkeypatch.setattr(inference, "_MAX_EVALS", 1)
+        result = estimate_joint(matern_2d_set(), MATERN, (0.1, 3.0))
         assert len(factored) == result.iterations == 1
         assert result.eta == 0.1 + inference._FIRST_PROBE * (3.0 - 0.1)
         assert not result.converged
 
     @pytest.mark.parametrize("case", ["matern-2d", "gauss-1d"])
     def test_iterations_count_search_factorizations(self, monkeypatch, case):
-        obs, family, bounds = {
-            "matern-2d": (matern_2d_set(), matern_family, (0.1, 3.0)),
-            "gauss-1d": (gauss_1d_lattice(), gauss_family, (0.1, 20.0)),
+        obs, template, bounds = {
+            "matern-2d": (matern_2d_set(), MATERN, (0.1, 3.0)),
+            "gauss-1d": (gauss_1d_lattice(), GAUSS, (0.1, 20.0)),
         }[case]
         calls = {"search": 0, "all": 0}
         in_search = []
@@ -378,15 +365,15 @@ class TestProfiledSearch:
 
         monkeypatch.setattr(inference, "cholesky", counting_cholesky)
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
-        result = estimate_joint(obs, family, bounds)
+        result = estimate_joint(obs, template, bounds)
         assert result.iterations == calls["search"] == calls["all"]
 
-    @pytest.mark.parametrize("family", [matern_family, lambda eta: CorrelationModel(
-        "matern52", eta, 1.5)], ids=["untapered", "tapered"])
-    def test_levels_at_the_estimate_reuse_the_search_structure(self, monkeypatch, family):
+    @pytest.mark.parametrize("template", [MATERN, CorrelationModel("matern52", 7.0, 1.5)],
+                             ids=["untapered", "tapered"])
+    def test_levels_at_the_estimate_reuse_the_search_structure(self, monkeypatch, template):
         obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
-        eta = estimate_eta(obs, family, (0.1, 1.4), 1e-5, 50).eta
-        mu, sigma2, nll = profile_levels(obs, family(eta))
+        eta = estimate_eta(obs, template, (0.1, 1.4)).eta
+        mu, sigma2, nll = profile_levels(obs, scaled(template, eta))
         built, layouts, analyses, factored, in_search = [], [], [], [], []
         real_structure, real_analyse = inference.PairStructure, obsmodel.analyse
         real_layout = linalg._layout
@@ -408,13 +395,38 @@ class TestProfiledSearch:
         monkeypatch.setattr(inference, "cholesky",
                             lambda *args: factored.append(bool(in_search)) or real_cholesky(*args))
         monkeypatch.setattr(inference, "estimate_eta", marked_estimate_eta)
-        result = estimate_joint(obs, family, (0.1, 1.4))
+        result = estimate_joint(obs, template, (0.1, 1.4))
         assert (result.eta, result.mu, result.sigma2,
                 result.nll) == (eta, mu, sigma2, nll)  # bit for bit
         # one layout; a full (untapered) pattern is laid out with no band search
-        tapered = family(eta).taper_range is not None
+        tapered = template.taper_range is not None
         assert (len(built), len(layouts), len(analyses)) == (1, 1, int(tapered))
         assert factored == [True] * result.iterations  # none after the search
+
+    @pytest.mark.parametrize("template", [MATERN, CorrelationModel("matern52", 7.0, 1.5)],
+                             ids=["untapered", "tapered"])
+    def test_search_varies_only_the_base_scale_on_one_structure(self, monkeypatch, template):
+        obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
+        built, evaluated = [], []
+        real_structure, real_profile_levels = inference.PairStructure, inference.profile_levels
+
+        def recording_structure(obs_set, taper_range):
+            built.append(real_structure(obs_set, taper_range))
+            return built[-1]
+
+        def recorded_profile_levels(obs_set, model, structure=None):
+            evaluated.append((model, structure))
+            return real_profile_levels(obs_set, model, structure)
+
+        monkeypatch.setattr(inference, "PairStructure", recording_structure)
+        monkeypatch.setattr(inference, "profile_levels", recorded_profile_levels)
+        result = estimate_joint(obs, template, (0.1, 1.4))
+        assert len(built) == 1 and built[0].taper_range == template.taper_range
+        assert len(evaluated) == result.iterations
+        assert all(structure is built[0] for _, structure in evaluated)
+        assert all(model == scaled(template, model.base_scale) and model.base_scale != 7.0
+                   for model, _ in evaluated)
+        assert result.eta in [model.base_scale for model, _ in evaluated]
 
 
 class TestProfileLevels:
@@ -459,7 +471,7 @@ def factor_or_pivot(factor):
 
 @st.composite
 def search_cases(draw):
-    """A set, a range family and the ranges of a search through one structure:
+    """A set, a template model and the ranges of a search through one structure:
     2D point sets, tapered or not, under Matern-5/2, and 1D sets of points,
     derivatives and intervals under untapered gauss2 or Matern-5/2.  Small
     gauss2 ranges underflow far entries to zero; large ones may not factor."""
@@ -471,7 +483,7 @@ def search_cases(draw):
         pts = well_separated_points(rng, m, 2, 0.0, 6.0, 0.3)
         obs = observation_set([(POINT, p, float(rng.normal())) for p in pts])
         taper = 1.5 if case == "2d-tapered" else None
-        return obs, lambda eta: CorrelationModel("matern52", eta, taper), etas
+        return obs, CorrelationModel("matern52", 7.0, taper), etas
     x = 0.5 * (np.arange(m) + rng.uniform(-0.2, 0.2, m))
     kinds = rng.choice([POINT, POINT, POINT, DERIV, AVG], m)
     kinds[0] = POINT  # the mean is estimable
@@ -481,24 +493,25 @@ def search_cases(draw):
         if kind == AVG else (POINT, xi, float(rng.normal()))
         for xi, kind in zip(x, kinds)])
     base = "gauss2" if case == "1d-gauss2" else "matern52"
-    return obs, lambda eta: CorrelationModel(base, eta), etas
+    return obs, CorrelationModel(base, 7.0), etas
 
 
-@st.composite
-def taper_changing_cases(draw):
-    """A 1D point set and a family whose taper range changes with the range
-    (equal to it, or stepped), with ranges drawn as in :func:`search_cases`."""
-    obs = spaced_point_set(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                           draw(st.integers(2, 24)), min_sep=0.35)
-    family = draw(st.sampled_from([taper_family, stepped_taper_family]))
-    return obs, family, draw(st.lists(st.floats(0.3, 2.5), min_size=2, max_size=4))
+def recording_profile_levels(asked):
+    """:func:`profile_levels` that appends each base scale it is asked for to ``asked``."""
+    real_profile_levels = inference.profile_levels
+
+    def recorded(obs_set, model, structure=None):
+        asked.append(model.base_scale)
+        return real_profile_levels(obs_set, model, structure)
+
+    return recorded
 
 
 class TestPairStructureReuse:
-    @given(st.one_of(search_cases(), taper_changing_cases()))
+    @given(search_cases())
     @settings(max_examples=60, deadline=None)
     def test_search_factors_exactly_iterations_times(self, case):
-        obs, family, etas = case
+        obs, template, etas = case
         lo, hi = min(etas), max(etas)
         assume(lo < hi)
         factored, asked = [], []
@@ -507,28 +520,25 @@ class TestPairStructureReuse:
             factored.append(1)
             return linalg.cholesky(*args, **kwargs)
 
-        def recorded_family(eta):
-            asked.append(eta)
-            return family(eta)
-
-        with mock.patch.object(inference, "cholesky", counting_cholesky):
+        with mock.patch.object(inference, "cholesky", counting_cholesky), \
+                mock.patch.object(inference, "profile_levels", recording_profile_levels(asked)):
             try:
-                result = estimate_joint(obs, recorded_family, (lo, hi))
+                result = estimate_joint(obs, template, (lo, hi))
             except EstimationError as exc:
                 assume("does not factor" not in str(exc))  # no probe factors
                 raise
         assert len(factored) == result.iterations
         assert result.eta in asked  # Brent answers with a range it evaluated
         assert (result.mu, result.sigma2, result.nll) == profile_levels(
-            obs, family(result.eta))  # bit for bit
+            obs, scaled(template, result.eta))  # bit for bit
 
     @given(search_cases())
     @settings(max_examples=80, deadline=None)
     def test_levels_through_one_structure_equal_fresh_assembly(self, case):
-        obs, family, etas = case
-        structure = PairStructure(obs, family(etas[0]).taper_range)
+        obs, template, etas = case
+        structure = PairStructure(obs, template.taper_range)
         for eta in etas:
-            model = family(eta)
+            model = scaled(template, eta)
             matrix = structure.matrix(model, 1.0)
             reused = factor_or_pivot(lambda: cholesky(matrix, structure.layout))
             # A matrix made by the constructor: no zero stored, a layout of its own.
@@ -567,10 +577,10 @@ class TestPairStructureReuse:
         if case == "untapered-1d":
             x = 0.5 * np.arange(40) + rng.uniform(-0.1, 0.1, 40)
             obs = observation_set([(POINT, xi, float(rng.normal())) for xi in x])
-            family, bounds = gauss_family, (0.05, 2.0)
+            template, bounds = GAUSS, (0.05, 2.0)
         else:
             obs = synthetic_observations(60, [(0.0, 8.0), (0.0, 8.0)], 3)
-            family, bounds = (lambda eta: CorrelationModel("gauss2", eta, 1.5)), (0.02, 0.1)
+            template, bounds = CorrelationModel("gauss2", 7.0, 1.5), (0.02, 0.1)
         matrices, factors, layouts, analyses, built = [], [], [], [], []
         real_cholesky, real_analyse = inference.cholesky, obsmodel.analyse
         real_structure, real_layout = inference.PairStructure, linalg._layout
@@ -587,7 +597,7 @@ class TestPairStructureReuse:
                             lambda *args: layouts.append(1) or real_layout(*args))
         monkeypatch.setattr(inference, "PairStructure",
                             lambda *args: built.append(1) or real_structure(*args))
-        result = estimate_joint(obs, family, bounds)
+        result = estimate_joint(obs, template, bounds)
         with_zeros = sum(not a._values.all() for a in matrices)
         assert len(matrices) == result.iterations and 0 < with_zeros < result.iterations
         assert len({a.nnz_lower for a in matrices}) == 1  # every pair the structure selects
@@ -595,38 +605,9 @@ class TestPairStructureReuse:
         assert (len(built), len(layouts), len(analyses)) == (1, 1, int(case == "tapered-2d"))
         assert {f.storage for f in factors} == {"dense" if case == "untapered-1d" else "band"}
         monkeypatch.undo()
-        model = family(result.eta)
+        model = scaled(template, result.eta)
         assert (result.mu, result.sigma2, result.nll) == profile_levels(obs, model)  # bit for bit
         assert result.nll == pytest.approx(dense_profiled_nll(obs, model), rel=1e-10)
-
-    @pytest.mark.parametrize("family", ["taper-is-range", "stepped-taper"])
-    def test_taper_range_changing_with_eta(self, monkeypatch, family):
-        family = {"taper-is-range": taper_family, "stepped-taper": stepped_taper_family}[family]
-        obs = spaced_point_set(np.random.default_rng(23), 25, min_sep=0.35)
-        real_structure = inference.PairStructure
-        built, tapers = [], []
-
-        def recording_structure(obs_set, taper_range):
-            built.append(taper_range)
-            return real_structure(obs_set, taper_range)
-
-        class FreshEachTime:  # the search before structures were kept
-            taper_range = object()  # equal to no model's, so one is built per evaluation
-
-            def __init__(self, obs_set, taper_range):
-                real = real_structure(obs_set, taper_range)
-                self.matrix, self.layout = real.matrix, real.layout
-
-        def recorded_family(eta):
-            tapers.append(family(eta).taper_range)
-            return family(eta)
-
-        monkeypatch.setattr(inference, "PairStructure", recording_structure)
-        result = estimate_joint(obs, recorded_family, (0.3, 2.5))
-        assert len(tapers) == result.iterations
-        assert built == [t for k, t in enumerate(tapers) if k == 0 or t != tapers[k - 1]]
-        monkeypatch.setattr(inference, "PairStructure", FreshEachTime)
-        assert estimate_joint(obs, family, (0.3, 2.5)) == result
 
 
 @st.composite
@@ -699,18 +680,21 @@ class TestBoundedBrent:
     def test_search_evaluates_the_ranges_of_minimize_scalar(self, monkeypatch, case):
         # matern-2d is shaped like the benchmark's mle-2d sets; on gauss-1d
         # the first probe and the largest ranges do not factor (inf).
-        obs, family, bounds = {
-            "matern-2d": (matern_2d_set(), matern_family, (0.1, 3.0)),
-            "gauss-1d": (gauss_1d_lattice(), gauss_family, (0.1, 20.0)),
+        obs, template, bounds = {
+            "matern-2d": (matern_2d_set(), MATERN, (0.1, 3.0)),
+            "gauss-1d": (gauss_1d_lattice(), GAUSS, (0.1, 20.0)),
         }[case]
         asked = []
-
-        def recorded_family(eta):
-            asked.append(float(eta))
-            return family(eta)
-
-        result = estimate_joint(obs, recorded_family, bounds)
+        monkeypatch.setattr(inference, "profile_levels", recording_profile_levels(asked))
+        result = estimate_joint(obs, template, bounds)
         ported, asked[:] = asked[:], []
-        monkeypatch.setattr(inference, "_bounded_brent", lambda *args: bounded_brent(*args)[0])
-        assert estimate_joint(obs, recorded_family, bounds) == result  # bit for bit
+
+        def scipy_search(f, lo, hi, xatol, max_evals):
+            # the search's tolerance and what its probes left of its cap
+            assert xatol == inference._REL_TOL * bounds[0]
+            assert max_evals == inference._MAX_EVALS - (len(asked) - 1)  # probes that failed
+            return bounded_brent(f, lo, hi, xatol, max_evals)[0]
+
+        monkeypatch.setattr(inference, "_bounded_brent", scipy_search)
+        assert estimate_joint(obs, template, bounds) == result  # bit for bit
         assert asked == ported and len(ported) == result.iterations

@@ -2,11 +2,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (AVG, POINT, ConfigError, CorrelationModel, EstimationError,
-                         FactorizationError, GridSpec, ObservationSet,
+                         FactorizationError, GridSpec, ObservationSet, SparseSymmetric,
                          approximate_inverse, assemble, fit_global, fit_localized, predict,
                          predict_variance, rasterize)
 from kernelfield import localized
@@ -39,6 +40,19 @@ class TestApproximateInverse:
         mat = assemble(obs, TAPERED, 1.0)
         psi = approximate_inverse(mat, pts, delta=0.5)
         assert np.array_equal(psi.to_dense(), np.eye(4))
+
+    def test_isolated_sites_past_the_int32_key_range(self):
+        # At m = 50000 the keys row * m + col pass 2**31.  Sites one apart with
+        # delta 0.5 make each neighbourhood its own site, so Psi is the inverse
+        # of the diagonal; its entries all differ, so an entry averaged with
+        # another row's (a mirror key that wrapped) would show.
+        m = 50000
+        diagonal = 1.0 + np.arange(m)
+        psi = approximate_inverse(SparseSymmetric(sp.diags(diagonal, format="csr")),
+                                  np.arange(m, dtype=float)[:, None], delta=0.5)
+        rows, cols, vals = psi.lower_entries()
+        assert np.array_equal(rows, np.arange(m)) and np.array_equal(cols, np.arange(m))
+        assert np.allclose(vals, 1.0 / diagonal, rtol=1e-15, atol=0.0)
 
     def test_five_colinear_points_hand_oracle(self):
         pts = np.array([[0.0], [0.4], [0.8], [1.2], [1.6]])
